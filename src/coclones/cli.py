@@ -35,7 +35,7 @@ from .instances import (
     Resolver,
     default_resolver,
 )
-from .oracle import OracleError, decide, solve
+from .oracle import OracleError, meets_threshold, solve
 from .postlattice import (
     CatalogError,
     co_clone_leq,
@@ -235,7 +235,7 @@ def _cmd_solve(args) -> int:
         for m in res.optimal_set:
             print(f"  {mask_to_string(m, inst.num_vars)}")
     if inst.threshold is not None:
-        outcome = decide(inst, resolver=resolver, jobs=args.jobs)
+        outcome = meets_threshold(res, inst.threshold)
         print(f"threshold {inst.threshold.direction} {inst.threshold.value}: "
               + ("met" if outcome else "not met"))
         return 0 if outcome else 1
@@ -452,6 +452,16 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _job_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coclones", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -463,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if output:
             sp.add_argument("-o", "--output", help="write machine-readable output here")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--jobs", type=_job_count, default=1)
 
     sp = sub.add_parser("classify-sat", help="satisfiability dichotomy test")
     sp.add_argument("language")
@@ -507,10 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name")
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_certify)
 
-    sp = sub.add_parser("solve", help="exhaustive oracle solve")
+    sp = sub.add_parser("solve", help="exact oracle solve")
     sp.add_argument("instance")
     sp.add_argument("--all", action="store_true")
     common(sp, defs=True, jobs=True)
@@ -528,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the golden/certify suite")
     sp.add_argument("--trials", type=int, default=40)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_selftest)
 
     return p

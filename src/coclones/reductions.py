@@ -38,7 +38,7 @@ from .instances import (
     default_resolver,
     rf_name,
 )
-from .oracle import SolveResult, solve
+from .oracle import OracleError, solve
 from .relations import Relation
 
 __all__ = [
@@ -110,10 +110,6 @@ def _check_degree_bound(inst: Instance, bound: int) -> None:
 def _require_language(inst: Instance, allowed: tuple[str, ...], name: str) -> None:
     extra = [r for r in inst.language() if r not in allowed]
     _require(not extra, f"{name}: source language must be within {allowed}, got {extra}")
-
-
-def _sat_threshold(res: SolveResult) -> bool:
-    return res.satisfiable
 
 
 # ---------------------------------------------------------------------------
@@ -838,13 +834,6 @@ def _sample_weighted_maxcut(rng: random.Random) -> Instance:
     return Instance(KIND_MAXCUT, n, cons)
 
 
-def _sample_umo_generic_threshold(base_sampler):
-    def sampler(rng: random.Random) -> Instance:
-        return base_sampler(rng)
-
-    return sampler
-
-
 # ---------------------------------------------------------------------------
 # Registry assembly
 
@@ -1034,6 +1023,8 @@ def certify(name: str, trials: int = 200, seed: int = 0,
             msg = rec.check_fn(src, tgt, info, resolver, jobs)
         except (ReductionError, InstanceError) as exc:
             msg = f"apply failed: {exc}"
+        except OracleError as exc:
+            msg = f"oracle failed: {exc}"
         if msg is not None:
             failures.append((emit_inst(src), msg))
     return CertifyReport(name, mode, len(cases), failures)

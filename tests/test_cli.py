@@ -1,9 +1,10 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from coclones import cli
 from coclones.cli import main, run_selftest
 from coclones.fileio import parse_inst, parse_rel
 
@@ -60,6 +61,41 @@ def test_solve_exit_codes(tmp_path):
     assert run(["solve", str(unsat)])[0] == 1
     missing = run(["solve", str(tmp_path / "nope.inst")])
     assert missing[0] == 2
+
+
+def test_solve_with_threshold_solves_once(tmp_path, monkeypatch):
+    inst = tmp_path / "t.inst"
+    inst.write_text("problem U-Max-Ones\nvars 3\nc NAND2 1 2\nthreshold >= 2\n")
+    calls = []
+    real_solve = cli.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    code, out = run(["solve", str(inst), "--all"])
+    assert code == 0 and out.endswith("threshold >= 2: met\n")
+    assert len(calls) == 1
+    inst.write_text("problem U-Max-Ones\nvars 3\nc NAND2 1 2\nthreshold >= 3\n")
+    code, out = run(["solve", str(inst)])
+    assert code == 1 and out.endswith("threshold >= 3: not met\n")
+    assert len(calls) == 2
+
+
+def test_jobs_below_one_rejected(tmp_path):
+    inst = tmp_path / "t.inst"
+    inst.write_text("problem SAT\nvars 1\nc T 1\n")
+    for argv in (["solve", str(inst), "--jobs", "0"],
+                 ["certify", "maxcut_to_vcsp_neq", "--jobs", "-1"],
+                 ["selftest", "--jobs", "0"],
+                 ["solve", str(inst), "--jobs", "two"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run(argv)
+        assert code == 2 and out == ""
+        assert "argument --jobs:" in err.getvalue()
+    assert run(["solve", str(inst), "--jobs", "1"])[0] == 0
 
 
 def test_wpp_eval_gadget(tmp_path):

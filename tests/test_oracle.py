@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from coclones import oracle
 from coclones.instances import (
+    ALL_KINDS,
     Constraint,
     Instance,
+    KIND_MAXCSP,
     KIND_MAXCUT,
     KIND_MINO,
     KIND_SAT,
@@ -16,7 +19,9 @@ from coclones.instances import (
     Threshold,
     default_resolver,
 )
-from coclones.oracle import OracleError, SolveResult, decide, solve
+from coclones.oracle import OracleError, SolveResult, decide, solve, solve_bruteforce
+
+RESOLVER = default_resolver()
 
 
 def umo(n, cons, **kw):
@@ -124,3 +129,59 @@ def test_parallel_equals_sequential():
     a = solve(inst, jobs=1, want_all=True)
     b = solve(inst, jobs=8, want_all=True)
     assert a == b
+    # two 2^20 chunks, so jobs=2 runs them on two threads
+    cut = Instance(KIND_MAXCUT, 21, tuple(Constraint("edge", (i, (3 * i + 1) % 21))
+                                          for i in range(21)))
+    assert solve(cut, jobs=1) == solve(cut, jobs=2)
+
+
+# 1-, 2-, 3- and 8-ary relations; T with F on one variable makes instances unsatisfiable
+RELATIONS = ("T", "F", "eq", "neq", "OR2", "NAND2", "OR3", "R13", "XOR3",
+             "R_II2", "R_IN2", "R_IL2")
+COSTS = ("f_neq", "cost1_0_3/2", "cost2_1_0_1/3_2", "fnot_NAND2")
+WEIGHTS = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
+
+
+@st.composite
+def instances(draw):
+    kind = draw(st.sampled_from(ALL_KINDS))
+    n = draw(st.integers(1, 12))
+    refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
+    weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
+    cons = []
+    for _ in range(draw(st.integers(0, 6))):
+        ref = draw(st.sampled_from(refs))
+        k = RESOLVER.constraint_arity(kind, ref)
+        args = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+        weight = draw(st.one_of(st.none(), WEIGHTS)) if weighted else None
+        cons.append(Constraint(ref, args, weight))
+    var_weights = None
+    if kind in (KIND_WMO, KIND_MINO) and draw(st.booleans()):
+        var_weights = tuple(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+    threshold = draw(st.one_of(st.none(), st.builds(
+        Threshold, st.sampled_from((">=", "<=")), WEIGHTS)))
+    return Instance(kind, n, tuple(cons), var_weights, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.booleans())
+@example(umo(2, [("T", (0,)), ("F", (0,)), ("OR2", (0, 1))]), True)
+@example(Instance(KIND_SAT, 3, (Constraint("R_II2", (0, 1, 2, 0, 1, 2, 0, 1)),)), True)
+def test_frontier_matches_bruteforce(inst, want_all):
+    assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
+
+
+def test_frontier_falls_back_past_one_chunk(monkeypatch):
+    # the frontier doubles to 2^21 rows at variable 20, before OR2 and NAND2 prune it
+    inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
+    reference = solve_bruteforce(inst)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return solve_bruteforce(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_bruteforce", spy)
+    assert solve(inst) == reference
+    assert calls == [inst]
+    assert reference.optimum == 20 and reference.witness == (1 << 20) - 1

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,21 @@ def test_certify_deterministic_under_seed():
     a = certify("umo_II2_to_IN2", trials=6, seed=5)
     b = certify("umo_II2_to_IN2", trials=6, seed=5)
     assert a == b
+
+
+def test_certify_reports_oracle_failure_as_a_case(monkeypatch):
+    # every other draw carries an edge weight beyond the oracle's exact int64 budget
+    rec = REGISTRY["maxcutc_to_wmaxones"]
+    draws = iter(range(4))
+
+    def sampler(rng):
+        if next(draws) % 2:
+            return rec.sampler(rng)
+        return Instance(KIND_MAXCUT, 2, (Constraint("edge", (0, 1), Fraction(2 ** 61)),))
+
+    monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(rec, sampler=sampler))
+    report = certify(rec.name, trials=4, seed=0)
+    assert report.cases == 4 and len(report.failures) == 2
+    for _, msg in report.failures:
+        assert msg == "oracle failed: objective magnitude exceeds the exact int64 budget"
+    assert "counterexample: oracle failed:" in report.render()
