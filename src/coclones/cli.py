@@ -100,12 +100,11 @@ def _load_language(path: str) -> ConstraintLanguage:
 def _resolver_with_defs(defs: Sequence[str]) -> Resolver:
     resolver = default_resolver()
     for path in defs or ():
-        text = _read(path)
         if path.endswith(".cost"):
-            for fn in parse_cost(text):
+            for fn in _parse_file(path, parse_cost):
                 resolver.register_costfn(fn)
         else:
-            for rel in parse_rel(text):
+            for rel in _parse_file(path, parse_rel):
                 resolver.register_relation(rel)
     return resolver
 

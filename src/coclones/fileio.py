@@ -49,7 +49,7 @@ def parse_rel(text: str) -> list[Relation]:
             flush()
             if len(parts) != 3:
                 raise RelationError(f"bad relation header: {line!r}")
-            header = (parts[1], int(parts[2]))
+            header = (parts[1], _parse_int(parts[2], line, RelationError))
         else:
             if header is None:
                 raise RelationError(f"tuple row before any relation header: {line!r}")
@@ -71,8 +71,18 @@ def emit_rel(relations: list[Relation]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _parse_fraction(tok: str) -> Fraction:
-    return Fraction(tok)
+def _parse_int(tok: str, line: str, error: type = InstanceError) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise error(f"bad integer {tok!r} in line {line!r}") from None
+
+
+def _parse_fraction(tok: str, line: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"bad number {tok!r} in line {line!r}") from None
 
 
 def _emit_fraction(f: Fraction) -> str:
@@ -96,15 +106,17 @@ def parse_inst(text: str) -> Instance:
                 raise InstanceError(f"bad problem line: {line!r}")
             kind = parts[1]
         elif head == "vars":
-            num_vars = int(parts[1])
+            if len(parts) != 2:
+                raise InstanceError(f"bad vars line: {line!r}")
+            num_vars = _parse_int(parts[1], line)
         elif head == "varweights":
-            var_weights = tuple(_parse_fraction(t) for t in parts[1:])
+            var_weights = tuple(_parse_fraction(t, line) for t in parts[1:])
         elif head == "threshold":
             if len(parts) != 3 or parts[1] not in (">=", "<="):
                 raise InstanceError(f"bad threshold line: {line!r}")
-            threshold = Threshold(parts[1], _parse_fraction(parts[2]))
+            threshold = Threshold(parts[1], _parse_fraction(parts[2], line))
         elif head == "project":
-            projection = tuple(int(t) - 1 for t in parts[1:])
+            projection = tuple(_parse_int(t, line) - 1 for t in parts[1:])
         elif head == "c":
             if len(parts) < 3:
                 raise InstanceError(f"bad constraint line: {line!r}")
@@ -115,9 +127,9 @@ def parse_inst(text: str) -> Instance:
                 wi = rest.index("w")
                 if wi != len(rest) - 2:
                     raise InstanceError(f"bad weight suffix: {line!r}")
-                weight = _parse_fraction(rest[-1])
+                weight = _parse_fraction(rest[-1], line)
                 rest = rest[:wi]
-            args = tuple(int(t) - 1 for t in rest)
+            args = tuple(_parse_int(t, line) - 1 for t in rest)
             if any(a < 0 for a in args):
                 raise InstanceError(f"variable indices are 1-based: {line!r}")
             constraints.append(Constraint(ref, args, weight))
@@ -167,7 +179,7 @@ def parse_cost(text: str) -> list[CostFunction]:
             flush()
             if len(parts) != 3:
                 raise InstanceError(f"bad costfn header: {line!r}")
-            header = (parts[1], int(parts[2]))
+            header = (parts[1], _parse_int(parts[2], line))
         else:
             if header is None or len(parts) != 2:
                 raise InstanceError(f"bad cost row: {line!r}")
@@ -176,7 +188,7 @@ def parse_cost(text: str) -> list[CostFunction]:
                 raise InstanceError(f"cost row arity mismatch: {line!r}")
             if mask in table:
                 raise InstanceError(f"duplicate cost row: {line!r}")
-            table[mask] = _parse_fraction(parts[1])
+            table[mask] = _parse_fraction(parts[1], line)
     flush()
     return fns
 

@@ -8,11 +8,13 @@ frontier search in variable order (Dechter, *Constraint Processing*, ch. 5):
 the partial assignments over variables 0..v that satisfy every constraint
 lying within them are kept in one sorted array, extended by variable v+1,
 and filtered again.  The soft kinds (VCSP, Max-CSP, Max-Cut) have no
-constraint to prune by and go to `solve_bruteforce`, which enumerates every
-assignment in numpy chunks.  `solve_bruteforce` is also the reference the
-frontier path is tested against, and it takes over any instance whose
-frontier would outgrow one chunk, so `solve` never holds more rows than the
-brute-force path does.
+constraint to prune by, so `solve` enumerates every assignment in chunks of
+2^20 masks, and so it does for a hard-kind instance whose frontier would
+outgrow one chunk.  Each chunk is a grid of high-half by low-half masks:
+every constraint table is gathered once per half and the halves are combined
+once (meet in the middle, Horowitz & Sahni 1974).  `solve_bruteforce`
+enumerates the same chunks mask by mask, and it is the reference both paths
+of `solve` are tested against.
 """
 
 from __future__ import annotations
@@ -86,49 +88,55 @@ def _admit(inst: Instance, resolver: Resolver, want_all: bool) -> None:
 
 
 def _tables(inst: Instance, resolver: Resolver):
-    """(scale, relation LUTs, VCSP cost tables, variable weights), all integer."""
+    """(scale, hard terms, soft terms, accumulator dtype), all integer.
+
+    A term is (args, table): the table is indexed by the tuple of `args`
+    (argument j in bit j).  Hard terms are bool relation LUTs an assignment
+    must satisfy, and the objective is the sum of the soft terms: the
+    variable weights of the Max-/Min-Ones kinds as unary terms, and one
+    table per constraint of the soft kinds, all multiplied by `scale`.
+    """
     kind = inst.kind
+    luts: dict[str, np.ndarray] = {}
+
+    def lut(ref: str) -> np.ndarray:
+        if ref not in luts:
+            rel = resolver.relation(ref)
+            luts[ref] = np.zeros(1 << rel.arity, dtype=bool)
+            luts[ref][list(rel.tuples)] = True
+        return luts[ref]
+
+    hard: list = []
+    soft: list[tuple[tuple[int, ...], list[Fraction]]] = []
+    if kind in _FRONTIER_KINDS:
+        hard = [(c.args, lut(c.ref)) for c in inst.constraints]
+        if kind != KIND_SAT:
+            soft = [((i,), [Fraction(0), w])
+                    for i, w in enumerate(inst.weights_or_default()) if w]
+    else:
+        for c in inst.constraints:
+            w = _constraint_weight(c)
+            if kind == KIND_VCSP:
+                table = [w * v for v in resolver.costfn(c.ref).table]
+            elif kind == KIND_MAXCSP:
+                table = [w if hit else Fraction(0) for hit in lut(c.ref)]
+            else:  # Max-Cut: an edge counts when its ends differ
+                table = [Fraction(0), w, w, Fraction(0)]
+            soft.append((c.args, table))
+
     # one integer scale clears every denominator that can reach the objective
     scale = 1
-    if kind in (KIND_UMO, KIND_WMO, KIND_MINO):
-        for w in inst.weights_or_default():
-            scale = _lcm(scale, w.denominator)
-    for c in inst.constraints:
-        w = _constraint_weight(c)
-        if kind == KIND_VCSP:
-            for v in resolver.costfn(c.ref).table:
-                scale = _lcm(scale, (w * v).denominator)
-        else:
-            scale = _lcm(scale, w.denominator)
-
-    luts: dict[str, np.ndarray] = {}
-    fused_cost: list[np.ndarray] = []
-    if kind == KIND_VCSP:
-        for c in inst.constraints:
-            fn = resolver.costfn(c.ref)
-            w = _constraint_weight(c)
-            fused_cost.append(np.array(
-                [int(w * v * scale) for v in fn.table], dtype=np.int64))
-    elif kind != KIND_MAXCUT:
-        for c in inst.constraints:
-            if c.ref not in luts:
-                rel = resolver.relation(c.ref)
-                lut = np.zeros(1 << rel.arity, dtype=bool)
-                lut[list(rel.tuples)] = True
-                luts[c.ref] = lut
-
-    wints = [int(w * scale) for w in inst.weights_or_default()] \
-        if kind in (KIND_UMO, KIND_WMO, KIND_MINO) else []
-
-    bound = sum(abs(w) for w in wints)
-    for i, c in enumerate(inst.constraints):
-        if kind == KIND_VCSP:
-            bound += int(fused_cost[i].max(initial=0))
-        else:
-            bound += abs(int(_constraint_weight(c) * scale))
+    for _, table in soft:
+        for x in table:
+            scale = _lcm(scale, x.denominator)
+    ints = [(args, [x.numerator * (scale // x.denominator) for x in table])
+            for args, table in soft]
+    # weights and costs are nonnegative, so this caps every partial sum
+    bound = sum(max(table) for _, table in ints)
     if bound >= _INT_LIMIT:
         raise OracleError("objective magnitude exceeds the exact int64 budget")
-    return scale, luts, fused_cost, wints
+    dtype = np.int32 if bound < 1 << 31 else np.int64
+    return scale, hard, [(args, np.array(t, dtype=dtype)) for args, t in ints], dtype
 
 
 def _tuple_index(idx: np.ndarray, args: tuple[int, ...]) -> np.ndarray:
@@ -138,30 +146,38 @@ def _tuple_index(idx: np.ndarray, args: tuple[int, ...]) -> np.ndarray:
     return t
 
 
+def _code(x: np.ndarray, pairs) -> np.ndarray:
+    """Per element of x, the code with bit j set from bit v of x, (v, j) in pairs."""
+    t = np.zeros_like(x)
+    for v, j in pairs:
+        t |= ((x >> v) & 1) << j
+    return t
+
+
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
 
-    `jobs` is the thread count of the brute-force path; the frontier path
-    runs in one thread.
+    `jobs` is the thread count of the enumeration; the frontier path runs
+    in one thread.
     """
     resolver = resolver or default_resolver()
+    _admit(inst, resolver, want_all)
     if inst.kind in _FRONTIER_KINDS:
-        _admit(inst, resolver, want_all)
         res = _solve_frontier(inst, resolver, want_all)
         if res is not None:
             return res
-    return solve_bruteforce(inst, resolver, want_all, jobs)
+    return _enumerate(inst, resolver, want_all, jobs, _split_chunks)
 
 
 def _solve_frontier(inst: Instance, resolver: Resolver,
                     want_all: bool) -> Optional[SolveResult]:
     """Frontier search for a hard-constraint kind; None once it outgrows a chunk."""
     kind = inst.kind
-    scale, luts, _, wints = _tables(inst, resolver)
+    scale, hard, soft, _ = _tables(inst, resolver)
     by_top: dict[int, list] = {}  # highest argument -> constraints checked there
-    for c in inst.constraints:
-        by_top.setdefault(max(c.args, default=-1), []).append(c)
+    for args, lut in hard:
+        by_top.setdefault(max(args, default=-1), []).append((args, lut))
 
     # Doubling by the next variable's bit keeps the masks ascending, so the
     # least optimal mask is the first survivor and optimal_set comes out sorted.
@@ -171,15 +187,14 @@ def _solve_frontier(inst: Instance, resolver: Resolver,
             frontier = np.concatenate((frontier, frontier | (1 << v)))
             if frontier.size > 1 << _CHUNK_BITS:
                 return None
-        for c in by_top.get(v, ()):
-            frontier = frontier[luts[c.ref][_tuple_index(frontier, c.args)]]
+        for args, lut in by_top.get(v, ()):
+            frontier = frontier[lut[_tuple_index(frontier, args)]]
 
     if not frontier.size:
         return SolveResult(kind, False, None, None, () if want_all else None)
     obj = np.zeros(frontier.shape, dtype=np.int64)
-    for i, w in enumerate(wints):
-        if w:
-            obj += w * ((frontier >> i) & 1)
+    for args, table in soft:
+        obj += table[_tuple_index(frontier, args)]
     best = int(obj.max() if kind in MAXIMIZING_KINDS else obj.min())
     where = frontier[obj == best]
     optimal = tuple(where.tolist()) if want_all else None
@@ -192,48 +207,137 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
+    return _enumerate(inst, resolver, want_all, jobs, _row_chunks)
+
+
+def _row_chunks(hard, soft, dtype, bits):
+    """Reference evaluator: every term gathered mask by mask with `_tuple_index`."""
+    def eval_chunk(base: int):
+        idx = np.arange(base, base + (1 << bits), dtype=np.int64)
+        feasible = np.ones(idx.shape, dtype=bool) if hard else None
+        for args, lut in hard:
+            feasible &= lut[_tuple_index(idx, args)]
+        obj = np.zeros(idx.shape, dtype=np.int64)
+        for args, table in soft:
+            obj += table[_tuple_index(idx, args)]
+        return obj, feasible
+    return eval_chunk
+
+
+def _split_chunks(hard, soft, dtype, bits):
+    """Hi/lo evaluator: each term is gathered once per half of the chunk."""
+    feasibility = _GridReduce(hard, bits, np.logical_and, bool) if hard else None
+    objective = _GridReduce(soft, bits, np.add, dtype)
+
+    def eval_chunk(base: int):
+        feasible = None if feasibility is None else feasibility(base).ravel()
+        return objective(base).ravel(), feasible
+    return eval_chunk
+
+
+class _GridReduce:
+    """Combine (args, table) terms with a ufunc over a chunk of 2^bits masks.
+
+    The chunk is a (2^H, 2^L) grid with L = bits // 2: the row holds mask
+    bits L..bits-1 and the column bits 0..L-1, so row-major order is mask
+    order.  Arguments at `bits` and above are constant within a chunk and
+    fold into a term's code once per chunk.  A term whose arguments all lie
+    in one half is reduced into a vector of that half, and the two vectors
+    meet in one outer product.  Terms that cross the halves are grouped by
+    their high variables; a group becomes one (2^h, 2^L) table, which the
+    grid takes in with one broadcast over the high bits outside the group.
+    """
+
+    def __init__(self, terms, bits: int, op: np.ufunc, dtype) -> None:
+        self.op, self.dtype = op, dtype
+        low_bits = bits // 2
+        high_bits = bits - low_bits
+        lo = np.arange(1 << low_bits)
+        hi = np.arange(1 << high_bits)
+        self.low: list = []  # (table, constant pairs, column codes)
+        self.high: list = []  # (table, constant pairs, row codes)
+        crossing: dict[tuple[int, ...], list] = {}
+        for args, table in terms:
+            const = [(v, j) for j, v in enumerate(args) if v >= bits]
+            lo_code = _code(lo, [(v, j) for j, v in enumerate(args) if v < low_bits])
+            hvars = sorted({v for v in args if low_bits <= v < bits})
+            if not hvars:
+                self.low.append((table, const, lo_code))
+            elif all(v >= low_bits for v in args):
+                hi_code = _code(hi, [(v - low_bits, j) for j, v in enumerate(args)
+                                     if v < bits])
+                self.high.append((table, const, hi_code))
+            else:
+                # row r of the group table sets high variable hvars[i] to bit i of r
+                rows = _code(np.arange(1 << len(hvars)),
+                             [(hvars.index(v), j) for j, v in enumerate(args)
+                              if low_bits <= v < bits])
+                crossing.setdefault(tuple(hvars), []).append(
+                    (table, const, rows[:, None] | lo_code[None, :]))
+        # one axis per high bit, the most significant first, as in a C-order
+        # reshape of the row index; a group table varies only along its own bits
+        self.halves = (hi.size, lo.size)
+        self.grid_shape = (2,) * high_bits + (lo.size,)
+        self.crossing = [
+            ((1 << len(hvars), lo.size),
+             tuple(2 if low_bits + b in hvars else 1
+                   for b in reversed(range(high_bits))) + (lo.size,),
+             members)
+            for hvars, members in crossing.items()]
+
+    def _reduce(self, members, shape, base: int) -> np.ndarray:
+        acc = np.full(shape, self.op.identity, dtype=self.dtype)
+        for table, const, code in members:
+            fixed = sum(((base >> v) & 1) << j for v, j in const)
+            self.op(acc, table[code | fixed] if fixed else table[code], out=acc)
+        return acc
+
+    def __call__(self, base: int) -> np.ndarray:
+        nhi, nlo = self.halves
+        grid = self.op.outer(self._reduce(self.high, nhi, base),
+                             self._reduce(self.low, nlo, base))
+        axes = grid.reshape(self.grid_shape)
+        for shape, broadcast, members in self.crossing:
+            group = self._reduce(members, shape, base)
+            self.op(axes, group.reshape(broadcast), out=axes)
+        return grid
+
+
+def _enumerate(inst: Instance, resolver: Resolver, want_all: bool, jobs: int,
+               evaluator) -> SolveResult:
+    """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
+
+    `evaluator(hard, soft, dtype, bits)` returns a function that maps a chunk's
+    first mask to the chunk's objective and feasibility (None when every
+    mask is feasible), both in mask order.
+    """
     n = inst.num_vars
     kind = inst.kind
     maximize = kind in MAXIMIZING_KINDS
-    scale, luts, fused_cost, wints = _tables(inst, resolver)
+    scale, hard, soft, dtype = _tables(inst, resolver)
+    bits = min(n, _CHUNK_BITS)
+    eval_chunk = evaluator(hard, soft, dtype, bits)
 
-    def eval_chunk(lo: int, hi: int):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        feasible = np.ones(idx.shape, dtype=bool)
-        if kind in (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO):
-            for c in inst.constraints:
-                feasible &= luts[c.ref][_tuple_index(idx, c.args)]
-        obj = np.zeros(idx.shape, dtype=np.int64)
-        if kind in (KIND_UMO, KIND_WMO, KIND_MINO):
-            for i, w in enumerate(wints):
-                if w:
-                    obj += w * ((idx >> i) & 1)
-        elif kind == KIND_VCSP:
-            for i, c in enumerate(inst.constraints):
-                obj += fused_cost[i][_tuple_index(idx, c.args)]
-        elif kind == KIND_MAXCSP:
-            for c in inst.constraints:
-                w = int(_constraint_weight(c) * scale)
-                obj += w * luts[c.ref][_tuple_index(idx, c.args)].astype(np.int64)
-        elif kind == KIND_MAXCUT:
-            for c in inst.constraints:
-                w = int(_constraint_weight(c) * scale)
-                u, v = c.args
-                obj += w * (((idx >> u) ^ (idx >> v)) & 1)
-        if not feasible.any():
-            return None
-        sub = obj[feasible]
-        best = int(sub.max() if maximize else sub.min())
-        where = idx[feasible & (obj == best)]
+    def best_in_chunk(base: int):
+        obj, feasible = eval_chunk(base)
+        if feasible is not None:
+            if not feasible.any():
+                return None
+            sub = obj[feasible]
+            best = int(sub.max() if maximize else sub.min())
+            hit = feasible & (obj == best)
+        else:
+            best = int(obj.max() if maximize else obj.min())
+            hit = obj == best
+        where = np.flatnonzero(hit) + base
         return best, int(where[0]), (where if want_all else None)
 
-    chunk = 1 << _CHUNK_BITS
-    ranges = [(lo, min(lo + chunk, 1 << n)) for lo in range(0, 1 << n, chunk)]
-    if jobs > 1 and len(ranges) > 1:
+    bases = range(0, 1 << n, 1 << bits)
+    if jobs > 1 and len(bases) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda r: eval_chunk(*r), ranges))
+            results = list(pool.map(best_in_chunk, bases))
     else:
-        results = [eval_chunk(*r) for r in ranges]
+        results = [best_in_chunk(b) for b in bases]
 
     best: Optional[int] = None
     witness: Optional[int] = None

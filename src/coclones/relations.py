@@ -95,9 +95,6 @@ class Relation:
     def is_empty(self) -> bool:
         return not self.tuples
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.tuples)
-
     def contains(self, mask: int) -> bool:
         return mask in self._tuple_set()
 

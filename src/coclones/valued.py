@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .relations import BooleanOperation, Relation, RelationError, OP_AND, OP_OR
+from .relations import (
+    BooleanOperation,
+    Relation,
+    RelationError,
+    OP_AND,
+    OP_CONST0,
+    OP_CONST1,
+    OP_OR,
+)
 
 MAX_COST_ARITY = 8
 
@@ -106,10 +114,6 @@ def admits_binary_multimorphism(delta: Sequence[CostFunction], f: BooleanOperati
     return binary_violation(delta, f, g) is None
 
 
-OP_CONST0_U = BooleanOperation(1, (0, 0), "0")
-OP_CONST1_U = BooleanOperation(1, (1, 1), "1")
-
-
 @dataclass(frozen=True)
 class VcspClassification:
     result: str  # "P" or "NP-hard"
@@ -126,14 +130,14 @@ def classify_vcsp(delta: Sequence[CostFunction]) -> VcspClassification:
     delta = list(delta)
     if not delta:
         raise RelationError("classify_vcsp requires a nonempty set of cost functions")
-    if admits_unary_multimorphism(delta, OP_CONST0_U):
+    if admits_unary_multimorphism(delta, OP_CONST0):
         return VcspClassification("P", "(0)", None)
-    if admits_unary_multimorphism(delta, OP_CONST1_U):
+    if admits_unary_multimorphism(delta, OP_CONST1):
         return VcspClassification("P", "(1)", None)
     if admits_binary_multimorphism(delta, OP_AND, OP_OR):
         return VcspClassification("P", "(min,max)", None)
-    w0 = unary_violation(delta, OP_CONST0_U)
-    w1 = unary_violation(delta, OP_CONST1_U)
+    w0 = unary_violation(delta, OP_CONST0)
+    w1 = unary_violation(delta, OP_CONST1)
     wm = binary_violation(delta, OP_AND, OP_OR)
     return VcspClassification("NP-hard", None, {
         "zero": (w0[0].name, w0[1]),

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,25 @@ def test_vcsp_classify_and_express(tmp_path):
     flat.write_text("costfn c 1\n0 2\n1 2\n")
     assert run(["vcsp-classify", str(flat)])[0] == 0
     assert run(["express-neq", str(flat)])[0] == 1
+
+
+@pytest.mark.parametrize("command,name,text", [
+    ("solve", "bad.inst", "problem SAT\nvars abc\n"),
+    ("solve", "bad.inst", "problem SAT\nvars 2\nc OR2 1 x\n"),
+    ("coclone", "bad.rel", "relation r two\n00\n"),
+    ("classify-sat", "bad.rel", "relation r two\n00\n"),
+])
+def test_malformed_number_exits_2(tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "coclones.cli", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ")
 
 
 def test_certify_command():

@@ -167,6 +167,9 @@ def instances(draw):
 @given(instances(), st.booleans())
 @example(umo(2, [("T", (0,)), ("F", (0,)), ("OR2", (0, 1))]), True)
 @example(Instance(KIND_SAT, 3, (Constraint("R_II2", (0, 1, 2, 0, 1, 2, 0, 1)),)), True)
+# a bound of at least 2^31 makes the enumeration accumulate in int64
+@example(Instance(KIND_VCSP, 4, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
+                                 Constraint("cost2_1_0_1/3_2", (3, 1), Fraction(2)))), True)
 def test_frontier_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
@@ -176,12 +179,43 @@ def test_frontier_falls_back_past_one_chunk(monkeypatch):
     inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
     reference = solve_bruteforce(inst)
     calls = []
+    split_chunks = oracle._split_chunks
 
-    def spy(*args, **kwargs):
-        calls.append(args[0])
-        return solve_bruteforce(*args, **kwargs)
+    def spy(*args):
+        calls.append(args)
+        return split_chunks(*args)
 
-    monkeypatch.setattr(oracle, "solve_bruteforce", spy)
+    monkeypatch.setattr(oracle, "_split_chunks", spy)
     assert solve(inst) == reference
-    assert calls == [inst]
+    assert len(calls) == 1
     assert reference.optimum == 20 and reference.witness == (1 << 20) - 1
+
+
+# Enumeration chunks hold 2^20 masks: variables 0..9 are the low half of a
+# chunk's grid, 10..19 the high half, and 20 and 21 are constant within a
+# chunk.  The constraints below use only the low half, only the high half,
+# or both, each with and without a constant variable.
+SPLIT_ARGS = ((0, 1), (2, 20), (3, 21, 4), (5, 20, 21),
+              (10, 11), (12, 20), (21, 13, 14), (19, 21, 20),
+              (0, 10), (9, 19, 20), (4, 15, 16), (17, 6, 21), (8, 18), (18, 8, 7))
+SPLIT_REFS = {KIND_VCSP: ("f_neq", "cost2_1_1/2_1/3_2", "cost3_1_1_2_1_1/2_3_0_1"),
+              KIND_MAXCSP: ("OR2", "NAND2", "neq", "OR3", "XOR3", "R13")}
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+def test_split_matches_bruteforce_past_one_chunk(kind, monkeypatch):
+    # want_all is capped at 20 variables; lift the cap to compare optimal sets
+    # that span chunks
+    monkeypatch.setattr(oracle, "MAX_ENUMERATE_VARS", 22)
+    cons = []
+    for i, args in enumerate(SPLIT_ARGS):
+        weight = Fraction(1 + i % 4, 1 + i % 3)
+        if kind == KIND_MAXCUT:
+            cons += [Constraint("edge", (a, b), weight) for a, b in zip(args, args[1:])]
+        else:
+            refs = [r for r in SPLIT_REFS[kind] if RESOLVER.constraint_arity(kind, r) == len(args)]
+            cons.append(Constraint(refs[i % len(refs)], args, weight))
+    inst = Instance(kind, 22, tuple(cons))
+    reference = solve_bruteforce(inst, want_all=True)
+    assert solve(inst, want_all=True, jobs=1) == reference
+    assert solve(inst, want_all=True, jobs=2) == reference

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from coclones.relations import OP_AND, OP_OR, RelationError
+from coclones.relations import OP_AND, OP_CONST0, OP_CONST1, OP_OR, RelationError
 from coclones.valued import (
     CostFunction,
     NeqExpression,
@@ -18,8 +18,6 @@ from coclones.valued import (
     indicator_cost,
     unary_violation,
     verify_neq_expression,
-    OP_CONST0_U,
-    OP_CONST1_U,
 )
 
 
@@ -33,12 +31,12 @@ def _random_delta(rng: random.Random):
 
 
 def test_unary_multimorphism_examples():
-    assert not admits_unary_multimorphism([f_neq()], OP_CONST0_U)
-    assert not admits_unary_multimorphism([f_neq()], OP_CONST1_U)
-    fn, x = unary_violation([f_neq()], OP_CONST0_U)
+    assert not admits_unary_multimorphism([f_neq()], OP_CONST0)
+    assert not admits_unary_multimorphism([f_neq()], OP_CONST1)
+    fn, x = unary_violation([f_neq()], OP_CONST0)
     assert f_neq()(x) < 1  # the witness beats the constant tuple
     const = CostFunction(2, (Fraction(3),) * 4, "const3")
-    assert admits_unary_multimorphism([const], OP_CONST0_U)
+    assert admits_unary_multimorphism([const], OP_CONST0)
 
 
 def test_binary_multimorphism_examples():
