@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .definitions import (
     ARGMAX_IDENTITIES,
     EXTENSION_FORMULAS,
+    GadgetError,
     WppGadget,
     constant_extension_implications,
     eval_formula,
@@ -323,7 +324,11 @@ def _selftest_synthesis(trials: int, seed: int):
 
 
 def _recheck_admitted(delta, admitted: str) -> bool:
-    # independent enumeration order: scan argument masks descending
+    """Re-check that every function in delta admits the named multimorphism.
+
+    Independent of `classify_vcsp`, it scans argument masks in descending
+    order.  Self-test criterion 8 and the acceptance test share this copy.
+    """
     for fn in delta:
         size = 1 << fn.arity
         full = size - 1
@@ -552,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except (CliError, RelationError, InstanceError, OracleError, ReductionError,
-            EmptyRelationError, CatalogError) as exc:
+            EmptyRelationError, CatalogError, GadgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

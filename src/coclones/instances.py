@@ -8,8 +8,9 @@ so emitted files stay self-contained.
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -111,7 +112,11 @@ class Instance:
         return tuple(Fraction(1) for _ in range(self.num_vars))
 
     def with_threshold(self, direction: str, value: Fraction) -> "Instance":
-        return replace(self, threshold=Threshold(direction, Fraction(value)))
+        # only the threshold is new, and Threshold validates itself; skip
+        # re-validating every constraint
+        out = copy.copy(self)
+        object.__setattr__(out, "threshold", Threshold(direction, Fraction(value)))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,35 @@
-"""Registry of named instance transformations with exact threshold maps.
+"""Registry of size-preserving reductions, each entry a declaration.
 
-Every entry declares its variable-count bound as an explicit function of the
-source's variable and constraint counts; `apply` asserts the declared count
-at runtime.  Output variables are ordered originals first, then globals
-(v0, v1), then per-variable auxiliaries, then per-constraint auxiliaries.
+A `ReductionRecord` states what a reduction is and leaves the checking to
+this module:
+
+- `build(src, resolver)`: the construction, and nothing else;
+- `num_vars(src, resolver)`: the target's variable count, exact or, with
+  `exact=False`, an upper bound;
+- `measure`: either `Affine(sign, offset)`, where the target optimum is
+  sign * source optimum + offset(src, resolver), or `Decision(threshold)`,
+  where the source is satisfiable iff the target meets threshold(src);
+- the corpus that certifies it (a seeded `sampler` or an `exhaustive`
+  generator), the entries a sample passes through first (`chain_before`),
+  the report's note text, and at most one extra `invariant`.
+
+`apply` enforces the declaration on every call: it checks the source kind
+and language ("*" admits any), asserts the variable count, maps the source
+threshold through `Affine` (sign -1 flips its direction) or sets it from
+`Decision`, and fills `ApplyInfo`.  `certify` replays a corpus through the
+oracle and checks the measure map with one rule for every entry.
+
+Output variables are ordered originals first, then globals (v0, v1), then
+per-variable auxiliaries, then per-constraint auxiliaries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -38,12 +56,12 @@ from .instances import (
     default_resolver,
     rf_name,
 )
-from .oracle import OracleError, solve
+from .oracle import OracleError, SolveResult, meets_threshold, solve
 from .relations import Relation
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
-    "apply", "certify", "registry_names",
+    "Affine", "Decision", "apply", "certify", "registry_names",
 ]
 
 
@@ -55,29 +73,54 @@ class BoundViolation(ReductionError):
     """The produced instance does not match the declared variable bound."""
 
 
+@dataclass(frozen=True)
+class Affine:
+    """Target optimum = sign * source optimum + offset(src, resolver)."""
+
+    sign: int  # +1, or -1 when the map also flips the optimization direction
+    offset: Callable[[Instance, Resolver], Fraction]
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The source is satisfiable iff the target meets threshold(src)."""
+
+    threshold: Callable[[Instance], Threshold]
+
+
 @dataclass
 class ApplyInfo:
     threshold: Optional[Threshold] = None
-    value_offset: Optional[Fraction] = None  # target optimum = source + offset
+    value_offset: Optional[Fraction] = None  # target optimum = sign * source + offset
+    sign: int = 1
     notes: tuple[str, ...] = ()
-    extra: dict = field(default_factory=dict)
+
+
+# certify's extra check for one entry: (src, tgt, source result, target
+# result, resolver, jobs) -> failure message or None
+Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver, int],
+                     Optional[str]]
 
 
 @dataclass(frozen=True)
 class ReductionRecord:
     name: str
     source_kind: str
-    source_language: tuple[str, ...]
+    source_language: tuple[str, ...]  # "*" admits any relation or cost function
     target_kind: str
     target_language: tuple[str, ...]
     kind_tag: str  # "CV" or "LV"
     lv_parameter: str  # the factor C, as text for the report
     bound_text: str
-    apply_fn: Callable[[Instance, Resolver], tuple[Instance, ApplyInfo]]
-    check_fn: Callable[[Instance, Instance, ApplyInfo, Resolver, int], Optional[str]]
+    build: Callable[[Instance, Resolver], Instance]
+    num_vars: Callable[[Instance, Resolver], int]
+    exact: bool  # num_vars is the exact count, not only an upper bound
+    measure: Affine | Decision
+    note: Callable[[Instance, Resolver], str]
     sampler: Optional[Callable[[random.Random], Instance]] = None
     exhaustive: Optional[Callable[[], Iterator[Instance]]] = None
     chain_before: tuple[str, ...] = ()  # certify passes samples through these first
+    invariant: Optional[Invariant] = None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -85,19 +128,7 @@ def _require(cond: bool, msg: str) -> None:
         raise ReductionError(msg)
 
 
-def _assert_exact_vars(inst: Instance, expected: int, name: str) -> None:
-    if inst.num_vars != expected:
-        raise BoundViolation(
-            f"{name}: produced {inst.num_vars} variables, declared {expected}")
-
-
-def _assert_max_vars(inst: Instance, upper: int, name: str) -> None:
-    if inst.num_vars > upper:
-        raise BoundViolation(
-            f"{name}: produced {inst.num_vars} variables, declared bound {upper}")
-
-
-def _check_degree_bound(inst: Instance, bound: int) -> None:
+def _require_degree_bound(inst: Instance, bound: int) -> None:
     count: dict[int, int] = {}
     for c in inst.constraints:
         for v in set(c.args):
@@ -107,9 +138,8 @@ def _check_degree_bound(inst: Instance, bound: int) -> None:
              f"degree bound violated: variable(s) {offending} occur in more than {bound} constraints")
 
 
-def _require_language(inst: Instance, allowed: tuple[str, ...], name: str) -> None:
-    extra = [r for r in inst.language() if r not in allowed]
-    _require(not extra, f"{name}: source language must be within {allowed}, got {extra}")
+def _require_unweighted(inst: Instance) -> None:
+    _require(inst.var_weights is None, "source must be unweighted")
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +166,9 @@ def _feasible_assignments(rel: Relation, args: tuple[int, ...]) -> list[tuple[tu
     return out
 
 
-def _apply_sat2_to_umo_is21(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_SAT, "source must be a SAT instance")
-    _require_language(inst, ("R_II2",), "sat2_to_umo_IS21")
-    _check_degree_bound(inst, 2)
+def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
+    _require_degree_bound(inst, 2)
     rel = resolver.relation("R_II2")
-    m = inst.num_constraints
     vertices: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for ci, c in enumerate(inst.constraints):
         for assign in _feasible_assignments(rel, c.args):
@@ -164,22 +191,7 @@ def _apply_sat2_to_umo_is21(inst: Instance, resolver: Resolver):
         for j in range(i + 1, nv):
             if incompatible(vertices[i], vertices[j]):
                 cons.append(Constraint("R_IS1_2", (1 + i, 1 + j, 0)))
-    out = Instance(KIND_UMO, 1 + nv, tuple(cons),
-                   threshold=Threshold(">=", Fraction(m)))
-    _assert_max_vars(out, 3 * m + 1, "sat2_to_umo_IS21")
-    info = ApplyInfo(threshold=out.threshold,
-                     notes=(f"satisfiable iff optimum >= m = {m}",))
-    return out, info
-
-
-def _check_sat2_to_umo_is21(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sat = solve(src, resolver, jobs=jobs).satisfiable
-    res = solve(tgt, resolver, jobs=jobs)
-    m = src.num_constraints
-    reached = res.satisfiable and res.optimum >= m
-    if sat != reached:
-        return f"decision mismatch: source sat={sat}, target optimum {res.optimum} vs m={m}"
-    return None
+    return Instance(KIND_UMO, 1 + nv, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +199,8 @@ def _check_sat2_to_umo_is21(src, tgt, info, resolver, jobs) -> Optional[str]:
 # affine-with-inequalities relation
 
 
-def _apply_sat2_to_umo_il2(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_SAT, "source must be a SAT instance")
-    _require_language(inst, ("R_II2",), "sat2_to_umo_IL2")
-    _check_degree_bound(inst, 2)
+def _build_sat2_to_umo_il2(inst: Instance, resolver: Resolver) -> Instance:
+    _require_degree_bound(inst, 2)
     n, m = inst.num_vars, inst.num_constraints
     v0, v1 = n, n + 1
     prime = [n + 2 + i for i in range(n)]
@@ -204,25 +214,17 @@ def _apply_sat2_to_umo_il2(inst: Instance, resolver: Resolver):
         z1, z2, z3 = z0 + 3 * ci, z0 + 3 * ci + 1, z0 + 3 * ci + 2
         cons.append(Constraint("R_IL2", (z1, z2, z3, a[0], a[1], a[2], a[6], a[7])))
         cons.append(Constraint("R_IL2", (a[3], a[4], a[5], a[0], a[1], a[2], a[6], a[7])))
-    total = 2 + 2 * n + 3 * m
-    out = Instance(KIND_UMO, total, tuple(cons),
-                   threshold=Threshold(">=", Fraction(n + 1 + 2 * m)))
-    _assert_exact_vars(out, total, "sat2_to_umo_IL2")
-    _assert_max_vars(out, 2 + 8 * n, "sat2_to_umo_IL2")
-    return out, ApplyInfo(threshold=out.threshold,
-                          notes=(f"satisfiable iff optimum >= n+1+2m = {n + 1 + 2 * m}",))
+    return Instance(KIND_UMO, 2 + 2 * n + 3 * m, tuple(cons))
 
 
-def _check_sat2_to_umo_il2(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sat = solve(src, resolver, jobs=jobs).satisfiable
-    res = solve(tgt, resolver, jobs=jobs)
-    n, m = src.num_vars, src.num_constraints
-    want = Fraction(n + 1 + 2 * m)
-    reached = res.satisfiable and res.optimum >= want
-    if sat != reached:
-        return f"decision mismatch at threshold {want}: sat={sat}, target={res.optimum}"
-    if sat and res.optimum != want:
-        return f"satisfiable source must hit exactly {want}, got {res.optimum}"
+def _il2_threshold(inst: Instance) -> Threshold:
+    return Threshold(">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints))
+
+
+def _hits_threshold_exactly(src, tgt, sres, tres, resolver, jobs) -> Optional[str]:
+    want = tgt.threshold.value
+    if sres.satisfiable and tres.optimum != want:
+        return f"satisfiable source must hit exactly {want}, got {tres.optimum}"
     return None
 
 
@@ -230,14 +232,8 @@ def _check_sat2_to_umo_il2(src, tgt, info, resolver, jobs) -> Optional[str]:
 # Entries 3-6: unweighted Max-Ones interreductions between weak bases
 
 
-def _umo_pre(inst: Instance, source_rel: str, name: str) -> None:
-    _require(inst.kind == KIND_UMO, f"{name}: source must be U-Max-Ones")
-    _require(inst.var_weights is None, f"{name}: source must be unweighted")
-    _require_language(inst, (source_rel,), name)
-
-
-def _apply_umo_il2_to_il0(inst: Instance, resolver: Resolver):
-    _umo_pre(inst, "R_IL2", "umo_IL2_to_IL0")
+def _build_umo_il2_to_il0(inst: Instance, resolver: Resolver) -> Instance:
+    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(n)]
@@ -253,39 +249,11 @@ def _apply_umo_il2_to_il0(inst: Instance, resolver: Resolver):
         # pin the constant-0 slot directly; the construction above only
         # couples a[6] != a[7], which admits swapped spurious solutions
         cons.append(Constraint("R_IL0", (a[6], a[6], a[6], v0)))
-    out = Instance(KIND_UMO, 2 + 2 * n, tuple(cons))
-    _assert_exact_vars(out, 2 + 2 * n, "umo_IL2_to_IL0")
-    offset = Fraction(n + 1)
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-        out = out.with_threshold(th.direction, th.value)
-    return out, ApplyInfo(threshold=th, value_offset=offset,
-                          notes=("measure map k -> n+1+k",))
+    return Instance(KIND_UMO, 2 + 2 * n, tuple(cons))
 
 
-def _exact_offset_check(strict_upper_on_unsat: Optional[Fraction]):
-    def check(src, tgt, info, resolver, jobs) -> Optional[str]:
-        sres = solve(src, resolver, jobs=jobs)
-        tres = solve(tgt, resolver, jobs=jobs)
-        off = info.value_offset
-        if sres.satisfiable:
-            want = sres.optimum + off
-            if not (tres.satisfiable and tres.optimum == want):
-                return f"optimum map failed: source {sres.optimum}, target {tres.optimum}, wanted {want}"
-        else:
-            if tres.satisfiable:
-                limit = off if strict_upper_on_unsat is None else strict_upper_on_unsat
-                if tres.optimum >= limit:
-                    return (f"unsatisfiable source but target reaches {tres.optimum}"
-                            f" >= {limit}")
-        return None
-
-    return check
-
-
-def _apply_umo_ii2_to_in2(inst: Instance, resolver: Resolver):
-    _umo_pre(inst, "R_II2", "umo_II2_to_IN2")
+def _build_umo_ii2_to_in2(inst: Instance, resolver: Resolver) -> Instance:
+    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(2 * n)]
@@ -295,19 +263,11 @@ def _apply_umo_ii2_to_in2(inst: Instance, resolver: Resolver):
         a = c.args
         cons.append(Constraint("R_IN2", (v0, a[0], a[1], a[5], v1, a[3], a[4], a[2])))
         cons.append(Constraint("R_IN2", (v0, a[6], a[6], v0, v1, a[7], a[7], v1)))
-    out = Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-    _assert_exact_vars(out, 2 + 3 * n, "umo_II2_to_IN2")
-    offset = Fraction(1 + 2 * n)
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-        out = out.with_threshold(th.direction, th.value)
-    return out, ApplyInfo(threshold=th, value_offset=offset,
-                          notes=("measure map k -> 1+2n+k",))
+    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
 
 
-def _apply_umo_is21_to_id2(inst: Instance, resolver: Resolver):
-    _umo_pre(inst, "R_IS1_2", "umo_IS21_to_ID2")
+def _build_umo_is21_to_id2(inst: Instance, resolver: Resolver) -> Instance:
+    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     prime = [n + 2 + 2 * i for i in range(n)]
@@ -320,19 +280,11 @@ def _apply_umo_is21_to_id2(inst: Instance, resolver: Resolver):
     for c in inst.constraints:
         a = c.args
         cons.append(Constraint("R_ID2", (prime[a[0]], prime[a[1]], a[0], a[1], a[2], v1)))
-    out = Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-    _assert_exact_vars(out, 2 + 3 * n, "umo_IS21_to_ID2")
-    offset = Fraction(1 + n)
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-        out = out.with_threshold(th.direction, th.value)
-    return out, ApplyInfo(threshold=th, value_offset=offset,
-                          notes=("measure map k -> 1+n+k",))
+    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
 
 
-def _apply_umo_il2_to_il3(inst: Instance, resolver: Resolver):
-    _umo_pre(inst, "R_IL2", "umo_IL2_to_IL3")
+def _build_umo_il2_to_il3(inst: Instance, resolver: Resolver) -> Instance:
+    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(2 * n)]
@@ -343,25 +295,16 @@ def _apply_umo_il2_to_il3(inst: Instance, resolver: Resolver):
         cons.append(Constraint("R_IL3", (a[6], a[0], a[1], a[2], a[7], a[3], a[4], a[5])))
         cons.append(Constraint("R_IL3", (a[6], a[6], a[6], a[6], v1, v1, v1, v1)))
         cons.append(Constraint("R_IL3", (v0, v0, v0, v0, a[7], a[7], a[7], a[7])))
-    out = Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-    _assert_exact_vars(out, 2 + 3 * n, "umo_IL2_to_IL3")
-    offset = Fraction(1 + 2 * n)
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-        out = out.with_threshold(th.direction, th.value)
-    return out, ApplyInfo(threshold=th, value_offset=offset,
-                          notes=("measure map k -> 1+2n+k",))
+    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
 # Entry 7: quantifier-free extensions with two fresh globals (k -> k+1)
 
 
-def _make_qpp_apply(ext: ExtensionFormula):
-    def apply_fn(inst: Instance, resolver: Resolver):
-        name = f"umo_qpp_{ext.target[2:]}"
-        _umo_pre(inst, ext.source, name)
+def _make_qpp_build(ext: ExtensionFormula):
+    def build(inst: Instance, resolver: Resolver) -> Instance:
+        _require_unweighted(inst)
         n = inst.num_vars
         k = ext.formula.total_vars - 2
         y0, y1 = n, n + 1
@@ -371,17 +314,9 @@ def _make_qpp_apply(ext: ExtensionFormula):
                 args = tuple(c.args[s] if s < k else (y0 if s == k else y1)
                              for s in slots)
                 cons.append(Constraint(atom_name, args))
-        out = Instance(KIND_UMO, n + 2, tuple(cons))
-        _assert_exact_vars(out, n + 2, name)
-        offset = Fraction(1)
-        th = None
-        if inst.threshold is not None:
-            th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-            out = out.with_threshold(th.direction, th.value)
-        return out, ApplyInfo(threshold=th, value_offset=offset,
-                              notes=("threshold map k -> k+1 (y1 counted)",))
+        return Instance(KIND_UMO, n + 2, tuple(cons))
 
-    return apply_fn
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +332,14 @@ def _gadget_max(identity: ArgmaxIdentity, resolver: Resolver) -> Fraction:
     return vals.pop()
 
 
-def _make_qwpp_apply(identity: ArgmaxIdentity):
-    def apply_fn(inst: Instance, resolver: Resolver):
-        name = f"wmo_qwpp_{identity.base[2:]}"
-        _require(inst.kind == KIND_WMO, f"{name}: source must be W-Max-Ones")
-        _require_language(inst, (identity.target,), name)
-        n, m = inst.num_vars, inst.num_constraints
-        weights = list(inst.weights_or_default())
-        big_m = Fraction(1) + sum(weights, Fraction(0))
-        new_weights = list(weights)
+def _weight_big_m(inst: Instance) -> Fraction:
+    return Fraction(1) + sum(inst.weights_or_default(), Fraction(0))
+
+
+def _make_qwpp_build(identity: ArgmaxIdentity):
+    def build(inst: Instance, resolver: Resolver) -> Instance:
+        big_m = _weight_big_m(inst)
+        new_weights = list(inst.weights_or_default())
         cons: list[Constraint] = []
         for c in inst.constraints:
             for slots in identity.atoms:
@@ -413,69 +347,38 @@ def _make_qwpp_apply(identity: ArgmaxIdentity):
             for p, w in enumerate(identity.weights):
                 if w:
                     new_weights[c.args[p]] += big_m * w
-        out = Instance(KIND_WMO, n, tuple(cons), var_weights=tuple(new_weights))
-        _assert_exact_vars(out, n, name)
-        c_val = _gadget_max(identity, resolver)
-        offset = big_m * c_val * m
-        th = None
-        if inst.threshold is not None:
-            th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-            out = out.with_threshold(th.direction, th.value)
-        info = ApplyInfo(threshold=th, value_offset=offset,
-                         notes=(f"big-M = {big_m}, per-gadget maximum {c_val}",))
-        info.extra["big_m"] = big_m
-        return out, info
+        return Instance(KIND_WMO, inst.num_vars, tuple(cons), var_weights=tuple(new_weights))
 
-    return apply_fn
+    return build
 
 
-def _check_qwpp(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    off = info.value_offset
-    if sres.satisfiable:
-        want = sres.optimum + off
-        if not (tres.satisfiable and tres.optimum == want):
-            return f"optimum map failed: source {sres.optimum}, target {tres.optimum}, wanted {want}"
-    elif tres.satisfiable and tres.optimum >= off:
-        return f"unsatisfiable source but target reaches {tres.optimum} >= {off}"
-    return None
+def _make_qwpp_offset(identity: ArgmaxIdentity):
+    def offset(inst: Instance, resolver: Resolver) -> Fraction:
+        return _weight_big_m(inst) * _gadget_max(identity, resolver) * inst.num_constraints
+
+    return offset
+
+
+def _make_qwpp_note(identity: ArgmaxIdentity):
+    def note(inst: Instance, resolver: Resolver) -> str:
+        return (f"big-M = {_weight_big_m(inst)}, "
+                f"per-gadget maximum {_gadget_max(identity, resolver)}")
+
+    return note
 
 
 # ---------------------------------------------------------------------------
 # Entry 9: Min-Ones -> Max-Ones with per-variable complement pairs
 
 
-def _apply_maxones_to_minones(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_MINO, "source must be a Min-Ones instance")
-    _require(inst.var_weights is None, "unweighted source required")
+def _build_maxones_to_minones(inst: Instance, resolver: Resolver) -> Instance:
+    _require_unweighted(inst)
     n = inst.num_vars
     cons = list(inst.constraints)
     for i in range(n):
         cons.append(Constraint("neq", (i, n + 2 * i)))
         cons.append(Constraint("neq", (i, n + 2 * i + 1)))
-    out = Instance(KIND_UMO, 3 * n, tuple(cons))
-    _assert_exact_vars(out, 3 * n, "maxones_to_minones")
-    th = None
-    if inst.threshold is not None:
-        flipped = ">=" if inst.threshold.direction == "<=" else "<="
-        th = Threshold(flipped, Fraction(2 * n) - inst.threshold.value)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, notes=(f"optimum map K -> 2n-K with n = {n}",))
-    info.extra["n"] = n
-    return out, info
-
-
-def _check_maxones_to_minones(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    if sres.satisfiable != tres.satisfiable:
-        return f"satisfiability mismatch: {sres.satisfiable} vs {tres.satisfiable}"
-    if sres.satisfiable:
-        want = Fraction(2 * src.num_vars) - sres.optimum
-        if tres.optimum != want:
-            return f"optimum map failed: {tres.optimum} != 2n-K = {want}"
-    return None
+    return Instance(KIND_UMO, 3 * n, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +386,10 @@ def _check_maxones_to_minones(src, tgt, info, resolver, jobs) -> Optional[str]:
 # relations
 
 
-def _apply_uvcspd_to_minones(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_VCSP, "source must be a VCSP instance")
-    n = inst.num_vars
-    next_var = n
+def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
+    next_var = inst.num_vars
     cons: list[Constraint] = []
     used_first: set[int] = set()
-    arity_sum = 0
-    s_max, t_max = 0, 0
     for c in inst.constraints:
         _require(c.weight in (None, Fraction(1)),
                  "unweighted valued instances only (unit term weights)")
@@ -499,9 +398,6 @@ def _apply_uvcspd_to_minones(inst: Instance, resolver: Resolver):
                  "integer cost values required")
         k = fn.arity
         _require(k + (1 << k) <= 24, f"cost arity {k} makes the translation relation too wide")
-        arity_sum += k
-        s_max = max(s_max, k)
-        t_max = max(t_max, int(fn.max_value))
         slot_vars: list[int] = []
         for v in c.args:
             if v in used_first:
@@ -529,55 +425,32 @@ def _apply_uvcspd_to_minones(inst: Instance, resolver: Resolver):
                     next_var += 1
                     cons.append(Constraint("eq", (prev, u)))
                     prev = u
-    out = Instance(KIND_MINO, next_var, tuple(cons))
-    m = inst.num_constraints
+    return Instance(KIND_MINO, next_var, tuple(cons))
+
+
+def _uvcspd_bound(inst: Instance, resolver: Resolver) -> int:
+    fns = [resolver.costfn(c.ref) for c in inst.constraints]
+    s = max((fn.arity for fn in fns), default=0)
     # the stated bound presumes a nontrivial value range; t = 0 (identically
     # zero costs) still emits the 2^s translation block, so clamp t at 1
-    t_eff = max(t_max, 1)
-    upper = n + m * (2 * s_max + t_eff * ((1 << s_max) + 1)) if m else n
-    _assert_max_vars(out, upper, "uvcspd_to_minones")
-    offset = Fraction(arity_sum)
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + offset)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, value_offset=offset,
-                     notes=(f"optimum map K -> K + sum of arities = K + {arity_sum}",))
-    return out, info
+    t = max([int(fn.max_value) for fn in fns] + [1])
+    return inst.num_vars + len(fns) * (2 * s + t * ((1 << s) + 1))
 
 
-def _check_uvcspd(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    want = sres.optimum + info.value_offset
-    if not tres.satisfiable or tres.optimum != want:
-        return f"optimum map failed: source {sres.optimum}, target {tres.optimum}, wanted {want}"
-    return None
+def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
+    return Fraction(sum(resolver.costfn(c.ref).arity for c in inst.constraints))
 
 
 # ---------------------------------------------------------------------------
 # Entry 11: bounded-occurrence satisfiability -> unweighted valued instance
 
 
-def _apply_sat2_to_uvcsp2(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_SAT, "source must be a SAT instance")
-    _require_language(inst, ("R_II2",), "sat2_to_uvcsp2")
-    _check_degree_bound(inst, 2)
+def _build_sat2_to_uvcsp2(inst: Instance, resolver: Resolver) -> Instance:
+    _require_degree_bound(inst, 2)
     n = inst.num_vars
     _require(inst.num_constraints <= 2 * n, "at most 2n constraints expected")
     cons = [Constraint("fnot_R_II2", c.args) for c in inst.constraints]
-    out = Instance(KIND_VCSP, n, tuple(cons), threshold=Threshold("<=", Fraction(0)))
-    _assert_exact_vars(out, n, "sat2_to_uvcsp2")
-    return out, ApplyInfo(threshold=out.threshold,
-                          notes=("satisfiable iff minimum 0; at most 2n unit terms",))
-
-
-def _check_sat2_to_uvcsp2(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sat = solve(src, resolver, jobs=jobs).satisfiable
-    tres = solve(tgt, resolver, jobs=jobs)
-    if sat != (tres.optimum == 0):
-        return f"decision mismatch: sat={sat}, target minimum {tres.optimum}"
-    return None
+    return Instance(KIND_VCSP, n, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -589,55 +462,31 @@ def _total_weight(inst: Instance) -> Fraction:
                 for c in inst.constraints), Fraction(0))
 
 
-def _apply_maxcut_to_vcsp(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_MAXCUT, "source must be a Max-Cut instance")
+def _build_maxcut_to_vcsp(inst: Instance, resolver: Resolver) -> Instance:
     cons = [Constraint("f_neq", c.args, c.weight) for c in inst.constraints]
-    out = Instance(KIND_VCSP, inst.num_vars, tuple(cons))
-    _assert_exact_vars(out, inst.num_vars, "maxcut_to_vcsp_neq")
-    w = _total_weight(inst)
-    th = None
-    if inst.threshold is not None:
-        flipped = "<=" if inst.threshold.direction == ">=" else ">="
-        th = Threshold(flipped, w - inst.threshold.value)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, notes=(f"cut k <-> objective {w} - k",))
-    info.extra["total_weight"] = w
-    return out, info
+    return Instance(KIND_VCSP, inst.num_vars, tuple(cons))
 
 
-def _apply_vcsp_to_maxcut(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_VCSP, "source must be a VCSP instance")
-    _require_language(inst, ("f_neq",), "vcsp_neq_to_maxcut")
+def _build_vcsp_to_maxcut(inst: Instance, resolver: Resolver) -> Instance:
     cons = [Constraint("edge", c.args, c.weight) for c in inst.constraints]
-    out = Instance(KIND_MAXCUT, inst.num_vars, tuple(cons))
-    _assert_exact_vars(out, inst.num_vars, "vcsp_neq_to_maxcut")
-    w = _total_weight(inst)
-    th = None
-    if inst.threshold is not None:
-        flipped = "<=" if inst.threshold.direction == ">=" else ">="
-        th = Threshold(flipped, w - inst.threshold.value)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, notes=(f"objective k <-> cut {w} - k",))
-    info.extra["total_weight"] = w
-    return out, info
-
-
-def _check_cut_vcsp_pair(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    w = info.extra["total_weight"]
-    if tres.optimum != w - sres.optimum:
-        return f"value map failed: {tres.optimum} != {w} - {sres.optimum}"
-    return None
+    return Instance(KIND_MAXCUT, inst.num_vars, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
 # Entry 13: Max-CSP over {NAND2, T, F} -> Max-CSP(neq)
 
 
-def _apply_maxcsp_nandtf_to_neq(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_MAXCSP, "source must be a Max-CSP instance")
-    _require_language(inst, ("NAND2", "T", "F"), "maxcsp_nandTF_to_neq")
+def _maxcsp_big_m(inst: Instance) -> Fraction:
+    # one more than the light constraints' total: NAND2 turns into three
+    # half-weight neq terms, T and F into one full-weight term each
+    big_m = Fraction(1)
+    for c in inst.constraints:
+        w = c.weight if c.weight is not None else Fraction(1)
+        big_m += 3 * w / 2 if c.ref == "NAND2" else w
+    return big_m
+
+
+def _build_maxcsp_nandtf_to_neq(inst: Instance, resolver: Resolver) -> Instance:
     n = inst.num_vars
     v0, v1 = n, n + 1
     light: list[Constraint] = []
@@ -653,26 +502,11 @@ def _apply_maxcsp_nandtf_to_neq(inst: Instance, resolver: Resolver):
             light.append(Constraint("neq", (x, y), half))
             light.append(Constraint("neq", (x, v1), half))
             light.append(Constraint("neq", (y, v1), half))
-    big_m = Fraction(1) + sum((c.weight for c in light), Fraction(0))
-    cons = [Constraint("neq", (v0, v1), big_m)] + light
-    out = Instance(KIND_MAXCSP, n + 2, tuple(cons))
-    _assert_exact_vars(out, n + 2, "maxcsp_nandTF_to_neq")
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value + big_m)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, value_offset=big_m,
-                     notes=(f"satisfied weight k -> M + k with M = {big_m}",))
-    info.extra["big_m"] = big_m
-    return out, info
+    cons = [Constraint("neq", (v0, v1), _maxcsp_big_m(inst))] + light
+    return Instance(KIND_MAXCSP, n + 2, tuple(cons))
 
 
-def _check_maxcsp_neq(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    want = sres.optimum + info.extra["big_m"]
-    if tres.optimum != want:
-        return f"value map failed: {tres.optimum} != {want}"
+def _globals_differ_in_every_optimum(src, tgt, sres, tres, resolver, jobs) -> Optional[str]:
     # the heavy constraint must bind in every optimal solution
     full = solve(tgt, resolver, want_all=True, jobs=jobs)
     v0, v1 = src.num_vars, src.num_vars + 1
@@ -687,20 +521,23 @@ def _check_maxcsp_neq(src, tgt, info, resolver, jobs) -> Optional[str]:
 # relation (with the definability gap flagged)
 
 
-def _apply_maxcutc_to_wmaxones(inst: Instance, resolver: Resolver):
-    _require(inst.kind == KIND_MAXCUT, "source must be a Max-Cut instance")
-    nv, ne = inst.num_vars, inst.num_constraints
-    notes = []
+@functools.cache
+def _xor3_gap_note() -> str:
+    # XOR3 and R_II2 are built in, and a resolver rejects a conflicting
+    # redefinition, so one search answers for every resolver
+    resolver = default_resolver()
     sr = search_definition(resolver.relation("XOR3"),
                            {"R_II2": resolver.relation("R_II2")},
                            max_aux=1, max_atoms=1, explore_budget=4000)
-    if sr.formula is None:
-        notes.append("no bounded conjunctive definition of XOR3 over R_II2 found "
-                     f"({'search exhausted' if sr.exhausted else 'budget reached'}); "
-                     "emitting XOR3 as a target primitive")
-        gap = True
-    else:  # pragma: no cover - the bounded search cannot succeed (3 < 4 tuples)
-        gap = False
+    if sr.formula is not None:  # pragma: no cover - one atom cannot reach 4 tuples
+        return f"XOR3 = {sr.formula.text()} over R_II2; emitting XOR3 as a target primitive"
+    return ("no bounded conjunctive definition of XOR3 over R_II2 found "
+            f"({'search exhausted' if sr.exhausted else 'budget reached'}); "
+            "emitting XOR3 as a target primitive")
+
+
+def _build_maxcutc_to_wmaxones(inst: Instance, resolver: Resolver) -> Instance:
+    nv, ne = inst.num_vars, inst.num_constraints
     cons: list[Constraint] = []
     weights = [Fraction(0)] * nv
     for c in inst.constraints:
@@ -708,23 +545,7 @@ def _apply_maxcutc_to_wmaxones(inst: Instance, resolver: Resolver):
         e = len(weights)
         weights.append(c.weight if c.weight is not None else Fraction(1))
         cons.append(Constraint("XOR3", (u, v, e)))
-    out = Instance(KIND_WMO, nv + ne, tuple(cons), var_weights=tuple(weights))
-    _assert_exact_vars(out, nv + ne, "maxcutc_to_wmaxones")
-    th = None
-    if inst.threshold is not None:
-        th = Threshold(inst.threshold.direction, inst.threshold.value)
-        out = out.with_threshold(th.direction, th.value)
-    info = ApplyInfo(threshold=th, value_offset=Fraction(0), notes=tuple(notes))
-    info.extra["definability_gap"] = gap
-    return out, info
-
-
-def _check_maxcutc(src, tgt, info, resolver, jobs) -> Optional[str]:
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
-    if tres.optimum != sres.optimum:
-        return f"cut weight {sres.optimum} != target optimum {tres.optimum}"
-    return None
+    return Instance(KIND_WMO, nv + ne, tuple(cons), var_weights=tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +659,19 @@ def _sample_weighted_maxcut(rng: random.Random) -> Instance:
 # Registry assembly
 
 
-def _record(name, skind, slang, tkind, tlang, tag, c, bound, apply_fn, check_fn,
-            sampler=None, exhaustive=None, chain_before=()):
-    return ReductionRecord(name, skind, tuple(slang), tkind, tuple(tlang), tag,
-                           c, bound, apply_fn, check_fn, sampler, exhaustive,
-                           tuple(chain_before))
+def _vars(f: Callable[[int], int]) -> Callable[[Instance, Resolver], int]:
+    """A variable count that depends on the source's variable count alone."""
+    return lambda inst, resolver: f(inst.num_vars)
+
+
+def _offset(f: Callable[[int], int]) -> Callable[[Instance, Resolver], Fraction]:
+    """An offset that depends on the source's variable count alone."""
+    return lambda inst, resolver: Fraction(f(inst.num_vars))
+
+
+def _text(note: str) -> Callable[[Instance, Resolver], str]:
+    """A note that does not depend on the source."""
+    return lambda inst, resolver: note
 
 
 REGISTRY: dict[str, ReductionRecord] = {}
@@ -852,94 +681,132 @@ def _register(rec: ReductionRecord) -> None:
     REGISTRY[rec.name] = rec
 
 
-_register(_record(
+_register(ReductionRecord(
     "sat2_to_umo_IS21", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IS1_2",),
     "LV", "6", "1 + sum of feasible assignments <= 3m+1 <= 6n+1",
-    _apply_sat2_to_umo_is21, _check_sat2_to_umo_is21, sampler=_sample_sat2))
+    build=_build_sat2_to_umo_is21,
+    num_vars=lambda inst, resolver: 3 * inst.num_constraints + 1, exact=False,
+    measure=Decision(lambda inst: Threshold(">=", Fraction(inst.num_constraints))),
+    note=lambda inst, resolver: f"satisfiable iff optimum >= m = {inst.num_constraints}",
+    sampler=_sample_sat2))
 
-_register(_record(
+_register(ReductionRecord(
     "sat2_to_umo_IL2", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IL2",),
     "LV", "8", "2+2n+3m (<= 2+8n)",
-    _apply_sat2_to_umo_il2, _check_sat2_to_umo_il2, sampler=_sample_sat2))
+    build=_build_sat2_to_umo_il2,
+    num_vars=lambda inst, resolver: 2 + 2 * inst.num_vars + 3 * inst.num_constraints,
+    exact=True, measure=Decision(_il2_threshold),
+    note=lambda inst, resolver:
+        f"satisfiable iff optimum >= n+1+2m = {_il2_threshold(inst).value}",
+    sampler=_sample_sat2, invariant=_hits_threshold_exactly))
 
-_register(_record(
+_register(ReductionRecord(
     "umo_IL2_to_IL0", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL0",),
     "LV", "2", "2+2n",
-    _apply_umo_il2_to_il0, _exact_offset_check(None),
+    build=_build_umo_il2_to_il0, num_vars=_vars(lambda n: 2 + 2 * n), exact=True,
+    measure=Affine(1, _offset(lambda n: n + 1)), note=_text("measure map k -> n+1+k"),
     sampler=_make_umo_sampler("R_IL2", 8)))
 
-_register(_record(
+_register(ReductionRecord(
     "umo_II2_to_IN2", KIND_UMO, ("R_II2",), KIND_UMO, ("R_IN2",),
     "LV", "3", "2+3n",
-    _apply_umo_ii2_to_in2, _exact_offset_check(None),
+    build=_build_umo_ii2_to_in2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    measure=Affine(1, _offset(lambda n: 1 + 2 * n)), note=_text("measure map k -> 1+2n+k"),
     sampler=_make_umo_sampler("R_II2", 8)))
 
-_register(_record(
+_register(ReductionRecord(
     "umo_IS21_to_ID2", KIND_UMO, ("R_IS1_2",), KIND_UMO, ("R_ID2",),
     "LV", "3", "2+3n",
-    _apply_umo_is21_to_id2, _exact_offset_check(None),
+    build=_build_umo_is21_to_id2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    measure=Affine(1, _offset(lambda n: 1 + n)), note=_text("measure map k -> 1+n+k"),
     sampler=_make_umo_sampler("R_IS1_2", 3, n_range=(2, 6))))
 
-_register(_record(
+_register(ReductionRecord(
     "umo_IL2_to_IL3", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL3",),
     "LV", "3", "2+3n",
-    _apply_umo_il2_to_il3, _exact_offset_check(None),
+    build=_build_umo_il2_to_il3, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    measure=Affine(1, _offset(lambda n: 1 + 2 * n)), note=_text("measure map k -> 1+2n+k"),
     sampler=_make_umo_sampler("R_IL2", 8)))
 
 for _ext_formula in EXTENSION_FORMULAS:
-    _src_arity = _ext_formula.formula.total_vars - 2
-    _register(_record(
+    _register(ReductionRecord(
         f"umo_qpp_{_ext_formula.target[2:]}", KIND_UMO, (_ext_formula.source,),
         KIND_UMO, (_ext_formula.target,),
         "CV", "1", "n+2",
-        _make_qpp_apply(_ext_formula), _exact_offset_check(None),
-        sampler=_make_umo_sampler(_ext_formula.source, _src_arity,
+        build=_make_qpp_build(_ext_formula), num_vars=_vars(lambda n: n + 2), exact=True,
+        measure=Affine(1, _offset(lambda n: 1)),
+        note=_text("threshold map k -> k+1 (y1 counted)"),
+        sampler=_make_umo_sampler(_ext_formula.source, _ext_formula.formula.total_vars - 2,
                                   n_range=(3, 6), cover_all=True)))
 
 for _ident in ARGMAX_IDENTITIES:
-    _chain = ("wmo_qwpp_IL2",) if _ident.target == "R_IL2" else ()
-    _register(_record(
+    _register(ReductionRecord(
         f"wmo_qwpp_{_ident.base[2:]}", KIND_WMO, (_ident.target,),
         KIND_WMO, (_ident.base,),
         "CV", "1", "n",
-        _make_qwpp_apply(_ident), _check_qwpp,
-        sampler=_sample_wmo_ii2, chain_before=_chain))
+        build=_make_qwpp_build(_ident), num_vars=_vars(lambda n: n), exact=True,
+        measure=Affine(1, _make_qwpp_offset(_ident)), note=_make_qwpp_note(_ident),
+        sampler=_sample_wmo_ii2,
+        chain_before=("wmo_qwpp_IL2",) if _ident.target == "R_IL2" else ()))
 
-_register(_record(
+_register(ReductionRecord(
     "maxones_to_minones", KIND_MINO, ("*",), KIND_UMO, ("*", "neq"),
     "LV", "3", "3n",
-    _apply_maxones_to_minones, _check_maxones_to_minones,
+    build=_build_maxones_to_minones, num_vars=_vars(lambda n: 3 * n), exact=True,
+    measure=Affine(-1, _offset(lambda n: 2 * n)),
+    note=lambda inst, resolver: f"optimum map K -> 2n-K with n = {inst.num_vars}",
     exhaustive=_exhaustive_minones_or2))
 
-_register(_record(
+_register(ReductionRecord(
     "uvcspd_to_minones", KIND_VCSP, ("*",), KIND_MINO, ("eq", "neq", "Rf_*"),
     "LV", "1+d(2s+t(2^s+1))", "|V| + |C|(2s + t(2^s+1))",
-    _apply_uvcspd_to_minones, _check_uvcspd, sampler=_sample_uvcsp))
+    build=_build_uvcspd_to_minones, num_vars=_uvcspd_bound, exact=False,
+    measure=Affine(1, _arity_sum),
+    note=lambda inst, resolver:
+        f"optimum map K -> K + sum of arities = K + {_arity_sum(inst, resolver)}",
+    sampler=_sample_uvcsp))
 
-_register(_record(
+_register(ReductionRecord(
     "sat2_to_uvcsp2", KIND_SAT, ("R_II2",), KIND_VCSP, ("fnot_R_II2",),
     "CV", "1", "n (terms <= 2n)",
-    _apply_sat2_to_uvcsp2, _check_sat2_to_uvcsp2, sampler=_sample_sat2))
+    build=_build_sat2_to_uvcsp2, num_vars=_vars(lambda n: n), exact=True,
+    measure=Decision(lambda inst: Threshold("<=", Fraction(0))),
+    note=_text("satisfiable iff minimum 0; at most 2n unit terms"),
+    sampler=_sample_sat2))
 
-_register(_record(
+_register(ReductionRecord(
     "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",), KIND_VCSP, ("f_neq",),
     "CV", "1", "n",
-    _apply_maxcut_to_vcsp, _check_cut_vcsp_pair, exhaustive=_exhaustive_maxcut))
+    build=_build_maxcut_to_vcsp, num_vars=_vars(lambda n: n), exact=True,
+    measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
+    note=lambda inst, resolver: f"cut k <-> objective {_total_weight(inst)} - k",
+    exhaustive=_exhaustive_maxcut))
 
-_register(_record(
+_register(ReductionRecord(
     "vcsp_neq_to_maxcut", KIND_VCSP, ("f_neq",), KIND_MAXCUT, ("edge",),
     "CV", "1", "n",
-    _apply_vcsp_to_maxcut, _check_cut_vcsp_pair, exhaustive=_exhaustive_vcsp_neq))
+    build=_build_vcsp_to_maxcut, num_vars=_vars(lambda n: n), exact=True,
+    measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
+    note=lambda inst, resolver: f"objective k <-> cut {_total_weight(inst)} - k",
+    exhaustive=_exhaustive_vcsp_neq))
 
-_register(_record(
+_register(ReductionRecord(
     "maxcsp_nandTF_to_neq", KIND_MAXCSP, ("NAND2", "T", "F"), KIND_MAXCSP, ("neq",),
     "CV", "1", "n+2",
-    _apply_maxcsp_nandtf_to_neq, _check_maxcsp_neq, sampler=_sample_maxcsp_nandtf))
+    build=_build_maxcsp_nandtf_to_neq, num_vars=_vars(lambda n: n + 2), exact=True,
+    measure=Affine(1, lambda inst, resolver: _maxcsp_big_m(inst)),
+    note=lambda inst, resolver:
+        f"satisfied weight k -> M + k with M = {_maxcsp_big_m(inst)}",
+    sampler=_sample_maxcsp_nandtf, invariant=_globals_differ_in_every_optimum))
 
-_register(_record(
+_register(ReductionRecord(
     "maxcutc_to_wmaxones", KIND_MAXCUT, ("edge",), KIND_WMO, ("XOR3",),
     "LV", "1+c", "|V| + |E|",
-    _apply_maxcutc_to_wmaxones, _check_maxcutc, sampler=_sample_weighted_maxcut))
+    build=_build_maxcutc_to_wmaxones,
+    num_vars=lambda inst, resolver: inst.num_vars + inst.num_constraints, exact=True,
+    measure=Affine(1, _offset(lambda n: 0)),
+    note=lambda inst, resolver: _xor3_gap_note(),
+    sampler=_sample_weighted_maxcut))
 
 QPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("umo_qpp_"))
 QWPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("wmo_qwpp_"))
@@ -955,12 +822,38 @@ def registry_names() -> list[str]:
     return sorted(REGISTRY)
 
 
+_FLIPPED = {">=": "<=", "<=": ">="}
+
+
 def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
           ) -> tuple[Instance, ApplyInfo]:
+    """Build the target of a registry entry and check it against the declaration."""
     if name not in REGISTRY:
         raise ReductionError(f"unknown reduction {name!r}")
+    rec = REGISTRY[name]
     resolver = resolver or default_resolver()
-    return REGISTRY[name].apply_fn(inst, resolver)
+    _require(inst.kind == rec.source_kind, f"{name}: source must be a {rec.source_kind} instance")
+    if "*" not in rec.source_language:
+        extra = [r for r in inst.language() if r not in rec.source_language]
+        _require(not extra,
+                 f"{name}: source language must be within {rec.source_language}, got {extra}")
+    out = rec.build(inst, resolver)
+    declared = rec.num_vars(inst, resolver)
+    if out.num_vars > declared or (rec.exact and out.num_vars != declared):
+        raise BoundViolation(f"{name}: produced {out.num_vars} variables, declared "
+                             + (f"{declared}" if rec.exact else f"bound {declared}"))
+    info = ApplyInfo(notes=(rec.note(inst, resolver),))
+    if isinstance(rec.measure, Decision):
+        info.threshold = rec.measure.threshold(inst)
+    else:
+        info.sign, info.value_offset = rec.measure.sign, rec.measure.offset(inst, resolver)
+        if inst.threshold is not None:
+            direction = inst.threshold.direction
+            info.threshold = Threshold(direction if info.sign > 0 else _FLIPPED[direction],
+                                       info.sign * inst.threshold.value + info.value_offset)
+    if info.threshold is not None:
+        out = out.with_threshold(info.threshold.direction, info.threshold.value)
+    return out, info
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +885,35 @@ def _entry_seed(seed: int, name: str) -> int:
     return (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
 
 
+def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: int,
+                     offset: Fraction, resolver: Resolver, jobs: int) -> Optional[str]:
+    """Why tgt breaks the entry's measure map or invariant on src, or None.
+
+    One rule serves every entry; for an affine entry, (sign, offset) is the
+    map composed along `chain_before`.
+    """
+    sres = solve(src, resolver, jobs=jobs)
+    tres = solve(tgt, resolver, jobs=jobs)
+    if isinstance(rec.measure, Decision):
+        reached = meets_threshold(tres, tgt.threshold)
+        if sres.satisfiable != reached:
+            return (f"decision mismatch at threshold {tgt.threshold.value}: "
+                    f"source sat={sres.satisfiable}, target optimum {tres.optimum}")
+    elif sres.satisfiable:
+        want = sign * sres.optimum + offset
+        if not (tres.satisfiable and tres.optimum == want):
+            return (f"optimum map failed: source {sres.optimum}, target {tres.optimum},"
+                    f" wanted {want}")
+    elif tres.satisfiable and (sign < 0 or tres.optimum >= offset):
+        # an unsatisfiable source may leave a satisfiable target only with
+        # sign +1 and only below the offset, where no image of a source
+        # optimum (never negative) lies
+        return f"unsatisfiable source but target reaches {tres.optimum}"
+    if rec.invariant is not None:
+        return rec.invariant(src, tgt, sres, tres, resolver, jobs)
+    return None
+
+
 def certify(name: str, trials: int = 200, seed: int = 0,
             resolver: Optional[Resolver] = None, jobs: int = 1) -> CertifyReport:
     """Oracle-certify a registry entry on an exhaustive or seeded random corpus."""
@@ -1011,16 +933,13 @@ def certify(name: str, trials: int = 200, seed: int = 0,
         mode = "random"
     for src in cases:
         try:
-            current = src
-            offset_total = Fraction(0)
-            for pre in rec.chain_before:
-                current, pre_info = apply(pre, current, resolver)
-                if pre_info.value_offset is not None:
-                    offset_total += pre_info.value_offset
-            tgt, info = apply(name, current, resolver)
-            if info.value_offset is not None and rec.chain_before:
-                info.value_offset += offset_total
-            msg = rec.check_fn(src, tgt, info, resolver, jobs)
+            # compose the affine maps of the chain: target = sign * source + offset
+            tgt, sign, offset = src, 1, 0
+            for step in rec.chain_before + (name,):
+                tgt, info = apply(step, tgt, resolver)
+                if info.value_offset is not None:
+                    sign, offset = info.sign * sign, info.sign * offset + info.value_offset
+            msg = _measure_failure(rec, src, tgt, sign, offset, resolver, jobs)
         except (ReductionError, InstanceError) as exc:
             msg = f"apply failed: {exc}"
         except OracleError as exc:

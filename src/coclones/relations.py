@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_RELATION_ARITY = 24
@@ -96,9 +97,12 @@ class Relation:
         return not self.tuples
 
     def contains(self, mask: int) -> bool:
-        return mask in self._tuple_set()
+        return mask in self._tuple_set
 
+    @cached_property
     def _tuple_set(self) -> frozenset[int]:
+        # stored in the instance dict, outside the fields that equality and
+        # hashing read
         return frozenset(self.tuples)
 
     def rows(self) -> list[tuple[int, ...]]:
@@ -256,7 +260,7 @@ def find_violation(f: BooleanOperation, rel: Relation):
     if rel.is_empty:
         return None
     full = (1 << rel.arity) - 1
-    tset = rel._tuple_set()
+    tset = rel._tuple_set
     patterns = f.ones_patterns()
     for seq in itertools.product(rel.tuples, repeat=f.arity):
         img = _image_of_sequence(patterns, f.arity, seq, full)
@@ -279,7 +283,7 @@ def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation,
     if budget is not None and n_multisets > budget:
         raise PreservationBudgetError(
             f"symmetric preservation check needs {n_multisets} multisets (> budget {budget})")
-    tset = rel._tuple_set()
+    tset = rel._tuple_set
     arity = rel.arity
     for combo in itertools.combinations_with_replacement(rel.tuples, k):
         img = 0
@@ -309,7 +313,7 @@ def preserves_partial(p: PartialOperation, rel: Relation) -> bool:
     """True iff every sequence on which p is defined coordinate-wise maps into rel."""
     if rel.is_empty:
         return True
-    tset = rel._tuple_set()
+    tset = rel._tuple_set
     arity = rel.arity
     k = p.arity
     for seq in itertools.product(rel.tuples, repeat=k):

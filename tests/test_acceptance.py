@@ -9,7 +9,7 @@ import io
 import time
 from fractions import Fraction
 
-from coclones.cli import main, run_selftest
+from coclones.cli import _recheck_admitted, main, run_selftest
 from coclones.definitions import (
     ARGMAX_IDENTITIES,
     EXTENSION_FORMULAS,
@@ -185,7 +185,7 @@ def test_criterion_8_synthesis():
         cls = classify_vcsp(fns)
         if cls.is_polynomial:
             p_checked += 1
-            if not _recheck_multimorphism(fns, cls.admitted):
+            if not _recheck_admitted(fns, cls.admitted):
                 failures.append(f"P re-check failed: {[f.table for f in fns]}")
             continue
         hard += 1
@@ -196,24 +196,6 @@ def test_criterion_8_synthesis():
     ok = not failures and elapsed < 300.0
     _report(8, ok, f"500 NP-hard sets synthesized exactly, {p_checked} tractable "
                    f"sets re-verified, in {elapsed:.1f}s (< 300s); failures: {failures[:3]}")
-
-
-def _recheck_multimorphism(delta, admitted: str) -> bool:
-    for fn in delta:
-        size = 1 << fn.arity
-        full = size - 1
-        if admitted == "(0)":
-            if any(fn(0) > fn(x) for x in range(full, -1, -1)):
-                return False
-        elif admitted == "(1)":
-            if any(fn(full) > fn(x) for x in range(full, -1, -1)):
-                return False
-        else:
-            for x in range(full, -1, -1):
-                for y in range(full, -1, -1):
-                    if fn(x & y) + fn(x | y) > fn(x) + fn(y):
-                        return False
-    return True
 
 
 def test_criterion_9_fneq_baseline():

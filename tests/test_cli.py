@@ -20,6 +20,15 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def _run_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "coclones.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_weakbase_command(tmp_path):
     code, out = run(["weakbase", "IN2"])
     assert code == 0
@@ -150,14 +159,22 @@ def test_vcsp_classify_and_express(tmp_path):
 def test_malformed_number_exits_2(tmp_path, command, name, text):
     path = tmp_path / name
     path.write_text(text)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "coclones.cli", command, str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_subprocess([command, str(path)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7")])
+def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
+    target = tmp_path / "eq.rel"
+    target.write_text("relation eq 2\n00\n11\n")
+    lang = tmp_path / "neq.rel"
+    lang.write_text("relation neq 2\n01\n10\n")
+    proc = _run_subprocess(["ppsearch", str(target), str(lang), flag, value])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: search bounds exceed the budget guard")
 
 
 def test_certify_command():

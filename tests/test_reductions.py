@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,17 +14,24 @@ from coclones.instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
+    MINIMIZING_KINDS,
+    Threshold,
     default_resolver,
 )
-from coclones.oracle import solve
+from coclones.oracle import meets_threshold, solve
 from coclones.reductions import (
     ACCEPTANCE_ENTRIES,
     QPP_FAMILY,
     QWPP_FAMILY,
     REGISTRY,
+    Affine,
+    BoundViolation,
+    Decision,
     ReductionError,
+    _entry_seed,
     apply,
     certify,
+    registry_names,
 )
 
 RESOLVER = default_resolver()
@@ -154,7 +162,7 @@ def test_maxcsp_heavy_constraint_binds():
     tgt, info = apply("maxcsp_nandTF_to_neq", src)
     assert tgt.num_vars == 4
     res = solve(tgt, want_all=True)
-    assert res.optimum == solve(src).optimum + info.extra["big_m"]
+    assert res.optimum == solve(src).optimum + info.value_offset
     v0, v1 = 2, 3
     for mask in res.optimal_set:
         assert ((mask >> v0) & 1) != ((mask >> v1) & 1)
@@ -164,13 +172,13 @@ def test_maxcutc_gap_flagged():
     src = Instance(KIND_MAXCUT, 3,
                    tuple(Constraint("edge", e, Fraction(2)) for e in ((0, 1), (1, 2))))
     tgt, info = apply("maxcutc_to_wmaxones", src)
-    assert info.extra["definability_gap"] is True
+    assert any("no bounded conjunctive definition of XOR3" in note for note in info.notes)
     assert tgt.num_vars == 3 + 2
     assert solve(tgt).optimum == solve(src).optimum
 
 
 def test_certify_small_all_entries():
-    for name in ACCEPTANCE_ENTRIES:
+    for name in registry_names():
         rep = certify(name, trials=8, seed=11)
         assert rep.ok, f"{name}: {rep.failures[:1]}"
 
@@ -203,3 +211,98 @@ def test_certify_reports_oracle_failure_as_a_case(monkeypatch):
     for _, msg in report.failures:
         assert msg == "oracle failed: objective magnitude exceeds the exact int64 budget"
     assert "counterexample: oracle failed:" in report.render()
+
+
+@pytest.mark.parametrize("name", ["umo_II2_to_IN2", "uvcspd_to_minones"])
+def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name):
+    # one exact count and one upper bound
+    rec = REGISTRY[name]
+
+    def padded(src, resolver):
+        out = rec.build(src, resolver)
+        return dataclasses.replace(out, num_vars=rec.num_vars(src, resolver) + 1)
+
+    src = rec.sampler(random.Random(0))
+    apply(name, src)
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, build=padded))
+    with pytest.raises(BoundViolation):
+        apply(name, src)
+    assert "apply failed:" in certify(name, trials=1).failures[0][1]
+    # a declared count one above the build: slack for a bound, a violation
+    # for an exact count
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
+        rec, num_vars=lambda src, resolver: rec.num_vars(src, resolver) + 1))
+    if rec.exact:
+        with pytest.raises(BoundViolation):
+            apply(name, src)
+    else:
+        apply(name, src)
+
+
+def test_unsatisfiable_source_allows_a_target_only_below_the_offset(monkeypatch):
+    # unsatisfiable source, satisfiable target with optimum 0 (see above)
+    rec = REGISTRY["umo_IL2_to_IL0"]
+    src = Instance(KIND_UMO, 4, (Constraint("R_IL2", (0, 0, 1, 1, 1, 2, 0, 3)),))
+    for offset, ok in ((1, True), (0, False)):
+        monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(
+            rec, sampler=lambda rng: src, measure=Affine(1, lambda s, r: Fraction(offset))))
+        assert certify(rec.name, trials=1).ok is ok
+
+
+@pytest.mark.parametrize("name", ["umo_IL2_to_IL0", "maxcut_to_vcsp_neq", "sat2_to_umo_IS21"])
+def test_certify_reports_a_measure_off_by_one(monkeypatch, name):
+    rec = REGISTRY[name]
+    if isinstance(rec.measure, Affine):
+        measure = Affine(rec.measure.sign, lambda src, r: rec.measure.offset(src, r) + 1)
+    else:
+        # one below: the sampler draws few satisfiable sources, so the
+        # unsatisfiable ones must expose it
+        def threshold(src):
+            th = rec.measure.threshold(src)
+            return Threshold(th.direction, th.value - 1)
+        measure = Decision(threshold)
+    assert certify(name, trials=20).ok
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, measure=measure))
+    assert not certify(name, trials=20).ok
+
+
+def _satisfiable_sources(name, count):
+    rec = REGISTRY[name]
+    rng = random.Random(_entry_seed(1, name))
+    draws = rec.exhaustive() if rec.exhaustive is not None else iter(lambda: rec.sampler(rng), None)
+    found = []
+    for src in draws:
+        for pre in rec.chain_before:
+            src, _ = apply(pre, src)
+        res = solve(src)
+        if src.num_constraints and res.satisfiable:
+            found.append((src, res.optimum))
+            if len(found) == count:
+                return found
+    raise AssertionError(f"{name}: fewer than {count} satisfiable sources")
+
+
+@pytest.mark.parametrize("name", [n for n in registry_names()
+                                  if isinstance(REGISTRY[n].measure, Affine)])
+def test_mapped_threshold_met_exactly_at_the_optimum(name):
+    rec = REGISTRY[name]
+    direction = "<=" if rec.source_kind in MINIMIZING_KINDS else ">="
+    step = 1 if direction == ">=" else -1  # one step past the optimum
+    for src, optimum in _satisfiable_sources(name, 3):
+        for past, met in ((0, True), (step, False)):
+            tgt, info = apply(name, src.with_threshold(direction, optimum + past))
+            assert info.sign == rec.measure.sign
+            assert meets_threshold(solve(tgt), tgt.threshold) is met, (name, past)
+
+
+def test_certify_runs_the_declared_invariant(monkeypatch):
+    rec = REGISTRY["maxcsp_nandTF_to_neq"]
+    seen = []
+
+    def invariant(src, tgt, sres, tres, resolver, jobs):
+        seen.append(src)
+        return "invariant broken" if len(seen) == 2 else None
+
+    monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(rec, invariant=invariant))
+    report = certify(rec.name, trials=3)
+    assert len(seen) == 3 and [msg for _, msg in report.failures] == ["invariant broken"]

@@ -209,3 +209,11 @@ def test_symmetric_path_matches_sequence_path():
     for masks in [(0b001, 0b010, 0b100), (0b011, 0b101, 0b110, 0b000)]:
         rel = Relation.from_masks(3, masks)
         assert preserves(op, rel) == naive_preserves(op, rel)
+
+
+def test_tuple_set_built_once_outside_equality():
+    rel = Relation.from_masks(2, [1, 2], name="neq")
+    assert rel.contains(1) and not rel.contains(3)
+    assert rel._tuple_set is rel._tuple_set
+    fresh = Relation.from_masks(2, [1, 2], name="neq")
+    assert rel == fresh and hash(rel) == hash(fresh)
