@@ -367,7 +367,7 @@ def run_selftest(trials: int = 40, seed: int = 0, jobs: int = 1,
                                        "11110000", "11000011", "10100101"})
 
     # 2. co-clone identification over every catalog row
-    rows = all_entries((2, 3))
+    rows = all_entries((2, 3, 4, 5))
     bad = [e.coclone.display() for e in rows
            if co_clone_of(ConstraintLanguage([e.relation])) != e.coclone]
     add(f"co-clone identification ({len(rows)} rows)", not bad, ",".join(bad))

@@ -1,4 +1,4 @@
-"""Boolean relations, operations and (partial) polymorphism checking.
+"""Boolean relations, operations and exact, uncapped (partial) polymorphism checks.
 
 Tuples of a relation are stored as integer bitmasks with coordinate 1 in the
 least significant bit.  All textual I/O lists coordinate 1 first (leftmost),
@@ -8,7 +8,6 @@ so the string "011" denotes the tuple (0, 1, 1) and the bitmask 0b110 = 6.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -23,10 +22,6 @@ class RelationError(ValueError):
 
 class EmptyRelationError(RelationError):
     """Raised when a classifier or identifier is handed an empty relation."""
-
-
-class PreservationBudgetError(RuntimeError):
-    """An exhaustive preservation check would exceed its work budget."""
 
 
 def popcount(x: int) -> int:
@@ -269,20 +264,15 @@ def find_violation(f: BooleanOperation, rel: Relation):
     return None
 
 
-def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation,
-                        budget: Optional[int] = None, want_witness: bool = False):
+def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bool:
     """Preservation check for a symmetric k-ary operation.
 
     Only tuple multisets are enumerated; the image depends on the per-coordinate
-    one-counts alone.  `budget` caps the number of multisets.
+    one-counts alone.  Co-clone identification walks states instead
+    (`postlattice._h_walk`); this enumeration is the walk's test reference.
     """
     if rel.is_empty:
-        return (None if want_witness else True)
-    t = len(rel.tuples)
-    n_multisets = math.comb(t + k - 1, k)
-    if budget is not None and n_multisets > budget:
-        raise PreservationBudgetError(
-            f"symmetric preservation check needs {n_multisets} multisets (> budget {budget})")
+        return True
     tset = rel._tuple_set
     arity = rel.arity
     for combo in itertools.combinations_with_replacement(rel.tuples, k):
@@ -294,18 +284,16 @@ def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation,
             if count_table[cnt]:
                 img |= 1 << c
         if img not in tset:
-            return (combo, img) if want_witness else False
-    return None if want_witness else True
+            return False
+    return True
 
 
-def preserves(f: BooleanOperation, rel: Relation, budget: Optional[int] = None) -> bool:
+def preserves(f: BooleanOperation, rel: Relation) -> bool:
     """True iff rel is invariant under f applied coordinate-wise."""
     if rel.is_empty:
         return True
     if f.arity >= 4 and f.is_symmetric:
-        return preserves_symmetric(f.count_table(), f.arity, rel, budget=budget)
-    if budget is not None and len(rel.tuples) ** f.arity > budget:
-        raise PreservationBudgetError("sequence enumeration exceeds budget")
+        return preserves_symmetric(f.count_table(), f.arity, rel)
     return find_violation(f, rel) is None
 
 
@@ -382,16 +370,6 @@ def h_operation(n: int) -> BooleanOperation:
 
 def dual_h_operation(n: int) -> BooleanOperation:
     return h_operation(n).dual()
-
-
-def h_count_table(n: int) -> tuple[int, ...]:
-    """Count table of h_n (arity n+1), usable beyond the operation-arity cap."""
-    return tuple(1 if c >= n else 0 for c in range(n + 2))
-
-
-def dual_h_count_table(n: int) -> tuple[int, ...]:
-    # dual(h_n) outputs 1 iff at least 2 of the n+1 arguments are 1
-    return tuple(1 if c >= 2 else 0 for c in range(n + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,25 @@ def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
     assert proc.stderr.startswith("error: search bounds exceed the budget guard")
 
 
+@pytest.mark.parametrize("name", ["IS^x_1", "IS^_1", "IS^²_1", "IS1_²"])
+def test_malformed_chain_index_exits_2(name):
+    # str.isdigit accepts "²", which int() rejects
+    proc = _run_subprocess(["weakbase", name])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_weakbase_past_index_4_identifies_back(tmp_path):
+    # the weak base of IS^5_1 is 6-ary with 31 tuples; co_clone_of probes h_7
+    # on it, C(38, 8) = 48,903,492 tuple multisets, which it never enumerates
+    path = tmp_path / "f.rel"
+    proc = _run_subprocess(["weakbase", "IS1", "5", "-o", str(path)])
+    assert proc.returncode == 0
+    proc = _run_subprocess(["coclone", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "IS^5_1\n", "")
+
+
 def test_certify_command():
     code, out = run(["certify", "maxcut_to_vcsp_neq", "--trials", "5"])
     assert code == 0 and "all agree" in out

@@ -18,12 +18,14 @@ from coclones.postlattice import (
     co_clone_of,
     op_in_clone,
     parse_coclone_name,
+    _h_preserves_rel,
 )
 from coclones.relations import (
     BooleanOperation,
     ConstraintLanguage,
     EmptyRelationError,
     Relation,
+    preserves_symmetric,
     rel_eq,
     rel_neq,
     rel_even,
@@ -183,3 +185,36 @@ def test_co_clone_of_pair_language_is_above_members(a, b):
     joint = co_clone_of(ConstraintLanguage([ra, rb]))
     assert co_clone_leq(co_clone_of(ConstraintLanguage([ra])), joint)
     assert co_clone_leq(co_clone_of(ConstraintLanguage([rb])), joint)
+
+
+def _h_reference(kind: str, n: int, rel: Relation) -> bool:
+    """Multiset enumeration over the count table of h_n or dual(h_n)."""
+    # h_n is 1 iff at least n of its n+1 arguments are 1; dual(h_n) iff at least 2
+    least = n if kind == "h" else 2
+    table = [1 if c >= least else 0 for c in range(n + 2)]
+    return preserves_symmetric(table, n + 1, rel)
+
+
+def test_h_check_matches_multisets_on_every_small_relation():
+    outcomes = set()
+    for arity in (1, 2, 3):
+        for mask_set in range(1 << (1 << arity)):
+            rel = Relation.from_masks(arity, [t for t in range(1 << arity) if (mask_set >> t) & 1],
+                                      allow_empty=True)
+            for n in range(2, arity + 3):
+                for kind in ("h", "dualh"):
+                    want = _h_reference(kind, n, rel)
+                    assert _h_preserves_rel(kind, n, rel) == want, (kind, n, rel.row_strings())
+                    outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_h_check_matches_multisets_on_4_and_5_ary(data):
+    arity = data.draw(st.sampled_from([4, 5]))
+    masks = data.draw(st.sets(st.integers(0, (1 << arity) - 1), min_size=1, max_size=14))
+    n = data.draw(st.integers(2, arity + 2))
+    kind = data.draw(st.sampled_from(["h", "dualh"]))
+    rel = Relation.from_masks(arity, masks)
+    assert _h_preserves_rel(kind, n, rel) == _h_reference(kind, n, rel)
