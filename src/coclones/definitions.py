@@ -79,12 +79,10 @@ def eval_formula(formula: Formula, language: LanguageLike) -> Relation:
         rel = _lookup(language, name)
         if rel.arity != len(args):
             raise GadgetError(f"atom {name} arity mismatch")
-        lut = np.zeros(1 << rel.arity, dtype=bool)
-        lut[list(rel.tuples)] = True
         t = np.zeros_like(idx)
         for j, v in enumerate(args):
             t |= ((idx >> v) & 1) << j
-        sat &= lut[t]
+        sat &= rel.lut[t]
     proj = idx[sat] & ((1 << formula.total_vars) - 1)
     return Relation.from_masks(formula.total_vars, (int(p) for p in np.unique(proj)),
                                allow_empty=True)
@@ -192,8 +190,6 @@ def search_definition(target: Relation, language: LanguageLike,
     else:
         names += [n for n in language.keys() if n != "eq"]
     tv = target.arity
-    target_lut = np.zeros(1 << tv, dtype=bool)
-    target_lut[list(target.tuples)] = True
 
     budget = explore_budget
     for aux in range(0, max_aux + 1):
@@ -216,12 +212,10 @@ def search_definition(target: Relation, language: LanguageLike,
             if arr is None:
                 name, args = atoms[ai]
                 rel = _lookup(language, name)
-                lut = np.zeros(1 << rel.arity, dtype=bool)
-                lut[list(rel.tuples)] = True
                 t = np.zeros_like(idx)
                 for j, v in enumerate(args):
                     t |= ((idx >> v) & 1) << j
-                arr = lut[t]
+                arr = rel.lut[t]
                 sat_cache[ai] = arr
             return arr
 
@@ -235,7 +229,7 @@ def search_definition(target: Relation, language: LanguageLike,
                     sat &= atom_sat(ai)
                 got = np.zeros(1 << tv, dtype=bool)
                 got[proj[sat]] = True
-                if np.array_equal(got, target_lut):
+                if np.array_equal(got, target.lut):
                     formula = Formula(tv, aux, tuple(atoms[ai] for ai in combo))
                     return SearchResult(formula, True)
     return SearchResult(None, True)

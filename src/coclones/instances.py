@@ -88,6 +88,8 @@ class Instance:
             if c.weight is not None and c.weight < 0:
                 raise InstanceError("constraint weights must be nonnegative")
         if self.var_weights is not None:
+            if self.kind not in (KIND_WMO, KIND_MINO):
+                raise InstanceError(f"{self.kind} instances carry no variable weights")
             if len(self.var_weights) != self.num_vars:
                 raise InstanceError("varweights length must equal the variable count")
             if any(w < 0 for w in self.var_weights):

@@ -3,17 +3,29 @@
 Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
-`solve` decides the hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) by a
-frontier search in variable order (Dechter, *Constraint Processing*, ch. 5):
-the partial assignments over variables 0..v that satisfy every constraint
-lying within them are kept in one sorted array, extended by variable v+1,
-and filtered again.  The soft kinds (VCSP, Max-CSP, Max-Cut) have no
-constraint to prune by, so `solve` enumerates every assignment in chunks of
-2^20 masks, and so it does for a hard-kind instance whose frontier would
-outgrow one chunk.  Each chunk is a grid of high-half by low-half masks:
-every constraint table is gathered once per half and the halves are combined
-once (meet in the middle, Horowitz & Sahni 1974).  `solve_bruteforce`
-enumerates the same chunks mask by mask, and it is the reference both paths
+`solve` takes an instance down one of two paths:
+
+- The hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones), and soft-kind
+  instances (VCSP, Max-CSP, Max-Cut) of at most `_SMALL_SOFT_VARS`
+  variables, go through a frontier search in variable order (Dechter,
+  *Constraint Processing*, ch. 5): the partial assignments over variables
+  0..v that satisfy every constraint lying within them are kept in one
+  sorted array, extended by variable v+1, and filtered again.  A soft kind
+  has no constraint to prune by, so there the frontier is a plain ascending
+  enumeration, which on a few hundred masks costs less than the grid below.
+  The Max-/Min-Ones objective is one popcount of `frontier & m` per
+  distinct variable weight, m the mask of the variables that carry it.
+- Larger soft-kind instances, and hard-kind instances whose frontier would
+  outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
+  a grid of high-half by low-half masks: every constraint table is gathered
+  once per half and the halves are combined once (meet in the middle,
+  Horowitz & Sahni 1974).
+
+A relation's bool LUT is built once and cached, read-only, on the
+`Relation` object itself (`Relation.lut`), so it lives exactly as long as
+the relation and a resolver that maps a name to another relation gets
+another LUT.  `solve_bruteforce` enumerates the same chunks mask by mask,
+with every variable weight a unary term, and it is the reference both paths
 of `solve` are tested against.
 """
 
@@ -48,6 +60,12 @@ MAX_SOLVE_VARS = 24
 MAX_ENUMERATE_VARS = 20
 _CHUNK_BITS = 20
 _INT_LIMIT = 1 << 60
+# Soft-kind instances with at most this many variables skip the grid, whose
+# setup costs more than it saves there (crossover measured on a 2-vCPU VM)
+_SMALL_SOFT_VARS = 10
+
+# set bits of each byte value; three lookups count a mask of up to 24 variables
+_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 # kinds whose constraints are all hard, so a partial assignment can be pruned
 _FRONTIER_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
@@ -71,14 +89,6 @@ class SolveResult:
         return tuple((self.witness >> i) & 1 for i in range(n))
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _constraint_weight(c) -> Fraction:
-    return c.weight if c.weight is not None else Fraction(1)
-
-
 def _admit(inst: Instance, resolver: Resolver, want_all: bool) -> None:
     validate_instance(inst, resolver)
     n = inst.num_vars
@@ -87,71 +97,78 @@ def _admit(inst: Instance, resolver: Resolver, want_all: bool) -> None:
         raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
 
 
+def _plain(x: Fraction):
+    """x as an int where it is one, so integer objectives skip Fraction arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _tables(inst: Instance, resolver: Resolver):
-    """(scale, hard terms, soft terms, accumulator dtype), all integer.
+    """(scale, hard terms, soft terms, Ones groups, accumulator dtype), all integer.
 
     A term is (args, table): the table is indexed by the tuple of `args`
-    (argument j in bit j).  Hard terms are bool relation LUTs an assignment
-    must satisfy, and the objective is the sum of the soft terms: the
-    variable weights of the Max-/Min-Ones kinds as unary terms, and one
-    table per constraint of the soft kinds, all multiplied by `scale`.
+    (argument j in bit j).  Hard terms are the relations' cached bool LUTs,
+    which an assignment must satisfy.  Soft terms are one table per
+    constraint of the soft kinds.  A Ones group (w, m) of the Max-/Min-Ones
+    kinds holds in m the variables of weight w, one group per distinct
+    nonzero weight.  The objective is the sum of the soft terms plus w times
+    the ones in m of every group, all multiplied by `scale`.
     """
     kind = inst.kind
-    luts: dict[str, np.ndarray] = {}
-
-    def lut(ref: str) -> np.ndarray:
-        if ref not in luts:
-            rel = resolver.relation(ref)
-            luts[ref] = np.zeros(1 << rel.arity, dtype=bool)
-            luts[ref][list(rel.tuples)] = True
-        return luts[ref]
-
     hard: list = []
-    soft: list[tuple[tuple[int, ...], list[Fraction]]] = []
+    soft: list = []
+    weights: dict = {}  # variable weight -> mask of the variables that carry it
     if kind in _FRONTIER_KINDS:
-        hard = [(c.args, lut(c.ref)) for c in inst.constraints]
-        if kind != KIND_SAT:
-            soft = [((i,), [Fraction(0), w])
-                    for i, w in enumerate(inst.weights_or_default()) if w]
+        hard = [(c.args, resolver.relation(c.ref).lut) for c in inst.constraints]
+        if kind != KIND_SAT and inst.var_weights is None:
+            weights = {1: (1 << inst.num_vars) - 1}
+        elif kind != KIND_SAT:
+            for i, w in enumerate(inst.var_weights):
+                if w:
+                    weights[w] = weights.get(w, 0) | 1 << i
     else:
         for c in inst.constraints:
-            w = _constraint_weight(c)
+            w = 1 if c.weight is None else _plain(c.weight)
             if kind == KIND_VCSP:
-                table = [w * v for v in resolver.costfn(c.ref).table]
+                table = [w * _plain(v) for v in resolver.costfn(c.ref).table]
             elif kind == KIND_MAXCSP:
-                table = [w if hit else Fraction(0) for hit in lut(c.ref)]
+                table = [w * hit for hit in resolver.relation(c.ref).lut.tolist()]
             else:  # Max-Cut: an edge counts when its ends differ
-                table = [Fraction(0), w, w, Fraction(0)]
+                table = [0, w, w, 0]
             soft.append((c.args, table))
 
     # one integer scale clears every denominator that can reach the objective
-    scale = 1
-    for _, table in soft:
-        for x in table:
-            scale = _lcm(scale, x.denominator)
+    scale = math.lcm(*(w.denominator for w in weights),
+                     *(x.denominator for _, table in soft for x in table))
     ints = [(args, [x.numerator * (scale // x.denominator) for x in table])
             for args, table in soft]
+    ones = [(w.numerator * (scale // w.denominator), mask) for w, mask in weights.items()]
     # weights and costs are nonnegative, so this caps every partial sum
-    bound = sum(max(table) for _, table in ints)
+    bound = (sum(max(table) for _, table in ints)
+             + sum(w * mask.bit_count() for w, mask in ones))
     if bound >= _INT_LIMIT:
         raise OracleError("objective magnitude exceeds the exact int64 budget")
     dtype = np.int32 if bound < 1 << 31 else np.int64
-    return scale, hard, [(args, np.array(t, dtype=dtype)) for args, t in ints], dtype
-
-
-def _tuple_index(idx: np.ndarray, args: tuple[int, ...]) -> np.ndarray:
-    t = np.zeros_like(idx)
-    for j, v in enumerate(args):
-        t |= ((idx >> v) & 1) << j
-    return t
+    soft = [(args, np.array(table, dtype=dtype)) for args, table in ints]
+    return scale, hard, soft, ones, dtype
 
 
 def _code(x: np.ndarray, pairs) -> np.ndarray:
-    """Per element of x, the code with bit j set from bit v of x, (v, j) in pairs."""
-    t = np.zeros_like(x)
-    for v, j in pairs:
-        t |= ((x >> v) & 1) << j
-    return t
+    """Per element of x, the code whose bit j is bit v of x, for (j, v) in pairs."""
+    code = None
+    for j, v in pairs:
+        # shift bit v to place j, then keep only that place
+        bit = x >> (v - j) if v >= j else x << (j - v)
+        bit &= 1 << j
+        if code is None:
+            code = bit
+        else:
+            code |= bit
+    return np.zeros_like(x) if code is None else code
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of every element of x, all below 2^24, by three byte lookups."""
+    return _POP8[x & 0xFF] + _POP8[(x >> 8) & 0xFF] + _POP8[x >> 16]
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -163,7 +180,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     """
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
-    if inst.kind in _FRONTIER_KINDS:
+    if inst.kind in _FRONTIER_KINDS or inst.num_vars <= _SMALL_SOFT_VARS:
         res = _solve_frontier(inst, resolver, want_all)
         if res is not None:
             return res
@@ -172,9 +189,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
 
 def _solve_frontier(inst: Instance, resolver: Resolver,
                     want_all: bool) -> Optional[SolveResult]:
-    """Frontier search for a hard-constraint kind; None once it outgrows a chunk."""
+    """Frontier search in variable order; None once it outgrows a chunk.
+
+    Without hard terms (the soft kinds) no mask is pruned, so this is a
+    plain ascending enumeration.
+    """
     kind = inst.kind
-    scale, hard, soft, _ = _tables(inst, resolver)
+    scale, hard, soft, ones, _ = _tables(inst, resolver)
     by_top: dict[int, list] = {}  # highest argument -> constraints checked there
     for args, lut in hard:
         by_top.setdefault(max(args, default=-1), []).append((args, lut))
@@ -188,13 +209,15 @@ def _solve_frontier(inst: Instance, resolver: Resolver,
             if frontier.size > 1 << _CHUNK_BITS:
                 return None
         for args, lut in by_top.get(v, ()):
-            frontier = frontier[lut[_tuple_index(frontier, args)]]
+            frontier = frontier[lut[_code(frontier, enumerate(args))]]
 
     if not frontier.size:
         return SolveResult(kind, False, None, None, () if want_all else None)
     obj = np.zeros(frontier.shape, dtype=np.int64)
     for args, table in soft:
-        obj += table[_tuple_index(frontier, args)]
+        obj += table[_code(frontier, enumerate(args))]
+    for w, mask in ones:
+        obj += _popcount(frontier & mask) * w
     best = int(obj.max() if kind in MAXIMIZING_KINDS else obj.min())
     where = frontier[obj == best]
     optimal = tuple(where.tolist()) if want_all else None
@@ -211,15 +234,15 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
 
 
 def _row_chunks(hard, soft, dtype, bits):
-    """Reference evaluator: every term gathered mask by mask with `_tuple_index`."""
+    """Reference evaluator: every term gathered mask by mask with `_code`."""
     def eval_chunk(base: int):
         idx = np.arange(base, base + (1 << bits), dtype=np.int64)
         feasible = np.ones(idx.shape, dtype=bool) if hard else None
         for args, lut in hard:
-            feasible &= lut[_tuple_index(idx, args)]
+            feasible &= lut[_code(idx, enumerate(args))]
         obj = np.zeros(idx.shape, dtype=np.int64)
         for args, table in soft:
-            obj += table[_tuple_index(idx, args)]
+            obj += table[_code(idx, enumerate(args))]
         return obj, feasible
     return eval_chunk
 
@@ -259,18 +282,18 @@ class _GridReduce:
         crossing: dict[tuple[int, ...], list] = {}
         for args, table in terms:
             const = [(v, j) for j, v in enumerate(args) if v >= bits]
-            lo_code = _code(lo, [(v, j) for j, v in enumerate(args) if v < low_bits])
+            lo_code = _code(lo, [(j, v) for j, v in enumerate(args) if v < low_bits])
             hvars = sorted({v for v in args if low_bits <= v < bits})
             if not hvars:
                 self.low.append((table, const, lo_code))
             elif all(v >= low_bits for v in args):
-                hi_code = _code(hi, [(v - low_bits, j) for j, v in enumerate(args)
+                hi_code = _code(hi, [(j, v - low_bits) for j, v in enumerate(args)
                                      if v < bits])
                 self.high.append((table, const, hi_code))
             else:
                 # row r of the group table sets high variable hvars[i] to bit i of r
                 rows = _code(np.arange(1 << len(hvars)),
-                             [(hvars.index(v), j) for j, v in enumerate(args)
+                             [(j, hvars.index(v)) for j, v in enumerate(args)
                               if low_bits <= v < bits])
                 crossing.setdefault(tuple(hvars), []).append(
                     (table, const, rows[:, None] | lo_code[None, :]))
@@ -314,7 +337,10 @@ def _enumerate(inst: Instance, resolver: Resolver, want_all: bool, jobs: int,
     n = inst.num_vars
     kind = inst.kind
     maximize = kind in MAXIMIZING_KINDS
-    scale, hard, soft, dtype = _tables(inst, resolver)
+    scale, hard, soft, ones, dtype = _tables(inst, resolver)
+    # here every variable weight is a unary term [0, w]
+    soft = soft + [((i,), np.array([0, w], dtype=dtype))
+                   for w, mask in ones for i in range(n) if mask >> i & 1]
     bits = min(n, _CHUNK_BITS)
     eval_chunk = evaluator(hard, soft, dtype, bits)
 

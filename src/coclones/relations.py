@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 MAX_RELATION_ARITY = 24
 MAX_OPERATION_ARITY = 8
 
@@ -99,6 +101,18 @@ class Relation:
         # stored in the instance dict, outside the fields that equality and
         # hashing read
         return frozenset(self.tuples)
+
+    @cached_property
+    def lut(self) -> np.ndarray:
+        """Read-only bool table over all 2^arity masks, True on the tuples.
+
+        Built once and kept for the lifetime of this object (like
+        `_tuple_set`, outside the fields that equality and hashing read).
+        """
+        table = np.zeros(1 << self.arity, dtype=bool)
+        table[list(self.tuples)] = True
+        table.flags.writeable = False
+        return table
 
     def rows(self) -> list[tuple[int, ...]]:
         return [mask_to_bits(t, self.arity) for t in self.tuples]

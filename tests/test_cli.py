@@ -165,6 +165,26 @@ def test_malformed_number_exits_2(tmp_path, command, name, text):
     assert proc.stderr.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("kind,constraint", [
+    ("SAT", "c OR2 1 2"),
+    ("U-Max-Ones", "c OR2 1 2"),
+    ("VCSP", "c f_neq 1 2"),
+    ("Max-CSP", "c OR2 1 2"),
+    ("Max-Cut", "c edge 1 2"),
+])
+def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
+    # only W-Max-Ones and Min-Ones weigh their variables; elsewhere the
+    # weights used to be ignored, or (U-Max-Ones) silently applied
+    path = tmp_path / "weighted.inst"
+    path.write_text(f"problem {kind}\nvars 2\nvarweights 5 1\n{constraint}\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["solve", str(path)])
+    assert code == 2 and out == ""
+    assert err.getvalue().startswith(f"error: {path}: ")
+    assert "variable weights" in err.getvalue()
+
+
 @pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7")])
 def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
     target = tmp_path / "eq.rel"

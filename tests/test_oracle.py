@@ -20,6 +20,7 @@ from coclones.instances import (
     default_resolver,
 )
 from coclones.oracle import OracleError, SolveResult, decide, solve, solve_bruteforce
+from coclones.relations import Relation
 
 RESOLVER = default_resolver()
 
@@ -174,10 +175,23 @@ def test_frontier_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
-def test_frontier_falls_back_past_one_chunk(monkeypatch):
-    # the frontier doubles to 2^21 rows at variable 20, before OR2 and NAND2 prune it
-    inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
-    reference = solve_bruteforce(inst)
+def soft(kind, n):
+    """A weighted soft-kind instance on n variables: a cycle of binary terms plus unary ones."""
+    ref = {KIND_VCSP: "cost2_1_0_1/3_2", KIND_MAXCSP: "OR2", KIND_MAXCUT: "edge"}[kind]
+    cons = [Constraint(ref, (i, (3 * i + 1) % n), Fraction(1 + i % 3, 1 + i % 2))
+            for i in range(n)]
+    if kind == KIND_VCSP:
+        cons += [Constraint("cost1_0_3/2", (i,)) for i in range(0, n, 4)]
+    elif kind == KIND_MAXCSP:
+        cons += [Constraint("NAND2", (i, i + 1), Fraction(2)) for i in range(0, n - 1, 3)]
+    return Instance(kind, n, tuple(cons))
+
+
+CUT = oracle._SMALL_SOFT_VARS
+
+
+def spy_on_grid(monkeypatch):
+    """The list that records every call of the grid evaluator from now on."""
     calls = []
     split_chunks = oracle._split_chunks
 
@@ -186,6 +200,106 @@ def test_frontier_falls_back_past_one_chunk(monkeypatch):
         return split_chunks(*args)
 
     monkeypatch.setattr(oracle, "_split_chunks", spy)
+    return calls
+
+
+# solve takes soft-kind instances up to the cut through the frontier, so the
+# grid evaluator is compared with the reference here, at every size
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.booleans())
+@example(soft(KIND_VCSP, CUT), True)
+@example(soft(KIND_VCSP, CUT + 1), True)
+@example(soft(KIND_MAXCSP, CUT), True)
+@example(soft(KIND_MAXCSP, CUT + 1), True)
+@example(soft(KIND_MAXCUT, CUT), True)
+@example(soft(KIND_MAXCUT, CUT + 1), True)
+def test_grid_matches_bruteforce(inst, want_all):
+    grid = oracle._enumerate(inst, RESOLVER, want_all, 1, oracle._split_chunks)
+    assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+@pytest.mark.parametrize("n", [CUT, CUT + 1])
+def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
+    inst = soft(kind, n)
+    reference = solve_bruteforce(inst, want_all=True)
+    calls = spy_on_grid(monkeypatch)
+    assert solve(inst, want_all=True) == reference
+    assert len(calls) == (n > CUT)
+
+
+def wmo(n, cons, weights, kind=KIND_WMO):
+    return Instance(kind, n, tuple(Constraint(r, a) for r, a in cons),
+                    var_weights=tuple(Fraction(w) for w in weights))
+
+
+# pairs (2i, 2i+1) hold at most one one; with 21 variables the frontier stays
+# within one chunk and the optimum sets bits 16..20
+PAIRS = [("NAND2", (2 * i, 2 * i + 1)) for i in range(10)]
+
+
+@pytest.mark.parametrize("inst", [
+    # zero, repeated and rational weights, maximised and minimised
+    wmo(6, [("OR2", (0, 1)), ("NAND2", (1, 2)), ("OR3", (3, 4, 5))],
+        (0, 2, 2, Fraction(1, 3), 0, Fraction(1, 3))),
+    wmo(6, [("OR2", (0, 1)), ("NAND2", (1, 2)), ("OR3", (3, 4, 5))],
+        (0, 2, 2, Fraction(1, 3), 0, Fraction(1, 3)), KIND_MINO),
+    wmo(5, [("OR2", (0, 4)), ("neq", (2, 3))], (Fraction(1, 2), 0, Fraction(1, 2), 3, 3),
+        KIND_MINO),
+    wmo(4, [("NAND2", (0, 3))], (0, 0, 0, 0)),
+    wmo(3, [("OR2", (0, 1))], (Fraction(7, 6), Fraction(7, 6), Fraction(7, 6)), KIND_MINO),
+    umo(21, PAIRS),
+    wmo(21, PAIRS, [1 + v for v in range(21)]),
+    wmo(21, PAIRS, [Fraction(1 + v % 5, 1 + v % 3) for v in range(21)]),
+    # a bound past 2^31: the objective accumulates in int64
+    wmo(3, [("OR2", (0, 1))], (2 ** 31, 1, 2 ** 31)),
+    wmo(3, [("OR2", (0, 1))], (2 ** 31, 1, 2 ** 31), KIND_MINO),
+], ids=["wmo-mixed", "mino-mixed", "mino-halves", "wmo-zero", "mino-repeated",
+        "umo-21", "wmo-21", "wmo-21-rational", "wmo-int64", "mino-int64"])
+def test_ones_popcount_matches_bruteforce(inst, monkeypatch):
+    reference = solve_bruteforce(inst, want_all=inst.num_vars <= 20)
+    # every instance here stays within one frontier chunk
+    monkeypatch.setattr(oracle, "_split_chunks", None)
+    assert solve(inst, want_all=inst.num_vars <= 20) == reference
+    if inst.num_vars == 21 and inst.kind == KIND_UMO:
+        assert reference.optimum == 11 and reference.witness >> 16 == 0b10101
+
+
+def test_ones_weights_count_toward_the_int64_budget():
+    # no constraint term at all: the bound is the Ones weights alone
+    inst = wmo(2, [], (2 ** 59, 2 ** 59))
+    with pytest.raises(OracleError):
+        solve(inst)
+    with pytest.raises(OracleError):
+        solve_bruteforce(inst)
+    assert solve(wmo(2, [], (2 ** 59, 2 ** 59 - 1))).optimum == 2 ** 60 - 1
+
+
+def test_relation_lut_is_cached_and_read_only():
+    rel = RESOLVER.relation("OR3")
+    assert rel.lut is rel.lut
+    assert rel.lut.tolist() == [m in rel.tuples for m in range(8)]
+    with pytest.raises(ValueError):
+        rel.lut[0] = True
+
+
+def test_resolvers_keep_their_own_relation_under_one_name():
+    # the same name means a different relation to each resolver, so no LUT
+    # may be shared between them by name
+    first, second = default_resolver(), default_resolver()
+    first.register_relation(Relation(2, (0b01, 0b10), "X"))
+    second.register_relation(Relation(2, (0b00, 0b11), "X"))
+    inst = umo(2, [("X", (0, 1))])
+    assert solve(inst, first).optimum == 1
+    assert solve(inst, second).optimum == 2
+    assert solve(inst, first).optimum == 1
+
+
+def test_frontier_falls_back_past_one_chunk(monkeypatch):
+    # the frontier doubles to 2^21 rows at variable 20, before OR2 and NAND2 prune it
+    inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
+    reference = solve_bruteforce(inst)
+    calls = spy_on_grid(monkeypatch)
     assert solve(inst) == reference
     assert len(calls) == 1
     assert reference.optimum == 20 and reference.witness == (1 << 20) - 1
