@@ -5,15 +5,15 @@ import argparse
 import sys
 import time
 
-from coclones.cli import _job_count
+from coclones.cli import _positive_int
 from coclones.reductions import certify, registry_names
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--trials", type=_positive_int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=_job_count, default=1)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
     parser.add_argument("entries", nargs="*", default=None,
                         help="entry names (default: whole registry)")
     args = parser.parse_args()

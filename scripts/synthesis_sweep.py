@@ -9,9 +9,9 @@ import argparse
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 
-from coclones.valued import CostFunction, classify_vcsp, express_neq, verify_neq_expression
+from coclones.acceptance import random_cost_set
+from coclones.valued import classify_vcsp, express_neq, verify_neq_expression
 
 
 def main() -> int:
@@ -27,11 +27,7 @@ def main() -> int:
     cases = Counter()
     failures = 0
     for _ in range(args.sets):
-        fns = []
-        for i in range(rng.randint(1, 2)):
-            k = rng.randint(1, args.max_arity)
-            fns.append(CostFunction(k, tuple(Fraction(rng.randint(0, args.max_value))
-                                             for _ in range(1 << k)), f"f{i}"))
+        fns = random_cost_set(rng, args.max_arity, args.max_value)
         cls = classify_vcsp(fns)
         if cls.is_polynomial:
             outcomes[f"P via {cls.admitted}"] += 1

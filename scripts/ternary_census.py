@@ -11,7 +11,8 @@ import itertools
 import sys
 from collections import Counter
 
-from coclones.postlattice import CoCloneId, co_clone_leq, co_clone_of
+from coclones.acceptance import max_ones_hard_by_position
+from coclones.postlattice import co_clone_of
 from coclones.relations import ConstraintLanguage, Relation, classify_max_ones
 
 
@@ -21,8 +22,6 @@ def main() -> int:
                         help="also check invariance under coordinate permutations")
     args = parser.parse_args()
 
-    is21 = CoCloneId("S1", 2)
-    hard_set = {CoCloneId("L0"), CoCloneId("L3"), CoCloneId("L2"), CoCloneId("N2")}
     perms = list(itertools.permutations(range(3)))
     census = Counter()
     disagreements = []
@@ -32,9 +31,8 @@ def main() -> int:
         lang = ConstraintLanguage([rel])
         coclone = co_clone_of(lang)
         census[coclone.display()] += 1
-        by_pos = co_clone_leq(is21, coclone) or coclone in hard_set
         by_closure = classify_max_ones(lang).result == "NP-hard"
-        if by_pos != by_closure:
+        if max_ones_hard_by_position(coclone) != by_closure:
             disagreements.append(mask_set)
         if args.permutations:
             for p in perms:

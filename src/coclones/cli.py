@@ -9,29 +9,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import acceptance
 from .definitions import (
-    ARGMAX_IDENTITIES,
-    EXTENSION_FORMULAS,
     GadgetError,
     WppGadget,
-    constant_extension_implications,
-    eval_formula,
     eval_wpp,
     search_definition,
     UnsatisfiableGadgetError,
 )
 from .fileio import emit_inst, emit_rel, parse_cost, parse_inst, parse_rel
 from .instances import (
-    Constraint,
-    Instance,
     InstanceError,
-    KIND_MAXCUT,
     KIND_WMO,
     Resolver,
     default_resolver,
@@ -39,7 +31,6 @@ from .instances import (
 from .oracle import OracleError, meets_threshold, solve
 from .postlattice import (
     CatalogError,
-    co_clone_leq,
     co_clone_of,
     parse_coclone_name,
 )
@@ -61,13 +52,11 @@ from .relations import (
     mask_to_string,
 )
 from .valued import (
-    CostFunction,
     classify_vcsp,
     express_neq,
-    f_neq,
     verify_neq_expression,
 )
-from .weakbases import all_entries, weak_base
+from .weakbases import weak_base
 
 USAGE_ERROR = 2
 
@@ -301,150 +290,16 @@ def _cmd_express_neq(args) -> int:
 # Self-test
 
 
-def _selftest_synthesis(trials: int, seed: int):
-    rng = random.Random(seed ^ 0x5EED)
-    hard = 0
-    while hard < trials:
-        nf = rng.randint(1, 2)
-        delta = []
-        for i in range(nf):
-            k = rng.randint(1, 3)
-            delta.append(CostFunction(
-                k, tuple(Fraction(rng.randint(0, 4)) for _ in range(1 << k)), f"f{i}"))
-        cls = classify_vcsp(delta)
-        if cls.is_polynomial:
-            if not _recheck_admitted(delta, cls.admitted):
-                return False, f"admitted {cls.admitted} fails re-check"
-            continue
-        hard += 1
-        expr = express_neq(delta)
-        if not verify_neq_expression(expr, delta):
-            return False, f"synthesis verification failed on {[f.table for f in delta]}"
-    return True, f"{trials} NP-hard sets synthesized"
-
-
-def _recheck_admitted(delta, admitted: str) -> bool:
-    """Re-check that every function in delta admits the named multimorphism.
-
-    Independent of `classify_vcsp`, it scans argument masks in descending
-    order.  Self-test criterion 8 and the acceptance test share this copy.
-    """
-    for fn in delta:
-        size = 1 << fn.arity
-        full = size - 1
-        if admitted == "(0)":
-            for x in range(full, -1, -1):
-                if fn(0) > fn(x):
-                    return False
-        elif admitted == "(1)":
-            for x in range(full, -1, -1):
-                if fn(full) > fn(x):
-                    return False
-        else:
-            for x in range(full, -1, -1):
-                for y in range(full, -1, -1):
-                    if fn(x & y) + fn(x | y) > fn(x) + fn(y):
-                        return False
-    return True
-
-
 def run_selftest(trials: int = 40, seed: int = 0, jobs: int = 1,
                  out=sys.stdout) -> int:
-    from .postlattice import CoCloneId as CC
-    from .relations import Relation as Rel, ConstraintLanguage as CL
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(label: str, ok: bool, detail: str = "") -> None:
-        checks.append((label, ok, detail))
-
-    # 1. weak-base matrices
-    ii2 = weak_base(CC("I2"))
-    in2 = weak_base(CC("N2"))
-    add("weak-base matrices",
-        set(ii2.row_strings()) == {"00111001", "01010101", "10001101"}
-        and set(in2.row_strings()) == {"00001111", "00111100", "01011010",
-                                       "11110000", "11000011", "10100101"})
-
-    # 2. co-clone identification over every catalog row
-    rows = all_entries((2, 3, 4, 5))
-    bad = [e.coclone.display() for e in rows
-           if co_clone_of(ConstraintLanguage([e.relation])) != e.coclone]
-    add(f"co-clone identification ({len(rows)} rows)", not bad, ",".join(bad))
-
-    # 3. dichotomy census over the ternary relations
-    is21 = CC("S1", 2)
-    hard_set = {CC("L0"), CC("L3"), CC("L2"), CC("N2")}
-    mismatches = 0
-    for mask_set in range(1, 256):
-        rel = Rel.from_masks(3, [t for t in range(8) if (mask_set >> t) & 1], name="R")
-        lang = CL([rel])
-        pos = co_clone_leq(is21, co_clone_of(lang)) or co_clone_of(lang) in hard_set
-        if pos != (classify_max_ones(lang).result == "NP-hard"):
-            mismatches += 1
-    add("dichotomy census (255 languages)", mismatches == 0, f"{mismatches} disagreements")
-
-    # 4. constant-extension formulas
-    resolver = default_resolver()
-    ok4 = True
-    detail4 = ""
-    for ext in EXTENSION_FORMULAS:
-        rel = resolver.relation(ext.source)
-        rp = eval_formula(ext.formula, resolver)
-        i1, i2, i2top = constant_extension_implications(rel, rp)
-        needed = i1 and (i2top if ext.source == "R_II2" else i2)
-        if not needed:
-            ok4 = False
-            detail4 = f"{ext.source} via {ext.target}"
-    add("constant-extension formulas", ok4, detail4)
-
-    # 5. argmax identities
-    ok5 = True
-    detail5 = ""
-    for ident in ARGMAX_IDENTITIES:
-        got = eval_wpp(ident.gadget(), resolver)
-        if got.tuples != resolver.relation(ident.target).tuples:
-            ok5, detail5 = False, f"{ident.target} over {ident.base}"
-    add("argmax identities", ok5, detail5)
-
-    # 6. reduction certification
-    cases = 0
-    fail6 = []
-    for name in ACCEPTANCE_ENTRIES:
-        rep = certify(name, trials=trials, seed=seed, jobs=jobs)
-        cases += rep.cases
-        if not rep.ok:
-            fail6.append(name)
-    add(f"reduction certification ({cases} cases)", not fail6, ",".join(fail6))
-
-    # 7. weighted composition gate
-    cases7 = 0
-    fail7 = []
-    for name in QWPP_FAMILY:
-        rep = certify(name, trials=trials, seed=seed, jobs=jobs)
-        cases7 += rep.cases
-        if not rep.ok:
-            fail7.append(name)
-    add(f"weighted composition gate ({cases7} cases)", not fail7, ",".join(fail7))
-
-    # 8. synthesis of f_neq
-    ok8, detail8 = _selftest_synthesis(trials, seed)
-    add(f"f_neq synthesis ({trials} sets)", ok8, detail8 if not ok8 else "")
-
-    # 9. baseline
-    base = classify_vcsp([f_neq()])
-    tri = Instance(KIND_MAXCUT, 3,
-                   tuple(Constraint("edge", e) for e in ((0, 1), (0, 2), (1, 2))))
-    vcsp_tri, _ = apply_reduction("maxcut_to_vcsp_neq", tri, resolver)
-    add("f_neq baseline", base.result == "NP-hard"
-        and solve(vcsp_tri, resolver, jobs=jobs).optimum == 1)
-
+    """Run the acceptance criteria and print one line per criterion."""
+    checks = [criterion(trials, seed, jobs) for criterion in acceptance.CRITERIA]
     print(f"self-test report (seed={seed}, trials={trials})", file=out)
-    for label, ok, detail in checks:
-        dots = "." * max(1, 44 - len(label))
-        suffix = "" if ok or not detail else f"  [{detail}]"
-        print(f"  {label} {dots} {'ok' if ok else 'FAIL'}{suffix}", file=out)
-    overall = all(ok for _, ok, _ in checks)
+    for check in checks:
+        dots = "." * max(1, 44 - len(check.label))
+        suffix = "" if check.ok or not check.detail else f"  [{check.detail}]"
+        print(f"  {check.label} {dots} {'ok' if check.ok else 'FAIL'}{suffix}", file=out)
+    overall = all(check.ok for check in checks)
     print(f"result: {'PASS' if overall else 'FAIL'}", file=out)
     return 0 if overall else 1
 
@@ -456,7 +311,7 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _job_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -477,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if output:
             sp.add_argument("-o", "--output", help="write machine-readable output here")
         if jobs:
-            sp.add_argument("--jobs", type=_job_count, default=1)
+            sp.add_argument("--jobs", type=_positive_int, default=1)
 
     sp = sub.add_parser("classify-sat", help="satisfiability dichotomy test")
     sp.add_argument("language")
@@ -519,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="oracle-certify a reduction")
     sp.add_argument("name")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=_positive_int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_certify)
@@ -540,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_express_neq)
 
     sp = sub.add_parser("selftest", help="run the golden/certify suite")
-    sp.add_argument("--trials", type=int, default=40)
+    sp.add_argument("--trials", type=_positive_int, default=40)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_selftest)

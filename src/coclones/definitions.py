@@ -180,8 +180,9 @@ def search_definition(target: Relation, language: LanguageLike,
     proven nonexistence within the bounds).  Equality atoms are always
     accepted by the evaluator; include_eq adds them to the search universe.
     """
-    if max_aux > 8 or max_atoms > 6:
-        raise GadgetError("search bounds exceed the budget guard (aux <= 8, atoms <= 6)")
+    if not (0 <= max_aux <= 8 and 1 <= max_atoms <= 6):
+        raise GadgetError("search bounds outside the budget guard "
+                          "(0 <= aux <= 8, 1 <= atoms <= 6)")
     names = ["eq"] if include_eq else []
     if isinstance(language, ConstraintLanguage):
         names += [n for n in language.names() if n != "eq"]

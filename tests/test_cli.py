@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from coclones import cli
+from coclones import acceptance, cli
 from coclones.cli import main, run_selftest
 from coclones.fileio import parse_inst, parse_rel
+from coclones.postlattice import CoCloneId
+from coclones.weakbases import weak_base
 
 
 def run(argv):
@@ -30,10 +32,11 @@ def _run_subprocess(argv):
 
 
 def test_weakbase_command(tmp_path):
-    code, out = run(["weakbase", "IN2"])
-    assert code == 0
-    rel = parse_rel(out)[0]
-    assert rel.arity == 8 and len(rel.tuples) == 6
+    for name, coclone in (("II2", "I2"), ("IN2", "N2")):
+        code, out = run(["weakbase", name])
+        assert code == 0
+        rel, want = parse_rel(out)[0], weak_base(CoCloneId(coclone))
+        assert (rel.arity, rel.tuples) == (want.arity, want.tuples)
     code, out = run(["weakbase", "IS12", "2", "-o", str(tmp_path / "w.rel")])
     assert code == 0
     rel = parse_rel((tmp_path / "w.rel").read_text())[0]
@@ -102,12 +105,16 @@ def test_jobs_below_one_rejected(tmp_path):
     for argv in (["solve", str(inst), "--jobs", "0"],
                  ["certify", "maxcut_to_vcsp_neq", "--jobs", "-1"],
                  ["selftest", "--jobs", "0"],
-                 ["solve", str(inst), "--jobs", "two"]):
+                 ["solve", str(inst), "--jobs", "two"],
+                 ["certify", "all", "--trials", "0"],
+                 ["certify", "maxcut_to_vcsp_neq", "--trials", "-3"],
+                 ["selftest", "--trials", "0"],
+                 ["selftest", "--trials", "-3"]):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run(argv)
         assert code == 2 and out == ""
-        assert "argument --jobs:" in err.getvalue()
+        assert f"argument {argv[-2]}:" in err.getvalue()
     assert run(["solve", str(inst), "--jobs", "1"])[0] == 0
 
 
@@ -185,7 +192,8 @@ def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
     assert "variable weights" in err.getvalue()
 
 
-@pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7")])
+@pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7"),
+                                        ("--aux", "-1"), ("--atoms", "0")])
 def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
     target = tmp_path / "eq.rel"
     target.write_text("relation eq 2\n00\n11\n")
@@ -194,7 +202,7 @@ def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
     proc = _run_subprocess(["ppsearch", str(target), str(lang), flag, value])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: search bounds exceed the budget guard")
+    assert proc.stderr.startswith("error: search bounds outside the budget guard")
 
 
 @pytest.mark.parametrize("name", ["IS^x_1", "IS^_1", "IS^²_1", "IS1_²"])
@@ -232,3 +240,17 @@ def test_selftest_deterministic_across_jobs():
     code2 = run_selftest(trials=6, seed=3, jobs=8, out=b)
     assert code1 == code2 == 0
     assert a.getvalue() == b.getvalue()
+
+
+def test_selftest_reports_a_failing_criterion(monkeypatch):
+    a, b = io.StringIO(), io.StringIO()
+    assert run_selftest(trials=2, seed=0, out=a) == 0
+    failing = acceptance.Check("argmax identities", False, "R_II2 over R_IN2")
+    criteria = list(acceptance.CRITERIA)
+    criteria[4] = lambda trials, seed, jobs: failing
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+    assert run_selftest(trials=2, seed=0, out=b) == 1
+    want = a.getvalue().splitlines()
+    want[5] = "  argmax identities ........................... FAIL  [R_II2 over R_IN2]"
+    want[-1] = "result: FAIL"
+    assert b.getvalue().splitlines() == want
