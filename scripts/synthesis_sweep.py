@@ -11,16 +11,21 @@ import sys
 from collections import Counter
 
 from coclones.acceptance import random_cost_set
-from coclones.valued import classify_vcsp, express_neq, verify_neq_expression
+from coclones.cli import _positive_int
+from coclones.valued import MAX_COST_ARITY, classify_vcsp, express_neq, verify_neq_expression
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sets", type=int, default=2000)
+    parser.add_argument("--sets", type=_positive_int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-arity", type=int, default=3)
+    parser.add_argument("--max-arity", type=_positive_int, default=3)
     parser.add_argument("--max-value", type=int, default=4)
     args = parser.parse_args()
+    if args.max_arity > MAX_COST_ARITY:
+        parser.error(f"argument --max-arity: must be at most {MAX_COST_ARITY}, got {args.max_arity}")
+    if args.max_value < 0:
+        parser.error(f"argument --max-value: must be at least 0, got {args.max_value}")
 
     rng = random.Random(args.seed)
     outcomes = Counter()

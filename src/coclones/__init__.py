@@ -5,15 +5,11 @@ from .relations import (
     BooleanOperation,
     Classification,
     ConstraintLanguage,
-    PartialOperation,
     Relation,
     arithmetical_operation,
     classify_max_ones,
     classify_sat,
-    make_relation,
     preserves,
-    preserves_language,
-    preserves_partial,
 )
 from .postlattice import (
     CloneId,
@@ -38,8 +34,6 @@ from .oracle import SolveResult, decide, solve
 from .valued import (
     CostFunction,
     NeqExpression,
-    admits_binary_multimorphism,
-    admits_unary_multimorphism,
     classify_vcsp,
     express_neq,
     f_neq,

@@ -161,6 +161,9 @@ def eval_wpp(gadget: WppGadget, resolver: Optional[Resolver] = None) -> Relation
 # ---------------------------------------------------------------------------
 # Bounded definition search
 
+# candidate formulas (and atoms per aux count) one search may examine
+EXPLORE_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -170,13 +173,12 @@ class SearchResult:
 
 def search_definition(target: Relation, language: LanguageLike,
                       max_aux: int = 2, max_atoms: int = 3,
-                      explore_budget: int = 200_000,
                       include_eq: bool = False) -> SearchResult:
     """Exhaustive search for a defining conjunction, smallest formulas first.
 
     Scans aux-variable counts in increasing order and atom sets in
     lexicographic order, so ties resolve to the least formula.  A None
-    result carries exhausted=False when the budget ran out (distinct from
+    result carries exhausted=False when EXPLORE_BUDGET ran out (distinct from
     proven nonexistence within the bounds).  Equality atoms are always
     accepted by the evaluator; include_eq adds them to the search universe.
     """
@@ -192,7 +194,7 @@ def search_definition(target: Relation, language: LanguageLike,
         names += [n for n in language.keys() if n != "eq"]
     tv = target.arity
 
-    budget = explore_budget
+    budget = EXPLORE_BUDGET
     for aux in range(0, max_aux + 1):
         width = tv + aux
         if width > MAX_FORMULA_VARS:
@@ -202,7 +204,7 @@ def search_definition(target: Relation, language: LanguageLike,
             arity = _lookup(language, name).arity
             atoms.extend((name, slots) for slots in
                          itertools.product(range(width), repeat=arity))
-        if len(atoms) > explore_budget:
+        if len(atoms) > EXPLORE_BUDGET:
             return SearchResult(None, False)
         idx = np.arange(1 << width, dtype=np.int64)
         proj = idx & ((1 << tv) - 1)

@@ -19,12 +19,14 @@ from .relations import (
     MAX_RELATION_ARITY,
     Relation,
     RelationError,
-    make_relation,
     rel_eq,
     rel_even,
     rel_false,
+    rel_nand,
     rel_neq,
+    rel_odd,
     rel_one_in_three,
+    rel_or,
     rel_true,
 )
 from .valued import CostFunction, f_neq, indicator_cost
@@ -127,6 +129,7 @@ class Instance:
 _RF_NAME = re.compile(r"^Rf_(\d+)_(\d+)$")
 _COST_NAME = re.compile(r"^cost(\d+)_([0-9/_]+)$")
 _PARAM_REL = re.compile(r"^(OR|NAND|EVEN|ODD)(\d+)$")
+_PARAM_CTORS = {"OR": rel_or, "NAND": rel_nand, "EVEN": rel_even, "ODD": rel_odd}
 
 
 def _rf_relation(k: int, support_mask: int) -> Relation:
@@ -154,11 +157,6 @@ def rf_name(fn: CostFunction) -> str:
         if v > 0:
             support |= 1 << m
     return f"Rf_{fn.arity}_{support}"
-
-
-def cost_name(fn: CostFunction) -> str:
-    parts = "_".join(str(v).replace("/", "/") for v in fn.table)
-    return f"cost{fn.arity}_{parts}"
 
 
 class Resolver:
@@ -203,7 +201,7 @@ class Resolver:
     def _build_relation(self, name: str) -> Optional[Relation]:
         m = _PARAM_REL.match(name)
         if m:
-            return make_relation(f"{m.group(1)}({m.group(2)})").renamed(name)
+            return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
         m = _RF_NAME.match(name)
         if m:
             return _rf_relation(int(m.group(1)), int(m.group(2)))

@@ -83,11 +83,6 @@ class SolveResult:
     witness: Optional[int]  # lexicographically least optimal assignment mask
     optimal_set: Optional[tuple[int, ...]] = None
 
-    def witness_bits(self, n: int) -> Optional[tuple[int, ...]]:
-        if self.witness is None:
-            return None
-        return tuple((self.witness >> i) & 1 for i in range(n))
-
 
 def _admit(inst: Instance, resolver: Resolver, want_all: bool) -> None:
     validate_instance(inst, resolver)

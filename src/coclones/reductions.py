@@ -25,7 +25,6 @@ per-variable auxiliaries, then per-constraint auxiliaries.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import zlib
@@ -38,7 +37,6 @@ from .definitions import (
     ArgmaxIdentity,
     EXTENSION_FORMULAS,
     ExtensionFormula,
-    search_definition,
 )
 from .instances import (
     Constraint,
@@ -521,19 +519,11 @@ def _globals_differ_in_every_optimum(src, tgt, sres, tres, resolver, jobs) -> Op
 # relation (with the definability gap flagged)
 
 
-@functools.cache
-def _xor3_gap_note() -> str:
-    # XOR3 and R_II2 are built in, and a resolver rejects a conflicting
-    # redefinition, so one search answers for every resolver
-    resolver = default_resolver()
-    sr = search_definition(resolver.relation("XOR3"),
-                           {"R_II2": resolver.relation("R_II2")},
-                           max_aux=1, max_atoms=1, explore_budget=4000)
-    if sr.formula is not None:  # pragma: no cover - one atom cannot reach 4 tuples
-        return f"XOR3 = {sr.formula.text()} over R_II2; emitting XOR3 as a target primitive"
-    return ("no bounded conjunctive definition of XOR3 over R_II2 found "
-            f"({'search exhausted' if sr.exhausted else 'budget reached'}); "
-            "emitting XOR3 as a target primitive")
+# Exact: co_clone_of gives II2 for {R_II2} and for {R_II2, XOR3}, and no
+# R_II2 or eq atom over XOR3's three coordinates excludes a non-tuple
+# (both checked in tests/test_reductions.py)
+_XOR3_GAP_NOTE = ("XOR3 is pp-definable over R_II2 only with auxiliary variables; "
+                  "emitting XOR3 as a target primitive")
 
 
 def _build_maxcutc_to_wmaxones(inst: Instance, resolver: Resolver) -> Instance:
@@ -805,7 +795,7 @@ _register(ReductionRecord(
     build=_build_maxcutc_to_wmaxones,
     num_vars=lambda inst, resolver: inst.num_vars + inst.num_constraints, exact=True,
     measure=Affine(1, _offset(lambda n: 0)),
-    note=lambda inst, resolver: _xor3_gap_note(),
+    note=lambda inst, resolver: _XOR3_GAP_NOTE,
     sampler=_sample_weighted_maxcut))
 
 QPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("umo_qpp_"))

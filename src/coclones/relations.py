@@ -1,8 +1,13 @@
-"""Boolean relations, operations and exact, uncapped (partial) polymorphism checks.
+"""Boolean relations and operations, exact polymorphism checks, and the
+satisfiability and Max-Ones closure classifiers.
 
 Tuples of a relation are stored as integer bitmasks with coordinate 1 in the
 least significant bit.  All textual I/O lists coordinate 1 first (leftmost),
 so the string "011" denotes the tuple (0, 1, 1) and the bitmask 0b110 = 6.
+
+A classifier scans its closure operations in a fixed order, once each: the
+first violation of an operation is that operation's witness, and the first
+operation without one makes the language tractable.
 """
 
 from __future__ import annotations
@@ -191,27 +196,6 @@ class BooleanOperation:
         return BooleanOperation(self.arity, table, nm)
 
 
-@dataclass(frozen=True)
-class PartialOperation:
-    """A partial Boolean operation; table entries are 0, 1 or None."""
-
-    arity: int
-    table: tuple[Optional[int], ...]
-    name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.arity <= MAX_OPERATION_ARITY:
-            raise RelationError(f"operation arity {self.arity} out of range 1..{MAX_OPERATION_ARITY}")
-        if len(self.table) != 1 << self.arity:
-            raise RelationError("truth table length must be 2^arity")
-        if all(v is None for v in self.table):
-            raise RelationError("partial operation must be defined somewhere")
-
-    @staticmethod
-    def total(op: BooleanOperation) -> "PartialOperation":
-        return PartialOperation(op.arity, tuple(op.table), op.name)
-
-
 class ConstraintLanguage:
     """A finite constraint language: an ordered map from names to relations."""
 
@@ -311,36 +295,6 @@ def preserves(f: BooleanOperation, rel: Relation) -> bool:
     return find_violation(f, rel) is None
 
 
-def preserves_partial(p: PartialOperation, rel: Relation) -> bool:
-    """True iff every sequence on which p is defined coordinate-wise maps into rel."""
-    if rel.is_empty:
-        return True
-    tset = rel._tuple_set
-    arity = rel.arity
-    k = p.arity
-    for seq in itertools.product(rel.tuples, repeat=k):
-        img = 0
-        defined = True
-        for c in range(arity):
-            pat = 0
-            for i in range(k):
-                if (seq[i] >> c) & 1:
-                    pat |= 1 << i
-            v = p.table[pat]
-            if v is None:
-                defined = False
-                break
-            if v:
-                img |= 1 << c
-        if defined and img not in tset:
-            return False
-    return True
-
-
-def preserves_language(f: BooleanOperation, language: ConstraintLanguage) -> bool:
-    return all(preserves(f, rel) for rel in language)
-
-
 # ---------------------------------------------------------------------------
 # Named operations
 
@@ -430,74 +384,9 @@ def rel_one_in_three() -> Relation:
     return Relation(3, (0b001, 0b010, 0b100), "R13")
 
 
-def neq_extension(rel: Relation, m: int) -> Relation:
-    """The (n+m)-ary relation rel(x1..xn) /\\ neq(x_j, x_{n+j}) for j=1..m."""
-    n = rel.arity
-    if not 1 <= m <= n:
-        raise RelationError(f"neq extension count {m} out of range 1..{n}")
-    if n + m > MAX_RELATION_ARITY:
-        raise RelationError("extended arity exceeds cap")
-    out = []
-    for t in rel.tuples:
-        ext = t
-        for j in range(m):
-            if not (t >> j) & 1:
-                ext |= 1 << (n + j)
-        out.append(ext)
-    name = f"{rel.name}_{m}ne" if rel.name else None
-    return Relation.from_masks(n + m, out, name, allow_empty=rel.is_empty)
-
-
-def conj_relation(parts: Sequence[tuple[Relation, Sequence[int]]], total_arity: int,
-                  name: Optional[str] = None, allow_empty: bool = False) -> Relation:
-    """Conjunction of relation atoms over shared coordinates (no quantifiers)."""
-    if not 1 <= total_arity <= MAX_RELATION_ARITY:
-        raise RelationError("total arity out of range")
-    for rel, idx in parts:
-        if len(idx) != rel.arity:
-            raise RelationError("index tuple length must match atom arity")
-        if any(not 0 <= i < total_arity for i in idx):
-            raise RelationError("atom index out of range")
-    out = []
-    for m in range(1 << total_arity):
-        ok = True
-        for rel, idx in parts:
-            sub = 0
-            for j, i in enumerate(idx):
-                if (m >> i) & 1:
-                    sub |= 1 << j
-            if not rel.contains(sub):
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return Relation.from_masks(total_arity, out, name, allow_empty=allow_empty)
-
-
 def _check_ctor_arity(n: int) -> None:
     if not 1 <= n <= MAX_RELATION_ARITY:
         raise RelationError(f"arity {n} out of range 1..{MAX_RELATION_ARITY}")
-
-
-def make_relation(spec: str) -> Relation:
-    """Build a named relation from a textual spec like "eq", "OR(3)", "EVEN(4)"."""
-    s = spec.strip()
-    plain = {
-        "eq": rel_eq, "neq": rel_neq, "T": rel_true, "F": rel_false,
-        "ONE_IN_THREE": rel_one_in_three, "R13": rel_one_in_three,
-    }
-    if s in plain:
-        return plain[s]()
-    if s == "XOR3":
-        return rel_even(3).renamed("XOR3")
-    for prefix, fn in (("OR", rel_or), ("NAND", rel_nand), ("EVEN", rel_even), ("ODD", rel_odd)):
-        if s.startswith(prefix):
-            rest = s[len(prefix):]
-            if rest.startswith("(") and rest.endswith(")"):
-                rest = rest[1:-1]
-            if rest.isdigit():
-                return fn(int(rest))
-    raise RelationError(f"unknown relation spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +416,8 @@ def _classify_by_closures(language: ConstraintLanguage, ops: Sequence[BooleanOpe
     for rel in language:
         if rel.is_empty:
             raise EmptyRelationError("classifiers require nonempty relations")
-    for op in ops:
-        if preserves_language(op, language):
-            return Classification("P", op.name, ())
+    # the first violation of each operation is its witness; an operation
+    # with none is the first preserving one
     witnesses = []
     for op in ops:
         for name in language.names():
@@ -542,6 +430,8 @@ def _classify_by_closures(language: ConstraintLanguage, ops: Sequence[BooleanOpe
                     tuple(mask_to_bits(t, rel.arity) for t in seq),
                     mask_to_bits(img, rel.arity)))
                 break
+        else:
+            return Classification("P", op.name, ())
     return Classification("NP-hard", None, tuple(witnesses))
 
 

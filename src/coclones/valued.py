@@ -2,7 +2,10 @@
 
 All arithmetic is exact (fractions.Fraction); no tolerances exist here.
 Argmin and witness selections scan bitmasks in ascending order so traces
-are deterministic and replayable.
+are deterministic and replayable.  `classify_vcsp` and `express_neq` take
+their answer and their witnesses from the same (0), (1) and (min,max)
+violation scans, each run at most once and stopped at the first admitted
+multimorphism.
 """
 
 from __future__ import annotations
@@ -105,15 +108,6 @@ def binary_violation(delta: Sequence[CostFunction], f: BooleanOperation, g: Bool
     return None
 
 
-def admits_unary_multimorphism(delta: Sequence[CostFunction], p: BooleanOperation) -> bool:
-    return unary_violation(delta, p) is None
-
-
-def admits_binary_multimorphism(delta: Sequence[CostFunction], f: BooleanOperation,
-                                g: BooleanOperation) -> bool:
-    return binary_violation(delta, f, g) is None
-
-
 @dataclass(frozen=True)
 class VcspClassification:
     result: str  # "P" or "NP-hard"
@@ -125,20 +119,32 @@ class VcspClassification:
         return self.result == "P"
 
 
-def classify_vcsp(delta: Sequence[CostFunction]) -> VcspClassification:
-    """Tractable iff the set admits (0), (1) or (min,max)."""
-    delta = list(delta)
+def _violations(delta: list[CostFunction]):
+    """("(0)" / "(1)" / "(min,max)", None) for the first multimorphism admitted,
+    else (None, (zero, one, minmax)) with the three violations.
+
+    Each scan runs at most once, in that order.
+    """
     if not delta:
         raise RelationError("classify_vcsp requires a nonempty set of cost functions")
-    if admits_unary_multimorphism(delta, OP_CONST0):
-        return VcspClassification("P", "(0)", None)
-    if admits_unary_multimorphism(delta, OP_CONST1):
-        return VcspClassification("P", "(1)", None)
-    if admits_binary_multimorphism(delta, OP_AND, OP_OR):
-        return VcspClassification("P", "(min,max)", None)
     w0 = unary_violation(delta, OP_CONST0)
+    if w0 is None:
+        return "(0)", None
     w1 = unary_violation(delta, OP_CONST1)
+    if w1 is None:
+        return "(1)", None
     wm = binary_violation(delta, OP_AND, OP_OR)
+    if wm is None:
+        return "(min,max)", None
+    return None, (w0, w1, wm)
+
+
+def classify_vcsp(delta: Sequence[CostFunction]) -> VcspClassification:
+    """Tractable iff the set admits (0), (1) or (min,max)."""
+    admitted, violations = _violations(list(delta))
+    if violations is None:
+        return VcspClassification("P", admitted, None)
+    w0, w1, wm = violations
     return VcspClassification("NP-hard", None, {
         "zero": (w0[0].name, w0[1]),
         "one": (w1[0].name, w1[1]),
@@ -174,31 +180,24 @@ class NeqExpression:
     vestigial_forcing: bool
     trace: tuple[str, ...]
 
-    def term_value(self, term: Term, x: int, y: int, v0: int, v1: int) -> Fraction:
-        env = {"x": x, "y": y, "v0": v0, "v1": v1}
-        mask = 0
-        for j, slot in enumerate(term.slots):
-            if env[slot]:
-                mask |= 1 << j
-        return term.weight * self.fns[term.fn_index](mask)
-
     def value(self, x: int, y: int, v0: int, v1: int) -> Fraction:
-        total = sum((self.term_value(t, x, y, v0, v1) for t in self.terms), Fraction(0))
-        return self.alpha1 * total + self.alpha2
+        env = {"x": x, "y": y, "v0": v0, "v1": v1}
+        return self.alpha1 * _terms_value(self.fns, self.terms, env) + self.alpha2
 
     def forcing_value(self, v0: int, v1: int) -> Fraction:
-        return sum((self.term_value(t, 0, 0, v0, v1) for t in self.forcing), Fraction(0))
+        return _terms_value(self.fns, self.forcing, {"x": 0, "y": 0, "v0": v0, "v1": v1})
 
 
-def _first_drop(delta: Sequence[CostFunction], from_top: bool):
-    """First (index, mask) whose value is beaten by the constant tuple's value."""
-    for i, fn in enumerate(delta):
-        const = (1 << fn.arity) - 1 if from_top else 0
-        base = fn(const)
-        for m in range(1 << fn.arity):
-            if fn(m) < base:
-                return i, m
-    return None
+def _terms_value(fns: Sequence[CostFunction], terms: Iterable[Term], env: dict[str, int]) -> Fraction:
+    """Weighted sum of the terms, each slot read from env."""
+    total = Fraction(0)
+    for t in terms:
+        mask = 0
+        for j, slot in enumerate(t.slots):
+            if env[slot]:
+                mask |= 1 << j
+        total += t.weight * fns[t.fn_index](mask)
+    return total
 
 
 def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
@@ -210,17 +209,15 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
     bundle that an affine normalization turns into f_neq exactly.
     """
     delta = list(delta)
-    if classify_vcsp(delta).result != "NP-hard":
+    _, violations = _violations(delta)
+    if violations is None:
         raise SynthesisError("express_neq requires an NP-hard set")
     trace: list[str] = []
 
-    drop0 = _first_drop(delta, from_top=False)
-    drop1 = _first_drop(delta, from_top=True)
-    if drop0 is None or drop1 is None:
-        raise SynthesisError("missing unary-multimorphism witnesses")
-    gi, u = drop0
-    hi, v = drop1
-    g, h = delta[gi], delta[hi]
+    # a scan stops at the first violating function, which is also the first
+    # function equal to it, so index() gives its position in delta
+    (g, u), (h, v), (fn, s, t) = violations
+    gi, hi = delta.index(g), delta.index(h)
     a, b = g.arity, h.arity
     trace.append(f"g={g.name or gi} with g(all-0)>g({u:0{a}b}); "
                  f"h={h.name or hi} with h(all-1)>h({v:0{b}b})")
@@ -236,12 +233,8 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
     o_slots_h = tuple("y" if (w >> (a + i)) & 1 else "x" for i in range(b))
     o_terms = (Term(Fraction(1), gi, o_slots_g), Term(Fraction(1), hi, o_slots_h))
 
-    def o_val(x: int, y: int) -> Fraction:
-        gm = sum(((y if s == "y" else x) << i) for i, s in enumerate(o_slots_g))
-        hm = sum(((y if s == "y" else x) << i) for i, s in enumerate(o_slots_h))
-        return g(gm) + h(hm)
-
-    o00, o01, o10, o11 = o_val(0, 0), o_val(0, 1), o_val(1, 0), o_val(1, 1)
+    o00, o01, o10, o11 = (_terms_value(delta, o_terms, {"x": x, "y": y})
+                          for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)))
     trace.append(f"o(0,0)={o00} o(0,1)={o01} o(1,0)={o10} o(1,1)={o11}")
 
     def substitute(terms: Iterable[Term], mapping: dict[str, str],
@@ -252,20 +245,6 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
     forcing: list[Term] = []
     vestigial = False
 
-    def layer_values(layer: list[Term]) -> list[Fraction]:
-        env_pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        vals = []
-        for v0, v1 in env_pairs:
-            total = Fraction(0)
-            for tm in layer:
-                mask = 0
-                for j, sl in enumerate(tm.slots):
-                    if {"v0": v0, "v1": v1}[sl]:
-                        mask |= 1 << j
-                total += tm.weight * delta[tm.fn_index](mask)
-            vals.append(total)
-        return vals
-
     def layered_forcing(layers: list[list[Term]], base_terms: list[Term]) -> list[Term]:
         # innermost layer first in `layers`.  Each layer's weight is scaled so
         # that its *smallest value gap* strictly dominates the total spread of
@@ -273,7 +252,8 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
         out: list[Term] = []
         floor = sum((t.weight * delta[t.fn_index].max_value for t in base_terms), Fraction(0))
         for layer in layers:
-            vals = layer_values(layer)
+            vals = [_terms_value(delta, layer, {"v0": v0, "v1": v1})
+                    for v0, v1 in ((0, 0), (0, 1), (1, 0), (1, 1))]
             gaps = [abs(x - y) for x in vals for y in vals if x != y]
             if not gaps:
                 raise SynthesisError("forcing layer cannot distinguish the constants")
@@ -315,10 +295,6 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
         trace.append("o(0,0)=o(1,1), o(1,0)<o(0,1): force (v0,v1) by o(v1,v0)")
 
     # the failing (min,max)-multimorphism supplies the binary bundle
-    wit = binary_violation(delta, OP_AND, OP_OR)
-    if wit is None:
-        raise SynthesisError("missing (min,max) witness")
-    fn, s, t = wit
     fi = delta.index(fn)
     k = fn.arity
     slots = []
@@ -336,18 +312,8 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
     g2_swap = Term(Fraction(1), fi, tuple({"x": "y", "y": "x"}.get(s_, s_) for s_ in slots))
     h2 = [g2, g2_swap]
 
-    def bundle_val(terms: list[Term], x: int, y: int) -> Fraction:
-        env = {"x": x, "y": y, "v0": 0, "v1": 1}
-        total = Fraction(0)
-        for tm in terms:
-            mask = 0
-            for j, sl in enumerate(tm.slots):
-                if env[sl]:
-                    mask |= 1 << j
-            total += tm.weight * delta[tm.fn_index](mask)
-        return total
-
-    h2_00, h2_01, h2_11 = bundle_val(h2, 0, 0), bundle_val(h2, 0, 1), bundle_val(h2, 1, 1)
+    h2_00, h2_01, h2_11 = (_terms_value(delta, h2, {"x": x, "y": y, "v0": 0, "v1": 1})
+                           for x, y in ((0, 0), (0, 1), (1, 1)))
     trace.append(f"h(0,0)={h2_00} h(0,1)={h2_01} h(1,1)={h2_11}")
 
     if h2_00 == h2_11:
@@ -376,8 +342,8 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
         terms = f1x + f1y + h3
         # the two normalizer constants are folded into alpha2:
         # value = a1 * (sum of terms) + a2 with sum(terms) = h'(x,y) - 2*const
-        hp_00 = bundle_val(terms, 0, 0) + 2 * const
-        hp_01 = bundle_val(terms, 0, 1) + 2 * const
+        hp_00, hp_01 = (_terms_value(delta, terms, {"x": 0, "y": y, "v0": 0, "v1": 1}) + 2 * const
+                        for y in (0, 1))
         alpha1 = Fraction(1) / (hp_00 - hp_01)
         alpha2 = -hp_01 * alpha1 + alpha1 * 2 * const
 

@@ -22,13 +22,19 @@ def run(argv):
     return code, buf.getvalue()
 
 
-def _run_subprocess(argv):
-    """Run the CLI in a fresh interpreter, so an uncaught error shows as a traceback."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(args):
+    """Run Python in a fresh interpreter, so an uncaught error shows as a traceback."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "coclones.cli"] + argv,
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_subprocess(argv):
+    return _run_python(["-m", "coclones.cli"] + argv)
 
 
 def test_weakbase_command(tmp_path):
@@ -190,6 +196,15 @@ def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
     assert code == 2 and out == ""
     assert err.getvalue().startswith(f"error: {path}: ")
     assert "variable weights" in err.getvalue()
+
+
+@pytest.mark.parametrize("flag,value", [("--sets", "0"), ("--max-arity", "0"),
+                                        ("--max-arity", "9"), ("--max-value", "-1")])
+def test_synthesis_sweep_bad_arguments_exit_2(flag, value):
+    proc = _run_python([str(ROOT / "scripts" / "synthesis_sweep.py"), flag, value])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: argument {flag}: " in proc.stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7"),

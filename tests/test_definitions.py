@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones import definitions
 from coclones.definitions import (
     ARGMAX_IDENTITIES,
     EXTENSION_FORMULAS,
@@ -84,9 +85,10 @@ def test_search_trivial_self_definition():
     assert res.formula.atoms == (("T", (0,)),)
 
 
-def test_search_budget_flag_distinct_from_exhaustion():
+def test_search_budget_flag_distinct_from_exhaustion(monkeypatch):
+    monkeypatch.setattr(definitions, "EXPLORE_BUDGET", 50)
     res = search_definition(rel_even(3), {"R_II2": RESOLVER.relation("R_II2")},
-                            max_aux=1, max_atoms=2, explore_budget=50)
+                            max_aux=1, max_atoms=2)
     assert res.formula is None and not res.exhausted
 
 

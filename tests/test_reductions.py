@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from coclones.instances import (
     default_resolver,
 )
 from coclones.oracle import meets_threshold, solve
+from coclones.postlattice import co_clone_of, parse_coclone_name
 from coclones.reductions import (
     ACCEPTANCE_ENTRIES,
     QPP_FAMILY,
@@ -172,9 +174,27 @@ def test_maxcutc_gap_flagged():
     src = Instance(KIND_MAXCUT, 3,
                    tuple(Constraint("edge", e, Fraction(2)) for e in ((0, 1), (1, 2))))
     tgt, info = apply("maxcutc_to_wmaxones", src)
-    assert any("no bounded conjunctive definition of XOR3" in note for note in info.notes)
+    assert any("XOR3 is pp-definable over R_II2 only with auxiliary variables" in note
+               for note in info.notes)
     assert tgt.num_vars == 3 + 2
     assert solve(tgt).optimum == solve(src).optimum
+
+
+def test_xor3_is_pp_definable_over_r_ii2():
+    r_ii2, xor3 = RESOLVER.relation("R_II2"), RESOLVER.relation("XOR3")
+    assert co_clone_of([r_ii2]) == co_clone_of([r_ii2, xor3]) == parse_coclone_name("II2")
+
+
+def test_xor3_has_no_definition_over_r_ii2_without_auxiliary_variables():
+    # the canonical conjunction: every R_II2 or eq atom over XOR3's three
+    # coordinates that XOR3 satisfies also admits every non-tuple of XOR3
+    xor3 = RESOLVER.relation("XOR3")
+    for rel in (RESOLVER.relation("R_II2"), RESOLVER.relation("eq")):
+        for slots in itertools.product(range(3), repeat=rel.arity):
+            def image(m):
+                return sum(((m >> s) & 1) << j for j, s in enumerate(slots))
+            if all(rel.contains(image(t)) for t in xor3.tuples):
+                assert all(rel.contains(image(m)) for m in range(8))
 
 
 def test_certify_small_all_entries():

@@ -4,35 +4,31 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones.definitions import Formula, eval_formula
+from coclones.instances import default_resolver
 from coclones.relations import (
     BooleanOperation,
     Classification,
     ConstraintLanguage,
     EmptyRelationError,
-    PartialOperation,
     Relation,
     OP_AND,
+    OP_CONST0,
     OP_CONST1,
-    OP_ID,
+    OP_MAJ,
     OP_NOT,
     OP_OR,
+    OP_XOR3,
     arithmetical_operation,
     classify_max_ones,
     classify_sat,
-    conj_relation,
     find_violation,
-    make_relation,
-    neq_extension,
     preserves,
-    preserves_language,
-    preserves_partial,
     rel_eq,
-    rel_even,
     rel_neq,
     rel_one_in_three,
     rel_or,
     rel_true,
-    rel_false,
 )
 
 
@@ -58,13 +54,6 @@ def test_preserves_spec_examples():
     assert preserves(OP_NOT, rel_neq())
 
 
-def test_preserves_language_examples():
-    lang = ConstraintLanguage([rel_or(2), rel_true()])
-    assert preserves_language(OP_OR, lang)
-    assert not preserves_language(OP_AND, lang)
-    assert preserves_language(OP_ID, lang)
-
-
 def test_preserves_empty_relation_vacuous():
     empty = Relation.from_masks(2, [], allow_empty=True)
     assert empty.is_empty
@@ -83,34 +72,13 @@ def test_preserves_matches_naive(data):
     assert preserves(op, rel) == naive_preserves(op, rel)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_total_partial_operation_agrees(data):
-    arity = data.draw(st.integers(1, 3))
-    masks = data.draw(st.sets(st.integers(0, (1 << arity) - 1), min_size=1, max_size=1 << arity))
-    rel = Relation.from_masks(arity, masks)
-    k = data.draw(st.integers(1, 2))
-    table = data.draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
-    op = BooleanOperation(k, table)
-    assert preserves_partial(PartialOperation.total(op), rel) == preserves(op, rel)
-
-
-def test_preserves_partial_spec_examples():
-    p01 = PartialOperation(1, (1, None))
-    assert preserves_partial(p01, rel_true())
-    assert not preserves_partial(p01, rel_false())
-    # defined only on (0,1)->0 and (1,0)->0, i.e. argument masks 0b10 and 0b01
-    p = PartialOperation(2, (None, 0, 0, None))
-    assert not preserves_partial(p, rel_neq())
-
-
 def test_conjunction_closure_property():
     # preserves(f, R) and preserves(f, R') imply preserves(f, conj(R, R'))
     r1 = rel_or(2)
     r2 = rel_true()
     for op in (OP_OR, OP_CONST1):
         assert preserves(op, r1) and preserves(op, r2)
-        conj = conj_relation([(r1, (0, 1)), (r2, (2,))], 3)
+        conj = eval_formula(Formula(3, 0, (("A", (0, 1)), ("B", (2,)))), {"A": r1, "B": r2})
         assert preserves(op, conj)
 
 
@@ -131,30 +99,20 @@ def test_conjunction_closure_random_assignments(data):
     idx1 = tuple(data.draw(st.integers(0, total - 1)) for _ in range(arity1))
     idx2 = tuple(data.draw(st.integers(0, total - 1)) for _ in range(arity2))
     if preserves(op, r1) and preserves(op, r2):
-        conj = conj_relation([(r1, idx1), (r2, idx2)], total, allow_empty=True)
+        conj = eval_formula(Formula(total, 0, (("A", idx1), ("B", idx2))), {"A": r1, "B": r2})
         assert preserves(op, conj)
 
 
 def test_make_relation_specs():
+    # the resolver builds the parametric names from the constructors directly
+    resolver = default_resolver()
     assert set(rel_one_in_three().rows()) == {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
-    assert make_relation("ONE_IN_THREE").tuples == rel_one_in_three().tuples
-    assert make_relation("EVEN(2)").tuples == rel_eq().tuples
-    ext = neq_extension(rel_even(3), 3)
-    assert ext.arity == 6
-    assert len(ext.tuples) == 4
-    full = (1 << 3) - 1
-    for t in ext.tuples:
-        low = t & full
-        high = t >> 3
-        assert high == (~low) & full
-
-
-def test_neq_extension_pairs_first_m_coordinates():
-    # m=1 on OR2: only x1 gets a complement partner
-    ext = neq_extension(rel_or(2), 1)
-    assert ext.arity == 3
-    for bits in ext.rows():
-        assert bits[2] == 1 - bits[0]
+    assert resolver.relation("R13").tuples == rel_one_in_three().tuples
+    assert resolver.relation("EVEN2").tuples == rel_eq().tuples
+    odd3 = resolver.relation("ODD3")
+    assert odd3.name == "ODD3" and odd3.tuples == (1, 2, 4, 7)
+    assert resolver.relation("NAND2").tuples == (0, 1, 2)
+    assert resolver.relation("OR3").tuples == rel_or(3).tuples
 
 
 def test_arithmetical_operation_forced_values():
@@ -186,6 +144,37 @@ def test_classify_sat_examples():
     # 1-closed and max-closed; the first succeeding closure is reported)
     assert or2.closed_under in {"1", "or"}
     assert preserves(OP_OR, rel_or(2))
+
+
+SAT_ORDER = (OP_CONST0, OP_CONST1, OP_AND, OP_OR, OP_XOR3, OP_MAJ)
+MAX_ONES_ORDER = (OP_CONST1, OP_OR, arithmetical_operation())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classifier_answers_and_witnesses(data):
+    rels = []
+    for i in range(data.draw(st.integers(1, 3), label="relations")):
+        arity = data.draw(st.integers(1, 4))
+        masks = data.draw(st.sets(st.integers(0, (1 << arity) - 1), min_size=1))
+        rels.append(Relation.from_masks(arity, masks, name=f"R{i}"))
+    lang = ConstraintLanguage(rels)
+    for classify, ops in ((classify_sat, SAT_ORDER), (classify_max_ones, MAX_ONES_ORDER)):
+        cls = classify(lang)
+        preserving = [op.name for op in ops if all(naive_preserves(op, r) for r in rels)]
+        assert cls.is_polynomial == bool(preserving)
+        if preserving:
+            assert cls.closed_under == preserving[0] and cls.witnesses == ()
+            continue
+        # one witness per operation, in order, each on the first relation it violates
+        assert [w.operation for w in cls.witnesses] == [op.name for op in ops]
+        for op, w in zip(ops, cls.witnesses):
+            rel = lang[w.relation]
+            before = lang.names()[:lang.names().index(w.relation)]
+            assert all(naive_preserves(op, lang[name]) for name in before)
+            assert all(row in rel.rows() for row in w.sequence)
+            image = tuple(op(*column) for column in zip(*w.sequence))
+            assert image == w.image and image not in rel.rows()
 
 
 def test_classifiers_reject_empty_relations():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones.acceptance import _recheck_admitted
 from coclones.relations import OP_AND, OP_CONST0, OP_CONST1, OP_OR, RelationError
 from coclones.valued import (
     CostFunction,
     NeqExpression,
     Term,
-    admits_binary_multimorphism,
-    admits_unary_multimorphism,
+    binary_violation,
     classify_vcsp,
     express_neq,
     f_neq,
@@ -31,19 +31,19 @@ def _random_delta(rng: random.Random):
 
 
 def test_unary_multimorphism_examples():
-    assert not admits_unary_multimorphism([f_neq()], OP_CONST0)
-    assert not admits_unary_multimorphism([f_neq()], OP_CONST1)
+    assert unary_violation([f_neq()], OP_CONST0) is not None
+    assert unary_violation([f_neq()], OP_CONST1) is not None
     fn, x = unary_violation([f_neq()], OP_CONST0)
     assert f_neq()(x) < 1  # the witness beats the constant tuple
     const = CostFunction(2, (Fraction(3),) * 4, "const3")
-    assert admits_unary_multimorphism([const], OP_CONST0)
+    assert unary_violation([const], OP_CONST0) is None
 
 
 def test_binary_multimorphism_examples():
-    assert not admits_binary_multimorphism([f_neq()], OP_AND, OP_OR)
+    assert binary_violation([f_neq()], OP_AND, OP_OR) is not None
     xandnoty = CostFunction(2, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
-    assert admits_binary_multimorphism([xandnoty], OP_AND, OP_OR)
-    assert admits_binary_multimorphism([], OP_AND, OP_OR)
+    assert binary_violation([xandnoty], OP_AND, OP_OR) is None
+    assert binary_violation([], OP_AND, OP_OR) is None
 
 
 def test_classify_examples():
@@ -54,6 +54,33 @@ def test_classify_examples():
     assert classify_vcsp([const]).result == "P"
     with pytest.raises(RelationError):
         classify_vcsp([])
+
+
+@st.composite
+def cost_sets(draw):
+    fns = []
+    for i in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        table = draw(st.tuples(*([st.integers(0, 4)] * (1 << k))))
+        fns.append(CostFunction(k, tuple(Fraction(v) for v in table), f"f{i}"))
+    return fns
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost_sets())
+def test_vcsp_witnesses_violate_what_they_claim(delta):
+    cls = classify_vcsp(delta)
+    if cls.is_polynomial:
+        assert _recheck_admitted(delta, cls.admitted)
+        return
+    fns = {fn.name: fn for fn in delta}
+    name, x = cls.witnesses["zero"]
+    assert fns[name](0) > fns[name](x)
+    name, x = cls.witnesses["one"]
+    assert fns[name]((1 << fns[name].arity) - 1) > fns[name](x)
+    name, x, y = cls.witnesses["minmax"]
+    fn = fns[name]
+    assert fn(x & y) + fn(x | y) > fn(x) + fn(y)
 
 
 def test_express_neq_fneq_trace():
