@@ -8,6 +8,7 @@ machine-readable artifacts are written only via -o.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -321,7 +322,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the parser and never changes it
+    # (append copies the --defs default before adding to it)
     p = argparse.ArgumentParser(prog="coclones", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

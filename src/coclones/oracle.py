@@ -3,18 +3,32 @@
 Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
-`solve` takes an instance down one of two paths:
+`solve` takes an instance down one of three routes:
 
-- The hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones), and soft-kind
-  instances (VCSP, Max-CSP, Max-Cut) of at most `_SMALL_SOFT_VARS`
-  variables, go through a frontier search in variable order (Dechter,
-  *Constraint Processing*, ch. 5): the partial assignments over variables
-  0..v that satisfy every constraint lying within them are kept in one
-  sorted array, extended by variable v+1, and filtered again.  A soft kind
-  has no constraint to prune by, so there the frontier is a plain ascending
-  enumeration, which on a few hundred masks costs less than the grid below.
-  The Max-/Min-Ones objective is one popcount of `frontier & m` per
-  distinct variable weight, m the mask of the variables that carry it.
+- Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
+  `_TRUTH_VARS` = 14 variables are solved on truth tables: Python ints of
+  2^n bits, bit a set iff assignment a satisfies the constraint.  A
+  constraint's table comes from its relation's reduced ordered decision
+  diagram (Bryant 1986), one `&`/`|` of the variable planes per node, so a
+  sparse relation (a weak base), its complement (OR8) and a dense parity
+  relation (EVEN8) each cost a few dozen int operations; a relation whose
+  diagram passes 16 nodes per coordinate is gathered from its LUT instead.
+  The tables are ANDed together, stopping at 0, and the result is
+  unpacked once into the ascending array of feasible masks.  The crossover
+  with the frontier lies at 15 variables on the certify targets of the
+  8-ary weak bases (truth/frontier time 0.55-0.72 at 14, 1.0 at 15, 1.5 at
+  16, 1.8-2.1 at 17, on a 2-vCPU VM).
+- Larger hard-kind instances go through a frontier search in variable
+  order (Dechter, *Constraint Processing*, ch. 5): the partial assignments
+  over variables 0..v that satisfy every constraint lying within them are
+  kept in one sorted array, extended by variable v+1, and filtered again.
+  Soft-kind instances (VCSP, Max-CSP, Max-Cut) of at most
+  `_SMALL_SOFT_VARS` = 10 variables have nothing to prune by and start
+  from all 2^n masks, which on a few hundred masks costs less than the
+  grid below.  The truth tables, the frontier and these small soft
+  instances hand their ascending feasible masks to one objective stage,
+  which scores the Max-/Min-Ones objective as one popcount of `masks & m`
+  per distinct variable weight, m the mask of the variables that carry it.
 - Larger soft-kind instances, and hard-kind instances whose frontier would
   outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
   a grid of high-half by low-half masks: every constraint table is gathered
@@ -25,12 +39,13 @@ A relation's bool LUT is built once and cached, read-only, on the
 `Relation` object itself (`Relation.lut`), so it lives exactly as long as
 the relation and a resolver that maps a name to another relation gets
 another LUT.  `solve_bruteforce` enumerates the same chunks mask by mask,
-with every variable weight a unary term, and it is the reference both paths
-of `solve` are tested against.
+with every variable weight a unary term, and it is the reference every
+route of `solve` is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,12 +78,15 @@ _INT_LIMIT = 1 << 60
 # Soft-kind instances with at most this many variables skip the grid, whose
 # setup costs more than it saves there (crossover measured on a 2-vCPU VM)
 _SMALL_SOFT_VARS = 10
+# Hard-kind instances with at most this many variables are solved on truth
+# tables (crossover measured on a 2-vCPU VM)
+_TRUTH_VARS = 14
 
 # set bits of each byte value; three lookups count a mask of up to 24 variables
 _POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
-# kinds whose constraints are all hard, so a partial assignment can be pruned
-_FRONTIER_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
+# kinds whose constraints are all hard, so an assignment can be pruned
+_HARD_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
 
 
 class OracleError(RuntimeError):
@@ -112,7 +130,7 @@ def _tables(inst: Instance, resolver: Resolver):
     hard: list = []
     soft: list = []
     weights: dict = {}  # variable weight -> mask of the variables that carry it
-    if kind in _FRONTIER_KINDS:
+    if kind in _HARD_KINDS:
         hard = [(c.args, resolver.relation(c.ref).lut) for c in inst.constraints]
         if kind != KIND_SAT and inst.var_weights is None:
             weights = {1: (1 << inst.num_vars) - 1}
@@ -170,51 +188,123 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
 
-    `jobs` is the thread count of the enumeration; the frontier path runs
-    in one thread.
+    `jobs` is the thread count of the chunked enumeration; the truth-table
+    and frontier paths run in one thread.
     """
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
-    if inst.kind in _FRONTIER_KINDS or inst.num_vars <= _SMALL_SOFT_VARS:
-        res = _solve_frontier(inst, resolver, want_all)
-        if res is not None:
-            return res
-    return _enumerate(inst, resolver, want_all, jobs, _split_chunks)
+    tables = _tables(inst, resolver)
+    n = inst.num_vars
+    if inst.kind not in _HARD_KINDS:
+        masks = _arange(n) if n <= _SMALL_SOFT_VARS else None
+    elif n <= _TRUTH_VARS:
+        masks = _truth_masks(inst, resolver)
+    else:
+        masks = _frontier(n, tables[1])  # the hard terms
+    if masks is None:
+        return _enumerate(inst, resolver, want_all, jobs, _split_chunks)
+    return _optimize(inst.kind, masks, tables, want_all)
 
 
-def _solve_frontier(inst: Instance, resolver: Resolver,
-                    want_all: bool) -> Optional[SolveResult]:
-    """Frontier search in variable order; None once it outgrows a chunk.
+@functools.cache
+def _arange(n: int) -> np.ndarray:
+    """All 2^n masks in ascending order, read-only."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
 
-    Without hard terms (the soft kinds) no mask is pruned, so this is a
-    plain ascending enumeration.
+
+@functools.cache
+def _planes(n: int):
+    """(FULL, literals) of the truth tables over n variables.
+
+    A truth table is an int of 2^n bits, bit a set iff assignment a is in
+    the set.  FULL holds every assignment; literals[v] is the pair
+    (~X_v, X_v), X_v the assignments that set variable v.
     """
-    kind = inst.kind
-    scale, hard, soft, ones, _ = _tables(inst, resolver)
+    full = (1 << (1 << n)) - 1
+    literals = []
+    for v in range(n):
+        # X_v repeats a block of 2^v clear bits then 2^v set bits; dividing
+        # FULL by the block's all-ones gives a 1 at the start of every block
+        block = 2 << v
+        x = ((1 << block) - (1 << (1 << v))) * (full // ((1 << block) - 1))
+        literals.append((full ^ x, x))
+    return full, tuple(literals)
+
+
+def _truth_table(rel, args, n: int) -> int:
+    """The truth table over n variables of constraint `rel` on `args`.
+
+    Each node of the relation's decision diagram becomes a table, its
+    children's tables joined by the literals of its argument, so the root's
+    table is the constraint's.  A relation without a diagram (too many
+    nodes) has its LUT gathered over every assignment instead.
+    """
+    full, literals = _planes(n)
+    diagram = rel.diagram
+    if diagram is None:
+        hits = rel.lut[_code(_arange(n), enumerate(args))]
+        return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+    root, nodes = diagram
+    tables = [0, full]
+    for j, lo, hi in nodes:
+        neg, pos = literals[args[j]]
+        if not lo:
+            tables.append(pos & tables[hi])
+        elif not hi:
+            tables.append(neg & tables[lo])
+        else:
+            tables.append(neg & tables[lo] | pos & tables[hi])
+    return tables[root]
+
+
+def _truth_masks(inst: Instance, resolver: Resolver) -> np.ndarray:
+    """Ascending masks of the assignments that satisfy every constraint."""
+    n = inst.num_vars
+    sat = _planes(n)[0]
+    for c in inst.constraints:
+        sat &= _truth_table(resolver.relation(c.ref), c.args, n)
+        if not sat:
+            return np.empty(0, dtype=np.int64)
+    bits = np.frombuffer(sat.to_bytes(max(1, (1 << n) >> 3), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+
+
+def _frontier(n: int, hard) -> Optional[np.ndarray]:
+    """Frontier search in variable order; None once it outgrows a chunk."""
     by_top: dict[int, list] = {}  # highest argument -> constraints checked there
     for args, lut in hard:
         by_top.setdefault(max(args, default=-1), []).append((args, lut))
 
-    # Doubling by the next variable's bit keeps the masks ascending, so the
-    # least optimal mask is the first survivor and optimal_set comes out sorted.
+    # Doubling by the next variable's bit keeps the masks ascending.
     frontier = np.zeros(1, dtype=np.int64)
-    for v in range(-1, inst.num_vars):
+    for v in range(-1, n):
         if v >= 0:
             frontier = np.concatenate((frontier, frontier | (1 << v)))
             if frontier.size > 1 << _CHUNK_BITS:
                 return None
         for args, lut in by_top.get(v, ()):
             frontier = frontier[lut[_code(frontier, enumerate(args))]]
+    return frontier
 
-    if not frontier.size:
+
+def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResult:
+    """Score the ascending feasible `masks` and pick the optimum among them.
+
+    The masks are ascending, so the least optimal mask is the first hit and
+    optimal_set comes out sorted.
+    """
+    scale, _, soft, ones, _ = tables
+    if not masks.size:
         return SolveResult(kind, False, None, None, () if want_all else None)
-    obj = np.zeros(frontier.shape, dtype=np.int64)
+    obj = np.zeros(masks.shape, dtype=np.int64)
     for args, table in soft:
-        obj += table[_code(frontier, enumerate(args))]
+        obj += table[_code(masks, enumerate(args))]
     for w, mask in ones:
-        obj += _popcount(frontier & mask) * w
+        obj += _popcount(masks & mask) * w
     best = int(obj.max() if kind in MAXIMIZING_KINDS else obj.min())
-    where = frontier[obj == best]
+    where = masks[obj == best]
     optimal = tuple(where.tolist()) if want_all else None
     opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
     return SolveResult(kind, True, opt_fraction, int(where[0]), optimal)

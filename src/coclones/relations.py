@@ -21,6 +21,8 @@ import numpy as np
 
 MAX_RELATION_ARITY = 24
 MAX_OPERATION_ARITY = 8
+# `Relation.diagram` gives up past this many nodes per coordinate
+DIAGRAM_NODES = 16
 
 
 class RelationError(ValueError):
@@ -118,6 +120,45 @@ class Relation:
         table[list(self.tuples)] = True
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def diagram(self) -> Optional[tuple[int, tuple[tuple[int, int, int], ...]]]:
+        """(root, nodes) of the reduced ordered decision diagram, or None.
+
+        Node 0 is the empty and node 1 the full relation; node i + 2 is
+        nodes[i] = (j, lo, hi), which holds where coordinate j is 0 and
+        node lo holds, or where it is 1 and node hi holds.  Coordinates
+        above j do not matter to it, and children come before parents.  A
+        relation and its complement have diagrams of one size, at most
+        arity times the size of the smaller side.  None past
+        `DIAGRAM_NODES` nodes per coordinate.  Cached like `lut`.
+        """
+        nodes: list[tuple[int, int, int]] = []
+        ids: dict[tuple[int, int], int] = {}
+        limit = DIAGRAM_NODES * self.arity
+
+        def build(bits: int, j: int) -> int:
+            # bits: the sub-relation on coordinates 0..j, bit m set iff m in it
+            if not bits or bits == (1 << (1 << (j + 1))) - 1:
+                return 1 if bits else 0
+            node = ids.get((j, bits))
+            if node is None:
+                half = 1 << j
+                lo = build(bits & ((1 << half) - 1), j - 1)
+                hi = build(bits >> half, j - 1)
+                if lo == hi:
+                    node = lo
+                elif min(lo, hi) < 0 or len(nodes) == limit:
+                    node = -1  # past the limit
+                else:
+                    nodes.append((j, lo, hi))
+                    node = len(nodes) + 1
+                ids[j, bits] = node
+            return node
+
+        packed = np.packbits(self.lut, bitorder="little").tobytes()
+        root = build(int.from_bytes(packed, "little"), self.arity - 1)
+        return None if root < 0 else (root, tuple(nodes))
 
     def rows(self) -> list[tuple[int, ...]]:
         return [mask_to_bits(t, self.arity) for t in self.tuples]

@@ -1,4 +1,10 @@
+import os
+
 from hypothesis import settings
 
-settings.register_profile("ci", derandomize=True)
-settings.load_profile("ci")
+# `ci` is the default.  HYPOTHESIS_PROFILE=deep raises max_examples tenfold;
+# the brute-force properties of test_oracle.py scale their own example
+# counts by it.
+settings.register_profile("ci", derandomize=True, max_examples=100)
+settings.register_profile("deep", settings.get_profile("ci"), max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))

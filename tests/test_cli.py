@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ from coclones import acceptance, cli
 from coclones.cli import main, run_selftest
 from coclones.fileio import parse_inst, parse_rel
 from coclones.postlattice import CoCloneId
+from coclones.reductions import registry_names
 from coclones.weakbases import weak_base
 
 
@@ -247,6 +249,25 @@ def test_certify_command():
 def test_usage_errors():
     assert main(["reduce", "nope"]) == 2
     assert main([]) == 2
+
+
+def test_sequential_main_calls_share_no_state(tmp_path):
+    # the parser is built once per process; --defs in one call must not
+    # carry over to the next
+    defs = tmp_path / "x.rel"
+    defs.write_text("relation x 2\n01\n10\n")
+    inst = tmp_path / "x.inst"
+    inst.write_text("problem U-Max-Ones\nvars 2\nc x 1 2\n")
+    code, out = run(["solve", str(inst), "--defs", str(defs)])
+    assert code == 0 and "optimum: 1" in out
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(["solve", str(inst)])[0] == 2
+    assert "unknown relation 'x'" in err.getvalue()
+    with redirect_stderr(err):
+        assert run(["reduce", "nope", str(inst)])[0] == 2
+    choices = re.findall(r"\w+", err.getvalue().split("choose from")[-1])
+    assert set(registry_names()) <= set(choices)
 
 
 def test_selftest_deterministic_across_jobs():

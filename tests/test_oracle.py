@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from coclones import oracle
+from coclones import oracle, relations
 from coclones.instances import (
     ALL_KINDS,
     Constraint,
@@ -27,6 +27,11 @@ RESOLVER = default_resolver()
 
 def umo(n, cons, **kw):
     return Instance(KIND_UMO, n, tuple(Constraint(r, a) for r, a in cons), **kw)
+
+
+def wmo(n, cons, weights, kind=KIND_WMO):
+    return Instance(kind, n, tuple(Constraint(r, a) for r, a in cons),
+                    var_weights=tuple(Fraction(w) for w in weights))
 
 
 def test_independent_set_triangle():
@@ -136,17 +141,26 @@ def test_parallel_equals_sequential():
     assert solve(cut, jobs=1) == solve(cut, jobs=2)
 
 
-# 1-, 2-, 3- and 8-ary relations; T with F on one variable makes instances unsatisfiable
+# 1-, 2-, 3- and 8-ary relations; T with F on one variable makes instances
+# unsatisfiable, and OR8 and EVEN8 are full and dense past half their masks
 RELATIONS = ("T", "F", "eq", "neq", "OR2", "NAND2", "OR3", "R13", "XOR3",
-             "R_II2", "R_IN2", "R_IL2")
+             "R_II2", "R_IN2", "R_IL2", "OR8", "EVEN8")
 COSTS = ("f_neq", "cost1_0_3/2", "cost2_1_0_1/3_2", "fnot_NAND2")
 WEIGHTS = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
+HARD_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
+TRUTH = oracle._TRUTH_VARS
+
+
+def examples(n):
+    """n examples under the default hypothesis profile, 10x under `deep` (conftest.py)."""
+    return n * settings.default.max_examples // 100
 
 
 @st.composite
-def instances(draw):
-    kind = draw(st.sampled_from(ALL_KINDS))
-    n = draw(st.integers(1, 12))
+def instances(draw, kinds=ALL_KINDS):
+    kind = draw(st.sampled_from(kinds))
+    # both sides of the truth-table cut
+    n = draw(st.integers(1, TRUTH + 2))
     refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
     weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
     cons = []
@@ -164,15 +178,53 @@ def instances(draw):
     return Instance(kind, n, tuple(cons), var_weights, threshold)
 
 
-@settings(max_examples=300, deadline=None)
+# instances on which the truth tables meet a relation over half full (OR8),
+# a dense one (EVEN8), repeated arguments, and a conjunction that reaches
+# zero before its last constraint
+TRUTH_EXAMPLES = (
+    umo(TRUTH, [("OR8", (0, 2, 4, 6, 8, 10, 12, 13)), ("OR8", tuple(range(1, 9))),
+                ("OR8", (13, 11, 9, 7, 5, 3, 1, 0))]),
+    umo(TRUTH, [("EVEN8", tuple(range(8))), ("EVEN8", tuple(range(5, 13))),
+                ("EVEN8", (13, 0, 12, 1, 11, 2, 10, 3))]),
+    wmo(TRUTH + 1, [("EVEN8", (0, 1, 2, 3, 4, 5, 6, 14)), ("OR8", tuple(range(7, 15)))],
+        [1 + v % 4 for v in range(TRUTH + 1)], KIND_MINO),
+    Instance(KIND_SAT, 5, (Constraint("EVEN8", (0, 0, 1, 1, 2, 2, 3, 4)),
+                           Constraint("OR8", (4, 4, 4, 3, 3, 3, 2, 2)),
+                           Constraint("R_IN2", (0, 1, 0, 1, 2, 3, 2, 3)))),
+    umo(TRUTH, [("NAND2", (0, 1)), ("T", (0,)), ("T", (1,)), ("OR8", tuple(range(2, 10)))]),
+)
+
+
+@settings(max_examples=examples(300), deadline=None)
 @given(instances(), st.booleans())
 @example(umo(2, [("T", (0,)), ("F", (0,)), ("OR2", (0, 1))]), True)
+@example(TRUTH_EXAMPLES[0], True)
+@example(TRUTH_EXAMPLES[1], True)
+@example(TRUTH_EXAMPLES[2], True)
+@example(TRUTH_EXAMPLES[3], True)
+@example(TRUTH_EXAMPLES[4], False)
 @example(Instance(KIND_SAT, 3, (Constraint("R_II2", (0, 1, 2, 0, 1, 2, 0, 1)),)), True)
 # a bound of at least 2^31 makes the enumeration accumulate in int64
 @example(Instance(KIND_VCSP, 4, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
                                  Constraint("cost2_1_0_1/3_2", (3, 1), Fraction(2)))), True)
 def test_frontier_matches_bruteforce(inst, want_all):
+    # every route of solve: truth tables, frontier, small soft kinds and grid
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
+
+
+# solve takes hard kinds up to the cut through the truth tables, so the
+# frontier is compared with them and with the reference here, at every size
+@settings(max_examples=examples(200), deadline=None)
+@given(instances(HARD_KINDS), st.booleans())
+@example(TRUTH_EXAMPLES[0], True)
+@example(TRUTH_EXAMPLES[1], True)
+@example(TRUTH_EXAMPLES[3], True)
+def test_frontier_builder_matches_bruteforce(inst, want_all):
+    tables = oracle._tables(inst, RESOLVER)
+    masks = oracle._frontier(inst.num_vars, tables[1])
+    assert masks.tolist() == oracle._truth_masks(inst, RESOLVER).tolist()
+    result = oracle._optimize(inst.kind, masks, tables, want_all)
+    assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
 def soft(kind, n):
@@ -190,22 +242,22 @@ def soft(kind, n):
 CUT = oracle._SMALL_SOFT_VARS
 
 
-def spy_on_grid(monkeypatch):
-    """The list that records every call of the grid evaluator from now on."""
+def spy_on(monkeypatch, name="_split_chunks"):
+    """The list that records every call of oracle.<name> (the grid evaluator) from now on."""
     calls = []
-    split_chunks = oracle._split_chunks
+    real = getattr(oracle, name)
 
     def spy(*args):
         calls.append(args)
-        return split_chunks(*args)
+        return real(*args)
 
-    monkeypatch.setattr(oracle, "_split_chunks", spy)
+    monkeypatch.setattr(oracle, name, spy)
     return calls
 
 
 # solve takes soft-kind instances up to the cut through the frontier, so the
 # grid evaluator is compared with the reference here, at every size
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(instances(), st.booleans())
 @example(soft(KIND_VCSP, CUT), True)
 @example(soft(KIND_VCSP, CUT + 1), True)
@@ -223,14 +275,31 @@ def test_grid_matches_bruteforce(inst, want_all):
 def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
     inst = soft(kind, n)
     reference = solve_bruteforce(inst, want_all=True)
-    calls = spy_on_grid(monkeypatch)
+    calls = spy_on(monkeypatch)
     assert solve(inst, want_all=True) == reference
     assert len(calls) == (n > CUT)
 
 
-def wmo(n, cons, weights, kind=KIND_WMO):
-    return Instance(kind, n, tuple(Constraint(r, a) for r, a in cons),
-                    var_weights=tuple(Fraction(w) for w in weights))
+@pytest.mark.parametrize("kind", HARD_KINDS)
+@pytest.mark.parametrize("n", [TRUTH, TRUTH + 1])
+def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
+    # a path of OR2 and NAND2 keeps every instance satisfiable with many optima
+    cons = [("OR2" if i % 2 else "NAND2", (i, i + 1)) for i in range(n - 1)]
+    inst = wmo(n, cons, [1 + v % 3 for v in range(n)], kind) if kind in (
+        KIND_WMO, KIND_MINO) else Instance(kind, n, umo(n, cons).constraints)
+    reference = solve_bruteforce(inst, want_all=True)
+    truth, frontier = spy_on(monkeypatch, "_truth_masks"), spy_on(monkeypatch, "_frontier")
+    assert solve(inst, want_all=True) == reference
+    assert (len(truth), len(frontier)) == ((0, 1) if n > TRUTH else (1, 0))
+
+
+def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
+    # with no node allowed, every relation of a new resolver has no diagram
+    monkeypatch.setattr(relations, "DIAGRAM_NODES", 0)
+    resolver = default_resolver()
+    assert resolver.relation("EVEN8").diagram is None
+    for inst in TRUTH_EXAMPLES:
+        assert solve(inst, resolver, want_all=True) == solve_bruteforce(inst, want_all=True)
 
 
 # pairs (2i, 2i+1) hold at most one one; with 21 variables the frontier stays
@@ -299,7 +368,7 @@ def test_frontier_falls_back_past_one_chunk(monkeypatch):
     # the frontier doubles to 2^21 rows at variable 20, before OR2 and NAND2 prune it
     inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
     reference = solve_bruteforce(inst)
-    calls = spy_on_grid(monkeypatch)
+    calls = spy_on(monkeypatch)
     assert solve(inst) == reference
     assert len(calls) == 1
     assert reference.optimum == 20 and reference.witness == (1 << 20) - 1

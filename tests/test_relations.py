@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones import relations
 from coclones.definitions import Formula, eval_formula
 from coclones.instances import default_resolver
 from coclones.relations import (
@@ -206,3 +207,56 @@ def test_tuple_set_built_once_outside_equality():
     assert rel._tuple_set is rel._tuple_set
     fresh = Relation.from_masks(2, [1, 2], name="neq")
     assert rel == fresh and hash(rel) == hash(fresh)
+
+
+def walk_diagram(diagram, mask):
+    """Whether `mask` is in the relation, read off the diagram root to leaf."""
+    root, nodes = diagram
+    node = root
+    while node > 1:
+        j, lo, hi = nodes[node - 2]
+        node = hi if mask >> j & 1 else lo
+    return node == 1
+
+
+def check_diagram(rel):
+    root, nodes = rel.diagram
+    assert all(walk_diagram(rel.diagram, m) == (m in rel.tuples) for m in range(1 << rel.arity))
+    # reduced and ordered: no redundant or repeated node, and every child
+    # comes earlier and tests a lower coordinate (or is a leaf)
+    assert len(set(nodes)) == len(nodes)
+    for i, (j, lo, hi) in enumerate(nodes):
+        assert lo != hi and lo < i + 2 and hi < i + 2
+        assert all(c < 2 or nodes[c - 2][0] < j for c in (lo, hi))
+    assert root == (len(nodes) + 1 if nodes else int(bool(rel.tuples)))
+    # a relation and its complement have diagrams of one size
+    rest = Relation(rel.arity, tuple(m for m in range(1 << rel.arity) if m not in rel.tuples))
+    assert len(rest.diagram[1]) == len(nodes)
+
+
+def test_diagram_of_every_relation_up_to_arity_3():
+    for k in range(1, 4):
+        for subset in range(1 << (1 << k)):
+            check_diagram(Relation(k, tuple(m for m in range(1 << k) if subset >> m & 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 9).flatmap(lambda k: st.tuples(
+    st.just(k), st.sets(st.integers(0, (1 << k) - 1)))))
+def test_diagram_matches_the_tuples(drawn):
+    k, tuples = drawn
+    check_diagram(Relation(k, tuple(tuples)))
+
+
+def test_diagram_sizes_and_limit(monkeypatch):
+    resolver = default_resolver()
+    # parity has two nodes per coordinate below the top one; OR8 is one chain
+    assert len(resolver.relation("EVEN8").diagram[1]) == 15
+    assert len(resolver.relation("OR8").diagram[1]) == 8
+    rel = resolver.relation("R_IN2")
+    assert rel.diagram is rel.diagram
+    # one node per coordinate: a single tuple of arity 8 takes all 8, and
+    # 00000000 with 11000000 takes 9
+    monkeypatch.setattr(relations, "DIAGRAM_NODES", 1)
+    assert len(Relation(8, (0,)).diagram[1]) == 8
+    assert Relation(8, (0, 3)).diagram is None
