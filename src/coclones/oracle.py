@@ -14,10 +14,12 @@ integers after clearing denominators, so optima are exact.
   relation (EVEN8) each cost a few dozen int operations; a relation whose
   diagram passes 16 nodes per coordinate is gathered from its LUT instead.
   The tables are ANDed together, stopping at 0, and the result is
-  unpacked once into the ascending array of feasible masks.  The crossover
-  with the frontier lies at 15 variables on the certify targets of the
-  8-ary weak bases (truth/frontier time 0.55-0.72 at 14, 1.0 at 15, 1.5 at
-  16, 1.8-2.1 at 17, on a 2-vCPU VM).
+  unpacked once into the ascending array of feasible masks.  The cut is
+  one below the measured crossover with the frontier, on the certify
+  targets of the 8-ary weak bases, the closest case: truth/frontier time
+  0.47-0.55 at 14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5
+  at 17 on a 2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8
+  up to 16.
 - Larger hard-kind instances go through a frontier search in variable
   order (Dechter, *Constraint Processing*, ch. 5): the partial assignments
   over variables 0..v that satisfy every constraint lying within them are
@@ -202,7 +204,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     else:
         masks = _frontier(n, tables[1])  # the hard terms
     if masks is None:
-        return _enumerate(inst, resolver, want_all, jobs, _split_chunks)
+        return _enumerate(inst, tables, want_all, jobs, _split_chunks)
     return _optimize(inst.kind, masks, tables, want_all)
 
 
@@ -315,7 +317,7 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
-    return _enumerate(inst, resolver, want_all, jobs, _row_chunks)
+    return _enumerate(inst, _tables(inst, resolver), want_all, jobs, _row_chunks)
 
 
 def _row_chunks(hard, soft, dtype, bits):
@@ -411,18 +413,18 @@ class _GridReduce:
         return grid
 
 
-def _enumerate(inst: Instance, resolver: Resolver, want_all: bool, jobs: int,
+def _enumerate(inst: Instance, tables, want_all: bool, jobs: int,
                evaluator) -> SolveResult:
     """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
 
-    `evaluator(hard, soft, dtype, bits)` returns a function that maps a chunk's
+    `tables` are the instance's `_tables`.  `evaluator(hard, soft, dtype, bits)` returns a function that maps a chunk's
     first mask to the chunk's objective and feasibility (None when every
     mask is feasible), both in mask order.
     """
     n = inst.num_vars
     kind = inst.kind
     maximize = kind in MAXIMIZING_KINDS
-    scale, hard, soft, ones, dtype = _tables(inst, resolver)
+    scale, hard, soft, ones, dtype = tables
     # here every variable weight is a unary term [0, w]
     soft = soft + [((i,), np.array([0, w], dtype=dtype))
                    for w, mask in ones for i in range(n) if mask >> i & 1]

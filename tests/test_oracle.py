@@ -266,7 +266,8 @@ def spy_on(monkeypatch, name="_split_chunks"):
 @example(soft(KIND_MAXCUT, CUT), True)
 @example(soft(KIND_MAXCUT, CUT + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
-    grid = oracle._enumerate(inst, RESOLVER, want_all, 1, oracle._split_chunks)
+    tables = oracle._tables(inst, RESOLVER)
+    grid = oracle._enumerate(inst, tables, want_all, 1, oracle._split_chunks)
     assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
