@@ -37,10 +37,10 @@ integers after clearing denominators, so optima are exact.
   once per half and the halves are combined once (meet in the middle,
   Horowitz & Sahni 1974).
 
-A relation's bool LUT is built once and cached, read-only, on the
-`Relation` object itself (`Relation.lut`), so it lives exactly as long as
-the relation and a resolver that maps a name to another relation gets
-another LUT.  `solve_bruteforce` enumerates the same chunks mask by mask,
+A relation's bool LUT and decision diagram are built once and cached,
+read-only, on the `Relation` object itself (`Relation.lut`,
+`Relation.diagram`), so they live exactly as long as the relation and a
+resolver that maps a name to another relation gets others.  `solve_bruteforce` enumerates the same chunks mask by mask,
 with every variable weight a unary term, and it is the reference every
 route of `solve` is tested against.
 """

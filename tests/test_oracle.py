@@ -243,7 +243,7 @@ CUT = oracle._SMALL_SOFT_VARS
 
 
 def spy_on(monkeypatch, name="_split_chunks"):
-    """The list that records every call of oracle.<name> (the grid evaluator) from now on."""
+    """The list that records every call of oracle.<name>, by default the grid evaluator."""
     calls = []
     real = getattr(oracle, name)
 
