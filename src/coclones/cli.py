@@ -14,35 +14,23 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import acceptance
-from .definitions import (
-    GadgetError,
-    WppGadget,
-    eval_wpp,
-    search_definition,
-    UnsatisfiableGadgetError,
-)
+# Only the modules that never vectorise are imported here, so that the
+# commands built on them start without numpy.  The handlers that solve,
+# search or certify import the solver stack themselves.
 from .fileio import emit_inst, emit_rel, parse_cost, parse_inst, parse_rel
 from .instances import (
+    GadgetError,
     InstanceError,
     KIND_WMO,
+    OracleError,
+    ReductionError,
     Resolver,
     default_resolver,
 )
-from .oracle import OracleError, meets_threshold, solve
 from .postlattice import (
     CatalogError,
     co_clone_of,
     parse_coclone_name,
-)
-from .reductions import (
-    ACCEPTANCE_ENTRIES,
-    QWPP_FAMILY,
-    REGISTRY,
-    ReductionError,
-    apply as apply_reduction,
-    certify,
-    registry_names,
 )
 from .relations import (
     ConstraintLanguage,
@@ -140,6 +128,8 @@ def _cmd_weakbase(args) -> int:
 
 
 def _cmd_wpp_eval(args) -> int:
+    from .definitions import UnsatisfiableGadgetError, WppGadget, eval_wpp
+
     inst = _parse_file(args.gadget, parse_inst)
     if inst.kind != KIND_WMO:
         raise CliError("gadget files must be W-Max-Ones instances")
@@ -162,6 +152,8 @@ def _cmd_wpp_eval(args) -> int:
 
 
 def _cmd_ppsearch(args) -> int:
+    from .definitions import search_definition
+
     target = _parse_file(args.target, parse_rel)[0]
     language = _load_language(args.language)
     result = search_definition(target, language, max_aux=args.aux,
@@ -175,10 +167,12 @@ def _cmd_ppsearch(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import apply, record
+
+    rec = record(args.name)
     inst = _parse_file(args.instance, parse_inst)
     resolver = _resolver_with_defs(args.defs)
-    tgt, info = apply_reduction(args.name, inst, resolver)
-    rec = REGISTRY[args.name]
+    tgt, info = apply(args.name, inst, resolver)
     print(f"{args.name}: {rec.source_kind} -> {rec.target_kind} "
           f"[{rec.kind_tag}, C={rec.lv_parameter}]")
     print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.bound_text})")
@@ -193,6 +187,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .reductions import ACCEPTANCE_ENTRIES, QWPP_FAMILY, certify, registry_names
+
     names = [args.name]
     if args.name == "umo_qpp_family":
         names = [n for n in registry_names() if n.startswith("umo_qpp_")]
@@ -209,6 +205,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .oracle import meets_threshold, solve
+
     inst = _parse_file(args.instance, parse_inst)
     resolver = _resolver_with_defs(args.defs)
     res = solve(inst, resolver, want_all=args.all, jobs=args.jobs)
@@ -294,6 +292,8 @@ def _cmd_express_neq(args) -> int:
 def run_selftest(trials: int = 40, seed: int = 0, jobs: int = 1,
                  out=sys.stdout) -> int:
     """Run the acceptance criteria and print one line per criterion."""
+    from . import acceptance
+
     checks = [criterion(trials, seed, jobs) for criterion in acceptance.CRITERIA]
     print(f"self-test report (seed={seed}, trials={trials})", file=out)
     for check in checks:
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_ppsearch)
 
     sp = sub.add_parser("reduce", help="apply a registry reduction")
-    sp.add_argument("name", choices=registry_names())
+    sp.add_argument("name", help="a registry entry")
     sp.add_argument("instance")
     common(sp, defs=True, output=True)
     sp.set_defaults(fn=_cmd_reduce)

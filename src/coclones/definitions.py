@@ -15,17 +15,13 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .instances import Constraint, Instance, KIND_WMO, Resolver
+from .instances import Constraint, GadgetError, Instance, KIND_WMO, Resolver
 from .oracle import solve
 from .relations import ConstraintLanguage, Relation, rel_eq
 
 MAX_FORMULA_VARS = 24
 
 LanguageLike = Union[ConstraintLanguage, Mapping[str, Relation], Resolver]
-
-
-class GadgetError(ValueError):
-    pass
 
 
 class UnsatisfiableGadgetError(GadgetError):

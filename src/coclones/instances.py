@@ -52,6 +52,22 @@ class InstanceError(ValueError):
     pass
 
 
+# The errors of the solver stack live here, beside InstanceError, so that the
+# CLI can catch them without importing that stack (and numpy with it).
+
+
+class OracleError(RuntimeError):
+    pass
+
+
+class GadgetError(ValueError):
+    pass
+
+
+class ReductionError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Constraint:
     ref: str

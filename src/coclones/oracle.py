@@ -30,7 +30,8 @@ integers after clearing denominators, so optima are exact.
   grid below.  The truth tables, the frontier and these small soft
   instances hand their ascending feasible masks to one objective stage,
   which scores the Max-/Min-Ones objective as one popcount of `masks & m`
-  per distinct variable weight, m the mask of the variables that carry it.
+  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask of
+  the variables that carry it.
 - Larger soft-kind instances, and hard-kind instances whose frontier would
   outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
   a grid of high-half by low-half masks: every constraint table is gathered
@@ -40,9 +41,11 @@ integers after clearing denominators, so optima are exact.
 A relation's bool LUT and decision diagram are built once and cached,
 read-only, on the `Relation` object itself (`Relation.lut`,
 `Relation.diagram`), so they live exactly as long as the relation and a
-resolver that maps a name to another relation gets others.  `solve_bruteforce` enumerates the same chunks mask by mask,
-with every variable weight a unary term, and it is the reference every
-route of `solve` is tested against.
+resolver that maps a name to another relation gets others.
+
+`solve_bruteforce` enumerates the same chunks mask by mask, with every
+variable weight a unary term, and it is the reference every route of
+`solve` is tested against.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .instances import (
     MAXIMIZING_KINDS,
     Instance,
     InstanceError,
+    OracleError,
     Resolver,
     Threshold,
     default_resolver,
@@ -84,15 +88,8 @@ _SMALL_SOFT_VARS = 10
 # tables (crossover measured on a 2-vCPU VM)
 _TRUTH_VARS = 14
 
-# set bits of each byte value; three lookups count a mask of up to 24 variables
-_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
 # kinds whose constraints are all hard, so an assignment can be pruned
 _HARD_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
-
-
-class OracleError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -179,11 +176,6 @@ def _code(x: np.ndarray, pairs) -> np.ndarray:
         else:
             code |= bit
     return np.zeros_like(x) if code is None else code
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of every element of x, all below 2^24, by three byte lookups."""
-    return _POP8[x & 0xFF] + _POP8[(x >> 8) & 0xFF] + _POP8[x >> 16]
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -304,7 +296,8 @@ def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResu
     for args, table in soft:
         obj += table[_code(masks, enumerate(args))]
     for w, mask in ones:
-        obj += _popcount(masks & mask) * w
+        # bitwise_count gives uint8; widen before the weight multiply
+        obj += np.bitwise_count(masks & mask).astype(np.int64) * w
     best = int(obj.max() if kind in MAXIMIZING_KINDS else obj.min())
     where = masks[obj == best]
     optimal = tuple(where.tolist()) if want_all else None
@@ -417,9 +410,10 @@ def _enumerate(inst: Instance, tables, want_all: bool, jobs: int,
                evaluator) -> SolveResult:
     """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
 
-    `tables` are the instance's `_tables`.  `evaluator(hard, soft, dtype, bits)` returns a function that maps a chunk's
-    first mask to the chunk's objective and feasibility (None when every
-    mask is feasible), both in mask order.
+    `tables` are the instance's `_tables`.  `evaluator(hard, soft, dtype,
+    bits)` returns a function that maps a chunk's first mask to the chunk's
+    objective and feasibility (None when every mask is feasible), both in
+    mask order.
     """
     n = inst.num_vars
     kind = inst.kind

@@ -527,25 +527,6 @@ def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     return result
 
 
-def clone_leq_by_representative(c1: CloneId, c2: CloneId) -> bool:
-    """Independent order decision via the weak-base representative of Inv(c2).
-
-    c1 <= c2 iff Inv(c2) <= Inv(c1) iff the weak base of Inv(c2) is invariant
-    under every base operation of c1.  Used as a cross-check of the semantic
-    order; infeasible for high chain indices (the representative grows as 2^n).
-    """
-    if c2.is_limit:
-        raise RelationError("limit co-clones have no weak-base representative")
-    from .weakbases import weak_base  # deferred: weakbases imports our ids
-
-    rep = weak_base(c2.co)
-    if c1.is_chain and not c1.is_limit:
-        fixed, kind, _ = _CHAIN_BASES[c1.family]
-        return all(_op_preserves_rel(op, rep) for op in fixed) and \
-            _h_preserves_rel(kind, c1.index, rep)
-    return all(_op_preserves_rel(op, rep) for op in clone_base(c1))
-
-
 def co_clone_leq(a: CoCloneId, b: CoCloneId) -> bool:
     """Co-clone containment a <= b (the order dual to the clone order)."""
     return clone_leq(b.clone, a.clone)

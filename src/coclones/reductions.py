@@ -49,6 +49,7 @@ from .instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
+    ReductionError,
     Resolver,
     Threshold,
     default_resolver,
@@ -59,12 +60,8 @@ from .relations import Relation
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
-    "Affine", "Decision", "apply", "certify", "registry_names",
+    "Affine", "Decision", "apply", "certify", "record", "registry_names",
 ]
-
-
-class ReductionError(ValueError):
-    pass
 
 
 class BoundViolation(ReductionError):
@@ -812,15 +809,22 @@ def registry_names() -> list[str]:
     return sorted(REGISTRY)
 
 
+def record(name: str) -> ReductionRecord:
+    """The registry entry called name; the error lists the known names."""
+    rec = REGISTRY.get(name)
+    if rec is None:
+        raise ReductionError(f"unknown reduction {name!r} (choose from "
+                             f"{', '.join(registry_names())})")
+    return rec
+
+
 _FLIPPED = {">=": "<=", "<=": ">="}
 
 
 def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
           ) -> tuple[Instance, ApplyInfo]:
     """Build the target of a registry entry and check it against the declaration."""
-    if name not in REGISTRY:
-        raise ReductionError(f"unknown reduction {name!r}")
-    rec = REGISTRY[name]
+    rec = record(name)
     resolver = resolver or default_resolver()
     _require(inst.kind == rec.source_kind, f"{name}: source must be a {rec.source_kind} instance")
     if "*" not in rec.source_language:
@@ -909,9 +913,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
     """Oracle-certify a registry entry on an exhaustive or seeded random corpus."""
     from .fileio import emit_inst
 
-    if name not in REGISTRY:
-        raise ReductionError(f"unknown reduction {name!r}")
-    rec = REGISTRY[name]
+    rec = record(name)
     resolver = resolver or default_resolver()
     failures: list[tuple[str, str]] = []
     if rec.exhaustive is not None:

@@ -15,9 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_RELATION_ARITY = 24
 MAX_OPERATION_ARITY = 8
@@ -115,7 +116,11 @@ class Relation:
 
         Built once and kept for the lifetime of this object (like
         `_tuple_set`, outside the fields that equality and hashing read).
+        numpy is imported on first use, so the modules that never vectorise
+        load without it.
         """
+        import numpy as np
+
         table = np.zeros(1 << self.arity, dtype=bool)
         table[list(self.tuples)] = True
         table.flags.writeable = False
@@ -156,7 +161,9 @@ class Relation:
                 ids[j, bits] = node
             return node
 
-        packed = np.packbits(self.lut, bitorder="little").tobytes()
+        packed = bytearray(((1 << self.arity) + 7) >> 3)
+        for t in self.tuples:
+            packed[t >> 3] |= 1 << (t & 7)
         root = build(int.from_bytes(packed, "little"), self.arity - 1)
         return None if root < 0 else (root, tuple(nodes))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coclones import acceptance, cli
+from coclones import acceptance, oracle
 from coclones.cli import main, run_selftest
 from coclones.fileio import parse_inst, parse_rel
 from coclones.postlattice import CoCloneId
@@ -91,13 +91,13 @@ def test_solve_with_threshold_solves_once(tmp_path, monkeypatch):
     inst = tmp_path / "t.inst"
     inst.write_text("problem U-Max-Ones\nvars 3\nc NAND2 1 2\nthreshold >= 2\n")
     calls = []
-    real_solve = cli.solve
+    real_solve = oracle.solve
 
     def counting_solve(*args, **kwargs):
         calls.append(args[0])
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve", counting_solve)
+    monkeypatch.setattr(oracle, "solve", counting_solve)
     code, out = run(["solve", str(inst), "--all"])
     assert code == 0 and out.endswith("threshold >= 2: met\n")
     assert len(calls) == 1
@@ -266,8 +266,53 @@ def test_sequential_main_calls_share_no_state(tmp_path):
     assert "unknown relation 'x'" in err.getvalue()
     with redirect_stderr(err):
         assert run(["reduce", "nope", str(inst)])[0] == 2
-    choices = re.findall(r"\w+", err.getvalue().split("choose from")[-1])
-    assert set(registry_names()) <= set(choices)
+    listed = re.findall(r"\w+", err.getvalue().split("unknown reduction 'nope'")[-1])
+    assert set(registry_names()) <= set(listed)
+
+
+def test_unknown_reduction_lists_the_registry():
+    for argv in (["certify", "nope"], ["reduce", "nope", "missing.inst"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert run(argv)[0] == 2
+        assert err.getvalue().startswith("error: unknown reduction 'nope' (choose from ")
+        assert set(registry_names()) <= set(re.findall(r"\w+", err.getvalue()))
+
+
+# The commands that never vectorise start without numpy; a fresh interpreter
+# shows what a `coclones` process loads.
+_NUMPY_LOADED = "import sys; print('numpy' in sys.modules)"
+
+
+def test_cli_import_and_resolver_load_no_numpy():
+    proc = _run_python(["-c", "import coclones.cli; coclones.cli.default_resolver(); "
+                        + _NUMPY_LOADED])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_non_vectorising_commands_run_without_numpy(tmp_path):
+    lang = tmp_path / "lang.rel"
+    lang.write_text("relation R13 3\n001\n010\n100\n")
+    costs = tmp_path / "d.cost"
+    costs.write_text("costfn f_neq 2\n00 1\n10 0\n01 0\n11 1\n")
+    commands = [["weakbase", "IS1", "3"], ["coclone", str(lang)],
+                ["classify-sat", str(lang)], ["classify-maxones", str(lang)],
+                ["vcsp-classify", str(costs)], ["express-neq", str(costs)]]
+    script = ("import contextlib, io\nfrom coclones.cli import main\n"
+              f"for argv in {commands!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        print(argv[0], main(argv), file=sys.stderr)\n")
+    proc = _run_python(["-c", "import sys\n" + script + _NUMPY_LOADED])
+    assert proc.stderr.split() == ["weakbase", "0", "coclone", "0", "classify-sat", "1",
+                                   "classify-maxones", "1", "vcsp-classify", "1",
+                                   "express-neq", "0"]
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_the_solver_stack_loads_numpy():
+    # a process that solves pays for numpy on import, never inside its first solve
+    proc = _run_python(["-c", "import coclones.reductions; " + _NUMPY_LOADED])
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
 def test_selftest_deterministic_across_jobs():

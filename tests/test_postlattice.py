@@ -13,12 +13,13 @@ from coclones.postlattice import (
     catalog,
     clone_base,
     clone_leq,
-    clone_leq_by_representative,
     co_clone_leq,
     co_clone_of,
     op_in_clone,
     parse_coclone_name,
+    _CHAIN_BASES,
     _h_preserves_rel,
+    _op_preserves_rel,
 )
 from coclones.relations import (
     BooleanOperation,
@@ -129,6 +130,21 @@ def test_order_is_partial_order_over_catalog():
     for a, b, c in triples:
         if clone_leq(a, b) and clone_leq(b, c):
             assert clone_leq(a, c)
+
+
+def clone_leq_by_representative(c1: CloneId, c2: CloneId) -> bool:
+    """Independent order decision via the weak-base representative of Inv(c2).
+
+    c1 <= c2 iff Inv(c2) <= Inv(c1) iff the weak base of Inv(c2) is invariant
+    under every base operation of c1.  Infeasible for high chain indices (the
+    representative grows as 2^n) and undefined for limit clones.
+    """
+    rep = weak_base(c2.co)
+    if c1.is_chain and not c1.is_limit:
+        fixed, kind, _ = _CHAIN_BASES[c1.family]
+        return all(_op_preserves_rel(op, rep) for op in fixed) and \
+            _h_preserves_rel(kind, c1.index, rep)
+    return all(_op_preserves_rel(op, rep) for op in clone_base(c1))
 
 
 def test_semantic_order_agrees_with_representative_order():
