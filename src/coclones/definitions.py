@@ -8,13 +8,13 @@ weighted Max-Ones instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
+from . import truthtables as tt
 from .instances import Constraint, GadgetError, Instance, KIND_WMO, Resolver
 from .oracle import solve
 from .relations import ConstraintLanguage, Relation, rel_eq
@@ -61,27 +61,21 @@ def _lookup(language: LanguageLike, name: str) -> Relation:
         return rel_eq()
     if isinstance(language, Resolver):
         return language.relation(name)
-    if isinstance(language, ConstraintLanguage):
-        return language[name]
     return language[name]
 
 
 def eval_formula(formula: Formula, language: LanguageLike) -> Relation:
     """The relation defined by conjunction then projection over aux vars."""
     width = formula.total_vars + formula.aux_vars
-    sat = np.ones(1 << width, dtype=bool)
-    idx = np.arange(1 << width, dtype=np.int64)
+    sat = tt.planes(width)[0]
     for name, args in formula.atoms:
         rel = _lookup(language, name)
         if rel.arity != len(args):
             raise GadgetError(f"atom {name} arity mismatch")
-        t = np.zeros_like(idx)
-        for j, v in enumerate(args):
-            t |= ((idx >> v) & 1) << j
-        sat &= rel.lut[t]
-    proj = idx[sat] & ((1 << formula.total_vars) - 1)
-    return Relation.from_masks(formula.total_vars, (int(p) for p in np.unique(proj)),
-                               allow_empty=True)
+        sat &= tt.table(rel, args, width)
+    tv = formula.total_vars
+    kept = tt.masks(tt.project(sat, width, tv), tv)
+    return Relation.from_masks(tv, kept.tolist(), allow_empty=True)
 
 
 def verify_qpp_definition(formula: Formula, target: Relation, language: LanguageLike) -> bool:
@@ -103,11 +97,10 @@ def constant_extension_implications(rel: Relation, ext: Relation) -> tuple[bool,
     if ext.arity != k + 2:
         raise GadgetError("extension arity must be the base arity plus two")
     y0_bit, y1_bit = 1 << k, 1 << (k + 1)
-    ext_set = set(ext.tuples)
-    impl1 = all((t | y1_bit) in ext_set for t in rel.tuples)
+    impl1 = all(ext.contains(t | y1_bit) for t in rel.tuples)
     low = (1 << k) - 1
-    impl2 = all((s & low) in set(rel.tuples) and not s & y0_bit for s in ext.tuples)
-    impl2_top = all((s & low) in set(rel.tuples) and not s & y0_bit
+    impl2 = all(rel.contains(s & low) and not s & y0_bit for s in ext.tuples)
+    impl2_top = all(rel.contains(s & low) and not s & y0_bit
                     for s in ext.tuples if s & y1_bit)
     return impl1, impl2, impl2_top
 
@@ -202,33 +195,20 @@ def search_definition(target: Relation, language: LanguageLike,
                          itertools.product(range(width), repeat=arity))
         if len(atoms) > EXPLORE_BUDGET:
             return SearchResult(None, False)
-        idx = np.arange(1 << width, dtype=np.int64)
-        proj = idx & ((1 << tv) - 1)
-        sat_cache: dict[int, np.ndarray] = {}
-
-        def atom_sat(ai: int) -> np.ndarray:
-            arr = sat_cache.get(ai)
-            if arr is None:
-                name, args = atoms[ai]
-                rel = _lookup(language, name)
-                t = np.zeros_like(idx)
-                for j, v in enumerate(args):
-                    t |= ((idx >> v) & 1) << j
-                arr = rel.lut[t]
-                sat_cache[ai] = arr
-            return arr
+        @functools.cache  # lazily: up to EXPLORE_BUDGET atoms
+        def atom_table(ai: int) -> int:
+            name, args = atoms[ai]
+            return tt.table(_lookup(language, name), args, width)
 
         for natoms in range(1, max_atoms + 1):
             for combo in itertools.combinations(range(len(atoms)), natoms):
                 budget -= 1
                 if budget < 0:
                     return SearchResult(None, False)
-                sat = atom_sat(combo[0]).copy()
+                sat = atom_table(combo[0])
                 for ai in combo[1:]:
-                    sat &= atom_sat(ai)
-                got = np.zeros(1 << tv, dtype=bool)
-                got[proj[sat]] = True
-                if np.array_equal(got, target.lut):
+                    sat &= atom_table(ai)
+                if tt.project(sat, width, tv) == target.bits:
                     formula = Formula(tv, aux, tuple(atoms[ai] for ai in combo))
                     return SearchResult(formula, True)
     return SearchResult(None, True)

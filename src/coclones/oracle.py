@@ -6,17 +6,11 @@ integers after clearing denominators, so optima are exact.
 `solve` takes an instance down one of three routes:
 
 - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
-  `_TRUTH_VARS` = 14 variables are solved on truth tables: Python ints of
-  2^n bits, bit a set iff assignment a satisfies the constraint.  A
-  constraint's table comes from its relation's reduced ordered decision
-  diagram (Bryant 1986), one `&`/`|` of the variable planes per node, so a
-  sparse relation (a weak base), its complement (OR8) and a dense parity
-  relation (EVEN8) each cost a few dozen int operations; a relation whose
-  diagram passes 16 nodes per coordinate is gathered from its LUT instead.
-  The tables are ANDed together, stopping at 0, and the result is
-  unpacked once into the ascending array of feasible masks.  The cut is
-  one below the measured crossover with the frontier, on the certify
-  targets of the 8-ary weak bases, the closest case: truth/frontier time
+  `_TRUTH_VARS` = 14 variables are solved on truth tables (`truthtables`).
+  The constraints' tables are ANDed together, stopping at 0, and the
+  result is unpacked once into the ascending array of feasible masks.  The
+  cut is one below the measured crossover with the frontier, on the
+  certify targets of the 8-ary weak bases, the closest case: truth/frontier time
   0.47-0.55 at 14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5
   at 17 on a 2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8
   up to 16.
@@ -50,7 +44,6 @@ variable weight a unary term, and it is the reference every route of
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +52,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import truthtables as tt
 from .instances import (
     KIND_MAXCSP,
     KIND_MAXCUT,
@@ -164,20 +158,6 @@ def _tables(inst: Instance, resolver: Resolver):
     return scale, hard, soft, ones, dtype
 
 
-def _code(x: np.ndarray, pairs) -> np.ndarray:
-    """Per element of x, the code whose bit j is bit v of x, for (j, v) in pairs."""
-    code = None
-    for j, v in pairs:
-        # shift bit v to place j, then keep only that place
-        bit = x >> (v - j) if v >= j else x << (j - v)
-        bit &= 1 << j
-        if code is None:
-            code = bit
-        else:
-            code |= bit
-    return np.zeros_like(x) if code is None else code
-
-
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
@@ -190,7 +170,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     tables = _tables(inst, resolver)
     n = inst.num_vars
     if inst.kind not in _HARD_KINDS:
-        masks = _arange(n) if n <= _SMALL_SOFT_VARS else None
+        masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
     elif n <= _TRUTH_VARS:
         masks = _truth_masks(inst, resolver)
     else:
@@ -200,69 +180,15 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     return _optimize(inst.kind, masks, tables, want_all)
 
 
-@functools.cache
-def _arange(n: int) -> np.ndarray:
-    """All 2^n masks in ascending order, read-only."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    masks.flags.writeable = False
-    return masks
-
-
-@functools.cache
-def _planes(n: int):
-    """(FULL, literals) of the truth tables over n variables.
-
-    A truth table is an int of 2^n bits, bit a set iff assignment a is in
-    the set.  FULL holds every assignment; literals[v] is the pair
-    (~X_v, X_v), X_v the assignments that set variable v.
-    """
-    full = (1 << (1 << n)) - 1
-    literals = []
-    for v in range(n):
-        # X_v repeats a block of 2^v clear bits then 2^v set bits; dividing
-        # FULL by the block's all-ones gives a 1 at the start of every block
-        block = 2 << v
-        x = ((1 << block) - (1 << (1 << v))) * (full // ((1 << block) - 1))
-        literals.append((full ^ x, x))
-    return full, tuple(literals)
-
-
-def _truth_table(rel, args, n: int) -> int:
-    """The truth table over n variables of constraint `rel` on `args`.
-
-    Each node of the relation's decision diagram becomes a table, its
-    children's tables joined by the literals of its argument, so the root's
-    table is the constraint's.  A relation without a diagram (too many
-    nodes) has its LUT gathered over every assignment instead.
-    """
-    full, literals = _planes(n)
-    diagram = rel.diagram
-    if diagram is None:
-        hits = rel.lut[_code(_arange(n), enumerate(args))]
-        return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-    root, nodes = diagram
-    tables = [0, full]
-    for j, lo, hi in nodes:
-        neg, pos = literals[args[j]]
-        if not lo:
-            tables.append(pos & tables[hi])
-        elif not hi:
-            tables.append(neg & tables[lo])
-        else:
-            tables.append(neg & tables[lo] | pos & tables[hi])
-    return tables[root]
-
-
 def _truth_masks(inst: Instance, resolver: Resolver) -> np.ndarray:
     """Ascending masks of the assignments that satisfy every constraint."""
     n = inst.num_vars
-    sat = _planes(n)[0]
+    sat = tt.planes(n)[0]
     for c in inst.constraints:
-        sat &= _truth_table(resolver.relation(c.ref), c.args, n)
+        sat &= tt.table(resolver.relation(c.ref), c.args, n)
         if not sat:
             return np.empty(0, dtype=np.int64)
-    bits = np.frombuffer(sat.to_bytes(max(1, (1 << n) >> 3), "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+    return tt.masks(sat, n)
 
 
 def _frontier(n: int, hard) -> Optional[np.ndarray]:
@@ -279,7 +205,7 @@ def _frontier(n: int, hard) -> Optional[np.ndarray]:
             if frontier.size > 1 << _CHUNK_BITS:
                 return None
         for args, lut in by_top.get(v, ()):
-            frontier = frontier[lut[_code(frontier, enumerate(args))]]
+            frontier = frontier[lut[tt.code(frontier, enumerate(args))]]
     return frontier
 
 
@@ -294,7 +220,7 @@ def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResu
         return SolveResult(kind, False, None, None, () if want_all else None)
     obj = np.zeros(masks.shape, dtype=np.int64)
     for args, table in soft:
-        obj += table[_code(masks, enumerate(args))]
+        obj += table[tt.code(masks, enumerate(args))]
     for w, mask in ones:
         # bitwise_count gives uint8; widen before the weight multiply
         obj += np.bitwise_count(masks & mask).astype(np.int64) * w
@@ -314,15 +240,15 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
 
 
 def _row_chunks(hard, soft, dtype, bits):
-    """Reference evaluator: every term gathered mask by mask with `_code`."""
+    """Reference evaluator: every term gathered mask by mask with `tt.code`."""
     def eval_chunk(base: int):
         idx = np.arange(base, base + (1 << bits), dtype=np.int64)
         feasible = np.ones(idx.shape, dtype=bool) if hard else None
         for args, lut in hard:
-            feasible &= lut[_code(idx, enumerate(args))]
+            feasible &= lut[tt.code(idx, enumerate(args))]
         obj = np.zeros(idx.shape, dtype=np.int64)
         for args, table in soft:
-            obj += table[_code(idx, enumerate(args))]
+            obj += table[tt.code(idx, enumerate(args))]
         return obj, feasible
     return eval_chunk
 
@@ -362,17 +288,17 @@ class _GridReduce:
         crossing: dict[tuple[int, ...], list] = {}
         for args, table in terms:
             const = [(v, j) for j, v in enumerate(args) if v >= bits]
-            lo_code = _code(lo, [(j, v) for j, v in enumerate(args) if v < low_bits])
+            lo_code = tt.code(lo, [(j, v) for j, v in enumerate(args) if v < low_bits])
             hvars = sorted({v for v in args if low_bits <= v < bits})
             if not hvars:
                 self.low.append((table, const, lo_code))
             elif all(v >= low_bits for v in args):
-                hi_code = _code(hi, [(j, v - low_bits) for j, v in enumerate(args)
+                hi_code = tt.code(hi, [(j, v - low_bits) for j, v in enumerate(args)
                                      if v < bits])
                 self.high.append((table, const, hi_code))
             else:
                 # row r of the group table sets high variable hvars[i] to bit i of r
-                rows = _code(np.arange(1 << len(hvars)),
+                rows = tt.code(np.arange(1 << len(hvars)),
                              [(j, hvars.index(v)) for j, v in enumerate(args)
                               if low_bits <= v < bits])
                 crossing.setdefault(tuple(hvars), []).append(

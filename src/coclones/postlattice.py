@@ -295,8 +295,7 @@ def _affine(op: BooleanOperation) -> bool:
     for i in range(op.arity):
         if op.table[1 << i] ^ c:
             amask |= 1 << i
-    from .relations import popcount as _pc
-    return all(op.table[m] == c ^ (_pc(m & amask) & 1) for m in range(1 << op.arity))
+    return all(op.table[m] == c ^ ((m & amask).bit_count() & 1) for m in range(1 << op.arity))
 
 
 def _disjunction_or_constant(op: BooleanOperation) -> bool:

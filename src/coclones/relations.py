@@ -34,10 +34,6 @@ class EmptyRelationError(RelationError):
     """Raised when a classifier or identifier is handed an empty relation."""
 
 
-def popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def mask_to_bits(mask: int, arity: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(arity))
 
@@ -127,6 +123,14 @@ class Relation:
         return table
 
     @cached_property
+    def bits(self) -> int:
+        """Int of 2^arity bits, bit m set iff m is a tuple (cached like `lut`)."""
+        packed = bytearray(((1 << self.arity) + 7) >> 3)
+        for t in self.tuples:
+            packed[t >> 3] |= 1 << (t & 7)
+        return int.from_bytes(packed, "little")
+
+    @cached_property
     def diagram(self) -> Optional[tuple[int, tuple[tuple[int, int, int], ...]]]:
         """(root, nodes) of the reduced ordered decision diagram, or None.
 
@@ -161,10 +165,7 @@ class Relation:
                 ids[j, bits] = node
             return node
 
-        packed = bytearray(((1 << self.arity) + 7) >> 3)
-        for t in self.tuples:
-            packed[t >> 3] |= 1 << (t & 7)
-        root = build(int.from_bytes(packed, "little"), self.arity - 1)
+        root = build(self.bits, self.arity - 1)
         return None if root < 0 else (root, tuple(nodes))
 
     def rows(self) -> list[tuple[int, ...]]:
@@ -222,7 +223,7 @@ class BooleanOperation:
     def is_symmetric(self) -> bool:
         by_count: dict[int, int] = {}
         for m, v in enumerate(self.table):
-            c = popcount(m)
+            c = m.bit_count()
             if by_count.setdefault(c, v) != v:
                 return False
         return True
@@ -231,7 +232,7 @@ class BooleanOperation:
         """For symmetric operations: output as a function of the number of ones."""
         out = [0] * (self.arity + 1)
         for m, v in enumerate(self.table):
-            out[popcount(m)] = v
+            out[m.bit_count()] = v
         return tuple(out)
 
     def ones_patterns(self) -> tuple[int, ...]:
@@ -380,7 +381,7 @@ def h_operation(n: int) -> BooleanOperation:
     """The (n+1)-ary threshold operation: 1 iff at least n arguments are 1."""
     if n < 1 or n + 1 > MAX_OPERATION_ARITY:
         raise RelationError(f"h_{n} has arity {n + 1}, beyond the operation cap")
-    table = tuple(1 if popcount(m) >= n else 0 for m in range(1 << (n + 1)))
+    table = tuple(1 if m.bit_count() >= n else 0 for m in range(1 << (n + 1)))
     return BooleanOperation(n + 1, table, f"h{n}")
 
 
@@ -420,12 +421,12 @@ def rel_nand(n: int) -> Relation:
 
 def rel_even(n: int) -> Relation:
     _check_ctor_arity(n)
-    return Relation(n, tuple(m for m in range(1 << n) if popcount(m) % 2 == 0), f"EVEN{n}")
+    return Relation(n, tuple(m for m in range(1 << n) if m.bit_count() % 2 == 0), f"EVEN{n}")
 
 
 def rel_odd(n: int) -> Relation:
     _check_ctor_arity(n)
-    return Relation(n, tuple(m for m in range(1 << n) if popcount(m) % 2 == 1), f"ODD{n}")
+    return Relation(n, tuple(m for m in range(1 << n) if m.bit_count() % 2 == 1), f"ODD{n}")
 
 
 def rel_one_in_three() -> Relation:

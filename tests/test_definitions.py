@@ -1,15 +1,20 @@
+import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from coclones import definitions
+from coclones import definitions, relations, truthtables
 from coclones.definitions import (
     ARGMAX_IDENTITIES,
     EXTENSION_FORMULAS,
     Formula,
     GadgetError,
+    SearchResult,
     UnsatisfiableGadgetError,
     WppGadget,
     constant_extension_implications,
@@ -157,3 +162,129 @@ def test_eval_wpp_invariant_under_weight_scaling(num, den):
                       var_weights=tuple(w * scale for w in inst.var_weights))
     got = eval_wpp(WppGadget(scaled, tuple(range(8))), RESOLVER)
     assert got.tuples == base.tuples
+
+
+# ---------------------------------------------------------------------------
+# The int truth tables against the bool-array code they replaced
+
+
+def array_eval_formula(formula, language):
+    """eval_formula on numpy bool arrays: gather every atom's LUT, then project."""
+    width = formula.total_vars + formula.aux_vars
+    sat = np.ones(1 << width, dtype=bool)
+    idx = np.arange(1 << width, dtype=np.int64)
+    for name, args in formula.atoms:
+        t = np.zeros_like(idx)
+        for j, v in enumerate(args):
+            t |= ((idx >> v) & 1) << j
+        sat &= definitions._lookup(language, name).lut[t]
+    proj = idx[sat] & ((1 << formula.total_vars) - 1)
+    return Relation.from_masks(formula.total_vars, (int(p) for p in np.unique(proj)),
+                               allow_empty=True)
+
+
+def array_search_definition(target, language, max_aux, max_atoms, include_eq, budget):
+    """search_definition on numpy bool arrays, with its order and its budget."""
+    names = (["eq"] if include_eq else []) + [n for n in language.names() if n != "eq"]
+    tv = target.arity
+    for aux in range(max_aux + 1):
+        width = tv + aux
+        atoms = []
+        for name in sorted(names):
+            arity = definitions._lookup(language, name).arity
+            atoms.extend((name, slots) for slots in
+                         itertools.product(range(width), repeat=arity))
+        if len(atoms) > budget:
+            return SearchResult(None, False)
+        idx = np.arange(1 << width, dtype=np.int64)
+        proj = idx & ((1 << tv) - 1)
+        sats = []
+        for name, args in atoms:
+            t = np.zeros_like(idx)
+            for j, v in enumerate(args):
+                t |= ((idx >> v) & 1) << j
+            sats.append(definitions._lookup(language, name).lut[t])
+        for natoms in range(1, max_atoms + 1):
+            for combo in itertools.combinations(range(len(atoms)), natoms):
+                budget -= 1
+                if budget < 0:
+                    return SearchResult(None, False)
+                sat = sats[combo[0]].copy()
+                for ai in combo[1:]:
+                    sat &= sats[ai]
+                got = np.zeros(1 << tv, dtype=bool)
+                got[proj[sat]] = True
+                if np.array_equal(got, target.lut):
+                    return SearchResult(Formula(tv, aux, tuple(atoms[ai] for ai in combo)), True)
+    return SearchResult(None, True)
+
+
+@st.composite
+def relations_upto(draw, max_arity, name=None):
+    arity = draw(st.integers(1, max_arity))
+    return Relation(arity, tuple(draw(st.sets(st.integers(0, (1 << arity) - 1)))), name)
+
+
+@st.composite
+def languages(draw):
+    return ConstraintLanguage([draw(relations_upto(3, f"R{i}"))
+                               for i in range(draw(st.integers(1, 3)))])
+
+
+@st.composite
+def formulas(draw, language):
+    tv, aux = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(language.names() + ["eq"]))
+        arity = definitions._lookup(language, name).arity
+        slot = st.integers(0, tv + aux - 1)
+        atoms.append((name, tuple(draw(st.lists(slot, min_size=arity, max_size=arity)))))
+    return Formula(tv, aux, tuple(atoms))
+
+
+# no max_examples: the count follows the loaded profile (conftest.py)
+@settings(deadline=None)
+@given(st.data())
+def test_int_tables_match_the_array_code(data):
+    language = data.draw(languages())
+    formula = data.draw(formulas(language))
+    defined = eval_formula(formula, language)
+    assert defined == array_eval_formula(formula, language)
+    # a definable target half the time, so that searches also succeed
+    target = defined if data.draw(st.booleans()) else data.draw(relations_upto(4))
+    max_aux, max_atoms = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    include_eq, budget = data.draw(st.booleans()), data.draw(st.integers(1, 1000))
+    with mock.patch.object(definitions, "EXPLORE_BUDGET", budget):
+        got = search_definition(target, language, max_aux, max_atoms, include_eq)
+    assert got == array_search_definition(target, language, max_aux, max_atoms,
+                                          include_eq, budget)
+
+
+@pytest.mark.parametrize("nodes", [relations.DIAGRAM_NODES, 0])
+def test_table_matches_the_lut_gather(nodes, monkeypatch):
+    # with no node allowed, only the empty and the full relation keep a diagram
+    monkeypatch.setattr(relations, "DIAGRAM_NODES", nodes)
+    rng = random.Random(0)
+    for arity in (1, 2, 3):
+        for bits in range(1 << (1 << arity)):
+            rel = Relation(arity, tuple(m for m in range(1 << arity) if bits >> m & 1))
+            assert rel.bits == bits
+            trivial = bits in (0, (1 << (1 << arity)) - 1)
+            assert (rel.diagram is None) == (not nodes and not trivial)
+            for _ in range(3):
+                n = rng.randint(1, 5)
+                args = [rng.randrange(n) for _ in range(arity)]  # repeats allowed
+                want = sum(1 << a for a in range(1 << n) if rel.lut[
+                    sum(((a >> v) & 1) << j for j, v in enumerate(args))])
+                assert truthtables.table(rel, args, n) == want, (rel.tuples, args, n)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.sets(st.integers(0, (1 << n) - 1)))))
+def test_project_matches_projecting_the_masks(case):
+    n, keep, masks = case
+    t = sum(1 << m for m in masks)
+    assert truthtables.masks(t, n).tolist() == sorted(masks)
+    kept = {m & ((1 << keep) - 1) for m in masks}
+    assert truthtables.project(t, n, keep) == sum(1 << m for m in kept)
