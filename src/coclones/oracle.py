@@ -3,6 +3,14 @@
 Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
+Every route of `solve` reads a hard constraint as its identification
+minor: the relation over the constraint's distinct arguments that
+identifying its repeated arguments leaves (`Relation.minor`).  The weak-base
+atoms of the 2+3n reductions repeat arguments, as in
+R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
+or 3 variables, and each table build and gather works on those.  A
+constraint without repeats keeps its own relation.
+
 `solve` takes an instance down one of three routes:
 
 - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
@@ -13,7 +21,9 @@ integers after clearing denominators, so optima are exact.
   certify targets of the 8-ary weak bases, the closest case: truth/frontier time
   0.47-0.55 at 14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5
   at 17 on a 2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8
-  up to 16.
+  up to 16.  On minors the certify targets read 0.18 at 14, 0.67-1.16 at
+  17 and 5.6-6.7 at 20, and chains of binary constraints, which have no
+  minors to shrink, cross at 16 (1.04-1.06), so the cut stays.
 - Larger hard-kind instances go through a frontier search in variable
   order (Dechter, *Constraint Processing*, ch. 5): the partial assignments
   over variables 0..v that satisfy every constraint lying within them are
@@ -32,18 +42,20 @@ integers after clearing denominators, so optima are exact.
   once per half and the halves are combined once (meet in the middle,
   Horowitz & Sahni 1974).
 
-A relation's bool LUT and decision diagram are built once and cached,
-read-only, on the `Relation` object itself (`Relation.lut`,
-`Relation.diagram`), so they live exactly as long as the relation and a
-resolver that maps a name to another relation gets others.
+A relation's minors, bool LUT and decision diagram are built once and
+cached, read-only, on the `Relation` object itself (`Relation.minor`,
+`Relation.lut`, `Relation.diagram`), so they live exactly as long as the
+relation and a resolver that maps a name to another relation gets others.
 
 `solve_bruteforce` enumerates the same chunks mask by mask, with every
-variable weight a unary term, and it is the reference every route of
-`solve` is tested against.
+variable weight a unary term and every relation gathered on its raw
+arguments, not its minor, and it is the reference every route of `solve` is
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -108,23 +120,35 @@ def _plain(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the distinct args in order of first occurrence, the minor pattern of args)."""
+    distinct = tuple(dict.fromkeys(args))
+    return distinct, tuple(map(distinct.index, args))
+
+
 def _tables(inst: Instance, resolver: Resolver):
     """(scale, hard terms, soft terms, Ones groups, accumulator dtype), all integer.
 
-    A term is (args, table): the table is indexed by the tuple of `args`
-    (argument j in bit j).  Hard terms are the relations' cached bool LUTs,
-    which an assignment must satisfy.  Soft terms are one table per
-    constraint of the soft kinds.  A Ones group (w, m) of the Max-/Min-Ones
-    kinds holds in m the variables of weight w, one group per distinct
-    nonzero weight.  The objective is the sum of the soft terms plus w times
-    the ones in m of every group, all multiplied by `scale`.
+    A hard term is (args, relation), which an assignment must satisfy: the
+    constraint's distinct arguments in order of first occurrence and the
+    identification minor of its relation on them (`Relation.minor`), so
+    R_IN2(v0,v0,v0,v0,y,y,y,y) is read as a binary relation on (v0, y).  A
+    soft term is (args, table), one per constraint of the soft kinds: the
+    table is indexed by the tuple of `args` (argument j in bit j).  A Ones
+    group (w, m) of the Max-/Min-Ones kinds holds in m the variables of
+    weight w, one group per distinct nonzero weight.  The objective is the
+    sum of the soft terms plus w times the ones in m of every group, all
+    multiplied by `scale`.
     """
     kind = inst.kind
     hard: list = []
     soft: list = []
     weights: dict = {}  # variable weight -> mask of the variables that carry it
     if kind in _HARD_KINDS:
-        hard = [(c.args, resolver.relation(c.ref).lut) for c in inst.constraints]
+        for c in inst.constraints:
+            distinct, pattern = _identification(c.args)
+            hard.append((distinct, resolver.relation(c.ref).minor(pattern)))
         if kind != KIND_SAT and inst.var_weights is None:
             weights = {1: (1 << inst.num_vars) - 1}
         elif kind != KIND_SAT:
@@ -172,7 +196,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     if inst.kind not in _HARD_KINDS:
         masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
     elif n <= _TRUTH_VARS:
-        masks = _truth_masks(inst, resolver)
+        masks = _truth_masks(n, tables[1])
     else:
         masks = _frontier(n, tables[1])  # the hard terms
     if masks is None:
@@ -180,12 +204,11 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     return _optimize(inst.kind, masks, tables, want_all)
 
 
-def _truth_masks(inst: Instance, resolver: Resolver) -> np.ndarray:
-    """Ascending masks of the assignments that satisfy every constraint."""
-    n = inst.num_vars
+def _truth_masks(n: int, hard) -> np.ndarray:
+    """Ascending masks of the assignments that satisfy every hard term."""
     sat = tt.planes(n)[0]
-    for c in inst.constraints:
-        sat &= tt.table(resolver.relation(c.ref), c.args, n)
+    for args, rel in hard:
+        sat &= tt.table(rel, args, n)
         if not sat:
             return np.empty(0, dtype=np.int64)
     return tt.masks(sat, n)
@@ -194,8 +217,8 @@ def _truth_masks(inst: Instance, resolver: Resolver) -> np.ndarray:
 def _frontier(n: int, hard) -> Optional[np.ndarray]:
     """Frontier search in variable order; None once it outgrows a chunk."""
     by_top: dict[int, list] = {}  # highest argument -> constraints checked there
-    for args, lut in hard:
-        by_top.setdefault(max(args, default=-1), []).append((args, lut))
+    for args, rel in hard:
+        by_top.setdefault(max(args, default=-1), []).append((args, rel.lut))
 
     # Doubling by the next variable's bit keeps the masks ascending.
     frontier = np.zeros(1, dtype=np.int64)
@@ -236,7 +259,10 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
-    return _enumerate(inst, _tables(inst, resolver), want_all, jobs, _row_chunks)
+    scale, hard, soft, ones, dtype = _tables(inst, resolver)
+    if hard:  # each relation on its raw args, independent of the minors
+        hard = [(c.args, resolver.relation(c.ref)) for c in inst.constraints]
+    return _enumerate(inst, (scale, hard, soft, ones, dtype), want_all, jobs, _row_chunks)
 
 
 def _row_chunks(hard, soft, dtype, bits):
@@ -244,8 +270,8 @@ def _row_chunks(hard, soft, dtype, bits):
     def eval_chunk(base: int):
         idx = np.arange(base, base + (1 << bits), dtype=np.int64)
         feasible = np.ones(idx.shape, dtype=bool) if hard else None
-        for args, lut in hard:
-            feasible &= lut[tt.code(idx, enumerate(args))]
+        for args, rel in hard:
+            feasible &= rel.lut[tt.code(idx, enumerate(args))]
         obj = np.zeros(idx.shape, dtype=np.int64)
         for args, table in soft:
             obj += table[tt.code(idx, enumerate(args))]
@@ -255,7 +281,8 @@ def _row_chunks(hard, soft, dtype, bits):
 
 def _split_chunks(hard, soft, dtype, bits):
     """Hi/lo evaluator: each term is gathered once per half of the chunk."""
-    feasibility = _GridReduce(hard, bits, np.logical_and, bool) if hard else None
+    feasibility = (_GridReduce([(args, rel.lut) for args, rel in hard], bits,
+                               np.logical_and, bool) if hard else None)
     objective = _GridReduce(soft, bits, np.add, dtype)
 
     def eval_chunk(base: int):

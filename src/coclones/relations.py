@@ -168,6 +168,51 @@ class Relation:
         root = build(self.bits, self.arity - 1)
         return None if root < 0 else (root, tuple(nodes))
 
+    def minor(self, pattern: tuple[int, ...]) -> "Relation":
+        """The identification minor: coordinate j reads variable pattern[j].
+
+        The variables are numbered 0, 1, ... in order of first occurrence,
+        so R(x, x, y, x) is `minor((0, 0, 1, 0))`, a binary relation that
+        holds mask m iff the tuple with bit j set to bit pattern[j] of m is
+        in this relation.  A pattern without repeats gives this relation
+        back.  Each minor is built once per pattern and cached like `lut`,
+        with its own `lut`, `bits` and `diagram`.
+        """
+        got = self._minors.get(pattern)
+        if got is None:
+            got = self._minors[pattern] = self._identify(pattern)
+        return got
+
+    @cached_property
+    def _minors(self) -> dict[tuple[int, ...], "Relation"]:
+        return {}
+
+    def _identify(self, pattern: tuple[int, ...]) -> "Relation":
+        bad = RelationError(f"{pattern} is not an identification pattern of arity {self.arity}")
+        if len(pattern) != self.arity:
+            raise bad
+        cols: list[int] = []  # per variable, the mask of the coordinates that read it
+        for j, p in enumerate(pattern):
+            if p == len(cols):
+                cols.append(0)
+            elif not 0 <= p < len(cols):
+                raise bad
+            cols[p] |= 1 << j
+        if len(cols) == self.arity:
+            return self
+        out = []
+        for t in self.tuples:
+            m = 0
+            for i, c in enumerate(cols):
+                hit = t & c
+                if hit == c:
+                    m |= 1 << i
+                elif hit:
+                    break  # coordinates that share a variable disagree
+            else:
+                out.append(m)
+        return Relation.from_masks(len(cols), out, allow_empty=True)
+
     def rows(self) -> list[tuple[int, ...]]:
         return [mask_to_bits(t, self.arity) for t in self.tuples]
 

@@ -97,6 +97,26 @@ def test_search_budget_flag_distinct_from_exhaustion(monkeypatch):
     assert res.formula is None and not res.exhausted
 
 
+def test_search_budget_ends_exactly_at_the_first_definition(monkeypatch):
+    # every candidate is projected once, so the projections count the
+    # candidates the search examines up to and including its hit
+    target, lang = rel_eq(), ConstraintLanguage([rel_neq()])
+    projected = []
+    real = truthtables.project
+    monkeypatch.setattr(truthtables, "project", lambda *a: projected.append(a) or real(*a))
+    found = search_definition(target, lang, max_aux=1, max_atoms=2)
+    monkeypatch.setattr(truthtables, "project", real)
+    # the hit has 1 aux variable, past the 10 candidates without one; 9 atoms
+    # on 3 variables stay within either budget below
+    assert found.formula is not None and found.formula.aux_vars == 1
+    assert len(projected) > 10
+    monkeypatch.setattr(definitions, "EXPLORE_BUDGET", len(projected))
+    assert search_definition(target, lang, max_aux=1, max_atoms=2) == found
+    monkeypatch.setattr(definitions, "EXPLORE_BUDGET", len(projected) - 1)
+    res = search_definition(target, lang, max_aux=1, max_atoms=2)
+    assert res.formula is None and not res.exhausted
+
+
 def test_search_results_always_verify():
     lang = ConstraintLanguage([rel_or(2), rel_neq()])
     for target in (rel_or(2), rel_neq(), rel_eq()):

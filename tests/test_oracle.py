@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from coclones import oracle, relations
+from coclones import oracle, reductions, relations
+from coclones import truthtables as tt
 from coclones.instances import (
     ALL_KINDS,
     Constraint,
@@ -163,11 +165,16 @@ def instances(draw, kinds=ALL_KINDS):
     n = draw(st.integers(1, TRUTH + 2))
     refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
     weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
+    # args from a pool of 1-3 variables collapse a constraint to a minor of as
+    # many variables, e.g. (a,a,a,a,b,b,b,b), at every n
+    pool = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1,
+                                              max_size=3, unique=True)))
+    var = st.integers(0, n - 1) if pool is None else st.sampled_from(pool)
     cons = []
     for _ in range(draw(st.integers(0, 6))):
         ref = draw(st.sampled_from(refs))
         k = RESOLVER.constraint_arity(kind, ref)
-        args = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+        args = tuple(draw(st.lists(var, min_size=k, max_size=k)))
         weight = draw(st.one_of(st.none(), WEIGHTS)) if weighted else None
         cons.append(Constraint(ref, args, weight))
     var_weights = None
@@ -195,8 +202,30 @@ TRUTH_EXAMPLES = (
 )
 
 
+def two_plus_3n(name, source):
+    """The target of 2+3n entry `name` on `source`, as certify builds it."""
+    return reductions.record(name).build(source, RESOLVER)
+
+
+# targets of the 2+3n entries at 17 and 20 variables, past the truth-table cut:
+# 8-ary weak-base atoms on 2 or 3 distinct variables, as the certify ops solve
+# (the sources are satisfiable, so the frontier reaches the last variable)
+II2_SOURCE = umo(5, [("R_II2", (4, 1, 2, 2, 0, 4, 2, 4)), ("R_II2", (1, 3, 2, 4, 2, 3, 2, 3))])
+IL2_SOURCE = umo(6, [("R_IL2", (3, 0, 4, 5, 5, 2, 3, 5)), ("R_IL2", (0, 4, 4, 1, 1, 2, 0, 2))])
+CERTIFY_TARGETS = (
+    two_plus_3n("umo_II2_to_IN2", II2_SOURCE),
+    two_plus_3n("umo_IS21_to_ID2", umo(6, [("R_IS1_2", (0, 1, 2)), ("R_IS1_2", (3, 4, 5))])),
+    two_plus_3n("umo_IL2_to_IL3", IL2_SOURCE),
+    two_plus_3n("umo_IS21_to_ID2", umo(5, [("R_IS1_2", (0, 1, 4)), ("R_IS1_2", (2, 3, 4))])),
+)
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(instances(), st.booleans())
+@example(CERTIFY_TARGETS[0], True)
+@example(CERTIFY_TARGETS[1], True)
+@example(CERTIFY_TARGETS[2], False)
+@example(CERTIFY_TARGETS[3], False)
 @example(umo(2, [("T", (0,)), ("F", (0,)), ("OR2", (0, 1))]), True)
 @example(TRUTH_EXAMPLES[0], True)
 @example(TRUTH_EXAMPLES[1], True)
@@ -222,7 +251,7 @@ def test_frontier_matches_bruteforce(inst, want_all):
 def test_frontier_builder_matches_bruteforce(inst, want_all):
     tables = oracle._tables(inst, RESOLVER)
     masks = oracle._frontier(inst.num_vars, tables[1])
-    assert masks.tolist() == oracle._truth_masks(inst, RESOLVER).tolist()
+    assert masks.tolist() == oracle._truth_masks(inst.num_vars, tables[1]).tolist()
     result = oracle._optimize(inst.kind, masks, tables, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
@@ -295,10 +324,16 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
 
 
 def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
-    # with no node allowed, every relation of a new resolver has no diagram
+    # with no node allowed, relations built now have no diagram, and nor do
+    # their minors; the examples' relations are rebuilt for a new resolver,
+    # since the resolvers share one object per name
     monkeypatch.setattr(relations, "DIAGRAM_NODES", 0)
     resolver = default_resolver()
+    for name in ("EVEN8", "OR8", "R_IN2", "NAND2", "T"):
+        rel = RESOLVER.relation(name)
+        resolver.register_relation(Relation(rel.arity, rel.tuples, name))
     assert resolver.relation("EVEN8").diagram is None
+    assert resolver.relation("R_IN2").minor((0, 1, 0, 1, 2, 3, 2, 3)).diagram is None
     for inst in TRUTH_EXAMPLES:
         assert solve(inst, resolver, want_all=True) == solve_bruteforce(inst, want_all=True)
 
@@ -363,6 +398,41 @@ def test_resolvers_keep_their_own_relation_under_one_name():
     assert solve(inst, first).optimum == 1
     assert solve(inst, second).optimum == 2
     assert solve(inst, first).optimum == 1
+    # nor any minor: X(x, x) is unsatisfiable for the first and all-ones for the second
+    twice = umo(2, [("X", (0, 0)), ("X", (1, 1))])
+    assert not solve(twice, first).satisfiable
+    assert solve(twice, second).optimum == 2
+    assert not solve(twice, first).satisfiable
+    assert first.relation("X").minor((0, 0)) is not second.relation("X").minor((0, 0))
+
+
+# a random constraint over a pool of 1-3 variables, repeats allowed
+@settings(max_examples=examples(300), deadline=None)
+@given(st.sampled_from(RELATIONS).flatmap(lambda ref: st.tuples(
+    st.just(ref), st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, n - 1), min_size=RESOLVER.relation(ref).arity,
+        max_size=RESOLVER.relation(ref).arity))))))
+def test_minor_matches_the_raw_relation(case):
+    ref, (n, args) = case
+    rel = RESOLVER.relation(ref)
+    distinct = list(dict.fromkeys(args))
+    pattern = tuple(distinct.index(v) for v in args)
+    minor = rel.minor(pattern)
+    assert minor is rel.minor(pattern) and minor.arity == len(distinct)
+    for m in range(1 << minor.arity):
+        expanded = sum((m >> p & 1) << j for j, p in enumerate(pattern))
+        assert minor.contains(m) == rel.contains(expanded)
+    gather = rel.lut[tt.code(tt.arange(n), enumerate(args))]
+    assert tt.masks(tt.table(minor, distinct, n), n).tolist() == np.flatnonzero(gather).tolist()
+
+
+def test_minor_rejects_a_pattern_out_of_first_occurrence_order():
+    rel = RESOLVER.relation("OR3")
+    assert rel.minor((0, 1, 2)) is rel
+    assert rel.minor((0, 0, 0)).tuples == (1,)
+    for pattern in ((0, 1), (0, 1, 2, 3), (1, 0, 0), (0, 2, 1), (0, 0, -1)):
+        with pytest.raises(relations.RelationError):
+            rel.minor(pattern)
 
 
 def test_frontier_falls_back_past_one_chunk(monkeypatch):
