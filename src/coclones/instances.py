@@ -9,7 +9,6 @@ so emitted files stay self-contained.
 from __future__ import annotations
 
 import copy
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,27 +175,6 @@ def rf_name(fn: CostFunction) -> str:
     return f"Rf_{fn.arity}_{support}"
 
 
-@functools.cache
-def _named_relation(name: str) -> Optional[Relation]:
-    """The relation a parametric name denotes, or None; built once per process,
-    so its LUT, diagram and minors are too."""
-    m = _PARAM_REL.match(name)
-    if m:
-        return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
-    m = _RF_NAME.match(name)
-    if m:
-        return _rf_relation(int(m.group(1)), int(m.group(2)))
-    if name.startswith("R_I"):
-        try:
-            coclone = parse_coclone_name(name[2:])
-        except RelationError:
-            return None
-        if coclone.is_chain and coclone.index is None:
-            return None
-        return weak_base(coclone)
-    return None
-
-
 # the builtins, built once; every resolver starts from copies of these maps
 _BUILTIN_RELATIONS = {rel.name: rel for rel in (
     rel_eq(), rel_neq(), rel_true(), rel_false(), rel_one_in_three(),
@@ -233,11 +211,28 @@ class Resolver:
         rel = self._relations.get(name)
         if rel is not None:
             return rel
-        built = _named_relation(name)
+        built = self._build_relation(name)
         if built is None:
             raise InstanceError(f"unknown relation {name!r}")
         self._relations[name] = built
         return built
+
+    def _build_relation(self, name: str) -> Optional[Relation]:
+        m = _PARAM_REL.match(name)
+        if m:
+            return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
+        m = _RF_NAME.match(name)
+        if m:
+            return _rf_relation(int(m.group(1)), int(m.group(2)))
+        if name.startswith("R_I"):
+            try:
+                coclone = parse_coclone_name(name[2:])
+            except RelationError:
+                return None
+            if coclone.is_chain and coclone.index is None:
+                return None
+            return weak_base(coclone)
+        return None
 
     def costfn(self, name: str) -> CostFunction:
         fn = self._costfns.get(name)

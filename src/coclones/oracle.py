@@ -120,21 +120,46 @@ def _plain(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
-@functools.lru_cache(maxsize=1 << 12)
+# Solves meet the same args tuples again and again: one benchmark run looks
+# up 2385 tuples, 628 distinct, on certify-hard and 67633, 1106 distinct, on
+# mixed (hit rates 74% and 98%), and the cache raises throughput by 3-4% on
+# both (BENCH_13.json).  The cap is about twice the larger count, so neither
+# run evicts, and holds at most ~0.7 MB (~360 bytes an entry).
+@functools.lru_cache(maxsize=1 << 11)
 def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the distinct args in order of first occurrence, the minor pattern of args)."""
     distinct = tuple(dict.fromkeys(args))
     return distinct, tuple(map(distinct.index, args))
 
 
-def _tables(inst: Instance, resolver: Resolver):
-    """(scale, hard terms, soft terms, Ones groups, accumulator dtype), all integer.
+def _minor_terms(inst: Instance, resolver: Resolver) -> list:
+    """The hard terms of `solve`, one (args, relation) per constraint of a hard kind.
 
-    A hard term is (args, relation), which an assignment must satisfy: the
-    constraint's distinct arguments in order of first occurrence and the
-    identification minor of its relation on them (`Relation.minor`), so
-    R_IN2(v0,v0,v0,v0,y,y,y,y) is read as a binary relation on (v0, y).  A
-    soft term is (args, table), one per constraint of the soft kinds: the
+    args are the constraint's distinct arguments in order of first
+    occurrence and the relation is the identification minor on them
+    (`Relation.minor`), so R_IN2(v0,v0,v0,v0,y,y,y,y) is read as a binary
+    relation on (v0, y).  An assignment must satisfy every term.
+    """
+    if inst.kind not in _HARD_KINDS:
+        return []
+    terms = []
+    for c in inst.constraints:
+        distinct, pattern = _identification(c.args)
+        terms.append((distinct, resolver.relation(c.ref).minor(pattern)))
+    return terms
+
+
+def _raw_terms(inst: Instance, resolver: Resolver) -> list:
+    """The hard terms of `solve_bruteforce`: each relation on its raw args."""
+    if inst.kind not in _HARD_KINDS:
+        return []
+    return [(c.args, resolver.relation(c.ref)) for c in inst.constraints]
+
+
+def _tables(inst: Instance, resolver: Resolver):
+    """(scale, soft terms, Ones groups, accumulator dtype), all integer.
+
+    A soft term is (args, table), one per constraint of the soft kinds: the
     table is indexed by the tuple of `args` (argument j in bit j).  A Ones
     group (w, m) of the Max-/Min-Ones kinds holds in m the variables of
     weight w, one group per distinct nonzero weight.  The objective is the
@@ -142,13 +167,9 @@ def _tables(inst: Instance, resolver: Resolver):
     multiplied by `scale`.
     """
     kind = inst.kind
-    hard: list = []
     soft: list = []
     weights: dict = {}  # variable weight -> mask of the variables that carry it
     if kind in _HARD_KINDS:
-        for c in inst.constraints:
-            distinct, pattern = _identification(c.args)
-            hard.append((distinct, resolver.relation(c.ref).minor(pattern)))
         if kind != KIND_SAT and inst.var_weights is None:
             weights = {1: (1 << inst.num_vars) - 1}
         elif kind != KIND_SAT:
@@ -179,7 +200,7 @@ def _tables(inst: Instance, resolver: Resolver):
         raise OracleError("objective magnitude exceeds the exact int64 budget")
     dtype = np.int32 if bound < 1 << 31 else np.int64
     soft = [(args, np.array(table, dtype=dtype)) for args, table in ints]
-    return scale, hard, soft, ones, dtype
+    return scale, soft, ones, dtype
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -192,15 +213,16 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
     tables = _tables(inst, resolver)
+    hard = _minor_terms(inst, resolver)
     n = inst.num_vars
     if inst.kind not in _HARD_KINDS:
         masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
     elif n <= _TRUTH_VARS:
-        masks = _truth_masks(n, tables[1])
+        masks = _truth_masks(n, hard)
     else:
-        masks = _frontier(n, tables[1])  # the hard terms
+        masks = _frontier(n, hard)
     if masks is None:
-        return _enumerate(inst, tables, want_all, jobs, _split_chunks)
+        return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
     return _optimize(inst.kind, masks, tables, want_all)
 
 
@@ -238,7 +260,7 @@ def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResu
     The masks are ascending, so the least optimal mask is the first hit and
     optimal_set comes out sorted.
     """
-    scale, _, soft, ones, _ = tables
+    scale, soft, ones, _ = tables
     if not masks.size:
         return SolveResult(kind, False, None, None, () if want_all else None)
     obj = np.zeros(masks.shape, dtype=np.int64)
@@ -259,10 +281,8 @@ def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
     resolver = resolver or default_resolver()
     _admit(inst, resolver, want_all)
-    scale, hard, soft, ones, dtype = _tables(inst, resolver)
-    if hard:  # each relation on its raw args, independent of the minors
-        hard = [(c.args, resolver.relation(c.ref)) for c in inst.constraints]
-    return _enumerate(inst, (scale, hard, soft, ones, dtype), want_all, jobs, _row_chunks)
+    return _enumerate(inst, _raw_terms(inst, resolver), _tables(inst, resolver),
+                      want_all, jobs, _row_chunks)
 
 
 def _row_chunks(hard, soft, dtype, bits):
@@ -359,11 +379,11 @@ class _GridReduce:
         return grid
 
 
-def _enumerate(inst: Instance, tables, want_all: bool, jobs: int,
+def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
                evaluator) -> SolveResult:
     """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
 
-    `tables` are the instance's `_tables`.  `evaluator(hard, soft, dtype,
+    `hard` are the instance's hard terms and `tables` its `_tables`.  `evaluator(hard, soft, dtype,
     bits)` returns a function that maps a chunk's first mask to the chunk's
     objective and feasibility (None when every mask is feasible), both in
     mask order.
@@ -371,7 +391,7 @@ def _enumerate(inst: Instance, tables, want_all: bool, jobs: int,
     n = inst.num_vars
     kind = inst.kind
     maximize = kind in MAXIMIZING_KINDS
-    scale, hard, soft, ones, dtype = tables
+    scale, soft, ones, dtype = tables
     # here every variable weight is a unary term [0, w]
     soft = soft + [((i,), np.array([0, w], dtype=dtype))
                    for w, mask in ones for i in range(n) if mask >> i & 1]

@@ -165,10 +165,11 @@ def instances(draw, kinds=ALL_KINDS):
     n = draw(st.integers(1, TRUTH + 2))
     refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
     weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
-    # args from a pool of 1-3 variables collapse a constraint to a minor of as
-    # many variables, e.g. (a,a,a,a,b,b,b,b), at every n
-    pool = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1), min_size=1,
-                                              max_size=3, unique=True)))
+    # in one draw of four, args from a pool of 1-3 variables collapse a
+    # constraint to a minor of as many variables, e.g. (a,a,a,a,b,b,b,b), at
+    # every n; the other three keep the unrestricted args
+    pool = None if draw(st.integers(0, 3)) else draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     var = st.integers(0, n - 1) if pool is None else st.sampled_from(pool)
     cons = []
     for _ in range(draw(st.integers(0, 6))):
@@ -249,9 +250,10 @@ def test_frontier_matches_bruteforce(inst, want_all):
 @example(TRUTH_EXAMPLES[1], True)
 @example(TRUTH_EXAMPLES[3], True)
 def test_frontier_builder_matches_bruteforce(inst, want_all):
+    hard = oracle._minor_terms(inst, RESOLVER)
+    masks = oracle._frontier(inst.num_vars, hard)
+    assert masks.tolist() == oracle._truth_masks(inst.num_vars, hard).tolist()
     tables = oracle._tables(inst, RESOLVER)
-    masks = oracle._frontier(inst.num_vars, tables[1])
-    assert masks.tolist() == oracle._truth_masks(inst.num_vars, tables[1]).tolist()
     result = oracle._optimize(inst.kind, masks, tables, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
@@ -295,8 +297,8 @@ def spy_on(monkeypatch, name="_split_chunks"):
 @example(soft(KIND_MAXCUT, CUT), True)
 @example(soft(KIND_MAXCUT, CUT + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
-    tables = oracle._tables(inst, RESOLVER)
-    grid = oracle._enumerate(inst, tables, want_all, 1, oracle._split_chunks)
+    grid = oracle._enumerate(inst, oracle._minor_terms(inst, RESOLVER),
+                             oracle._tables(inst, RESOLVER), want_all, 1, oracle._split_chunks)
     assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
@@ -325,11 +327,11 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
 
 def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
     # with no node allowed, relations built now have no diagram, and nor do
-    # their minors; the examples' relations are rebuilt for a new resolver,
-    # since the resolvers share one object per name
+    # their minors; the resolvers share the builtins and the weak bases, so
+    # the examples' T and R_IN2 are rebuilt for the new resolver
     monkeypatch.setattr(relations, "DIAGRAM_NODES", 0)
     resolver = default_resolver()
-    for name in ("EVEN8", "OR8", "R_IN2", "NAND2", "T"):
+    for name in ("R_IN2", "T"):
         rel = RESOLVER.relation(name)
         resolver.register_relation(Relation(rel.arity, rel.tuples, name))
     assert resolver.relation("EVEN8").diagram is None
@@ -433,6 +435,16 @@ def test_minor_rejects_a_pattern_out_of_first_occurrence_order():
     for pattern in ((0, 1), (0, 1, 2, 3), (1, 0, 0), (0, 2, 1), (0, 0, -1)):
         with pytest.raises(relations.RelationError):
             rel.minor(pattern)
+
+
+def test_bruteforce_reads_raw_relations_without_minors(monkeypatch):
+    # the reference must not share the minor step with the solver it checks
+    def no_minor(self, pattern):
+        raise AssertionError("solve_bruteforce built a minor")
+
+    monkeypatch.setattr(Relation, "minor", no_minor)
+    inst = TRUTH_EXAMPLES[3]  # EVEN8, OR8 and R_IN2 on repeated arguments
+    assert solve_bruteforce(inst, want_all=True).satisfiable
 
 
 def test_frontier_falls_back_past_one_chunk(monkeypatch):
