@@ -61,12 +61,17 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _parse_file(path: str, parser):
-    """Parse a file, prefixing any format error with the file name."""
+def _on_file(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with path before a format or resolution error in that file."""
     try:
-        return parser(_read(path))
+        return fn(*args, **kwargs)
     except (RelationError, InstanceError) as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _parse_file(path: str, parser):
+    """Parse a file, prefixing any format error with the file name."""
+    return _on_file(path, parser, _read(path))
 
 
 def _load_language(path: str) -> ConstraintLanguage:
@@ -171,8 +176,7 @@ def _cmd_reduce(args) -> int:
 
     rec = record(args.name)
     inst = _parse_file(args.instance, parse_inst)
-    resolver = _resolver_with_defs(args.defs)
-    tgt, info = apply(args.name, inst, resolver)
+    tgt, info = _on_file(args.instance, apply, args.name, inst, _resolver_with_defs(args.defs))
     print(f"{args.name}: {rec.source_kind} -> {rec.target_kind} "
           f"[{rec.kind_tag}, C={rec.lv_parameter}]")
     print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.bound_text})")
@@ -187,11 +191,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .reductions import ACCEPTANCE_ENTRIES, QWPP_FAMILY, certify, registry_names
+    from .reductions import ACCEPTANCE_ENTRIES, QPP_FAMILY, QWPP_FAMILY, certify
 
     names = [args.name]
     if args.name == "umo_qpp_family":
-        names = [n for n in registry_names() if n.startswith("umo_qpp_")]
+        names = sorted(QPP_FAMILY)
     elif args.name == "wmo_qwpp_family":
         names = list(QWPP_FAMILY)
     elif args.name == "all":
@@ -208,8 +212,8 @@ def _cmd_solve(args) -> int:
     from .oracle import meets_threshold, solve
 
     inst = _parse_file(args.instance, parse_inst)
-    resolver = _resolver_with_defs(args.defs)
-    res = solve(inst, resolver, want_all=args.all, jobs=args.jobs)
+    res = _on_file(args.instance, solve, inst, _resolver_with_defs(args.defs),
+                   want_all=args.all, jobs=args.jobs)
     print(f"kind: {inst.kind}")
     if not res.satisfiable:
         print("satisfiable: no")

@@ -3,7 +3,9 @@
 An instance is a variable count plus constraint applications; references to
 relations and cost functions are by name.  Generated artifacts use
 self-describing parametric names (e.g. Rf_2_11 encodes arity and support)
-so emitted files stay self-contained.
+so emitted files stay self-contained.  `Resolver.resolve` is the one rule
+for what a constraint means in an instance of a given kind: what its ref
+names, its arity, and whether it may carry a weight.
 """
 
 from __future__ import annotations
@@ -260,26 +262,27 @@ class Resolver:
             return CostFunction(arity, vals, name)
         return None
 
-    def constraint_arity(self, kind: str, ref: str) -> int:
+    def resolve(self, kind: str, c: Constraint) -> Relation | CostFunction | None:
+        """What constraint c applies in a `kind` instance.
+
+        The `Relation` of its ref, the `CostFunction` for VCSP, or None for a
+        Max-Cut edge.  Raises InstanceError for an unknown name, a Max-Cut ref
+        other than 'edge', an arity other than the number of arguments, or a
+        weight on a SAT, U-Max-Ones or Min-Ones constraint.
+        """
         if kind == KIND_MAXCUT:
-            if ref != "edge":
+            if c.ref != "edge":
                 raise InstanceError("Max-Cut constraints must use ref 'edge'")
-            return 2
-        if kind == KIND_VCSP:
-            return self.costfn(ref).arity
-        return self.relation(ref).arity
+            applied, arity = None, 2
+        else:
+            applied = self.costfn(c.ref) if kind == KIND_VCSP else self.relation(c.ref)
+            arity = applied.arity
+        if len(c.args) != arity:
+            raise InstanceError(f"constraint {c.ref} expects {arity} arguments, got {len(c.args)}")
+        if c.weight is not None and kind in (KIND_SAT, KIND_UMO, KIND_MINO):
+            raise InstanceError(f"{kind} constraints carry no weights")
+        return applied
 
 
 def default_resolver() -> Resolver:
     return Resolver()
-
-
-def validate_instance(inst: Instance, resolver: Resolver) -> None:
-    """Arity-check every constraint against the resolver."""
-    for c in inst.constraints:
-        want = resolver.constraint_arity(inst.kind, c.ref)
-        if len(c.args) != want:
-            raise InstanceError(
-                f"constraint {c.ref} expects {want} arguments, got {len(c.args)}")
-        if inst.kind in (KIND_SAT, KIND_UMO, KIND_MINO) and c.weight is not None:
-            raise InstanceError(f"{inst.kind} constraints carry no weights")

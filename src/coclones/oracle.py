@@ -3,13 +3,16 @@
 Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
-Every route of `solve` reads a hard constraint as its identification
-minor: the relation over the constraint's distinct arguments that
-identifying its repeated arguments leaves (`Relation.minor`).  The weak-base
-atoms of the 2+3n reductions repeat arguments, as in
-R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
-or 3 variables, and each table build and gather works on those.  A
-constraint without repeats keeps its own relation.
+Both solvers read an instance in one pass, `_terms`, which resolves each
+constraint once (`Resolver.resolve`), checks the variable cap and returns
+the raw hard terms and the integer objective.  Every route of `solve` then
+reads a hard constraint as its identification minor: the relation over the
+constraint's distinct arguments that identifying its repeated arguments
+leaves (`Relation.minor`).  The weak-base atoms of the 2+3n reductions
+repeat arguments, as in R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary
+relations shrink to minors of 2 or 3 variables, and each table build and
+gather works on those.  A constraint without repeats keeps its own
+relation.
 
 `solve` takes an instance down one of three routes:
 
@@ -80,7 +83,6 @@ from .instances import (
     Resolver,
     Threshold,
     default_resolver,
-    validate_instance,
 )
 
 MAX_SOLVE_VARS = 24
@@ -107,14 +109,6 @@ class SolveResult:
     optimal_set: Optional[tuple[int, ...]] = None
 
 
-def _admit(inst: Instance, resolver: Resolver, want_all: bool) -> None:
-    validate_instance(inst, resolver)
-    n = inst.num_vars
-    cap = MAX_ENUMERATE_VARS if want_all else MAX_SOLVE_VARS
-    if n > cap:
-        raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
-
-
 def _plain(x: Fraction):
     """x as an int where it is one, so integer objectives skip Fraction arithmetic."""
     return x.numerator if x.denominator == 1 else x
@@ -132,57 +126,42 @@ def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     return distinct, tuple(map(distinct.index, args))
 
 
-def _minor_terms(inst: Instance, resolver: Resolver) -> list:
-    """The hard terms of `solve`, one (args, relation) per constraint of a hard kind.
+def _terms(inst: Instance, resolver: Resolver, want_all: bool):
+    """(hard terms, (scale, soft terms, Ones groups, accumulator dtype)), all integer.
 
-    args are the constraint's distinct arguments in order of first
-    occurrence and the relation is the identification minor on them
-    (`Relation.minor`), so R_IN2(v0,v0,v0,v0,y,y,y,y) is read as a binary
-    relation on (v0, y).  An assignment must satisfy every term.
-    """
-    if inst.kind not in _HARD_KINDS:
-        return []
-    terms = []
-    for c in inst.constraints:
-        distinct, pattern = _identification(c.args)
-        terms.append((distinct, resolver.relation(c.ref).minor(pattern)))
-    return terms
-
-
-def _raw_terms(inst: Instance, resolver: Resolver) -> list:
-    """The hard terms of `solve_bruteforce`: each relation on its raw args."""
-    if inst.kind not in _HARD_KINDS:
-        return []
-    return [(c.args, resolver.relation(c.ref)) for c in inst.constraints]
-
-
-def _tables(inst: Instance, resolver: Resolver):
-    """(scale, soft terms, Ones groups, accumulator dtype), all integer.
-
-    A soft term is (args, table), one per constraint of the soft kinds: the
-    table is indexed by the tuple of `args` (argument j in bit j).  A Ones
-    group (w, m) of the Max-/Min-Ones kinds holds in m the variables of
-    weight w, one group per distinct nonzero weight.  The objective is the
-    sum of the soft terms plus w times the ones in m of every group, all
-    multiplied by `scale`.
+    One pass over the constraints resolves each once (`Resolver.resolve`)
+    and checks the variable cap.  A hard term is (args, relation), one per
+    constraint of a hard kind, on its raw args.  A soft term is (args,
+    table), one per constraint of the soft kinds: the table is indexed by
+    the tuple of `args` (argument j in bit j).  A Ones group (w, m) of the
+    Max-/Min-Ones kinds holds in m the variables of weight w, one group per
+    distinct nonzero weight.  The objective is the sum of the soft terms
+    plus w times the ones in m of every group, all multiplied by `scale`.
     """
     kind = inst.kind
+    applied = [resolver.resolve(kind, c) for c in inst.constraints]
+    n = inst.num_vars
+    cap = MAX_ENUMERATE_VARS if want_all else MAX_SOLVE_VARS
+    if n > cap:
+        raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
+    hard: list = []
     soft: list = []
     weights: dict = {}  # variable weight -> mask of the variables that carry it
     if kind in _HARD_KINDS:
+        hard = [(c.args, rel) for c, rel in zip(inst.constraints, applied)]
         if kind != KIND_SAT and inst.var_weights is None:
-            weights = {1: (1 << inst.num_vars) - 1}
+            weights = {1: (1 << n) - 1}
         elif kind != KIND_SAT:
             for i, w in enumerate(inst.var_weights):
                 if w:
                     weights[w] = weights.get(w, 0) | 1 << i
     else:
-        for c in inst.constraints:
+        for c, fn in zip(inst.constraints, applied):
             w = 1 if c.weight is None else _plain(c.weight)
             if kind == KIND_VCSP:
-                table = [w * _plain(v) for v in resolver.costfn(c.ref).table]
+                table = [w * _plain(v) for v in fn.table]
             elif kind == KIND_MAXCSP:
-                table = [w * hit for hit in resolver.relation(c.ref).lut.tolist()]
+                table = [w * hit for hit in fn.lut.tolist()]
             else:  # Max-Cut: an edge counts when its ends differ
                 table = [0, w, w, 0]
             soft.append((c.args, table))
@@ -200,7 +179,7 @@ def _tables(inst: Instance, resolver: Resolver):
         raise OracleError("objective magnitude exceeds the exact int64 budget")
     dtype = np.int32 if bound < 1 << 31 else np.int64
     soft = [(args, np.array(table, dtype=dtype)) for args, table in ints]
-    return scale, soft, ones, dtype
+    return hard, (scale, soft, ones, dtype)
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -210,10 +189,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     `jobs` is the thread count of the chunked enumeration; the truth-table
     and frontier paths run in one thread.
     """
-    resolver = resolver or default_resolver()
-    _admit(inst, resolver, want_all)
-    tables = _tables(inst, resolver)
-    hard = _minor_terms(inst, resolver)
+    raw, tables = _terms(inst, resolver or default_resolver(), want_all)
+    # each hard term is read as its identification minor, so
+    # R_IN2(v0,v0,v0,v0,y,y,y,y) becomes a binary relation on (v0, y)
+    hard = []
+    for args, rel in raw:
+        distinct, pattern = _identification(args)
+        hard.append((distinct, rel.minor(pattern)))
     n = inst.num_vars
     if inst.kind not in _HARD_KINDS:
         masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
@@ -279,10 +261,8 @@ def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResu
 def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
                      want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
-    resolver = resolver or default_resolver()
-    _admit(inst, resolver, want_all)
-    return _enumerate(inst, _raw_terms(inst, resolver), _tables(inst, resolver),
-                      want_all, jobs, _row_chunks)
+    hard, tables = _terms(inst, resolver or default_resolver(), want_all)
+    return _enumerate(inst, hard, tables, want_all, jobs, _row_chunks)
 
 
 def _row_chunks(hard, soft, dtype, bits):
@@ -383,10 +363,10 @@ def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
                evaluator) -> SolveResult:
     """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
 
-    `hard` are the instance's hard terms and `tables` its `_tables`.  `evaluator(hard, soft, dtype,
-    bits)` returns a function that maps a chunk's first mask to the chunk's
-    objective and feasibility (None when every mask is feasible), both in
-    mask order.
+    `hard` are the instance's hard terms and `tables` the rest of its
+    `_terms`.  `evaluator(hard, soft, dtype, bits)` returns a function that
+    maps a chunk's first mask to the chunk's objective and feasibility (None
+    when every mask is feasible), both in mask order.
     """
     n = inst.num_vars
     kind = inst.kind

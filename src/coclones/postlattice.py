@@ -460,37 +460,40 @@ def _op_preserves_rel(op: BooleanOperation, rel: Relation) -> bool:
     return hit
 
 
+# (kind, arity, tuples) -> (the last layer of its S-chain walk, or None once
+# every later index is settled False; the verdicts of indices 0, 1, ... so far)
+_h_walks: dict[tuple, tuple[Optional[frozenset], tuple[bool, ...]]] = {}
+
+
 def _h_preserves_rel(kind: str, n: int, rel: Relation) -> bool:
-    key = (kind, n, rel.arity, rel.tuples)
-    if key not in _pres_cache:
-        _pres_cache[key] = _h_walk(kind, n, rel)
-    return _pres_cache[key]
-
-
-def _h_walk(kind: str, n: int, rel: Relation) -> bool:
     """Does h_n ("h") or dual(h_n) ("dualh") preserve rel?
 
     h_n is 0 where at least two of its n+1 arguments are 0, so a multiset's
     image is the complement of `twice`, the coordinates 0 in two or more
     members; dual(h_n) is the same walk over one-sets, with image `twice`.
-    Each (once, twice, picks left) state is visited once: (n+2)*3^arity at most.
+    One layered walk per (kind, relation) answers every index: layer j is
+    the set of (hit once, hit twice) pairs reachable in j picks, at most
+    3^arity of them, and index n reads layer n+1.  A pair whose twice
+    covers a member z is in every later layer (picking z again changes
+    nothing), so such a pair with a bad image settles every later index as
+    False and ends the walk.  Otherwise the walk is extended only as far as
+    the largest index asked, and each extension replaces the cached entry
+    whole.
     """
-    full = (1 << rel.arity) - 1
-    hits = tuple(full ^ t for t in rel.tuples) if kind == "h" else rel.tuples
-    flip = full if kind == "h" else 0
-    seen, stack = set(), [(0, 0, n + 1)]  # (hit once, hit twice, picks left)
-    while stack:
-        once, twice, left = stack.pop()
-        if not left:
-            if flip ^ twice not in rel._tuple_set:
-                return False
-            continue
-        for z in hits:
-            state = (once | z, twice | (once & z), left - 1)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return True
+    key = (kind, rel.arity, rel.tuples)
+    layer, verdicts = _h_walks.get(key, (frozenset({(0, 0)}), ()))
+    if n >= len(verdicts) and layer is not None:
+        full = (1 << rel.arity) - 1
+        hits = tuple(full ^ t for t in rel.tuples) if kind == "h" else rel.tuples
+        flip = full if kind == "h" else 0
+        while len(verdicts) <= n and layer is not None:
+            layer = frozenset((once | z, twice | (once & z)) for once, twice in layer for z in hits)
+            bad = [twice for _, twice in layer if flip ^ twice not in rel._tuple_set]
+            verdicts += (not bad,)
+            if any(z & twice == z for twice in bad for z in hits):
+                layer = None
+        _h_walks[key] = layer, verdicts
+    return n < len(verdicts) and verdicts[n]
 
 
 def _clone_base_preserves(clone: CloneId, rels: Sequence[Relation]) -> bool:

@@ -14,7 +14,8 @@ this module:
   the report's note text, and at most one extra `invariant`.
 
 `apply` enforces the declaration on every call: it checks the source kind
-and language ("*" admits any), asserts the variable count, maps the source
+and language ("*" admits any), resolves every source constraint
+(`Resolver.resolve`), asserts the variable count, maps the source
 threshold through `Affine` (sign -1 flips its direction) or sets it from
 `Decision`, and fills `ApplyInfo`.  `certify` replays a corpus through the
 oracle and checks the measure map with one rule for every entry.
@@ -388,7 +389,7 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
     for c in inst.constraints:
         _require(c.weight in (None, Fraction(1)),
                  "unweighted valued instances only (unit term weights)")
-        fn = resolver.costfn(c.ref)
+        fn = resolver.resolve(inst.kind, c)
         _require(all(v.denominator == 1 for v in fn.table),
                  "integer cost values required")
         k = fn.arity
@@ -424,7 +425,7 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _uvcspd_bound(inst: Instance, resolver: Resolver) -> int:
-    fns = [resolver.costfn(c.ref) for c in inst.constraints]
+    fns = [resolver.resolve(inst.kind, c) for c in inst.constraints]
     s = max((fn.arity for fn in fns), default=0)
     # the stated bound presumes a nontrivial value range; t = 0 (identically
     # zero costs) still emits the 2^s translation block, so clamp t at 1
@@ -433,7 +434,7 @@ def _uvcspd_bound(inst: Instance, resolver: Resolver) -> int:
 
 
 def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
-    return Fraction(sum(resolver.costfn(c.ref).arity for c in inst.constraints))
+    return Fraction(sum(len(c.args) for c in inst.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +832,8 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
         extra = [r for r in inst.language() if r not in rec.source_language]
         _require(not extra,
                  f"{name}: source language must be within {rec.source_language}, got {extra}")
+    for c in inst.constraints:
+        resolver.resolve(inst.kind, c)
     out = rec.build(inst, resolver)
     declared = rec.num_vars(inst, resolver)
     if out.num_vars > declared or (rec.exact and out.num_vars != declared):

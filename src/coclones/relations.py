@@ -361,7 +361,7 @@ def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bo
 
     Only tuple multisets are enumerated; the image depends on the per-coordinate
     one-counts alone.  Co-clone identification walks states instead
-    (`postlattice._h_walk`); this enumeration is the walk's test reference.
+    (`postlattice._h_preserves_rel`); this enumeration is the walk's test reference.
     """
     if rel.is_empty:
         return True

@@ -5,11 +5,13 @@ Argmin and witness selections scan bitmasks in ascending order so traces
 are deterministic and replayable.  `classify_vcsp` and `express_neq` take
 their answer and their witnesses from the same (0), (1) and (min,max)
 violation scans, each run at most once and stopped at the first admitted
-multimorphism.
+multimorphism; the scans of the last set are kept, so classifying a set
+and then expressing f_neq from it scans once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -119,7 +121,10 @@ class VcspClassification:
         return self.result == "P"
 
 
-def _violations(delta: list[CostFunction]):
+# every caller of express_neq classifies the same set first, so the last
+# set's scans are kept: each such pair of calls scans once
+@functools.lru_cache(maxsize=1)
+def _violations(delta: tuple[CostFunction, ...]):
     """("(0)" / "(1)" / "(min,max)", None) for the first multimorphism admitted,
     else (None, (zero, one, minmax)) with the three violations.
 
@@ -141,7 +146,7 @@ def _violations(delta: list[CostFunction]):
 
 def classify_vcsp(delta: Sequence[CostFunction]) -> VcspClassification:
     """Tractable iff the set admits (0), (1) or (min,max)."""
-    admitted, violations = _violations(list(delta))
+    admitted, violations = _violations(tuple(delta))
     if violations is None:
         return VcspClassification("P", admitted, None)
     w0, w1, wm = violations
@@ -209,7 +214,7 @@ def express_neq(delta: Sequence[CostFunction]) -> NeqExpression:
     bundle that an affine normalization turns into f_neq exactly.
     """
     delta = list(delta)
-    _, violations = _violations(delta)
+    _, violations = _violations(tuple(delta))
     if violations is None:
         raise SynthesisError("express_neq requires an NP-hard set")
     trace: list[str] = []

@@ -200,6 +200,23 @@ def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
     assert "variable weights" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    # the reductions used to index past the args (IndexError) or drop the weight
+    (["reduce", "umo_IL2_to_IL0"], "problem U-Max-Ones\nvars 3\nc R_IL2 1 2 3\n",
+     "constraint R_IL2 expects 8 arguments, got 3"),
+    (["reduce", "umo_IS21_to_ID2"], "problem U-Max-Ones\nvars 3\nc R_IS1_2 1 2 3 w 5\n",
+     "U-Max-Ones constraints carry no weights"),
+    (["solve"], "problem SAT\nvars 2\nc OR2 1\n", "constraint OR2 expects 2 arguments, got 1"),
+])
+def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, message):
+    path = tmp_path / "x.inst"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv + [str(path)])
+    assert (code, out, err.getvalue()) == (2, "", f"error: {path}: {message}\n")
+
+
 @pytest.mark.parametrize("flag,value", [("--sets", "0"), ("--max-arity", "0"),
                                         ("--max-arity", "9"), ("--max-value", "-1")])
 def test_synthesis_sweep_bad_arguments_exit_2(flag, value):

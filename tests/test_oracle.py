@@ -36,6 +36,23 @@ def wmo(n, cons, weights, kind=KIND_WMO):
                     var_weights=tuple(Fraction(w) for w in weights))
 
 
+def arity(kind, ref):
+    """How many arguments a constraint on ref takes in a `kind` instance."""
+    if kind == KIND_MAXCUT:
+        return 2
+    return (RESOLVER.costfn(ref) if kind == KIND_VCSP else RESOLVER.relation(ref)).arity
+
+
+def minor_terms(inst, want_all):
+    """(solve's hard terms, each constraint's identification minor; the objective tables)."""
+    raw, tables = oracle._terms(inst, RESOLVER, want_all)
+    hard = []
+    for args, rel in raw:
+        distinct, pattern = oracle._identification(args)
+        hard.append((distinct, rel.minor(pattern)))
+    return hard, tables
+
+
 def test_independent_set_triangle():
     # NAND2 on a 3-clique: max ones = independence number = 1
     inst = umo(3, [("NAND2", (0, 1)), ("NAND2", (0, 2)), ("NAND2", (1, 2))])
@@ -174,7 +191,7 @@ def instances(draw, kinds=ALL_KINDS):
     cons = []
     for _ in range(draw(st.integers(0, 6))):
         ref = draw(st.sampled_from(refs))
-        k = RESOLVER.constraint_arity(kind, ref)
+        k = arity(kind, ref)
         args = tuple(draw(st.lists(var, min_size=k, max_size=k)))
         weight = draw(st.one_of(st.none(), WEIGHTS)) if weighted else None
         cons.append(Constraint(ref, args, weight))
@@ -250,10 +267,9 @@ def test_frontier_matches_bruteforce(inst, want_all):
 @example(TRUTH_EXAMPLES[1], True)
 @example(TRUTH_EXAMPLES[3], True)
 def test_frontier_builder_matches_bruteforce(inst, want_all):
-    hard = oracle._minor_terms(inst, RESOLVER)
+    hard, tables = minor_terms(inst, want_all)
     masks = oracle._frontier(inst.num_vars, hard)
     assert masks.tolist() == oracle._truth_masks(inst.num_vars, hard).tolist()
-    tables = oracle._tables(inst, RESOLVER)
     result = oracle._optimize(inst.kind, masks, tables, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
@@ -297,8 +313,8 @@ def spy_on(monkeypatch, name="_split_chunks"):
 @example(soft(KIND_MAXCUT, CUT), True)
 @example(soft(KIND_MAXCUT, CUT + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
-    grid = oracle._enumerate(inst, oracle._minor_terms(inst, RESOLVER),
-                             oracle._tables(inst, RESOLVER), want_all, 1, oracle._split_chunks)
+    grid = oracle._enumerate(inst, *minor_terms(inst, want_all), want_all, 1,
+                             oracle._split_chunks)
     assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
@@ -479,7 +495,7 @@ def test_split_matches_bruteforce_past_one_chunk(kind, monkeypatch):
         if kind == KIND_MAXCUT:
             cons += [Constraint("edge", (a, b), weight) for a, b in zip(args, args[1:])]
         else:
-            refs = [r for r in SPLIT_REFS[kind] if RESOLVER.constraint_arity(kind, r) == len(args)]
+            refs = [r for r in SPLIT_REFS[kind] if arity(kind, r) == len(args)]
             cons.append(Constraint(refs[i % len(refs)], args, weight))
     inst = Instance(kind, 22, tuple(cons))
     reference = solve_bruteforce(inst, want_all=True)

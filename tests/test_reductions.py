@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from coclones.instances import (
     Constraint,
     Instance,
+    InstanceError,
     KIND_MAXCSP,
     KIND_MAXCUT,
     KIND_MINO,
@@ -19,7 +21,7 @@ from coclones.instances import (
     Threshold,
     default_resolver,
 )
-from coclones.oracle import meets_threshold, solve
+from coclones.oracle import meets_threshold, solve, solve_bruteforce
 from coclones.postlattice import co_clone_of, parse_coclone_name
 from coclones.reductions import (
     ACCEPTANCE_ENTRIES,
@@ -51,6 +53,41 @@ def test_language_mismatch_rejected():
     inst = Instance(KIND_UMO, 3, (Constraint("OR2", (0, 1)),))
     with pytest.raises(ReductionError):
         apply("umo_II2_to_IN2", inst)
+
+
+# one case per rejection of Resolver.resolve: (kind, constraint, a registry
+# entry whose kind and language checks the constraint passes, the message)
+REJECTIONS = [
+    (KIND_MINO, Constraint("nope", (0, 1)), "maxones_to_minones", "unknown relation 'nope'"),
+    (KIND_VCSP, Constraint("nope", (0, 1)), "uvcspd_to_minones",
+     "unknown cost function 'nope'"),
+    (KIND_UMO, Constraint("R_IL2", (0, 1, 2)), "umo_IL2_to_IL0",
+     "constraint R_IL2 expects 8 arguments, got 3"),
+    (KIND_VCSP, Constraint("f_neq", (0,)), "vcsp_neq_to_maxcut",
+     "constraint f_neq expects 2 arguments, got 1"),
+    (KIND_MAXCUT, Constraint("edge", (0, 1, 2)), "maxcut_to_vcsp_neq",
+     "constraint edge expects 2 arguments, got 3"),
+    (KIND_SAT, Constraint("R_II2", tuple(range(8)), Fraction(5)), "sat2_to_umo_IS21",
+     "SAT constraints carry no weights"),
+    (KIND_UMO, Constraint("R_IS1_2", (0, 1, 2), Fraction(5)), "umo_IS21_to_ID2",
+     "U-Max-Ones constraints carry no weights"),
+    (KIND_MINO, Constraint("OR2", (0, 1), Fraction(5)), "maxones_to_minones",
+     "Min-Ones constraints carry no weights"),
+    # every Max-Cut entry admits only 'edge', so its language check rejects first
+    (KIND_MAXCUT, Constraint("OR2", (0, 1)), None, "Max-Cut constraints must use ref 'edge'"),
+]
+
+
+@pytest.mark.parametrize("kind,constraint,entry,message", REJECTIONS)
+def test_solvers_and_apply_reject_what_resolve_rejects(kind, constraint, entry, message):
+    inst = Instance(kind, 8, (constraint,))
+    calls = [lambda: RESOLVER.resolve(kind, constraint), lambda: solve(inst, RESOLVER),
+             lambda: solve_bruteforce(inst, RESOLVER)]
+    if entry is not None:
+        calls.append(lambda: apply(entry, inst, RESOLVER))
+    for call in calls:
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_degree_bound_enforced():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones import valued
 from coclones.acceptance import _recheck_admitted
 from coclones.relations import OP_AND, OP_CONST0, OP_CONST1, OP_OR, RelationError
 from coclones.valued import (
@@ -54,6 +55,25 @@ def test_classify_examples():
     assert classify_vcsp([const]).result == "P"
     with pytest.raises(RelationError):
         classify_vcsp([])
+
+
+def test_classify_then_express_scans_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return binary_violation(*args)
+
+    monkeypatch.setattr(valued, "binary_violation", counted)
+    valued._violations.cache_clear()
+    hard = [f_neq(), CostFunction(1, (Fraction(1), Fraction(0)), "unary")]
+    assert not classify_vcsp(hard).is_polynomial
+    assert verify_neq_expression(express_neq(hard), hard)
+    assert len(calls) == 1
+    # another set is scanned afresh, and so is the first one after it
+    classify_vcsp([f_neq()])
+    express_neq(list(hard))
+    assert len(calls) == 3
 
 
 @st.composite
