@@ -17,7 +17,7 @@ from .instances import (
     Threshold,
 )
 from .relations import Relation, RelationError, mask_to_string, string_to_mask
-from .valued import CostFunction
+from .valued import MAX_COST_ARITY, CostFunction
 
 
 def _logical_lines(text: str) -> list[str]:
@@ -179,7 +179,10 @@ def parse_cost(text: str) -> list[CostFunction]:
             flush()
             if len(parts) != 3:
                 raise InstanceError(f"bad costfn header: {line!r}")
-            header = (parts[1], _parse_int(parts[2], line))
+            arity = _parse_int(parts[2], line)
+            if not 1 <= arity <= MAX_COST_ARITY:
+                raise InstanceError(f"cost function arity {arity} out of range 1..{MAX_COST_ARITY}")
+            header = (parts[1], arity)
         else:
             if header is None or len(parts) != 2:
                 raise InstanceError(f"bad cost row: {line!r}")

@@ -5,6 +5,10 @@ Tuples of a relation are stored as integer bitmasks with coordinate 1 in the
 least significant bit.  All textual I/O lists coordinate 1 first (leftmost),
 so the string "011" denotes the tuple (0, 1, 1) and the bitmask 0b110 = 6.
 
+Every image is one decision-diagram walk, `Relation.evaluate`: an operation
+applied to k tuples walks its support's diagram on their literals, and
+`truthtables.table` walks a constraint's diagram on variable planes.
+
 A classifier scans its closure operations in a fixed order, once each: the
 first violation of an operation is that operation's witness, and the first
 operation without one makes the language tractable.
@@ -168,6 +172,22 @@ class Relation:
         root = build(self.bits, self.arity - 1)
         return None if root < 0 else (root, tuple(nodes))
 
+    def evaluate(self, literals: Sequence[tuple[int, int]], full: int) -> int:
+        """The positions where the relation holds, given literals[j] = (~X_j, X_j)
+        within `full` for X_j the positions where coordinate j is 1: one
+        `&`/`|` per diagram node.  Only for relations with a diagram."""
+        root, nodes = self.diagram
+        sets = [0, full]
+        for j, lo, hi in nodes:
+            neg, pos = literals[j]
+            if not lo:
+                sets.append(pos & sets[hi])
+            elif not hi:
+                sets.append(neg & sets[lo])
+            else:
+                sets.append(neg & sets[lo] | pos & sets[hi])
+        return sets[root]
+
     def minor(self, pattern: tuple[int, ...]) -> "Relation":
         """The identification minor: coordinate j reads variable pattern[j].
 
@@ -264,7 +284,7 @@ class BooleanOperation:
     def __call__(self, *args: int) -> int:
         return self.table[bits_to_mask(args)]
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         by_count: dict[int, int] = {}
         for m, v in enumerate(self.table):
@@ -273,15 +293,16 @@ class BooleanOperation:
                 return False
         return True
 
-    def count_table(self) -> tuple[int, ...]:
-        """For symmetric operations: output as a function of the number of ones."""
-        out = [0] * (self.arity + 1)
-        for m, v in enumerate(self.table):
-            out[m.bit_count()] = v
-        return tuple(out)
+    @cached_property
+    def support(self) -> Relation:
+        """The argument tuples that map to 1.  Its diagram always exists: at
+        arity 8 it has at most 77 nodes, under the `DIAGRAM_NODES` limit."""
+        return Relation(self.arity, tuple(m for m, v in enumerate(self.table) if v))
 
-    def ones_patterns(self) -> tuple[int, ...]:
-        return tuple(m for m, v in enumerate(self.table) if v)
+    def image(self, masks: Sequence[int], full: int) -> int:
+        """This operation applied coordinatewise to the tuples `masks` (`full`
+        sets every coordinate)."""
+        return self.support.evaluate([(full ^ t, t) for t in masks], full)
 
     def dual(self) -> "BooleanOperation":
         full = (1 << self.arity) - 1
@@ -327,33 +348,19 @@ class ConstraintLanguage:
 # Polymorphism checking
 
 
-def _image_of_sequence(patterns: Sequence[int], k: int, seq: Sequence[int], full: int) -> int:
-    # Bit-parallel: coordinates where the argument column matches pattern p
-    # form an AND of the tuple masks / complements; the image is the union
-    # over patterns with output 1.
-    img = 0
-    for p in patterns:
-        w = full
-        for i in range(k):
-            w &= seq[i] if (p >> i) & 1 else (~seq[i] & full)
-            if not w:
-                break
-        img |= w
-    return img
+def _escapes(f: BooleanOperation, rel: Relation, seqs: Iterable[Sequence[int]]):
+    """(seq, image) for each tuple sequence of seqs whose image escapes rel."""
+    full = (1 << rel.arity) - 1
+    tset = rel._tuple_set
+    for seq in seqs:
+        img = f.image(seq, full)
+        if img not in tset:
+            yield seq, img
 
 
 def find_violation(f: BooleanOperation, rel: Relation):
     """First tuple sequence (deterministic order) whose image escapes rel, or None."""
-    if rel.is_empty:
-        return None
-    full = (1 << rel.arity) - 1
-    tset = rel._tuple_set
-    patterns = f.ones_patterns()
-    for seq in itertools.product(rel.tuples, repeat=f.arity):
-        img = _image_of_sequence(patterns, f.arity, seq, full)
-        if img not in tset:
-            return seq, img
-    return None
+    return next(_escapes(f, rel, itertools.product(rel.tuples, repeat=f.arity)), None)
 
 
 def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bool:
@@ -381,12 +388,13 @@ def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bo
 
 
 def preserves(f: BooleanOperation, rel: Relation) -> bool:
-    """True iff rel is invariant under f applied coordinate-wise."""
-    if rel.is_empty:
-        return True
-    if f.arity >= 4 and f.is_symmetric:
-        return preserves_symmetric(f.count_table(), f.arity, rel)
-    return find_violation(f, rel) is None
+    """True iff rel is invariant under f applied coordinate-wise (over tuple
+    multisets alone when f is symmetric)."""
+    if f.is_symmetric:
+        seqs = itertools.combinations_with_replacement(rel.tuples, f.arity)
+    else:
+        seqs = itertools.product(rel.tuples, repeat=f.arity)
+    return next(_escapes(f, rel, seqs), None) is None
 
 
 # ---------------------------------------------------------------------------

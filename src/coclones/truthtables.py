@@ -1,11 +1,11 @@
 """Truth tables: a set of assignments over n variables as one int.
 
 Bit a is set iff assignment a (variable v in bit v of a) is in the set.  A
-constraint's table is built from its relation's reduced ordered decision
-diagram (Bryant 1986), one `&`/`|` of the variable planes per node, so a
-weak base, OR8 and EVEN8 each cost a few dozen int operations; a relation
-whose diagram passes `relations.DIAGRAM_NODES` nodes per coordinate has its
-LUT gathered instead.
+constraint's table is its relation's reduced ordered decision diagram
+(Bryant 1986) walked on the argument planes by `Relation.evaluate`, one
+`&`/`|` per node, so a weak base, OR8 and EVEN8 each cost a few dozen int
+operations; a relation whose diagram passes `relations.DIAGRAM_NODES` nodes
+per coordinate has its LUT gathered instead.
 """
 
 from __future__ import annotations
@@ -56,22 +56,11 @@ def planes(n: int):
 def table(rel, args, n: int) -> int:
     """The table over n variables of constraint `rel` on `args`: each diagram
     node's table joins its children's by the literals of its argument."""
-    full, literals = planes(n)
-    diagram = rel.diagram
-    if diagram is None:
+    if rel.diagram is None:
         hits = rel.lut[code(arange(n), enumerate(args))]
         return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-    root, nodes = diagram
-    tables = [0, full]
-    for j, lo, hi in nodes:
-        neg, pos = literals[args[j]]
-        if not lo:
-            tables.append(pos & tables[hi])
-        elif not hi:
-            tables.append(neg & tables[lo])
-        else:
-            tables.append(neg & tables[lo] | pos & tables[hi])
-    return tables[root]
+    full, literals = planes(n)
+    return rel.evaluate([literals[v] for v in args], full)
 
 
 def project(t: int, n: int, keep: int) -> int:

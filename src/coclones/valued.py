@@ -6,7 +6,9 @@ are deterministic and replayable.  `classify_vcsp` and `express_neq` take
 their answer and their witnesses from the same (0), (1) and (min,max)
 violation scans, each run at most once and stopped at the first admitted
 multimorphism; the scans of the last set are kept, so classifying a set
-and then expressing f_neq from it scans once.
+and then expressing f_neq from it scans once.  A scan applies each operation
+to whole argument masks through `BooleanOperation.image`, the decision-diagram
+walk that also applies the closure operations of `relations`.
 """
 
 from __future__ import annotations
@@ -72,27 +74,12 @@ def indicator_cost(rel: Relation, name: Optional[str] = None) -> CostFunction:
 # Multimorphisms
 
 
-def _apply_unary(p: BooleanOperation, mask: int, arity: int) -> int:
-    out = 0
-    for c in range(arity):
-        if p.table[(mask >> c) & 1]:
-            out |= 1 << c
-    return out
-
-
-def _apply_binary(f: BooleanOperation, x: int, y: int, arity: int) -> int:
-    out = 0
-    for c in range(arity):
-        if f.table[((x >> c) & 1) | (((y >> c) & 1) << 1)]:
-            out |= 1 << c
-    return out
-
-
 def unary_violation(delta: Sequence[CostFunction], p: BooleanOperation):
     """First (fn, x) with fn(p(x)) > fn(x), or None if the multimorphism holds."""
     for fn in delta:
-        for x in range(1 << fn.arity):
-            if fn(_apply_unary(p, x, fn.arity)) > fn(x):
+        full = (1 << fn.arity) - 1
+        for x in range(full + 1):
+            if fn(p.image((x,), full)) > fn(x):
                 return fn, x
     return None
 
@@ -100,12 +87,10 @@ def unary_violation(delta: Sequence[CostFunction], p: BooleanOperation):
 def binary_violation(delta: Sequence[CostFunction], f: BooleanOperation, g: BooleanOperation):
     """First (fn, x, y) with fn(f(x,y)) + fn(g(x,y)) > fn(x) + fn(y), or None."""
     for fn in delta:
-        size = 1 << fn.arity
-        for x in range(size):
-            for y in range(size):
-                fx = _apply_binary(f, x, y, fn.arity)
-                gx = _apply_binary(g, x, y, fn.arity)
-                if fn(fx) + fn(gx) > fn(x) + fn(y):
+        full = (1 << fn.arity) - 1
+        for x in range(full + 1):
+            for y in range(full + 1):
+                if fn(f.image((x, y), full)) + fn(g.image((x, y), full)) > fn(x) + fn(y):
                     return fn, x, y
     return None
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .postlattice import CHAIN_FAMILIES, CoCloneId
-from .relations import Relation, RelationError
+from .relations import MAX_RELATION_ARITY, Relation, RelationError
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class WeakBaseEntry:
 
 
 def _rel(arity: int, pred: Callable[[tuple[int, ...]], bool], name: str) -> Relation:
+    # checked before the 2^arity masks are enumerated, not after
+    if arity > MAX_RELATION_ARITY:
+        raise RelationError(f"{name} has arity {arity}, past the cap of {MAX_RELATION_ARITY}")
     rows = []
     for m in range(1 << arity):
         bits = tuple((m >> i) & 1 for i in range(arity))

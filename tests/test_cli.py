@@ -170,6 +170,8 @@ def test_vcsp_classify_and_express(tmp_path):
     ("solve", "bad.inst", "problem SAT\nvars 2\nc OR2 1 x\n"),
     ("coclone", "bad.rel", "relation r two\n00\n"),
     ("classify-sat", "bad.rel", "relation r two\n00\n"),
+    # a negative arity is a format error, not a negative shift count
+    ("vcsp-classify", "bad.cost", "costfn f -1\n"),
 ])
 def test_malformed_number_exits_2(tmp_path, command, name, text):
     path = tmp_path / name
@@ -246,6 +248,19 @@ def test_malformed_chain_index_exits_2(name):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_weak_base_past_the_arity_cap_exits_2(tmp_path):
+    # the weak base of IS^30_1 is 31-ary, past the relation cap, which is
+    # checked before its 2^31 masks are enumerated
+    inst = tmp_path / "big.inst"
+    inst.write_text("problem SAT\nvars 1\nc R_IS1_30" + " 1" * 31 + "\n")
+    for argv, prefix in ((["weakbase", "IS1", "30"], "error: "),
+                         (["solve", str(inst)], f"error: {inst}: ")):
+        proc = _run_subprocess(argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix) and "R_IS1_30 has arity 31" in proc.stderr
 
 
 def test_weakbase_past_index_4_identifies_back(tmp_path):

@@ -21,6 +21,7 @@ from coclones.relations import (
     OP_OR,
     OP_XOR3,
     arithmetical_operation,
+    bits_to_mask,
     classify_max_ones,
     classify_sat,
     find_violation,
@@ -33,17 +34,20 @@ from coclones.relations import (
 )
 
 
-def naive_preserves(f: BooleanOperation, rel: Relation) -> bool:
-    """Reference implementation on integer vectors, no bit tricks."""
+def naive_violation(f: BooleanOperation, rel: Relation):
+    """Reference `find_violation` on integer vectors, no bit tricks: the first
+    row sequence in product order whose image escapes rel, as masks."""
     rows = rel.rows()
-    if not rows:
-        return True
     row_set = set(rows)
     for seq in itertools.product(rows, repeat=f.arity):
         img = tuple(f(*(seq[i][c] for i in range(f.arity))) for c in range(rel.arity))
         if img not in row_set:
-            return False
-    return True
+            return tuple(bits_to_mask(row) for row in seq), bits_to_mask(img)
+    return None
+
+
+def naive_preserves(f: BooleanOperation, rel: Relation) -> bool:
+    return naive_violation(f, rel) is None
 
 
 def test_preserves_spec_examples():
@@ -67,10 +71,39 @@ def test_preserves_matches_naive(data):
     arity = data.draw(st.integers(1, 4), label="rel_arity")
     masks = data.draw(st.sets(st.integers(0, (1 << arity) - 1), min_size=1, max_size=1 << arity))
     rel = Relation.from_masks(arity, masks)
-    k = data.draw(st.integers(1, 3), label="op_arity")
-    table = data.draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
+    k = data.draw(st.integers(1, 4), label="op_arity")
+    if data.draw(st.booleans(), label="symmetric"):
+        # a table read off the count of ones, so preserves takes multisets
+        counts = data.draw(st.tuples(*([st.integers(0, 1)] * (k + 1))))
+        table = tuple(counts[m.bit_count()] for m in range(1 << k))
+    else:
+        table = data.draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
     op = BooleanOperation(k, table)
-    assert preserves(op, rel) == naive_preserves(op, rel)
+    want = naive_violation(op, rel)
+    assert find_violation(op, rel) == want
+    assert preserves(op, rel) == (want is None)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_image_matches_the_table(data):
+    k = data.draw(st.integers(1, 4), label="op_arity")
+    op = BooleanOperation(k, data.draw(st.tuples(*([st.integers(0, 1)] * (1 << k)))))
+    width = data.draw(st.integers(1, 12), label="mask_width")
+    masks = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=k, max_size=k))
+    want = 0
+    for c in range(width):
+        if op.table[sum((t >> c & 1) << i for i, t in enumerate(masks))]:
+            want |= 1 << c
+    assert op.image(masks, (1 << width) - 1) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*([st.integers(0, 1)] * 256)))
+def test_every_operation_of_arity_8_has_a_diagram(table):
+    # at most 1 + 2 + 4 + 8 + 16 + 32 + 12 + 2 = 77 nodes, under the limit
+    diagram = BooleanOperation(8, table).support.diagram
+    assert diagram is not None and len(diagram[1]) <= 77
 
 
 def test_conjunction_closure_property():
@@ -193,7 +226,7 @@ def test_relation_row_round_trip():
 
 
 def test_symmetric_path_matches_sequence_path():
-    # force the symmetric fast path (arity >= 4) against the naive oracle
+    # the multiset path of a symmetric operation against the naive oracle
     op = BooleanOperation.from_func(4, lambda *a: 1 if sum(a) >= 3 else 0, "h3")
     assert op.is_symmetric
     for masks in [(0b001, 0b010, 0b100), (0b011, 0b101, 0b110, 0b000)]:
