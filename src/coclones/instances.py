@@ -101,7 +101,7 @@ class Instance:
         if not 0 <= self.num_vars <= MAX_RELATION_ARITY:
             raise InstanceError(f"variable count {self.num_vars} out of range 0..{MAX_RELATION_ARITY}")
         for c in self.constraints:
-            if any(not 0 <= v < self.num_vars for v in c.args):
+            if c.args and (min(c.args) < 0 or max(c.args) >= self.num_vars):
                 raise InstanceError(f"constraint {c.ref} uses an out-of-range variable")
             if c.weight is not None and c.weight < 0:
                 raise InstanceError("constraint weights must be nonnegative")

@@ -18,10 +18,18 @@ relation.
 
 - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
   `_TRUTH_VARS` = 14 variables are solved on truth tables (`truthtables`).
-  The constraints' tables are ANDed together, stopping at 0, and the
-  result is unpacked once into the ascending array of feasible masks.  The
-  cut is one below the measured crossover with the frontier, on the
-  certify targets of the 8-ary weak bases, the closest case: truth/frontier time
+  The constraints' tables are ANDed together into T, stopping at 0.  SAT,
+  and Max-/Min-Ones where every variable weighs the same, are answered
+  from that int: with popcount layers L_k (bit a set iff a has k ones,
+  cached per n), the optimum is the largest k (Min-Ones: the smallest)
+  with T & L_k != 0, the witness that AND's lowest set bit, and the
+  optimal set that AND unpacked.  Any other weights unpack T into the
+  ascending array of feasible masks for the objective stage below.  A
+  constraint's table is cached on its relation under (args, n), so a
+  repeated constraint skips both the minor and the build
+  (`Relation.table_cache`, bounded by `_TABLES_PER_RELATION`).  The cut is
+  one below the measured crossover with the frontier, on the certify
+  targets of the 8-ary weak bases, the closest case: truth/frontier time
   0.47-0.55 at 14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5
   at 17 on a 2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8
   up to 16.  On minors the certify targets read 0.18 at 14, 0.67-1.16 at
@@ -34,21 +42,22 @@ relation.
   Soft-kind instances (VCSP, Max-CSP, Max-Cut) of at most
   `_SMALL_SOFT_VARS` = 10 variables have nothing to prune by and start
   from all 2^n masks, which on a few hundred masks costs less than the
-  grid below.  The truth tables, the frontier and these small soft
-  instances hand their ascending feasible masks to one objective stage,
-  which scores the Max-/Min-Ones objective as one popcount of `masks & m`
-  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask of
-  the variables that carry it.
+  grid below.  The frontier, these small soft instances and truth tables
+  under other weights hand their ascending feasible masks to one objective
+  stage, which scores the Max-/Min-Ones objective as one popcount of
+  `masks & m` (`np.bitwise_count`, numpy 2) per distinct variable weight,
+  m the mask of the variables that carry it.
 - Larger soft-kind instances, and hard-kind instances whose frontier would
   outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
   a grid of high-half by low-half masks: every constraint table is gathered
   once per half and the halves are combined once (meet in the middle,
   Horowitz & Sahni 1974).
 
-A relation's minors, bool LUT and decision diagram are built once and
-cached, read-only, on the `Relation` object itself (`Relation.minor`,
-`Relation.lut`, `Relation.diagram`), so they live exactly as long as the
-relation and a resolver that maps a name to another relation gets others.
+A relation's minors, truth tables, bool LUT and decision diagram are built
+once and cached on the `Relation` object itself (`Relation.minor`,
+`Relation.table_cache`, `Relation.lut`, `Relation.diagram`), so they live
+exactly as long as the relation and a resolver that maps a name to another
+relation gets others.
 
 `solve_bruteforce` enumerates the same chunks mask by mask, with every
 variable weight a unary term and every relation gathered on its raw
@@ -114,11 +123,13 @@ def _plain(x: Fraction):
     return x.numerator if x.denominator == 1 else x
 
 
-# Solves meet the same args tuples again and again: one benchmark run looks
-# up 2385 tuples, 628 distinct, on certify-hard and 67633, 1106 distinct, on
-# mixed (hit rates 74% and 98%), and the cache raises throughput by 3-4% on
-# both (BENCH_13.json).  The cap is about twice the larger count, so neither
-# run evicts, and holds at most ~0.7 MB (~360 bytes an entry).
+# Solves meet the same args tuples again and again: the timed blocks of one
+# benchmark run look up 2294 tuples, 538 distinct, on certify-hard, where the
+# frontier reads minors, and 1266, 815 distinct, on mixed, where the truth
+# tables cached on the relations answer all but those lookups (BENCH_13.json
+# measured this cache before the table cache).  The cap is over twice the
+# larger count, so neither run evicts, and holds at most ~0.7 MB (~360 bytes
+# an entry).
 @functools.lru_cache(maxsize=1 << 11)
 def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the distinct args in order of first occurrence, the minor pattern of args)."""
@@ -190,32 +201,100 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     and frontier paths run in one thread.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
+    n = inst.num_vars
+    if inst.kind in _HARD_KINDS and n <= _TRUTH_VARS:
+        return _truth(inst.kind, n, raw, tables, want_all)
     # each hard term is read as its identification minor, so
     # R_IN2(v0,v0,v0,v0,y,y,y,y) becomes a binary relation on (v0, y)
     hard = []
     for args, rel in raw:
         distinct, pattern = _identification(args)
         hard.append((distinct, rel.minor(pattern)))
-    n = inst.num_vars
-    if inst.kind not in _HARD_KINDS:
-        masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
-    elif n <= _TRUTH_VARS:
-        masks = _truth_masks(n, hard)
-    else:
+    if inst.kind in _HARD_KINDS:
         masks = _frontier(n, hard)
+    else:
+        masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
     if masks is None:
         return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
     return _optimize(inst.kind, masks, tables, want_all)
 
 
-def _truth_masks(n: int, hard) -> np.ndarray:
-    """Ascending masks of the assignments that satisfy every hard term."""
+# A relation holds at most this many tables (Relation.table_cache).  The six
+# blocks of one mixed benchmark run put 67,544 hard constraints on truth
+# tables under 1,498 distinct (relation, args, n) keys, at most 289 of them
+# on one relation (R_II2), and the cache answers 98% of its lookups; twelve
+# blocks meet 2,797 keys, at most 576 on one relation, since the sampled
+# weak-base corpora keep adding argument tuples.  A certify-hard run meets
+# fewer than 300.  So the bound, over three times one run's largest count,
+# evicts nothing in a run.  A table over n <= _TRUTH_VARS variables takes at
+# most 2 KB (the 1,498 take 0.27 MB), so a full relation holds about 2 MB.
+_TABLES_PER_RELATION = 1 << 10
+
+
+def _table(rel, args: tuple[int, ...], n: int) -> int:
+    """The truth table of rel on args over n variables, cached on rel.
+
+    A miss builds the table on the identification minor of rel at args.  A
+    relation whose cache is full starts it over.
+    """
+    cache = rel.table_cache
+    key = (args, n)
+    got = cache.get(key)
+    if got is None:
+        distinct, pattern = _identification(args)
+        got = tt.table(rel.minor(pattern), distinct, n)
+        if len(cache) >= _TABLES_PER_RELATION:
+            cache.clear()
+        cache[key] = got
+    return got
+
+
+def _satisfying(n: int, raw) -> int:
+    """The truth table of the assignments that satisfy every raw hard term."""
     sat = tt.planes(n)[0]
-    for args, rel in hard:
-        sat &= tt.table(rel, args, n)
+    for args, rel in raw:
+        sat &= _table(rel, args, n)
         if not sat:
-            return np.empty(0, dtype=np.int64)
-    return tt.masks(sat, n)
+            break
+    return sat
+
+
+@functools.cache
+def _layers(n: int) -> tuple[int, ...]:
+    """Popcount layers over n variables: bit a of the k-th is set iff a has k ones."""
+    if not n:
+        return (1,)
+    low, half = _layers(n - 1) + (0,), 1 << (n - 1)
+    # assignments that set variable n - 1 are the upper half of the table
+    return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
+
+
+def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
+    """Solve a hard-kind instance on the AND of its constraints' truth tables.
+
+    SAT, and an objective where every variable weighs the same (one weight
+    class over all of them, or none), are read off that int: the optimal
+    assignments are its intersection with the highest (Min-Ones: lowest)
+    popcount layer it meets, and the witness is the lowest set bit there.
+    Any other weights go to `_optimize`.
+    """
+    sat = _satisfying(n, raw)
+    if not sat:
+        return SolveResult(kind, False, None, None, () if want_all else None)
+    scale, _, ones, _ = tables
+    if len(ones) > 1 or ones and ones[0][1] != (1 << n) - 1:
+        return _optimize(kind, tt.masks(sat, n), tables, want_all)
+    best, hit = 0, sat  # SAT, or every variable weighs 0
+    if ones:
+        layers = _layers(n)
+        for k in range(n, -1, -1) if kind in MAXIMIZING_KINDS else range(n + 1):
+            hit = sat & layers[k]
+            if hit:
+                best = ones[0][0] * k
+                break
+    optimal = tuple(tt.masks(hit, n).tolist()) if want_all else None
+    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
+    return SolveResult(kind, True, opt_fraction, (hit & -hit).bit_length() - 1, optimal)
 
 
 def _frontier(n: int, hard) -> Optional[np.ndarray]:

@@ -207,6 +207,16 @@ class Relation:
     def _minors(self) -> dict[tuple[int, ...], "Relation"]:
         return {}
 
+    @cached_property
+    def table_cache(self) -> dict[tuple[tuple[int, ...], int], int]:
+        """The oracle's truth tables of this relation, keyed by (args, n).
+
+        `oracle._table` fills and bounds it; it is held here like the
+        minors, so it lives as long as this object and no other relation
+        reads it.
+        """
+        return {}
+
     def _identify(self, pattern: tuple[int, ...]) -> "Relation":
         bad = RelationError(f"{pattern} is not an identification pattern of arity {self.arity}")
         if len(pattern) != self.arity:

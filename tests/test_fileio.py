@@ -59,6 +59,13 @@ def test_inst_indices_one_based():
         parse_inst("problem SAT\nvars 2\nc eq 0 1\n")
 
 
+@pytest.mark.parametrize("args", [(0, -1, 2), (1, 3, 2)], ids=["negative", "num-vars"])
+def test_instance_rejects_an_out_of_range_argument(args):
+    cons = (Constraint("eq", (0, 2)), Constraint("OR3", args))
+    with pytest.raises(InstanceError, match="^constraint OR3 uses an out-of-range variable$"):
+        Instance(KIND_WMO, 3, cons)
+
+
 def test_maxcut_and_weights():
     inst = parse_inst("problem Max-Cut\nvars 3\nc edge 1 2 w 3/2\nc edge 2 3\n")
     assert inst.kind == KIND_MAXCUT

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -114,7 +115,6 @@ def test_cap_enforced():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_optimum_invariant_under_variable_permutation(data):
-    import itertools
     n = data.draw(st.integers(2, 4))
     m = data.draw(st.integers(1, 3))
     cons = []
@@ -176,25 +176,26 @@ def examples(n):
 
 
 @st.composite
-def instances(draw, kinds=ALL_KINDS):
+def instances(draw, kinds=ALL_KINDS, least=1, most=TRUTH + 2):
     kind = draw(st.sampled_from(kinds))
-    # both sides of the truth-table cut
-    n = draw(st.integers(1, TRUTH + 2))
+    # by default both sides of the truth-table cut
+    n = draw(st.integers(least, most))
     refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
     weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
-    # in one draw of four, args from a pool of 1-3 variables collapse a
-    # constraint to a minor of as many variables, e.g. (a,a,a,a,b,b,b,b), at
-    # every n; the other three keep the unrestricted args
-    pool = None if draw(st.integers(0, 3)) else draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-    var = st.integers(0, n - 1) if pool is None else st.sampled_from(pool)
     cons = []
-    for _ in range(draw(st.integers(0, 6))):
-        ref = draw(st.sampled_from(refs))
-        k = arity(kind, ref)
-        args = tuple(draw(st.lists(var, min_size=k, max_size=k)))
-        weight = draw(st.one_of(st.none(), WEIGHTS)) if weighted else None
-        cons.append(Constraint(ref, args, weight))
+    if n:  # no constraint has a variable to take on 0 variables
+        # in one draw of four, args from a pool of 1-3 variables collapse a
+        # constraint to a minor of as many variables, e.g. (a,a,a,a,b,b,b,b),
+        # at every n; the other three keep the unrestricted args
+        pool = None if draw(st.integers(0, 3)) else draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        var = st.integers(0, n - 1) if pool is None else st.sampled_from(pool)
+        for _ in range(draw(st.integers(0, 6))):
+            ref = draw(st.sampled_from(refs))
+            k = arity(kind, ref)
+            args = tuple(draw(st.lists(var, min_size=k, max_size=k)))
+            weight = draw(st.one_of(st.none(), WEIGHTS)) if weighted else None
+            cons.append(Constraint(ref, args, weight))
     var_weights = None
     if kind in (KIND_WMO, KIND_MINO) and draw(st.booleans()):
         var_weights = tuple(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
@@ -267,9 +268,11 @@ def test_frontier_matches_bruteforce(inst, want_all):
 @example(TRUTH_EXAMPLES[1], True)
 @example(TRUTH_EXAMPLES[3], True)
 def test_frontier_builder_matches_bruteforce(inst, want_all):
+    n = inst.num_vars
+    raw, _ = oracle._terms(inst, RESOLVER, want_all)
     hard, tables = minor_terms(inst, want_all)
-    masks = oracle._frontier(inst.num_vars, hard)
-    assert masks.tolist() == oracle._truth_masks(inst.num_vars, hard).tolist()
+    masks = oracle._frontier(n, hard)
+    assert masks.tolist() == tt.masks(oracle._satisfying(n, raw), n).tolist()
     result = oracle._optimize(inst.kind, masks, tables, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
@@ -336,9 +339,74 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
     inst = wmo(n, cons, [1 + v % 3 for v in range(n)], kind) if kind in (
         KIND_WMO, KIND_MINO) else Instance(kind, n, umo(n, cons).constraints)
     reference = solve_bruteforce(inst, want_all=True)
-    truth, frontier = spy_on(monkeypatch, "_truth_masks"), spy_on(monkeypatch, "_frontier")
+    truth, frontier = spy_on(monkeypatch, "_truth"), spy_on(monkeypatch, "_frontier")
     assert solve(inst, want_all=True) == reference
     assert (len(truth), len(frontier)) == ((0, 1) if n > TRUTH else (1, 0))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_popcount_layers_hold_the_masks_with_k_ones(n):
+    layers = oracle._layers(n)
+    assert len(layers) == n + 1
+    for k, layer in enumerate(layers):
+        assert tt.masks(layer, n).tolist() == [m for m in range(1 << n) if m.bit_count() == k]
+
+
+@st.composite
+def truth_instances(draw):
+    """Hard-kind instances of at most TRUTH variables, 0 included; half the
+    weighted ones weigh every variable alike, which the truth route answers
+    in ints."""
+    inst = draw(instances(HARD_KINDS, least=0, most=TRUTH))
+    if inst.kind in (KIND_WMO, KIND_MINO) and draw(st.booleans()):
+        weights = (draw(WEIGHTS),) * inst.num_vars
+        inst = Instance(inst.kind, inst.num_vars, inst.constraints, weights, inst.threshold)
+    return inst
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(truth_instances(), st.booleans())
+@example(umo(0, []), True)
+@example(wmo(0, [], [], KIND_MINO), False)
+@example(Instance(KIND_SAT, TRUTH, (Constraint("T", (TRUTH - 1,)),
+                                    Constraint("F", (TRUTH - 1,)))), True)
+@example(TRUTH_EXAMPLES[0], True)
+@example(TRUTH_EXAMPLES[1], False)
+@example(TRUTH_EXAMPLES[4], True)
+@example(wmo(TRUTH, [("OR8", tuple(range(8))), ("NAND2", (0, TRUTH - 1))],
+             [Fraction(3, 2)] * TRUTH, KIND_MINO), True)
+@example(wmo(TRUTH, [("EVEN8", tuple(range(6, 14)))], [0] * TRUTH), True)
+def test_truth_route_matches_bruteforce(inst, want_all):
+    assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
+
+
+@pytest.mark.parametrize("inst,scored", [
+    (Instance(KIND_SAT, 5, umo(5, [("OR3", (0, 2, 4))]).constraints), False),
+    (umo(5, [("OR3", (0, 2, 4)), ("NAND2", (1, 2))]), False),
+    (wmo(5, [("OR3", (0, 2, 4))], [2] * 5, KIND_MINO), False),
+    (wmo(5, [("OR3", (0, 2, 4))], [0] * 5), False),
+    # one class over a subset of the variables, and two classes
+    (wmo(5, [("OR3", (0, 2, 4))], [2, 2, 0, 2, 2]), True),
+    (wmo(5, [("OR3", (0, 2, 4))], [1, 2, 1, 2, 1], KIND_MINO), True),
+], ids=["sat", "umo", "mino-uniform", "wmo-zero", "wmo-subset", "mino-two-classes"])
+def test_truth_route_scores_masks_only_for_other_weights(inst, scored, monkeypatch):
+    reference = solve_bruteforce(inst, want_all=True)
+    calls = spy_on(monkeypatch, "_optimize")
+    assert solve(inst, want_all=True) == reference
+    assert len(calls) == scored
+
+
+def test_table_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLES_PER_RELATION", 4)
+    resolver = default_resolver()
+    resolver.register_relation(Relation(3, (0b001, 0b110, 0b111), "Y"))
+    rel = resolver.relation("Y")
+    # 24 argument tuples, each met twice
+    for args in [*itertools.permutations(range(4), 3)] * 2:
+        inst = umo(4, [("Y", args), ("OR2", (args[0], 3))])
+        assert solve(inst, resolver, want_all=True) == solve_bruteforce(inst, resolver,
+                                                                        want_all=True)
+        assert 1 <= len(rel.table_cache) <= 4
 
 
 def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
@@ -422,6 +490,10 @@ def test_resolvers_keep_their_own_relation_under_one_name():
     assert solve(twice, second).optimum == 2
     assert not solve(twice, first).satisfiable
     assert first.relation("X").minor((0, 0)) is not second.relation("X").minor((0, 0))
+    # nor any truth table: each relation caches its own
+    key = ((0, 1), 2)
+    assert first.relation("X").table_cache[key] == 0b0110
+    assert second.relation("X").table_cache[key] == 0b1001
 
 
 # a random constraint over a pool of 1-3 variables, repeats allowed
