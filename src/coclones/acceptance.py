@@ -1,15 +1,15 @@
 """The acceptance criteria: the repository's check of the paper's claims.
 
 Criteria 1-9 are defined here once.  Each is a function
-``(trials, seed, jobs) -> Check`` and `CRITERIA` lists them in order.
+``(trials, seed) -> Check`` and `CRITERIA` lists them in order.
 `coclones selftest` renders them as its report, and the acceptance gate
 (tests/test_acceptance.py) runs each one on its own data and time budget.
-Criterion 10, that the report is byte-identical for any ``--jobs``, is a
-property of the runner and is checked by the gate alone.
+Criterion 10, that the report does not depend on what earlier runs left in
+the caches, is a property of the runner and is checked by the gate alone.
 
 `trials` is the corpus size of criteria 6 and 7 and the number of NP-hard
-sets of criterion 8; `seed` seeds those three; `jobs` is passed to the
-oracle.  The other criteria check fixed catalogs and ignore them.
+sets of criterion 8; `seed` seeds those three.  The other criteria check
+fixed catalogs and ignore them.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _recheck_admitted(delta, admitted: str) -> bool:
     return True
 
 
-def weak_base_goldens(trials: int, seed: int, jobs: int) -> Check:
+def weak_base_goldens(trials: int, seed: int) -> Check:
     """1. The R_II2 and R_IN2 weak bases are the paper's 3x8 and 6x8 matrices."""
     bad = []
     for name, matrix in (("I2", II2_MATRIX), ("N2", IN2_MATRIX)):
@@ -100,7 +100,7 @@ def weak_base_goldens(trials: int, seed: int, jobs: int) -> Check:
     return Check("weak-base matrices", not bad, ",".join(bad))
 
 
-def coclone_identification(trials: int, seed: int, jobs: int) -> Check:
+def coclone_identification(trials: int, seed: int) -> Check:
     """2. `co_clone_of` identifies every catalog row, chains at indices 2-5."""
     rows = all_entries((2, 3, 4, 5))
     bad = []
@@ -111,7 +111,7 @@ def coclone_identification(trials: int, seed: int, jobs: int) -> Check:
     return Check(f"co-clone identification ({len(rows)} rows)", not bad, ",".join(bad))
 
 
-def dichotomy_cross_validation(trials: int, seed: int, jobs: int) -> Check:
+def dichotomy_cross_validation(trials: int, seed: int) -> Check:
     """3. Over all 255 nonempty ternary relations, the closure classifier agrees
     with the co-clone position; the empty relation is rejected by both."""
     bad = []
@@ -134,7 +134,7 @@ def dichotomy_cross_validation(trials: int, seed: int, jobs: int) -> Check:
     return Check("dichotomy census (255 languages)", not bad, "; ".join(bad))
 
 
-def qpp_gadget_suite(trials: int, seed: int, jobs: int) -> Check:
+def qpp_gadget_suite(trials: int, seed: int) -> Check:
     """4. Every constant-extension formula passes its implication checks."""
     resolver = default_resolver()
     bad = []
@@ -147,7 +147,7 @@ def qpp_gadget_suite(trials: int, seed: int, jobs: int) -> Check:
     return Check("constant-extension formulas", not bad, ",".join(bad))
 
 
-def argmax_identity_suite(trials: int, seed: int, jobs: int) -> Check:
+def argmax_identity_suite(trials: int, seed: int) -> Check:
     """5. The six argmax identities reproduce R_II2 (four times) and R_IL2 (twice)."""
     resolver = default_resolver()
     bad = [f"{ident.target} over {ident.base}" for ident in ARGMAX_IDENTITIES
@@ -158,30 +158,30 @@ def argmax_identity_suite(trials: int, seed: int, jobs: int) -> Check:
     return Check("argmax identities", not bad, ",".join(bad))
 
 
-def _certify_all(names, trials: int, seed: int, jobs: int) -> tuple[int, list[str]]:
+def _certify_all(names, trials: int, seed: int) -> tuple[int, list[str]]:
     cases = 0
     bad = []
     for name in names:
-        report = certify(name, trials=trials, seed=seed, jobs=jobs)
+        report = certify(name, trials=trials, seed=seed)
         cases += report.cases
         if not report.ok:
             bad.append(name)
     return cases, bad
 
 
-def reduction_certification(trials: int, seed: int, jobs: int) -> Check:
+def reduction_certification(trials: int, seed: int) -> Check:
     """6. Every acceptance registry entry agrees with the oracle on its corpus."""
-    cases, bad = _certify_all(ACCEPTANCE_ENTRIES, trials, seed, jobs)
+    cases, bad = _certify_all(ACCEPTANCE_ENTRIES, trials, seed)
     return Check(f"reduction certification ({cases} cases)", not bad, ",".join(bad))
 
 
-def wpp_composition_gate(trials: int, seed: int, jobs: int) -> Check:
+def wpp_composition_gate(trials: int, seed: int) -> Check:
     """7. The big-M argmax-gadget replacements agree with the oracle."""
-    cases, bad = _certify_all(QWPP_FAMILY, trials, seed, jobs)
+    cases, bad = _certify_all(QWPP_FAMILY, trials, seed)
     return Check(f"weighted composition gate ({cases} cases)", not bad, ",".join(bad))
 
 
-def synthesis(trials: int, seed: int, jobs: int) -> Check:
+def synthesis(trials: int, seed: int) -> Check:
     """8. f_neq is synthesized exactly from `trials` random NP-hard cost sets;
     every tractable set drawn on the way admits the multimorphism named."""
     rng = random.Random(seed ^ 0x5EED)
@@ -200,7 +200,7 @@ def synthesis(trials: int, seed: int, jobs: int) -> Check:
     return Check(f"f_neq synthesis ({trials} sets)", not bad, "; ".join(bad[:3]))
 
 
-def fneq_baseline(trials: int, seed: int, jobs: int) -> Check:
+def fneq_baseline(trials: int, seed: int) -> Check:
     """9. f_neq is NP-hard with valid witnesses; on the unit triangle its VCSP
     minimum is 1 and the max cut is 2."""
     fn = f_neq()
@@ -219,8 +219,8 @@ def fneq_baseline(trials: int, seed: int, jobs: int) -> Check:
     tri = Instance(KIND_MAXCUT, 3,
                    tuple(Constraint("edge", e) for e in ((0, 1), (0, 2), (1, 2))))
     vcsp_tri, _ = apply("maxcut_to_vcsp_neq", tri, resolver)
-    minimum = solve(vcsp_tri, resolver, jobs=jobs).optimum
-    cut = solve(tri, resolver, jobs=jobs).optimum
+    minimum = solve(vcsp_tri, resolver).optimum
+    cut = solve(tri, resolver).optimum
     if (minimum, cut) != (1, 2):
         bad.append(f"unit triangle: minimum {minimum}, max cut {cut}")
     return Check("f_neq baseline", not bad, "; ".join(bad))

@@ -86,10 +86,10 @@ def _resolver_with_defs(defs: Sequence[str]) -> Resolver:
     for path in defs or ():
         if path.endswith(".cost"):
             for fn in _parse_file(path, parse_cost):
-                resolver.register_costfn(fn)
+                _on_file(path, resolver.register_costfn, fn)
         else:
             for rel in _parse_file(path, parse_rel):
-                resolver.register_relation(rel)
+                _on_file(path, resolver.register_relation, rel)
     return resolver
 
 
@@ -202,7 +202,7 @@ def _cmd_certify(args) -> int:
         names = list(ACCEPTANCE_ENTRIES)
     ok = True
     for name in names:
-        report = certify(name, trials=args.trials, seed=args.seed, jobs=args.jobs)
+        report = certify(name, trials=args.trials, seed=args.seed)
         print(report.render())
         ok = ok and report.ok
     return 0 if ok else 1
@@ -293,12 +293,11 @@ def _cmd_express_neq(args) -> int:
 # Self-test
 
 
-def run_selftest(trials: int = 40, seed: int = 0, jobs: int = 1,
-                 out=sys.stdout) -> int:
+def run_selftest(trials: int = 40, seed: int = 0, out=sys.stdout) -> int:
     """Run the acceptance criteria and print one line per criterion."""
     from . import acceptance
 
-    checks = [criterion(trials, seed, jobs) for criterion in acceptance.CRITERIA]
+    checks = [criterion(trials, seed) for criterion in acceptance.CRITERIA]
     print(f"self-test report (seed={seed}, trials={trials})", file=out)
     for check in checks:
         dots = "." * max(1, 44 - len(check.label))
@@ -310,7 +309,7 @@ def run_selftest(trials: int = 40, seed: int = 0, jobs: int = 1,
 
 
 def _cmd_selftest(args) -> int:
-    return run_selftest(trials=args.trials, seed=args.seed, jobs=args.jobs)
+    return run_selftest(trials=args.trials, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coclones", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, defs=False, output=False, jobs=False):
+    def common(sp, defs=False, output=False):
         if defs:
             sp.add_argument("--defs", action="append", default=[],
                             help="extra .rel/.cost definition files")
         if output:
             sp.add_argument("-o", "--output", help="write machine-readable output here")
-        if jobs:
-            sp.add_argument("--jobs", type=_positive_int, default=1)
 
     sp = sub.add_parser("classify-sat", help="satisfiability dichotomy test")
     sp.add_argument("language")
@@ -384,13 +381,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name")
     sp.add_argument("--trials", type=_positive_int, default=200)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("solve", help="exact oracle solve")
     sp.add_argument("instance")
     sp.add_argument("--all", action="store_true")
-    common(sp, defs=True, jobs=True)
+    # threads over the 2^20-assignment chunks: only an instance of more than
+    # 20 variables has more than one
+    sp.add_argument("--jobs", type=_positive_int, default=1)
+    common(sp, defs=True)
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("vcsp-classify", help="valued tractability test")
@@ -405,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", help="run the golden/certify suite")
     sp.add_argument("--trials", type=_positive_int, default=40)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, jobs=True)
     sp.set_defaults(fn=_cmd_selftest)
 
     return p

@@ -182,6 +182,18 @@ _BUILTIN_RELATIONS = {rel.name: rel for rel in (
 _BUILTIN_COSTFNS = {fn.name: fn for fn in (f_neq(),)}
 
 
+def _built(build, name: str):
+    """What build(name) makes of a parametric or weak-base name, or None.
+
+    A name that builds nothing, or that fails to build (OR99 is past the
+    arity cap), has no builtin meaning.
+    """
+    try:
+        return build(name)
+    except ValueError:
+        return None
+
+
 class Resolver:
     """Maps names to relations and cost functions (builtins + registered)."""
 
@@ -190,20 +202,22 @@ class Resolver:
         self._costfns: dict[str, CostFunction] = dict(_BUILTIN_COSTFNS)
 
     def register_relation(self, rel: Relation, name: Optional[str] = None) -> None:
+        """Add rel under its name; a name that already means something must mean rel."""
         nm = name or rel.name
         if nm is None:
             raise InstanceError("cannot register an unnamed relation")
-        existing = self._relations.get(nm)
-        if existing is not None and existing.tuples != rel.tuples:
+        existing = self._relations.get(nm) or _built(self._build_relation, nm)
+        if existing is not None and (existing.arity, existing.tuples) != (rel.arity, rel.tuples):
             raise InstanceError(f"conflicting definitions for relation {nm!r}")
         self._relations[nm] = rel if rel.name == nm else rel.renamed(nm)
 
     def register_costfn(self, fn: CostFunction, name: Optional[str] = None) -> None:
+        """Add fn under its name; a name that already means something must mean fn."""
         nm = name or fn.name
         if nm is None:
             raise InstanceError("cannot register an unnamed cost function")
-        existing = self._costfns.get(nm)
-        if existing is not None and existing.table != fn.table:
+        existing = self._costfns.get(nm) or _built(self._build_costfn, nm)
+        if existing is not None and (existing.arity, existing.table) != (fn.arity, fn.table):
             raise InstanceError(f"conflicting definitions for cost function {nm!r}")
         self._costfns[nm] = fn
 
@@ -254,7 +268,10 @@ class Resolver:
         m = _COST_NAME.match(name)
         if m:
             arity = int(m.group(1))
-            vals = tuple(Fraction(v) for v in m.group(2).split("_"))
+            try:
+                vals = tuple(Fraction(v) for v in m.group(2).split("_"))
+            except (ValueError, ZeroDivisionError):  # "1//2", "1/0"
+                return None
             if len(vals) != 1 << arity:
                 return None
             return CostFunction(arity, vals, name)

@@ -129,27 +129,35 @@ class CoCloneId:
 
 
 def parse_coclone_name(name: str, index: Optional[int] = None) -> CoCloneId:
-    """Parse names like "IN2", "IS^2_1", "IS1" (+ explicit index), "IS1_2"."""
+    """Parse names like "IN2", "IS^2_1", "IS1" (+ explicit index), "IS1_2".
+
+    Only a bare chain family ("IS1") takes `index`; any other name given one
+    raises RelationError rather than dropping it.
+    """
     s = name.strip()
     if not s.startswith("I"):
         raise RelationError(f"co-clone names start with 'I': {name!r}")
     body = s[1:]
+    if body in CHAIN_FAMILIES:
+        return CoCloneId(body, index)
     if body.startswith("S^"):
         caret, _, rest = body[2:].partition("_")
         if not caret.isdecimal():
             raise RelationError(f"chain index {caret!r} in {name!r} is not a number")
-        return CoCloneId("S" + rest, int(caret))
-    if body.startswith("S_"):
-        return CoCloneId("S" + body[2:], None)
-    if body in NON_CHAIN_FAMILIES:
-        return CoCloneId(body, None)
-    if body in CHAIN_FAMILIES:
-        return CoCloneId(body, index)
-    if "_" in body:
+        parsed = CoCloneId("S" + rest, int(caret))
+    elif body.startswith("S_"):
+        parsed = CoCloneId("S" + body[2:], None)
+    elif body in NON_CHAIN_FAMILIES:
+        parsed = CoCloneId(body, None)
+    else:
         fam, _, idx = body.partition("_")
-        if fam in CHAIN_FAMILIES and idx.isdecimal():
-            return CoCloneId(fam, int(idx))
-    raise RelationError(f"unknown co-clone name {name!r}")
+        if not (fam in CHAIN_FAMILIES and idx.isdecimal()):
+            raise RelationError(f"unknown co-clone name {name!r}")
+        parsed = CoCloneId(fam, int(idx))
+    if index is not None:
+        raise RelationError(f"{name} takes no index argument (got {index}); "
+                            "only a chain family such as IS1 does")
+    return parsed
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ this module:
 
 `apply` enforces the declaration on every call: it checks the source kind
 and language ("*" admits any), resolves every source constraint
-(`Resolver.resolve`), asserts the variable count, maps the source
-threshold through `Affine` (sign -1 flips its direction) or sets it from
-`Decision`, and fills `ApplyInfo`.  `certify` replays a corpus through the
+(`Resolver.resolve`), checks the built target's kind and language the same
+way, asserts the variable count, maps the source threshold through `Affine`
+(sign -1 flips its direction) or sets it from `Decision`, and fills
+`ApplyInfo`.  `certify` replays a corpus through the
 oracle and checks the measure map with one rule for every entry.
 
 Output variables are ordered originals first, then globals (v0, v1), then
@@ -93,9 +94,8 @@ class ApplyInfo:
 
 
 # certify's extra check for one entry: (src, tgt, source result, target
-# result, resolver, jobs) -> failure message or None
-Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver, int],
-                     Optional[str]]
+# result, resolver) -> failure message or None
+Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _il2_threshold(inst: Instance) -> Threshold:
     return Threshold(">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints))
 
 
-def _hits_threshold_exactly(src, tgt, sres, tres, resolver, jobs) -> Optional[str]:
+def _hits_threshold_exactly(src, tgt, sres, tres, resolver) -> Optional[str]:
     want = tgt.threshold.value
     if sres.satisfiable and tres.optimum != want:
         return f"satisfiable source must hit exactly {want}, got {tres.optimum}"
@@ -502,9 +502,9 @@ def _build_maxcsp_nandtf_to_neq(inst: Instance, resolver: Resolver) -> Instance:
     return Instance(KIND_MAXCSP, n + 2, tuple(cons))
 
 
-def _globals_differ_in_every_optimum(src, tgt, sres, tres, resolver, jobs) -> Optional[str]:
+def _globals_differ_in_every_optimum(src, tgt, sres, tres, resolver) -> Optional[str]:
     # the heavy constraint must bind in every optimal solution
-    full = solve(tgt, resolver, want_all=True, jobs=jobs)
+    full = solve(tgt, resolver, want_all=True)
     v0, v1 = src.num_vars, src.num_vars + 1
     for mask in full.optimal_set:
         if ((mask >> v0) & 1) == ((mask >> v1) & 1):
@@ -822,19 +822,30 @@ def record(name: str) -> ReductionRecord:
 _FLIPPED = {">=": "<=", "<=": ">="}
 
 
+def _check_side(name: str, side: str, inst: Instance, kind: str,
+                language: tuple[str, ...]) -> None:
+    """Raise unless inst has the declared kind and only refs the language admits.
+
+    "*" admits any ref, and a name ending in "*" ("Rf_*") any ref it prefixes.
+    """
+    _require(inst.kind == kind, f"{name}: {side} must be a {kind} instance, got {inst.kind}")
+    if "*" in language:
+        return
+    extra = [r for r in inst.language()
+             if not any(r == d or (d.endswith("*") and r.startswith(d[:-1])) for d in language)]
+    _require(not extra, f"{name}: {side} language must be within {language}, got {extra}")
+
+
 def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
           ) -> tuple[Instance, ApplyInfo]:
     """Build the target of a registry entry and check it against the declaration."""
     rec = record(name)
     resolver = resolver or default_resolver()
-    _require(inst.kind == rec.source_kind, f"{name}: source must be a {rec.source_kind} instance")
-    if "*" not in rec.source_language:
-        extra = [r for r in inst.language() if r not in rec.source_language]
-        _require(not extra,
-                 f"{name}: source language must be within {rec.source_language}, got {extra}")
+    _check_side(name, "source", inst, rec.source_kind, rec.source_language)
     for c in inst.constraints:
         resolver.resolve(inst.kind, c)
     out = rec.build(inst, resolver)
+    _check_side(name, "target", out, rec.target_kind, rec.target_language)
     declared = rec.num_vars(inst, resolver)
     if out.num_vars > declared or (rec.exact and out.num_vars != declared):
         raise BoundViolation(f"{name}: produced {out.num_vars} variables, declared "
@@ -883,14 +894,14 @@ def _entry_seed(seed: int, name: str) -> int:
 
 
 def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: int,
-                     offset: Fraction, resolver: Resolver, jobs: int) -> Optional[str]:
+                     offset: Fraction, resolver: Resolver) -> Optional[str]:
     """Why tgt breaks the entry's measure map or invariant on src, or None.
 
     One rule serves every entry; for an affine entry, (sign, offset) is the
     map composed along `chain_before`.
     """
-    sres = solve(src, resolver, jobs=jobs)
-    tres = solve(tgt, resolver, jobs=jobs)
+    sres = solve(src, resolver)
+    tres = solve(tgt, resolver)
     if isinstance(rec.measure, Decision):
         reached = meets_threshold(tres, tgt.threshold)
         if sres.satisfiable != reached:
@@ -907,12 +918,12 @@ def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: i
         # optimum (never negative) lies
         return f"unsatisfiable source but target reaches {tres.optimum}"
     if rec.invariant is not None:
-        return rec.invariant(src, tgt, sres, tres, resolver, jobs)
+        return rec.invariant(src, tgt, sres, tres, resolver)
     return None
 
 
 def certify(name: str, trials: int = 200, seed: int = 0,
-            resolver: Optional[Resolver] = None, jobs: int = 1) -> CertifyReport:
+            resolver: Optional[Resolver] = None) -> CertifyReport:
     """Oracle-certify a registry entry on an exhaustive or seeded random corpus."""
     from .fileio import emit_inst
 
@@ -934,7 +945,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
                 tgt, info = apply(step, tgt, resolver)
                 if info.value_offset is not None:
                     sign, offset = info.sign * sign, info.sign * offset + info.value_offset
-            msg = _measure_failure(rec, src, tgt, sign, offset, resolver, jobs)
+            msg = _measure_failure(rec, src, tgt, sign, offset, resolver)
         except (ReductionError, InstanceError) as exc:
             msg = f"apply failed: {exc}"
         except OracleError as exc:

@@ -52,7 +52,8 @@ def bits_to_mask(bits: Sequence[int]) -> int:
 
 def mask_to_string(mask: int, arity: int) -> str:
     """Render a tuple with coordinate 1 leftmost, e.g. 6 -> "011" at arity 3."""
-    return "".join(str((mask >> i) & 1) for i in range(arity))
+    # the low `arity` bits under a sentinel one, read back to front without it
+    return format(mask & ((1 << arity) - 1) | 1 << arity, "b")[:0:-1]
 
 
 def string_to_mask(s: str) -> int:

@@ -7,9 +7,10 @@ gadget reductions address coordinates by this order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .postlattice import CHAIN_FAMILIES, CoCloneId
 from .relations import MAX_RELATION_ARITY, Relation, RelationError
@@ -102,47 +103,49 @@ _PLAIN: dict[str, tuple[str, int, Callable[[tuple[int, ...]], bool]]] = {
 }
 
 
-def _chain_entry(family: str, n: int) -> tuple[str, int, Callable[[tuple[int, ...]], bool]]:
+# the chain rows: family -> (core on x1..xn, whether a column x follows it,
+# the constant columns after that).  The core is OR_n with x -> x1..xn, or
+# NAND_n with the dual x1|..|xn -> x: read as x -> x1..xn under NAND, x
+# would be forced to 0 and the S11 row would collapse to the S1 row.
+_CHAINS: dict[str, tuple[str, bool, str]] = {
+    "S0": ("OR", False, "1"),
+    "S02": ("OR", False, "01"),
+    "S01": ("OR", True, "1"),
+    "S00": ("OR", True, "01"),
+    "S1": ("NAND", False, "0"),
+    "S12": ("NAND", False, "01"),
+    "S11": ("NAND", True, "0"),
+    "S10": ("NAND", True, "01"),
+}
+
+
+def _chain_entry(family: str, n: int) -> tuple[str, int, Iterable[int]]:
+    """(formula, arity, tuple masks) of a chain row, listed without a scan."""
     if n < 2:
         raise RelationError("chain index must be >= 2")
-
-    def or_n(b):
-        return any(b[:n])
-
-    def nand_n(b):
-        return not all(b[:n])
-
-    def x_implies_all(b):  # b[n] -> x1...xn
-        return b[n] <= min(b[:n])
-
-    def any_implies_x(b):  # x1 | ... | xn -> b[n]  (dual of x_implies_all)
-        return max(b[:n]) <= b[n]
-
-    if family == "S0":
-        return (f"OR{n}(x1..x{n}) & T(c1)", n + 1, lambda b: or_n(b) and b[n] == 1)
-    if family == "S02":
-        return (f"OR{n}(x1..x{n}) & F(c0) & T(c1)", n + 2,
-                lambda b: or_n(b) and b[n] == 0 and b[n + 1] == 1)
-    if family == "S01":
-        return (f"OR{n}(x1..x{n}) & (x -> x1..x{n}) & T(c1)", n + 2,
-                lambda b: or_n(b) and x_implies_all(b) and b[n + 1] == 1)
-    if family == "S00":
-        return (f"OR{n}(x1..x{n}) & (x -> x1..x{n}) & F(c0) & T(c1)", n + 3,
-                lambda b: or_n(b) and x_implies_all(b) and b[n + 1] == 0 and b[n + 2] == 1)
-    if family == "S1":
-        return (f"NAND{n}(x1..x{n}) & F(c0)", n + 1, lambda b: nand_n(b) and b[n] == 0)
-    if family == "S12":
-        return (f"NAND{n}(x1..x{n}) & F(c0) & T(c1)", n + 2,
-                lambda b: nand_n(b) and b[n] == 0 and b[n + 1] == 1)
-    if family == "S11":
-        # dual of the S01 row: the side condition must read (x1|..|xn) -> x,
-        # otherwise NAND forces x = 0 and the relation collapses to the S1 row
-        return (f"NAND{n}(x1..x{n}) & (x1|..|x{n} -> x) & F(c0)", n + 2,
-                lambda b: nand_n(b) and any_implies_x(b) and b[n + 1] == 0)
-    if family == "S10":
-        return (f"NAND{n}(x1..x{n}) & (x1|..|x{n} -> x) & F(c0) & T(c1)", n + 3,
-                lambda b: nand_n(b) and any_implies_x(b) and b[n + 1] == 0 and b[n + 2] == 1)
-    raise RelationError(f"unknown chain family {family!r}")
+    if family not in _CHAINS:
+        raise RelationError(f"unknown chain family {family!r}")
+    core, implication, constants = _CHAINS[family]
+    arity = n + implication + len(constants)
+    if arity > MAX_RELATION_ARITY:
+        raise RelationError(f"R_I{family}_{n} has arity {arity}, "
+                            f"past the cap of {MAX_RELATION_ARITY}")
+    full, x = (1 << n) - 1, 1 << n
+    # each T(c1) column adds its bit to every tuple; F(c0) columns add none
+    ones = sum(1 << (n + implication + i) for i, c in enumerate(constants) if c == "1")
+    formula = f"{core}{n}(x1..x{n})"
+    if core == "OR":
+        rows: Iterable[int] = range(1 + ones, full + 1 + ones)
+        if implication:  # x is set only beside the all-ones tuple
+            formula += f" & (x -> x1..x{n})"
+            rows = itertools.chain(rows, (full | x | ones,))
+    else:
+        rows = range(ones, full + ones)
+        if implication:  # x is set beside every tuple but 0, and free beside 0
+            formula += f" & (x1|..|x{n} -> x)"
+            rows = itertools.chain((ones,), range(x + ones, full + x + ones))
+    formula += "".join(" & T(c1)" if c == "1" else " & F(c0)" for c in constants)
+    return formula, arity, rows
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +153,11 @@ def weak_base_entry(coclone: CoCloneId) -> WeakBaseEntry:
     if coclone.is_limit:
         raise RelationError(f"{coclone.display()} has no finite base, hence no weak base")
     if coclone.is_chain:
-        formula, arity, pred = _chain_entry(coclone.family, coclone.index)
+        formula, arity, rows = _chain_entry(coclone.family, coclone.index)
+        rel = Relation.from_masks(arity, rows, _name(coclone))
     else:
         formula, arity, pred = _PLAIN[coclone.family]
-    rel = _rel(arity, pred, _name(coclone))
+        rel = _rel(arity, pred, _name(coclone))
     return WeakBaseEntry(coclone, rel, formula)
 
 

@@ -111,8 +111,7 @@ def test_jobs_below_one_rejected(tmp_path):
     inst = tmp_path / "t.inst"
     inst.write_text("problem SAT\nvars 1\nc T 1\n")
     for argv in (["solve", str(inst), "--jobs", "0"],
-                 ["certify", "maxcut_to_vcsp_neq", "--jobs", "-1"],
-                 ["selftest", "--jobs", "0"],
+                 ["solve", str(inst), "--jobs", "-1"],
                  ["solve", str(inst), "--jobs", "two"],
                  ["certify", "all", "--trials", "0"],
                  ["certify", "maxcut_to_vcsp_neq", "--trials", "-3"],
@@ -273,6 +272,57 @@ def test_weakbase_past_index_4_identifies_back(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "IS^5_1\n", "")
 
 
+@pytest.mark.parametrize("argv,defs,what", [
+    # T is unary: same tuple mask 1, other arity
+    (["solve", "a.inst"], "relation T 3\n100\n", "relation 'T'"),
+    # OR2 built from its name has three tuples
+    (["solve", "b.inst"], "relation OR2 2\n01\n", "relation 'OR2'"),
+    # the weak base that the reduction is written for
+    (["reduce", "sat2_to_umo_IL2", "a.inst"], "relation R_II2 8\n00000001\n",
+     "relation 'R_II2'"),
+    (["solve", "c.inst"], "costfn cost1_0_1 1\n0 1\n1 0\n", "cost function 'cost1_0_1'"),
+    (["solve", "c.inst"], "costfn fnot_OR2 2\n00 0\n01 1\n10 1\n11 1\n",
+     "cost function 'fnot_OR2'"),
+])
+def test_defs_cannot_redefine_a_builtin_name(tmp_path, argv, defs, what):
+    (tmp_path / "a.inst").write_text("problem SAT\nvars 1\nc T 1\n")
+    (tmp_path / "b.inst").write_text("problem U-Max-Ones\nvars 2\nc OR2 1 2\n")
+    (tmp_path / "c.inst").write_text("problem VCSP\nvars 2\nc cost1_0_1 1\n")
+    path = tmp_path / ("d.cost" if defs.startswith("costfn") else "d.rel")
+    path.write_text(defs)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv[:-1] + [str(tmp_path / argv[-1]), "--defs", str(path)])
+    assert (code, out) == (2, "")
+    assert err.getvalue() == f"error: {path}: conflicting definitions for {what}\n"
+
+
+def test_defs_may_repeat_a_builtin_definition(tmp_path):
+    inst = tmp_path / "b.inst"
+    inst.write_text("problem U-Max-Ones\nvars 2\nc OR2 1 2\n")
+    defs = tmp_path / "d.rel"
+    defs.write_text("relation OR2 2\n01\n10\n11\n")
+    code, out = run(["solve", str(inst), "--defs", str(defs)])
+    assert code == 0 and "optimum: 2" in out
+
+
+@pytest.mark.parametrize("argv", [["IBF", "3"], ["IS_1", "2"], ["IS1_2", "3"],
+                                  ["IS^2_1", "3"]])
+def test_weakbase_rejects_an_index_it_cannot_use(argv):
+    # a non-chain family, a chain limit, and names that carry their own index
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert run(["weakbase"] + argv) == (2, "")
+    assert err.getvalue() == (f"error: {argv[0]} takes no index argument (got {argv[1]}); "
+                              "only a chain family such as IS1 does\n")
+
+
+@pytest.mark.parametrize("argv", [["IS1", "3"], ["IS1_3"], ["IS^3_1"]])
+def test_weakbase_reads_a_chain_index_either_way(argv):
+    code, out = run(["weakbase"] + argv)
+    assert code == 0 and out.startswith("relation R_IS1_3 4\n")
+
+
 def test_certify_command():
     code, out = run(["certify", "maxcut_to_vcsp_neq", "--trials", "5"])
     assert code == 0 and "all agree" in out
@@ -347,12 +397,25 @@ def test_the_solver_stack_loads_numpy():
     assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
-def test_selftest_deterministic_across_jobs():
+def test_selftest_deterministic_across_runs():
+    # the second run meets the caches the first one filled
     a, b = io.StringIO(), io.StringIO()
-    code1 = run_selftest(trials=6, seed=3, jobs=1, out=a)
-    code2 = run_selftest(trials=6, seed=3, jobs=8, out=b)
+    code1 = run_selftest(trials=6, seed=3, out=a)
+    code2 = run_selftest(trials=6, seed=3, out=b)
     assert code1 == code2 == 0
     assert a.getvalue() == b.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["certify", "all", "--jobs", "2"],
+                                  ["certify", "maxcut_to_vcsp_neq", "--jobs", "2"],
+                                  ["selftest", "--jobs", "2"]])
+def test_jobs_only_on_solve(argv):
+    # certify and selftest never solve an instance of more than 20 variables,
+    # where --jobs would split the enumeration
+    proc = _run_subprocess(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_reports_a_failing_criterion(monkeypatch):
@@ -360,7 +423,7 @@ def test_selftest_reports_a_failing_criterion(monkeypatch):
     assert run_selftest(trials=2, seed=0, out=a) == 0
     failing = acceptance.Check("argmax identities", False, "R_II2 over R_IN2")
     criteria = list(acceptance.CRITERIA)
-    criteria[4] = lambda trials, seed, jobs: failing
+    criteria[4] = lambda trials, seed: failing
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
     assert run_selftest(trials=2, seed=0, out=b) == 1
     want = a.getvalue().splitlines()

@@ -118,3 +118,21 @@ def test_parametric_names_reconstruct():
     assert ind.arity == 8 and ind.table.count(Fraction(0)) == 3
     named = resolver.costfn("cost2_1_0_0_1")
     assert named.table == f_neq().table
+
+
+def test_registration_checks_what_a_name_would_build():
+    resolver = default_resolver()
+    # past the arity cap, so OR99, Rf_9_3 and R_IS1_99 build nothing
+    for name in ("OR99", "Rf_9_3", "R_IS1_99"):
+        resolver.register_relation(Relation(2, (0b01,), name))
+        assert resolver.relation(name).tuples == (0b01,)
+    for name in ("OR2", "Rf_1_1", "R_IS1_2"):
+        with pytest.raises(InstanceError, match="conflicting definitions"):
+            resolver.register_relation(Relation(2, (0b01,), name))
+    # a cost name whose values do not parse is no builtin either
+    for name in ("cost1_1/0_0", "cost1_1//2_0"):
+        with pytest.raises(InstanceError, match="unknown cost function"):
+            resolver.costfn(name)
+        resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), name))
+    with pytest.raises(InstanceError, match="conflicting definitions"):
+        resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), "cost1_1_0"))

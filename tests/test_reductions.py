@@ -296,6 +296,31 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name):
         apply(name, src)
 
 
+@pytest.mark.parametrize("name,change", [("umo_II2_to_IN2", "language"),
+                                         ("uvcspd_to_minones", "language"),
+                                         ("maxones_to_minones", "kind")])
+def test_apply_rejects_a_build_outside_its_declared_target(monkeypatch, name, change):
+    # uvcspd_to_minones declares "Rf_*", maxones_to_minones declares "*"
+    rec = REGISTRY[name]
+    src = rec.sampler(random.Random(0)) if rec.sampler else next(rec.exhaustive())
+    apply(name, src)
+    if change == "language":
+        def build(src, resolver):
+            out = rec.build(src, resolver)
+            return dataclasses.replace(
+                out, constraints=out.constraints + (Constraint("OR2", (0, 1)),))
+        changed = dataclasses.replace(rec, build=build)
+        want = f"{name}: target language must be within {rec.target_language}, got ['OR2']"
+    else:
+        changed = dataclasses.replace(rec, target_kind=KIND_WMO)
+        want = f"{name}: target must be a {KIND_WMO} instance, got {rec.target_kind}"
+    monkeypatch.setitem(REGISTRY, name, changed)
+    with pytest.raises(ReductionError) as exc:
+        apply(name, src)
+    assert str(exc.value) == want
+    assert certify(name, trials=1).failures[0][1] == f"apply failed: {want}"
+
+
 def test_unsatisfiable_source_allows_a_target_only_below_the_offset(monkeypatch):
     # unsatisfiable source, satisfiable target with optimum 0 (see above)
     rec = REGISTRY["umo_IL2_to_IL0"]
@@ -356,7 +381,7 @@ def test_certify_runs_the_declared_invariant(monkeypatch):
     rec = REGISTRY["maxcsp_nandTF_to_neq"]
     seen = []
 
-    def invariant(src, tgt, sres, tres, resolver, jobs):
+    def invariant(src, tgt, sres, tres, resolver):
         seen.append(src)
         return "invariant broken" if len(seen) == 2 else None
 

@@ -293,3 +293,10 @@ def test_diagram_sizes_and_limit(monkeypatch):
     monkeypatch.setattr(relations, "DIAGRAM_NODES", 1)
     assert len(Relation(8, (0,)).diagram[1]) == 8
     assert Relation(8, (0, 3)).diagram is None
+
+
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_mask_to_string_reads_coordinate_one_first(case):
+    arity, mask = case
+    assert relations.mask_to_string(mask, arity) == \
+        "".join(str((mask >> i) & 1) for i in range(arity))

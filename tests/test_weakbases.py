@@ -1,6 +1,6 @@
 import pytest
 
-from coclones.postlattice import CoCloneId, co_clone_of
+from coclones.postlattice import CHAIN_FAMILIES, CoCloneId, co_clone_of
 from coclones.relations import (
     ConstraintLanguage,
     OP_NOT,
@@ -65,3 +65,49 @@ def test_formula_strings_present():
     for e in all_entries((2,)):
         assert e.formula
         assert e.relation.name and e.relation.name.startswith("R_I")
+
+
+
+def _chain_row(family, n):
+    """The chain row as its formula, its arity and a predicate on a tuple's bits."""
+    def or_n(b):
+        return any(b[:n])
+
+    def nand_n(b):
+        return not all(b[:n])
+
+    def x_implies_all(b):  # b[n] -> x1...xn
+        return b[n] <= min(b[:n])
+
+    def any_implies_x(b):  # x1 | ... | xn -> b[n]
+        return max(b[:n]) <= b[n]
+
+    xs, ors = f"(x1..x{n})", f"(x1|..|x{n} -> x)"
+    return {
+        "S0": (f"OR{n}{xs} & T(c1)", n + 1, lambda b: or_n(b) and b[n] == 1),
+        "S02": (f"OR{n}{xs} & F(c0) & T(c1)", n + 2,
+                lambda b: or_n(b) and b[n] == 0 and b[n + 1] == 1),
+        "S01": (f"OR{n}{xs} & (x -> x1..x{n}) & T(c1)", n + 2,
+                lambda b: or_n(b) and x_implies_all(b) and b[n + 1] == 1),
+        "S00": (f"OR{n}{xs} & (x -> x1..x{n}) & F(c0) & T(c1)", n + 3,
+                lambda b: or_n(b) and x_implies_all(b) and b[n + 1] == 0 and b[n + 2] == 1),
+        "S1": (f"NAND{n}{xs} & F(c0)", n + 1, lambda b: nand_n(b) and b[n] == 0),
+        "S12": (f"NAND{n}{xs} & F(c0) & T(c1)", n + 2,
+                lambda b: nand_n(b) and b[n] == 0 and b[n + 1] == 1),
+        "S11": (f"NAND{n}{xs} & {ors} & F(c0)", n + 2,
+                lambda b: nand_n(b) and any_implies_x(b) and b[n + 1] == 0),
+        "S10": (f"NAND{n}{xs} & {ors} & F(c0) & T(c1)", n + 3,
+                lambda b: nand_n(b) and any_implies_x(b) and b[n + 1] == 0 and b[n + 2] == 1),
+    }[family]
+
+
+@pytest.mark.parametrize("family", CHAIN_FAMILIES)
+def test_chain_rows_match_their_formula(family):
+    # the closed form against a scan of every mask
+    for n in range(2, 9):
+        formula, arity, pred = _chain_row(family, n)
+        entry = weak_base_entry(CoCloneId(family, n))
+        scanned = tuple(m for m in range(1 << arity)
+                        if pred(tuple((m >> i) & 1 for i in range(arity))))
+        assert (entry.formula, entry.relation.arity) == (formula, arity)
+        assert entry.relation.tuples == scanned, (family, n)
