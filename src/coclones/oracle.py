@@ -14,7 +14,7 @@ relations shrink to minors of 2 or 3 variables, and each table build and
 gather works on those.  A constraint without repeats keeps its own
 relation.
 
-`solve` takes an instance down one of three routes:
+`solve` takes an instance down one of four routes:
 
 - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
   `_TRUTH_VARS` = 14 variables are solved on truth tables (`truthtables`).
@@ -47,11 +47,23 @@ relation.
   stage, which scores the Max-/Min-Ones objective as one popcount of
   `masks & m` (`np.bitwise_count`, numpy 2) per distinct variable weight,
   m the mask of the variables that carry it.
-- Larger soft-kind instances, and hard-kind instances whose frontier would
-  outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
-  a grid of high-half by low-half masks: every constraint table is gathered
-  once per half and the halves are combined once (meet in the middle,
-  Horowitz & Sahni 1974).
+- Larger soft-kind instances are solved by bucket elimination in variable
+  order (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic
+  Programming*, 1972): a table over the variables that a later term still
+  holds is doubled by each variable, takes that variable's terms, and
+  forgets the variables no later term holds, keeping per state the best
+  objective and the least mask that reaches it.  On random instances of
+  16-22 variables with 2n binary and ternary terms its largest table holds
+  2^8-2^18 states (median 2^12), where the grid has 2^n.  The route is
+  taken when its table stays within one chunk and it touches fewer states
+  than the grid, both read from the terms before any array work
+  (`_elimination_pays`).  It finds one optimal mask, not the optimal set,
+  so `--all` stays on the grid.
+- Soft-kind instances that elimination does not pay for, `--all` on them,
+  and hard-kind instances whose frontier would outgrow one chunk, are
+  enumerated in chunks of 2^20 masks.  Each chunk is a grid of high-half by
+  low-half masks: every constraint table is gathered once per half and the
+  halves are combined once (meet in the middle, Horowitz & Sahni 1974).
 
 A relation's minors, truth tables, bool LUT and decision diagram are built
 once and cached on the `Relation` object itself (`Relation.minor`,
@@ -197,8 +209,9 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
 
-    `jobs` is the thread count of the chunked enumeration; the truth-table
-    and frontier paths run in one thread.
+    `jobs` is the thread count of the chunked enumeration, which splits
+    only an instance of more than 2^20 masks; the truth-table, frontier,
+    small-soft and elimination routes run in one thread.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
@@ -212,8 +225,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
         hard.append((distinct, rel.minor(pattern)))
     if inst.kind in _HARD_KINDS:
         masks = _frontier(n, hard)
+    elif n <= _SMALL_SOFT_VARS:
+        masks = tt.arange(n)
     else:
-        masks = tt.arange(n) if n <= _SMALL_SOFT_VARS else None
+        scale, soft, _, _ = tables
+        if not want_all and _elimination_pays(n, soft):
+            return _eliminate(inst.kind, n, soft, scale)
+        masks = None
     if masks is None:
         return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
     return _optimize(inst.kind, masks, tables, want_all)
@@ -313,6 +331,96 @@ def _frontier(n: int, hard) -> Optional[np.ndarray]:
         for args, lut in by_top.get(v, ()):
             frontier = frontier[lut[tt.code(frontier, enumerate(args))]]
     return frontier
+
+
+def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
+    """(the soft terms by the step that adds them, the step that forgets each variable).
+
+    Elimination runs in variable order.  A term is added at the step of its
+    highest argument, and variable u is forgotten at the last step that adds
+    a term holding it, or at step u if no later one does.
+    """
+    by_top: dict[int, list] = {}
+    last = list(range(n))
+    for args, table in soft:
+        top = max(args)
+        by_top.setdefault(top, []).append((args, table))
+        for u in args:
+            last[u] = max(last[u], top)
+    return by_top, last
+
+
+def _elimination_pays(n: int, soft) -> bool:
+    """Whether `_eliminate` keeps its table within a chunk and touches fewer
+    states than the grid's 2^n, read from the terms before any array work.
+
+    Variable u sits in the table from step u through the step that forgets
+    it, so step v touches 2^a_v states, a_v the variables in it then.
+    """
+    _, last = _buckets(n, soft)
+    change = [0] * (n + 1)  # at step v, a_v changes by change[v]
+    for u in range(n):
+        change[u] += 1
+        change[last[u] + 1] -= 1
+    size = work = peak = 0
+    for v in range(n):
+        size += change[v]
+        work += 1 << size
+        peak = max(peak, size)
+    return peak <= _CHUNK_BITS and work < 1 << n
+
+
+def _eliminate(kind: str, n: int, soft, scale: int) -> SolveResult:
+    """Solve a soft-kind instance by bucket elimination in variable order
+    (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4).
+
+    Two arrays over the states of the variables in the table hold, per
+    state, the best objective of the terms added so far and the least mask
+    that reaches it.  Step v doubles both by v's bit, adds the terms of
+    step v (`_buckets`) and forgets every variable that no later term
+    holds: each state keeps the better of its two halves, on a tie the
+    smaller mask, so the least optimal mask comes out, as on the grid.
+    """
+    by_top, last = _buckets(n, soft)
+    maximize = kind in MAXIMIZING_KINDS
+    best = np.zeros(1, dtype=np.int64)
+    witness = np.zeros(1, dtype=np.int64)
+    active: list[int] = []  # state bit i holds variable active[i]
+    for v in range(n):
+        best = np.concatenate((best, best))
+        witness = np.concatenate((witness, witness | 1 << v))
+        active.append(v)
+        for args, table in by_top.get(v, ()):
+            _spread_add(best, [active.index(u) for u in args], table)
+        for u in [u for u in active if last[u] == v]:
+            # axis 1 of the view is u's bit
+            halves = (-1, 2, 1 << active.index(u))
+            b, w = best.reshape(halves), witness.reshape(halves)
+            b0, b1, w0, w1 = b[:, 0], b[:, 1], w[:, 0], w[:, 1]
+            take = (b1 > b0 if maximize else b1 < b0) | ((b1 == b0) & (w1 < w0))
+            best = np.where(take, b1, b0).ravel()
+            witness = np.where(take, w1, w0).ravel()
+            active.remove(u)
+    return SolveResult(kind, True, Fraction(int(best[0]), scale), int(witness[0]))
+
+
+def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
+    """Add to acc, state by state, table at the code whose bit j is state bit places[j].
+
+    The table is first gathered onto the distinct places, ascending; acc is
+    then viewed with one axis of 2 per place and one axis per run of bits
+    between them, and the small table is added by broadcasting.
+    """
+    distinct = sorted(set(places))
+    small = table[tt.code(tt.arange(len(distinct)),
+                          [(j, distinct.index(p)) for j, p in enumerate(places)])]
+    shape, spread, top = [], [], acc.size.bit_length() - 1
+    for p in reversed(distinct):  # the C-order axes run from the top bit down
+        shape += (1 << (top - p - 1), 2)
+        spread += (1, 2)
+        top = p
+    view = acc.reshape(shape + [1 << top])
+    view += small.reshape(spread + [1])
 
 
 def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResult:

@@ -78,17 +78,18 @@ class Relation:
         if not 1 <= self.arity <= MAX_RELATION_ARITY:
             raise RelationError(f"relation arity {self.arity} out of range 1..{MAX_RELATION_ARITY}")
         tups = tuple(sorted(set(self.tuples)))
-        if tups != tuple(self.tuples):
+        if tups != self.tuples:
             object.__setattr__(self, "tuples", tups)
+        # sorted, so the ends bound every tuple; report the first bad one
         full = 1 << self.arity
-        for t in self.tuples:
-            if not 0 <= t < full:
-                raise RelationError(f"tuple mask {t} out of range for arity {self.arity}")
+        if tups and (tups[0] < 0 or tups[-1] >= full):
+            bad = tups[0] if tups[0] < 0 else next(t for t in tups if t >= full)
+            raise RelationError(f"tuple mask {bad} out of range for arity {self.arity}")
 
     @staticmethod
     def from_masks(arity: int, masks: Iterable[int], name: Optional[str] = None,
                    allow_empty: bool = False) -> "Relation":
-        tups = tuple(sorted(set(masks)))
+        tups = tuple(masks)  # the constructor sorts and deduplicates
         if not tups and not allow_empty:
             raise EmptyRelationError("empty relation requires allow_empty=True")
         return Relation(arity, tups, name)

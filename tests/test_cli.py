@@ -125,6 +125,20 @@ def test_jobs_below_one_rejected(tmp_path):
     assert run(["solve", str(inst), "--jobs", "1"])[0] == 0
 
 
+@pytest.mark.parametrize("star", [False, True], ids=["eliminated", "grid"])
+def test_solve_report_is_identical_for_any_jobs(tmp_path, star):
+    # the ring alone is solved by elimination, which takes no threads; a star
+    # into the last variable sends it to the grid, two 2^20 chunks
+    edges = [(i, (3 * i + 1) % 21, 1 + i % 3) for i in range(21)]
+    edges += [(i, 20, 1) for i in range(20)] if star else []
+    inst = tmp_path / "cut.inst"
+    inst.write_text("problem Max-Cut\nvars 21\n"
+                    + "".join(f"c edge {a + 1} {b + 1} w {w}\n" for a, b, w in edges))
+    one, two = run(["solve", str(inst), "--jobs", "1"]), run(["solve", str(inst), "--jobs", "2"])
+    assert one[0] == 0 and "optimum: " in one[1]
+    assert two == one
+
+
 def test_wpp_eval_gadget(tmp_path):
     gadget = tmp_path / "g.inst"
     gadget.write_text(

@@ -148,16 +148,20 @@ def test_maxones_monotone_under_weight_increase(data):
         assert res2.optimum >= res.optimum
 
 
-def test_parallel_equals_sequential():
+def test_parallel_equals_sequential(monkeypatch):
     cons = tuple(Constraint("R_II2", tuple((i + j) % 10 for j in range(8))) for i in range(3))
     inst = Instance(KIND_UMO, 10, cons)
     a = solve(inst, jobs=1, want_all=True)
     b = solve(inst, jobs=8, want_all=True)
     assert a == b
-    # two 2^20 chunks, so jobs=2 runs them on two threads
-    cut = Instance(KIND_MAXCUT, 21, tuple(Constraint("edge", (i, (3 * i + 1) % 21))
-                                          for i in range(21)))
+    # a star into the last variable keeps every variable in the elimination
+    # table, so this Max-Cut goes to the grid: two 2^20 chunks, which jobs=2
+    # runs on two threads
+    edges = [(i, 20) for i in range(20)] + [(i, (3 * i + 1) % 21) for i in range(21)]
+    cut = Instance(KIND_MAXCUT, 21, tuple(Constraint("edge", e) for e in edges))
+    calls = spy_on(monkeypatch)
     assert solve(cut, jobs=1) == solve(cut, jobs=2)
+    assert len(calls) == 2
 
 
 # 1-, 2-, 3- and 8-ary relations; T with F on one variable makes instances
@@ -176,7 +180,7 @@ def examples(n):
 
 
 @st.composite
-def instances(draw, kinds=ALL_KINDS, least=1, most=TRUTH + 2):
+def instances(draw, kinds=ALL_KINDS, least=1, most=TRUTH + 2, most_constraints=6):
     kind = draw(st.sampled_from(kinds))
     # by default both sides of the truth-table cut
     n = draw(st.integers(least, most))
@@ -190,7 +194,7 @@ def instances(draw, kinds=ALL_KINDS, least=1, most=TRUTH + 2):
         pool = None if draw(st.integers(0, 3)) else draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
         var = st.integers(0, n - 1) if pool is None else st.sampled_from(pool)
-        for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.integers(0, most_constraints))):
             ref = draw(st.sampled_from(refs))
             k = arity(kind, ref)
             args = tuple(draw(st.lists(var, min_size=k, max_size=k)))
@@ -323,12 +327,87 @@ def test_grid_matches_bruteforce(inst, want_all):
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [CUT, CUT + 1])
-def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
+@pytest.mark.parametrize("want_all", [False, True])
+def test_soft_kinds_leave_the_small_route_only_past_the_cut(kind, n, want_all, monkeypatch):
+    # past the cut the optimum comes from elimination, the optimal set from the grid
     inst = soft(kind, n)
-    reference = solve_bruteforce(inst, want_all=True)
-    calls = spy_on(monkeypatch)
-    assert solve(inst, want_all=True) == reference
-    assert len(calls) == (n > CUT)
+    reference = solve_bruteforce(inst, want_all=want_all)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst, want_all=want_all) == reference
+    past = n > CUT
+    assert (len(grid), len(elimination)) == (past and want_all, past and not want_all)
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
+    # a star into the last variable keeps every variable in the table, which
+    # doubles at every step: 2^1 + ... + 2^n states in all, above 2^n
+    ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
+    n = CUT + 2
+    inst = Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
+    reference = solve_bruteforce(inst)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (1, 0)
+
+
+@pytest.mark.parametrize("chunk_bits,eliminated", [(9, False), (10, True)])
+def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypatch):
+    # a star of 9 edges into variable 9 holds 10 variables at that step, then
+    # a path to variable 13: 2^11 + 12 states in all, below the grid's 2^14
+    edges = [(i, 9) for i in range(9)] + [(i, i + 1) for i in range(9, 13)]
+    inst = Instance(KIND_MAXCUT, 14, tuple(Constraint("edge", e) for e in edges))
+    reference = solve_bruteforce(inst)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (not eliminated, eliminated)
+
+
+# instances past the cut on which elimination meets ties, idle variables,
+# repeated arguments, fractions and an int64 bound
+ELIMINATION_EXAMPLES = (
+    # every cut of a cycle has its complement: the least mask must win
+    Instance(KIND_MAXCUT, CUT + 2, tuple(Constraint("edge", (i, (i + 1) % (CUT + 2)))
+                                         for i in range(CUT + 2))),
+    # variables 4..13 in no constraint, and an edge (a, a) that never counts
+    Instance(KIND_MAXCUT, 14, (Constraint("edge", (0, 3)), Constraint("edge", (2, 2)),
+                               Constraint("edge", (1, 3), Fraction(5, 2)))),
+    Instance(KIND_MAXCSP, 13, (Constraint("OR3", (1, 1, 12)), Constraint("NAND2", (5, 5)),
+                               Constraint("XOR3", (12, 0, 12), Fraction(1, 3)))),
+    Instance(KIND_VCSP, 12, (Constraint("cost2_1_0_1/3_2", (4, 4)),
+                             Constraint("cost2_1_0_1/3_2", (11, 4), Fraction(3, 2)),
+                             Constraint("cost1_0_3/2", (7,), Fraction(2, 3)))),
+    soft(KIND_VCSP, CUT + 7),
+    soft(KIND_MAXCSP, CUT + 7),
+    soft(KIND_MAXCUT, CUT + 8),
+    Instance(KIND_VCSP, 0, ()),
+    Instance(KIND_MAXCSP, CUT + 1, ()),
+    # a bound of at least 2^31 makes the terms int64
+    Instance(KIND_VCSP, CUT + 3, tuple(Constraint("f_neq", e, Fraction(2 ** 31))
+                                       for e in ((0, 1), (1, 12), (12, 0)))),
+)
+
+
+# the DP is compared with the reference here at every size, whether or not
+# solve would route the instance to it
+@settings(max_examples=examples(100), deadline=None)
+@given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT), least=0, most=18,
+                 most_constraints=30))
+@example(ELIMINATION_EXAMPLES[0])
+@example(ELIMINATION_EXAMPLES[1])
+@example(ELIMINATION_EXAMPLES[2])
+@example(ELIMINATION_EXAMPLES[3])
+@example(ELIMINATION_EXAMPLES[4])
+@example(ELIMINATION_EXAMPLES[5])
+@example(ELIMINATION_EXAMPLES[6])
+@example(ELIMINATION_EXAMPLES[7])
+@example(ELIMINATION_EXAMPLES[8])
+@example(ELIMINATION_EXAMPLES[9])
+def test_elimination_matches_bruteforce(inst):
+    _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
+    result = oracle._eliminate(inst.kind, inst.num_vars, soft_terms, scale)
+    assert result == solve_bruteforce(inst, RESOLVER)
 
 
 @pytest.mark.parametrize("kind", HARD_KINDS)

@@ -225,6 +225,20 @@ def test_relation_row_round_trip():
     assert r.row_strings() == ["100", "011"]
 
 
+def test_relation_tuples_are_canonical_and_in_range():
+    # duplicates and any order, from masks, a list or a tuple, read the same
+    for rel in (Relation.from_masks(3, iter([6, 1, 6, 0])), Relation(3, [6, 1, 0, 1]),
+                Relation(3, (6, 1, 0)), Relation(3, [0, 1, 6])):
+        assert rel.tuples == (0, 1, 6) and type(rel.tuples) is tuple
+    # the message names the first tuple out of range in ascending order
+    for arity, masks, bad in ((3, [9, 8, 1], 8), (2, [1, -1, 7, -2], -2), (1, [2], 2)):
+        with pytest.raises(relations.RelationError,
+                           match=rf"^tuple mask {bad} out of range for arity {arity}$"):
+            Relation.from_masks(arity, masks)
+    with pytest.raises(EmptyRelationError, match="^empty relation requires allow_empty=True$"):
+        Relation.from_masks(0, [])
+
+
 def test_symmetric_path_matches_sequence_path():
     # the multiset path of a symmetric operation against the naive oracle
     op = BooleanOperation.from_func(4, lambda *a: 1 if sum(a) >= 3 else 0, "h3")
