@@ -327,15 +327,24 @@ def test_grid_matches_bruteforce(inst, want_all):
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [CUT, CUT + 1])
-@pytest.mark.parametrize("want_all", [False, True])
-def test_soft_kinds_leave_the_small_route_only_past_the_cut(kind, n, want_all, monkeypatch):
-    # past the cut the optimum comes from elimination, the optimal set from the grid
+def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
+    # the optimal set past the cut comes from the grid, never from elimination
     inst = soft(kind, n)
-    reference = solve_bruteforce(inst, want_all=want_all)
+    reference = solve_bruteforce(inst, want_all=True)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
-    assert solve(inst, want_all=want_all) == reference
-    past = n > CUT
-    assert (len(grid), len(elimination)) == (past and want_all, past and not want_all)
+    assert solve(inst, want_all=True) == reference
+    assert (len(grid), len(elimination)) == (n > CUT, 0)
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+@pytest.mark.parametrize("n", [CUT, CUT + 1])
+def test_soft_kinds_take_elimination_only_past_the_cut(kind, n, monkeypatch):
+    # without --all the optimum past the cut comes from elimination
+    inst = soft(kind, n)
+    reference = solve_bruteforce(inst)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (0, n > CUT)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
