@@ -31,7 +31,7 @@ from .relations import (
     rel_or,
     rel_true,
 )
-from .valued import CostFunction, f_neq, indicator_cost
+from .valued import MAX_COST_ARITY, CostFunction, f_neq, indicator_cost
 from .weakbases import weak_base
 
 KIND_SAT = "SAT"
@@ -268,11 +268,14 @@ class Resolver:
         m = _COST_NAME.match(name)
         if m:
             arity = int(m.group(1))
-            try:
-                vals = tuple(Fraction(v) for v in m.group(2).split("_"))
-            except (ValueError, ZeroDivisionError):  # "1//2", "1/0"
+            parts = m.group(2).split("_")
+            if not 1 <= arity <= MAX_COST_ARITY or len(parts) != 1 << arity:
                 return None
-            if len(vals) != 1 << arity:
+            try:
+                # the pattern admits only ASCII digits, so an all-digit value
+                # is a count, which skips Fraction's string parser
+                vals = tuple(Fraction(int(v)) if v.isdigit() else Fraction(v) for v in parts)
+            except (ValueError, ZeroDivisionError):  # "1//2", "1/0", ""
                 return None
             return CostFunction(arity, vals, name)
         return None

@@ -5,14 +5,21 @@ integers after clearing denominators, so optima are exact.
 
 Both solvers read an instance in one pass, `_terms`, which resolves each
 constraint once (`Resolver.resolve`), checks the variable cap and returns
-the raw hard terms and the integer objective.  Every route of `solve` then
-reads a hard constraint as its identification minor: the relation over the
-constraint's distinct arguments that identifying its repeated arguments
-leaves (`Relation.minor`).  The weak-base atoms of the 2+3n reductions
-repeat arguments, as in R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary
-relations shrink to minors of 2 or 3 variables, and each table build and
-gather works on those.  A constraint without repeats keeps its own
-relation.
+the raw hard terms and the integer objective.  The objective starts from
+integer forms built once per object, not per solve: a cost function's
+values over one common denominator (`CostFunction.scaled`) and a relation's
+Max-CSP 0/1 table (`Relation.hits`).  One lcm over the terms' reduced
+denominators gives the scale, so an all-integer instance computes none, and
+the hard kinds without variable weights share one objective per variable
+count.
+
+Every route of `solve` reads a hard constraint as its identification minor:
+the relation over the constraint's distinct arguments that identifying its
+repeated arguments leaves (`Relation.minor`).  The weak-base atoms of the
+2+3n reductions repeat arguments, as in R_IN2(v0,v0,v0,v0,y,y,y,y), so
+their 8-ary relations shrink to minors of 2 or 3 variables, and each table
+build and gather works on those.  A constraint without repeats keeps its
+own relation.
 
 `solve` takes an instance down one of four routes:
 
@@ -55,19 +62,20 @@ relation.
   objective and the least mask that reaches it.  On random instances of
   16-22 variables with 2n binary and ternary terms its largest table holds
   2^8-2^18 states (median 2^12), where the grid has 2^n.  The route is
-  taken when its table stays within one chunk and it touches fewer states
-  than the grid, both read from the terms before any array work
-  (`_elimination_pays`).  It finds one optimal mask, not the optimal set,
-  so `--all` stays on the grid.
+  taken when its table stays within one chunk and the states it touches,
+  plus `_STEP_STATES` a step, are fewer than the grid's, both read from the
+  terms before any array work (`_elimination_pays`).  It finds one optimal
+  mask, not the optimal set, so `--all` stays on the grid.
 - Soft-kind instances that elimination does not pay for, `--all` on them,
   and hard-kind instances whose frontier would outgrow one chunk, are
   enumerated in chunks of 2^20 masks.  Each chunk is a grid of high-half by
   low-half masks: every constraint table is gathered once per half and the
   halves are combined once (meet in the middle, Horowitz & Sahni 1974).
 
-A relation's minors, truth tables, bool LUT and decision diagram are built
-once and cached on the `Relation` object itself (`Relation.minor`,
-`Relation.table_cache`, `Relation.lut`, `Relation.diagram`), so they live
+A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
+are built once and cached on the `Relation` object itself (`Relation.minor`,
+`Relation.table_cache`, `Relation.lut`, `Relation.hits`, `Relation.diagram`),
+as a cost function's integer form is on its `CostFunction`, so they live
 exactly as long as the relation and a resolver that maps a name to another
 relation gets others.
 
@@ -130,11 +138,6 @@ class SolveResult:
     optimal_set: Optional[tuple[int, ...]] = None
 
 
-def _plain(x: Fraction):
-    """x as an int where it is one, so integer objectives skip Fraction arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
 # Solves meet the same args tuples again and again: the timed blocks of one
 # benchmark run look up 2294 tuples, 538 distinct, on certify-hard, where the
 # frontier reads minors, and 1266, 815 distinct, on mixed, where the truth
@@ -159,7 +162,16 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     the tuple of `args` (argument j in bit j).  A Ones group (w, m) of the
     Max-/Min-Ones kinds holds in m the variables of weight w, one group per
     distinct nonzero weight.  The objective is the sum of the soft terms
-    plus w times the ones in m of every group, all multiplied by `scale`.
+    plus w times the ones in m of every group, all multiplied by `scale`,
+    the least integer that clears every denominator of a weighted value.
+
+    A soft term starts from its function's integer form (g, den, nums),
+    built once per object (`CostFunction.scaled`; a relation's 0/1
+    `Relation.hits` and Max-Cut's edge table have den = 1): with weight
+    wn/wd and d = wd * den, its values are wn * nums_i / d, whose reduced
+    denominators have the lcm d / gcd(d, wn * g), since g is the gcd of the
+    nums.  So all-integer instances compute no lcm, and the hard kinds
+    without variable weights share one objective per n (`_unit_weights`).
     """
     kind = inst.kind
     applied = [resolver.resolve(kind, c) for c in inst.constraints]
@@ -167,42 +179,66 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     cap = MAX_ENUMERATE_VARS if want_all else MAX_SOLVE_VARS
     if n > cap:
         raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
-    hard: list = []
-    soft: list = []
-    weights: dict = {}  # variable weight -> mask of the variables that carry it
     if kind in _HARD_KINDS:
         hard = [(c.args, rel) for c, rel in zip(inst.constraints, applied)]
-        if kind != KIND_SAT and inst.var_weights is None:
-            weights = {1: (1 << n) - 1}
-        elif kind != KIND_SAT:
-            for i, w in enumerate(inst.var_weights):
-                if w:
-                    weights[w] = weights.get(w, 0) | 1 << i
-    else:
-        for c, fn in zip(inst.constraints, applied):
-            w = 1 if c.weight is None else _plain(c.weight)
-            if kind == KIND_VCSP:
-                table = [w * _plain(v) for v in fn.table]
-            elif kind == KIND_MAXCSP:
-                table = [w * hit for hit in fn.lut.tolist()]
-            else:  # Max-Cut: an edge counts when its ends differ
-                table = [0, w, w, 0]
-            soft.append((c.args, table))
+        if kind == KIND_SAT:
+            return hard, _NO_OBJECTIVE
+        if inst.var_weights is None:
+            return hard, _unit_weights(n)
+        weights: dict = {}  # variable weight -> mask of the variables that carry it
+        for i, w in enumerate(inst.var_weights):
+            if w:
+                weights[w] = weights.get(w, 0) | 1 << i
+        scale = math.lcm(*(w.denominator for w in weights))
+        ones = [(w.numerator * (scale // w.denominator), mask) for w, mask in weights.items()]
+        return hard, (scale, [], ones, _dtype(sum(w * m.bit_count() for w, m in ones)))
 
-    # one integer scale clears every denominator that can reach the objective
-    scale = math.lcm(*(w.denominator for w in weights),
-                     *(x.denominator for _, table in soft for x in table))
-    ints = [(args, [x.numerator * (scale // x.denominator) for x in table])
-            for args, table in soft]
-    ones = [(w.numerator * (scale // w.denominator), mask) for w, mask in weights.items()]
-    # weights and costs are nonnegative, so this caps every partial sum
-    bound = (sum(max(table) for _, table in ints)
-             + sum(w * mask.bit_count() for w, mask in ones))
+    forms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
+    scale = 1
+    for c, fn in zip(inst.constraints, applied):
+        if kind == KIND_VCSP:
+            g, den, nums = fn.scaled
+        elif kind == KIND_MAXCSP:
+            g, den, nums = (1 if fn.tuples else 0), 1, fn.hits
+        else:  # Max-Cut: an edge counts when its ends differ
+            g, den, nums = 1, 1, _EDGE
+        wn, wd = (1, 1) if c.weight is None else (c.weight.numerator, c.weight.denominator)
+        d = wd * den
+        if d != 1:
+            scale = math.lcm(scale, d // math.gcd(d, wn * g))
+        forms.append((c.args, wn, d, nums))
+    ints = []
+    for args, wn, d, nums in forms:
+        f = wn * scale  # the term's value i times scale is f * nums[i] / d, an int
+        if d != 1:
+            table = [f * x // d for x in nums]
+        else:
+            table = nums if f == 1 else [f * x for x in nums]
+        ints.append((args, table))
+    dtype = _dtype(sum(max(table) for _, table in ints))
+    return [], (scale, [(args, np.array(table, dtype=dtype)) for args, table in ints], [], dtype)
+
+
+# Max-Cut's table over the code of an edge's two ends: 1 where they differ
+_EDGE = (0, 1, 1, 0)
+# the objective of SAT: none at all
+_NO_OBJECTIVE = (1, (), (), np.int32)
+
+
+@functools.cache
+def _unit_weights(n: int):
+    """The objective of a Max-/Min-Ones instance of n variables without weights."""
+    return 1, (), ((1, (1 << n) - 1),), np.int32
+
+
+def _dtype(bound: int):
+    """The accumulator dtype for an objective of at most `bound`.
+
+    Weights and costs are nonnegative, so the bound caps every partial sum.
+    """
     if bound >= _INT_LIMIT:
         raise OracleError("objective magnitude exceeds the exact int64 budget")
-    dtype = np.int32 if bound < 1 << 31 else np.int64
-    soft = [(args, np.array(table, dtype=dtype)) for args, table in ints]
-    return hard, (scale, soft, ones, dtype)
+    return np.int32 if bound < 1 << 31 else np.int64
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -350,19 +386,35 @@ def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
     return by_top, last
 
 
+# What one step of `_eliminate` costs beyond the grid's work for the same
+# variable, in grid states.  A step's numpy calls (doubling, one forget, two
+# terms' broadcasts) take 30-63 us against the grid's 19-44 us a variable, at
+# 2.1-2.5 ns a grid state, on narrow instances of 8-14 variables with two
+# terms a variable; so 4,400-9,100 states, measured on a 2-vCPU VM.  The
+# benchmark's 16-variable soft files sit at the crossover: at 4096, 56 of 324
+# files (three seeds of six blocks) change route, about half of them to the
+# slower one.  At 1024 none of 1,080 files of 16-22 variables (ten seeds)
+# changes route, while every instance of 11-13 variables, on which the grid
+# was 1.0-1.35x faster, and at 14 all but those under 2^11 states, go to the
+# grid (BENCH_22.json).
+_STEP_STATES = 1 << 10
+
+
 def _elimination_pays(n: int, soft) -> bool:
-    """Whether `_eliminate` keeps its table within a chunk and touches fewer
-    states than the grid's 2^n, read from the terms before any array work.
+    """Whether `_eliminate` keeps its table within a chunk and costs less
+    than the grid's 2^n states, read from the terms before any array work.
 
     Variable u sits in the table from step u through the step that forgets
-    it, so step v touches 2^a_v states, a_v the variables in it then.
+    it, so step v touches 2^a_v states, a_v the variables in it then, and
+    costs `_STEP_STATES` more.
     """
     _, last = _buckets(n, soft)
     change = [0] * (n + 1)  # at step v, a_v changes by change[v]
     for u in range(n):
         change[u] += 1
         change[last[u] + 1] -= 1
-    size = work = peak = 0
+    size = peak = 0
+    work = n * _STEP_STATES
     for v in range(n):
         size += change[v]
         work += 1 << size
@@ -560,8 +612,8 @@ def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
     maximize = kind in MAXIMIZING_KINDS
     scale, soft, ones, dtype = tables
     # here every variable weight is a unary term [0, w]
-    soft = soft + [((i,), np.array([0, w], dtype=dtype))
-                   for w, mask in ones for i in range(n) if mask >> i & 1]
+    soft = [*soft, *(((i,), np.array([0, w], dtype=dtype))
+                     for w, mask in ones for i in range(n) if mask >> i & 1)]
     bits = min(n, _CHUNK_BITS)
     eval_chunk = evaluator(hard, soft, dtype, bits)
 

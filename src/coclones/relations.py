@@ -137,6 +137,15 @@ class Relation:
         return int.from_bytes(packed, "little")
 
     @cached_property
+    def hits(self) -> tuple[int, ...]:
+        """0/1 over all 2^arity masks, 1 on the tuples: the Max-CSP score
+        table the oracle scales by a constraint's weight (cached like `lut`)."""
+        table = [0] * (1 << self.arity)
+        for t in self.tuples:
+            table[t] = 1
+        return tuple(table)
+
+    @cached_property
     def diagram(self) -> Optional[tuple[int, tuple[tuple[int, int, int], ...]]]:
         """(root, nodes) of the reduced ordered decision diagram, or None.
 

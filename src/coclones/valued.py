@@ -14,6 +14,7 @@ walk that also applies the closure operations of `relations`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -46,10 +47,26 @@ class CostFunction:
             raise RelationError(f"cost function arity {self.arity} out of range")
         if len(self.table) != 1 << self.arity:
             raise RelationError("cost table length must be 2^arity")
-        tab = tuple(Fraction(v) for v in self.table)
-        if any(v < 0 for v in tab):
+        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.table)
+        if any(v.numerator < 0 for v in tab):
             raise RelationError("cost values must be nonnegative")
         object.__setattr__(self, "table", tab)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, int, tuple[int, ...]]:
+        """(g, den, nums): the table as nums / den over one common denominator.
+
+        den is the lcm of the values' denominators, nums the values times den
+        as ints, and g their gcd (0 on an all-zero table).  The oracle builds
+        its integer objective from this; it is built on first use and kept
+        for the lifetime of this object, outside the fields that equality and
+        hashing read.
+        """
+        nums, dens = zip(*(v.as_integer_ratio() for v in self.table))
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = tuple(x * (den // d) for x, d in zip(nums, dens))
+        return math.gcd(*nums), den, nums
 
     def __call__(self, mask: int) -> Fraction:
         return self.table[mask]

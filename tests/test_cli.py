@@ -232,6 +232,19 @@ def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, me
     assert (code, out, err.getvalue()) == (2, "", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize("name", [
+    "cost1_1//2_0", "cost1_1/0_0", "cost1_1_", "cost0_1", "cost9_" + "_".join(["1"] * 512),
+], ids=["double-slash", "zero-denominator", "empty-value", "arity-0", "arity-9"])
+def test_malformed_cost_name_is_an_unknown_cost_function(tmp_path, name):
+    path = tmp_path / "x.inst"
+    path.write_text(f"problem VCSP\nvars 1\nc {name} 1\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["solve", str(path)])
+    assert (code, out, err.getvalue()) == (
+        2, "", f"error: {path}: unknown cost function {name!r}\n")
+
+
 @pytest.mark.parametrize("flag,value", [("--sets", "0"), ("--max-arity", "0"),
                                         ("--max-arity", "9"), ("--max-value", "-1")])
 def test_synthesis_sweep_bad_arguments_exit_2(flag, value):

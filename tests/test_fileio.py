@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from coclones.fileio import (
@@ -120,6 +120,12 @@ def test_parametric_names_reconstruct():
     assert named.table == f_neq().table
 
 
+# values that do not parse (a double slash, a zero denominator, an empty
+# value), an arity below 1, and an arity past MAX_COST_ARITY with 2^9 values
+MALFORMED_COST_NAMES = ("cost1_1/0_0", "cost1_1//2_0", "cost1_1_", "cost0_1",
+                        "cost9_" + "_".join(["1"] * 512))
+
+
 def test_registration_checks_what_a_name_would_build():
     resolver = default_resolver()
     # past the arity cap, so OR99, Rf_9_3 and R_IS1_99 build nothing
@@ -129,10 +135,33 @@ def test_registration_checks_what_a_name_would_build():
     for name in ("OR2", "Rf_1_1", "R_IS1_2"):
         with pytest.raises(InstanceError, match="conflicting definitions"):
             resolver.register_relation(Relation(2, (0b01,), name))
-    # a cost name whose values do not parse is no builtin either
-    for name in ("cost1_1/0_0", "cost1_1//2_0"):
+    # a cost name whose values do not parse, or whose arity is out of range,
+    # is no builtin either
+    for name in MALFORMED_COST_NAMES:
         with pytest.raises(InstanceError, match="unknown cost function"):
             resolver.costfn(name)
         resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), name))
     with pytest.raises(InstanceError, match="conflicting definitions"):
         resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), "cost1_1_0"))
+
+
+# one value of a cost name: a count or a fraction, leading zeros allowed
+COST_VALUES = st.one_of(
+    st.integers(0, 10 ** 30).map(str),
+    st.from_regex(r"\A[0-9]{1,8}\Z"),
+    st.from_regex(r"\A[0-9]{1,8}/0*[1-9][0-9]{0,6}\Z"),
+    st.builds(Fraction, st.integers(0, 10 ** 12), st.integers(1, 10 ** 6)).map(str))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(COST_VALUES, min_size=1 << k, max_size=1 << k)))
+@example(["0", "007"])
+@example(["3/2", "06/04", "0/5", "10"])
+@example(["1", "2", "3", "4", "5", "6", "7", str(2 ** 64)])
+def test_cost_names_parse_to_their_fractions(values):
+    # counts skip Fraction's string parser; the table must not show it
+    name = f"cost{len(values).bit_length() - 1}_" + "_".join(values)
+    table = default_resolver().costfn(name).table
+    assert table == tuple(Fraction(v) for v in values)
+    assert all(type(v) is Fraction for v in table)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -339,12 +340,29 @@ def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [CUT, CUT + 1])
 def test_soft_kinds_take_elimination_only_past_the_cut(kind, n, monkeypatch):
-    # without --all the optimum past the cut comes from elimination
+    # without --all the optimum past the cut comes from elimination where its
+    # steps cost less than the grid: not yet on n = CUT + 1 variables, where
+    # n * _STEP_STATES alone passes 2^n, but with six idle variables more
     inst = soft(kind, n)
+    padded = Instance(kind, n + 6, inst.constraints)
+    reference, padded_reference = solve_bruteforce(inst), solve_bruteforce(padded)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (n > CUT, 0)
+    assert solve(padded) == padded_reference
+    assert (len(grid), len(elimination)) == (n > CUT, 1)
+
+
+@pytest.mark.parametrize("n,eliminated", [(13, False), (14, True)])
+def test_elimination_pays_for_its_steps(n, eliminated, monkeypatch):
+    # a path holds two variables a step, 4n - 2 states in all, so its
+    # estimate is n * _STEP_STATES past that: above the grid's 2^13 on 13
+    # variables, below 2^14 on 14
+    inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
     reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
     assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (0, n > CUT)
+    assert (len(grid), len(elimination)) == (not eliminated, eliminated)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
@@ -363,9 +381,10 @@ def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
 @pytest.mark.parametrize("chunk_bits,eliminated", [(9, False), (10, True)])
 def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypatch):
     # a star of 9 edges into variable 9 holds 10 variables at that step, then
-    # a path to variable 13: 2^11 + 12 states in all, below the grid's 2^14
-    edges = [(i, 9) for i in range(9)] + [(i, i + 1) for i in range(9, 13)]
-    inst = Instance(KIND_MAXCUT, 14, tuple(Constraint("edge", e) for e in edges))
+    # a path to variable 15: 2^11 + 22 states and 16 steps in all, below the
+    # grid's 2^16
+    edges = [(i, 9) for i in range(9)] + [(i, i + 1) for i in range(9, 15)]
+    inst = Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", e) for e in edges))
     reference = solve_bruteforce(inst)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
@@ -552,6 +571,116 @@ def test_ones_weights_count_toward_the_int64_budget():
     with pytest.raises(OracleError):
         solve_bruteforce(inst)
     assert solve(wmo(2, [], (2 ** 59, 2 ** 59 - 1))).optimum == 2 ** 60 - 1
+
+
+def reference_terms(inst, resolver, want_all):
+    """`oracle._terms` rebuilt from Fractions alone, as the error text or as
+    (hard terms, scale, integer soft tables, Ones groups, dtype).
+
+    Every weighted value is one Fraction, the scale is the lcm of all of
+    their denominators, and each integer is a value times the scale.  Max-CSP
+    reads a relation through `contains`, Max-Cut through its definition.
+    """
+    kind = inst.kind
+    applied = [resolver.resolve(kind, c) for c in inst.constraints]
+    n = inst.num_vars
+    cap = oracle.MAX_ENUMERATE_VARS if want_all else oracle.MAX_SOLVE_VARS
+    if n > cap:
+        return f"instance has {n} variables, oracle cap is {cap}"
+    hard, soft, groups = [], [], {}
+    if kind in HARD_KINDS:
+        hard = [(c.args, rel) for c, rel in zip(inst.constraints, applied)]
+        if kind != KIND_SAT and inst.var_weights is None:
+            groups = {Fraction(1): (1 << n) - 1}
+        elif kind != KIND_SAT:
+            for i, w in enumerate(inst.var_weights):
+                if w:
+                    groups[Fraction(w)] = groups.get(Fraction(w), 0) | 1 << i
+    else:
+        for c, fn in zip(inst.constraints, applied):
+            w = Fraction(1) if c.weight is None else Fraction(c.weight)
+            if kind == KIND_VCSP:
+                values = fn.table
+            elif kind == KIND_MAXCSP:
+                values = [fn.contains(m) for m in range(1 << fn.arity)]
+            else:  # code m of an edge holds its ends in bits 0 and 1
+                values = [(m & 1) != (m >> 1) for m in range(4)]
+            soft.append((c.args, [w * Fraction(v) for v in values]))
+    scale = math.lcm(*(w.denominator for w in groups),
+                     *(x.denominator for _, table in soft for x in table))
+    ints = [(args, [int(x * scale) for x in table]) for args, table in soft]
+    ones = [(int(w * scale), mask) for w, mask in groups.items()]
+    bound = sum(max(table) for _, table in ints) + sum(w * m.bit_count() for w, m in ones)
+    if bound >= 1 << 60:
+        return "objective magnitude exceeds the exact int64 budget"
+    return hard, scale, ints, ones, np.int32 if bound < 1 << 31 else np.int64
+
+
+# small fractions and zero, and values on both sides of 2^31 and of the 2^60 budget
+VALUES = st.one_of(
+    st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(2 ** 31 - 2, 2 ** 31 + 2), st.integers(1, 4)),
+    st.sampled_from((0, 2 ** 31 - 1, 2 ** 31, 2 ** 59, 2 ** 60 - 1, 2 ** 60)).map(Fraction))
+TERMS_RESOLVER = default_resolver()
+TERMS_RESOLVER.register_relation(Relation(2, (), "NONE2"))  # scores 0 everywhere
+
+
+@st.composite
+def weighted_instances(draw):
+    """Instances of every kind with drawn weights and cost tables, past the
+    `want_all` cap too (an Instance holds at most MAX_SOLVE_VARS variables)."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    n = draw(st.one_of(st.integers(0, 6), st.sampled_from(
+        (oracle.MAX_ENUMERATE_VARS, oracle.MAX_ENUMERATE_VARS + 1, oracle.MAX_SOLVE_VARS))))
+    cons = []
+    for _ in range(draw(st.integers(0, 5)) if n else 0):
+        if kind == KIND_VCSP:
+            k = draw(st.integers(1, 3))
+            ref = draw(st.one_of(st.sampled_from(COSTS), st.lists(
+                VALUES, min_size=1 << k, max_size=1 << k).map(
+                lambda vals: f"cost{len(vals).bit_length() - 1}_"
+                + "_".join(map(str, vals)))))
+        else:
+            ref = "edge" if kind == KIND_MAXCUT else draw(
+                st.sampled_from(RELATIONS + ("NONE2",)))
+        k = 2 if kind == KIND_MAXCUT else (TERMS_RESOLVER.costfn(ref) if kind == KIND_VCSP
+                                           else TERMS_RESOLVER.relation(ref)).arity
+        args = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+        weight = draw(st.one_of(st.none(), VALUES)) if kind in (
+            KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT) else None
+        cons.append(Constraint(ref, args, weight))
+    var_weights = None
+    if kind in (KIND_WMO, KIND_MINO) and draw(st.booleans()):
+        var_weights = tuple(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    return Instance(kind, n, tuple(cons), var_weights)
+
+
+# _terms builds its integers from each object's cached integer form and the
+# reduced denominator of each term; the reference builds them value by value
+@settings(max_examples=examples(300), deadline=None)
+@given(weighted_instances(), st.booleans())
+@example(wmo(2, [], (2 ** 59, 2 ** 59)), False)
+@example(wmo(2, [], (2 ** 59, 2 ** 59 - 1)), False)
+@example(Instance(KIND_MAXCUT, 2, (Constraint("edge", (0, 1), Fraction(2 ** 31 - 1)),)), False)
+@example(Instance(KIND_MAXCUT, 2, (Constraint("edge", (0, 1), Fraction(2 ** 31)),)), False)
+@example(Instance(KIND_MAXCSP, 2, (Constraint("NONE2", (0, 1), Fraction(1, 3)),
+                                   Constraint("OR2", (1, 0), Fraction(0)))), True)
+@example(Instance(KIND_VCSP, 2, (Constraint("cost1_1/2_1/3", (0,), Fraction(6, 5)),
+                                 Constraint("cost2_0_4/3_2_2/3", (1, 0), Fraction(3, 2)))), True)
+@example(umo(oracle.MAX_ENUMERATE_VARS + 1, []), True)
+@example(Instance(KIND_SAT, 0, ()), False)
+@example(umo(0, []), False)
+def test_terms_match_the_fraction_reference(inst, want_all):
+    want = reference_terms(inst, TERMS_RESOLVER, want_all)
+    try:
+        hard, (scale, soft_terms, ones, dtype) = oracle._terms(inst, TERMS_RESOLVER, want_all)
+    except OracleError as exc:
+        assert str(exc) == want
+        return
+    assert not isinstance(want, str), want
+    assert (hard, scale, [(args, table.tolist()) for args, table in soft_terms],
+            list(ones), dtype) == want
+    assert all(table.dtype == dtype for _, table in soft_terms)
 
 
 def test_relation_lut_is_cached_and_read_only():
