@@ -148,6 +148,13 @@ _PARAM_REL = re.compile(r"^(OR|NAND|EVEN|ODD)(\d+)$")
 _PARAM_CTORS = {"OR": rel_or, "NAND": rel_nand, "EVEN": rel_even, "ODD": rel_odd}
 
 
+def _cost_value(v: str) -> Fraction:
+    """One value of a cost name, a count or a/b: the pattern admits only ASCII
+    digits and slashes, so two ints give it without Fraction's string parser."""
+    num, slash, den = v.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+
+
 def _rf_relation(k: int, support_mask: int) -> Relation:
     """Value-translation relation for a cost function with the given support.
 
@@ -272,10 +279,8 @@ class Resolver:
             if not 1 <= arity <= MAX_COST_ARITY or len(parts) != 1 << arity:
                 return None
             try:
-                # the pattern admits only ASCII digits, so an all-digit value
-                # is a count, which skips Fraction's string parser
-                vals = tuple(Fraction(int(v)) if v.isdigit() else Fraction(v) for v in parts)
-            except (ValueError, ZeroDivisionError):  # "1//2", "1/0", ""
+                vals = tuple(map(_cost_value, parts))
+            except (ValueError, ZeroDivisionError):  # "1//2", "1/0", "", "1/2/3"
                 return None
             return CostFunction(arity, vals, name)
         return None

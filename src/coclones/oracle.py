@@ -23,37 +23,49 @@ own relation.
 
 `solve` takes an instance down one of four routes:
 
-- Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones) of at most
-  `_TRUTH_VARS` = 14 variables are solved on truth tables (`truthtables`).
-  The constraints' tables are ANDed together into T, stopping at 0.  SAT,
-  and Max-/Min-Ones where every variable weighs the same, are answered
-  from that int: with popcount layers L_k (bit a set iff a has k ones,
-  cached per n), the optimum is the largest k (Min-Ones: the smallest)
-  with T & L_k != 0, the witness that AND's lowest set bit, and the
-  optimal set that AND unpacked.  Any other weights unpack T into the
-  ascending array of feasible masks for the objective stage below.  A
-  constraint's table is cached on its relation under (args, n), so a
-  repeated constraint skips both the minor and the build
-  (`Relation.table_cache`, bounded by `_TABLES_PER_RELATION`).  The cut is
-  one below the measured crossover with the frontier, on the certify
-  targets of the 8-ary weak bases, the closest case: truth/frontier time
-  0.47-0.55 at 14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5
-  at 17 on a 2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8
-  up to 16.  On minors the certify targets read 0.18 at 14, 0.67-1.16 at
-  17 and 5.6-6.7 at 20, and chains of binary constraints, which have no
-  minors to shrink, cross at 16 (1.04-1.06), so the cut stays.
+- Every instance of at most `_TRUTH_VARS` = 14 variables is solved on truth
+  tables (`truthtables`), in Python ints.
+  - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones): the constraints'
+    tables are ANDed together into T, stopping at 0.  SAT, and Max-/Min-Ones
+    where every variable weighs the same, are answered from that int: with
+    popcount layers L_k (bit a set iff a has k ones, cached per n), the
+    optimum is the largest k (Min-Ones: the smallest) with T & L_k != 0,
+    the witness that AND's lowest set bit, and the optimal set that AND
+    unpacked.  Any other weights unpack T into the ascending array of
+    feasible masks for the objective stage below.  A constraint's table is
+    cached on its relation under (args, n), so a repeated constraint skips
+    both the minor and the build (`Relation.table_cache`, bounded by
+    `_TABLES_PER_RELATION`).
+  - Soft kinds (VCSP, Max-CSP, Max-Cut): the objective is a bit-sliced
+    counter, plane p the table of the assignments whose objective has bit p
+    set; each term's scaled values are added with a ripple-carry adder and
+    the optimum is read from the top plane down (`_counted`).  On a 2-vCPU
+    VM this takes 16-24 us a solve, where scoring all 2^n masks in numpy
+    took 31-33 us, on the 912 solves of 2-5 variables of the Max-Cut/f_neq
+    certify corpora; on random instances of 11-14 variables with 2n binary
+    and ternary terms it takes 0.12-0.81 ms, where the grid or elimination
+    took 0.38-1.03 ms.  It still wins at 15 and 16 variables and is no
+    faster than elimination from 17 on, so the hard kinds' cut serves it
+    too.
+  The cut is one below the hard kinds' measured crossover with the
+  frontier, on the certify targets of the 8-ary weak bases, the closest
+  case: truth/frontier time 0.47-0.55 at 14 variables, 0.64-1.03 at 15,
+  0.88-1.51 at 16 and 2.1-2.5 at 17 on a 2-vCPU VM, where random mixes,
+  EVEN8 and OR8 stay below 0.8 up to 16.  On minors the certify targets
+  read 0.18 at 14, 0.67-1.16 at 17 and 5.6-6.7 at 20, and chains of binary
+  constraints, which have no minors to shrink, cross at 16 (1.04-1.06), so
+  the cut stays.  The variable planes the tables are built on are cached
+  per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB at 14
+  variables and 111 KB for every n up to 14.
 - Larger hard-kind instances go through a frontier search in variable
   order (Dechter, *Constraint Processing*, ch. 5): the partial assignments
   over variables 0..v that satisfy every constraint lying within them are
   kept in one sorted array, extended by variable v+1, and filtered again.
-  Soft-kind instances (VCSP, Max-CSP, Max-Cut) of at most
-  `_SMALL_SOFT_VARS` = 10 variables have nothing to prune by and start
-  from all 2^n masks, which on a few hundred masks costs less than the
-  grid below.  The frontier, these small soft instances and truth tables
-  under other weights hand their ascending feasible masks to one objective
-  stage, which scores the Max-/Min-Ones objective as one popcount of
-  `masks & m` (`np.bitwise_count`, numpy 2) per distinct variable weight,
-  m the mask of the variables that carry it.
+  The frontier and truth tables under other weights hand their ascending
+  feasible masks to one objective stage (`_optimize`), which scores the
+  Max-/Min-Ones objective as one popcount of `masks & m`
+  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask
+  of the variables that carry it.
 - Larger soft-kind instances are solved by bucket elimination in variable
   order (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic
   Programming*, 1972): a table over the variables that a later term still
@@ -118,11 +130,8 @@ MAX_SOLVE_VARS = 24
 MAX_ENUMERATE_VARS = 20
 _CHUNK_BITS = 20
 _INT_LIMIT = 1 << 60
-# Soft-kind instances with at most this many variables skip the grid, whose
-# setup costs more than it saves there (crossover measured on a 2-vCPU VM)
-_SMALL_SOFT_VARS = 10
-# Hard-kind instances with at most this many variables are solved on truth
-# tables (crossover measured on a 2-vCPU VM)
+# Instances with at most this many variables are solved on truth tables
+# (crossovers measured on a 2-vCPU VM; see the module docstring)
 _TRUTH_VARS = 14
 
 # kinds whose constraints are all hard, so an assignment can be pruned
@@ -158,8 +167,10 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     One pass over the constraints resolves each once (`Resolver.resolve`)
     and checks the variable cap.  A hard term is (args, relation), one per
     constraint of a hard kind, on its raw args.  A soft term is (args,
-    table), one per constraint of the soft kinds: the table is indexed by
-    the tuple of `args` (argument j in bit j).  A Ones group (w, m) of the
+    table), one per constraint of the soft kinds: the table is a sequence of
+    Python ints indexed by the code of `args` (argument j in bit j), which
+    the elimination and the grid turn into arrays themselves.  The dtype is
+    the one those arrays accumulate in.  A Ones group (w, m) of the
     Max-/Min-Ones kinds holds in m the variables of weight w, one group per
     distinct nonzero weight.  The objective is the sum of the soft terms
     plus w times the ones in m of every group, all multiplied by `scale`,
@@ -215,8 +226,7 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
         else:
             table = nums if f == 1 else [f * x for x in nums]
         ints.append((args, table))
-    dtype = _dtype(sum(max(table) for _, table in ints))
-    return [], (scale, [(args, np.array(table, dtype=dtype)) for args, table in ints], [], dtype)
+    return [], (scale, ints, [], _dtype(sum(max(table) for _, table in ints)))
 
 
 # Max-Cut's table over the code of an edge's two ends: 1 where they differ
@@ -246,13 +256,15 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
 
     `jobs` is the thread count of the chunked enumeration, which splits
-    only an instance of more than 2^20 masks; the truth-table, frontier,
-    small-soft and elimination routes run in one thread.
+    only an instance of more than 2^20 masks; the truth-table, frontier and
+    elimination routes run in one thread.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
-    if inst.kind in _HARD_KINDS and n <= _TRUTH_VARS:
-        return _truth(inst.kind, n, raw, tables, want_all)
+    if n <= _TRUTH_VARS:
+        if inst.kind in _HARD_KINDS:
+            return _truth(inst.kind, n, raw, tables, want_all)
+        return _counted(inst.kind, n, tables, want_all)
     # each hard term is read as its identification minor, so
     # R_IN2(v0,v0,v0,v0,y,y,y,y) becomes a binary relation on (v0, y)
     hard = []
@@ -261,16 +273,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
         hard.append((distinct, rel.minor(pattern)))
     if inst.kind in _HARD_KINDS:
         masks = _frontier(n, hard)
-    elif n <= _SMALL_SOFT_VARS:
-        masks = tt.arange(n)
+        if masks is not None:
+            return _optimize(inst.kind, masks, tables, want_all)
     else:
         scale, soft, _, _ = tables
         if not want_all and _elimination_pays(n, soft):
             return _eliminate(inst.kind, n, soft, scale)
-        masks = None
-    if masks is None:
-        return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
-    return _optimize(inst.kind, masks, tables, want_all)
+    return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
@@ -349,6 +358,72 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
     optimal = tuple(tt.masks(hit, n).tolist()) if want_all else None
     opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
     return SolveResult(kind, True, opt_fraction, (hit & -hit).bit_length() - 1, optimal)
+
+
+def _counted(kind: str, n: int, tables, want_all: bool) -> SolveResult:
+    """Solve a soft-kind instance on a bit-sliced counter of its objective.
+
+    Plane p of the counter is the truth table of the assignments whose
+    objective has bit p set.  The assignments on which a term's arguments
+    read code c are S_c, the AND of one literal per argument; those of one
+    term are disjoint, so plane p of the term is the OR of the S_c whose
+    value has bit p set, and a ripple-carry adder (`_add`) adds it to the
+    counter.  The optimum is read from the top plane down: where some
+    candidate has the plane's bit set (VCSP, which minimizes: clear), the
+    candidates narrow to those.  The ones left share every bit of the
+    optimum, and the lowest of them is the least optimal mask.
+    """
+    scale, soft, _, _ = tables
+    full, literals = tt.planes(n)
+    counter: list[int] = []
+    for args, table in soft:
+        codes = [full]  # codes[c] = S_c over the arguments so far
+        for v in args:
+            # the new argument's literal is the code's next bit
+            codes = [s & lit for lit in literals[v] for s in codes]
+        term = [0] * max(table).bit_length()
+        for s, value in zip(codes, table):
+            p = 0
+            while value:
+                if value & 1:
+                    term[p] |= s
+                value >>= 1
+                p += 1
+        _add(counter, term)
+    maximize = kind in MAXIMIZING_KINDS
+    cand, best = full, 0
+    for p in reversed(range(len(counter))):
+        plane = counter[p]
+        hit = cand & plane if maximize else cand & ~plane
+        if hit:
+            cand = hit
+        if cand & plane:
+            best |= 1 << p
+    optimal = tuple(tt.masks(cand, n).tolist()) if want_all else None
+    return SolveResult(kind, True, Fraction(best, scale), (cand & -cand).bit_length() - 1,
+                       optimal)
+
+
+def _add(counter: list[int], term: list[int]) -> None:
+    """Add the bit-sliced `term` into the bit-sliced `counter`, plane by plane:
+    a full adder over the term's planes, then the carry alone."""
+    if len(counter) < len(term):
+        counter += [0] * (len(term) - len(counter))
+    carry = 0
+    for p, y in enumerate(term):
+        x = counter[p]
+        t = x ^ y
+        counter[p] = t ^ carry
+        carry = x & y | t & carry
+    p = len(term)
+    while carry:
+        if p == len(counter):
+            counter.append(carry)
+            return
+        x = counter[p]
+        counter[p] = x ^ carry
+        carry &= x
+        p += 1
 
 
 def _frontier(n: int, hard) -> Optional[np.ndarray]:
@@ -443,7 +518,7 @@ def _eliminate(kind: str, n: int, soft, scale: int) -> SolveResult:
         witness = np.concatenate((witness, witness | 1 << v))
         active.append(v)
         for args, table in by_top.get(v, ()):
-            _spread_add(best, [active.index(u) for u in args], table)
+            _spread_add(best, [active.index(u) for u in args], np.array(table, dtype=np.int64))
         for u in [u for u in active if last[u] == v]:
             # axis 1 of the view is u's bit
             halves = (-1, 2, 1 << active.index(u))
@@ -476,17 +551,16 @@ def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
 
 
 def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResult:
-    """Score the ascending feasible `masks` and pick the optimum among them.
+    """Score the ascending feasible `masks` of a hard-kind instance and pick
+    the optimum among them.
 
     The masks are ascending, so the least optimal mask is the first hit and
     optimal_set comes out sorted.
     """
-    scale, soft, ones, _ = tables
+    scale, _, ones, _ = tables
     if not masks.size:
         return SolveResult(kind, False, None, None, () if want_all else None)
     obj = np.zeros(masks.shape, dtype=np.int64)
-    for args, table in soft:
-        obj += table[tt.code(masks, enumerate(args))]
     for w, mask in ones:
         # bitwise_count gives uint8; widen before the weight multiply
         obj += np.bitwise_count(masks & mask).astype(np.int64) * w
@@ -612,8 +686,8 @@ def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
     maximize = kind in MAXIMIZING_KINDS
     scale, soft, ones, dtype = tables
     # here every variable weight is a unary term [0, w]
-    soft = [*soft, *(((i,), np.array([0, w], dtype=dtype))
-                     for w, mask in ones for i in range(n) if mask >> i & 1)]
+    soft = [(args, np.array(table, dtype=dtype)) for args, table in
+            [*soft, *(((i,), (0, w)) for w, mask in ones for i in range(n) if mask >> i & 1)]]
     bits = min(n, _CHUNK_BITS)
     eval_chunk = evaluator(hard, soft, dtype, bits)
 

@@ -27,6 +27,7 @@ per-variable auxiliaries, then per-constraint auxiliaries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import zlib
@@ -370,11 +371,14 @@ def _make_qwpp_note(identity: ArgmaxIdentity):
 def _build_maxones_to_minones(inst: Instance, resolver: Resolver) -> Instance:
     _require_unweighted(inst)
     n = inst.num_vars
-    cons = list(inst.constraints)
-    for i in range(n):
-        cons.append(Constraint("neq", (i, n + 2 * i)))
-        cons.append(Constraint("neq", (i, n + 2 * i + 1)))
-    return Instance(KIND_UMO, 3 * n, tuple(cons))
+    return Instance(KIND_UMO, 3 * n, inst.constraints + _complements(n))
+
+
+# one entry per source size; a target holds at most 24 variables, so n <= 8
+@functools.cache
+def _complements(n: int) -> tuple[Constraint, ...]:
+    """neq(i, n + 2i) and neq(i, n + 2i + 1) for each source variable i."""
+    return tuple(Constraint("neq", (i, n + j)) for i in range(n) for j in (2 * i, 2 * i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +458,9 @@ def _build_sat2_to_uvcsp2(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _total_weight(inst: Instance) -> Fraction:
-    return sum((c.weight if c.weight is not None else Fraction(1)
-                for c in inst.constraints), Fraction(0))
+    # an unset weight is 1; counting those as an int skips a Fraction add each
+    weights = [c.weight for c in inst.constraints if c.weight is not None]
+    return sum(weights, Fraction(len(inst.constraints) - len(weights)))
 
 
 def _build_maxcut_to_vcsp(inst: Instance, resolver: Resolver) -> Instance:

@@ -233,8 +233,9 @@ def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, me
 
 
 @pytest.mark.parametrize("name", [
-    "cost1_1//2_0", "cost1_1/0_0", "cost1_1_", "cost0_1", "cost9_" + "_".join(["1"] * 512),
-], ids=["double-slash", "zero-denominator", "empty-value", "arity-0", "arity-9"])
+    "cost1_1//2_0", "cost1_1/0_0", "cost1_1_", "cost1_1/2/3_0", "cost0_1",
+    "cost9_" + "_".join(["1"] * 512),
+], ids=["double-slash", "zero-denominator", "empty-value", "two-slashes", "arity-0", "arity-9"])
 def test_malformed_cost_name_is_an_unknown_cost_function(tmp_path, name):
     path = tmp_path / "x.inst"
     path.write_text(f"problem VCSP\nvars 1\nc {name} 1\n")

@@ -121,8 +121,9 @@ def test_parametric_names_reconstruct():
 
 
 # values that do not parse (a double slash, a zero denominator, an empty
-# value), an arity below 1, and an arity past MAX_COST_ARITY with 2^9 values
-MALFORMED_COST_NAMES = ("cost1_1/0_0", "cost1_1//2_0", "cost1_1_", "cost0_1",
+# value, two slashes), an arity below 1, and an arity past MAX_COST_ARITY
+# with 2^9 values
+MALFORMED_COST_NAMES = ("cost1_1/0_0", "cost1_1//2_0", "cost1_1_", "cost1_1/2/3_0", "cost0_1",
                         "cost9_" + "_".join(["1"] * 512))
 
 
@@ -160,7 +161,7 @@ COST_VALUES = st.one_of(
 @example(["3/2", "06/04", "0/5", "10"])
 @example(["1", "2", "3", "4", "5", "6", "7", str(2 ** 64)])
 def test_cost_names_parse_to_their_fractions(values):
-    # counts skip Fraction's string parser; the table must not show it
+    # counts and fractions skip Fraction's string parser; the table must not show it
     name = f"cost{len(values).bit_length() - 1}_" + "_".join(values)
     table = default_resolver().costfn(name).table
     assert table == tuple(Fraction(v) for v in values)

@@ -261,7 +261,8 @@ CERTIFY_TARGETS = (
 @example(Instance(KIND_VCSP, 4, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
                                  Constraint("cost2_1_0_1/3_2", (3, 1), Fraction(2)))), True)
 def test_frontier_matches_bruteforce(inst, want_all):
-    # every route of solve: truth tables, frontier, small soft kinds and grid
+    # every route of solve: truth tables of either kind, frontier, elimination
+    # and grid
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
@@ -294,7 +295,11 @@ def soft(kind, n):
     return Instance(kind, n, tuple(cons))
 
 
-CUT = oracle._SMALL_SOFT_VARS
+# The next two route tests lower the truth-table cut to this, so that one
+# variable past it n * _STEP_STATES alone passes 2^n and elimination is
+# refused; test_soft_kinds_take_the_truth_tables_up_to_the_cut pins the real
+# cut.
+LOW_CUT = 10
 
 
 def spy_on(monkeypatch, name="_split_chunks"):
@@ -310,16 +315,16 @@ def spy_on(monkeypatch, name="_split_chunks"):
     return calls
 
 
-# solve takes soft-kind instances up to the cut through the frontier, so the
-# grid evaluator is compared with the reference here, at every size
+# solve takes instances up to the cut through the truth tables, so the grid
+# evaluator is compared with the reference here, at every size
 @settings(max_examples=examples(200), deadline=None)
 @given(instances(), st.booleans())
-@example(soft(KIND_VCSP, CUT), True)
-@example(soft(KIND_VCSP, CUT + 1), True)
-@example(soft(KIND_MAXCSP, CUT), True)
-@example(soft(KIND_MAXCSP, CUT + 1), True)
-@example(soft(KIND_MAXCUT, CUT), True)
-@example(soft(KIND_MAXCUT, CUT + 1), True)
+@example(soft(KIND_VCSP, TRUTH), True)
+@example(soft(KIND_VCSP, TRUTH + 1), True)
+@example(soft(KIND_MAXCSP, TRUTH), True)
+@example(soft(KIND_MAXCSP, TRUTH + 1), True)
+@example(soft(KIND_MAXCUT, TRUTH), True)
+@example(soft(KIND_MAXCUT, TRUTH + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
     grid = oracle._enumerate(inst, *minor_terms(inst, want_all), want_all, 1,
                              oracle._split_chunks)
@@ -327,42 +332,58 @@ def test_grid_matches_bruteforce(inst, want_all):
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
-@pytest.mark.parametrize("n", [CUT, CUT + 1])
+@pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
     # the optimal set past the cut comes from the grid, never from elimination
+    monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     inst = soft(kind, n)
     reference = solve_bruteforce(inst, want_all=True)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
     assert solve(inst, want_all=True) == reference
-    assert (len(grid), len(elimination)) == (n > CUT, 0)
+    assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
-@pytest.mark.parametrize("n", [CUT, CUT + 1])
+@pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_elimination_only_past_the_cut(kind, n, monkeypatch):
     # without --all the optimum past the cut comes from elimination where its
-    # steps cost less than the grid: not yet on n = CUT + 1 variables, where
-    # n * _STEP_STATES alone passes 2^n, but with six idle variables more
+    # steps cost less than the grid: not yet on n = LOW_CUT + 1 variables,
+    # where n * _STEP_STATES alone passes 2^n, but with six idle variables more
+    monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     inst = soft(kind, n)
     padded = Instance(kind, n + 6, inst.constraints)
     reference, padded_reference = solve_bruteforce(inst), solve_bruteforce(padded)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
     assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (n > CUT, 0)
+    assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
     assert solve(padded) == padded_reference
-    assert (len(grid), len(elimination)) == (n > CUT, 1)
+    assert (len(grid), len(elimination)) == (n > LOW_CUT, 1)
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+@pytest.mark.parametrize("n", [TRUTH, TRUTH + 1])
+def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
+    # past the cut the optimum comes from elimination, which pays on this
+    # cycle, and the optimal set from the grid
+    inst = soft(kind, n)
+    reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
+    counted, grid = spy_on(monkeypatch, "_counted"), spy_on(monkeypatch)
+    elimination = spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert solve(inst, want_all=True) == all_reference
+    past = n > TRUTH
+    assert (len(counted), len(elimination), len(grid)) == (2 * (not past), past, past)
 
 
 @pytest.mark.parametrize("n,eliminated", [(13, False), (14, True)])
-def test_elimination_pays_for_its_steps(n, eliminated, monkeypatch):
+def test_elimination_pays_for_its_steps(n, eliminated):
     # a path holds two variables a step, 4n - 2 states in all, so its
     # estimate is n * _STEP_STATES past that: above the grid's 2^13 on 13
-    # variables, below 2^14 on 14
+    # variables, below 2^14 on 14 (both under the truth-table cut, so the
+    # estimate is read directly)
     inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
-    reference = solve_bruteforce(inst)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
-    assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (not eliminated, eliminated)
+    _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
+    assert oracle._elimination_pays(n, soft_terms) == eliminated
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
@@ -370,7 +391,7 @@ def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
     # a star into the last variable keeps every variable in the table, which
     # doubles at every step: 2^1 + ... + 2^n states in all, above 2^n
     ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
-    n = CUT + 2
+    n = TRUTH + 2
     inst = Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
     reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
@@ -392,12 +413,11 @@ def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypa
     assert (len(grid), len(elimination)) == (not eliminated, eliminated)
 
 
-# instances past the cut on which elimination meets ties, idle variables,
-# repeated arguments, fractions and an int64 bound
+# instances on which elimination meets ties, idle variables, repeated
+# arguments, fractions and an int64 bound
 ELIMINATION_EXAMPLES = (
     # every cut of a cycle has its complement: the least mask must win
-    Instance(KIND_MAXCUT, CUT + 2, tuple(Constraint("edge", (i, (i + 1) % (CUT + 2)))
-                                         for i in range(CUT + 2))),
+    Instance(KIND_MAXCUT, 12, tuple(Constraint("edge", (i, (i + 1) % 12)) for i in range(12))),
     # variables 4..13 in no constraint, and an edge (a, a) that never counts
     Instance(KIND_MAXCUT, 14, (Constraint("edge", (0, 3)), Constraint("edge", (2, 2)),
                                Constraint("edge", (1, 3), Fraction(5, 2)))),
@@ -406,14 +426,14 @@ ELIMINATION_EXAMPLES = (
     Instance(KIND_VCSP, 12, (Constraint("cost2_1_0_1/3_2", (4, 4)),
                              Constraint("cost2_1_0_1/3_2", (11, 4), Fraction(3, 2)),
                              Constraint("cost1_0_3/2", (7,), Fraction(2, 3)))),
-    soft(KIND_VCSP, CUT + 7),
-    soft(KIND_MAXCSP, CUT + 7),
-    soft(KIND_MAXCUT, CUT + 8),
+    soft(KIND_VCSP, 17),
+    soft(KIND_MAXCSP, 17),
+    soft(KIND_MAXCUT, 18),
     Instance(KIND_VCSP, 0, ()),
-    Instance(KIND_MAXCSP, CUT + 1, ()),
+    Instance(KIND_MAXCSP, 11, ()),
     # a bound of at least 2^31 makes the terms int64
-    Instance(KIND_VCSP, CUT + 3, tuple(Constraint("f_neq", e, Fraction(2 ** 31))
-                                       for e in ((0, 1), (1, 12), (12, 0)))),
+    Instance(KIND_VCSP, 13, tuple(Constraint("f_neq", e, Fraction(2 ** 31))
+                                  for e in ((0, 1), (1, 12), (12, 0)))),
 )
 
 
@@ -484,6 +504,49 @@ def truth_instances(draw):
              [Fraction(3, 2)] * TRUTH, KIND_MINO), True)
 @example(wmo(TRUTH, [("EVEN8", tuple(range(6, 14)))], [0] * TRUTH), True)
 def test_truth_route_matches_bruteforce(inst, want_all):
+    assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
+
+
+# soft-kind weights: zero, small fractions, and values past 2^31
+SOFT_WEIGHTS = st.one_of(WEIGHTS, st.sampled_from((2 ** 31 - 1, 2 ** 31, 3 * 2 ** 40)).map(
+    Fraction), st.builds(Fraction, st.integers(2 ** 31, 2 ** 33), st.integers(1, 7)))
+
+
+@st.composite
+def soft_truth_instances(draw):
+    """Soft-kind instances of at most TRUTH variables, 0 included, with
+    weights past 2^31 too; one draw in four takes its args from a pool of
+    1-3 variables, which gives Max-Cut edges (a, a)."""
+    inst = draw(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT), least=0, most=TRUTH))
+    cons = tuple(Constraint(c.ref, c.args, draw(st.one_of(st.none(), SOFT_WEIGHTS)))
+                 for c in inst.constraints)
+    return Instance(inst.kind, inst.num_vars, cons, threshold=inst.threshold)
+
+
+# every cut of a cycle has its complement, so each optimum is met twice
+CYCLE = Instance(KIND_MAXCUT, 5, tuple(Constraint("edge", (i, (i + 1) % 5)) for i in range(5)))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(soft_truth_instances(), st.booleans())
+@example(CYCLE, True)
+@example(CYCLE, False)
+@example(Instance(KIND_MAXCUT, 3, (Constraint("edge", (2, 2)), Constraint("edge", (0, 1)))), True)
+@example(Instance(KIND_MAXCUT, 3, (Constraint("edge", (1, 1), Fraction(5)),)), True)
+@example(Instance(KIND_VCSP, 0, ()), True)
+@example(Instance(KIND_MAXCSP, TRUTH, ()), False)
+@example(Instance(KIND_MAXCUT, 4, tuple(Constraint("edge", (i, i + 1), Fraction(0))
+                                        for i in range(3))), True)
+@example(Instance(KIND_VCSP, 4, (Constraint("cost2_1_0_1/3_2", (0, 1), Fraction(2, 3)),
+                                 Constraint("cost1_0_3/2", (3,), Fraction(5, 7)),
+                                 Constraint("f_neq", (1, 3), Fraction(0)))), True)
+@example(Instance(KIND_VCSP, 3, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
+                                 Constraint("cost2_1_0_1/3_2", (2, 1), Fraction(2 ** 40 + 1, 3)),
+                                 Constraint("cost1_0_3/2", (2,)))), True)
+@example(Instance(KIND_MAXCSP, TRUTH, (Constraint("OR8", tuple(range(8)), Fraction(2 ** 31)),
+                                       Constraint("EVEN8", tuple(range(6, 14))),
+                                       Constraint("NAND2", (0, TRUTH - 1), Fraction(1, 3)))), True)
+def test_soft_truth_route_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
@@ -678,9 +741,8 @@ def test_terms_match_the_fraction_reference(inst, want_all):
         assert str(exc) == want
         return
     assert not isinstance(want, str), want
-    assert (hard, scale, [(args, table.tolist()) for args, table in soft_terms],
+    assert (hard, scale, [(args, list(table)) for args, table in soft_terms],
             list(ones), dtype) == want
-    assert all(table.dtype == dtype for _, table in soft_terms)
 
 
 def test_relation_lut_is_cached_and_read_only():
