@@ -39,9 +39,13 @@ own relation.
   - Soft kinds (VCSP, Max-CSP, Max-Cut): the objective is a bit-sliced
     counter, plane p the table of the assignments whose objective has bit p
     set; each term's scaled values are added with a ripple-carry adder and
-    the optimum is read from the top plane down (`_counted`).  On a 2-vCPU
-    VM this takes 16-24 us a solve, where scoring all 2^n masks in numpy
-    took 31-33 us, on the 912 solves of 2-5 variables of the Max-Cut/f_neq
+    the optimum is read from the top plane down (`_counted`).  A term's own
+    planes are cached under its args, n and scaled table (`_term_planes`),
+    so the Max-Cut edges and f_neq terms that the certify corpora repeat
+    are built once; the cache starts over before it passes `_PLANE_BYTES`
+    = 1 MB.  On a 2-vCPU VM the counter takes 9-14 us a solve with that
+    cache and 13-22 us without it, where scoring all 2^n masks in numpy took
+    31-33 us, on the 912 solves of 2-5 variables of the Max-Cut/f_neq
     certify corpora; on random instances of 11-14 variables with 2n binary
     and ternary terms it takes 0.12-0.81 ms, where the grid or elimination
     took 0.38-1.03 ms.  It still wins at 15 and 16 variables and is no
@@ -71,18 +75,24 @@ own relation.
   Programming*, 1972): a table over the variables that a later term still
   holds is doubled by each variable, takes that variable's terms, and
   forgets the variables no later term holds, keeping per state the best
-  objective and the least mask that reaches it.  On random instances of
-  16-22 variables with 2n binary and ternary terms its largest table holds
-  2^8-2^18 states (median 2^12), where the grid has 2^n.  The route is
-  taken when its table stays within one chunk and the states it touches,
-  plus `_STEP_STATES` a step, are fewer than the grid's, both read from the
-  terms before any array work (`_elimination_pays`).  It finds one optimal
-  mask, not the optimal set, so `--all` stays on the grid.
-- Soft-kind instances that elimination does not pay for, `--all` on them,
-  and hard-kind instances whose frontier would outgrow one chunk, are
-  enumerated in chunks of 2^20 masks.  Each chunk is a grid of high-half by
-  low-half masks: every constraint table is gathered once per half and the
-  halves are combined once (meet in the middle, Horowitz & Sahni 1974).
+  objective and the least mask that reaches it.  The table is one int64
+  array of packed keys, the objective shifted left by n bits over the mask
+  (its complement when maximizing), so a forget is one `np.maximum` or
+  `np.minimum` over two halves.  On random instances of 16-22 variables
+  with 2n binary and ternary terms its largest table holds 2^8-2^18 states
+  (median 2^12), where the grid has 2^n.  The route is taken when the keys
+  fit, that is the objective bound of `_terms` is below 2^(62 - n), when
+  its table stays within one chunk, and when the states it touches, plus
+  `_STEP_STATES` a step, are fewer than the grid's, all read from the terms
+  before any array work (`_elimination_pays`).  It finds one optimal mask,
+  not the optimal set, so `--all` stays on the grid, as do instances whose
+  bound does not pack.
+- Soft-kind instances that elimination does not pay for or whose keys do
+  not pack, `--all` on them, and hard-kind instances whose frontier would
+  outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
+  a grid of high-half by low-half masks: every constraint table is gathered
+  once per half and the halves are combined once (meet in the middle,
+  Horowitz & Sahni 1974).
 
 A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
 are built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -101,6 +111,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,19 +173,22 @@ def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _terms(inst: Instance, resolver: Resolver, want_all: bool):
-    """(hard terms, (scale, soft terms, Ones groups, accumulator dtype)), all integer.
+    """(hard terms, (scale, soft terms, Ones groups, objective bound)), all integer.
 
     One pass over the constraints resolves each once (`Resolver.resolve`)
     and checks the variable cap.  A hard term is (args, relation), one per
     constraint of a hard kind, on its raw args.  A soft term is (args,
     table), one per constraint of the soft kinds: the table is a sequence of
     Python ints indexed by the code of `args` (argument j in bit j), which
-    the elimination and the grid turn into arrays themselves.  The dtype is
-    the one those arrays accumulate in.  A Ones group (w, m) of the
-    Max-/Min-Ones kinds holds in m the variables of weight w, one group per
-    distinct nonzero weight.  The objective is the sum of the soft terms
-    plus w times the ones in m of every group, all multiplied by `scale`,
-    the least integer that clears every denominator of a weighted value.
+    the elimination and the grid turn into arrays themselves.  A Ones group
+    (w, m) of the Max-/Min-Ones kinds holds in m the variables of weight w,
+    one group per distinct nonzero weight.  The objective is the sum of the
+    soft terms plus w times the ones in m of every group, all multiplied by
+    `scale`, the least integer that clears every denominator of a weighted
+    value.  The bound caps that objective, and so every partial sum, since
+    weights and costs are nonnegative; it sets the grid's dtype and whether
+    elimination's packed keys fit, and one of `_INT_LIMIT` or more is an
+    error.
 
     A soft term starts from its function's integer form (g, den, nums),
     built once per object (`CostFunction.scaled`; a relation's 0/1
@@ -185,13 +199,13 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     without variable weights share one objective per n (`_unit_weights`).
     """
     kind = inst.kind
-    applied = [resolver.resolve(kind, c) for c in inst.constraints]
+    resolved = [(c.args, resolver.resolve(kind, c)) for c in inst.constraints]
     n = inst.num_vars
     cap = MAX_ENUMERATE_VARS if want_all else MAX_SOLVE_VARS
     if n > cap:
         raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
     if kind in _HARD_KINDS:
-        hard = [(c.args, rel) for c, rel in zip(inst.constraints, applied)]
+        hard = resolved
         if kind == KIND_SAT:
             return hard, _NO_OBJECTIVE
         if inst.var_weights is None:
@@ -202,11 +216,11 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
                 weights[w] = weights.get(w, 0) | 1 << i
         scale = math.lcm(*(w.denominator for w in weights))
         ones = [(w.numerator * (scale // w.denominator), mask) for w, mask in weights.items()]
-        return hard, (scale, [], ones, _dtype(sum(w * m.bit_count() for w, m in ones)))
+        return hard, (scale, [], ones, _bounded(sum(w * m.bit_count() for w, m in ones)))
 
     forms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
     scale = 1
-    for c, fn in zip(inst.constraints, applied):
+    for c, (_, fn) in zip(inst.constraints, resolved):
         if kind == KIND_VCSP:
             g, den, nums = fn.scaled
         elif kind == KIND_MAXCSP:
@@ -226,29 +240,26 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
         else:
             table = nums if f == 1 else [f * x for x in nums]
         ints.append((args, table))
-    return [], (scale, ints, [], _dtype(sum(max(table) for _, table in ints)))
+    return [], (scale, ints, [], _bounded(sum(max(table) for _, table in ints)))
 
 
 # Max-Cut's table over the code of an edge's two ends: 1 where they differ
 _EDGE = (0, 1, 1, 0)
 # the objective of SAT: none at all
-_NO_OBJECTIVE = (1, (), (), np.int32)
+_NO_OBJECTIVE = (1, (), (), 0)
 
 
 @functools.cache
 def _unit_weights(n: int):
     """The objective of a Max-/Min-Ones instance of n variables without weights."""
-    return 1, (), ((1, (1 << n) - 1),), np.int32
+    return 1, (), ((1, (1 << n) - 1),), n
 
 
-def _dtype(bound: int):
-    """The accumulator dtype for an objective of at most `bound`.
-
-    Weights and costs are nonnegative, so the bound caps every partial sum.
-    """
+def _bounded(bound: int) -> int:
+    """`bound`, once it is checked against the exact int64 budget."""
     if bound >= _INT_LIMIT:
         raise OracleError("objective magnitude exceeds the exact int64 budget")
-    return np.int32 if bound < 1 << 31 else np.int64
+    return bound
 
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
@@ -276,8 +287,9 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
         if masks is not None:
             return _optimize(inst.kind, masks, tables, want_all)
     else:
-        scale, soft, _, _ = tables
-        if not want_all and _elimination_pays(n, soft):
+        scale, soft, _, bound = tables
+        # a packed key holds the objective above the n bits of its mask
+        if not want_all and bound < 1 << (62 - n) and _elimination_pays(n, soft):
             return _eliminate(inst.kind, n, soft, scale)
     return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
 
@@ -316,7 +328,9 @@ def _satisfying(n: int, raw) -> int:
     """The truth table of the assignments that satisfy every raw hard term."""
     sat = tt.planes(n)[0]
     for args, rel in raw:
-        sat &= _table(rel, args, n)
+        # a hit on the relation's cache skips the call
+        table = rel.table_cache.get((args, n))
+        sat &= _table(rel, args, n) if table is None else table
         if not sat:
             break
     return sat
@@ -364,32 +378,18 @@ def _counted(kind: str, n: int, tables, want_all: bool) -> SolveResult:
     """Solve a soft-kind instance on a bit-sliced counter of its objective.
 
     Plane p of the counter is the truth table of the assignments whose
-    objective has bit p set.  The assignments on which a term's arguments
-    read code c are S_c, the AND of one literal per argument; those of one
-    term are disjoint, so plane p of the term is the OR of the S_c whose
-    value has bit p set, and a ripple-carry adder (`_add`) adds it to the
-    counter.  The optimum is read from the top plane down: where some
-    candidate has the plane's bit set (VCSP, which minimizes: clear), the
-    candidates narrow to those.  The ones left share every bit of the
-    optimum, and the lowest of them is the least optimal mask.
+    objective has bit p set.  Each term's planes (`_term_planes`, cached per
+    term) are added to it by a ripple-carry adder (`_add`).  The optimum is
+    read from the top plane down: where some candidate has the plane's bit
+    set (VCSP, which minimizes: clear), the candidates narrow to those.  The
+    ones left share every bit of the optimum, and the lowest of them is the
+    least optimal mask.
     """
     scale, soft, _, _ = tables
-    full, literals = tt.planes(n)
+    full = tt.planes(n)[0]
     counter: list[int] = []
     for args, table in soft:
-        codes = [full]  # codes[c] = S_c over the arguments so far
-        for v in args:
-            # the new argument's literal is the code's next bit
-            codes = [s & lit for lit in literals[v] for s in codes]
-        term = [0] * max(table).bit_length()
-        for s, value in zip(codes, table):
-            p = 0
-            while value:
-                if value & 1:
-                    term[p] |= s
-                value >>= 1
-                p += 1
-        _add(counter, term)
+        _add(counter, _term_planes(args, tuple(table), n))
     maximize = kind in MAXIMIZING_KINDS
     cand, best = full, 0
     for p in reversed(range(len(counter))):
@@ -404,7 +404,55 @@ def _counted(kind: str, n: int, tables, want_all: bool) -> SolveResult:
                        optimal)
 
 
-def _add(counter: list[int], term: list[int]) -> None:
+# The planes `_term_planes` keeps, bounded by what their ints take
+# (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes, 2 KB at 14,
+# plus the int's header.  Six blocks of one mixed benchmark run build 220
+# terms' planes, 12 KB in all, so the bound evicts nothing in a run; it caps
+# a long run of fractional weights at 14 variables, which spans dozens of
+# planes a term and rarely repeats.
+_PLANE_BYTES = 1 << 20
+_plane_cache: dict = {}
+_plane_bytes = 0
+
+
+def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The bit-sliced planes over n variables of the term `table` on `args`,
+    cached under (args, n, table).
+
+    The assignments on which the arguments read code c are S_c, the AND of
+    one literal per argument; those of one term are disjoint, so plane p is
+    the OR of the S_c whose value has bit p set.  A cache that would pass
+    `_PLANE_BYTES` starts over.
+    """
+    global _plane_bytes
+    key = (args, n, table)
+    got = _plane_cache.get(key)
+    if got is not None:
+        return got
+    full, literals = tt.planes(n)
+    codes = [full]  # codes[c] = S_c over the arguments so far
+    for v in args:
+        # the new argument's literal is the code's next bit
+        codes = [s & lit for lit in literals[v] for s in codes]
+    term = [0] * max(table).bit_length()
+    for s, value in zip(codes, table):
+        p = 0
+        while value:
+            if value & 1:
+                term[p] |= s
+            value >>= 1
+            p += 1
+    got = tuple(term)
+    size = sum(map(sys.getsizeof, got))
+    if _plane_bytes + size > _PLANE_BYTES:
+        _plane_cache.clear()
+        _plane_bytes = 0
+    _plane_cache[key] = got
+    _plane_bytes += size
+    return got
+
+
+def _add(counter: list[int], term: tuple[int, ...]) -> None:
     """Add the bit-sliced `term` into the bit-sliced `counter`, plane by plane:
     a full adder over the term's planes, then the carry alone."""
     if len(counter) < len(term):
@@ -501,46 +549,60 @@ def _eliminate(kind: str, n: int, soft, scale: int) -> SolveResult:
     """Solve a soft-kind instance by bucket elimination in variable order
     (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4).
 
-    Two arrays over the states of the variables in the table hold, per
-    state, the best objective of the terms added so far and the least mask
-    that reaches it.  Step v doubles both by v's bit, adds the terms of
-    step v (`_buckets`) and forgets every variable that no later term
-    holds: each state keeps the better of its two halves, on a tie the
-    smaller mask, so the least optimal mask comes out, as on the grid.
+    One int64 array over the states of the variables in the table holds,
+    per state, a packed key: the best objective of the terms added so far,
+    shifted left by n bits, over the least mask that reaches it in the low n
+    bits, complemented when maximizing.  So the better key is the larger
+    (maximizing) or the smaller one, and on equal objectives it is the one
+    of the smaller mask.  Step v doubles the array by v's bit (setting it
+    adds 1 << v to the mask, so subtracts it from the complement), adds the
+    terms of step v (`_buckets`) shifted by n, and forgets every variable
+    that no later term holds: each state keeps the better key of its two
+    halves, so the least optimal mask comes out, as on the grid.  The keys
+    fit in int64 when the objective is below 2^(62 - n), which `solve`
+    checks first.
     """
     by_top, last = _buckets(n, soft)
     maximize = kind in MAXIMIZING_KINDS
-    best = np.zeros(1, dtype=np.int64)
-    witness = np.zeros(1, dtype=np.int64)
+    low = (1 << n) - 1
+    key = np.full(1, low if maximize else 0, dtype=np.int64)
+    better = np.maximum if maximize else np.minimum
     active: list[int] = []  # state bit i holds variable active[i]
     for v in range(n):
-        best = np.concatenate((best, best))
-        witness = np.concatenate((witness, witness | 1 << v))
+        key = np.concatenate((key, key - (1 << v) if maximize else key + (1 << v)))
         active.append(v)
         for args, table in by_top.get(v, ()):
-            _spread_add(best, [active.index(u) for u in args], np.array(table, dtype=np.int64))
+            _spread_add(key, [active.index(u) for u in args],
+                        np.array(table, dtype=np.int64) << n)
         for u in [u for u in active if last[u] == v]:
             # axis 1 of the view is u's bit
-            halves = (-1, 2, 1 << active.index(u))
-            b, w = best.reshape(halves), witness.reshape(halves)
-            b0, b1, w0, w1 = b[:, 0], b[:, 1], w[:, 0], w[:, 1]
-            take = (b1 > b0 if maximize else b1 < b0) | ((b1 == b0) & (w1 < w0))
-            best = np.where(take, b1, b0).ravel()
-            witness = np.where(take, w1, w0).ravel()
+            halves = key.reshape(-1, 2, 1 << active.index(u))
+            key = better(halves[:, 0], halves[:, 1]).ravel()
             active.remove(u)
-    return SolveResult(kind, True, Fraction(int(best[0]), scale), int(witness[0]))
+    best = int(key[0])
+    witness = (best ^ low if maximize else best) & low
+    return SolveResult(kind, True, Fraction(best >> n, scale), witness)
 
 
 def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
     """Add to acc, state by state, table at the code whose bit j is state bit places[j].
 
-    The table is first gathered onto the distinct places, ascending; acc is
-    then viewed with one axis of 2 per place and one axis per run of bits
-    between them, and the small table is added by broadcasting.
+    The table is first brought onto the distinct places, ascending: on
+    distinct places by transposing its axes, one of 2 per argument, and on
+    repeated ones, as of an edge (a, a), by a gather.  acc is then viewed
+    with one axis of 2 per place and one axis per run of bits between them,
+    and the small table is added by broadcasting.
     """
     distinct = sorted(set(places))
-    small = table[tt.code(tt.arange(len(distinct)),
-                          [(j, distinct.index(p)) for j, p in enumerate(places)])]
+    k = len(places)
+    if len(distinct) == k:
+        # axis i of the reshaped table is argument k - 1 - i's bit, and axis i
+        # of the small one must be place distinct[k - 1 - i]'s
+        small = table.reshape((2,) * k).transpose(
+            [k - 1 - places.index(p) for p in reversed(distinct)])
+    else:
+        small = table[tt.code(tt.arange(len(distinct)),
+                              [(j, distinct.index(p)) for j, p in enumerate(places)])]
     shape, spread, top = [], [], acc.size.bit_length() - 1
     for p in reversed(distinct):  # the C-order axes run from the top bit down
         shape += (1 << (top - p - 1), 2)
@@ -684,7 +746,8 @@ def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
     n = inst.num_vars
     kind = inst.kind
     maximize = kind in MAXIMIZING_KINDS
-    scale, soft, ones, dtype = tables
+    scale, soft, ones, bound = tables
+    dtype = np.int32 if bound < 1 << 31 else np.int64
     # here every variable weight is a unary term [0, w]
     soft = [(args, np.array(table, dtype=dtype)) for args, table in
             [*soft, *(((i,), (0, w)) for w, mask in ones for i in range(n) if mask >> i & 1)]]

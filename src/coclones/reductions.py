@@ -899,11 +899,11 @@ def _entry_seed(seed: int, name: str) -> int:
 
 
 def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: int,
-                     offset: Fraction, resolver: Resolver) -> Optional[str]:
+                     offset: Optional[Fraction], resolver: Resolver) -> Optional[str]:
     """Why tgt breaks the entry's measure map or invariant on src, or None.
 
     One rule serves every entry; for an affine entry, (sign, offset) is the
-    map composed along `chain_before`.
+    map composed along `chain_before` (a decision entry has no offset).
     """
     sres = solve(src, resolver)
     tres = solve(tgt, resolver)
@@ -913,7 +913,7 @@ def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: i
             return (f"decision mismatch at threshold {tgt.threshold.value}: "
                     f"source sat={sres.satisfiable}, target optimum {tres.optimum}")
     elif sres.satisfiable:
-        want = sign * sres.optimum + offset
+        want = offset + sres.optimum if sign > 0 else offset - sres.optimum
         if not (tres.satisfiable and tres.optimum == want):
             return (f"optimum map failed: source {sres.optimum}, target {tres.optimum},"
                     f" wanted {want}")
@@ -944,11 +944,16 @@ def certify(name: str, trials: int = 200, seed: int = 0,
         mode = "random"
     for src in cases:
         try:
-            # compose the affine maps of the chain: target = sign * source + offset
-            tgt, sign, offset = src, 1, 0
+            # compose the affine maps of the chain: target = sign * source + offset;
+            # the first map is taken as it is
+            tgt, sign, offset = src, 1, None
             for step in rec.chain_before + (name,):
                 tgt, info = apply(step, tgt, resolver)
-                if info.value_offset is not None:
+                if info.value_offset is None:
+                    continue
+                if offset is None:
+                    sign, offset = info.sign, info.value_offset
+                else:
                     sign, offset = info.sign * sign, info.sign * offset + info.value_offset
             msg = _measure_failure(rec, src, tgt, sign, offset, resolver)
         except (ReductionError, InstanceError) as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -434,6 +435,16 @@ ELIMINATION_EXAMPLES = (
     # a bound of at least 2^31 makes the terms int64
     Instance(KIND_VCSP, 13, tuple(Constraint("f_neq", e, Fraction(2 ** 31))
                                   for e in ((0, 1), (1, 12), (12, 0)))),
+    # symmetric Max-Cut optima: an odd cycle, each optimum met at every
+    # rotation and with its complement, and an even one whose objective
+    # passes 2^43, near the 2^44 that still packs at 18 variables
+    Instance(KIND_MAXCUT, 15, tuple(Constraint("edge", (i, (i + 1) % 15), Fraction(3))
+                                    for i in range(15))),
+    Instance(KIND_MAXCUT, 18, tuple(Constraint("edge", (i, (i + 1) % 18), Fraction(2 ** 39))
+                                    for i in range(17)) + (Constraint("edge", (17, 0)),)),
+    # a VCSP minimum of 2^40 met by many masks, its keys near the packing bound
+    Instance(KIND_VCSP, 17, tuple(Constraint("f_neq", (i, (i + 1) % 17), Fraction(2 ** 40))
+                                  for i in range(17))),
 )
 
 
@@ -452,10 +463,37 @@ ELIMINATION_EXAMPLES = (
 @example(ELIMINATION_EXAMPLES[7])
 @example(ELIMINATION_EXAMPLES[8])
 @example(ELIMINATION_EXAMPLES[9])
+@example(ELIMINATION_EXAMPLES[10])
+@example(ELIMINATION_EXAMPLES[11])
+@example(ELIMINATION_EXAMPLES[12])
 def test_elimination_matches_bruteforce(inst):
     _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
     result = oracle._eliminate(inst.kind, inst.num_vars, soft_terms, scale)
     assert result == solve_bruteforce(inst, RESOLVER)
+
+
+PACKED_VARS = 16
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+@pytest.mark.parametrize("bound,packed", [(2 ** (62 - PACKED_VARS) - 1, True),
+                                          (2 ** (62 - PACKED_VARS), False)])
+def test_elimination_takes_only_objectives_that_pack(kind, bound, packed, monkeypatch):
+    # a path, which elimination pays for, whose weights add up to the bound:
+    # a key holds the objective above the n bits of its mask, so the largest
+    # bound that packs goes to elimination and one past it to the grid
+    ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
+    weights = [1] * (PACKED_VARS - 2) + [bound - (PACKED_VARS - 2)]
+    inst = Instance(kind, PACKED_VARS, tuple(Constraint(ref, (i, i + 1), Fraction(w))
+                                             for i, w in enumerate(weights)))
+    _, (_, _, _, got) = oracle._terms(inst, RESOLVER, False)
+    assert got == bound
+    reference = solve_bruteforce(inst)
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (not packed, packed)
+    if kind != KIND_VCSP:  # two cuts of the path reach the bound, the lesser 0b0101...01
+        assert (reference.optimum, reference.witness) == (bound, 0x5555)
 
 
 @pytest.mark.parametrize("kind", HARD_KINDS)
@@ -550,6 +588,52 @@ def test_soft_truth_route_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
+@settings(max_examples=examples(100), deadline=None)
+@given(soft_truth_instances(), st.booleans())
+@example(CYCLE, True)
+@example(Instance(KIND_MAXCUT, 3, (Constraint("edge", (2, 2)), Constraint("edge", (0, 1)))), True)
+def test_plane_cache_answers_equal_cold_and_warm(inst, want_all):
+    reference = solve_bruteforce(inst, want_all=want_all)
+    oracle._plane_cache.clear()
+    oracle._plane_bytes = 0
+    assert solve(inst, want_all=want_all) == reference  # cold
+    assert solve(inst, want_all=want_all) == reference  # warm
+
+
+def cold_planes(args, table, n, monkeypatch):
+    """The planes of a term built on an empty plane cache."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_plane_cache", {})
+        m.setattr(oracle, "_plane_bytes", 0)
+        return oracle._term_planes(args, table, n)
+
+
+@pytest.mark.parametrize("first,second", [
+    (((0, 1), (0, 1, 1, 0), 3), ((0, 1), (0, 1, 1, 0), 4)),
+    (((0, 2), (0, 3, 3, 0), 3), ((0, 2), (0, 3, 3, 1), 3)),
+], ids=["n", "table-value"])
+def test_plane_cache_key_holds_n_and_every_table_value(first, second, monkeypatch):
+    monkeypatch.setattr(oracle, "_plane_cache", {})
+    monkeypatch.setattr(oracle, "_plane_bytes", 0)
+    oracle._term_planes(*first)
+    got = oracle._term_planes(*second)
+    assert got == cold_planes(*second, monkeypatch) != cold_planes(*first, monkeypatch)
+    assert len(oracle._plane_cache) == 2
+
+
+def test_plane_cache_stays_within_its_byte_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "_plane_cache", {})
+    monkeypatch.setattr(oracle, "_plane_bytes", 0)
+    monkeypatch.setattr(oracle, "_PLANE_BYTES", 4096)
+    # 90 weighted edges over 10 variables, each term 2-3 planes of 1024 bits
+    for a, b in itertools.permutations(range(10), 2):
+        inst = Instance(KIND_MAXCUT, 10, (Constraint("edge", (a, b), Fraction(a + 4)),))
+        assert solve(inst) == solve_bruteforce(inst)
+        assert 1 <= len(oracle._plane_cache) < 90
+        assert oracle._plane_bytes == sum(
+            map(sys.getsizeof, itertools.chain(*oracle._plane_cache.values()))) <= 4096
+
+
 @pytest.mark.parametrize("inst,scored", [
     (Instance(KIND_SAT, 5, umo(5, [("OR3", (0, 2, 4))]).constraints), False),
     (umo(5, [("OR3", (0, 2, 4)), ("NAND2", (1, 2))]), False),
@@ -638,7 +722,7 @@ def test_ones_weights_count_toward_the_int64_budget():
 
 def reference_terms(inst, resolver, want_all):
     """`oracle._terms` rebuilt from Fractions alone, as the error text or as
-    (hard terms, scale, integer soft tables, Ones groups, dtype).
+    (hard terms, scale, integer soft tables, Ones groups, objective bound).
 
     Every weighted value is one Fraction, the scale is the lcm of all of
     their denominators, and each integer is a value times the scale.  Max-CSP
@@ -676,7 +760,7 @@ def reference_terms(inst, resolver, want_all):
     bound = sum(max(table) for _, table in ints) + sum(w * m.bit_count() for w, m in ones)
     if bound >= 1 << 60:
         return "objective magnitude exceeds the exact int64 budget"
-    return hard, scale, ints, ones, np.int32 if bound < 1 << 31 else np.int64
+    return hard, scale, ints, ones, bound
 
 
 # small fractions and zero, and values on both sides of 2^31 and of the 2^60 budget
@@ -736,13 +820,13 @@ def weighted_instances(draw):
 def test_terms_match_the_fraction_reference(inst, want_all):
     want = reference_terms(inst, TERMS_RESOLVER, want_all)
     try:
-        hard, (scale, soft_terms, ones, dtype) = oracle._terms(inst, TERMS_RESOLVER, want_all)
+        hard, (scale, soft_terms, ones, bound) = oracle._terms(inst, TERMS_RESOLVER, want_all)
     except OracleError as exc:
         assert str(exc) == want
         return
     assert not isinstance(want, str), want
     assert (hard, scale, [(args, list(table)) for args, table in soft_terms],
-            list(ones), dtype) == want
+            list(ones), bound) == want
 
 
 def test_relation_lut_is_cached_and_read_only():
