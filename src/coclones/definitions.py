@@ -78,14 +78,6 @@ def eval_formula(formula: Formula, language: LanguageLike) -> Relation:
     return Relation.from_masks(tv, kept.tolist(), allow_empty=True)
 
 
-def verify_qpp_definition(formula: Formula, target: Relation, language: LanguageLike) -> bool:
-    """True iff the quantifier-free formula defines exactly the target."""
-    if formula.aux_vars != 0:
-        raise GadgetError("quantifier-free verification requires aux_vars = 0")
-    got = eval_formula(formula, language)
-    return got.arity == target.arity and got.tuples == target.tuples
-
-
 def constant_extension_implications(rel: Relation, ext: Relation) -> tuple[bool, bool, bool]:
     """The two displayed implications between R and its two-constant extension.
 
@@ -105,12 +97,6 @@ def constant_extension_implications(rel: Relation, ext: Relation) -> tuple[bool,
     return impl1, impl2, impl2_top
 
 
-def verify_constant_extension(rel: Relation, ext: Relation) -> bool:
-    """Both displayed implications, checked by tuple enumeration."""
-    impl1, impl2, _ = constant_extension_implications(rel, ext)
-    return impl1 and impl2
-
-
 # ---------------------------------------------------------------------------
 # Optimization-defined relations (projections of optimal-solution sets)
 
@@ -126,10 +112,6 @@ class WppGadget:
         n = self.instance.num_vars
         if any(not 0 <= v < n for v in self.projection):
             raise GadgetError("projection out of range")
-
-    @property
-    def covers_all_variables(self) -> bool:
-        return set(self.projection) == set(range(self.instance.num_vars))
 
 
 def eval_wpp(gadget: WppGadget, resolver: Optional[Resolver] = None) -> Relation:

@@ -45,7 +45,6 @@ KIND_MAXCUT = "Max-Cut"
 ALL_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
 
 MAXIMIZING_KINDS = (KIND_UMO, KIND_WMO, KIND_MAXCSP, KIND_MAXCUT)
-MINIMIZING_KINDS = (KIND_MINO, KIND_VCSP)
 
 
 class InstanceError(ValueError):

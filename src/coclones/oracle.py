@@ -21,69 +21,61 @@ their 8-ary relations shrink to minors of 2 or 3 variables, and each table
 build and gather works on those.  A constraint without repeats keeps its
 own relation.
 
-`solve` takes an instance down one of four routes:
+`solve` takes an instance down one of three routes:
 
-- Every instance of at most `_TRUTH_VARS` = 14 variables is solved on truth
-  tables (`truthtables`), in Python ints.
-  - Hard-constraint kinds (SAT, U-/W-Max-Ones, Min-Ones): the constraints'
-    tables are ANDed together into T, stopping at 0.  SAT, and Max-/Min-Ones
-    where every variable weighs the same, are answered from that int: with
-    popcount layers L_k (bit a set iff a has k ones, cached per n), the
-    optimum is the largest k (Min-Ones: the smallest) with T & L_k != 0,
-    the witness that AND's lowest set bit, and the optimal set that AND
-    unpacked.  Any other weights unpack T into the ascending array of
-    feasible masks for the objective stage below.  A constraint's table is
-    cached on its relation under (args, n), so a repeated constraint skips
-    both the minor and the build (`Relation.table_cache`, bounded by
-    `_TABLES_PER_RELATION`).
-  - Soft kinds (VCSP, Max-CSP, Max-Cut): the objective is a bit-sliced
-    counter, plane p the table of the assignments whose objective has bit p
-    set; each term's scaled values are added with a ripple-carry adder and
-    the optimum is read from the top plane down (`_counted`).  A term's own
-    planes are cached under its args, n and scaled table (`_term_planes`),
-    so the Max-Cut edges and f_neq terms that the certify corpora repeat
-    are built once; the cache starts over before it passes `_PLANE_BYTES`
-    = 1 MB.  On a 2-vCPU VM the counter takes 9-14 us a solve with that
-    cache and 13-22 us without it, where scoring all 2^n masks in numpy took
-    31-33 us, on the 912 solves of 2-5 variables of the Max-Cut/f_neq
-    certify corpora; on random instances of 11-14 variables with 2n binary
-    and ternary terms it takes 0.12-0.81 ms, where the grid or elimination
-    took 0.38-1.03 ms.  It still wins at 15 and 16 variables and is no
-    faster than elimination from 17 on, so the hard kinds' cut serves it
-    too.
-  The cut is one below the hard kinds' measured crossover with the
-  frontier, on the certify targets of the 8-ary weak bases, the closest
-  case: truth/frontier time 0.47-0.55 at 14 variables, 0.64-1.03 at 15,
-  0.88-1.51 at 16 and 2.1-2.5 at 17 on a 2-vCPU VM, where random mixes,
-  EVEN8 and OR8 stay below 0.8 up to 16.  On minors the certify targets
-  read 0.18 at 14, 0.67-1.16 at 17 and 5.6-6.7 at 20, and chains of binary
-  constraints, which have no minors to shrink, cross at 16 (1.04-1.06), so
-  the cut stays.  The variable planes the tables are built on are cached
-  per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB at 14
-  variables and 111 KB for every n up to 14.
-- Larger hard-kind instances go through a frontier search in variable
-  order (Dechter, *Constraint Processing*, ch. 5): the partial assignments
-  over variables 0..v that satisfy every constraint lying within them are
-  kept in one sorted array, extended by variable v+1, and filtered again.
-  The frontier and truth tables under other weights hand their ascending
-  feasible masks to one objective stage (`_optimize`), which scores the
-  Max-/Min-Ones objective as one popcount of `masks & m`
-  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask
-  of the variables that carry it.
-- Larger soft-kind instances are solved by bucket elimination in variable
-  order (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic
-  Programming*, 1972): a table over the variables that a later term still
-  holds is doubled by each variable, takes that variable's terms, and
-  forgets the variables no later term holds, keeping per state the best
-  objective and the least mask that reaches it.  The table is one int64
-  array of packed keys, the objective shifted left by n bits over the mask
-  (its complement when maximizing), so a forget is one `np.maximum` or
-  `np.minimum` over two halves.  On random instances of 16-22 variables
-  with 2n binary and ternary terms its largest table holds 2^8-2^18 states
-  (median 2^12), where the grid has 2^n.  The route is taken when the keys
-  fit, that is the objective bound of `_terms` is below 2^(62 - n), when
-  its table stays within one chunk, and when the states it touches, plus
-  `_STEP_STATES` a step, are fewer than the grid's, all read from the terms
+- Every instance of at most `_TRUTH_VARS` = 14 variables, of any kind, is
+  solved on truth tables (`truthtables`) in Python ints, by `_truth`.  The
+  candidates are the AND of the hard constraints' tables, stopping at 0,
+  and every assignment when there are none; a constraint's table is cached
+  on its relation under (args, n), so a repeated constraint skips both the
+  minor and the build (`Relation.table_cache`, bounded by
+  `_TABLES_PER_RELATION`).  The objective is a bit-sliced counter, plane p
+  the table of the assignments whose objective has bit p set: each soft
+  term's scaled values, and w times the ones in m of each Ones group (w, m),
+  are added with a ripple-carry adder, and the optimum is read from the top
+  plane down within the candidates, one AND a plane.  A term's own planes
+  are cached under its args, n and scaled table (`_term_planes`), and a
+  group's under (m, n, w) (`_ones_planes`, built from the unary terms'
+  planes), so the Max-Cut edges and f_neq terms that the certify corpora
+  repeat, and the unit weights of every U-Max-Ones and Min-Ones solve of n
+  variables, are built once; the cache starts over before it passes
+  `_PLANE_BYTES` = 1 MB.  On a 2-vCPU VM the counter takes 9-14 us a solve
+  with that cache and 13-22 us without it, where scoring all 2^n masks in
+  numpy took 31-33 us, on the 912 solves of 2-5 variables of the
+  Max-Cut/f_neq certify corpora; on random instances of 11-14 variables
+  with 2n binary and ternary terms it takes 0.12-0.81 ms, where the grid or
+  elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables and
+  is no faster than elimination from 17 on.  The cut is one below the hard
+  kinds' measured crossover with the frontier, on the certify targets of
+  the 8-ary weak bases, the closest case: truth/frontier time 0.47-0.55 at
+  14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5 at 17 on a
+  2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8 up to 16.  On
+  minors the certify targets read 0.18 at 14, 0.67-1.16 at 17 and 5.6-6.7
+  at 20, and chains of binary constraints, which have no minors to shrink,
+  cross at 16 (1.04-1.06), so the cut stays.  The variable planes the
+  tables are built on are cached per n (`truthtables.planes`), 2n + 1 ints
+  of 2^n bits: 59 KB at 14 variables and 111 KB for every n up to 14.
+- Larger instances are searched in variable order.  Hard kinds go through
+  a frontier search (Dechter, *Constraint Processing*, ch. 5): the partial
+  assignments over variables 0..v that satisfy every constraint lying
+  within them are kept in one sorted array, extended by variable v+1, and
+  filtered again; `_optimize` scores the Max-/Min-Ones objective of the
+  feasible masks as one popcount of `masks & m` (`np.bitwise_count`, numpy
+  2) per distinct variable weight, m the mask of the variables that carry
+  it.  Soft kinds are solved by bucket elimination (`_eliminate`; Bertele &
+  Brioschi, *Nonserial Dynamic Programming*, 1972): a table over the
+  variables that a later term still holds is doubled by each variable,
+  takes that variable's terms, and forgets the variables no later term
+  holds, keeping per state the best objective and the least mask that
+  reaches it.  The table is one int64 array of packed keys, the objective
+  shifted left by n bits over the mask (its complement when maximizing), so
+  a forget is one `np.maximum` or `np.minimum` over two halves.  On random
+  instances of 16-22 variables with 2n binary and ternary terms its largest
+  table holds 2^8-2^18 states (median 2^12), where the grid has 2^n.
+  Elimination is taken when the keys fit, that is the objective bound of
+  `_terms` is below 2^(62 - n), when its table stays within one chunk, and
+  when the states it touches, plus `_STEP_STATES` a step, are fewer than
+  the grid's, all read from the terms' buckets (`_buckets`, once a solve)
   before any array work (`_elimination_pays`).  It finds one optimal mask,
   not the optimal set, so `--all` stays on the grid, as do instances whose
   bound does not pack.
@@ -273,9 +265,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
     if n <= _TRUTH_VARS:
-        if inst.kind in _HARD_KINDS:
-            return _truth(inst.kind, n, raw, tables, want_all)
-        return _counted(inst.kind, n, tables, want_all)
+        return _truth(inst.kind, n, raw, tables, want_all)
     # each hard term is read as its identification minor, so
     # R_IN2(v0,v0,v0,v0,y,y,y,y) becomes a binary relation on (v0, y)
     hard = []
@@ -289,8 +279,10 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     else:
         scale, soft, _, bound = tables
         # a packed key holds the objective above the n bits of its mask
-        if not want_all and bound < 1 << (62 - n) and _elimination_pays(n, soft):
-            return _eliminate(inst.kind, n, soft, scale)
+        if not want_all and bound < 1 << (62 - n):
+            by_top, last = _buckets(n, soft)
+            if _elimination_pays(last):
+                return _eliminate(inst.kind, by_top, last, scale)
     return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
 
 
@@ -336,83 +328,71 @@ def _satisfying(n: int, raw) -> int:
     return sat
 
 
-@functools.cache
-def _layers(n: int) -> tuple[int, ...]:
-    """Popcount layers over n variables: bit a of the k-th is set iff a has k ones."""
-    if not n:
-        return (1,)
-    low, half = _layers(n - 1) + (0,), 1 << (n - 1)
-    # assignments that set variable n - 1 are the upper half of the table
-    return (low[0],) + tuple(low[k] | low[k - 1] << half for k in range(1, n + 1))
-
-
 def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
-    """Solve a hard-kind instance on the AND of its constraints' truth tables.
+    """Solve an instance of any kind on truth tables over its n variables.
 
-    SAT, and an objective where every variable weighs the same (one weight
-    class over all of them, or none), are read off that int: the optimal
-    assignments are its intersection with the highest (Min-Ones: lowest)
-    popcount layer it meets, and the witness is the lowest set bit there.
-    Any other weights go to `_optimize`.
+    The candidates are the assignments that satisfy every hard term
+    (`_satisfying`), all of them when there is none.  Plane p of a
+    bit-sliced counter is the table of the assignments whose objective has
+    bit p set: each soft term's planes (`_term_planes`) and each Ones
+    group's (`_ones_planes`) are added to it by a ripple-carry adder
+    (`_add`).  The optimum is read from the top plane down, one AND a plane:
+    maximizing, the candidates with the plane's bit set, if any, are kept
+    and the bit is the optimum's; minimizing, the bit is the optimum's if
+    every candidate has it, and otherwise those that have it drop out.  The
+    candidates left share every bit of the optimum, and the lowest of them
+    is the least optimal mask.
     """
-    sat = _satisfying(n, raw)
-    if not sat:
+    cand = _satisfying(n, raw)
+    if not cand:
         return SolveResult(kind, False, None, None, () if want_all else None)
-    scale, _, ones, _ = tables
-    if len(ones) > 1 or ones and ones[0][1] != (1 << n) - 1:
-        return _optimize(kind, tt.masks(sat, n), tables, want_all)
-    best, hit = 0, sat  # SAT, or every variable weighs 0
-    if ones:
-        layers = _layers(n)
-        for k in range(n, -1, -1) if kind in MAXIMIZING_KINDS else range(n + 1):
-            hit = sat & layers[k]
-            if hit:
-                best = ones[0][0] * k
-                break
-    optimal = tuple(tt.masks(hit, n).tolist()) if want_all else None
-    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
-    return SolveResult(kind, True, opt_fraction, (hit & -hit).bit_length() - 1, optimal)
-
-
-def _counted(kind: str, n: int, tables, want_all: bool) -> SolveResult:
-    """Solve a soft-kind instance on a bit-sliced counter of its objective.
-
-    Plane p of the counter is the truth table of the assignments whose
-    objective has bit p set.  Each term's planes (`_term_planes`, cached per
-    term) are added to it by a ripple-carry adder (`_add`).  The optimum is
-    read from the top plane down: where some candidate has the plane's bit
-    set (VCSP, which minimizes: clear), the candidates narrow to those.  The
-    ones left share every bit of the optimum, and the lowest of them is the
-    least optimal mask.
-    """
-    scale, soft, _, _ = tables
-    full = tt.planes(n)[0]
+    scale, soft, ones, _ = tables
     counter: list[int] = []
     for args, table in soft:
         _add(counter, _term_planes(args, tuple(table), n))
+    for w, m in ones:
+        _add(counter, _ones_planes(n, w, m))
     maximize = kind in MAXIMIZING_KINDS
-    cand, best = full, 0
+    best = 0
     for p in reversed(range(len(counter))):
-        plane = counter[p]
-        hit = cand & plane if maximize else cand & ~plane
-        if hit:
-            cand = hit
-        if cand & plane:
+        on = cand & counter[p]
+        if maximize:
+            if on:
+                cand = on
+                best |= 1 << p
+        elif on == cand:
             best |= 1 << p
+        else:
+            cand ^= on
     optimal = tuple(tt.masks(cand, n).tolist()) if want_all else None
-    return SolveResult(kind, True, Fraction(best, scale), (cand & -cand).bit_length() - 1,
-                       optimal)
+    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
+    return SolveResult(kind, True, opt_fraction, (cand & -cand).bit_length() - 1, optimal)
 
 
-# The planes `_term_planes` keeps, bounded by what their ints take
-# (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes, 2 KB at 14,
-# plus the int's header.  Six blocks of one mixed benchmark run build 220
-# terms' planes, 12 KB in all, so the bound evicts nothing in a run; it caps
-# a long run of fractional weights at 14 variables, which spans dozens of
-# planes a term and rarely repeats.
+# The planes `_term_planes` and `_ones_planes` keep, bounded by what their
+# ints take (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes,
+# 2 KB at 14, plus the int's header.  Six blocks of one mixed benchmark run
+# (seed 1) build 823 entries, 160 KB in all: 553 terms' planes, 347 of them
+# unary (0, w) terms that the Ones groups are summed from, and 270 groups'.
+# So the bound evicts nothing in a run; it caps a long run of fractional
+# weights at 14 variables, which spans dozens of planes a term and rarely
+# repeats.
 _PLANE_BYTES = 1 << 20
 _plane_cache: dict = {}
 _plane_bytes = 0
+
+
+def _keep(key, planes: tuple[int, ...]) -> tuple[int, ...]:
+    """`planes`, once cached under key; a cache that would pass
+    `_PLANE_BYTES` starts over."""
+    global _plane_bytes
+    size = sum(map(sys.getsizeof, planes))
+    if _plane_bytes + size > _PLANE_BYTES:
+        _plane_cache.clear()
+        _plane_bytes = 0
+    _plane_cache[key] = planes
+    _plane_bytes += size
+    return planes
 
 
 def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -421,10 +401,8 @@ def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple
 
     The assignments on which the arguments read code c are S_c, the AND of
     one literal per argument; those of one term are disjoint, so plane p is
-    the OR of the S_c whose value has bit p set.  A cache that would pass
-    `_PLANE_BYTES` starts over.
+    the OR of the S_c whose value has bit p set.
     """
-    global _plane_bytes
     key = (args, n, table)
     got = _plane_cache.get(key)
     if got is not None:
@@ -442,19 +420,34 @@ def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple
                 term[p] |= s
             value >>= 1
             p += 1
-    got = tuple(term)
-    size = sum(map(sys.getsizeof, got))
-    if _plane_bytes + size > _PLANE_BYTES:
-        _plane_cache.clear()
-        _plane_bytes = 0
-    _plane_cache[key] = got
-    _plane_bytes += size
-    return got
+    return _keep(key, tuple(term))
+
+
+def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
+    """The bit-sliced planes over n variables of w times the ones an
+    assignment sets in m, cached under (m, n, w).
+
+    They are the sum of the unary terms (0, w) on the variables of m, each
+    term's planes from `_term_planes`.
+    """
+    key = (m, n, w)
+    got = _plane_cache.get(key)
+    if got is not None:
+        return got
+    counter: list[int] = []
+    for i in range(n):
+        if m >> i & 1:
+            _add(counter, _term_planes((i,), (0, w), n))
+    return _keep(key, tuple(counter))
 
 
 def _add(counter: list[int], term: tuple[int, ...]) -> None:
     """Add the bit-sliced `term` into the bit-sliced `counter`, plane by plane:
-    a full adder over the term's planes, then the carry alone."""
+    a full adder over the term's planes, then the carry alone.  Into an
+    empty counter the term is copied."""
+    if not counter:
+        counter += term
+        return
     if len(counter) < len(term):
         counter += [0] * (len(term) - len(counter))
     carry = 0
@@ -523,15 +516,16 @@ def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
 _STEP_STATES = 1 << 10
 
 
-def _elimination_pays(n: int, soft) -> bool:
+def _elimination_pays(last: list[int]) -> bool:
     """Whether `_eliminate` keeps its table within a chunk and costs less
-    than the grid's 2^n states, read from the terms before any array work.
+    than the grid's 2^n states, read from the steps that forget each of the
+    n variables (`_buckets`) before any array work.
 
     Variable u sits in the table from step u through the step that forgets
     it, so step v touches 2^a_v states, a_v the variables in it then, and
     costs `_STEP_STATES` more.
     """
-    _, last = _buckets(n, soft)
+    n = len(last)
     change = [0] * (n + 1)  # at step v, a_v changes by change[v]
     for u in range(n):
         change[u] += 1
@@ -545,7 +539,7 @@ def _elimination_pays(n: int, soft) -> bool:
     return peak <= _CHUNK_BITS and work < 1 << n
 
 
-def _eliminate(kind: str, n: int, soft, scale: int) -> SolveResult:
+def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int) -> SolveResult:
     """Solve a soft-kind instance by bucket elimination in variable order
     (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4).
 
@@ -556,13 +550,14 @@ def _eliminate(kind: str, n: int, soft, scale: int) -> SolveResult:
     (maximizing) or the smaller one, and on equal objectives it is the one
     of the smaller mask.  Step v doubles the array by v's bit (setting it
     adds 1 << v to the mask, so subtracts it from the complement), adds the
-    terms of step v (`_buckets`) shifted by n, and forgets every variable
-    that no later term holds: each state keeps the better key of its two
-    halves, so the least optimal mask comes out, as on the grid.  The keys
-    fit in int64 when the objective is below 2^(62 - n), which `solve`
-    checks first.
+    terms of step v (`by_top`) shifted by n, and forgets every variable
+    that no later term holds (`last`): each state keeps the better key of
+    its two halves, so the least optimal mask comes out, as on the grid.
+    Both come from `_buckets`, which `solve` runs once for this and for
+    `_elimination_pays`.  The keys fit in int64 when the objective is below
+    2^(62 - n), which `solve` checks first.
     """
-    by_top, last = _buckets(n, soft)
+    n = len(last)
     maximize = kind in MAXIMIZING_KINDS
     low = (1 << n) - 1
     key = np.full(1, low if maximize else 0, dtype=np.int64)
@@ -613,8 +608,8 @@ def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
 
 
 def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResult:
-    """Score the ascending feasible `masks` of a hard-kind instance and pick
-    the optimum among them.
+    """Score the frontier's ascending feasible `masks` of a hard-kind
+    instance and pick the optimum among them.
 
     The masks are ascending, so the least optimal mask is the first hit and
     optimal_set comes out sorted.

@@ -94,11 +94,6 @@ class Relation:
             raise EmptyRelationError("empty relation requires allow_empty=True")
         return Relation(arity, tups, name)
 
-    @staticmethod
-    def from_tuples(arity: int, rows: Iterable[Sequence[int]], name: Optional[str] = None,
-                    allow_empty: bool = False) -> "Relation":
-        return Relation.from_masks(arity, (bits_to_mask(r) for r in rows), name, allow_empty)
-
     @property
     def is_empty(self) -> bool:
         return not self.tuples

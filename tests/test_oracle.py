@@ -368,12 +368,12 @@ def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
     # cycle, and the optimal set from the grid
     inst = soft(kind, n)
     reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
-    counted, grid = spy_on(monkeypatch, "_counted"), spy_on(monkeypatch)
+    truth, grid = spy_on(monkeypatch, "_truth"), spy_on(monkeypatch)
     elimination = spy_on(monkeypatch, "_eliminate")
     assert solve(inst) == reference
     assert solve(inst, want_all=True) == all_reference
     past = n > TRUTH
-    assert (len(counted), len(elimination), len(grid)) == (2 * (not past), past, past)
+    assert (len(truth), len(elimination), len(grid)) == (2 * (not past), past, past)
 
 
 @pytest.mark.parametrize("n,eliminated", [(13, False), (14, True)])
@@ -384,7 +384,7 @@ def test_elimination_pays_for_its_steps(n, eliminated):
     # estimate is read directly)
     inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    assert oracle._elimination_pays(n, soft_terms) == eliminated
+    assert oracle._elimination_pays(oracle._buckets(n, soft_terms)[1]) == eliminated
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
@@ -468,7 +468,7 @@ ELIMINATION_EXAMPLES = (
 @example(ELIMINATION_EXAMPLES[12])
 def test_elimination_matches_bruteforce(inst):
     _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    result = oracle._eliminate(inst.kind, inst.num_vars, soft_terms, scale)
+    result = oracle._eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale)
     assert result == solve_bruteforce(inst, RESOLVER)
 
 
@@ -509,19 +509,28 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
     assert (len(truth), len(frontier)) == ((0, 1) if n > TRUTH else (1, 0))
 
 
+# Ones-group weights: zero, small, and past 2^31
+ONES_WEIGHTS = st.one_of(st.integers(0, 6), st.integers(2 ** 31, 2 ** 33))
+
+
 @pytest.mark.parametrize("n", range(11))
-def test_popcount_layers_hold_the_masks_with_k_ones(n):
-    layers = oracle._layers(n)
-    assert len(layers) == n + 1
-    for k, layer in enumerate(layers):
-        assert tt.masks(layer, n).tolist() == [m for m in range(1 << n) if m.bit_count() == k]
+@settings(max_examples=examples(20), deadline=None)
+@given(data=st.data())
+def test_ones_planes_hold_w_times_the_ones_in_m(n, data):
+    w = data.draw(ONES_WEIGHTS)
+    # besides the drawn m, every n meets m = 0 and m full
+    for m in (0, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))):
+        planes = oracle._ones_planes(n, w, m)
+        for x in range(1 << n):
+            value = sum((plane >> x & 1) << p for p, plane in enumerate(planes))
+            assert value == w * (x & m).bit_count()
 
 
 @st.composite
 def truth_instances(draw):
     """Hard-kind instances of at most TRUTH variables, 0 included; half the
-    weighted ones weigh every variable alike, which the truth route answers
-    in ints."""
+    weighted ones weigh every variable alike, one Ones group on the truth
+    route."""
     inst = draw(instances(HARD_KINDS, least=0, most=TRUTH))
     if inst.kind in (KIND_WMO, KIND_MINO) and draw(st.booleans()):
         weights = (draw(WEIGHTS),) * inst.num_vars
@@ -634,20 +643,33 @@ def test_plane_cache_stays_within_its_byte_bound(monkeypatch):
             map(sys.getsizeof, itertools.chain(*oracle._plane_cache.values()))) <= 4096
 
 
-@pytest.mark.parametrize("inst,scored", [
-    (Instance(KIND_SAT, 5, umo(5, [("OR3", (0, 2, 4))]).constraints), False),
-    (umo(5, [("OR3", (0, 2, 4)), ("NAND2", (1, 2))]), False),
-    (wmo(5, [("OR3", (0, 2, 4))], [2] * 5, KIND_MINO), False),
-    (wmo(5, [("OR3", (0, 2, 4))], [0] * 5), False),
+@pytest.mark.parametrize("inst", [
+    Instance(KIND_SAT, 5, umo(5, [("OR3", (0, 2, 4))]).constraints),
+    umo(5, [("OR3", (0, 2, 4)), ("NAND2", (1, 2))]),
+    wmo(5, [("OR3", (0, 2, 4))], [2] * 5, KIND_MINO),
+    wmo(5, [("OR3", (0, 2, 4))], [0] * 5),
     # one class over a subset of the variables, and two classes
-    (wmo(5, [("OR3", (0, 2, 4))], [2, 2, 0, 2, 2]), True),
-    (wmo(5, [("OR3", (0, 2, 4))], [1, 2, 1, 2, 1], KIND_MINO), True),
+    wmo(5, [("OR3", (0, 2, 4))], [2, 2, 0, 2, 2]),
+    wmo(5, [("OR3", (0, 2, 4))], [1, 2, 1, 2, 1], KIND_MINO),
 ], ids=["sat", "umo", "mino-uniform", "wmo-zero", "wmo-subset", "mino-two-classes"])
-def test_truth_route_scores_masks_only_for_other_weights(inst, scored, monkeypatch):
+def test_truth_route_never_scores_masks(inst, monkeypatch):
     reference = solve_bruteforce(inst, want_all=True)
     calls = spy_on(monkeypatch, "_optimize")
     assert solve(inst, want_all=True) == reference
-    assert len(calls) == scored
+    assert not calls
+
+
+def test_min_ones_reads_its_minimum_off_the_narrowed_candidates(monkeypatch):
+    # the OR2s exclude the all-zero assignment; x0 alone (weight 2) ties with
+    # x1 and x2 (weight 1 each), and x3 with x4 (weight 3 each)
+    inst = wmo(5, [("OR2", (0, 1)), ("OR2", (0, 2)), ("OR2", (3, 4))], [2, 1, 1, 3, 3],
+               KIND_MINO)
+    reference = solve_bruteforce(inst, want_all=True)
+    truth = spy_on(monkeypatch, "_truth")
+    assert solve(inst, want_all=True) == reference
+    assert len(truth) == 1
+    assert reference.optimum == 5 and reference.witness == 0b01001
+    assert reference.optimal_set == (0b01001, 0b01110, 0b10001, 0b10110)
 
 
 def test_table_cache_stays_within_its_bound(monkeypatch):

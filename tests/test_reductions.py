@@ -17,7 +17,7 @@ from coclones.instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
-    MINIMIZING_KINDS,
+    MAXIMIZING_KINDS,
     Threshold,
     default_resolver,
 )
@@ -368,7 +368,7 @@ def _satisfiable_sources(name, count):
                                   if isinstance(REGISTRY[n].measure, Affine)])
 def test_mapped_threshold_met_exactly_at_the_optimum(name):
     rec = REGISTRY[name]
-    direction = "<=" if rec.source_kind in MINIMIZING_KINDS else ">="
+    direction = ">=" if rec.source_kind in MAXIMIZING_KINDS else "<="
     step = 1 if direction == ">=" else -1  # one step past the optimum
     for src, optimum in _satisfiable_sources(name, 3):
         for past, met in ((0, True), (step, False)):

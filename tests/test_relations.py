@@ -221,7 +221,7 @@ def test_classifiers_reject_empty_relations():
 
 def test_relation_row_round_trip():
     # canonical order is ascending bitmask; (1,0,0) has mask 1, (0,1,1) mask 6
-    r = Relation.from_tuples(3, [(0, 1, 1), (1, 0, 0)])
+    r = Relation.from_masks(3, map(bits_to_mask, [(0, 1, 1), (1, 0, 0)]))
     assert r.row_strings() == ["100", "011"]
 
 
