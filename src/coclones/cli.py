@@ -176,12 +176,12 @@ def _cmd_reduce(args) -> int:
 
     rec = record(args.name)
     inst = _parse_file(args.instance, parse_inst)
-    tgt, info = _on_file(args.instance, apply, args.name, inst, _resolver_with_defs(args.defs))
+    resolver = _resolver_with_defs(args.defs)
+    tgt, info = _on_file(args.instance, apply, args.name, inst, resolver)
     print(f"{args.name}: {rec.source_kind} -> {rec.target_kind} "
           f"[{rec.kind_tag}, C={rec.lv_parameter}]")
     print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.bound_text})")
-    for note in info.notes:
-        print(f"note: {note}")
+    print(f"note: {rec.note(inst, resolver)}")
     if info.threshold is not None:
         print(f"target threshold: {info.threshold.direction} {info.threshold.value}")
     if args.output:

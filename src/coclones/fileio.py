@@ -6,6 +6,7 @@ Tuple rows print coordinate 1 leftmost; variable indices in .inst files are
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -78,9 +79,18 @@ def _parse_int(tok: str, line: str, error: type = InstanceError) -> int:
         raise error(f"bad integer {tok!r} in line {line!r}") from None
 
 
+# Weights and thresholds repeat a handful of tokens ("1/2", "3", ...), so
+# each token's Fraction is kept; Fraction's string parser takes about 2 us a
+# token.  The 1024 entries bound the cache at about 0.2 MB however many
+# distinct tokens a long run meets.  A bad token raises and is not kept.
+@functools.lru_cache(maxsize=1 << 10)
+def _fraction_token(tok: str) -> Fraction:
+    return Fraction(tok)
+
+
 def _parse_fraction(tok: str, line: str) -> Fraction:
     try:
-        return Fraction(tok)
+        return _fraction_token(tok)
     except (ValueError, ZeroDivisionError):
         raise InstanceError(f"bad number {tok!r} in line {line!r}") from None
 
@@ -97,11 +107,32 @@ def parse_inst(text: str) -> Instance:
     projection = None
     constraints: list[Constraint] = []
     for line in _logical_lines(text):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         head = parts[0]
-        if head == "problem":
+        # constraint lines outnumber the rest, so they are tested first
+        if head == "c":
+            if len(parts) < 3:
+                raise InstanceError(f"bad constraint line: {line!r}")
+            ref = parts[1]
+            rest = parts[2:]
+            weight = None
+            if "w" in rest:
+                wi = rest.index("w")
+                if wi != len(rest) - 2:
+                    raise InstanceError(f"bad weight suffix: {line!r}")
+                weight = _parse_fraction(rest[-1], line)
+                rest = rest[:wi]
+            try:
+                args = tuple([int(t) - 1 for t in rest])
+            except ValueError:
+                # name the first bad token
+                args = tuple(_parse_int(t, line) - 1 for t in rest)
+            if args and min(args) < 0:
+                raise InstanceError(f"variable indices are 1-based: {line!r}")
+            constraints.append(Constraint(ref, args, weight))
+        elif head == "problem":
             if len(parts) != 2 or parts[1] not in ALL_KINDS:
                 raise InstanceError(f"bad problem line: {line!r}")
             kind = parts[1]
@@ -117,22 +148,6 @@ def parse_inst(text: str) -> Instance:
             threshold = Threshold(parts[1], _parse_fraction(parts[2], line))
         elif head == "project":
             projection = tuple(_parse_int(t, line) - 1 for t in parts[1:])
-        elif head == "c":
-            if len(parts) < 3:
-                raise InstanceError(f"bad constraint line: {line!r}")
-            ref = parts[1]
-            rest = parts[2:]
-            weight = None
-            if "w" in rest:
-                wi = rest.index("w")
-                if wi != len(rest) - 2:
-                    raise InstanceError(f"bad weight suffix: {line!r}")
-                weight = _parse_fraction(rest[-1], line)
-                rest = rest[:wi]
-            args = tuple(_parse_int(t, line) - 1 for t in rest)
-            if any(a < 0 for a in args):
-                raise InstanceError(f"variable indices are 1-based: {line!r}")
-            constraints.append(Constraint(ref, args, weight))
         else:
             raise InstanceError(f"unknown directive {head!r} in instance file")
     if kind is None or num_vars is None:

@@ -3,18 +3,22 @@
 An instance is a variable count plus constraint applications; references to
 relations and cost functions are by name.  Generated artifacts use
 self-describing parametric names (e.g. Rf_2_11 encodes arity and support)
-so emitted files stay self-contained.  `Resolver.resolve` is the one rule
-for what a constraint means in an instance of a given kind: what its ref
-names, its arity, and whether it may carry a weight.
+so emitted files stay self-contained.  `Resolver.resolve_all` is the one
+rule for what the constraints mean in an instance of a given kind: what
+each ref names, its arity, and whether it may carry a weight
+(`Resolver.resolve` applies it to one constraint).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from .postlattice import parse_coclone_name
 from .relations import (
@@ -85,6 +89,15 @@ class Threshold:
         object.__setattr__(self, "value", Fraction(self.value))
 
 
+_ONE = Fraction(1)
+_ARGS, _WEIGHT = attrgetter("args"), attrgetter("weight")
+
+
+def _negative(w) -> bool:
+    # a Fraction's sign is its numerator's, read without a Fraction compare
+    return w.numerator < 0 if type(w) is Fraction else w < 0
+
+
 @dataclass(frozen=True)
 class Instance:
     kind: str
@@ -95,24 +108,33 @@ class Instance:
     projection: Optional[tuple[int, ...]] = None  # wpp gadget files only
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_KINDS:
-            raise InstanceError(f"unknown problem kind {self.kind!r}")
-        if not 0 <= self.num_vars <= MAX_RELATION_ARITY:
-            raise InstanceError(f"variable count {self.num_vars} out of range 0..{MAX_RELATION_ARITY}")
-        for c in self.constraints:
-            if c.args and (min(c.args) < 0 or max(c.args) >= self.num_vars):
-                raise InstanceError(f"constraint {c.ref} uses an out-of-range variable")
-            if c.weight is not None and c.weight < 0:
-                raise InstanceError("constraint weights must be nonnegative")
-        if self.var_weights is not None:
-            if self.kind not in (KIND_WMO, KIND_MINO):
-                raise InstanceError(f"{self.kind} instances carry no variable weights")
-            if len(self.var_weights) != self.num_vars:
+        kind, n = self.kind, self.num_vars
+        if kind not in ALL_KINDS:
+            raise InstanceError(f"unknown problem kind {kind!r}")
+        if not 0 <= n <= MAX_RELATION_ARITY:
+            raise InstanceError(f"variable count {n} out of range 0..{MAX_RELATION_ARITY}")
+        cons = self.constraints
+        # every argument and weight at once, and the constraints one by one
+        # only to name the first fault
+        used = set(chain.from_iterable(map(_ARGS, cons)))
+        if (used and (min(used) < 0 or max(used) >= n)
+                or any(map(_negative, filter(None, map(_WEIGHT, cons))))):
+            for c in cons:
+                args, w = c.args, c.weight
+                if args and (min(args) < 0 or max(args) >= n):
+                    raise InstanceError(f"constraint {c.ref} uses an out-of-range variable")
+                if w is not None and _negative(w):
+                    raise InstanceError("constraint weights must be nonnegative")
+        weights = self.var_weights
+        if weights is not None:
+            if kind not in (KIND_WMO, KIND_MINO):
+                raise InstanceError(f"{kind} instances carry no variable weights")
+            if len(weights) != n:
                 raise InstanceError("varweights length must equal the variable count")
-            if any(w < 0 for w in self.var_weights):
+            if any(map(_negative, weights)):
                 raise InstanceError("variable weights must be nonnegative")
         if self.projection is not None and any(
-                not 0 <= v < self.num_vars for v in self.projection):
+                not 0 <= v < n for v in self.projection):
             raise InstanceError("projection uses an out-of-range variable")
 
     @property
@@ -128,7 +150,7 @@ class Instance:
     def weights_or_default(self) -> tuple[Fraction, ...]:
         if self.var_weights is not None:
             return self.var_weights
-        return tuple(Fraction(1) for _ in range(self.num_vars))
+        return (_ONE,) * self.num_vars
 
     def with_threshold(self, direction: str, value: Fraction) -> "Instance":
         # only the threshold is new, and Threshold validates itself; skip
@@ -147,6 +169,10 @@ _PARAM_REL = re.compile(r"^(OR|NAND|EVEN|ODD)(\d+)$")
 _PARAM_CTORS = {"OR": rel_or, "NAND": rel_nand, "EVEN": rel_even, "ODD": rel_odd}
 
 
+# Cost names repeat a handful of value tokens ("0", "1/2", "3", ...), so each
+# token's Fraction is kept; the 1024 entries bound the cache at about 0.2 MB
+# however many distinct tokens a long run meets.
+@functools.lru_cache(maxsize=1 << 10)
 def _cost_value(v: str) -> Fraction:
     """One value of a cost name, a count or a/b: the pattern admits only ASCII
     digits and slashes, so two ints give it without Fraction's string parser."""
@@ -198,6 +224,15 @@ def _built(build, name: str):
         return build(name)
     except ValueError:
         return None
+
+
+# An fnot_ cost is built once for each relation and name, not once per
+# resolver: its table of 2^arity values took 0.2 ms for the 8-ary R_II2.  The
+# arity is at most MAX_COST_ARITY, so an entry holds at most 256 values, and
+# the 64 entries bound the cache at about 0.5 MB.
+@functools.lru_cache(maxsize=1 << 6)
+def _indicator(rel: Relation, name: str) -> CostFunction:
+    return indicator_cost(rel, name)
 
 
 class Resolver:
@@ -270,7 +305,7 @@ class Resolver:
                 rel = self.relation(name[len("fnot_"):])
             except InstanceError:
                 return None
-            return indicator_cost(rel, name)
+            return _indicator(rel, name)
         m = _COST_NAME.match(name)
         if m:
             arity = int(m.group(1))
@@ -285,25 +320,44 @@ class Resolver:
         return None
 
     def resolve(self, kind: str, c: Constraint) -> Relation | CostFunction | None:
-        """What constraint c applies in a `kind` instance.
+        """What constraint c applies in a `kind` instance (`resolve_all` of c alone)."""
+        return self.resolve_all(kind, (c,))[0]
+
+    def resolve_all(self, kind: str, constraints: Sequence[Constraint]
+                    ) -> list[Relation | CostFunction | None]:
+        """What each constraint applies in a `kind` instance, in order.
 
         The `Relation` of its ref, the `CostFunction` for VCSP, or None for a
-        Max-Cut edge.  Raises InstanceError for an unknown name, a Max-Cut ref
-        other than 'edge', an arity other than the number of arguments, or a
-        weight on a SAT, U-Max-Ones or Min-Ones constraint.
+        Max-Cut edge.  Raises InstanceError at the first constraint with an
+        unknown name, a Max-Cut ref other than 'edge', an arity other than
+        the number of arguments, or a weight on a SAT, U-Max-Ones or
+        Min-Ones constraint.  A known name is one read of the resolver's
+        map; only a name met for the first time is built.
         """
         if kind == KIND_MAXCUT:
-            if c.ref != "edge":
-                raise InstanceError("Max-Cut constraints must use ref 'edge'")
-            applied, arity = None, 2
-        else:
-            applied = self.costfn(c.ref) if kind == KIND_VCSP else self.relation(c.ref)
-            arity = applied.arity
-        if len(c.args) != arity:
-            raise InstanceError(f"constraint {c.ref} expects {arity} arguments, got {len(c.args)}")
-        if c.weight is not None and kind in (KIND_SAT, KIND_UMO, KIND_MINO):
-            raise InstanceError(f"{kind} constraints carry no weights")
-        return applied
+            for c in constraints:
+                if c.ref != "edge":
+                    raise InstanceError("Max-Cut constraints must use ref 'edge'")
+                if len(c.args) != 2:
+                    raise InstanceError(f"constraint edge expects 2 arguments, got {len(c.args)}")
+            return [None] * len(constraints)
+        vcsp = kind == KIND_VCSP
+        known = self._costfns if vcsp else self._relations
+        weightless = kind in (KIND_SAT, KIND_UMO, KIND_MINO)
+        out = []
+        for c in constraints:
+            ref = c.ref
+            if ref in known:
+                applied = known[ref]
+            else:
+                applied = self.costfn(ref) if vcsp else self.relation(ref)
+            if len(c.args) != applied.arity:
+                raise InstanceError(f"constraint {ref} expects {applied.arity} arguments, "
+                                    f"got {len(c.args)}")
+            if weightless and c.weight is not None:
+                raise InstanceError(f"{kind} constraints carry no weights")
+            out.append(applied)
+        return out
 
 
 def default_resolver() -> Resolver:

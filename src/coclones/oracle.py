@@ -4,7 +4,7 @@ Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
 Both solvers read an instance in one pass, `_terms`, which resolves each
-constraint once (`Resolver.resolve`), checks the variable cap and returns
+constraint once (`Resolver.resolve_all`), checks the variable cap and returns
 the raw hard terms and the integer objective.  The objective starts from
 integer forms built once per object, not per solve: a cost function's
 values over one common denominator (`CostFunction.scaled`) and a relation's
@@ -33,9 +33,11 @@ own relation.
   the table of the assignments whose objective has bit p set: each soft
   term's scaled values, and w times the ones in m of each Ones group (w, m),
   are added with a ripple-carry adder, and the optimum is read from the top
-  plane down within the candidates, one AND a plane.  A term's own planes
-  are cached under its args, n and scaled table (`_term_planes`), and a
-  group's under (m, n, w) (`_ones_planes`, built from the unary terms'
+  plane down within the candidates, one AND a plane.  An objective of one
+  summand, as of every unweighted Max-Ones and Min-Ones instance, is read
+  from that summand's cached planes, with no copy into a counter.  A term's
+  own planes are cached under its args, n and scaled table (`_term_planes`),
+  and a group's under (m, n, w) (`_ones_planes`, built from the unary terms'
   planes), so the Max-Cut edges and f_neq terms that the certify corpora
   repeat, and the unit weights of every U-Max-Ones and Min-Ones solve of n
   variables, are built once; the cache starts over before it passes
@@ -167,7 +169,7 @@ def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
 def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     """(hard terms, (scale, soft terms, Ones groups, objective bound)), all integer.
 
-    One pass over the constraints resolves each once (`Resolver.resolve`)
+    One pass over the constraints resolves each once (`Resolver.resolve_all`)
     and checks the variable cap.  A hard term is (args, relation), one per
     constraint of a hard kind, on its raw args.  A soft term is (args,
     table), one per constraint of the soft kinds: the table is a sequence of
@@ -191,13 +193,14 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     without variable weights share one objective per n (`_unit_weights`).
     """
     kind = inst.kind
-    resolved = [(c.args, resolver.resolve(kind, c)) for c in inst.constraints]
+    constraints = inst.constraints
+    applied = resolver.resolve_all(kind, constraints)
     n = inst.num_vars
     cap = MAX_ENUMERATE_VARS if want_all else MAX_SOLVE_VARS
     if n > cap:
         raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
     if kind in _HARD_KINDS:
-        hard = resolved
+        hard = [(c.args, rel) for c, rel in zip(constraints, applied)]
         if kind == KIND_SAT:
             return hard, _NO_OBJECTIVE
         if inst.var_weights is None:
@@ -212,7 +215,7 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
 
     forms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
     scale = 1
-    for c, (_, fn) in zip(inst.constraints, resolved):
+    for c, fn in zip(constraints, applied):
         if kind == KIND_VCSP:
             g, den, nums = fn.scaled
         elif kind == KIND_MAXCSP:
@@ -347,11 +350,11 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
     if not cand:
         return SolveResult(kind, False, None, None, () if want_all else None)
     scale, soft, ones, _ = tables
-    counter: list[int] = []
+    counter: tuple[int, ...] | list[int] = ()
     for args, table in soft:
-        _add(counter, _term_planes(args, tuple(table), n))
+        counter = _add(counter, _term_planes(args, tuple(table), n))
     for w, m in ones:
-        _add(counter, _ones_planes(n, w, m))
+        counter = _add(counter, _ones_planes(n, w, m))
     maximize = kind in MAXIMIZING_KINDS
     best = 0
     for p in reversed(range(len(counter))):
@@ -365,7 +368,11 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
         else:
             cand ^= on
     optimal = tuple(tt.masks(cand, n).tolist()) if want_all else None
-    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
+    if kind == KIND_SAT:
+        opt_fraction = None
+    else:
+        # an int alone skips Fraction's gcd
+        opt_fraction = Fraction(best) if scale == 1 else Fraction(best, scale)
     return SolveResult(kind, True, opt_fraction, (cand & -cand).bit_length() - 1, optimal)
 
 
@@ -434,20 +441,28 @@ def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
     got = _plane_cache.get(key)
     if got is not None:
         return got
-    counter: list[int] = []
+    counter: tuple[int, ...] | list[int] = ()
     for i in range(n):
         if m >> i & 1:
-            _add(counter, _term_planes((i,), (0, w), n))
+            counter = _add(counter, _term_planes((i,), (0, w), n))
     return _keep(key, tuple(counter))
 
 
-def _add(counter: list[int], term: tuple[int, ...]) -> None:
-    """Add the bit-sliced `term` into the bit-sliced `counter`, plane by plane:
-    a full adder over the term's planes, then the carry alone.  Into an
-    empty counter the term is copied."""
+def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
+         ) -> tuple[int, ...] | list[int]:
+    """The bit-sliced sum of `counter` and `term`, plane by plane: a full
+    adder over the term's planes, then the carry alone.
+
+    An empty counter gives the term itself, not a copy, so a sum of one
+    summand reads the summand's cached planes: every unweighted Max-Ones and
+    Min-Ones solve is one Ones group and nothing else.  A tuple counter, a
+    summand's own planes, is copied into a list before the first add; a
+    list counter is added into in place.
+    """
     if not counter:
-        counter += term
-        return
+        return term
+    if type(counter) is tuple:
+        counter = list(counter)
     if len(counter) < len(term):
         counter += [0] * (len(term) - len(counter))
     carry = 0
@@ -460,11 +475,12 @@ def _add(counter: list[int], term: tuple[int, ...]) -> None:
     while carry:
         if p == len(counter):
             counter.append(carry)
-            return
+            break
         x = counter[p]
         counter[p] = x ^ carry
         carry &= x
         p += 1
+    return counter
 
 
 def _frontier(n: int, hard) -> Optional[np.ndarray]:

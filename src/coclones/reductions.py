@@ -11,14 +11,16 @@ this module:
   where the source is satisfiable iff the target meets threshold(src);
 - the corpus that certifies it (a seeded `sampler` or an `exhaustive`
   generator), the entries a sample passes through first (`chain_before`),
-  the report's note text, and at most one extra `invariant`.
+  the `note` that `coclones reduce` prints, and at most one extra
+  `invariant`.
 
 `apply` enforces the declaration on every call: it checks the source kind
 and language ("*" admits any), resolves every source constraint
-(`Resolver.resolve`), checks the built target's kind and language the same
-way, asserts the variable count, maps the source threshold through `Affine`
-(sign -1 flips its direction) or sets it from `Decision`, and fills
-`ApplyInfo`.  `certify` replays a corpus through the
+(`Resolver.resolve_all`), checks the built target's kind and language the
+same way, asserts the variable count, maps the source threshold through
+`Affine` (sign -1 flips its direction) or sets it from `Decision`, and fills
+`ApplyInfo`.  It renders no note: only `coclones reduce` prints one, so it
+calls the entry's `note` itself.  `certify` replays a corpus through the
 oracle and checks the measure map with one rule for every entry.
 
 Output variables are ordered originals first, then globals (v0, v1), then
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -91,7 +94,6 @@ class ApplyInfo:
     threshold: Optional[Threshold] = None
     value_offset: Optional[Fraction] = None  # target optimum = sign * source + offset
     sign: int = 1
-    notes: tuple[str, ...] = ()
 
 
 # certify's extra check for one entry: (src, tgt, source result, target
@@ -113,7 +115,7 @@ class ReductionRecord:
     num_vars: Callable[[Instance, Resolver], int]
     exact: bool  # num_vars is the exact count, not only an upper bound
     measure: Affine | Decision
-    note: Callable[[Instance, Resolver], str]
+    note: Callable[[Instance, Resolver], str]  # printed by `coclones reduce` only
     sampler: Optional[Callable[[random.Random], Instance]] = None
     exhaustive: Optional[Callable[[], Iterator[Instance]]] = None
     chain_before: tuple[str, ...] = ()  # certify passes samples through these first
@@ -320,9 +322,17 @@ def _make_qpp_build(ext: ExtensionFormula):
 # Entry 8: weighted argmax-gadget replacements (big-M composition)
 
 
-def _gadget_max(identity: ArgmaxIdentity, resolver: Resolver) -> Fraction:
-    target = resolver.relation(identity.target)
-    vals = {sum(Fraction(w) for p, w in enumerate(identity.weights) if (t >> p) & 1)
+@functools.cache
+def _gadget_max(identity: ArgmaxIdentity) -> int:
+    """The gadget objective on its target's tuples, the same on every tuple.
+
+    The gadget weights are ints, so the sum is one.  It is kept for each
+    identity, so the cache holds six entries, one per `ARGMAX_IDENTITIES`
+    entry.  A weak-base name means the same relation to every resolver, so
+    the target comes from a fresh one.
+    """
+    target = Resolver().relation(identity.target)
+    vals = {sum(w for p, w in enumerate(identity.weights) if (t >> p) & 1)
             for t in target.tuples}
     if len(vals) != 1:
         raise ReductionError("argmax gadget objective is not constant on its target")
@@ -330,28 +340,41 @@ def _gadget_max(identity: ArgmaxIdentity, resolver: Resolver) -> Fraction:
 
 
 def _weight_big_m(inst: Instance) -> Fraction:
-    return Fraction(1) + sum(inst.weights_or_default(), Fraction(0))
+    """One more than the total variable weight, summed in ints over the lcm
+    of the weights' denominators."""
+    weights = inst.var_weights
+    if weights is None:
+        return Fraction(1 + inst.num_vars)
+    den = math.lcm(*(w.denominator for w in weights))
+    return Fraction(den + sum(w.numerator * (den // w.denominator) for w in weights), den)
 
 
 def _make_qwpp_build(identity: ArgmaxIdentity):
+    weighted = [(p, w) for p, w in enumerate(identity.weights) if w]
+
     def build(inst: Instance, resolver: Resolver) -> Instance:
         big_m = _weight_big_m(inst)
-        new_weights = list(inst.weights_or_default())
+        gadget = [0] * inst.num_vars  # each variable's gadget weight over all constraints
         cons: list[Constraint] = []
         for c in inst.constraints:
+            args = c.args
             for slots in identity.atoms:
-                cons.append(Constraint(identity.base, tuple(c.args[s] for s in slots)))
-            for p, w in enumerate(identity.weights):
-                if w:
-                    new_weights[c.args[p]] += big_m * w
-        return Instance(KIND_WMO, inst.num_vars, tuple(cons), var_weights=tuple(new_weights))
+                cons.append(Constraint(identity.base, tuple(args[s] for s in slots)))
+            for p, w in weighted:
+                gadget[args[p]] += w
+        # weight + big_m * gadget weight, over the common denominator of both
+        mn, md = big_m.numerator, big_m.denominator
+        new_weights = tuple(
+            Fraction(w.numerator * md + mn * g * w.denominator, w.denominator * md) if g else w
+            for w, g in zip(inst.weights_or_default(), gadget))
+        return Instance(KIND_WMO, inst.num_vars, tuple(cons), var_weights=new_weights)
 
     return build
 
 
 def _make_qwpp_offset(identity: ArgmaxIdentity):
     def offset(inst: Instance, resolver: Resolver) -> Fraction:
-        return _weight_big_m(inst) * _gadget_max(identity, resolver) * inst.num_constraints
+        return _weight_big_m(inst) * (_gadget_max(identity) * inst.num_constraints)
 
     return offset
 
@@ -359,7 +382,7 @@ def _make_qwpp_offset(identity: ArgmaxIdentity):
 def _make_qwpp_note(identity: ArgmaxIdentity):
     def note(inst: Instance, resolver: Resolver) -> str:
         return (f"big-M = {_weight_big_m(inst)}, "
-                f"per-gadget maximum {_gadget_max(identity, resolver)}")
+                f"per-gadget maximum {_gadget_max(identity)}")
 
     return note
 
@@ -390,10 +413,9 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
     next_var = inst.num_vars
     cons: list[Constraint] = []
     used_first: set[int] = set()
-    for c in inst.constraints:
+    for c, fn in zip(inst.constraints, resolver.resolve_all(inst.kind, inst.constraints)):
         _require(c.weight in (None, Fraction(1)),
                  "unweighted valued instances only (unit term weights)")
-        fn = resolver.resolve(inst.kind, c)
         _require(all(v.denominator == 1 for v in fn.table),
                  "integer cost values required")
         k = fn.arity
@@ -429,7 +451,7 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _uvcspd_bound(inst: Instance, resolver: Resolver) -> int:
-    fns = [resolver.resolve(inst.kind, c) for c in inst.constraints]
+    fns = resolver.resolve_all(inst.kind, inst.constraints)
     s = max((fn.arity for fn in fns), default=0)
     # the stated bound presumes a nontrivial value range; t = 0 (identically
     # zero costs) still emits the 2^s translation block, so clamp t at 1
@@ -586,12 +608,13 @@ def _sample_wmo_ii2(rng: random.Random) -> Instance:
     return Instance(KIND_WMO, n, cons, var_weights=weights)
 
 
+# The exhaustive generators build each constraint once for each n and draw
+# their combinations from those.
 def _exhaustive_minones_or2() -> Iterator[Instance]:
     for n in range(1, 5):
-        apps = [(i, j) for i in range(n) for j in range(n)]
+        apps = [Constraint("OR2", (i, j)) for i in range(n) for j in range(n)]
         for size in range(0, 4):
-            for combo in itertools.combinations(apps, size):
-                cons = tuple(Constraint("OR2", args) for args in combo)
+            for cons in itertools.combinations(apps, size):
                 yield Instance(KIND_MINO, n, cons)
 
 
@@ -609,22 +632,21 @@ def _sample_uvcsp(rng: random.Random) -> Instance:
     return Instance(KIND_VCSP, n, cons)
 
 
-def _exhaustive_maxcut() -> Iterator[Instance]:
+def _exhaustive_pairs(kind: str, ref: str) -> Iterator[Instance]:
+    """Every instance of 2-5 variables with at most three `ref` terms on distinct pairs."""
     for n in range(2, 6):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        terms = [Constraint(ref, (i, j)) for i in range(n) for j in range(i + 1, n)]
         for size in range(0, 4):
-            for combo in itertools.combinations(pairs, size):
-                cons = tuple(Constraint("edge", e) for e in combo)
-                yield Instance(KIND_MAXCUT, n, cons)
+            for cons in itertools.combinations(terms, size):
+                yield Instance(kind, n, cons)
+
+
+def _exhaustive_maxcut() -> Iterator[Instance]:
+    return _exhaustive_pairs(KIND_MAXCUT, "edge")
 
 
 def _exhaustive_vcsp_neq() -> Iterator[Instance]:
-    for n in range(2, 6):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for size in range(0, 4):
-            for combo in itertools.combinations(pairs, size):
-                cons = tuple(Constraint("f_neq", e) for e in combo)
-                yield Instance(KIND_VCSP, n, cons)
+    return _exhaustive_pairs(KIND_VCSP, "f_neq")
 
 
 def _sample_maxcsp_nandtf(rng: random.Random) -> Instance:
@@ -834,7 +856,7 @@ def _check_side(name: str, side: str, inst: Instance, kind: str,
     "*" admits any ref, and a name ending in "*" ("Rf_*") any ref it prefixes.
     """
     _require(inst.kind == kind, f"{name}: {side} must be a {kind} instance, got {inst.kind}")
-    if "*" in language:
+    if "*" in language or {c.ref for c in inst.constraints}.issubset(language):
         return
     extra = [r for r in inst.language()
              if not any(r == d or (d.endswith("*") and r.startswith(d[:-1])) for d in language)]
@@ -847,15 +869,14 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
     rec = record(name)
     resolver = resolver or default_resolver()
     _check_side(name, "source", inst, rec.source_kind, rec.source_language)
-    for c in inst.constraints:
-        resolver.resolve(inst.kind, c)
+    resolver.resolve_all(inst.kind, inst.constraints)
     out = rec.build(inst, resolver)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
     declared = rec.num_vars(inst, resolver)
     if out.num_vars > declared or (rec.exact and out.num_vars != declared):
         raise BoundViolation(f"{name}: produced {out.num_vars} variables, declared "
                              + (f"{declared}" if rec.exact else f"bound {declared}"))
-    info = ApplyInfo(notes=(rec.note(inst, resolver),))
+    info = ApplyInfo()
     if isinstance(rec.measure, Decision):
         info.threshold = rec.measure.threshold(inst)
     else:
@@ -898,6 +919,14 @@ def _entry_seed(seed: int, name: str) -> int:
     return (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
 
 
+def _on_map(t: Fraction, sign: int, s: Fraction, offset: Fraction) -> bool:
+    """Whether t == offset + sign * s, compared in ints: both sides times the
+    three denominators."""
+    sd, od = s.denominator, offset.denominator
+    image = offset.numerator * sd + sign * s.numerator * od  # over sd * od
+    return t.numerator * sd * od == image * t.denominator
+
+
 def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: int,
                      offset: Optional[Fraction], resolver: Resolver) -> Optional[str]:
     """Why tgt breaks the entry's measure map or invariant on src, or None.
@@ -913,8 +942,8 @@ def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: i
             return (f"decision mismatch at threshold {tgt.threshold.value}: "
                     f"source sat={sres.satisfiable}, target optimum {tres.optimum}")
     elif sres.satisfiable:
-        want = offset + sres.optimum if sign > 0 else offset - sres.optimum
-        if not (tres.satisfiable and tres.optimum == want):
+        if not (tres.satisfiable and _on_map(tres.optimum, sign, sres.optimum, offset)):
+            want = offset + sres.optimum if sign > 0 else offset - sres.optimum
             return (f"optimum map failed: source {sres.optimum}, target {tres.optimum},"
                     f" wanted {want}")
     elif tres.satisfiable and (sign < 0 or tres.optimum >= offset):
@@ -935,6 +964,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
     rec = record(name)
     resolver = resolver or default_resolver()
     failures: list[tuple[str, str]] = []
+    steps = rec.chain_before + (name,)
     if rec.exhaustive is not None:
         cases = list(rec.exhaustive())
         mode = "exhaustive"
@@ -947,7 +977,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
             # compose the affine maps of the chain: target = sign * source + offset;
             # the first map is taken as it is
             tgt, sign, offset = src, 1, None
-            for step in rec.chain_before + (name,):
+            for step in steps:
                 tgt, info = apply(step, tgt, resolver)
                 if info.value_offset is None:
                     continue

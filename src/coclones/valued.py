@@ -47,7 +47,11 @@ class CostFunction:
             raise RelationError(f"cost function arity {self.arity} out of range")
         if len(self.table) != 1 << self.arity:
             raise RelationError("cost table length must be 2^arity")
-        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.table)
+        tab = self.table
+        # one pass over the common table, a tuple of nonnegative Fractions
+        if type(tab) is tuple and all(type(v) is Fraction and v.numerator >= 0 for v in tab):
+            return
+        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in tab)
         if any(v.numerator < 0 for v in tab):
             raise RelationError("cost values must be nonnegative")
         object.__setattr__(self, "table", tab)
@@ -62,10 +66,9 @@ class CostFunction:
         for the lifetime of this object, outside the fields that equality and
         hashing read.
         """
-        nums, dens = zip(*(v.as_integer_ratio() for v in self.table))
+        dens = [v.denominator for v in self.table]
         den = math.lcm(*dens)
-        if den != 1:
-            nums = tuple(x * (den // d) for x, d in zip(nums, dens))
+        nums = tuple([v.numerator * (den // d) for v, d in zip(self.table, dens)])
         return math.gcd(*nums), den, nums
 
     def __call__(self, mask: int) -> Fraction:

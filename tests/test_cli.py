@@ -79,6 +79,76 @@ def test_solve_and_reduce_round_trip(tmp_path):
     assert code == 0 and "optimum: 1" in out
 
 
+# `reduce` prints the entry's note, which `apply` no longer renders
+REDUCE_NOTES = [
+    ("maxcutc_to_wmaxones", "problem Max-Cut\nvars 3\nc edge 1 2 w 2\nc edge 2 3 w 3/2\n",
+     "maxcutc_to_wmaxones: Max-Cut -> W-Max-Ones [LV, C=1+c]\n"
+     "variables: 3 -> 5 (declared |V| + |E|)\n"
+     "note: XOR3 is pp-definable over R_II2 only with auxiliary variables; "
+     "emitting XOR3 as a target primitive\n"),
+    ("wmo_qwpp_IL2", "problem W-Max-Ones\nvars 8\nvarweights 1 1/2 0 3 2 1 1/3 0\n"
+     "c R_II2 1 2 3 4 5 6 7 8\nc R_II2 2 3 4 5 6 7 8 1\n",
+     "wmo_qwpp_IL2: W-Max-Ones -> W-Max-Ones [CV, C=1]\n"
+     "variables: 8 -> 8 (declared n)\n"
+     "note: big-M = 53/6, per-gadget maximum 2\n"),
+    ("maxcut_to_vcsp_neq", "problem Max-Cut\nvars 4\nc edge 1 2\nc edge 2 3 w 5/2\n"
+     "c edge 3 4\nthreshold >= 3\n",
+     "maxcut_to_vcsp_neq: Max-Cut -> VCSP [CV, C=1]\n"
+     "variables: 4 -> 4 (declared n)\n"
+     "note: cut k <-> objective 9/2 - k\n"
+     "target threshold: <= 3/2\n"),
+]
+
+
+@pytest.mark.parametrize("name,text,want", REDUCE_NOTES, ids=[r[0] for r in REDUCE_NOTES])
+def test_reduce_prints_the_entry_note(tmp_path, name, text, want):
+    inst = tmp_path / "src.inst"
+    inst.write_text(text)
+    assert run(["reduce", name, str(inst)]) == (0, want)
+
+
+# a bad or odd number token in each place a file gives one: (place, token,
+# exit code, the stderr message after "error: <file>: "); a token that
+# parses runs the solve
+BAD_TOKEN_FILES = {
+    "weight": "problem VCSP\nvars 2\nc f_neq 1 2 w {tok}\n",
+    "varweights": "problem W-Max-Ones\nvars 2\nvarweights {tok} 1\nc OR2 1 2\n",
+    "threshold": "problem Max-Cut\nvars 2\nc edge 1 2\nthreshold >= {tok}\n",
+    "cost name": "problem VCSP\nvars 2\nc cost1_{tok}_1 1\nc f_neq 1 2\n",
+}
+BAD_TOKENS = [
+    *[(place, tok, 2, f"bad number {tok!r} in line {line.format(tok=tok)!r}")
+      for place, line in (("weight", "c f_neq 1 2 w {tok}"), ("varweights", "varweights {tok} 1"),
+                          ("threshold", "threshold >= {tok}"))
+      for tok in ("1/0", "x", "1//2", "1/2/3")],
+    ("weight", "-1", 2, "constraint weights must be nonnegative"),
+    ("weight", "1.5", 0, None),
+    ("weight", "", 2, "bad weight suffix: 'c f_neq 1 2 w'"),
+    ("varweights", "-1", 2, "variable weights must be nonnegative"),
+    ("varweights", "1.5", 0, None),
+    ("varweights", "", 2, "varweights length must equal the variable count"),
+    ("threshold", "-1", 0, None),
+    ("threshold", "1.5", 1, None),
+    ("threshold", "", 2, "bad threshold line: 'threshold >='"),
+    *[("cost name", tok, 2, f"unknown cost function 'cost1_{tok}_1'")
+      for tok in ("1/0", "x", "1//2", "1/2/3", "-1", "1.5", "")],
+]
+
+
+@pytest.mark.parametrize("place,tok,code,message", BAD_TOKENS)
+def test_bad_number_tokens_keep_their_exit_code_and_message(tmp_path, place, tok, code,
+                                                            message):
+    path = tmp_path / "bad.inst"
+    path.write_text(BAD_TOKEN_FILES[place].format(tok=tok))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        got, out = run(["solve", str(path)])
+    assert got == code
+    assert err.getvalue() == ("" if message is None else f"error: {path}: {message}\n")
+    if message is not None:
+        assert out == ""
+
+
 def test_solve_exit_codes(tmp_path):
     unsat = tmp_path / "u.inst"
     unsat.write_text("problem SAT\nvars 1\nc T 1\nc F 1\n")

@@ -1,9 +1,12 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from coclones import fileio, instances
 from coclones.fileio import (
     emit_cost,
     emit_inst,
@@ -166,3 +169,51 @@ def test_cost_names_parse_to_their_fractions(values):
     table = default_resolver().costfn(name).table
     assert table == tuple(Fraction(v) for v in values)
     assert all(type(v) is Fraction for v in table)
+
+
+# tokens that Fraction's string parser takes (counts, fractions, decimals,
+# signs, exponents, padding zeros) and some it refuses
+NUMBER_TOKENS = st.one_of(
+    COST_VALUES,
+    st.from_regex(r"\A[+-]?[0-9]{1,6}(\.[0-9]{0,4})?(e[+-]?[0-9])?\Z"),
+    st.sampled_from(["1/0", "x", "1//2", "1/2/3", "-1", "1.5", "0/1", "-0", "1_000"]))
+
+
+# no max_examples: the count follows the loaded profile (conftest.py)
+@settings(deadline=None)
+@given(st.lists(NUMBER_TOKENS, min_size=1, max_size=4))
+def test_inst_number_tokens_parse_to_their_fractions(tokens):
+    # weights and thresholds go through a token cache; each parse, cold or
+    # warm, must give Fraction(tok) or the parser's error for that token
+    fileio._fraction_token.cache_clear()
+    for _ in range(2):
+        for tok in tokens:
+            line = f"c f_neq 1 2 w {tok}"
+            try:
+                want = Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(InstanceError, match=re.escape(f"bad number {tok!r}")):
+                    parse_inst(f"problem VCSP\nvars 2\n{line}\n")
+                continue
+            if want < 0:
+                with pytest.raises(InstanceError, match="weights must be nonnegative"):
+                    parse_inst(f"problem VCSP\nvars 2\n{line}\n")
+                continue
+            text = f"problem VCSP\nvars 2\n{line}\nthreshold <= {tok}\n"
+            inst = parse_inst(text)
+            assert inst.constraints[0].weight == want and inst.threshold.value == want
+            assert type(inst.constraints[0].weight) is Fraction
+
+
+# no max_examples: the count follows the loaded profile (conftest.py)
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(COST_VALUES, min_size=1 << k, max_size=1 << k)))
+def test_cost_name_values_parse_to_their_fractions_cold_and_warm(values):
+    # the value tokens go through a token cache shared by every resolver
+    instances._cost_value.cache_clear()
+    name = f"cost{len(values).bit_length() - 1}_" + "_".join(values)
+    for resolver in (default_resolver(), default_resolver()):
+        fn = resolver.costfn(name)
+        assert fn.table == tuple(Fraction(v) for v in values)
+        assert fn.scaled[1] == math.lcm(*(Fraction(v).denominator for v in values))

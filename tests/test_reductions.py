@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from coclones.instances import (
     Constraint,
@@ -22,6 +24,7 @@ from coclones.instances import (
     default_resolver,
 )
 from coclones.oracle import meets_threshold, solve, solve_bruteforce
+from coclones.definitions import ARGMAX_IDENTITIES
 from coclones.postlattice import co_clone_of, parse_coclone_name
 from coclones.reductions import (
     ACCEPTANCE_ENTRIES,
@@ -33,8 +36,11 @@ from coclones.reductions import (
     Decision,
     ReductionError,
     _entry_seed,
+    _gadget_max,
+    _weight_big_m,
     apply,
     certify,
+    record,
     registry_names,
 )
 
@@ -166,6 +172,41 @@ def test_qwpp_big_m_composition():
         assert solve(tgt).optimum == sres.optimum + info.value_offset
 
 
+@pytest.mark.parametrize("identity", ARGMAX_IDENTITIES, ids=lambda i: i.base)
+def test_gadget_max_is_the_fraction_sum_on_every_target_tuple(identity):
+    target = RESOLVER.relation(identity.target)
+    sums = {sum((Fraction(w) for p, w in enumerate(identity.weights) if (t >> p) & 1),
+                Fraction(0)) for t in target.tuples}
+    assert sums == {_gadget_max(identity)}
+
+
+WEIGHTS = st.builds(Fraction, st.integers(0, 10 ** 9), st.integers(1, 10 ** 4))
+
+
+# no max_examples: the count follows the loaded profile (conftest.py)
+@settings(deadline=None)
+@given(st.data())
+def test_big_m_and_qwpp_weights_match_the_fraction_reference(data):
+    # the reference sums in Fractions, one gadget slot at a time
+    identity = data.draw(st.sampled_from(ARGMAX_IDENTITIES))
+    n = data.draw(st.integers(1, 8))
+    args = st.tuples(*[st.integers(0, n - 1)] * 8)
+    cons = tuple(Constraint(identity.target, a)
+                 for a in data.draw(st.lists(args, max_size=3)))
+    weights = data.draw(st.none() | st.lists(WEIGHTS, min_size=n, max_size=n).map(tuple))
+    src = Instance(KIND_WMO, n, cons, var_weights=weights)
+    ref_weights = list(weights) if weights is not None else [Fraction(1)] * n
+    big_m = Fraction(1) + sum(ref_weights, Fraction(0))
+    assert _weight_big_m(src) == big_m
+    for c in cons:
+        for p, w in enumerate(identity.weights):
+            if w:
+                ref_weights[c.args[p]] += big_m * w
+    tgt = REGISTRY[f"wmo_qwpp_{identity.base[2:]}"].build(src, RESOLVER)
+    assert tgt.var_weights == tuple(ref_weights)
+    assert all(type(w) is Fraction for w in tgt.var_weights)
+
+
 def test_qwpp_chained_targets():
     src = Instance(KIND_WMO, 8, (Constraint("R_II2", tuple(range(8))),),
                    var_weights=tuple(Fraction(1) for _ in range(8)))
@@ -211,10 +252,21 @@ def test_maxcutc_gap_flagged():
     src = Instance(KIND_MAXCUT, 3,
                    tuple(Constraint("edge", e, Fraction(2)) for e in ((0, 1), (1, 2))))
     tgt, info = apply("maxcutc_to_wmaxones", src)
-    assert any("XOR3 is pp-definable over R_II2 only with auxiliary variables" in note
-               for note in info.notes)
+    note = record("maxcutc_to_wmaxones").note(src, RESOLVER)
+    assert "XOR3 is pp-definable over R_II2 only with auxiliary variables" in note
     assert tgt.num_vars == 3 + 2
     assert solve(tgt).optimum == solve(src).optimum
+
+
+def test_certify_never_renders_a_note(monkeypatch):
+    # only `coclones reduce` prints notes, so certify must not pay for them
+    rendered = []
+    for name, rec in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
+            rec, note=lambda src, resolver, name=name: rendered.append(name) or ""))
+    for name in registry_names():
+        assert certify(name, trials=3).ok
+    assert rendered == []
 
 
 def test_xor3_is_pp_definable_over_r_ii2():
