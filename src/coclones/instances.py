@@ -226,6 +226,32 @@ def _built(build, name: str):
         return None
 
 
+# A parametric, Rf_ or weak-base name is built once per process, not once per
+# resolver, so every resolver shares its relation and the minors and tables
+# cached on it: a fresh resolver paid 7-9 us for each weak-base name and 5-7
+# us for OR2, NAND2 or EVEN3, and a maxones_to_minones certify rebuilt 59 OR2
+# tables.  A resolver's registered relation still wins over its name.  An
+# entry holds one relation with what is cached on it, such as at most
+# `oracle._TABLES_PER_RELATION` truth tables of up to 2 KB.
+@functools.lru_cache(maxsize=1 << 6)
+def _build_relation(name: str) -> Optional[Relation]:
+    m = _PARAM_REL.match(name)
+    if m:
+        return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
+    m = _RF_NAME.match(name)
+    if m:
+        return _rf_relation(int(m.group(1)), int(m.group(2)))
+    if name.startswith("R_I"):
+        try:
+            coclone = parse_coclone_name(name[2:])
+        except RelationError:
+            return None
+        if coclone.is_chain and coclone.index is None:
+            return None
+        return weak_base(coclone)
+    return None
+
+
 # An fnot_ cost is built once for each relation and name, not once per
 # resolver: its table of 2^arity values took 0.2 ms for the 8-ary R_II2.  The
 # arity is at most MAX_COST_ARITY, so an entry holds at most 256 values, and
@@ -247,7 +273,7 @@ class Resolver:
         nm = name or rel.name
         if nm is None:
             raise InstanceError("cannot register an unnamed relation")
-        existing = self._relations.get(nm) or _built(self._build_relation, nm)
+        existing = self._relations.get(nm) or _built(_build_relation, nm)
         if existing is not None and (existing.arity, existing.tuples) != (rel.arity, rel.tuples):
             raise InstanceError(f"conflicting definitions for relation {nm!r}")
         self._relations[nm] = rel if rel.name == nm else rel.renamed(nm)
@@ -266,28 +292,11 @@ class Resolver:
         rel = self._relations.get(name)
         if rel is not None:
             return rel
-        built = self._build_relation(name)
+        built = _build_relation(name)
         if built is None:
             raise InstanceError(f"unknown relation {name!r}")
         self._relations[name] = built
         return built
-
-    def _build_relation(self, name: str) -> Optional[Relation]:
-        m = _PARAM_REL.match(name)
-        if m:
-            return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
-        m = _RF_NAME.match(name)
-        if m:
-            return _rf_relation(int(m.group(1)), int(m.group(2)))
-        if name.startswith("R_I"):
-            try:
-                coclone = parse_coclone_name(name[2:])
-            except RelationError:
-                return None
-            if coclone.is_chain and coclone.index is None:
-                return None
-            return weak_base(coclone)
-        return None
 
     def costfn(self, name: str) -> CostFunction:
         fn = self._costfns.get(name)

@@ -13,13 +13,13 @@ denominators gives the scale, so an all-integer instance computes none, and
 the hard kinds without variable weights share one objective per variable
 count.
 
-Every route of `solve` reads a hard constraint as its identification minor:
-the relation over the constraint's distinct arguments that identifying its
-repeated arguments leaves (`Relation.minor`).  The weak-base atoms of the
-2+3n reductions repeat arguments, as in R_IN2(v0,v0,v0,v0,y,y,y,y), so
-their 8-ary relations shrink to minors of 2 or 3 variables, and each table
-build and gather works on those.  A constraint without repeats keeps its
-own relation.
+Every route of `solve` reads a hard constraint as its identification minor
+(`_minor`): the relation over the constraint's distinct arguments that
+identifying its repeated arguments leaves (`Relation.minor`).  The weak-base
+atoms of the 2+3n reductions repeat arguments, as in
+R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
+or 3 variables, and each table build and gather works on those.  A
+constraint without repeats keeps its own relation.
 
 `solve` takes an instance down one of three routes:
 
@@ -29,13 +29,10 @@ own relation.
   and every assignment when there are none; a constraint's table is cached
   on its relation under (args, n), so a repeated constraint skips both the
   minor and the build (`Relation.table_cache`, bounded by
-  `_TABLES_PER_RELATION`).  The objective is a bit-sliced counter, plane p
-  the table of the assignments whose objective has bit p set: each soft
-  term's scaled values, and w times the ones in m of each Ones group (w, m),
-  are added with a ripple-carry adder, and the optimum is read from the top
-  plane down within the candidates, one AND a plane.  An objective of one
-  summand, as of every unweighted Max-Ones and Min-Ones instance, is read
-  from that summand's cached planes, with no copy into a counter.  A term's
+  `_TABLES_PER_RELATION`).  The objective is a bit-sliced counter of the
+  soft terms and Ones groups, read from the top plane down within the
+  candidates; one summand alone, as of every unweighted Max-Ones and
+  Min-Ones instance, is read from its cached planes with no copy.  A term's
   own planes are cached under its args, n and scaled table (`_term_planes`),
   and a group's under (m, n, w) (`_ones_planes`, built from the unary terms'
   planes), so the Max-Cut edges and f_neq terms that the certify corpora
@@ -57,30 +54,30 @@ own relation.
   cross at 16 (1.04-1.06), so the cut stays.  The variable planes the
   tables are built on are cached per n (`truthtables.planes`), 2n + 1 ints
   of 2^n bits: 59 KB at 14 variables and 111 KB for every n up to 14.
-- Larger instances are searched in variable order.  Hard kinds go through
-  a frontier search (Dechter, *Constraint Processing*, ch. 5): the partial
-  assignments over variables 0..v that satisfy every constraint lying
-  within them are kept in one sorted array, extended by variable v+1, and
-  filtered again; `_optimize` scores the Max-/Min-Ones objective of the
-  feasible masks as one popcount of `masks & m` (`np.bitwise_count`, numpy
-  2) per distinct variable weight, m the mask of the variables that carry
-  it.  Soft kinds are solved by bucket elimination (`_eliminate`; Bertele &
-  Brioschi, *Nonserial Dynamic Programming*, 1972): a table over the
-  variables that a later term still holds is doubled by each variable,
-  takes that variable's terms, and forgets the variables no later term
-  holds, keeping per state the best objective and the least mask that
-  reaches it.  The table is one int64 array of packed keys, the objective
-  shifted left by n bits over the mask (its complement when maximizing), so
-  a forget is one `np.maximum` or `np.minimum` over two halves.  On random
-  instances of 16-22 variables with 2n binary and ternary terms its largest
-  table holds 2^8-2^18 states (median 2^12), where the grid has 2^n.
-  Elimination is taken when the keys fit, that is the objective bound of
-  `_terms` is below 2^(62 - n), when its table stays within one chunk, and
-  when the states it touches, plus `_STEP_STATES` a step, are fewer than
-  the grid's, all read from the terms' buckets (`_buckets`, once a solve)
-  before any array work (`_elimination_pays`).  It finds one optimal mask,
-  not the optimal set, so `--all` stays on the grid, as do instances whose
-  bound does not pack.
+- Larger instances are searched in variable order.  Hard kinds go through a
+  frontier search (Dechter, *Constraint Processing*, ch. 5): the partial
+  assignments over variables 0..v that satisfy every constraint lying within
+  them are kept in one sorted array, extended by variable v+1, and filtered
+  again.  A constraint's minor is read only when the frontier reaches its
+  top variable, and the first empty frontier ends the search: the
+  unsatisfiable 2+3n certify targets stop at a median 40% of their variables
+  and read no minor past that point.  `_optimize` scores the Max-/Min-Ones
+  objective of the feasible masks as one popcount of `masks & m`
+  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask of
+  the variables that carry it.  Soft kinds are solved by bucket elimination
+  (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic Programming*, 1972):
+  a table over the variables that a later term still holds is doubled by
+  each variable, takes that variable's terms, and forgets the variables no
+  later term holds, keeping per state the best objective and the least mask
+  that reaches it, packed into one int64 key.  On random instances of 16-22
+  variables with 2n binary and ternary terms its largest table holds
+  2^8-2^18 states (median 2^12), where the grid has 2^n.  Elimination is
+  taken when the keys fit, that is the objective bound of `_terms` is below
+  2^(62 - n), when its table stays within one chunk, and when the states it
+  touches, plus `_STEP_STATES` a step, are fewer than the grid's, all read
+  from the terms' buckets (`_buckets`, once a solve) before any array work
+  (`_elimination_pays`).  It finds one optimal mask, not the optimal set, so
+  `--all` stays on the grid, as do instances whose bound does not pack.
 - Soft-kind instances that elimination does not pay for or whose keys do
   not pack, `--all` on them, and hard-kind instances whose frontier would
   outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
@@ -153,10 +150,9 @@ class SolveResult:
 
 
 # Solves meet the same args tuples again and again: the timed blocks of one
-# benchmark run look up 2294 tuples, 538 distinct, on certify-hard, where the
-# frontier reads minors, and 1266, 815 distinct, on mixed, where the truth
-# tables cached on the relations answer all but those lookups (BENCH_13.json
-# measured this cache before the table cache).  The cap is over twice the
+# benchmark run looked up 2294 tuples, 538 distinct, on certify-hard and 1266,
+# 815 distinct, on mixed (BENCH_13.json, before the table cache and the
+# frontier's early stop, which look up fewer).  The cap is over twice the
 # larger count, so neither run evicts, and holds at most ~0.7 MB (~360 bytes
 # an entry).
 @functools.lru_cache(maxsize=1 << 11)
@@ -164,6 +160,12 @@ def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     """(the distinct args in order of first occurrence, the minor pattern of args)."""
     distinct = tuple(dict.fromkeys(args))
     return distinct, tuple(map(distinct.index, args))
+
+
+def _minor(args: tuple[int, ...], rel):
+    """(the distinct args, the identification minor of rel at args)."""
+    distinct, pattern = _identification(args)
+    return distinct, rel.minor(pattern)
 
 
 def _terms(inst: Instance, resolver: Resolver, want_all: bool):
@@ -269,14 +271,8 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     n = inst.num_vars
     if n <= _TRUTH_VARS:
         return _truth(inst.kind, n, raw, tables, want_all)
-    # each hard term is read as its identification minor, so
-    # R_IN2(v0,v0,v0,v0,y,y,y,y) becomes a binary relation on (v0, y)
-    hard = []
-    for args, rel in raw:
-        distinct, pattern = _identification(args)
-        hard.append((distinct, rel.minor(pattern)))
     if inst.kind in _HARD_KINDS:
-        masks = _frontier(n, hard)
+        masks = _frontier(n, raw)
         if masks is not None:
             return _optimize(inst.kind, masks, tables, want_all)
     else:
@@ -286,7 +282,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
             by_top, last = _buckets(n, soft)
             if _elimination_pays(last):
                 return _eliminate(inst.kind, by_top, last, scale)
-    return _enumerate(inst, hard, tables, want_all, jobs, _split_chunks)
+    return _enumerate(inst, [_minor(a, r) for a, r in raw], tables, want_all, jobs, _split_chunks)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
@@ -311,8 +307,8 @@ def _table(rel, args: tuple[int, ...], n: int) -> int:
     key = (args, n)
     got = cache.get(key)
     if got is None:
-        distinct, pattern = _identification(args)
-        got = tt.table(rel.minor(pattern), distinct, n)
+        distinct, minor = _minor(args, rel)
+        got = tt.table(minor, distinct, n)
         if len(cache) >= _TABLES_PER_RELATION:
             cache.clear()
         cache[key] = got
@@ -483,21 +479,25 @@ def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
     return counter
 
 
-def _frontier(n: int, hard) -> Optional[np.ndarray]:
-    """Frontier search in variable order; None once it outgrows a chunk."""
-    by_top: dict[int, list] = {}  # highest argument -> constraints checked there
-    for args, rel in hard:
-        by_top.setdefault(max(args, default=-1), []).append((args, rel.lut))
-
-    # Doubling by the next variable's bit keeps the masks ascending.
+def _frontier(n: int, raw) -> Optional[np.ndarray]:
+    """The ascending masks that satisfy every raw hard term, by a frontier
+    search in variable order; None once it outgrows a chunk.  A term's
+    minor (`_minor`) is read when the frontier reaches the term's top
+    variable, and the first empty frontier is returned at once."""
+    by_top: dict[int, list] = {}  # highest argument -> terms checked there
+    for args, rel in raw:
+        by_top.setdefault(max(args, default=-1), []).append((args, rel))
     frontier = np.zeros(1, dtype=np.int64)
     for v in range(-1, n):
         if v >= 0:
             frontier = np.concatenate((frontier, frontier | (1 << v)))
             if frontier.size > 1 << _CHUNK_BITS:
                 return None
-        for args, lut in by_top.get(v, ()):
-            frontier = frontier[lut[tt.code(frontier, enumerate(args))]]
+        for args, rel in by_top.get(v, ()):
+            distinct, minor = _minor(args, rel)
+            frontier = frontier[minor.lut[tt.code(frontier, enumerate(distinct))]]
+            if not frontier.size:
+                return frontier
     return frontier
 
 

@@ -36,6 +36,11 @@ class SynthesisError(RuntimeError):
     """The classifier promised witnesses that could not be found."""
 
 
+def _check_arity(arity: int) -> None:
+    if not 1 <= arity <= MAX_COST_ARITY:
+        raise RelationError(f"cost function arity {arity} out of range")
+
+
 @dataclass(frozen=True)
 class CostFunction:
     arity: int
@@ -43,8 +48,7 @@ class CostFunction:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.arity <= MAX_COST_ARITY:
-            raise RelationError(f"cost function arity {self.arity} out of range")
+        _check_arity(self.arity)
         if len(self.table) != 1 << self.arity:
             raise RelationError("cost table length must be 2^arity")
         tab = self.table
@@ -84,7 +88,9 @@ def f_neq() -> CostFunction:
 
 
 def indicator_cost(rel: Relation, name: Optional[str] = None) -> CostFunction:
-    """0 on tuples of the relation, 1 elsewhere."""
+    """0 on tuples of the relation, 1 elsewhere; an arity past
+    `MAX_COST_ARITY` is rejected before the 2^arity table is built."""
+    _check_arity(rel.arity)
     table = tuple(Fraction(0) if rel.contains(m) else Fraction(1)
                   for m in range(1 << rel.arity))
     return CostFunction(rel.arity, table, name or (f"fnot_{rel.name}" if rel.name else None))

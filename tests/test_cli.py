@@ -292,6 +292,9 @@ def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
     (["reduce", "umo_IS21_to_ID2"], "problem U-Max-Ones\nvars 3\nc R_IS1_2 1 2 3 w 5\n",
      "U-Max-Ones constraints carry no weights"),
     (["solve"], "problem SAT\nvars 2\nc OR2 1\n", "constraint OR2 expects 2 arguments, got 1"),
+    # rejected before its 2^9 cost table is built, with CostFunction's text
+    (["solve"], "problem VCSP\nvars 9\nc fnot_OR9 1 2 3 4 5 6 7 8 9\n",
+     "cost function arity 9 out of range"),
 ])
 def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, message):
     path = tmp_path / "x.inst"

@@ -26,7 +26,7 @@ from coclones.instances import (
     default_resolver,
     rf_name,
 )
-from coclones.relations import Relation
+from coclones.relations import Relation, RelationError
 from coclones.valued import CostFunction, f_neq
 
 
@@ -147,6 +147,36 @@ def test_registration_checks_what_a_name_would_build():
         resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), name))
     with pytest.raises(InstanceError, match="conflicting definitions"):
         resolver.register_costfn(CostFunction(1, (Fraction(0), Fraction(1)), "cost1_1_0"))
+
+
+def test_resolvers_share_one_relation_for_each_builtin_name():
+    first, second = default_resolver(), default_resolver()
+    for name in ("OR2", "NAND3", "EVEN3", "Rf_2_11", "R_II2", "R_IN2", "R_IL3", "R_IS1_2"):
+        rel = first.relation(name)
+        assert second.relation(name) is rel and rel.name == name
+    # a registered relation still takes precedence over the shared one
+    mine = Relation(2, (0b01, 0b10, 0b11), "OR2")
+    third = default_resolver()
+    third.register_relation(mine)
+    assert third.relation("OR2") is mine and first.relation("OR2") is not mine
+    # unknown and over-cap names keep their errors
+    with pytest.raises(RelationError, match=r"^arity 99 out of range 1\.\.24$"):
+        first.relation("OR99")
+    with pytest.raises(InstanceError, match="^unknown relation 'R_IS1'$"):
+        second.relation("R_IS1")
+
+
+@pytest.mark.parametrize("name", ["fnot_OR9", "fnot_OR16", "fnot_EVEN12"])
+def test_a_too_wide_fnot_name_is_rejected_before_its_table(name, monkeypatch):
+    resolver = default_resolver()
+    rel = resolver.relation(name[len("fnot_"):])
+
+    def no_table(self, mask):
+        raise AssertionError("the 2^arity cost table was built")
+
+    monkeypatch.setattr(Relation, "contains", no_table)
+    with pytest.raises(RelationError, match=f"^cost function arity {rel.arity} out of range$"):
+        resolver.costfn(name)
 
 
 # one value of a cost name: a count or a fraction, leading zeros allowed

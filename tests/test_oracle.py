@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -245,6 +246,22 @@ CERTIFY_TARGETS = (
 )
 
 
+def sampled_target(name, seed):
+    """The target of 2+3n entry `name` on its own sampler's draw at `seed`."""
+    return two_plus_3n(name, reductions.record(name).sampler(random.Random(seed)))
+
+
+# unsatisfiable targets at 17 and 20 variables, as most certify-hard ops meet:
+# the frontier empties at variable 6 or 7 of the umo_II2_to_IN2 ones and at
+# variable 2 of the umo_IL2_to_IL3 ones, with 10-14 more tops to come
+EMPTYING_TARGETS = (
+    sampled_target("umo_II2_to_IN2", 5),
+    sampled_target("umo_II2_to_IN2", 0),
+    sampled_target("umo_IL2_to_IL3", 217),
+    sampled_target("umo_IL2_to_IL3", 157),
+)
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(instances(), st.booleans())
 @example(CERTIFY_TARGETS[0], True)
@@ -274,11 +291,14 @@ def test_frontier_matches_bruteforce(inst, want_all):
 @example(TRUTH_EXAMPLES[0], True)
 @example(TRUTH_EXAMPLES[1], True)
 @example(TRUTH_EXAMPLES[3], True)
+@example(EMPTYING_TARGETS[0], True)
+@example(EMPTYING_TARGETS[1], False)
+@example(EMPTYING_TARGETS[2], False)
+@example(EMPTYING_TARGETS[3], True)
 def test_frontier_builder_matches_bruteforce(inst, want_all):
     n = inst.num_vars
-    raw, _ = oracle._terms(inst, RESOLVER, want_all)
-    hard, tables = minor_terms(inst, want_all)
-    masks = oracle._frontier(n, hard)
+    raw, tables = oracle._terms(inst, RESOLVER, want_all)
+    masks = oracle._frontier(n, raw)
     assert masks.tolist() == tt.masks(oracle._satisfying(n, raw), n).tolist()
     result = oracle._optimize(inst.kind, masks, tables, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
@@ -687,11 +707,11 @@ def test_table_cache_stays_within_its_bound(monkeypatch):
 
 def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
     # with no node allowed, relations built now have no diagram, and nor do
-    # their minors; the resolvers share the builtins and the weak bases, so
-    # the examples' T and R_IN2 are rebuilt for the new resolver
+    # their minors; the resolvers share every relation a name builds, so the
+    # examples' relations are rebuilt for the new resolver
     monkeypatch.setattr(relations, "DIAGRAM_NODES", 0)
     resolver = default_resolver()
-    for name in ("R_IN2", "T"):
+    for name in {c.ref for inst in TRUTH_EXAMPLES for c in inst.constraints}:
         rel = RESOLVER.relation(name)
         resolver.register_relation(Relation(rel.arity, rel.tuples, name))
     assert resolver.relation("EVEN8").diagram is None
@@ -918,6 +938,36 @@ def test_bruteforce_reads_raw_relations_without_minors(monkeypatch):
     monkeypatch.setattr(Relation, "minor", no_minor)
     inst = TRUTH_EXAMPLES[3]  # EVEN8, OR8 and R_IN2 on repeated arguments
     assert solve_bruteforce(inst, want_all=True).satisfiable
+
+
+@pytest.mark.parametrize("inst", EMPTYING_TARGETS,
+                         ids=["II2-17", "II2-20", "IL2-17", "IL2-20"])
+def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
+    # the terms in the frontier's order, by top variable, and the shortest
+    # prefix of them that no mask satisfies, read off the raw relations
+    raw, _ = oracle._terms(inst, RESOLVER, False)
+    order = sorted(raw, key=lambda term: max(term[0]))
+    idx = tt.arange(inst.num_vars)
+    alive = np.ones(idx.shape, dtype=bool)
+    for stop, (args, rel) in enumerate(order, 1):
+        alive &= rel.lut[tt.code(idx, enumerate(args))]
+        if not alive.any():
+            break
+    # terms on later tops are left when the frontier empties
+    assert max(order[-1][0]) > max(order[stop - 1][0])
+    minors = []
+    real = Relation.minor
+
+    def spy(self, pattern):
+        minors.append((self, pattern))
+        return real(self, pattern)
+
+    monkeypatch.setattr(Relation, "minor", spy)
+    grid = spy_on(monkeypatch)
+    assert solve(inst, RESOLVER) == SolveResult(inst.kind, False, None, None)
+    # only the prefix reads its minors, and the grid never runs
+    assert minors == [(rel, oracle._identification(args)[1]) for args, rel in order[:stop]]
+    assert not grid
 
 
 def test_frontier_falls_back_past_one_chunk(monkeypatch):
