@@ -35,7 +35,7 @@ from .relations import (
     rel_or,
     rel_true,
 )
-from .valued import MAX_COST_ARITY, CostFunction, f_neq, indicator_cost
+from .valued import MAX_COST_ARITY, CostFunction, _check_arity, f_neq, indicator_cost
 from .weakbases import weak_base
 
 KIND_SAT = "SAT"
@@ -310,8 +310,15 @@ class Resolver:
 
     def _build_costfn(self, name: str) -> Optional[CostFunction]:
         if name.startswith("fnot_"):
+            ref = name[len("fnot_"):]
+            # a parametric name states its arity: reject one too wide for a
+            # cost before its 2^k tuples are built; a k past the relation cap
+            # keeps the constructor's error, and a registered name still wins
+            k = int(m.group(2)) if (m := _PARAM_REL.match(ref)) else 0
+            if 0 < k <= MAX_RELATION_ARITY and ref not in self._relations:
+                _check_arity(k)
             try:
-                rel = self.relation(name[len("fnot_"):])
+                rel = self.relation(ref)
             except InstanceError:
                 return None
             return _indicator(rel, name)

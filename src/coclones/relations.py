@@ -6,8 +6,10 @@ least significant bit.  All textual I/O lists coordinate 1 first (leftmost),
 so the string "011" denotes the tuple (0, 1, 1) and the bitmask 0b110 = 6.
 
 Every image is one decision-diagram walk, `Relation.evaluate`: an operation
-applied to k tuples walks its support's diagram on their literals, and
-`truthtables.table` walks a constraint's diagram on variable planes.
+applied to k tuples walks its support's diagram on their literals,
+`truthtables.table` walks a constraint's diagram on variable planes, and a
+polymorphism check walks the relation's diagram on the images of all its
+tuples at once, as the last argument after k - 1 fixed ones (its `columns`).
 
 A classifier scans its closure operations in a fixed order, once each: the
 first violation of an operation is that operation's witness, and the first
@@ -130,6 +132,13 @@ class Relation:
         for t in self.tuples:
             packed[t >> 3] |= 1 << (t & 7)
         return int.from_bytes(packed, "little")
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Per coordinate j, the int whose bit i is coordinate j of tuple i
+        (cached like `lut`): one transpose of the tuples' binary strings."""
+        rows = zip(*(format(t | 1 << self.arity, "b") for t in reversed(self.tuples)))
+        return tuple(int("".join(row), 2) for row in list(rows)[:0:-1])
 
     @cached_property
     def hits(self) -> tuple[int, ...]:
@@ -301,15 +310,6 @@ class BooleanOperation:
         return self.table[bits_to_mask(args)]
 
     @cached_property
-    def is_symmetric(self) -> bool:
-        by_count: dict[int, int] = {}
-        for m, v in enumerate(self.table):
-            c = m.bit_count()
-            if by_count.setdefault(c, v) != v:
-                return False
-        return True
-
-    @cached_property
     def support(self) -> Relation:
         """The argument tuples that map to 1.  Its diagram always exists: at
         arity 8 it has at most 77 nodes, under the `DIAGRAM_NODES` limit."""
@@ -364,19 +364,28 @@ class ConstraintLanguage:
 # Polymorphism checking
 
 
-def _escapes(f: BooleanOperation, rel: Relation, seqs: Iterable[Sequence[int]]):
-    """(seq, image) for each tuple sequence of seqs whose image escapes rel."""
-    full = (1 << rel.arity) - 1
-    tset = rel._tuple_set
-    for seq in seqs:
-        img = f.image(seq, full)
-        if img not in tset:
-            yield seq, img
-
-
 def find_violation(f: BooleanOperation, rel: Relation):
-    """First tuple sequence (deterministic order) whose image escapes rel, or None."""
-    return next(_escapes(f, rel, itertools.product(rel.tuples, repeat=f.arity)), None)
+    """(seq, image) for the first tuple sequence in product order whose image
+    escapes rel, or None.  Per choice of the leading arguments, at0 and at1
+    are the images with the last argument all 0 and all 1, so image
+    coordinate j is column j's ones where at1 has bit j and its zeros where
+    at0 has; a relation without a diagram is scanned one sequence at a time."""
+    full = (1 << rel.arity) - 1
+    if rel.diagram is None:
+        for seq in itertools.product(rel.tuples, repeat=f.arity):
+            if (img := f.image(seq, full)) not in rel._tuple_set:
+                return seq, img
+        return None
+    every = (1 << len(rel.tuples)) - 1  # one bit per tuple
+    for lead in itertools.product(rel.tuples, repeat=f.arity - 1):
+        at0, at1 = f.image(lead + (0,), full), f.image(lead + (full,), full)
+        imgs = [(at1 >> j & 1) * col | (at0 >> j & 1) * (every ^ col)
+                for j, col in enumerate(rel.columns)]
+        out = every ^ rel.evaluate([(every ^ img, img) for img in imgs], every)
+        if out:  # the lowest escaping position comes first in product order
+            seq = lead + (rel.tuples[(out & -out).bit_length() - 1],)
+            return seq, f.image(seq, full)
+    return None
 
 
 def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bool:
@@ -404,13 +413,8 @@ def preserves_symmetric(count_table: Sequence[int], k: int, rel: Relation) -> bo
 
 
 def preserves(f: BooleanOperation, rel: Relation) -> bool:
-    """True iff rel is invariant under f applied coordinate-wise (over tuple
-    multisets alone when f is symmetric)."""
-    if f.is_symmetric:
-        seqs = itertools.combinations_with_replacement(rel.tuples, f.arity)
-    else:
-        seqs = itertools.product(rel.tuples, repeat=f.arity)
-    return next(_escapes(f, rel, seqs), None) is None
+    """True iff rel is invariant under f applied coordinate-wise."""
+    return find_violation(f, rel) is None
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,30 @@ def test_a_too_wide_fnot_name_is_rejected_before_its_table(name, monkeypatch):
         resolver.costfn(name)
 
 
+@pytest.mark.parametrize("name", ["fnot_OR20", "fnot_NAND24", "fnot_EVEN9", "fnot_ODD016"])
+def test_a_too_wide_parametric_fnot_name_builds_no_relation(name, monkeypatch):
+    built = []
+    for family, ctor in instances._PARAM_CTORS.items():
+        monkeypatch.setitem(instances._PARAM_CTORS, family,
+                            lambda n, ctor=ctor: built.append(n) or ctor(n))
+    before = instances._build_relation.cache_info()
+    k = int(re.search(r"\d+$", name).group())
+    with pytest.raises(RelationError, match=f"^cost function arity {k} out of range$"):
+        default_resolver().costfn(name)
+    # no constructor ran, and the relation's cache neither looked nor stored
+    assert built == [] and instances._build_relation.cache_info() == before
+
+
+def test_fnot_names_past_the_relation_cap_keep_their_meaning():
+    # the constructor's own message, and a name past the cap is free to be
+    # registered at any arity, and then wins
+    with pytest.raises(RelationError, match=r"^arity 30 out of range 1\.\.24$"):
+        default_resolver().costfn("fnot_OR30")
+    resolver = default_resolver()
+    resolver.register_relation(Relation(2, (1, 2, 3), "OR99"))
+    assert resolver.costfn("fnot_OR99").table == (1, 0, 0, 0)
+
+
 # one value of a cost name: a count or a fraction, leading zeros allowed
 COST_VALUES = st.one_of(
     st.integers(0, 10 ** 30).map(str),

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from coclones import relations
@@ -65,23 +65,52 @@ def test_preserves_empty_relation_vacuous():
     assert preserves(OP_AND, empty)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_preserves_matches_naive(data):
-    arity = data.draw(st.integers(1, 4), label="rel_arity")
-    masks = data.draw(st.sets(st.integers(0, (1 << arity) - 1), min_size=1, max_size=1 << arity))
-    rel = Relation.from_masks(arity, masks)
-    k = data.draw(st.integers(1, 4), label="op_arity")
-    if data.draw(st.booleans(), label="symmetric"):
-        # a table read off the count of ones, so preserves takes multisets
-        counts = data.draw(st.tuples(*([st.integers(0, 1)] * (k + 1))))
+# tuples per relation by operation arity, so the naive scan stays small
+MAX_TUPLES = {1: 64, 2: 64, 3: 24, 4: 8}
+H3 = BooleanOperation.from_func(4, lambda *a: 1 if sum(a) >= 3 else 0, "h3")
+
+
+@st.composite
+def operation_and_relation(draw):
+    k = draw(st.integers(1, 4), label="op_arity")
+    if draw(st.booleans(), label="symmetric"):
+        # a table read off the count of ones, as the h_n and their duals are
+        counts = draw(st.tuples(*([st.integers(0, 1)] * (k + 1))))
         table = tuple(counts[m.bit_count()] for m in range(1 << k))
     else:
-        table = data.draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
-    op = BooleanOperation(k, table)
+        table = draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
+    arity = draw(st.integers(1, 6), label="rel_arity")
+    masks = draw(st.sets(st.integers(0, (1 << arity) - 1), max_size=MAX_TUPLES[k]))
+    return BooleanOperation(k, table), Relation.from_masks(arity, masks, allow_empty=True)
+
+
+# twice the profile's count: 200 examples, and 2000 in the deep CI step
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(operation_and_relation())
+@example((H3, Relation(3, (0b001, 0b010, 0b100))))
+@example((H3, Relation(3, (0b011, 0b101, 0b110, 0b000))))
+def test_preserves_matches_naive(case):
+    op, rel = case
     want = naive_violation(op, rel)
     assert find_violation(op, rel) == want
     assert preserves(op, rel) == (want is None)
+
+
+@settings(deadline=None)
+@given(operation_and_relation())
+def test_preserves_without_a_diagram_matches_naive(case):
+    # with no node allowed, a relation built now has no diagram (unless it is
+    # empty or full) and is scanned one sequence at a time; the operation's
+    # support diagram exists from before, as `image` needs it
+    op, rel = case
+    assert op.support.diagram is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "DIAGRAM_NODES", 0)
+        rel = Relation(rel.arity, rel.tuples)
+        assert rel.diagram is None or not rel.diagram[1]
+        want = naive_violation(op, rel)
+        assert find_violation(op, rel) == want
+        assert preserves(op, rel) == (want is None)
 
 
 @settings(deadline=None)
@@ -237,15 +266,6 @@ def test_relation_tuples_are_canonical_and_in_range():
             Relation.from_masks(arity, masks)
     with pytest.raises(EmptyRelationError, match="^empty relation requires allow_empty=True$"):
         Relation.from_masks(0, [])
-
-
-def test_symmetric_path_matches_sequence_path():
-    # the multiset path of a symmetric operation against the naive oracle
-    op = BooleanOperation.from_func(4, lambda *a: 1 if sum(a) >= 3 else 0, "h3")
-    assert op.is_symmetric
-    for masks in [(0b001, 0b010, 0b100), (0b011, 0b101, 0b110, 0b000)]:
-        rel = Relation.from_masks(3, masks)
-        assert preserves(op, rel) == naive_preserves(op, rel)
 
 
 def test_tuple_set_built_once_outside_equality():
