@@ -5,8 +5,7 @@ relations and cost functions are by name.  Generated artifacts use
 self-describing parametric names (e.g. Rf_2_11 encodes arity and support)
 so emitted files stay self-contained.  `Resolver.resolve_all` is the one
 rule for what the constraints mean in an instance of a given kind: what
-each ref names, its arity, and whether it may carry a weight
-(`Resolver.resolve` applies it to one constraint).
+each ref names, its arity, and whether it may carry a weight.
 """
 
 from __future__ import annotations
@@ -163,9 +162,10 @@ class Instance:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-_RF_NAME = re.compile(r"^Rf_(\d+)_(\d+)$")
-_COST_NAME = re.compile(r"^cost(\d+)_([0-9/_]+)$")
-_PARAM_REL = re.compile(r"^(OR|NAND|EVEN|ODD)(\d+)$")
+# numerals in names are ASCII digits with no leading zero, matched whole
+_RF_NAME = re.compile(r"Rf_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
+_COST_NAME = re.compile(r"cost(0|[1-9][0-9]*)_([0-9/_]+)")
+_PARAM_REL = re.compile(r"(OR|NAND|EVEN|ODD)(0|[1-9][0-9]*)")
 _PARAM_CTORS = {"OR": rel_or, "NAND": rel_nand, "EVEN": rel_even, "ODD": rel_odd}
 
 
@@ -235,10 +235,10 @@ def _built(build, name: str):
 # `oracle._TABLES_PER_RELATION` truth tables of up to 2 KB.
 @functools.lru_cache(maxsize=1 << 6)
 def _build_relation(name: str) -> Optional[Relation]:
-    m = _PARAM_REL.match(name)
+    m = _PARAM_REL.fullmatch(name)
     if m:
         return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
-    m = _RF_NAME.match(name)
+    m = _RF_NAME.fullmatch(name)
     if m:
         return _rf_relation(int(m.group(1)), int(m.group(2)))
     if name.startswith("R_I"):
@@ -314,7 +314,7 @@ class Resolver:
             # a parametric name states its arity: reject one too wide for a
             # cost before its 2^k tuples are built; a k past the relation cap
             # keeps the constructor's error, and a registered name still wins
-            k = int(m.group(2)) if (m := _PARAM_REL.match(ref)) else 0
+            k = int(m.group(2)) if (m := _PARAM_REL.fullmatch(ref)) else 0
             if 0 < k <= MAX_RELATION_ARITY and ref not in self._relations:
                 _check_arity(k)
             try:
@@ -322,7 +322,7 @@ class Resolver:
             except InstanceError:
                 return None
             return _indicator(rel, name)
-        m = _COST_NAME.match(name)
+        m = _COST_NAME.fullmatch(name)
         if m:
             arity = int(m.group(1))
             parts = m.group(2).split("_")
@@ -334,10 +334,6 @@ class Resolver:
                 return None
             return CostFunction(arity, vals, name)
         return None
-
-    def resolve(self, kind: str, c: Constraint) -> Relation | CostFunction | None:
-        """What constraint c applies in a `kind` instance (`resolve_all` of c alone)."""
-        return self.resolve_all(kind, (c,))[0]
 
     def resolve_all(self, kind: str, constraints: Sequence[Constraint]
                     ) -> list[Relation | CostFunction | None]:

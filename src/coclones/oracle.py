@@ -645,10 +645,10 @@ def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResu
 
 
 def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
-                     want_all: bool = False, jobs: int = 1) -> SolveResult:
+                     want_all: bool = False) -> SolveResult:
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
     hard, tables = _terms(inst, resolver or default_resolver(), want_all)
-    return _enumerate(inst, hard, tables, want_all, jobs, _row_chunks)
+    return _enumerate(inst, hard, tables, want_all, 1, _row_chunks)
 
 
 def _row_chunks(hard, soft, dtype, bits):

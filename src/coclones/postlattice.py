@@ -1,20 +1,38 @@
 """Catalog of all Boolean clones (Post's lattice) and co-clone identification.
 
-No lattice edges are hand-encoded.  The order is decided by semantic clone
-membership (the definition column of the catalog: separating degrees,
-monotone, self-dual, affine, ...), and an independent representative-based
-route (C1 <= C2 iff every base operation of C1 preserves the weak base of
-Inv(C2)) cross-checks it in the test suite.  Identification returns the
-unique maximal catalog clone whose base preserves the language, probing the
-eight chain families up to index r+1 for a language of maximum arity r.  The
-S-chain check (does h_n or dual(h_n) preserve R) is exact and uncapped.
+The catalog is one table, `CATALOG`, keyed by clone family, in the form of
+the table of Böhler, Creignou, Reith and Vollmer ("Playing with Boolean
+blocks, Part I").  Each row is a `Family` with two columns:
+
+- the base column: the family's base operations.  A chain family also has
+  a side, 0 (S0, S02, S01, S00) or 1 (S1, S12, S11, S10): the base of a
+  finite member S^n is the row's companions plus dual(h_n) on side 0 or
+  h_n on side 1, and the row gives the base of the limit;
+- the definition column: the properties an operation of the clone has,
+  among r0 and r1 (0- and 1-reproducing), monotone, self-dual, affine,
+  disjunction or constant, conjunction or constant, essentially unary,
+  projection or constant, and projection.  A chain member also separates
+  on its side: of degree above its index, or of every degree for the limit.
+
+Everything reads this table.  Membership (`op_in_clone`) checks the
+definition column against properties computed from a truth table, and for
+h_m past the operation cap against its known ones.  The order is membership
+of one clone's base in the other (no lattice edge is hand-encoded), and an
+independent route (C1 <= C2 iff every base operation of C1 preserves the
+weak base of Inv(C2)) cross-checks it in the test suite.  Identification
+returns the unique maximal catalog clone whose base preserves the language,
+probing the chain families up to index r+1 for a language of maximum arity
+r; the S-chain check (does h_n or dual(h_n) preserve R) is exact and
+uncapped.  `weakbases` builds each chain family's weak-base row from its
+side and definition here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .relations import (
     BooleanOperation,
@@ -41,247 +59,16 @@ from .relations import (
     preserves_symmetric,  # read by bench/tracer.py, which spans it here
 )
 
-NON_CHAIN_FAMILIES = (
-    "BF", "R0", "R1", "R2",
-    "M", "M1", "M0", "M2",
-    "D", "D1", "D2",
-    "L", "L0", "L1", "L2", "L3",
-    "V", "V0", "V1", "V2",
-    "E", "E0", "E1", "E2",
-    "N", "N2",
-    "I", "I0", "I1", "I2",
-)
-CHAIN_FAMILIES = ("S0", "S02", "S01", "S00", "S1", "S12", "S11", "S10")
-
-
-class CatalogError(RuntimeError):
-    """Signals an inconsistency in the clone catalog (no unique maximum)."""
-
-
-def _chain_display(family: str, index: Optional[int]) -> str:
-    sub = family[1:]
-    if index is None:
-        return f"S_{sub}"
-    return f"S^{index}_{sub}"
-
-
-@dataclass(frozen=True)
-class CloneId:
-    family: str
-    index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.family in CHAIN_FAMILIES:
-            if self.index is not None and self.index < 2:
-                raise RelationError("chain index must be >= 2")
-        elif self.family in NON_CHAIN_FAMILIES:
-            if self.index is not None:
-                raise RelationError(f"clone {self.family} takes no chain index")
-        else:
-            raise RelationError(f"unknown clone family {self.family!r}")
-
-    @property
-    def is_chain(self) -> bool:
-        return self.family in CHAIN_FAMILIES
-
-    @property
-    def is_limit(self) -> bool:
-        return self.is_chain and self.index is None
-
-    @property
-    def co(self) -> "CoCloneId":
-        return CoCloneId(self.family, self.index)
-
-    def display(self) -> str:
-        if self.is_chain:
-            return _chain_display(self.family, self.index)
-        return self.family
-
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.display()
-
-
-@dataclass(frozen=True)
-class CoCloneId:
-    family: str
-    index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        CloneId(self.family, self.index)  # validate via the mirror
-
-    @property
-    def is_chain(self) -> bool:
-        return self.family in CHAIN_FAMILIES
-
-    @property
-    def is_limit(self) -> bool:
-        return self.is_chain and self.index is None
-
-    @property
-    def clone(self) -> CloneId:
-        return CloneId(self.family, self.index)
-
-    def display(self) -> str:
-        return "I" + self.clone.display()
-
-    def __str__(self) -> str:  # pragma: no cover
-        return self.display()
-
-
-def parse_coclone_name(name: str, index: Optional[int] = None) -> CoCloneId:
-    """Parse names like "IN2", "IS^2_1", "IS1" (+ explicit index), "IS1_2".
-
-    Only a bare chain family ("IS1") takes `index`; any other name given one
-    raises RelationError rather than dropping it.
-    """
-    s = name.strip()
-    if not s.startswith("I"):
-        raise RelationError(f"co-clone names start with 'I': {name!r}")
-    body = s[1:]
-    if body in CHAIN_FAMILIES:
-        return CoCloneId(body, index)
-    if body.startswith("S^"):
-        caret, _, rest = body[2:].partition("_")
-        if not caret.isdecimal():
-            raise RelationError(f"chain index {caret!r} in {name!r} is not a number")
-        parsed = CoCloneId("S" + rest, int(caret))
-    elif body.startswith("S_"):
-        parsed = CoCloneId("S" + body[2:], None)
-    elif body in NON_CHAIN_FAMILIES:
-        parsed = CoCloneId(body, None)
-    else:
-        fam, _, idx = body.partition("_")
-        if not (fam in CHAIN_FAMILIES and idx.isdecimal()):
-            raise RelationError(f"unknown co-clone name {name!r}")
-        parsed = CoCloneId(fam, int(idx))
-    if index is not None:
-        raise RelationError(f"{name} takes no index argument (got {index}); "
-                            "only a chain family such as IS1 does")
-    return parsed
-
-
 # ---------------------------------------------------------------------------
-# Clone bases (the base column of the catalog table)
-
-_OP_OR_AND_NOT_Z = BooleanOperation.from_func(3, lambda x, y, z: x | (y & (1 ^ z)), "or_andnot")
-_OP_OR_AND = BooleanOperation.from_func(3, lambda x, y, z: x | (y & z), "or_and")
-_OP_AND_OR_NOT_Z = BooleanOperation.from_func(3, lambda x, y, z: x & (y | (1 ^ z)), "and_ornot")
-_OP_AND_OR = BooleanOperation.from_func(3, lambda x, y, z: x & (y | z), "and_or")
-_OP_R2_BASE = BooleanOperation.from_func(3, lambda x, y, z: x & (1 ^ y ^ z), "and_xnor")
-_OP_D_BASE = BooleanOperation.from_func(
-    3, lambda x, y, z: (x & (1 ^ y)) | (x & (1 ^ z)) | ((1 ^ y) & (1 ^ z)), "d_base")
-_OP_D1_BASE = BooleanOperation.from_func(
-    3, lambda x, y, z: (x & y) | (x & (1 ^ z)) | (y & (1 ^ z)), "d1_base")
-_OP_MAJ = h_operation(2)  # h_2 is the ternary majority
-
-_FIXED_BASES: dict[str, tuple[BooleanOperation, ...]] = {
-    "BF": (OP_AND, OP_NOT),
-    "R0": (OP_AND, OP_XOR),
-    "R1": (OP_OR, OP_XNOR),
-    "R2": (OP_OR, _OP_R2_BASE),
-    "M": (OP_OR, OP_AND, OP_CONST0, OP_CONST1),
-    "M1": (OP_OR, OP_AND, OP_CONST1),
-    "M0": (OP_OR, OP_AND, OP_CONST0),
-    "M2": (OP_OR, OP_AND),
-    "D": (_OP_D_BASE,),
-    "D1": (_OP_D1_BASE,),
-    "D2": (_OP_MAJ,),
-    "L": (OP_XOR, OP_CONST1),
-    "L0": (OP_XOR,),
-    "L1": (OP_XNOR,),
-    "L2": (OP_XOR3,),
-    "L3": (OP_XNOR3,),
-    "V": (OP_OR, OP_CONST0, OP_CONST1),
-    "V0": (OP_OR, OP_CONST0),
-    "V1": (OP_OR, OP_CONST1),
-    "V2": (OP_OR,),
-    "E": (OP_AND, OP_CONST0, OP_CONST1),
-    "E0": (OP_AND, OP_CONST0),
-    "E1": (OP_AND, OP_CONST1),
-    "E2": (OP_AND,),
-    "N": (OP_NOT, OP_CONST0, OP_CONST1),
-    "N2": (OP_NOT,),
-    "I": (OP_ID, OP_CONST0, OP_CONST1),
-    "I0": (OP_ID, OP_CONST0),
-    "I1": (OP_ID, OP_CONST1),
-    "I2": (OP_ID,),
-}
-
-# chain family -> (fixed companion ops, which h to use for finite members)
-_CHAIN_BASES: dict[str, tuple[tuple[BooleanOperation, ...], str, tuple[BooleanOperation, ...]]] = {
-    # family: (companions of finite members, "h"|"dualh", base of the limit)
-    "S0": ((OP_IMP,), "dualh", (OP_IMP,)),
-    "S02": ((_OP_OR_AND_NOT_Z,), "dualh", (_OP_OR_AND_NOT_Z,)),
-    "S01": ((OP_CONST1,), "dualh", (_OP_OR_AND, OP_CONST1)),
-    "S00": ((_OP_OR_AND,), "dualh", (_OP_OR_AND,)),
-    "S1": ((OP_ANDNOT,), "h", (OP_ANDNOT,)),
-    "S12": ((_OP_AND_OR_NOT_Z,), "h", (_OP_AND_OR_NOT_Z,)),
-    "S11": ((OP_CONST0,), "h", (_OP_AND_OR, OP_CONST0)),
-    "S10": ((_OP_AND_OR,), "h", (_OP_AND_OR,)),
-}
+# The definition column's properties, each read off a truth table
 
 
-def clone_base(clone: CloneId) -> list[BooleanOperation]:
-    """Base operations of a catalog clone as truth tables."""
-    if not clone.is_chain:
-        return list(_FIXED_BASES[clone.family])
-    fixed, kind, limit_base = _CHAIN_BASES[clone.family]
-    if clone.is_limit:
-        return list(limit_base)
-    n = clone.index
-    if n + 1 > MAX_OPERATION_ARITY:
-        raise RelationError(
-            f"chain index {n} needs an arity-{n + 1} table beyond the operation cap")
-    h = h_operation(n) if kind == "h" else dual_h_operation(n)
-    return list(fixed) + [h]
+def _r0(op: BooleanOperation) -> bool:
+    return op.table[0] == 0
 
 
-def catalog(max_chain_index: int = 3) -> list[CloneId]:
-    out = [CloneId(f) for f in NON_CHAIN_FAMILIES]
-    for fam in CHAIN_FAMILIES:
-        out.append(CloneId(fam, None))
-        for n in range(2, max_chain_index + 1):
-            out.append(CloneId(fam, n))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Semantic clone membership (the definition column of the catalog table)
-
-
-def _min_or_cover(masks: Iterable[int], arity: int) -> float:
-    """Minimum number of masks whose OR is all-ones, or inf if none exists."""
-    full = (1 << arity) - 1
-    distinct = sorted(set(masks))
-    if not distinct:
-        return math.inf
-    reachable = 0
-    for m in distinct:
-        reachable |= m
-    if reachable != full:
-        return math.inf
-    dp = [math.inf] * (full + 1)
-    dp[0] = 0
-    for s in range(full + 1):
-        if dp[s] is math.inf:
-            continue
-        for m in distinct:
-            t = s | m
-            if dp[t] > dp[s] + 1:
-                dp[t] = dp[s] + 1
-    return dp[full]
-
-
-def _zero_sep_degree(op: BooleanOperation) -> float:
-    """op is 0-separating of degree n iff this exceeds n (inf = fully separating)."""
-    zeros = [m for m, v in enumerate(op.table) if v == 0]
-    return _min_or_cover(zeros, op.arity)
-
-
-def _one_sep_degree(op: BooleanOperation) -> float:
-    full = (1 << op.arity) - 1
-    ones = [full ^ m for m, v in enumerate(op.table) if v == 1]
-    return _min_or_cover(ones, op.arity)
+def _r1(op: BooleanOperation) -> bool:
+    return op.table[(1 << op.arity) - 1] == 1
 
 
 def _monotone(op: BooleanOperation) -> bool:
@@ -338,119 +125,292 @@ def _essentially_unary(op: BooleanOperation) -> bool:
 
 
 def _projection_or_constant(op: BooleanOperation) -> bool:
-    if len(set(op.table)) == 1:
-        return True
-    return _is_projection(op)
+    return len(set(op.table)) == 1 or _projection(op)
 
 
-def _is_projection(op: BooleanOperation) -> bool:
+def _projection(op: BooleanOperation) -> bool:
     for i in range(op.arity):
         if all(op.table[m] == (m >> i) & 1 for m in range(1 << op.arity)):
             return True
     return False
 
 
-def _r0(op: BooleanOperation) -> bool:
-    return op.table[0] == 0
+def _sep_degree(op: BooleanOperation, side: int) -> float:
+    """op separates on `side` to degree n iff this exceeds n (inf: to every
+    degree): the fewest argument tuples that op maps to `side` with no
+    coordinate equal to `side` in all of them."""
+    full = (1 << op.arity) - 1
+    masks = sorted({m ^ (full if side else 0) for m, v in enumerate(op.table) if v == side})
+    reachable = 0
+    for m in masks:
+        reachable |= m
+    if reachable != full:
+        return math.inf
+    dp = [0] + [math.inf] * full
+    for s in range(full + 1):
+        if dp[s] is math.inf:
+            continue
+        for m in masks:
+            t = s | m
+            if dp[t] > dp[s] + 1:
+                dp[t] = dp[s] + 1
+    return dp[full]
 
 
-def n_r1(op: BooleanOperation) -> bool:
-    return op.table[(1 << op.arity) - 1] == 1
+# ---------------------------------------------------------------------------
+# The catalog table
+
+_OP_OR_AND_NOT_Z = BooleanOperation.from_func(3, lambda x, y, z: x | (y & (1 ^ z)), "or_andnot")
+_OP_OR_AND = BooleanOperation.from_func(3, lambda x, y, z: x | (y & z), "or_and")
+_OP_AND_OR_NOT_Z = BooleanOperation.from_func(3, lambda x, y, z: x & (y | (1 ^ z)), "and_ornot")
+_OP_AND_OR = BooleanOperation.from_func(3, lambda x, y, z: x & (y | z), "and_or")
+_OP_R2_BASE = BooleanOperation.from_func(3, lambda x, y, z: x & (1 ^ y ^ z), "and_xnor")
+_OP_D_BASE = BooleanOperation.from_func(
+    3, lambda x, y, z: (x & (1 ^ y)) | (x & (1 ^ z)) | ((1 ^ y) & (1 ^ z)), "d_base")
+_OP_D1_BASE = BooleanOperation.from_func(
+    3, lambda x, y, z: (x & y) | (x & (1 ^ z)) | (y & (1 ^ z)), "d1_base")
+_OP_MAJ = h_operation(2)  # h_2 is the ternary majority
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the catalog: a clone family's base and definition columns.
+
+    A chain family also has a side; `base` then holds the companions of h
+    in a finite member's base and `limit` the base of its limit, when that
+    is not the companions alone.
+    """
+    base: tuple[BooleanOperation, ...]
+    definition: tuple[Callable[[BooleanOperation], bool], ...] = ()
+    side: Optional[int] = None
+    limit: tuple[BooleanOperation, ...] = ()
+
+
+CATALOG: dict[str, Family] = {
+    "BF": Family((OP_AND, OP_NOT)),
+    "R0": Family((OP_AND, OP_XOR), (_r0,)),
+    "R1": Family((OP_OR, OP_XNOR), (_r1,)),
+    "R2": Family((OP_OR, _OP_R2_BASE), (_r0, _r1)),
+    "M": Family((OP_OR, OP_AND, OP_CONST0, OP_CONST1), (_monotone,)),
+    "M1": Family((OP_OR, OP_AND, OP_CONST1), (_monotone, _r1)),
+    "M0": Family((OP_OR, OP_AND, OP_CONST0), (_monotone, _r0)),
+    "M2": Family((OP_OR, OP_AND), (_monotone, _r0, _r1)),
+    "D": Family((_OP_D_BASE,), (_self_dual,)),
+    "D1": Family((_OP_D1_BASE,), (_self_dual, _r0, _r1)),
+    "D2": Family((_OP_MAJ,), (_self_dual, _monotone)),
+    "L": Family((OP_XOR, OP_CONST1), (_affine,)),
+    "L0": Family((OP_XOR,), (_affine, _r0)),
+    "L1": Family((OP_XNOR,), (_affine, _r1)),
+    "L2": Family((OP_XOR3,), (_affine, _r0, _r1)),
+    "L3": Family((OP_XNOR3,), (_affine, _self_dual)),
+    "V": Family((OP_OR, OP_CONST0, OP_CONST1), (_disjunction_or_constant,)),
+    "V0": Family((OP_OR, OP_CONST0), (_disjunction_or_constant, _r0)),
+    "V1": Family((OP_OR, OP_CONST1), (_disjunction_or_constant, _r1)),
+    "V2": Family((OP_OR,), (_disjunction_or_constant, _r0, _r1)),
+    "E": Family((OP_AND, OP_CONST0, OP_CONST1), (_conjunction_or_constant,)),
+    "E0": Family((OP_AND, OP_CONST0), (_conjunction_or_constant, _r0)),
+    "E1": Family((OP_AND, OP_CONST1), (_conjunction_or_constant, _r1)),
+    "E2": Family((OP_AND,), (_conjunction_or_constant, _r0, _r1)),
+    "N": Family((OP_NOT, OP_CONST0, OP_CONST1), (_essentially_unary,)),
+    "N2": Family((OP_NOT,), (_essentially_unary, _self_dual)),
+    "I": Family((OP_ID, OP_CONST0, OP_CONST1), (_projection_or_constant,)),
+    "I0": Family((OP_ID, OP_CONST0), (_projection_or_constant, _r0)),
+    "I1": Family((OP_ID, OP_CONST1), (_projection_or_constant, _r1)),
+    "I2": Family((OP_ID,), (_projection,)),
+    "S0": Family((OP_IMP,), side=0),
+    "S02": Family((_OP_OR_AND_NOT_Z,), (_r0, _r1), side=0),
+    "S01": Family((OP_CONST1,), (_monotone,), side=0, limit=(_OP_OR_AND, OP_CONST1)),
+    "S00": Family((_OP_OR_AND,), (_monotone, _r0, _r1), side=0),
+    "S1": Family((OP_ANDNOT,), side=1),
+    "S12": Family((_OP_AND_OR_NOT_Z,), (_r0, _r1), side=1),
+    "S11": Family((OP_CONST0,), (_monotone,), side=1, limit=(_OP_AND_OR, OP_CONST0)),
+    "S10": Family((_OP_AND_OR,), (_monotone, _r0, _r1), side=1),
+}
+NON_CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is None)
+CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is not None)
+
+
+class CatalogError(RuntimeError):
+    """Signals an inconsistency in the clone catalog (no unique maximum)."""
+
+
+@dataclass(frozen=True)
+class CloneId:
+    family: str
+    index: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.family in CHAIN_FAMILIES:
+            if self.index is not None and self.index < 2:
+                raise RelationError("chain index must be >= 2")
+        elif self.family in NON_CHAIN_FAMILIES:
+            if self.index is not None:
+                raise RelationError(f"clone {self.family} takes no chain index")
+        else:
+            raise RelationError(f"unknown clone family {self.family!r}")
+
+    @property
+    def is_chain(self) -> bool:
+        return self.family in CHAIN_FAMILIES
+
+    @property
+    def is_limit(self) -> bool:
+        return self.is_chain and self.index is None
+
+    @property
+    def co(self) -> "CoCloneId":
+        return CoCloneId(self.family, self.index)
+
+    def display(self) -> str:
+        if not self.is_chain:
+            return self.family
+        sub = self.family[1:]
+        return f"S_{sub}" if self.index is None else f"S^{self.index}_{sub}"
+
+    def __str__(self) -> str:  # pragma: no cover - repr convenience
+        return self.display()
+
+
+@dataclass(frozen=True)
+class CoCloneId:
+    family: str
+    index: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        CloneId(self.family, self.index)  # validate via the mirror
+
+    @property
+    def is_chain(self) -> bool:
+        return self.family in CHAIN_FAMILIES
+
+    @property
+    def is_limit(self) -> bool:
+        return self.is_chain and self.index is None
+
+    @property
+    def clone(self) -> CloneId:
+        return CloneId(self.family, self.index)
+
+    def display(self) -> str:
+        return "I" + self.clone.display()
+
+    def __str__(self) -> str:  # pragma: no cover
+        return self.display()
+
+
+def _numeral(s: str) -> bool:
+    """An ASCII decimal numeral with no leading zero, such as 0 or 12."""
+    return re.fullmatch("0|[1-9][0-9]*", s) is not None
+
+
+def parse_coclone_name(name: str, index: Optional[int] = None) -> CoCloneId:
+    """Parse names like "IN2", "IS^2_1", "IS1" (+ explicit index), "IS1_2".
+
+    Only a bare chain family ("IS1") takes `index`; any other name given one
+    raises RelationError rather than dropping it.
+    """
+    s = name.strip()
+    if not s.startswith("I"):
+        raise RelationError(f"co-clone names start with 'I': {name!r}")
+    body = s[1:]
+    if body in CHAIN_FAMILIES:
+        return CoCloneId(body, index)
+    if body.startswith("S^"):
+        caret, _, rest = body[2:].partition("_")
+        if not _numeral(caret):
+            raise RelationError(f"chain index {caret!r} in {name!r} is not a numeral")
+        parsed = CoCloneId("S" + rest, int(caret))
+    elif body.startswith("S_"):
+        parsed = CoCloneId("S" + body[2:], None)
+    elif body in NON_CHAIN_FAMILIES:
+        parsed = CoCloneId(body, None)
+    else:
+        fam, _, idx = body.partition("_")
+        if not (fam in CHAIN_FAMILIES and _numeral(idx)):
+            raise RelationError(f"unknown co-clone name {name!r}")
+        parsed = CoCloneId(fam, int(idx))
+    if index is not None:
+        raise RelationError(f"{name} takes no index argument (got {index}); "
+                            "only a chain family such as IS1 does")
+    return parsed
+
+
+# ---------------------------------------------------------------------------
+# The base column: bases and the catalog's members
+
+
+def _h(kind: str, n: int) -> BooleanOperation:
+    return h_operation(n) if kind == "h" else dual_h_operation(n)
+
+
+def _base(clone: CloneId) -> tuple[tuple[BooleanOperation, ...], Optional[tuple[str, int]]]:
+    """A clone's fixed base operations, and the (kind, n) of the h in the
+    base of a finite chain member S^n: "dualh" on side 0, "h" on side 1."""
+    row = CATALOG[clone.family]
+    if row.side is None:
+        return row.base, None
+    if clone.index is None:
+        return row.limit or row.base, None
+    return row.base, ("dualh" if row.side == 0 else "h", clone.index)
+
+
+def clone_base(clone: CloneId) -> list[BooleanOperation]:
+    """Base operations of a catalog clone as truth tables."""
+    fixed, h = _base(clone)
+    if h is None:
+        return list(fixed)
+    kind, n = h
+    if n + 1 > MAX_OPERATION_ARITY:
+        raise RelationError(
+            f"chain index {n} needs an arity-{n + 1} table beyond the operation cap")
+    return [*fixed, _h(kind, n)]
+
+
+def catalog(max_chain_index: int = 3) -> list[CloneId]:
+    out = [CloneId(f) for f in NON_CHAIN_FAMILIES]
+    for fam in CHAIN_FAMILIES:
+        out.append(CloneId(fam, None))
+        for n in range(2, max_chain_index + 1):
+            out.append(CloneId(fam, n))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Semantic clone membership: the definition column
+
+
+def _meets(clone: CloneId, has: Callable[[Callable], bool],
+           degree: Callable[[int], float]) -> bool:
+    """Does an operation lie in clone, given which properties it `has` and
+    its separation `degree` on each side?  Each is asked only as needed."""
+    row = CATALOG[clone.family]
+    if not all(map(has, row.definition)):
+        return False
+    if row.side is None:
+        return True
+    sep = degree(row.side)
+    return sep == math.inf if clone.index is None else sep > clone.index
 
 
 def op_in_clone(op: BooleanOperation, clone: CloneId) -> bool:
     """Semantic membership of an operation in a catalog clone."""
-    fam = clone.family
-    if fam == "BF":
-        return True
-    if fam == "R0":
-        return _r0(op)
-    if fam == "R1":
-        return n_r1(op)
-    if fam == "R2":
-        return _r0(op) and n_r1(op)
-    if fam in ("M", "M0", "M1", "M2"):
-        if not _monotone(op):
-            return False
-        if fam in ("M0", "M2") and not _r0(op):
-            return False
-        if fam in ("M1", "M2") and not n_r1(op):
-            return False
-        return True
-    if fam in ("D", "D1", "D2"):
-        if not _self_dual(op):
-            return False
-        if fam == "D1" and not (_r0(op) and n_r1(op)):
-            return False
-        if fam == "D2" and not _monotone(op):
-            return False
-        return True
-    if fam in ("L", "L0", "L1", "L2", "L3"):
-        if not _affine(op):
-            return False
-        if fam == "L0":
-            return _r0(op)
-        if fam == "L1":
-            return n_r1(op)
-        if fam == "L2":
-            return _r0(op) and n_r1(op)
-        if fam == "L3":
-            return _self_dual(op)
-        return True
-    if fam in ("V", "V0", "V1", "V2"):
-        if not _disjunction_or_constant(op):
-            return False
-        return ((fam not in ("V0", "V2")) or _r0(op)) and ((fam not in ("V1", "V2")) or n_r1(op))
-    if fam in ("E", "E0", "E1", "E2"):
-        if not _conjunction_or_constant(op):
-            return False
-        return ((fam not in ("E0", "E2")) or _r0(op)) and ((fam not in ("E1", "E2")) or n_r1(op))
-    if fam == "N":
-        return _essentially_unary(op)
-    if fam == "N2":
-        # the negation clone: essentially unary and self-dual
-        return _essentially_unary(op) and _self_dual(op)
-    if fam in ("I", "I0", "I1", "I2"):
-        if not _projection_or_constant(op):
-            return False
-        if fam == "I0":
-            return _r0(op)
-        if fam == "I1":
-            return n_r1(op)
-        if fam == "I2":
-            return _is_projection(op)
-        return True
-    # S-chains: separating degree plus the R2 / M side conditions
-    degree = _zero_sep_degree(op) if fam.startswith("S0") else _one_sep_degree(op)
-    if clone.index is None:
-        if degree != math.inf:  # the limit demands separation of every degree
-            return False
-    elif not degree > clone.index:
-        return False
-    if fam in ("S02", "S00", "S12", "S10") and not (_r0(op) and n_r1(op)):
-        return False
-    if fam in ("S01", "S00", "S11", "S10") and not _monotone(op):
-        return False
-    return True
+    return _meets(clone, lambda prop: prop(op), lambda side: _sep_degree(op, side))
+
+
+def _h_traits(kind: str, m: int) -> tuple[Callable[[Callable], bool], Callable[[int], float]]:
+    """What `_meets` reads of h_m ("h") or dual(h_m) ("dualh"), m >= 3, with
+    no table: both are reproducing and monotone and have no other property
+    of the definition column, and separate to degree m+1 on their own side
+    (1 for h_m, 0 for its dual) and to degree 2 on the other."""
+    own = 1 if kind == "h" else 0
+    return {_r0, _r1, _monotone}.__contains__, lambda side: m + 1 if side == own else 2
 
 
 def _h_in_clone(kind: str, m: int, clone: CloneId) -> bool:
     """Membership of h_m / dual(h_m) in a catalog clone (any m >= 2)."""
     if m + 1 <= MAX_OPERATION_ARITY:
-        op = h_operation(m) if kind == "h" else dual_h_operation(m)
-        return op_in_clone(op, clone)
-    # analytic fallback beyond the table cap (m >= 8, so h_m is not self-dual
-    # and its off-side separating degree is exactly 2)
-    fam = clone.family
-    if fam in ("BF", "R0", "R1", "R2", "M", "M0", "M1", "M2"):
-        return True  # h_m and dual(h_m) are monotone and reproducing
-    if fam not in CHAIN_FAMILIES:
-        return False
-    same_side = fam.startswith("S1") if kind == "h" else fam.startswith("S0")
-    if not same_side:
-        return False
-    n: float = clone.index if clone.index is not None else math.inf
-    return m >= n
+        return op_in_clone(_h(kind, m), clone)
+    return _meets(clone, *_h_traits(kind, m))
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +465,9 @@ def _h_preserves_rel(kind: str, n: int, rel: Relation) -> bool:
 
 
 def _clone_base_preserves(clone: CloneId, rels: Sequence[Relation]) -> bool:
-    if not clone.is_chain or clone.is_limit:
-        return all(_op_preserves_rel(op, r) for op in clone_base(clone) for r in rels)
-    fixed, kind, _ = _CHAIN_BASES[clone.family]
-    if not all(_op_preserves_rel(op, r) for op in fixed for r in rels):
-        return False
-    return all(_h_preserves_rel(kind, clone.index, r) for r in rels)
+    fixed, h = _base(clone)
+    return (all(_op_preserves_rel(op, r) for op in fixed for r in rels)
+            and (h is None or all(_h_preserves_rel(*h, r) for r in rels)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +484,9 @@ def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     hit = _leq_cache.get(key)
     if hit is not None:
         return hit
-    if c1.is_chain and not c1.is_limit:
-        fixed, kind, _ = _CHAIN_BASES[c1.family]
-        result = all(op_in_clone(op, c2) for op in fixed) and \
-            _h_in_clone(kind, c1.index, c2)
-    else:
-        result = all(op_in_clone(op, c2) for op in clone_base(c1))
+    fixed, h = _base(c1)
+    result = (all(op_in_clone(op, c2) for op in fixed)
+              and (h is None or _h_in_clone(*h, c2)))
     _leq_cache[key] = result
     return result
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .postlattice import CHAIN_FAMILIES, CoCloneId
+from .postlattice import CATALOG, CHAIN_FAMILIES, CoCloneId, _monotone, _r0, _r1
 from .relations import MAX_RELATION_ARITY, Relation, RelationError
 
 
@@ -103,29 +103,21 @@ _PLAIN: dict[str, tuple[str, int, Callable[[tuple[int, ...]], bool]]] = {
 }
 
 
-# the chain rows: family -> (core on x1..xn, whether a column x follows it,
-# the constant columns after that).  The core is OR_n with x -> x1..xn, or
-# NAND_n with the dual x1|..|xn -> x: read as x -> x1..xn under NAND, x
-# would be forced to 0 and the S11 row would collapse to the S1 row.
-_CHAINS: dict[str, tuple[str, bool, str]] = {
-    "S0": ("OR", False, "1"),
-    "S02": ("OR", False, "01"),
-    "S01": ("OR", True, "1"),
-    "S00": ("OR", True, "01"),
-    "S1": ("NAND", False, "0"),
-    "S12": ("NAND", False, "01"),
-    "S11": ("NAND", True, "0"),
-    "S10": ("NAND", True, "01"),
-}
-
-
 def _chain_entry(family: str, n: int) -> tuple[str, int, Iterable[int]]:
-    """(formula, arity, tuple masks) of a chain row, listed without a scan."""
-    if n < 2:
-        raise RelationError("chain index must be >= 2")
-    if family not in _CHAINS:
-        raise RelationError(f"unknown chain family {family!r}")
-    core, implication, constants = _CHAINS[family]
+    """(formula, arity, tuple masks) of a chain row, listed without a scan.
+
+    The row follows the family's catalog declaration.  Its core is OR_n on
+    side 0 and NAND_n on side 1.  A column x follows the core iff the family
+    is monotone: x -> x1..xn under OR, and the dual x1|..|xn -> x under NAND
+    (read as x -> x1..xn under NAND, x would be forced to 0 and the S11 row
+    would collapse to the S1 row).  The constant columns are F(c0) & T(c1)
+    if the family is 0- and 1-reproducing, else T(c1) on side 0 and F(c0)
+    on side 1.
+    """
+    row = CATALOG[family]
+    core = "NAND" if row.side else "OR"
+    implication = _monotone in row.definition
+    constants = "01" if {_r0, _r1} <= set(row.definition) else "0" if row.side else "1"
     arity = n + implication + len(constants)
     if arity > MAX_RELATION_ARITY:
         raise RelationError(f"R_I{family}_{n} has arity {arity}, "

@@ -307,8 +307,9 @@ def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, me
 
 @pytest.mark.parametrize("name", [
     "cost1_1//2_0", "cost1_1/0_0", "cost1_1_", "cost1_1/2/3_0", "cost0_1",
-    "cost9_" + "_".join(["1"] * 512),
-], ids=["double-slash", "zero-denominator", "empty-value", "two-slashes", "arity-0", "arity-9"])
+    "cost9_" + "_".join(["1"] * 512), "cost\u0661_0_1", "cost01_0_1", "fnot_ODD016",
+], ids=["double-slash", "zero-denominator", "empty-value", "two-slashes", "arity-0", "arity-9",
+        "arity-indic", "arity-zero", "fnot-zero"])
 def test_malformed_cost_name_is_an_unknown_cost_function(tmp_path, name):
     path = tmp_path / "x.inst"
     path.write_text(f"problem VCSP\nvars 1\nc {name} 1\n")
@@ -341,13 +342,29 @@ def test_search_bounds_past_the_guard_exit_2(tmp_path, flag, value):
     assert proc.stderr.startswith("error: search bounds outside the budget guard")
 
 
-@pytest.mark.parametrize("name", ["IS^x_1", "IS^_1", "IS^²_1", "IS1_²"])
+@pytest.mark.parametrize("name", ["IS^x_1", "IS^_1", "IS^²_1", "IS1_²", "IS^\u0663_1",
+                                  "IS1_\u0663", "IS^03_1", "IS1_03"])
 def test_malformed_chain_index_exits_2(name):
-    # str.isdigit accepts "²", which int() rejects
+    # str.isdigit accepts "²", which int() rejects; int() reads the
+    # Arabic-Indic 3 (\u0663), but a chain index is ASCII with no leading zero
     proc = _run_subprocess(["weakbase", name])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("ref,args", [
+    ("OR\u0663", 3), ("OR007", 7), ("Rf_\u0661_2", 3), ("R_IS1_\u0663", 4), ("R_IS^03_1", 4),
+], ids=["OR-indic", "OR-zeros", "Rf-indic", "weak-base-indic", "weak-base-zero"])
+def test_relation_names_take_only_ascii_numerals_without_leading_zeros(tmp_path, ref, args):
+    # \u0661 and \u0663 are the Arabic-Indic digits 1 and 3, which int() reads
+    path = tmp_path / "x.inst"
+    path.write_text(f"problem SAT\nvars {args}\nc {ref} "
+                    + " ".join(str(i + 1) for i in range(args)) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["solve", str(path)])
+    assert (code, out, err.getvalue()) == (2, "", f"error: {path}: unknown relation {ref!r}\n")
 
 
 def test_weak_base_past_the_arity_cap_exits_2(tmp_path):

@@ -179,7 +179,7 @@ def test_a_too_wide_fnot_name_is_rejected_before_its_table(name, monkeypatch):
         resolver.costfn(name)
 
 
-@pytest.mark.parametrize("name", ["fnot_OR20", "fnot_NAND24", "fnot_EVEN9", "fnot_ODD016"])
+@pytest.mark.parametrize("name", ["fnot_OR20", "fnot_NAND24", "fnot_EVEN9", "fnot_ODD16"])
 def test_a_too_wide_parametric_fnot_name_builds_no_relation(name, monkeypatch):
     built = []
     for family, ctor in instances._PARAM_CTORS.items():

@@ -771,7 +771,7 @@ def reference_terms(inst, resolver, want_all):
     reads a relation through `contains`, Max-Cut through its definition.
     """
     kind = inst.kind
-    applied = [resolver.resolve(kind, c) for c in inst.constraints]
+    applied = [resolver.resolve_all(kind, (c,))[0] for c in inst.constraints]
     n = inst.num_vars
     cap = oracle.MAX_ENUMERATE_VARS if want_all else oracle.MAX_SOLVE_VARS
     if n > cap:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from coclones.postlattice import (
+    CATALOG,
     CHAIN_FAMILIES,
     NON_CHAIN_FAMILIES,
     CatalogError,
@@ -17,15 +18,21 @@ from coclones.postlattice import (
     co_clone_of,
     op_in_clone,
     parse_coclone_name,
-    _CHAIN_BASES,
+    _h_in_clone,
     _h_preserves_rel,
+    _h_traits,
+    _meets,
     _op_preserves_rel,
+    _sep_degree,
 )
 from coclones.relations import (
     BooleanOperation,
     ConstraintLanguage,
     EmptyRelationError,
     Relation,
+    dual_h_operation,
+    h_operation,
+    preserves,
     preserves_symmetric,
     rel_eq,
     rel_neq,
@@ -140,10 +147,6 @@ def clone_leq_by_representative(c1: CloneId, c2: CloneId) -> bool:
     representative grows as 2^n) and undefined for limit clones.
     """
     rep = weak_base(c2.co)
-    if c1.is_chain and not c1.is_limit:
-        fixed, kind, _ = _CHAIN_BASES[c1.family]
-        return all(_op_preserves_rel(op, rep) for op in fixed) and \
-            _h_preserves_rel(kind, c1.index, rep)
     return all(_op_preserves_rel(op, rep) for op in clone_base(c1))
 
 
@@ -163,13 +166,53 @@ def test_i2_is_bottom_and_bf_is_top():
 
 
 def test_h_membership_analytic_matches_semantic():
-    from coclones.postlattice import _h_in_clone
-    from coclones.relations import h_operation, dual_h_operation
-    for m in (2, 3, 4, 5):
-        h, dh = h_operation(m), dual_h_operation(m)
-        for c in catalog(4):
-            assert _h_in_clone("h", m, c) == op_in_clone(h, c), (m, c.display())
-            assert _h_in_clone("dualh", m, c) == op_in_clone(dh, c), (m, c.display())
+    # the properties and separation degrees that h_m and dual(h_m) are known
+    # to have past the operation cap, against those read off their tables
+    props = {p for row in CATALOG.values() for p in row.definition}
+    for m in range(3, 8):
+        for kind, op in (("h", h_operation(m)), ("dualh", dual_h_operation(m))):
+            has, degree = _h_traits(kind, m)
+            assert {p for p in props if has(p)} == {p for p in props if p(op)}, (kind, m)
+            assert [degree(side) for side in (0, 1)] == [_sep_degree(op, side) for side in (0, 1)]
+            for c in catalog(8):
+                assert _meets(c, has, degree) == op_in_clone(op, c), (kind, m, c.display())
+
+
+def test_h_membership_past_the_operation_cap():
+    # h_m and its dual lie in BF, R0..R2 and M..M2, and in the chain members of
+    # their own side up to index m, and nowhere else
+    for m in (8, 9, 13):
+        for kind, side in (("h", "S1"), ("dualh", "S0")):
+            for c in catalog(m + 2):
+                want = c.family in ("BF", "R0", "R1", "R2", "M", "M0", "M1", "M2") or (
+                    c.family.startswith(side) and c.index is not None and c.index <= m)
+                assert _h_in_clone(kind, m, c) == want, (kind, m, c.display())
+
+
+def _operations(max_arity):
+    for arity in range(1, max_arity + 1):
+        for t in range(1 << (1 << arity)):
+            yield BooleanOperation(arity, tuple((t >> m) & 1 for m in range(1 << arity)))
+
+
+def test_membership_is_weak_base_preservation():
+    # Pol(Inv(C)) = C, and the weak base is a base of Inv(C): an operation lies
+    # in C iff it preserves C's weak base.  Every operation of arity <= 3 on
+    # every finite catalog clone at indices 2-5, and every operation of arity
+    # <= 2 on each limit, which such an operation reaches iff it reaches the
+    # family's member at index 4
+    ops = list(_operations(3))
+    assert len(ops) == 276
+    finite = [c for c in catalog(5) if not c.is_limit]
+    assert len(finite) == 62
+    for c in finite:
+        wb = weak_base(c.co)
+        for op in ops:
+            assert op_in_clone(op, c) == preserves(op, wb), (op.table, c.display())
+    for fam in CHAIN_FAMILIES:
+        wb = weak_base(CoCloneId(fam, 4))
+        for op in _operations(2):
+            assert op_in_clone(op, CloneId(fam)) == preserves(op, wb), (op.table, fam)
 
 
 def test_parse_coclone_names():

@@ -55,13 +55,21 @@ def test_registry_covers_every_construction():
         assert name in REGISTRY
 
 
+def test_the_certified_groups_partition_the_registry():
+    # CI certifies `certify all`, `umo_qpp_family` and `wmo_qwpp_family`, so an
+    # entry outside these three groups would never be certified there
+    groups = [set(ACCEPTANCE_ENTRIES), set(QPP_FAMILY), set(QWPP_FAMILY)]
+    assert sum(map(len, groups)) == len(set().union(*groups))
+    assert set().union(*groups) == set(REGISTRY)
+
+
 def test_language_mismatch_rejected():
     inst = Instance(KIND_UMO, 3, (Constraint("OR2", (0, 1)),))
     with pytest.raises(ReductionError):
         apply("umo_II2_to_IN2", inst)
 
 
-# one case per rejection of Resolver.resolve: (kind, constraint, a registry
+# one case per rejection of Resolver.resolve_all: (kind, constraint, a registry
 # entry whose kind and language checks the constraint passes, the message)
 REJECTIONS = [
     (KIND_MINO, Constraint("nope", (0, 1)), "maxones_to_minones", "unknown relation 'nope'"),
@@ -87,7 +95,8 @@ REJECTIONS = [
 @pytest.mark.parametrize("kind,constraint,entry,message", REJECTIONS)
 def test_solvers_and_apply_reject_what_resolve_rejects(kind, constraint, entry, message):
     inst = Instance(kind, 8, (constraint,))
-    calls = [lambda: RESOLVER.resolve(kind, constraint), lambda: solve(inst, RESOLVER),
+    calls = [lambda: RESOLVER.resolve_all(kind, (constraint,))[0],
+             lambda: solve(inst, RESOLVER),
              lambda: solve_bruteforce(inst, RESOLVER)]
     if entry is not None:
         calls.append(lambda: apply(entry, inst, RESOLVER))
