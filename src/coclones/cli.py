@@ -39,6 +39,7 @@ from .relations import (
     classify_max_ones,
     classify_sat,
     mask_to_string,
+    numeral,
 )
 from .valued import (
     classify_vcsp,
@@ -133,16 +134,14 @@ def _cmd_weakbase(args) -> int:
 
 
 def _cmd_wpp_eval(args) -> int:
-    from .definitions import UnsatisfiableGadgetError, WppGadget, eval_wpp
+    from .definitions import UnsatisfiableGadgetError, eval_wpp
 
     inst = _parse_file(args.gadget, parse_inst)
     if inst.kind != KIND_WMO:
         raise CliError("gadget files must be W-Max-Ones instances")
-    projection = inst.projection or tuple(range(inst.num_vars))
-    gadget = WppGadget(inst, projection)
     resolver = _resolver_with_defs(args.defs)
     try:
-        rel = eval_wpp(gadget, resolver)
+        rel = eval_wpp(inst, resolver)
     except UnsatisfiableGadgetError:
         print("unsatisfiable gadget")
         return 1
@@ -315,11 +314,16 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
+    """An integer argument, read by the numeral rule of every file token."""
     try:
-        value = int(text)
+        return numeral(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -353,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weakbase", help="emit a weak-base relation")
     sp.add_argument("name")
-    sp.add_argument("n", nargs="?", type=int, default=None)
+    sp.add_argument("n", nargs="?", type=_int, default=None)
     common(sp, output=True)
     sp.set_defaults(fn=_cmd_weakbase)
 
@@ -365,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ppsearch", help="bounded conjunctive-definition search")
     sp.add_argument("target")
     sp.add_argument("language")
-    sp.add_argument("--aux", type=int, default=2)
-    sp.add_argument("--atoms", type=int, default=3)
+    sp.add_argument("--aux", type=_int, default=2)
+    sp.add_argument("--atoms", type=_int, default=3)
     sp.add_argument("--with-eq", action="store_true",
                     help="add equality atoms to the search universe")
     sp.set_defaults(fn=_cmd_ppsearch)
@@ -380,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="oracle-certify a reduction")
     sp.add_argument("name")
     sp.add_argument("--trials", type=_positive_int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int, default=0)
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("solve", help="exact oracle solve")
@@ -403,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="run the golden/certify suite")
     sp.add_argument("--trials", type=_positive_int, default=40)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int, default=0)
     sp.set_defaults(fn=_cmd_selftest)
 
     return p

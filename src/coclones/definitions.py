@@ -101,32 +101,21 @@ def constant_extension_implications(rel: Relation, ext: Relation) -> tuple[bool,
 # Optimization-defined relations (projections of optimal-solution sets)
 
 
-@dataclass(frozen=True)
-class WppGadget:
-    instance: Instance
-    projection: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.instance.kind != KIND_WMO:
-            raise GadgetError("gadgets are weighted Max-Ones instances")
-        n = self.instance.num_vars
-        if any(not 0 <= v < n for v in self.projection):
-            raise GadgetError("projection out of range")
-
-
-def eval_wpp(gadget: WppGadget, resolver: Optional[Resolver] = None) -> Relation:
-    """Projection of the set of optimal solutions onto the projection list."""
-    res = solve(gadget.instance, resolver, want_all=True)
+def eval_wpp(gadget: Instance, resolver: Optional[Resolver] = None) -> Relation:
+    """Projection of the set of optimal solutions onto the gadget's
+    projection, or onto every variable when it has none."""
+    res = solve(gadget, resolver, want_all=True)
     if not res.satisfiable:
         raise UnsatisfiableGadgetError("gadget instance is unsatisfiable")
+    projection = gadget.projection or range(gadget.num_vars)
     out = set()
     for mask in res.optimal_set:
         m = 0
-        for i, v in enumerate(gadget.projection):
+        for i, v in enumerate(projection):
             if (mask >> v) & 1:
                 m |= 1 << i
         out.add(m)
-    return Relation.from_masks(len(gadget.projection), out, allow_empty=False)
+    return Relation.from_masks(len(projection), out, allow_empty=False)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +228,12 @@ class ArgmaxIdentity:
     atoms: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
 
-    def gadget(self) -> WppGadget:
-        inst = Instance(
+    def gadget(self) -> Instance:
+        return Instance(
             KIND_WMO, 8,
             tuple(Constraint(self.base, a) for a in self.atoms),
-            var_weights=tuple(Fraction(w) for w in self.weights))
-        return WppGadget(inst, tuple(range(8)))
+            var_weights=tuple(Fraction(w) for w in self.weights),
+            projection=tuple(range(8)))
 
 
 ARGMAX_IDENTITIES: tuple[ArgmaxIdentity, ...] = (

@@ -2,13 +2,19 @@
 
 Tuple rows print coordinate 1 leftmost; variable indices in .inst files are
 1-based, matching the x1..xn naming.  '#' starts a comment anywhere.
+
+Every integer token (`vars`, a constraint's arguments, `project`, a .rel or
+.cost arity) follows the numeral rule of `relations.numeral`: ASCII digits
+with no leading zero, and an optional minus sign.  Every number token (a
+weight, a variable weight, a threshold, a cost row) follows
+`relations.number`: Fraction's grammar, in ASCII and without '_'.  A token
+that breaks its rule is a `bad integer` or `bad number` error.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .instances import (
     ALL_KINDS,
@@ -17,7 +23,15 @@ from .instances import (
     InstanceError,
     Threshold,
 )
-from .relations import Relation, RelationError, mask_to_string, string_to_mask
+from .relations import (
+    MAX_RELATION_ARITY,
+    Relation,
+    RelationError,
+    mask_to_string,
+    number,
+    numeral,
+    string_to_mask,
+)
 from .valued import MAX_COST_ARITY, CostFunction
 
 
@@ -29,35 +43,58 @@ def _logical_lines(text: str) -> list[str]:
     return out
 
 
-def parse_rel(text: str) -> list[Relation]:
-    relations: list[Relation] = []
-    header: Optional[tuple[str, int]] = None
-    rows: list[int] = []
+def _parse_int(tok: str, line: str, error: type = InstanceError) -> int:
+    try:
+        return numeral(tok)
+    except ValueError:
+        raise error(f"bad integer {tok!r} in line {line!r}") from None
 
-    def flush():
-        nonlocal header, rows
-        if header is None:
-            return
-        name, arity = header
-        relations.append(Relation.from_masks(arity, rows, name, allow_empty=True))
-        header, rows = None, []
 
+def _parse_fraction(tok: str, line: str) -> Fraction:
+    try:
+        return number(tok)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"bad number {tok!r} in line {line!r}") from None
+
+
+def _blocks(text: str, keyword: str, error: type, orphan: str
+            ) -> Iterator[tuple[str, int, list[tuple[list[str], str]]]]:
+    """The `keyword name arity` blocks of a .rel or .cost text, in order.
+
+    Each is (name, arity, rows), a row being a line's tokens and the line.
+    A block is yielded before the next header is read, so its faults come
+    before any fault further on.  A row before the first header raises
+    `error` with the `orphan` text.
+    """
+    block = None
     for line in _logical_lines(text):
-        if not line.strip():
-            continue
         parts = line.split()
-        if parts[0] == "relation":
-            flush()
+        if not parts:
+            continue
+        if parts[0] == keyword:
+            if block is not None:
+                yield block
             if len(parts) != 3:
-                raise RelationError(f"bad relation header: {line!r}")
-            header = (parts[1], _parse_int(parts[2], line, RelationError))
+                raise error(f"bad {keyword} header: {line!r}")
+            block = (parts[1], _parse_int(parts[2], line, error), [])
+        elif block is None:
+            raise error(f"{orphan}: {line!r}")
         else:
-            if header is None:
-                raise RelationError(f"tuple row before any relation header: {line!r}")
-            if len(parts) != 1 or len(parts[0]) != header[1]:
-                raise RelationError(f"bad tuple row {line!r} for arity {header[1]}")
-            rows.append(string_to_mask(parts[0]))
-    flush()
+            block[2].append((parts, line))
+    if block is not None:
+        yield block
+
+
+def parse_rel(text: str) -> list[Relation]:
+    relations = []
+    for name, arity, rows in _blocks(text, "relation", RelationError,
+                                     "tuple row before any relation header"):
+        masks = []
+        for parts, line in rows:
+            if len(parts) != 1 or len(parts[0]) != arity:
+                raise RelationError(f"bad tuple row {line!r} for arity {arity}")
+            masks.append(string_to_mask(parts[0]))
+        relations.append(Relation.from_masks(arity, masks, name, allow_empty=True))
     return relations
 
 
@@ -72,31 +109,10 @@ def emit_rel(relations: list[Relation]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _parse_int(tok: str, line: str, error: type = InstanceError) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise error(f"bad integer {tok!r} in line {line!r}") from None
-
-
-# Weights and thresholds repeat a handful of tokens ("1/2", "3", ...), so
-# each token's Fraction is kept; Fraction's string parser takes about 2 us a
-# token.  The 1024 entries bound the cache at about 0.2 MB however many
-# distinct tokens a long run meets.  A bad token raises and is not kept.
-@functools.lru_cache(maxsize=1 << 10)
-def _fraction_token(tok: str) -> Fraction:
-    return Fraction(tok)
-
-
-def _parse_fraction(tok: str, line: str) -> Fraction:
-    try:
-        return _fraction_token(tok)
-    except (ValueError, ZeroDivisionError):
-        raise InstanceError(f"bad number {tok!r} in line {line!r}") from None
-
-
-def _emit_fraction(f: Fraction) -> str:
-    return str(f)
+# A constraint argument's token and its 0-based index, for every index an
+# instance may use: the canonical spellings, read without a regex per token.
+# Any other token goes through numeral, which names it or gives its integer.
+_ARG_INDEX = {str(v + 1): v for v in range(MAX_RELATION_ARITY)}
 
 
 def parse_inst(text: str) -> Instance:
@@ -125,12 +141,11 @@ def parse_inst(text: str) -> Instance:
                 weight = _parse_fraction(rest[-1], line)
                 rest = rest[:wi]
             try:
-                args = tuple([int(t) - 1 for t in rest])
-            except ValueError:
-                # name the first bad token
+                args = tuple([_ARG_INDEX[t] for t in rest])
+            except KeyError:
                 args = tuple(_parse_int(t, line) - 1 for t in rest)
-            if args and min(args) < 0:
-                raise InstanceError(f"variable indices are 1-based: {line!r}")
+                if args and min(args) < 0:
+                    raise InstanceError(f"variable indices are 1-based: {line!r}") from None
             constraints.append(Constraint(ref, args, weight))
         elif head == "problem":
             if len(parts) != 2 or parts[1] not in ALL_KINDS:
@@ -158,56 +173,37 @@ def parse_inst(text: str) -> Instance:
 def emit_inst(inst: Instance) -> str:
     lines = [f"problem {inst.kind}", f"vars {inst.num_vars}"]
     if inst.var_weights is not None:
-        lines.append("varweights " + " ".join(_emit_fraction(w) for w in inst.var_weights))
+        lines.append("varweights " + " ".join(map(str, inst.var_weights)))
     for c in inst.constraints:
         parts = ["c", c.ref] + [str(a + 1) for a in c.args]
         if c.weight is not None:
-            parts += ["w", _emit_fraction(c.weight)]
+            parts += ["w", str(c.weight)]
         lines.append(" ".join(parts))
     if inst.threshold is not None:
-        lines.append(f"threshold {inst.threshold.direction} {_emit_fraction(inst.threshold.value)}")
+        lines.append(f"threshold {inst.threshold.direction} {inst.threshold.value}")
     if inst.projection is not None:
         lines.append("project " + " ".join(str(v + 1) for v in inst.projection))
     return "\n".join(lines) + "\n"
 
 
 def parse_cost(text: str) -> list[CostFunction]:
-    fns: list[CostFunction] = []
-    header: Optional[tuple[str, int]] = None
-    table: dict[int, Fraction] = {}
-
-    def flush():
-        nonlocal header, table
-        if header is None:
-            return
-        name, arity = header
-        if len(table) != 1 << arity:
-            raise InstanceError(f"cost function {name} is missing rows")
-        fns.append(CostFunction(arity, tuple(table[m] for m in range(1 << arity)), name))
-        header, table = None, {}
-
-    for line in _logical_lines(text):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "costfn":
-            flush()
-            if len(parts) != 3:
-                raise InstanceError(f"bad costfn header: {line!r}")
-            arity = _parse_int(parts[2], line)
-            if not 1 <= arity <= MAX_COST_ARITY:
-                raise InstanceError(f"cost function arity {arity} out of range 1..{MAX_COST_ARITY}")
-            header = (parts[1], arity)
-        else:
-            if header is None or len(parts) != 2:
+    fns = []
+    for name, arity, rows in _blocks(text, "costfn", InstanceError, "bad cost row"):
+        if not 1 <= arity <= MAX_COST_ARITY:
+            raise InstanceError(f"cost function arity {arity} out of range 1..{MAX_COST_ARITY}")
+        table: dict[int, Fraction] = {}
+        for parts, line in rows:
+            if len(parts) != 2:
                 raise InstanceError(f"bad cost row: {line!r}")
             mask = string_to_mask(parts[0])
-            if len(parts[0]) != header[1]:
+            if len(parts[0]) != arity:
                 raise InstanceError(f"cost row arity mismatch: {line!r}")
             if mask in table:
                 raise InstanceError(f"duplicate cost row: {line!r}")
             table[mask] = _parse_fraction(parts[1], line)
-    flush()
+        if len(table) != 1 << arity:
+            raise InstanceError(f"cost function {name} is missing rows")
+        fns.append(CostFunction(arity, tuple(table[m] for m in range(1 << arity)), name))
     return fns
 
 
@@ -218,6 +214,6 @@ def emit_cost(fns: list[CostFunction]) -> str:
             raise InstanceError("cannot emit an unnamed cost function")
         lines = [f"costfn {fn.name} {fn.arity}"]
         for m in range(1 << fn.arity):
-            lines.append(f"{mask_to_string(m, fn.arity)} {_emit_fraction(fn.table[m])}")
+            lines.append(f"{mask_to_string(m, fn.arity)} {fn.table[m]}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -22,8 +22,11 @@ from typing import Optional, Sequence
 from .postlattice import parse_coclone_name
 from .relations import (
     MAX_RELATION_ARITY,
+    NUMERAL,
     Relation,
     RelationError,
+    number,
+    numeral,
     rel_eq,
     rel_even,
     rel_false,
@@ -162,22 +165,13 @@ class Instance:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-# numerals in names are ASCII digits with no leading zero, matched whole
-_RF_NAME = re.compile(r"Rf_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")
-_COST_NAME = re.compile(r"cost(0|[1-9][0-9]*)_([0-9/_]+)")
-_PARAM_REL = re.compile(r"(OR|NAND|EVEN|ODD)(0|[1-9][0-9]*)")
+# every number in a name is a NUMERAL, matched whole; a cost value is a
+# number token of ASCII digits and slashes
+_N = f"({NUMERAL.pattern})"
+_RF_NAME = re.compile(f"Rf_{_N}_{_N}")
+_COST_NAME = re.compile(f"cost{_N}_([0-9/_]+)")
+_PARAM_REL = re.compile(f"(OR|NAND|EVEN|ODD){_N}")
 _PARAM_CTORS = {"OR": rel_or, "NAND": rel_nand, "EVEN": rel_even, "ODD": rel_odd}
-
-
-# Cost names repeat a handful of value tokens ("0", "1/2", "3", ...), so each
-# token's Fraction is kept; the 1024 entries bound the cache at about 0.2 MB
-# however many distinct tokens a long run meets.
-@functools.lru_cache(maxsize=1 << 10)
-def _cost_value(v: str) -> Fraction:
-    """One value of a cost name, a count or a/b: the pattern admits only ASCII
-    digits and slashes, so two ints give it without Fraction's string parser."""
-    num, slash, den = v.partition("/")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
 def _rf_relation(k: int, support_mask: int) -> Relation:
@@ -237,10 +231,10 @@ def _built(build, name: str):
 def _build_relation(name: str) -> Optional[Relation]:
     m = _PARAM_REL.fullmatch(name)
     if m:
-        return _PARAM_CTORS[m.group(1)](int(m.group(2))).renamed(name)
+        return _PARAM_CTORS[m.group(1)](numeral(m.group(2))).renamed(name)
     m = _RF_NAME.fullmatch(name)
     if m:
-        return _rf_relation(int(m.group(1)), int(m.group(2)))
+        return _rf_relation(numeral(m.group(1)), numeral(m.group(2)))
     if name.startswith("R_I"):
         try:
             coclone = parse_coclone_name(name[2:])
@@ -314,7 +308,7 @@ class Resolver:
             # a parametric name states its arity: reject one too wide for a
             # cost before its 2^k tuples are built; a k past the relation cap
             # keeps the constructor's error, and a registered name still wins
-            k = int(m.group(2)) if (m := _PARAM_REL.fullmatch(ref)) else 0
+            k = numeral(m.group(2)) if (m := _PARAM_REL.fullmatch(ref)) else 0
             if 0 < k <= MAX_RELATION_ARITY and ref not in self._relations:
                 _check_arity(k)
             try:
@@ -324,12 +318,12 @@ class Resolver:
             return _indicator(rel, name)
         m = _COST_NAME.fullmatch(name)
         if m:
-            arity = int(m.group(1))
+            arity = numeral(m.group(1))
             parts = m.group(2).split("_")
             if not 1 <= arity <= MAX_COST_ARITY or len(parts) != 1 << arity:
                 return None
             try:
-                vals = tuple(map(_cost_value, parts))
+                vals = tuple(map(number, parts))
             except (ValueError, ZeroDivisionError):  # "1//2", "1/0", "", "1/2/3"
                 return None
             return CostFunction(arity, vals, name)
@@ -342,9 +336,10 @@ class Resolver:
         The `Relation` of its ref, the `CostFunction` for VCSP, or None for a
         Max-Cut edge.  Raises InstanceError at the first constraint with an
         unknown name, a Max-Cut ref other than 'edge', an arity other than
-        the number of arguments, or a weight on a SAT, U-Max-Ones or
-        Min-Ones constraint.  A known name is one read of the resolver's
-        map; only a name met for the first time is built.
+        the number of arguments, or a weight on a constraint of a kind that
+        weighs none: SAT and the Ones kinds, which weigh variables.  A known
+        name is one read of the resolver's map; only a name met for the
+        first time is built.
         """
         if kind == KIND_MAXCUT:
             for c in constraints:
@@ -355,7 +350,7 @@ class Resolver:
             return [None] * len(constraints)
         vcsp = kind == KIND_VCSP
         known = self._costfns if vcsp else self._relations
-        weightless = kind in (KIND_SAT, KIND_UMO, KIND_MINO)
+        weightless = kind in (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
         out = []
         for c in constraints:
             ref = c.ref

@@ -30,7 +30,6 @@ side and definition here.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -55,6 +54,8 @@ from .relations import (
     h_operation,
     dual_h_operation,
     MAX_OPERATION_ARITY,
+    NUMERAL,
+    numeral,
     preserves,
     preserves_symmetric,  # read by bench/tracer.py, which spans it here
 )
@@ -298,11 +299,6 @@ class CoCloneId:
         return self.display()
 
 
-def _numeral(s: str) -> bool:
-    """An ASCII decimal numeral with no leading zero, such as 0 or 12."""
-    return re.fullmatch("0|[1-9][0-9]*", s) is not None
-
-
 def parse_coclone_name(name: str, index: Optional[int] = None) -> CoCloneId:
     """Parse names like "IN2", "IS^2_1", "IS1" (+ explicit index), "IS1_2".
 
@@ -317,18 +313,18 @@ def parse_coclone_name(name: str, index: Optional[int] = None) -> CoCloneId:
         return CoCloneId(body, index)
     if body.startswith("S^"):
         caret, _, rest = body[2:].partition("_")
-        if not _numeral(caret):
+        if not NUMERAL.fullmatch(caret):
             raise RelationError(f"chain index {caret!r} in {name!r} is not a numeral")
-        parsed = CoCloneId("S" + rest, int(caret))
+        parsed = CoCloneId("S" + rest, numeral(caret))
     elif body.startswith("S_"):
         parsed = CoCloneId("S" + body[2:], None)
     elif body in NON_CHAIN_FAMILIES:
         parsed = CoCloneId(body, None)
     else:
         fam, _, idx = body.partition("_")
-        if not (fam in CHAIN_FAMILIES and _numeral(idx)):
+        if not (fam in CHAIN_FAMILIES and NUMERAL.fullmatch(idx)):
             raise RelationError(f"unknown co-clone name {name!r}")
-        parsed = CoCloneId(fam, int(idx))
+        parsed = CoCloneId(fam, numeral(idx))
     if index is not None:
         raise RelationError(f"{name} takes no index argument (got {index}); "
                             "only a chain family such as IS1 does")
@@ -352,18 +348,6 @@ def _base(clone: CloneId) -> tuple[tuple[BooleanOperation, ...], Optional[tuple[
     if clone.index is None:
         return row.limit or row.base, None
     return row.base, ("dualh" if row.side == 0 else "h", clone.index)
-
-
-def clone_base(clone: CloneId) -> list[BooleanOperation]:
-    """Base operations of a catalog clone as truth tables."""
-    fixed, h = _base(clone)
-    if h is None:
-        return list(fixed)
-    kind, n = h
-    if n + 1 > MAX_OPERATION_ARITY:
-        raise RelationError(
-            f"chain index {n} needs an arity-{n + 1} table beyond the operation cap")
-    return [*fixed, _h(kind, n)]
 
 
 def catalog(max_chain_index: int = 3) -> list[CloneId]:

@@ -62,7 +62,6 @@ from .instances import (
     rf_name,
 )
 from .oracle import OracleError, SolveResult, meets_threshold, solve
-from .relations import Relation
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
@@ -146,32 +145,16 @@ def _require_unweighted(inst: Instance) -> None:
 # NAND-with-constant relation (clique/independent-set gadget)
 
 
-def _feasible_assignments(rel: Relation, args: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    out = []
-    seen = set()
-    for t in rel.tuples:
-        assign: dict[int, int] = {}
-        ok = True
-        for j, v in enumerate(args):
-            bit = (t >> j) & 1
-            if assign.setdefault(v, bit) != bit:
-                ok = False
-                break
-        if ok:
-            key = tuple(sorted(assign.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    return out
-
-
 def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
     _require_degree_bound(inst, 2)
     rel = resolver.relation("R_II2")
+    # a vertex per constraint and consistent assignment of its distinct
+    # variables: a tuple of the identification minor at its arguments
     vertices: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for ci, c in enumerate(inst.constraints):
-        for assign in _feasible_assignments(rel, c.args):
-            vertices.append((ci, assign))
+        distinct = tuple(dict.fromkeys(c.args))
+        for m in rel.minor(tuple(map(distinct.index, c.args))).tuples:
+            vertices.append((ci, tuple((v, m >> i & 1) for i, v in enumerate(distinct))))
     nv = len(vertices)
     # variable 0 is the shared constant-0 global; vertices follow.  The global
     # must be pinned even when no NAND pair exists (degenerate inputs),

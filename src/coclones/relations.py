@@ -19,8 +19,10 @@ operation without one makes the language tractable.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -66,6 +68,36 @@ def string_to_mask(s: str) -> int:
         elif ch != "0":
             raise RelationError(f"bad tuple character {ch!r} in {s!r}")
     return m
+
+
+# The one rule for every integer the program reads, in a name, a file token or
+# an argument: ASCII digits with no leading zero.  A name embeds NUMERAL; a
+# token or an argument may also carry a minus sign, so that a negative count
+# reaches the range check that names it.
+NUMERAL = re.compile("0|[1-9][0-9]*")
+_INTEGER = re.compile(f"-?(?:{NUMERAL.pattern})")
+
+
+def numeral(text: str) -> int:
+    """The integer `text` spells under the numeral rule; ValueError otherwise."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not a numeral: {text!r}")
+    return int(text)
+
+
+# Weights, thresholds and cost values repeat a handful of tokens ("1/2", "3",
+# ...), so each token's Fraction is kept; Fraction's string parser takes about
+# 2 us a token.  The 1024 entries bound the cache at about 0.2 MB however many
+# distinct tokens a long run meets.  A bad token raises and is not kept.
+@lru_cache(maxsize=1 << 10)
+def number(text: str) -> Fraction:
+    """A number token: Fraction's grammar, in ASCII and without '_'.
+
+    ValueError or ZeroDivisionError otherwise, as from Fraction itself.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)

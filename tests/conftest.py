@@ -2,7 +2,8 @@ import os
 
 from hypothesis import settings
 
-# `ci` is the default.  HYPOTHESIS_PROFILE=deep raises max_examples tenfold;
+# `ci` is the default.  HYPOTHESIS_PROFILE=deep raises max_examples tenfold,
+# and the deep CI step runs the tests marked `deep` under it (`pytest -m deep`);
 # the brute-force and minor properties of test_oracle.py and the
 # polymorphism-scan property of test_relations.py scale their own example
 # counts by it, and the array-reference property of test_definitions.py, the

@@ -265,6 +265,64 @@ def test_malformed_number_exits_2(tmp_path, command, name, text):
     assert proc.stderr.startswith(f"error: {path}: ")
 
 
+# Every integer token is ASCII digits with no leading zero (and may carry a
+# minus sign), and every number token is Fraction's grammar in ASCII without
+# '_'; int() and Fraction() read each of these.  ١-٣ are the
+# Arabic-Indic digits 1-3.  (command, file name, text, the bad token's line)
+OFF_GRAMMAR_TOKENS = [
+    ("solve", "x.inst", "problem SAT\nvars 1_0\n", "integer", "1_0", "vars 1_0"),
+    ("solve", "x.inst", "problem SAT\nvars ٣\n", "integer", "٣", "vars ٣"),
+    ("solve", "x.inst", "problem SAT\nvars 03\n", "integer", "03", "vars 03"),
+    ("solve", "x.inst", "problem SAT\nvars 2\nc OR2 +1 2\n", "integer", "+1", "c OR2 +1 2"),
+    ("solve", "x.inst", "problem SAT\nvars 2\nc OR2 ٢ 1\n", "integer", "٢",
+     "c OR2 ٢ 1"),
+    ("solve", "x.inst", "problem SAT\nvars 2\nc OR2 01 2\n", "integer", "01", "c OR2 01 2"),
+    ("wpp-eval", "x.inst", "problem W-Max-Ones\nvars 3\nc OR2 1 2\nproject ٣\n",
+     "integer", "٣", "project ٣"),
+    ("coclone", "x.rel", "relation R 0٢\n00\n", "integer", "0٢",
+     "relation R 0٢"),
+    ("vcsp-classify", "x.cost", "costfn f 0١\n0 1\n1 0\n", "integer", "0١",
+     "costfn f 0١"),
+    ("solve", "x.inst", "problem VCSP\nvars 2\nc f_neq 1 2 w 1_0\n", "number", "1_0",
+     "c f_neq 1 2 w 1_0"),
+    ("solve", "x.inst", "problem VCSP\nvars 2\nc f_neq 1 2 w ٣\n", "number", "٣",
+     "c f_neq 1 2 w ٣"),
+    ("vcsp-classify", "x.cost", "costfn f 1\n0 1_0\n1 0\n", "number", "1_0", "0 1_0"),
+]
+
+
+@pytest.mark.parametrize("command,name,text,what,tok,line", OFF_GRAMMAR_TOKENS)
+def test_a_token_off_its_grammar_exits_2(tmp_path, command, name, text, what, tok, line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run([command, str(path)])
+    assert (code, out, err.getvalue()) == (
+        2, "", f"error: {path}: bad {what} {tok!r} in line {line!r}\n")
+
+
+@pytest.mark.parametrize("argv,flag,tok", [
+    (["weakbase", "IS1", "٣"], "n", "٣"),
+    (["weakbase", "IS1", "03"], "n", "03"),
+    (["certify", "maxcut_to_vcsp_neq", "--trials", "٣"], "--trials", "٣"),
+    (["certify", "maxcut_to_vcsp_neq", "--seed", "٣"], "--seed", "٣"),
+    (["certify", "maxcut_to_vcsp_neq", "--seed", "0_1"], "--seed", "0_1"),
+    (["solve", "{inst}", "--jobs", "٢"], "--jobs", "٢"),
+    (["ppsearch", "{rel}", "{rel}", "--aux", "١"], "--aux", "١"),
+])
+def test_an_argument_off_the_integer_grammar_is_a_usage_error(tmp_path, argv, flag, tok):
+    (tmp_path / "t.inst").write_text("problem SAT\nvars 1\nc T 1\n")
+    (tmp_path / "eq.rel").write_text("relation eq 2\n00\n11\n")
+    argv = [a.format(inst=tmp_path / "t.inst", rel=tmp_path / "eq.rel") for a in argv]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert err.getvalue().startswith("usage: ")
+    assert err.getvalue().endswith(f"error: argument {flag}: invalid int value: {tok!r}\n")
+
+
 @pytest.mark.parametrize("kind,constraint", [
     ("SAT", "c OR2 1 2"),
     ("U-Max-Ones", "c OR2 1 2"),
@@ -295,6 +353,9 @@ def test_varweights_on_a_kind_without_them_exits_2(tmp_path, kind, constraint):
     # rejected before its 2^9 cost table is built, with CostFunction's text
     (["solve"], "problem VCSP\nvars 9\nc fnot_OR9 1 2 3 4 5 6 7 8 9\n",
      "cost function arity 9 out of range"),
+    # the weights of a W-Max-Ones instance are its variables'; this one was dropped
+    (["solve"], "problem W-Max-Ones\nvars 2\nvarweights 1 1\nc OR2 1 2 w 5\n",
+     "W-Max-Ones constraints carry no weights"),
 ])
 def test_unresolvable_constraint_exits_2_after_the_path(tmp_path, argv, text, message):
     path = tmp_path / "x.inst"

@@ -15,7 +15,6 @@ from coclones.definitions import (
     Formula,
     SearchResult,
     UnsatisfiableGadgetError,
-    WppGadget,
     constant_extension_implications,
     eval_formula,
     eval_wpp,
@@ -156,17 +155,17 @@ def test_argmax_identities_exact():
         want = RESOLVER.relation(ident.target)
         assert got.tuples == want.tuples, ident.base
         gadget = ident.gadget()
-        assert set(gadget.projection) == set(range(gadget.instance.num_vars))
+        assert set(gadget.projection) == set(range(gadget.num_vars))
 
 
 def test_eval_wpp_trivial_and_unsat():
-    one = Instance(KIND_WMO, 1, (), var_weights=(Fraction(1),))
-    got = eval_wpp(WppGadget(one, (0,)), RESOLVER)
+    one = Instance(KIND_WMO, 1, (), var_weights=(Fraction(1),), projection=(0,))
+    got = eval_wpp(one, RESOLVER)
     assert got.tuples == (1,)  # a free weighted variable maximizes to 1
     bad = Instance(KIND_WMO, 1, (Constraint("T", (0,)), Constraint("F", (0,))),
                    var_weights=(Fraction(1),))
     with pytest.raises(UnsatisfiableGadgetError):
-        eval_wpp(WppGadget(bad, (0,)), RESOLVER)
+        eval_wpp(bad, RESOLVER)
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,10 +174,10 @@ def test_eval_wpp_invariant_under_weight_scaling(num, den):
     scale = Fraction(num, den)
     ident = ARGMAX_IDENTITIES[0]
     base = eval_wpp(ident.gadget(), RESOLVER)
-    inst = ident.gadget().instance
+    inst = ident.gadget()
     scaled = Instance(KIND_WMO, inst.num_vars, inst.constraints,
                       var_weights=tuple(w * scale for w in inst.var_weights))
-    got = eval_wpp(WppGadget(scaled, tuple(range(8))), RESOLVER)
+    got = eval_wpp(scaled, RESOLVER)
     assert got.tuples == base.tuples
 
 
@@ -262,6 +261,7 @@ def formulas(draw, language):
 
 
 # no max_examples: the count follows the loaded profile (conftest.py)
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_int_tables_match_the_array_code(data):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from coclones import fileio, instances
+from coclones import instances, relations
 from coclones.fileio import (
     emit_cost,
     emit_inst,
@@ -218,7 +218,7 @@ COST_VALUES = st.one_of(
 @example(["3/2", "06/04", "0/5", "10"])
 @example(["1", "2", "3", "4", "5", "6", "7", str(2 ** 64)])
 def test_cost_names_parse_to_their_fractions(values):
-    # counts and fractions skip Fraction's string parser; the table must not show it
+    # every value is a Fraction, whatever its spelling
     name = f"cost{len(values).bit_length() - 1}_" + "_".join(values)
     table = default_resolver().costfn(name).table
     assert table == tuple(Fraction(v) for v in values)
@@ -226,25 +226,35 @@ def test_cost_names_parse_to_their_fractions(values):
 
 
 # tokens that Fraction's string parser takes (counts, fractions, decimals,
-# signs, exponents, padding zeros) and some it refuses
+# signs, exponents, padding zeros) and some it refuses; a number token is
+# Fraction's grammar in ASCII and without '_', so "1_000" and the
+# Arabic-Indic 3 (\u0663) are bad numbers though Fraction reads them
 NUMBER_TOKENS = st.one_of(
     COST_VALUES,
     st.from_regex(r"\A[+-]?[0-9]{1,6}(\.[0-9]{0,4})?(e[+-]?[0-9])?\Z"),
-    st.sampled_from(["1/0", "x", "1//2", "1/2/3", "-1", "1.5", "0/1", "-0", "1_000"]))
+    st.sampled_from(["1/0", "x", "1//2", "1/2/3", "-1", "1.5", "0/1", "-0", "1_000",
+                     "\u0663", "1/\u0663"]))
+
+
+def _number_reference(tok: str) -> Fraction:
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return Fraction(tok)
 
 
 # no max_examples: the count follows the loaded profile (conftest.py)
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.lists(NUMBER_TOKENS, min_size=1, max_size=4))
 def test_inst_number_tokens_parse_to_their_fractions(tokens):
     # weights and thresholds go through a token cache; each parse, cold or
-    # warm, must give Fraction(tok) or the parser's error for that token
-    fileio._fraction_token.cache_clear()
+    # warm, must give the token's Fraction or the parser's error for it
+    relations.number.cache_clear()
     for _ in range(2):
         for tok in tokens:
             line = f"c f_neq 1 2 w {tok}"
             try:
-                want = Fraction(tok)
+                want = _number_reference(tok)
             except (ValueError, ZeroDivisionError):
                 with pytest.raises(InstanceError, match=re.escape(f"bad number {tok!r}")):
                     parse_inst(f"problem VCSP\nvars 2\n{line}\n")
@@ -260,12 +270,13 @@ def test_inst_number_tokens_parse_to_their_fractions(tokens):
 
 
 # no max_examples: the count follows the loaded profile (conftest.py)
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda k: st.lists(COST_VALUES, min_size=1 << k, max_size=1 << k)))
 def test_cost_name_values_parse_to_their_fractions_cold_and_warm(values):
     # the value tokens go through a token cache shared by every resolver
-    instances._cost_value.cache_clear()
+    relations.number.cache_clear()
     name = f"cost{len(values).bit_length() - 1}_" + "_".join(values)
     for resolver in (default_resolver(), default_resolver()):
         fn = resolver.costfn(name)

@@ -188,7 +188,8 @@ def instances(draw, kinds=ALL_KINDS, least=1, most=TRUTH + 2, most_constraints=6
     # by default both sides of the truth-table cut
     n = draw(st.integers(least, most))
     refs = COSTS if kind == KIND_VCSP else ("edge",) if kind == KIND_MAXCUT else RELATIONS
-    weighted = kind in (KIND_WMO, KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
+    # the Ones kinds weigh variables, never constraints
+    weighted = kind in (KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
     cons = []
     if n:  # no constraint has a variable to take on 0 variables
         # in one draw of four, args from a pool of 1-3 variables collapse a
@@ -262,6 +263,7 @@ EMPTYING_TARGETS = (
 )
 
 
+@pytest.mark.deep
 @settings(max_examples=examples(300), deadline=None)
 @given(instances(), st.booleans())
 @example(CERTIFY_TARGETS[0], True)
@@ -286,6 +288,7 @@ def test_frontier_matches_bruteforce(inst, want_all):
 
 # solve takes hard kinds up to the cut through the truth tables, so the
 # frontier is compared with them and with the reference here, at every size
+@pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
 @given(instances(HARD_KINDS), st.booleans())
 @example(TRUTH_EXAMPLES[0], True)
@@ -338,6 +341,7 @@ def spy_on(monkeypatch, name="_split_chunks"):
 
 # solve takes instances up to the cut through the truth tables, so the grid
 # evaluator is compared with the reference here, at every size
+@pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
 @given(instances(), st.booleans())
 @example(soft(KIND_VCSP, TRUTH), True)
@@ -470,6 +474,7 @@ ELIMINATION_EXAMPLES = (
 
 # the DP is compared with the reference here at every size, whether or not
 # solve would route the instance to it
+@pytest.mark.deep
 @settings(max_examples=examples(100), deadline=None)
 @given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT), least=0, most=18,
                  most_constraints=30))
@@ -533,6 +538,7 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
 ONES_WEIGHTS = st.one_of(st.integers(0, 6), st.integers(2 ** 31, 2 ** 33))
 
 
+@pytest.mark.deep
 @pytest.mark.parametrize("n", range(11))
 @settings(max_examples=examples(20), deadline=None)
 @given(data=st.data())
@@ -558,6 +564,7 @@ def truth_instances(draw):
     return inst
 
 
+@pytest.mark.deep
 @settings(max_examples=examples(300), deadline=None)
 @given(truth_instances(), st.booleans())
 @example(umo(0, []), True)
@@ -594,6 +601,7 @@ def soft_truth_instances(draw):
 CYCLE = Instance(KIND_MAXCUT, 5, tuple(Constraint("edge", (i, (i + 1) % 5)) for i in range(5)))
 
 
+@pytest.mark.deep
 @settings(max_examples=examples(300), deadline=None)
 @given(soft_truth_instances(), st.booleans())
 @example(CYCLE, True)
@@ -617,6 +625,7 @@ def test_soft_truth_route_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
+@pytest.mark.deep
 @settings(max_examples=examples(100), deadline=None)
 @given(soft_truth_instances(), st.booleans())
 @example(CYCLE, True)
@@ -846,6 +855,7 @@ def weighted_instances(draw):
 
 # _terms builds its integers from each object's cached integer form and the
 # reduced denominator of each term; the reference builds them value by value
+@pytest.mark.deep
 @settings(max_examples=examples(300), deadline=None)
 @given(weighted_instances(), st.booleans())
 @example(wmo(2, [], (2 ** 59, 2 ** 59)), False)
@@ -902,6 +912,7 @@ def test_resolvers_keep_their_own_relation_under_one_name():
 
 
 # a random constraint over a pool of 1-3 variables, repeats allowed
+@pytest.mark.deep
 @settings(max_examples=examples(300), deadline=None)
 @given(st.sampled_from(RELATIONS).flatmap(lambda ref: st.tuples(
     st.just(ref), st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(

@@ -12,12 +12,13 @@ from coclones.postlattice import (
     CloneId,
     CoCloneId,
     catalog,
-    clone_base,
     clone_leq,
     co_clone_leq,
     co_clone_of,
     op_in_clone,
     parse_coclone_name,
+    _base,
+    _h,
     _h_in_clone,
     _h_preserves_rel,
     _h_traits,
@@ -41,6 +42,13 @@ from coclones.relations import (
     rel_or,
 )
 from coclones.weakbases import weak_base
+
+
+def clone_base(clone: CloneId) -> list[BooleanOperation]:
+    """Base operations of a catalog clone: its fixed ones, and the h of a
+    finite chain member."""
+    fixed, h = _base(clone)
+    return list(fixed) if h is None else [*fixed, _h(*h)]
 
 
 def test_clone_base_spec_examples():

@@ -89,6 +89,8 @@ REJECTIONS = [
      "Min-Ones constraints carry no weights"),
     # every Max-Cut entry admits only 'edge', so its language check rejects first
     (KIND_MAXCUT, Constraint("OR2", (0, 1)), None, "Max-Cut constraints must use ref 'edge'"),
+    (KIND_WMO, Constraint("R_II2", tuple(range(8)), Fraction(5)), "wmo_qwpp_IL2",
+     "W-Max-Ones constraints carry no weights"),
 ]
 
 
@@ -193,6 +195,7 @@ WEIGHTS = st.builds(Fraction, st.integers(0, 10 ** 9), st.integers(1, 10 ** 4))
 
 
 # no max_examples: the count follows the loaded profile (conftest.py)
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_big_m_and_qwpp_weights_match_the_fraction_reference(data):

@@ -85,6 +85,7 @@ def operation_and_relation(draw):
 
 
 # twice the profile's count: 200 examples, and 2000 in the deep CI step
+@pytest.mark.deep
 @settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(operation_and_relation())
 @example((H3, Relation(3, (0b001, 0b010, 0b100))))
@@ -113,6 +114,7 @@ def test_preserves_without_a_diagram_matches_naive(case):
         assert preserves(op, rel) == (want is None)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(st.data())
 def test_image_matches_the_table(data):
