@@ -11,16 +11,16 @@ import sys
 from collections import Counter
 
 from coclones.acceptance import random_cost_set
-from coclones.cli import _positive_int
+from coclones.cli import _int, _positive_int
 from coclones.valued import MAX_COST_ARITY, classify_vcsp, express_neq, verify_neq_expression
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sets", type=_positive_int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int, default=0)
     parser.add_argument("--max-arity", type=_positive_int, default=3)
-    parser.add_argument("--max-value", type=int, default=4)
+    parser.add_argument("--max-value", type=_int, default=4)
     args = parser.parse_args()
     if args.max_arity > MAX_COST_ARITY:
         parser.error(f"argument --max-arity: must be at most {MAX_COST_ARITY}, got {args.max_arity}")

@@ -35,6 +35,7 @@ from .postlattice import (
 from .relations import (
     ConstraintLanguage,
     EmptyRelationError,
+    Relation,
     RelationError,
     classify_max_ones,
     classify_sat,
@@ -63,10 +64,11 @@ def _read(path: str) -> str:
 
 
 def _on_file(path: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with path before a format or resolution error in that file."""
+    """fn(*args, **kwargs), with path before a format, resolution or admission
+    error in that file."""
     try:
         return fn(*args, **kwargs)
-    except (RelationError, InstanceError) as exc:
+    except (RelationError, InstanceError, ReductionError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -75,11 +77,15 @@ def _parse_file(path: str, parser):
     return _on_file(path, parser, _read(path))
 
 
-def _load_language(path: str) -> ConstraintLanguage:
+def _relations(path: str) -> list[Relation]:
     rels = _parse_file(path, parse_rel)
     if not rels:
         raise CliError(f"{path}: no relations found")
-    return ConstraintLanguage(rels)
+    return rels
+
+
+def _load_language(path: str) -> ConstraintLanguage:
+    return ConstraintLanguage(_relations(path))
 
 
 def _resolver_with_defs(defs: Sequence[str]) -> Resolver:
@@ -158,7 +164,7 @@ def _cmd_wpp_eval(args) -> int:
 def _cmd_ppsearch(args) -> int:
     from .definitions import search_definition
 
-    target = _parse_file(args.target, parse_rel)[0]
+    target = _relations(args.target)[0]
     language = _load_language(args.language)
     result = search_definition(target, language, max_aux=args.aux,
                                max_atoms=args.atoms, include_eq=args.with_eq)
@@ -171,7 +177,7 @@ def _cmd_ppsearch(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reductions import apply, record
+    from .reductions import Decision, apply, record
 
     rec = record(args.name)
     inst = _parse_file(args.instance, parse_inst)
@@ -180,7 +186,15 @@ def _cmd_reduce(args) -> int:
     print(f"{args.name}: {rec.source_kind} -> {rec.target_kind} "
           f"[{rec.kind_tag}, C={rec.lv_parameter}]")
     print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.bound_text})")
-    print(f"note: {rec.note(inst, resolver)}")
+    if isinstance(rec.measure, Decision):
+        print(f"measure: source satisfiable iff target optimum "
+              f"{info.threshold.direction} {info.threshold.value}")
+    elif info.sign > 0:
+        print(f"measure: target optimum = source optimum + {info.value_offset}")
+    else:
+        print(f"measure: target optimum = {info.value_offset} - source optimum")
+    if rec.note is not None:
+        print(f"note: {rec.note(inst, resolver)}")
     if info.threshold is not None:
         print(f"target threshold: {info.threshold.direction} {info.threshold.value}")
     if args.output:

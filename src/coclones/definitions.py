@@ -107,7 +107,7 @@ def eval_wpp(gadget: Instance, resolver: Optional[Resolver] = None) -> Relation:
     res = solve(gadget, resolver, want_all=True)
     if not res.satisfiable:
         raise UnsatisfiableGadgetError("gadget instance is unsatisfiable")
-    projection = gadget.projection or range(gadget.num_vars)
+    projection = range(gadget.num_vars) if gadget.projection is None else gadget.projection
     out = set()
     for mask in res.optimal_set:
         m = 0

@@ -135,9 +135,11 @@ class Instance:
                 raise InstanceError("varweights length must equal the variable count")
             if any(map(_negative, weights)):
                 raise InstanceError("variable weights must be nonnegative")
-        if self.projection is not None and any(
-                not 0 <= v < n for v in self.projection):
-            raise InstanceError("projection uses an out-of-range variable")
+        if self.projection is not None:
+            if not self.projection:
+                raise InstanceError("projection lists no variables")
+            if any(not 0 <= v < n for v in self.projection):
+                raise InstanceError("projection uses an out-of-range variable")
 
     @property
     def num_constraints(self) -> int:

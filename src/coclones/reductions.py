@@ -3,25 +3,30 @@
 A `ReductionRecord` states what a reduction is and leaves the checking to
 this module:
 
+- what it admits: the source kind and language ("*" admits any), the
+  `degree` bound (no source variable in more constraints than that), and
+  `unweighted` (no variable weights, every term weight unset or 1);
 - `build(src, resolver)`: the construction, and nothing else;
 - `num_vars(src, resolver)`: the target's variable count, exact or, with
   `exact=False`, an upper bound;
 - `measure`: either `Affine(sign, offset)`, where the target optimum is
   sign * source optimum + offset(src, resolver), or `Decision(threshold)`,
-  where the source is satisfiable iff the target meets threshold(src);
+  where the source is satisfiable iff the target meets threshold(src) (and,
+  with `exact=True`, a satisfiable source's target optimum equals it);
 - the corpus that certifies it (a seeded `sampler` or an `exhaustive`
   generator), the entries a sample passes through first (`chain_before`),
-  the `note` that `coclones reduce` prints, and at most one extra
-  `invariant`.
+  an optional `note` for a fact the rest does not state, and at most one
+  extra `invariant`.
 
-`apply` enforces the declaration on every call: it checks the source kind
-and language ("*" admits any), resolves every source constraint
-(`Resolver.resolve_all`), checks the built target's kind and language the
-same way, asserts the variable count, maps the source threshold through
-`Affine` (sign -1 flips its direction) or sets it from `Decision`, and fills
-`ApplyInfo`.  It renders no note: only `coclones reduce` prints one, so it
-calls the entry's `note` itself.  `certify` replays a corpus through the
-oracle and checks the measure map with one rule for every entry.
+`apply` is the one checker of admission, and it enforces the declaration on
+every call: it checks the source kind and language, resolves every source
+constraint (`Resolver.resolve_all`), checks the degree bound and the
+weights, builds, checks the built target's kind and language the same way,
+asserts the variable count, maps the source threshold through `Affine` (sign
+-1 flips its direction) or sets it from `Decision`, and fills `ApplyInfo`.
+It renders nothing: `coclones reduce` prints the measure map from the
+declaration and `ApplyInfo`, then the note.  `certify` replays a corpus
+through the oracle and checks the measure map with one rule for every entry.
 
 Output variables are ordered originals first, then globals (v0, v1), then
 per-variable auxiliaries, then per-constraint auxiliaries.
@@ -83,9 +88,11 @@ class Affine:
 
 @dataclass(frozen=True)
 class Decision:
-    """The source is satisfiable iff the target meets threshold(src)."""
+    """The source is satisfiable iff the target meets threshold(src); with
+    `exact`, a satisfiable source's target optimum equals it."""
 
     threshold: Callable[[Instance], Threshold]
+    exact: bool = False
 
 
 @dataclass
@@ -107,18 +114,25 @@ class ReductionRecord:
     source_language: tuple[str, ...]  # "*" admits any relation or cost function
     target_kind: str
     target_language: tuple[str, ...]
-    kind_tag: str  # "CV" or "LV"
     lv_parameter: str  # the factor C, as text for the report
     bound_text: str
     build: Callable[[Instance, Resolver], Instance]
     num_vars: Callable[[Instance, Resolver], int]
     exact: bool  # num_vars is the exact count, not only an upper bound
     measure: Affine | Decision
-    note: Callable[[Instance, Resolver], str]  # printed by `coclones reduce` only
+    degree: Optional[int] = None  # no source variable in more constraints than this
+    unweighted: bool = False  # no variable weights, and every term weight unset or 1
+    # a fact the declaration lacks, printed by `coclones reduce` only
+    note: Optional[Callable[[Instance, Resolver], str]] = None
     sampler: Optional[Callable[[random.Random], Instance]] = None
     exhaustive: Optional[Callable[[], Iterator[Instance]]] = None
     chain_before: tuple[str, ...] = ()  # certify passes samples through these first
     invariant: Optional[Invariant] = None
+
+    @property
+    def kind_tag(self) -> str:
+        """The report's tag: CV when C is 1, else LV."""
+        return "CV" if self.lv_parameter == "1" else "LV"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -136,8 +150,14 @@ def _require_degree_bound(inst: Instance, bound: int) -> None:
              f"degree bound violated: variable(s) {offending} occur in more than {bound} constraints")
 
 
-def _require_unweighted(inst: Instance) -> None:
-    _require(inst.var_weights is None, "source must be unweighted")
+def _unweighted(inst: Instance) -> bool:
+    """No variable weights, and every term weight unset or 1."""
+    if inst.var_weights is not None:
+        return False
+    for c in inst.constraints:
+        if c.weight is not None and c.weight != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +166,6 @@ def _require_unweighted(inst: Instance) -> None:
 
 
 def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
-    _require_degree_bound(inst, 2)
     rel = resolver.relation("R_II2")
     # a vertex per constraint and consistent assignment of its distinct
     # variables: a tuple of the identification minor at its arguments
@@ -182,7 +201,6 @@ def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _build_sat2_to_umo_il2(inst: Instance, resolver: Resolver) -> Instance:
-    _require_degree_bound(inst, 2)
     n, m = inst.num_vars, inst.num_constraints
     v0, v1 = n, n + 1
     prime = [n + 2 + i for i in range(n)]
@@ -199,23 +217,11 @@ def _build_sat2_to_umo_il2(inst: Instance, resolver: Resolver) -> Instance:
     return Instance(KIND_UMO, 2 + 2 * n + 3 * m, tuple(cons))
 
 
-def _il2_threshold(inst: Instance) -> Threshold:
-    return Threshold(">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints))
-
-
-def _hits_threshold_exactly(src, tgt, sres, tres, resolver) -> Optional[str]:
-    want = tgt.threshold.value
-    if sres.satisfiable and tres.optimum != want:
-        return f"satisfiable source must hit exactly {want}, got {tres.optimum}"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Entries 3-6: unweighted Max-Ones interreductions between weak bases
 
 
 def _build_umo_il2_to_il0(inst: Instance, resolver: Resolver) -> Instance:
-    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(n)]
@@ -235,7 +241,6 @@ def _build_umo_il2_to_il0(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _build_umo_ii2_to_in2(inst: Instance, resolver: Resolver) -> Instance:
-    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(2 * n)]
@@ -249,7 +254,6 @@ def _build_umo_ii2_to_in2(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _build_umo_is21_to_id2(inst: Instance, resolver: Resolver) -> Instance:
-    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     prime = [n + 2 + 2 * i for i in range(n)]
@@ -266,7 +270,6 @@ def _build_umo_is21_to_id2(inst: Instance, resolver: Resolver) -> Instance:
 
 
 def _build_umo_il2_to_il3(inst: Instance, resolver: Resolver) -> Instance:
-    _require_unweighted(inst)
     n = inst.num_vars
     v0, v1 = n, n + 1
     ys = [n + 2 + i for i in range(2 * n)]
@@ -286,7 +289,6 @@ def _build_umo_il2_to_il3(inst: Instance, resolver: Resolver) -> Instance:
 
 def _make_qpp_build(ext: ExtensionFormula):
     def build(inst: Instance, resolver: Resolver) -> Instance:
-        _require_unweighted(inst)
         n = inst.num_vars
         k = ext.formula.total_vars - 2
         y0, y1 = n, n + 1
@@ -375,7 +377,6 @@ def _make_qwpp_note(identity: ArgmaxIdentity):
 
 
 def _build_maxones_to_minones(inst: Instance, resolver: Resolver) -> Instance:
-    _require_unweighted(inst)
     n = inst.num_vars
     return Instance(KIND_UMO, 3 * n, inst.constraints + _complements(n))
 
@@ -397,8 +398,6 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
     cons: list[Constraint] = []
     used_first: set[int] = set()
     for c, fn in zip(inst.constraints, resolver.resolve_all(inst.kind, inst.constraints)):
-        _require(c.weight in (None, Fraction(1)),
-                 "unweighted valued instances only (unit term weights)")
         _require(all(v.denominator == 1 for v in fn.table),
                  "integer cost values required")
         k = fn.arity
@@ -451,11 +450,8 @@ def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
 
 
 def _build_sat2_to_uvcsp2(inst: Instance, resolver: Resolver) -> Instance:
-    _require_degree_bound(inst, 2)
-    n = inst.num_vars
-    _require(inst.num_constraints <= 2 * n, "at most 2n constraints expected")
     cons = [Constraint("fnot_R_II2", c.args) for c in inst.constraints]
-    return Instance(KIND_VCSP, n, tuple(cons))
+    return Instance(KIND_VCSP, inst.num_vars, tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +663,6 @@ def _offset(f: Callable[[int], int]) -> Callable[[Instance, Resolver], Fraction]
     return lambda inst, resolver: Fraction(f(inst.num_vars))
 
 
-def _text(note: str) -> Callable[[Instance, Resolver], str]:
-    """A note that does not depend on the source."""
-    return lambda inst, resolver: note
-
-
 REGISTRY: dict[str, ReductionRecord] = {}
 
 
@@ -681,59 +672,56 @@ def _register(rec: ReductionRecord) -> None:
 
 _register(ReductionRecord(
     "sat2_to_umo_IS21", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IS1_2",),
-    "LV", "6", "1 + sum of feasible assignments <= 3m+1 <= 6n+1",
+    "6", "1 + sum of feasible assignments <= 3m+1 <= 6n+1",
     build=_build_sat2_to_umo_is21,
     num_vars=lambda inst, resolver: 3 * inst.num_constraints + 1, exact=False,
     measure=Decision(lambda inst: Threshold(">=", Fraction(inst.num_constraints))),
-    note=lambda inst, resolver: f"satisfiable iff optimum >= m = {inst.num_constraints}",
-    sampler=_sample_sat2))
+    degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "sat2_to_umo_IL2", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IL2",),
-    "LV", "8", "2+2n+3m (<= 2+8n)",
+    "8", "2+2n+3m (<= 2+8n)",
     build=_build_sat2_to_umo_il2,
     num_vars=lambda inst, resolver: 2 + 2 * inst.num_vars + 3 * inst.num_constraints,
-    exact=True, measure=Decision(_il2_threshold),
-    note=lambda inst, resolver:
-        f"satisfiable iff optimum >= n+1+2m = {_il2_threshold(inst).value}",
-    sampler=_sample_sat2, invariant=_hits_threshold_exactly))
+    exact=True, measure=Decision(lambda inst: Threshold(
+        ">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints)), exact=True),
+    degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "umo_IL2_to_IL0", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL0",),
-    "LV", "2", "2+2n",
+    "2", "2+2n",
     build=_build_umo_il2_to_il0, num_vars=_vars(lambda n: 2 + 2 * n), exact=True,
-    measure=Affine(1, _offset(lambda n: n + 1)), note=_text("measure map k -> n+1+k"),
+    measure=Affine(1, _offset(lambda n: n + 1)),
     sampler=_make_umo_sampler("R_IL2", 8)))
 
 _register(ReductionRecord(
     "umo_II2_to_IN2", KIND_UMO, ("R_II2",), KIND_UMO, ("R_IN2",),
-    "LV", "3", "2+3n",
+    "3", "2+3n",
     build=_build_umo_ii2_to_in2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
-    measure=Affine(1, _offset(lambda n: 1 + 2 * n)), note=_text("measure map k -> 1+2n+k"),
+    measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
     sampler=_make_umo_sampler("R_II2", 8)))
 
 _register(ReductionRecord(
     "umo_IS21_to_ID2", KIND_UMO, ("R_IS1_2",), KIND_UMO, ("R_ID2",),
-    "LV", "3", "2+3n",
+    "3", "2+3n",
     build=_build_umo_is21_to_id2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
-    measure=Affine(1, _offset(lambda n: 1 + n)), note=_text("measure map k -> 1+n+k"),
+    measure=Affine(1, _offset(lambda n: 1 + n)),
     sampler=_make_umo_sampler("R_IS1_2", 3, n_range=(2, 6))))
 
 _register(ReductionRecord(
     "umo_IL2_to_IL3", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL3",),
-    "LV", "3", "2+3n",
+    "3", "2+3n",
     build=_build_umo_il2_to_il3, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
-    measure=Affine(1, _offset(lambda n: 1 + 2 * n)), note=_text("measure map k -> 1+2n+k"),
+    measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
     sampler=_make_umo_sampler("R_IL2", 8)))
 
 for _ext_formula in EXTENSION_FORMULAS:
     _register(ReductionRecord(
         f"umo_qpp_{_ext_formula.target[2:]}", KIND_UMO, (_ext_formula.source,),
         KIND_UMO, (_ext_formula.target,),
-        "CV", "1", "n+2",
+        "1", "n+2",
         build=_make_qpp_build(_ext_formula), num_vars=_vars(lambda n: n + 2), exact=True,
         measure=Affine(1, _offset(lambda n: 1)),
-        note=_text("threshold map k -> k+1 (y1 counted)"),
         sampler=_make_umo_sampler(_ext_formula.source, _ext_formula.formula.total_vars - 2,
                                   n_range=(3, 6), cover_all=True)))
 
@@ -741,7 +729,7 @@ for _ident in ARGMAX_IDENTITIES:
     _register(ReductionRecord(
         f"wmo_qwpp_{_ident.base[2:]}", KIND_WMO, (_ident.target,),
         KIND_WMO, (_ident.base,),
-        "CV", "1", "n",
+        "1", "n",
         build=_make_qwpp_build(_ident), num_vars=_vars(lambda n: n), exact=True,
         measure=Affine(1, _make_qwpp_offset(_ident)), note=_make_qwpp_note(_ident),
         sampler=_sample_wmo_ii2,
@@ -749,57 +737,49 @@ for _ident in ARGMAX_IDENTITIES:
 
 _register(ReductionRecord(
     "maxones_to_minones", KIND_MINO, ("*",), KIND_UMO, ("*", "neq"),
-    "LV", "3", "3n",
+    "3", "3n",
     build=_build_maxones_to_minones, num_vars=_vars(lambda n: 3 * n), exact=True,
     measure=Affine(-1, _offset(lambda n: 2 * n)),
-    note=lambda inst, resolver: f"optimum map K -> 2n-K with n = {inst.num_vars}",
-    exhaustive=_exhaustive_minones_or2))
+    unweighted=True, exhaustive=_exhaustive_minones_or2))
 
 _register(ReductionRecord(
     "uvcspd_to_minones", KIND_VCSP, ("*",), KIND_MINO, ("eq", "neq", "Rf_*"),
-    "LV", "1+d(2s+t(2^s+1))", "|V| + |C|(2s + t(2^s+1))",
+    "1+d(2s+t(2^s+1))", "|V| + |C|(2s + t(2^s+1))",
     build=_build_uvcspd_to_minones, num_vars=_uvcspd_bound, exact=False,
     measure=Affine(1, _arity_sum),
-    note=lambda inst, resolver:
-        f"optimum map K -> K + sum of arities = K + {_arity_sum(inst, resolver)}",
-    sampler=_sample_uvcsp))
+    unweighted=True, sampler=_sample_uvcsp))
 
 _register(ReductionRecord(
     "sat2_to_uvcsp2", KIND_SAT, ("R_II2",), KIND_VCSP, ("fnot_R_II2",),
-    "CV", "1", "n (terms <= 2n)",
+    "1", "n (terms <= 2n)",
     build=_build_sat2_to_uvcsp2, num_vars=_vars(lambda n: n), exact=True,
     measure=Decision(lambda inst: Threshold("<=", Fraction(0))),
-    note=_text("satisfiable iff minimum 0; at most 2n unit terms"),
-    sampler=_sample_sat2))
+    degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",), KIND_VCSP, ("f_neq",),
-    "CV", "1", "n",
+    "1", "n",
     build=_build_maxcut_to_vcsp, num_vars=_vars(lambda n: n), exact=True,
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    note=lambda inst, resolver: f"cut k <-> objective {_total_weight(inst)} - k",
     exhaustive=_exhaustive_maxcut))
 
 _register(ReductionRecord(
     "vcsp_neq_to_maxcut", KIND_VCSP, ("f_neq",), KIND_MAXCUT, ("edge",),
-    "CV", "1", "n",
+    "1", "n",
     build=_build_vcsp_to_maxcut, num_vars=_vars(lambda n: n), exact=True,
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    note=lambda inst, resolver: f"objective k <-> cut {_total_weight(inst)} - k",
     exhaustive=_exhaustive_vcsp_neq))
 
 _register(ReductionRecord(
     "maxcsp_nandTF_to_neq", KIND_MAXCSP, ("NAND2", "T", "F"), KIND_MAXCSP, ("neq",),
-    "CV", "1", "n+2",
+    "1", "n+2",
     build=_build_maxcsp_nandtf_to_neq, num_vars=_vars(lambda n: n + 2), exact=True,
     measure=Affine(1, lambda inst, resolver: _maxcsp_big_m(inst)),
-    note=lambda inst, resolver:
-        f"satisfied weight k -> M + k with M = {_maxcsp_big_m(inst)}",
     sampler=_sample_maxcsp_nandtf, invariant=_globals_differ_in_every_optimum))
 
 _register(ReductionRecord(
     "maxcutc_to_wmaxones", KIND_MAXCUT, ("edge",), KIND_WMO, ("XOR3",),
-    "LV", "1+c", "|V| + |E|",
+    "1+c", "|V| + |E|",
     build=_build_maxcutc_to_wmaxones,
     num_vars=lambda inst, resolver: inst.num_vars + inst.num_constraints, exact=True,
     measure=Affine(1, _offset(lambda n: 0)),
@@ -808,12 +788,8 @@ _register(ReductionRecord(
 
 QPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("umo_qpp_"))
 QWPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("wmo_qwpp_"))
-ACCEPTANCE_ENTRIES = (
-    "sat2_to_umo_IS21", "sat2_to_umo_IL2", "umo_IL2_to_IL0", "umo_II2_to_IN2",
-    "umo_IS21_to_ID2", "umo_IL2_to_IL3", "maxones_to_minones",
-    "uvcspd_to_minones", "sat2_to_uvcsp2", "maxcut_to_vcsp_neq",
-    "vcsp_neq_to_maxcut", "maxcsp_nandTF_to_neq", "maxcutc_to_wmaxones",
-)
+# `certify all`: every entry outside the two families, in registration order
+ACCEPTANCE_ENTRIES = tuple(n for n in REGISTRY if n not in QPP_FAMILY + QWPP_FAMILY)
 
 
 def registry_names() -> list[str]:
@@ -853,6 +829,10 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
     resolver = resolver or default_resolver()
     _check_side(name, "source", inst, rec.source_kind, rec.source_language)
     resolver.resolve_all(inst.kind, inst.constraints)
+    if rec.degree is not None:
+        _require_degree_bound(inst, rec.degree)
+    if rec.unweighted and not _unweighted(inst):
+        raise ReductionError("source must be unweighted")
     out = rec.build(inst, resolver)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
     declared = rec.num_vars(inst, resolver)
@@ -920,10 +900,12 @@ def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: i
     sres = solve(src, resolver)
     tres = solve(tgt, resolver)
     if isinstance(rec.measure, Decision):
-        reached = meets_threshold(tres, tgt.threshold)
-        if sres.satisfiable != reached:
-            return (f"decision mismatch at threshold {tgt.threshold.value}: "
+        want = tgt.threshold.value
+        if sres.satisfiable != meets_threshold(tres, tgt.threshold):
+            return (f"decision mismatch at threshold {want}: "
                     f"source sat={sres.satisfiable}, target optimum {tres.optimum}")
+        if rec.measure.exact and sres.satisfiable and tres.optimum != want:
+            return f"satisfiable source must hit exactly {want}, got {tres.optimum}"
     elif sres.satisfiable:
         if not (tres.satisfiable and _on_map(tres.optimum, sign, sres.optimum, offset)):
             want = offset + sres.optimum if sign > 0 else offset - sres.optimum

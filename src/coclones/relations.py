@@ -290,9 +290,6 @@ class Relation:
                 out.append(m)
         return Relation.from_masks(len(cols), out, allow_empty=True)
 
-    def rows(self) -> list[tuple[int, ...]]:
-        return [mask_to_bits(t, self.arity) for t in self.tuples]
-
     def row_strings(self) -> list[str]:
         return [mask_to_string(t, self.arity) for t in self.tuples]
 

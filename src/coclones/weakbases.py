@@ -168,12 +168,3 @@ def all_entries(chain_indices: tuple[int, ...] = (2, 3)) -> list[WeakBaseEntry]:
         for n in chain_indices:
             out.append(weak_base_entry(CoCloneId(fam, n)))
     return out
-
-
-# frequently used handles
-def R_II2() -> Relation:
-    return weak_base(CoCloneId("I2"))
-
-
-def R_IN2() -> Relation:
-    return weak_base(CoCloneId("N2"))

@@ -1,19 +1,30 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from coclones import acceptance, oracle
 from coclones.cli import main, run_selftest
-from coclones.fileio import parse_inst, parse_rel
+from coclones.fileio import emit_inst, parse_inst, parse_rel
+from coclones.instances import Threshold
 from coclones.postlattice import CoCloneId
-from coclones.reductions import registry_names
+from coclones.reductions import (
+    QWPP_FAMILY,
+    REGISTRY,
+    Decision,
+    ReductionError,
+    _entry_seed,
+    apply,
+    registry_names,
+)
 from coclones.weakbases import weak_base
 
 
@@ -79,23 +90,26 @@ def test_solve_and_reduce_round_trip(tmp_path):
     assert code == 0 and "optimum: 1" in out
 
 
-# `reduce` prints the entry's note, which `apply` no longer renders
+# `reduce` prints the measure map it renders from the entry's declaration,
+# then the entry's note if it has one; `apply` renders neither
 REDUCE_NOTES = [
     ("maxcutc_to_wmaxones", "problem Max-Cut\nvars 3\nc edge 1 2 w 2\nc edge 2 3 w 3/2\n",
      "maxcutc_to_wmaxones: Max-Cut -> W-Max-Ones [LV, C=1+c]\n"
      "variables: 3 -> 5 (declared |V| + |E|)\n"
+     "measure: target optimum = source optimum + 0\n"
      "note: XOR3 is pp-definable over R_II2 only with auxiliary variables; "
      "emitting XOR3 as a target primitive\n"),
     ("wmo_qwpp_IL2", "problem W-Max-Ones\nvars 8\nvarweights 1 1/2 0 3 2 1 1/3 0\n"
      "c R_II2 1 2 3 4 5 6 7 8\nc R_II2 2 3 4 5 6 7 8 1\n",
      "wmo_qwpp_IL2: W-Max-Ones -> W-Max-Ones [CV, C=1]\n"
      "variables: 8 -> 8 (declared n)\n"
+     "measure: target optimum = source optimum + 106/3\n"
      "note: big-M = 53/6, per-gadget maximum 2\n"),
     ("maxcut_to_vcsp_neq", "problem Max-Cut\nvars 4\nc edge 1 2\nc edge 2 3 w 5/2\n"
      "c edge 3 4\nthreshold >= 3\n",
      "maxcut_to_vcsp_neq: Max-Cut -> VCSP [CV, C=1]\n"
      "variables: 4 -> 4 (declared n)\n"
-     "note: cut k <-> objective 9/2 - k\n"
+     "measure: target optimum = 9/2 - source optimum\n"
      "target threshold: <= 3/2\n"),
 ]
 
@@ -105,6 +119,73 @@ def test_reduce_prints_the_entry_note(tmp_path, name, text, want):
     inst = tmp_path / "src.inst"
     inst.write_text(text)
     assert run(["reduce", name, str(inst)]) == (0, want)
+
+
+def _first_corpus_source(name):
+    """The first source `certify` draws for the entry, passed through `chain_before`."""
+    rec = REGISTRY[name]
+    if rec.exhaustive is not None:
+        src = next(rec.exhaustive())
+    else:
+        src = rec.sampler(random.Random(_entry_seed(0, name)))
+    for step in rec.chain_before:
+        src, _ = apply(step, src)
+    return src
+
+
+MEASURE_LINE = re.compile(
+    r"measure: (?:target optimum = (?:source optimum \+ (?P<plus>\S+)|(?P<minus>\S+) - "
+    r"source optimum)|source satisfiable iff target optimum (?P<dir>\S+) (?P<value>\S+))")
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_reduce_renders_the_declared_measure(tmp_path, name):
+    rec = REGISTRY[name]
+    src = _first_corpus_source(name)
+    path = tmp_path / "src.inst"
+    path.write_text(emit_inst(src))
+    _, info = apply(name, src)
+    code, out = run(["reduce", name, str(path)])
+    lines = out.splitlines()
+    assert code == 0
+    m = MEASURE_LINE.fullmatch(lines[2])
+    if isinstance(rec.measure, Decision):
+        assert Threshold(m["dir"], Fraction(m["value"])) == info.threshold
+    elif info.sign > 0:
+        assert Fraction(m["plus"]) == info.value_offset
+    else:
+        assert Fraction(m["minus"]) == info.value_offset
+    # notes state only the big-M of the argmax gadgets and the XOR3 gap
+    noted = name in QWPP_FAMILY or name == "maxcutc_to_wmaxones"
+    assert [line for line in lines if line.startswith("note: ")] == lines[3:3 + noted]
+
+
+# each admission rule of the registry, and a wrong source kind: (entry, source
+# text, the message)
+_DEGREE_3 = "problem SAT\nvars 1\n" + "c R_II2 1 1 1 1 1 1 1 1\n" * 3
+ADMISSION_REJECTS = [
+    *[(name, _DEGREE_3, "degree bound violated: variable(s) [0] occur in more than 2 constraints")
+      for name in ("sat2_to_umo_IS21", "sat2_to_umo_IL2", "sat2_to_uvcsp2")],
+    ("maxones_to_minones", "problem Min-Ones\nvars 2\nvarweights 1 1\nc OR2 1 2\n",
+     "source must be unweighted"),
+    ("uvcspd_to_minones", "problem VCSP\nvars 2\nc f_neq 1 2 w 2\n", "source must be unweighted"),
+    ("maxones_to_minones", "problem Max-Cut\nvars 2\nc edge 1 2\n",
+     "maxones_to_minones: source must be a Min-Ones instance, got Max-Cut"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", ADMISSION_REJECTS,
+                         ids=[f"{r[0]}-{r[2].split()[0]}" for r in ADMISSION_REJECTS])
+def test_apply_and_reduce_reject_a_source_the_entry_does_not_admit(tmp_path, name, text,
+                                                                   message):
+    with pytest.raises(ReductionError, match=f"^{re.escape(message)}$"):
+        apply(name, parse_inst(text))
+    path = tmp_path / "src.inst"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["reduce", name, str(path)])
+    assert (code, out, err.getvalue()) == (2, "", f"error: {path}: {message}\n")
 
 
 # a bad or odd number token in each place a file gives one: (place, token,
@@ -220,6 +301,26 @@ def test_wpp_eval_gadget(tmp_path):
     assert code == 0
     rel = parse_rel(out)[0]
     assert set(rel.row_strings()) == {"00111001", "01010101", "10001101"}
+
+
+def test_an_empty_project_line_exits_2(tmp_path):
+    gadget = tmp_path / "g.inst"
+    gadget.write_text("problem W-Max-Ones\nvars 2\nproject\nc OR2 1 2\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["wpp-eval", str(gadget)])
+    assert (code, out, err.getvalue()) == (
+        2, "", f"error: {gadget}: projection lists no variables\n")
+
+
+def test_ppsearch_on_a_target_file_without_relations_exits_2(tmp_path):
+    empty = tmp_path / "empty.rel"
+    empty.write_text("# no relation here\n")
+    lang = tmp_path / "neq.rel"
+    lang.write_text("relation neq 2\n01\n10\n")
+    proc = _run_subprocess(["ppsearch", str(empty), str(lang)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {empty}: no relations found\n")
 
 
 def test_ppsearch_command(tmp_path):
@@ -388,6 +489,28 @@ def test_synthesis_sweep_bad_arguments_exit_2(flag, value):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"error: argument {flag}: " in proc.stderr
+
+
+SWEEP_SETS_3_SEED_3 = """\
+3 random sets (seed 3):
+  NP-hard              2
+  P via (1)            1
+synthesis case split:
+  o(0,0)=o(1,1), o(0,1)<o(1,0)                                 1
+  o(1,1)<o(0,0)                                                1
+verification failures: 0
+"""
+
+
+def test_synthesis_sweep_reads_integers_by_the_numeral_rule():
+    sweep = str(ROOT / "scripts" / "synthesis_sweep.py")
+    for flag, value in (("--seed", "\u0663"), ("--max-value", "0_4")):
+        proc = _run_python([sweep, "--sets", "1", flag, value])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+    proc = _run_python([sweep, "--sets", "3", "--seed", "3"])
+    assert (proc.returncode, proc.stdout) == (0, SWEEP_SETS_3_SEED_3)
 
 
 @pytest.mark.parametrize("flag,value", [("--aux", "9"), ("--atoms", "7"),

@@ -37,6 +37,7 @@ from coclones.reductions import (
     ReductionError,
     _entry_seed,
     _gadget_max,
+    _measure_failure,
     _weight_big_m,
     apply,
     certify,
@@ -121,6 +122,23 @@ def test_sat2_to_umo_il2_counts_and_threshold():
     assert tgt.num_vars == 2 + 2 * n + 3 * m
     assert tgt.num_vars <= 2 + 8 * n
     assert info.threshold.value == n + 1 + 2 * m
+
+
+def test_an_exact_decision_reports_a_target_past_its_threshold():
+    # a satisfiable source's target optimum must equal the threshold of
+    # sat2_to_umo_IL2, not only reach it
+    rec = REGISTRY["sat2_to_umo_IL2"]
+    assert rec.measure.exact
+    src = Instance(KIND_SAT, 4, (Constraint("R_II2", (0, 1, 2, 3, 0, 1, 2, 3)),))
+    tgt, info = apply(rec.name, src)
+    want = info.threshold.value
+    assert solve(tgt).optimum == want
+    assert _measure_failure(rec, src, tgt, 1, None, RESOLVER) is None
+    lowered = tgt.with_threshold(">=", want - 1)
+    assert _measure_failure(rec, src, lowered, 1, None, RESOLVER) == (
+        f"satisfiable source must hit exactly {want - 1}, got {want}")
+    inexact = dataclasses.replace(rec, measure=Decision(rec.measure.threshold))
+    assert _measure_failure(inexact, src, lowered, 1, None, RESOLVER) is None
 
 
 def test_umo_il2_to_il0_spec_example():

@@ -7,20 +7,20 @@ from coclones.relations import (
     RelationError,
     preserves,
 )
-from coclones.weakbases import R_II2, R_IN2, all_entries, weak_base, weak_base_entry
+from coclones.weakbases import all_entries, weak_base, weak_base_entry
 
 II2_ROWS = {"00111001", "01010101", "10001101"}
 IN2_ROWS = {"00001111", "00111100", "01011010", "11110000", "11000011", "10100101"}
 
 
 def test_ii2_matrix_golden():
-    assert set(R_II2().row_strings()) == II2_ROWS
-    assert R_II2().arity == 8 and len(R_II2().tuples) == 3
+    assert set(weak_base(CoCloneId("I2")).row_strings()) == II2_ROWS
+    assert weak_base(CoCloneId("I2")).arity == 8 and len(weak_base(CoCloneId("I2")).tuples) == 3
 
 
 def test_in2_matrix_golden():
-    assert set(R_IN2().row_strings()) == IN2_ROWS
-    assert R_IN2().arity == 8 and len(R_IN2().tuples) == 6
+    assert set(weak_base(CoCloneId("N2")).row_strings()) == IN2_ROWS
+    assert weak_base(CoCloneId("N2")).arity == 8 and len(weak_base(CoCloneId("N2")).tuples) == 6
 
 
 def test_id2_golden():
@@ -42,13 +42,13 @@ def test_constant_columns_forced():
     }
     for fam, (c0_pos, c1_pos) in checks.items():
         rel = weak_base(CoCloneId(fam))
-        for bits in rel.rows():
-            assert bits[c0_pos] == 0 and bits[c1_pos] == 1
+        for bits in rel.row_strings():
+            assert bits[c0_pos] == "0" and bits[c1_pos] == "1"
 
 
 def test_complement_closure():
-    assert preserves(OP_NOT, R_IN2())
-    assert not preserves(OP_NOT, R_II2())
+    assert preserves(OP_NOT, weak_base(CoCloneId("N2")))
+    assert not preserves(OP_NOT, weak_base(CoCloneId("I2")))
 
 
 def test_limits_have_no_weak_base():
