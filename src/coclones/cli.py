@@ -184,8 +184,8 @@ def _cmd_reduce(args) -> int:
     resolver = _resolver_with_defs(args.defs)
     tgt, info = _on_file(args.instance, apply, args.name, inst, resolver)
     print(f"{args.name}: {rec.source_kind} -> {rec.target_kind} "
-          f"[{rec.kind_tag}, C={rec.lv_parameter}]")
-    print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.bound_text})")
+          f"[{rec.kind_tag}, C={rec.lv_constant}]")
+    print(f"variables: {inst.num_vars} -> {tgt.num_vars} (declared {rec.size.text()})")
     if isinstance(rec.measure, Decision):
         print(f"measure: source satisfiable iff target optimum "
               f"{info.threshold.direction} {info.threshold.value}")
@@ -195,7 +195,7 @@ def _cmd_reduce(args) -> int:
         print(f"measure: target optimum = {info.value_offset} - source optimum")
     if rec.note is not None:
         print(f"note: {rec.note(inst, resolver)}")
-    if info.threshold is not None:
+    if inst.threshold is not None and not isinstance(rec.measure, Decision):
         print(f"target threshold: {info.threshold.direction} {info.threshold.value}")
     if args.output:
         Path(args.output).write_text(emit_inst(tgt))

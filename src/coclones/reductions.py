@@ -7,8 +7,8 @@ this module:
   `degree` bound (no source variable in more constraints than that), and
   `unweighted` (no variable weights, every term weight unset or 1);
 - `build(src, resolver)`: the construction, and nothing else;
-- `num_vars(src, resolver)`: the target's variable count, exact or, with
-  `exact=False`, an upper bound;
+- `size`: the target's variable count `base + per_var*n + per_constraint*m`,
+  exact or, with `exact=False`, an upper bound; C and the bound text read it;
 - `measure`: either `Affine(sign, offset)`, where the target optimum is
   sign * source optimum + offset(src, resolver), or `Decision(threshold)`,
   where the source is satisfiable iff the target meets threshold(src) (and,
@@ -41,7 +41,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .definitions import (
     ARGMAX_IDENTITIES,
@@ -70,7 +70,8 @@ from .oracle import OracleError, SolveResult, meets_threshold, solve
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
-    "Affine", "Decision", "apply", "certify", "record", "registry_names",
+    "Affine", "Decision", "Size", "Width", "apply", "certify", "corpus", "record",
+    "registry_names",
 ]
 
 
@@ -102,6 +103,44 @@ class ApplyInfo:
     sign: int = 1
 
 
+class Width(NamedTuple):
+    """A per-constraint variable count read off the resolved source language."""
+    symbol: str  # how the bound text writes it
+    of: Callable[[list], int]
+
+
+def _linear(const: int, *terms: tuple[int | Width, str]) -> str:
+    """const + coefficient * symbol + ..., zeros left out: "2+3n", "1+d(2s+t(2^s+1))"."""
+    parts = [str(const)] if const else []
+    for coef, sym in terms:
+        if isinstance(coef, Width):
+            parts.append(f"{sym}({coef.symbol})")
+        elif coef:
+            parts.append(sym if coef == 1 else f"{coef}{sym}")
+    return "+".join(parts) or "0"
+
+
+@dataclass(frozen=True)
+class Size:
+    """The target's variable count, base + per_var * n + per_constraint * m over
+    the source's n variables and m constraints: exact, or else an upper bound."""
+
+    base: int = 0
+    per_var: int = 0
+    per_constraint: int | Width = 0
+    exact: bool = True
+
+    def count(self, inst: Instance, resolver: Resolver) -> int:
+        width = self.per_constraint
+        if isinstance(width, Width):
+            width = width.of(resolver.resolve_all(inst.kind, inst.constraints))
+        return self.base + self.per_var * inst.num_vars + width * inst.num_constraints
+
+    def text(self) -> str:
+        form = _linear(self.base, (self.per_var, "n"), (self.per_constraint, "m"))
+        return form if self.exact else f"<= {form}"
+
+
 # certify's extra check for one entry: (src, tgt, source result, target
 # result, resolver) -> failure message or None
 Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver], Optional[str]]
@@ -114,11 +153,8 @@ class ReductionRecord:
     source_language: tuple[str, ...]  # "*" admits any relation or cost function
     target_kind: str
     target_language: tuple[str, ...]
-    lv_parameter: str  # the factor C, as text for the report
-    bound_text: str
     build: Callable[[Instance, Resolver], Instance]
-    num_vars: Callable[[Instance, Resolver], int]
-    exact: bool  # num_vars is the exact count, not only an upper bound
+    size: Size
     measure: Affine | Decision
     degree: Optional[int] = None  # no source variable in more constraints than this
     unweighted: bool = False  # no variable weights, and every term weight unset or 1
@@ -130,9 +166,18 @@ class ReductionRecord:
     invariant: Optional[Invariant] = None
 
     @property
+    def lv_constant(self) -> int | str:
+        """C in the bound C * n + base: a declared degree d gives m <= d * n (every
+        constraint holds a variable); without one, a per-constraint count leaves d in C."""
+        per_var, width = self.size.per_var, self.size.per_constraint
+        if width == 0 or (self.degree is not None and isinstance(width, int)):
+            return per_var + width * (self.degree or 0)
+        return _linear(per_var, (width, "d"))
+
+    @property
     def kind_tag(self) -> str:
         """The report's tag: CV when C is 1, else LV."""
-        return "CV" if self.lv_parameter == "1" else "LV"
+        return "CV" if self.lv_constant == 1 else "LV"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -145,7 +190,7 @@ def _require_degree_bound(inst: Instance, bound: int) -> None:
     for c in inst.constraints:
         for v in set(c.args):
             count[v] = count.get(v, 0) + 1
-    offending = [v for v, k in count.items() if k > bound]
+    offending = sorted([v + 1 for v, k in count.items() if k > bound])  # numbered as in .inst
     _require(not offending,
              f"degree bound violated: variable(s) {offending} occur in more than {bound} constraints")
 
@@ -181,12 +226,9 @@ def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
     cons: list[Constraint] = [Constraint("R_IS1_2", (0, 0, 0))]
 
     def incompatible(a, b) -> bool:
-        ca, assign_a = a
-        cb, assign_b = b
-        if ca == cb:
-            return True
-        da, db = dict(assign_a), dict(assign_b)
-        return any(v in db and db[v] != bit for v, bit in da.items())
+        (ca, assign_a), (cb, assign_b) = a, b
+        db = dict(assign_b)
+        return ca == cb or any(v in db and db[v] != bit for v, bit in assign_a)
 
     for i in range(nv):
         for j in range(i + 1, nv):
@@ -357,19 +399,12 @@ def _make_qwpp_build(identity: ArgmaxIdentity):
     return build
 
 
-def _make_qwpp_offset(identity: ArgmaxIdentity):
-    def offset(inst: Instance, resolver: Resolver) -> Fraction:
-        return _weight_big_m(inst) * (_gadget_max(identity) * inst.num_constraints)
-
-    return offset
+def _qwpp_offset(identity: ArgmaxIdentity, inst: Instance, resolver: Resolver) -> Fraction:
+    return _weight_big_m(inst) * (_gadget_max(identity) * inst.num_constraints)
 
 
-def _make_qwpp_note(identity: ArgmaxIdentity):
-    def note(inst: Instance, resolver: Resolver) -> str:
-        return (f"big-M = {_weight_big_m(inst)}, "
-                f"per-gadget maximum {_gadget_max(identity)}")
-
-    return note
+def _qwpp_note(identity: ArgmaxIdentity, inst: Instance, resolver: Resolver) -> str:
+    return f"big-M = {_weight_big_m(inst)}, per-gadget maximum {_gadget_max(identity)}"
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +467,13 @@ def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
     return Instance(KIND_MINO, next_var, tuple(cons))
 
 
-def _uvcspd_bound(inst: Instance, resolver: Resolver) -> int:
-    fns = resolver.resolve_all(inst.kind, inst.constraints)
+def _translation_width(fns) -> int:
+    """2s + t(2^s+1) per constraint: s the widest cost arity, t the largest cost value."""
     s = max((fn.arity for fn in fns), default=0)
-    # the stated bound presumes a nontrivial value range; t = 0 (identically
-    # zero costs) still emits the 2^s translation block, so clamp t at 1
+    # the bound presumes a nontrivial value range; t = 0 (identically zero
+    # costs) still emits the 2^s translation block, so clamp t at 1
     t = max([int(fn.max_value) for fn in fns] + [1])
-    return inst.num_vars + len(fns) * (2 * s + t * ((1 << s) + 1))
+    return 2 * s + t * ((1 << s) + 1)
 
 
 def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
@@ -550,33 +585,26 @@ def _rng_tuple(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
     return tuple(rng.randrange(n) for _ in range(k))
 
 
-def _sample_sat2(rng: random.Random) -> Instance:
-    n = rng.randint(2, 4)
-    m = rng.randint(1, 2)
-    cons = tuple(Constraint("R_II2", _rng_tuple(rng, n, 8)) for _ in range(m))
-    return Instance(KIND_SAT, n, cons)
-
-
-def _make_umo_sampler(rel_name: str, arity: int, n_range=(3, 6), m_range=(1, 3),
-                      cover_all: bool = False):
+def _make_sampler(rel_name: str, arity: int, n_range=(3, 6), m_range=(1, 3),
+                  cover_all: bool = False, kind: str = KIND_UMO):
     def sampler(rng: random.Random) -> Instance:
         n = rng.randint(*n_range)
         m = rng.randint(*m_range)
         if cover_all:
-            slots = m * arity
-            while slots < n:
-                m += 1
-                slots = m * arity
-            pool = list(range(n)) + [rng.randrange(n) for _ in range(slots - n)]
+            m = max(m, -(-n // arity))  # enough slots to cover every variable
+            pool = list(range(n)) + [rng.randrange(n) for _ in range(m * arity - n)]
             rng.shuffle(pool)
             cons = tuple(Constraint(rel_name, tuple(pool[i * arity:(i + 1) * arity]))
                          for i in range(m))
         else:
             cons = tuple(Constraint(rel_name, _rng_tuple(rng, n, arity))
                          for _ in range(m))
-        return Instance(KIND_UMO, n, cons)
+        return Instance(kind, n, cons)
 
     return sampler
+
+
+_sample_sat2 = _make_sampler("R_II2", 8, n_range=(2, 4), m_range=(1, 2), kind=KIND_SAT)
 
 
 def _sample_wmo_ii2(rng: random.Random) -> Instance:
@@ -598,13 +626,9 @@ def _exhaustive_minones_or2() -> Iterator[Instance]:
 
 
 def _sample_uvcsp(rng: random.Random) -> Instance:
-    if rng.random() < 0.5:
-        k, m_max = 2, 1
-    else:
-        k, m_max = 1, 2
+    k, m_max = (2, 1) if rng.random() < 0.5 else (1, 2)
     table = tuple(Fraction(rng.randint(0, 2)) for _ in range(1 << k))
-    parts = "_".join(str(v) for v in table)
-    ref = f"cost{k}_{parts}"
+    ref = f"cost{k}_" + "_".join(str(v) for v in table)
     n = rng.randint(2, 3)
     m = rng.randint(1, m_max)
     cons = tuple(Constraint(ref, _rng_tuple(rng, n, k)) for _ in range(m))
@@ -618,14 +642,6 @@ def _exhaustive_pairs(kind: str, ref: str) -> Iterator[Instance]:
         for size in range(0, 4):
             for cons in itertools.combinations(terms, size):
                 yield Instance(kind, n, cons)
-
-
-def _exhaustive_maxcut() -> Iterator[Instance]:
-    return _exhaustive_pairs(KIND_MAXCUT, "edge")
-
-
-def _exhaustive_vcsp_neq() -> Iterator[Instance]:
-    return _exhaustive_pairs(KIND_VCSP, "f_neq")
 
 
 def _sample_maxcsp_nandtf(rng: random.Random) -> Instance:
@@ -653,11 +669,6 @@ def _sample_weighted_maxcut(rng: random.Random) -> Instance:
 # Registry assembly
 
 
-def _vars(f: Callable[[int], int]) -> Callable[[Instance, Resolver], int]:
-    """A variable count that depends on the source's variable count alone."""
-    return lambda inst, resolver: f(inst.num_vars)
-
-
 def _offset(f: Callable[[int], int]) -> Callable[[Instance, Resolver], Fraction]:
     """An offset that depends on the source's variable count alone."""
     return lambda inst, resolver: Fraction(f(inst.num_vars))
@@ -672,116 +683,100 @@ def _register(rec: ReductionRecord) -> None:
 
 _register(ReductionRecord(
     "sat2_to_umo_IS21", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IS1_2",),
-    "6", "1 + sum of feasible assignments <= 3m+1 <= 6n+1",
-    build=_build_sat2_to_umo_is21,
-    num_vars=lambda inst, resolver: 3 * inst.num_constraints + 1, exact=False,
+    build=_build_sat2_to_umo_is21, size=Size(1, per_constraint=3, exact=False),  # R_II2: 3 tuples
     measure=Decision(lambda inst: Threshold(">=", Fraction(inst.num_constraints))),
     degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "sat2_to_umo_IL2", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IL2",),
-    "8", "2+2n+3m (<= 2+8n)",
-    build=_build_sat2_to_umo_il2,
-    num_vars=lambda inst, resolver: 2 + 2 * inst.num_vars + 3 * inst.num_constraints,
-    exact=True, measure=Decision(lambda inst: Threshold(
+    build=_build_sat2_to_umo_il2, size=Size(2, 2, 3),
+    measure=Decision(lambda inst: Threshold(
         ">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints)), exact=True),
     degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "umo_IL2_to_IL0", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL0",),
-    "2", "2+2n",
-    build=_build_umo_il2_to_il0, num_vars=_vars(lambda n: 2 + 2 * n), exact=True,
+    build=_build_umo_il2_to_il0, size=Size(2, 2),
     measure=Affine(1, _offset(lambda n: n + 1)),
-    sampler=_make_umo_sampler("R_IL2", 8)))
+    sampler=_make_sampler("R_IL2", 8)))
 
 _register(ReductionRecord(
     "umo_II2_to_IN2", KIND_UMO, ("R_II2",), KIND_UMO, ("R_IN2",),
-    "3", "2+3n",
-    build=_build_umo_ii2_to_in2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    build=_build_umo_ii2_to_in2, size=Size(2, 3),
     measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
-    sampler=_make_umo_sampler("R_II2", 8)))
+    sampler=_make_sampler("R_II2", 8)))
 
 _register(ReductionRecord(
     "umo_IS21_to_ID2", KIND_UMO, ("R_IS1_2",), KIND_UMO, ("R_ID2",),
-    "3", "2+3n",
-    build=_build_umo_is21_to_id2, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    build=_build_umo_is21_to_id2, size=Size(2, 3),
     measure=Affine(1, _offset(lambda n: 1 + n)),
-    sampler=_make_umo_sampler("R_IS1_2", 3, n_range=(2, 6))))
+    sampler=_make_sampler("R_IS1_2", 3, n_range=(2, 6))))
 
 _register(ReductionRecord(
     "umo_IL2_to_IL3", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL3",),
-    "3", "2+3n",
-    build=_build_umo_il2_to_il3, num_vars=_vars(lambda n: 2 + 3 * n), exact=True,
+    build=_build_umo_il2_to_il3, size=Size(2, 3),
     measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
-    sampler=_make_umo_sampler("R_IL2", 8)))
+    sampler=_make_sampler("R_IL2", 8)))
 
 for _ext_formula in EXTENSION_FORMULAS:
     _register(ReductionRecord(
         f"umo_qpp_{_ext_formula.target[2:]}", KIND_UMO, (_ext_formula.source,),
         KIND_UMO, (_ext_formula.target,),
-        "1", "n+2",
-        build=_make_qpp_build(_ext_formula), num_vars=_vars(lambda n: n + 2), exact=True,
+        build=_make_qpp_build(_ext_formula), size=Size(2, 1),
         measure=Affine(1, _offset(lambda n: 1)),
-        sampler=_make_umo_sampler(_ext_formula.source, _ext_formula.formula.total_vars - 2,
-                                  n_range=(3, 6), cover_all=True)))
+        sampler=_make_sampler(_ext_formula.source, _ext_formula.formula.total_vars - 2,
+                              n_range=(3, 6), cover_all=True)))
 
 for _ident in ARGMAX_IDENTITIES:
     _register(ReductionRecord(
         f"wmo_qwpp_{_ident.base[2:]}", KIND_WMO, (_ident.target,),
         KIND_WMO, (_ident.base,),
-        "1", "n",
-        build=_make_qwpp_build(_ident), num_vars=_vars(lambda n: n), exact=True,
-        measure=Affine(1, _make_qwpp_offset(_ident)), note=_make_qwpp_note(_ident),
+        build=_make_qwpp_build(_ident), size=Size(per_var=1),
+        measure=Affine(1, functools.partial(_qwpp_offset, _ident)),
+        note=functools.partial(_qwpp_note, _ident),
         sampler=_sample_wmo_ii2,
         chain_before=("wmo_qwpp_IL2",) if _ident.target == "R_IL2" else ()))
 
 _register(ReductionRecord(
     "maxones_to_minones", KIND_MINO, ("*",), KIND_UMO, ("*", "neq"),
-    "3", "3n",
-    build=_build_maxones_to_minones, num_vars=_vars(lambda n: 3 * n), exact=True,
+    build=_build_maxones_to_minones, size=Size(per_var=3),
     measure=Affine(-1, _offset(lambda n: 2 * n)),
     unweighted=True, exhaustive=_exhaustive_minones_or2))
 
 _register(ReductionRecord(
     "uvcspd_to_minones", KIND_VCSP, ("*",), KIND_MINO, ("eq", "neq", "Rf_*"),
-    "1+d(2s+t(2^s+1))", "|V| + |C|(2s + t(2^s+1))",
-    build=_build_uvcspd_to_minones, num_vars=_uvcspd_bound, exact=False,
+    build=_build_uvcspd_to_minones,
+    size=Size(0, 1, Width("2s+t(2^s+1)", _translation_width), exact=False),
     measure=Affine(1, _arity_sum),
     unweighted=True, sampler=_sample_uvcsp))
 
 _register(ReductionRecord(
     "sat2_to_uvcsp2", KIND_SAT, ("R_II2",), KIND_VCSP, ("fnot_R_II2",),
-    "1", "n (terms <= 2n)",
-    build=_build_sat2_to_uvcsp2, num_vars=_vars(lambda n: n), exact=True,
+    build=_build_sat2_to_uvcsp2, size=Size(per_var=1),
     measure=Decision(lambda inst: Threshold("<=", Fraction(0))),
     degree=2, sampler=_sample_sat2))
 
 _register(ReductionRecord(
     "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",), KIND_VCSP, ("f_neq",),
-    "1", "n",
-    build=_build_maxcut_to_vcsp, num_vars=_vars(lambda n: n), exact=True,
+    build=_build_maxcut_to_vcsp, size=Size(per_var=1),
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    exhaustive=_exhaustive_maxcut))
+    exhaustive=functools.partial(_exhaustive_pairs, KIND_MAXCUT, "edge")))
 
 _register(ReductionRecord(
     "vcsp_neq_to_maxcut", KIND_VCSP, ("f_neq",), KIND_MAXCUT, ("edge",),
-    "1", "n",
-    build=_build_vcsp_to_maxcut, num_vars=_vars(lambda n: n), exact=True,
+    build=_build_vcsp_to_maxcut, size=Size(per_var=1),
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    exhaustive=_exhaustive_vcsp_neq))
+    exhaustive=functools.partial(_exhaustive_pairs, KIND_VCSP, "f_neq")))
 
 _register(ReductionRecord(
     "maxcsp_nandTF_to_neq", KIND_MAXCSP, ("NAND2", "T", "F"), KIND_MAXCSP, ("neq",),
-    "1", "n+2",
-    build=_build_maxcsp_nandtf_to_neq, num_vars=_vars(lambda n: n + 2), exact=True,
+    build=_build_maxcsp_nandtf_to_neq, size=Size(2, 1),
     measure=Affine(1, lambda inst, resolver: _maxcsp_big_m(inst)),
     sampler=_sample_maxcsp_nandtf, invariant=_globals_differ_in_every_optimum))
 
 _register(ReductionRecord(
     "maxcutc_to_wmaxones", KIND_MAXCUT, ("edge",), KIND_WMO, ("XOR3",),
-    "1+c", "|V| + |E|",
-    build=_build_maxcutc_to_wmaxones,
-    num_vars=lambda inst, resolver: inst.num_vars + inst.num_constraints, exact=True,
+    build=_build_maxcutc_to_wmaxones, size=Size(0, 1, 1),
     measure=Affine(1, _offset(lambda n: 0)),
     note=lambda inst, resolver: _XOR3_GAP_NOTE,
     sampler=_sample_weighted_maxcut))
@@ -835,10 +830,10 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
         raise ReductionError("source must be unweighted")
     out = rec.build(inst, resolver)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
-    declared = rec.num_vars(inst, resolver)
-    if out.num_vars > declared or (rec.exact and out.num_vars != declared):
-        raise BoundViolation(f"{name}: produced {out.num_vars} variables, declared "
-                             + (f"{declared}" if rec.exact else f"bound {declared}"))
+    declared = rec.size.count(inst, resolver)
+    if out.num_vars > declared or (rec.size.exact and out.num_vars != declared):
+        raise BoundViolation(f"{name}: produced {out.num_vars} variables, "
+                             f"declared {rec.size.text()} = {declared}")
     info = ApplyInfo()
     if isinstance(rec.measure, Decision):
         info.threshold = rec.measure.threshold(inst)
@@ -880,6 +875,14 @@ class CertifyReport:
 
 def _entry_seed(seed: int, name: str) -> int:
     return (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
+
+
+def corpus(rec: ReductionRecord, trials: int = 200, seed: int = 0) -> list[Instance]:
+    """The sources `certify` draws: the exhaustive list, or `trials` seeded samples."""
+    if rec.exhaustive is not None:
+        return list(rec.exhaustive())
+    rng = random.Random(_entry_seed(seed, rec.name))
+    return [rec.sampler(rng) for _ in range(trials)]
 
 
 def _on_map(t: Fraction, sign: int, s: Fraction, offset: Fraction) -> bool:
@@ -930,13 +933,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
     resolver = resolver or default_resolver()
     failures: list[tuple[str, str]] = []
     steps = rec.chain_before + (name,)
-    if rec.exhaustive is not None:
-        cases = list(rec.exhaustive())
-        mode = "exhaustive"
-    else:
-        rng = random.Random(_entry_seed(seed, name))
-        cases = [rec.sampler(rng) for _ in range(trials)]
-        mode = "random"
+    cases = corpus(rec, trials, seed)
     for src in cases:
         try:
             # compose the affine maps of the chain: target = sign * source + offset;
@@ -957,4 +954,5 @@ def certify(name: str, trials: int = 200, seed: int = 0,
             msg = f"oracle failed: {exc}"
         if msg is not None:
             failures.append((emit_inst(src), msg))
+    mode = "random" if rec.exhaustive is None else "exhaustive"
     return CertifyReport(name, mode, len(cases), failures)

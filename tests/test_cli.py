@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -14,15 +13,15 @@ import pytest
 from coclones import acceptance, oracle
 from coclones.cli import main, run_selftest
 from coclones.fileio import emit_inst, parse_inst, parse_rel
-from coclones.instances import Threshold
+from coclones.instances import MAXIMIZING_KINDS, Threshold
 from coclones.postlattice import CoCloneId
 from coclones.reductions import (
     QWPP_FAMILY,
     REGISTRY,
     Decision,
     ReductionError,
-    _entry_seed,
     apply,
+    corpus,
     registry_names,
 )
 from coclones.weakbases import weak_base
@@ -94,8 +93,8 @@ def test_solve_and_reduce_round_trip(tmp_path):
 # then the entry's note if it has one; `apply` renders neither
 REDUCE_NOTES = [
     ("maxcutc_to_wmaxones", "problem Max-Cut\nvars 3\nc edge 1 2 w 2\nc edge 2 3 w 3/2\n",
-     "maxcutc_to_wmaxones: Max-Cut -> W-Max-Ones [LV, C=1+c]\n"
-     "variables: 3 -> 5 (declared |V| + |E|)\n"
+     "maxcutc_to_wmaxones: Max-Cut -> W-Max-Ones [LV, C=1+d]\n"
+     "variables: 3 -> 5 (declared n+m)\n"
      "measure: target optimum = source optimum + 0\n"
      "note: XOR3 is pp-definable over R_II2 only with auxiliary variables; "
      "emitting XOR3 as a target primitive\n"),
@@ -124,10 +123,7 @@ def test_reduce_prints_the_entry_note(tmp_path, name, text, want):
 def _first_corpus_source(name):
     """The first source `certify` draws for the entry, passed through `chain_before`."""
     rec = REGISTRY[name]
-    if rec.exhaustive is not None:
-        src = next(rec.exhaustive())
-    else:
-        src = rec.sampler(random.Random(_entry_seed(0, name)))
+    src = corpus(rec)[0]
     for step in rec.chain_before:
         src, _ = apply(step, src)
     return src
@@ -142,6 +138,9 @@ MEASURE_LINE = re.compile(
 def test_reduce_renders_the_declared_measure(tmp_path, name):
     rec = REGISTRY[name]
     src = _first_corpus_source(name)
+    decision = isinstance(rec.measure, Decision)
+    if not decision:
+        src = src.with_threshold(">=" if rec.source_kind in MAXIMIZING_KINDS else "<=", 1)
     path = tmp_path / "src.inst"
     path.write_text(emit_inst(src))
     _, info = apply(name, src)
@@ -149,7 +148,7 @@ def test_reduce_renders_the_declared_measure(tmp_path, name):
     lines = out.splitlines()
     assert code == 0
     m = MEASURE_LINE.fullmatch(lines[2])
-    if isinstance(rec.measure, Decision):
+    if decision:
         assert Threshold(m["dir"], Fraction(m["value"])) == info.threshold
     elif info.sign > 0:
         assert Fraction(m["plus"]) == info.value_offset
@@ -158,13 +157,19 @@ def test_reduce_renders_the_declared_measure(tmp_path, name):
     # notes state only the big-M of the argmax gadgets and the XOR3 gap
     noted = name in QWPP_FAMILY or name == "maxcutc_to_wmaxones"
     assert [line for line in lines if line.startswith("note: ")] == lines[3:3 + noted]
+    # each threshold is printed once: a decision's on the measure line, an
+    # affine entry's, mapped from the source's, on a line of its own
+    t = info.threshold
+    assert [line for line in lines[2:] if re.search(r" [<>]= \S+$", line)] == [
+        lines[2] if decision else f"target threshold: {t.direction} {t.value}"]
 
 
 # each admission rule of the registry, and a wrong source kind: (entry, source
 # text, the message)
-_DEGREE_3 = "problem SAT\nvars 1\n" + "c R_II2 1 1 1 1 1 1 1 1\n" * 3
+# (variables are named as the file numbers them, from 1)
+_DEGREE_3 = "problem SAT\nvars 3\n" + "c R_II2 3 2 3 3 3 3 3 3\n" * 3
 ADMISSION_REJECTS = [
-    *[(name, _DEGREE_3, "degree bound violated: variable(s) [0] occur in more than 2 constraints")
+    *[(name, _DEGREE_3, "degree bound violated: variable(s) [2, 3] occur in more than 2 constraints")
       for name in ("sat2_to_umo_IS21", "sat2_to_umo_IL2", "sat2_to_uvcsp2")],
     ("maxones_to_minones", "problem Min-Ones\nvars 2\nvarweights 1 1\nc OR2 1 2\n",
      "source must be unweighted"),

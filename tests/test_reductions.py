@@ -1,8 +1,10 @@
 import dataclasses
+import fnmatch
 import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from coclones.instances import (
     Threshold,
     default_resolver,
 )
+from coclones.fileio import emit_inst
 from coclones.oracle import meets_threshold, solve, solve_bruteforce
 from coclones.definitions import ARGMAX_IDENTITIES
 from coclones.postlattice import co_clone_of, parse_coclone_name
@@ -41,6 +44,7 @@ from coclones.reductions import (
     _weight_big_m,
     apply,
     certify,
+    corpus,
     record,
     registry_names,
 )
@@ -352,30 +356,82 @@ def test_certify_reports_oracle_failure_as_a_case(monkeypatch):
     assert "counterexample: oracle failed:" in report.render()
 
 
-@pytest.mark.parametrize("name", ["umo_II2_to_IN2", "uvcspd_to_minones"])
-def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name):
-    # one exact count and one upper bound
+@pytest.mark.parametrize("name,form", [("umo_II2_to_IN2", "2+3n"),
+                                       ("uvcspd_to_minones", "<= n+m(2s+t(2^s+1))")],
+                         ids=["umo_II2_to_IN2", "uvcspd_to_minones"])
+def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
+    # one exact count and one upper bound; the message names the declared form
     rec = REGISTRY[name]
+    src = rec.sampler(random.Random(0))
+    declared = rec.size.count(src, RESOLVER)
 
     def padded(src, resolver):
-        out = rec.build(src, resolver)
-        return dataclasses.replace(out, num_vars=rec.num_vars(src, resolver) + 1)
+        return dataclasses.replace(rec.build(src, resolver),
+                                   num_vars=rec.size.count(src, resolver) + 1)
 
-    src = rec.sampler(random.Random(0))
     apply(name, src)
     monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, build=padded))
-    with pytest.raises(BoundViolation):
+    message = f"{name}: produced {declared + 1} variables, declared {form} = {declared}"
+    with pytest.raises(BoundViolation, match=f"^{re.escape(message)}$"):
         apply(name, src)
     assert "apply failed:" in certify(name, trials=1).failures[0][1]
     # a declared count one above the build: slack for a bound, a violation
     # for an exact count
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
-        rec, num_vars=lambda src, resolver: rec.num_vars(src, resolver) + 1))
-    if rec.exact:
-        with pytest.raises(BoundViolation):
+    higher = dataclasses.replace(rec.size, base=rec.size.base + 1)
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, size=higher))
+    if rec.size.exact:
+        message = (f"{name}: produced {declared} variables, "
+                   f"declared {higher.text()} = {declared + 1}")
+        with pytest.raises(BoundViolation, match=f"^{re.escape(message)}$"):
             apply(name, src)
     else:
         apply(name, src)
+
+
+# each entry's LV constant as `reduce` prints it; maxcutc_to_wmaxones adds a
+# variable per edge and declares no degree, so its C is left in d
+PRINTED_CONSTANTS = {
+    "sat2_to_umo_IS21": "6", "sat2_to_umo_IL2": "8", "umo_IL2_to_IL0": "2",
+    "umo_II2_to_IN2": "3", "umo_IS21_to_ID2": "3", "umo_IL2_to_IL3": "3",
+    **{name: "1" for name in QPP_FAMILY + QWPP_FAMILY},
+    "maxones_to_minones": "3", "uvcspd_to_minones": "1+d(2s+t(2^s+1))",
+    "sat2_to_uvcsp2": "1", "maxcut_to_vcsp_neq": "1", "vcsp_neq_to_maxcut": "1",
+    "maxcsp_nandTF_to_neq": "1", "maxcutc_to_wmaxones": "1+d",
+}
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_the_lv_constant_bounds_every_default_corpus_target(name):
+    rec = REGISTRY[name]
+    c = rec.lv_constant
+    assert str(c) == PRINTED_CONSTANTS[name]
+    assert (rec.kind_tag == "CV") == (c == 1)
+    for src in corpus(rec):
+        for step in rec.chain_before:
+            src, _ = apply(step, src)
+        tgt, _ = apply(name, src)
+        if isinstance(c, int):
+            assert tgt.num_vars <= c * src.num_vars + rec.size.base, emit_inst(src)
+
+
+def test_readme_registry_table_renders_the_declared_sizes():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Reduction registry\n\n", 1)[1].split("\n\n", 1)[0]
+    covered = []
+    for row in table.splitlines()[2:]:
+        entries, _, variables, constant = (cell.strip() for cell in row.strip("|").split("|"))
+        for pattern in re.findall(r"`([^`]+)`", entries):
+            for name in fnmatch.filter(registry_names(), pattern):
+                covered.append(name)
+                rec = REGISTRY[name]
+                assert (variables, constant) == (rec.size.text(), str(rec.lv_constant)), name
+    assert sorted(covered) == registry_names()
+
+
+def test_an_exact_size_is_asserted_on_23_entries_and_a_bound_on_2():
+    bounds = [name for name in REGISTRY if not REGISTRY[name].size.exact]
+    assert bounds == ["sat2_to_umo_IS21", "uvcspd_to_minones"]
+    assert len(REGISTRY) == 25
 
 
 @pytest.mark.parametrize("name,change", [("umo_II2_to_IN2", "language"),
