@@ -64,11 +64,11 @@ def _read(path: str) -> str:
 
 
 def _on_file(path: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with path before a format, resolution or admission
-    error in that file."""
+    """fn(*args, **kwargs), with path before a format, resolution, admission
+    or oracle cap error in that file."""
     try:
         return fn(*args, **kwargs)
-    except (RelationError, InstanceError, ReductionError) as exc:
+    except (RelationError, InstanceError, ReductionError, OracleError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 

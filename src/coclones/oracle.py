@@ -58,24 +58,35 @@ constraint without repeats keeps its own relation.
   frontier search (Dechter, *Constraint Processing*, ch. 5): the partial
   assignments over variables 0..v that satisfy every constraint lying within
   them are kept in one sorted array, extended by variable v+1, and filtered
-  again.  A constraint's minor is read only when the frontier reaches its
-  top variable, and the first empty frontier ends the search: the
-  unsatisfiable 2+3n certify targets stop at a median 40% of their variables
-  and read no minor past that point.  `_optimize` scores the Max-/Min-Ones
-  objective of the feasible masks as one popcount of `masks & m`
-  (`np.bitwise_count`, numpy 2) per distinct variable weight, m the mask of
-  the variables that carry it.  Soft kinds are solved by bucket elimination
-  (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic Programming*, 1972):
-  a table over the variables that a later term still holds is doubled by
-  each variable, takes that variable's terms, and forgets the variables no
-  later term holds, keeping per state the best objective and the least mask
-  that reaches it, packed into one int64 key.  On random instances of 16-22
-  variables with 2n binary and ternary terms its largest table holds
-  2^8-2^18 states (median 2^12), where the grid has 2^n.  Elimination is
-  taken when the keys fit, that is the objective bound of `_terms` is below
-  2^(62 - n), when its table stays within one chunk, and when the states it
-  touches, plus `_STEP_STATES` a step, are fewer than the grid's, all read
-  from the terms' buckets (`_buckets`, once a solve) before any array work
+  again.  The search starts from the truth table of the first `_TRUTH_VARS`
+  variables: the constraints whose top variable lies below the cut are ANDed
+  in top order as on the truth route (`_satisfying`, its tables cached under
+  (args, 14)), and the table's set bits are the frontier at the cut.  Past
+  it, a constraint's minor is read only when the frontier reaches its top
+  variable.  The first empty table or frontier ends the search: the
+  unsatisfiable 2+3n certify targets stop at a median 40% of their
+  variables, all below the cut, and read nothing past that point.  Below the
+  cut the array search paid about seven numpy calls a constraint and one
+  concatenate a variable on frontiers of 12-256 rows, where the table pays a
+  few int operations a constraint on a cached table and reads a median 12
+  set bits.  On a 2-vCPU VM, with warm caches, a solve of a satisfiable
+  17-variable certify target went from a median 111 to 49 us and of a
+  20-variable one from 124 to 81 us, and of an unsatisfiable one from 29-37
+  to 12-15 us.  `_optimize` scores the Max-/Min-Ones objective of the
+  feasible masks as one popcount of `masks & m` (`np.bitwise_count`, numpy
+  2) per distinct variable weight, m the mask of the variables that carry
+  it.  Soft kinds are solved by bucket elimination (`_eliminate`; Bertele &
+  Brioschi, *Nonserial Dynamic Programming*, 1972): a table over the
+  variables that a later term still holds is doubled by each variable, takes
+  that variable's terms, and forgets the variables no later term holds,
+  keeping per state the best objective and the least mask that reaches it,
+  packed into one int64 key.  On random instances of 16-22 variables with 2n
+  binary and ternary terms its largest table holds 2^8-2^18 states (median
+  2^12), where the grid has 2^n.  Elimination is taken when the keys fit,
+  that is the objective bound of `_terms` is below 2^(62 - n), when its
+  table stays within one chunk, and when the states it touches, plus
+  `_STEP_STATES` a step, are fewer than the grid's, all read from the terms'
+  buckets (`_buckets`, once a solve) before any array work
   (`_elimination_pays`).  It finds one optimal mask, not the optimal set, so
   `--all` stays on the grid, as do instances whose bound does not pack.
 - Soft-kind instances that elimination does not pay for or whose keys do
@@ -132,7 +143,8 @@ MAX_SOLVE_VARS = 24
 MAX_ENUMERATE_VARS = 20
 _CHUNK_BITS = 20
 _INT_LIMIT = 1 << 60
-# Instances with at most this many variables are solved on truth tables
+# Instances with at most this many variables are solved on truth tables, and
+# a larger hard-kind instance's frontier starts from the table of this many
 # (crossovers measured on a 2-vCPU VM; see the module docstring)
 _TRUTH_VARS = 14
 
@@ -286,14 +298,18 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
-# blocks of one mixed benchmark run put 67,544 hard constraints on truth
-# tables under 1,498 distinct (relation, args, n) keys, at most 289 of them
-# on one relation (R_II2), and the cache answers 98% of its lookups; twelve
-# blocks meet 2,797 keys, at most 576 on one relation, since the sampled
-# weak-base corpora keep adding argument tuples.  A certify-hard run meets
-# fewer than 300.  So the bound, over three times one run's largest count,
-# evicts nothing in a run.  A table over n <= _TRUTH_VARS variables takes at
-# most 2 KB (the 1,498 take 0.27 MB), so a full relation holds about 2 MB.
+# blocks of one mixed benchmark run (seed 1) look up 67,288 tables under 946
+# distinct (relation, args, n) keys, at most 285 of them on one relation
+# (R_IL0), and the cache answers 98.6% of the lookups; twelve blocks meet
+# 1,634 keys, at most 458 on one relation, since the sampled weak-base
+# corpora keep adding argument tuples.  The frontier fills the same cache
+# under (args, _TRUTH_VARS) for the terms below its cut, so the five blocks
+# of a certify-hard run (seed 1) leave 385 keys, at most 78 on one relation
+# (R_IN2), where 179 were left before the frontier started from a table;
+# they answer 52% of its 808 lookups.  So the bound, over three times one
+# run's largest count, evicts nothing in a run.  A table over
+# n <= _TRUTH_VARS variables takes at most 2 KB (the 946 take 0.2 MB), so a
+# full relation holds about 2 MB.
 _TABLES_PER_RELATION = 1 << 10
 
 
@@ -481,18 +497,27 @@ def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
 
 def _frontier(n: int, raw) -> Optional[np.ndarray]:
     """The ascending masks that satisfy every raw hard term, by a frontier
-    search in variable order; None once it outgrows a chunk.  A term's
-    minor (`_minor`) is read when the frontier reaches the term's top
-    variable, and the first empty frontier is returned at once."""
+    search in variable order; None once it outgrows a chunk.
+
+    The first cut = min(n, `_TRUTH_VARS`) variables are searched on truth
+    tables: the terms whose top variable lies below the cut are ANDed in top
+    order by `_satisfying`, whose tables are cached on their relations under
+    (args, cut), and the set bits of the result start the frontier.  Each
+    later variable doubles it, and a term's minor (`_minor`) is gathered
+    when the frontier reaches the term's top variable.  The first empty
+    table or frontier is returned at once, so no term past it is read."""
+    cut = min(n, _TRUTH_VARS)
     by_top: dict[int, list] = {}  # highest argument -> terms checked there
     for args, rel in raw:
         by_top.setdefault(max(args, default=-1), []).append((args, rel))
-    frontier = np.zeros(1, dtype=np.int64)
-    for v in range(-1, n):
-        if v >= 0:
-            frontier = np.concatenate((frontier, frontier | (1 << v)))
-            if frontier.size > 1 << _CHUNK_BITS:
-                return None
+    table = _satisfying(cut, [term for v in range(-1, cut) for term in by_top.get(v, ())])
+    if not table:
+        return np.zeros(0, dtype=np.int64)
+    frontier = tt.masks(table, cut)
+    for v in range(cut, n):
+        frontier = np.concatenate((frontier, frontier | (1 << v)))
+        if frontier.size > 1 << _CHUNK_BITS:
+            return None
         for args, rel in by_top.get(v, ()):
             distinct, minor = _minor(args, rel)
             frontier = frontier[minor.lut[tt.code(frontier, enumerate(distinct))]]

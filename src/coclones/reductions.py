@@ -130,10 +130,12 @@ class Size:
     per_constraint: int | Width = 0
     exact: bool = True
 
-    def count(self, inst: Instance, resolver: Resolver) -> int:
+    def count(self, inst: Instance, applied: list) -> int:
+        """The declared count on source `inst`, whose constraints resolve to
+        `applied` (`Resolver.resolve_all`)."""
         width = self.per_constraint
         if isinstance(width, Width):
-            width = width.of(resolver.resolve_all(inst.kind, inst.constraints))
+            width = width.of(applied)
         return self.base + self.per_var * inst.num_vars + width * inst.num_constraints
 
     def text(self) -> str:
@@ -823,14 +825,14 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
     rec = record(name)
     resolver = resolver or default_resolver()
     _check_side(name, "source", inst, rec.source_kind, rec.source_language)
-    resolver.resolve_all(inst.kind, inst.constraints)
+    applied = resolver.resolve_all(inst.kind, inst.constraints)
     if rec.degree is not None:
         _require_degree_bound(inst, rec.degree)
     if rec.unweighted and not _unweighted(inst):
         raise ReductionError("source must be unweighted")
     out = rec.build(inst, resolver)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
-    declared = rec.size.count(inst, resolver)
+    declared = rec.size.count(inst, applied)
     if out.num_vars > declared or (rec.size.exact and out.num_vars != declared):
         raise BoundViolation(f"{name}: produced {out.num_vars} variables, "
                              f"declared {rec.size.text()} = {declared}")

@@ -556,6 +556,22 @@ def test_relation_names_take_only_ascii_numerals_without_leading_zeros(tmp_path,
     assert (code, out, err.getvalue()) == (2, "", f"error: {path}: unknown relation {ref!r}\n")
 
 
+@pytest.mark.parametrize("text,flags,message", [
+    ("problem SAT\nvars 21\nc OR2 1 21\n", ["--all"],
+     "instance has 21 variables, oracle cap is 20"),
+    ("problem Max-Cut\nvars 2\nc edge 1 2 w 2305843009213693952\n", [],
+     "objective magnitude exceeds the exact int64 budget"),
+], ids=["enumeration-cap", "int64-budget"])
+def test_an_oracle_cap_names_the_file_and_exits_2(tmp_path, text, flags, message):
+    # the edge weight is 2^61, past the oracle's exact int64 budget
+    path = tmp_path / "x.inst"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["solve", str(path), *flags])
+    assert (code, out, err.getvalue()) == (2, "", f"error: {path}: {message}\n")
+
+
 def test_weak_base_past_the_arity_cap_exits_2(tmp_path):
     # the weak base of IS^30_1 is 31-ary, past the relation cap, which is
     # checked before its 2^31 masks are enumerated

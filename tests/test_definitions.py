@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from coclones import definitions, relations, truthtables
@@ -306,3 +306,29 @@ def test_project_matches_projecting_the_masks(case):
     assert truthtables.masks(t, n).tolist() == sorted(masks)
     kept = {m & ((1 << keep) - 1) for m in masks}
     assert truthtables.project(t, n, keep) == sum(1 << m for m in kept)
+
+
+# empty, sparse, dense and full tables over 0-14 variables; the examples at
+# 14 variables take each read of `masks`: the sparse one below one set bit per
+# 64-bit word, and the full unpack at or above it
+@given(st.integers(0, 14), st.sampled_from(("empty", "sparse", "dense", "full")),
+       st.randoms(use_true_random=False))
+@example(14, "sparse", random.Random(0))
+@example(14, "dense", random.Random(0))
+@example(14, "full", random.Random(0))
+@example(6, "sparse", random.Random(1))
+def test_masks_lists_the_set_bits_ascending_as_int64(n, shape, rng):
+    size = 1 << n
+    if shape == "empty":
+        want = []
+    elif shape == "sparse":
+        want = sorted(rng.sample(range(size), min(size, rng.randint(1, 12))))
+    elif shape == "dense":
+        want = [m for m in range(size) if rng.random() < 0.5]
+    else:
+        want = list(range(size))
+    t = 0
+    for m in want:
+        t |= 1 << m
+    got = truthtables.masks(t, n)
+    assert got.dtype == np.int64 and got.tolist() == want

@@ -22,6 +22,7 @@ from coclones.instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
+    Resolver,
     Threshold,
     default_resolver,
 )
@@ -287,13 +288,35 @@ def test_frontier_matches_bruteforce(inst, want_all):
 
 
 # solve takes hard kinds up to the cut through the truth tables, so the
-# frontier is compared with them and with the reference here, at every size
+# frontier is compared with them and with the reference here, at every size.
+# The frontier starts from the truth table of the terms below the cut: the
+# examples take it with no tail (14 variables), emptying below the cut
+# (15-17), with no term below it (15-16), and with terms whose top variable
+# is 13, the last below the cut, or 14, the first past it
 @pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
 @given(instances(HARD_KINDS), st.booleans())
 @example(TRUTH_EXAMPLES[0], True)
 @example(TRUTH_EXAMPLES[1], True)
+@example(TRUTH_EXAMPLES[2], True)
 @example(TRUTH_EXAMPLES[3], True)
+@example(TRUTH_EXAMPLES[4], True)
+@example(umo(TRUTH + 1, [("T", (3,)), ("F", (3,)), ("OR2", (14, 1))]), True)
+@example(wmo(TRUTH + 2, [("NAND2", (0, 1)), ("T", (0,)), ("T", (1,)), ("OR8", tuple(range(8, 16)))],
+             [1 + v % 3 for v in range(TRUTH + 2)], KIND_MINO), False)
+@example(Instance(KIND_SAT, TRUTH + 3, (Constraint("R_IN2", (2, 2, 2, 2, 13, 13, 13, 13)),
+                                        Constraint("EVEN8", (0, 0, 1, 1, 2, 2, 13, 13)),
+                                        Constraint("R_IN2", (2, 2, 2, 2, 16, 16, 16, 16)))),
+          True)
+@example(umo(TRUTH + 1, []), True)
+@example(umo(TRUTH + 2, [("NAND2", (14, 15)), ("OR3", (3, 15, 14)),
+                         ("R_II2", (15, 14, 0, 15, 1, 14, 2, 15))]), True)
+@example(umo(TRUTH + 1, [("OR2", (0, 13)), ("NAND2", (13, 14)),
+                         ("EVEN8", (14, 13, 12, 11, 10, 9, 8, 7)),
+                         ("R_IL2", (13, 0, 14, 2, 13, 1, 14, 3))]), True)
+@example(wmo(TRUTH + 3, [("OR8", tuple(range(6, 14))), ("R_IN2", (13, 13, 13, 13, 14, 14, 14, 14)),
+                         ("NAND2", (14, 16)), ("OR2", (15, 16))],
+             [2, 0, 1] * 5 + [1, 3], KIND_WMO), True)
 @example(EMPTYING_TARGETS[0], True)
 @example(EMPTYING_TARGETS[1], False)
 @example(EMPTYING_TARGETS[2], False)
@@ -951,8 +974,23 @@ def test_bruteforce_reads_raw_relations_without_minors(monkeypatch):
     assert solve_bruteforce(inst, want_all=True).satisfiable
 
 
-@pytest.mark.parametrize("inst", EMPTYING_TARGETS,
-                         ids=["II2-17", "II2-20", "IL2-17", "IL2-20"])
+class FreshRelations(Resolver):
+    """Resolves each constraint to a fresh copy of its relation, so a solve
+    meets no minor or truth table that an earlier one cached, and no two
+    constraints share one; `copies` holds the last solve's, in order."""
+
+    def resolve_all(self, kind, constraints):
+        self.copies = [Relation(rel.arity, rel.tuples, rel.name)
+                       for rel in RESOLVER.resolve_all(kind, constraints)]
+        return self.copies
+
+
+# the sampled targets empty below the truth-table cut; the last instance
+# empties at variable 15, past it, after one term below it
+@pytest.mark.parametrize("inst", EMPTYING_TARGETS + (
+    umo(17, [("OR8", (0, 0, 1, 1, 13, 13, 2, 2)), ("T", (15,)), ("NAND2", (14, 16)),
+             ("R_IN2", (15, 15, 15, 15, 3, 3, 3, 3)), ("F", (15,))]),),
+                         ids=["II2-17", "II2-20", "IL2-17", "IL2-20", "tail-17"])
 def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
     # the terms in the frontier's order, by top variable, and the shortest
     # prefix of them that no mask satisfies, read off the raw relations
@@ -970,14 +1008,18 @@ def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
     real = Relation.minor
 
     def spy(self, pattern):
-        minors.append((self, pattern))
+        minors.append((id(self), pattern))
         return real(self, pattern)
 
     monkeypatch.setattr(Relation, "minor", spy)
     grid = spy_on(monkeypatch)
-    assert solve(inst, RESOLVER) == SolveResult(inst.kind, False, None, None)
-    # only the prefix reads its minors, and the grid never runs
-    assert minors == [(rel, oracle._identification(args)[1]) for args, rel in order[:stop]]
+    fresh = FreshRelations()
+    assert solve(inst, fresh) == SolveResult(inst.kind, False, None, None)
+    # each term read builds its own minor, on either side of the cut: only
+    # the prefix is read, and the grid never runs
+    read = sorted(zip((c.args for c in inst.constraints), fresh.copies),
+                  key=lambda term: max(term[0]))
+    assert minors == [(id(rel), oracle._identification(args)[1]) for args, rel in read[:stop]]
     assert not grid
 
 

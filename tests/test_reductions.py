@@ -22,6 +22,7 @@ from coclones.instances import (
     KIND_VCSP,
     KIND_WMO,
     MAXIMIZING_KINDS,
+    Resolver,
     Threshold,
     default_resolver,
 )
@@ -363,11 +364,12 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
     # one exact count and one upper bound; the message names the declared form
     rec = REGISTRY[name]
     src = rec.sampler(random.Random(0))
-    declared = rec.size.count(src, RESOLVER)
+    declared = rec.size.count(src, RESOLVER.resolve_all(src.kind, src.constraints))
 
     def padded(src, resolver):
+        applied = resolver.resolve_all(src.kind, src.constraints)
         return dataclasses.replace(rec.build(src, resolver),
-                                   num_vars=rec.size.count(src, resolver) + 1)
+                                   num_vars=rec.size.count(src, applied) + 1)
 
     apply(name, src)
     monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, build=padded))
@@ -386,6 +388,25 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
             apply(name, src)
     else:
         apply(name, src)
+
+
+@pytest.mark.parametrize("name,calls", [("uvcspd_to_minones", 2), ("umo_II2_to_IN2", 1)],
+                         ids=["uvcspd_to_minones", "umo_II2_to_IN2"])
+def test_apply_resolves_the_source_once_for_its_checks(monkeypatch, name, calls):
+    # apply's admission and Size.count share one resolve; of the two entries
+    # only uvcspd_to_minones' build resolves the source again
+    rec = REGISTRY[name]
+    src = rec.sampler(random.Random(0))
+    seen = []
+    real = Resolver.resolve_all
+
+    def spy(self, kind, constraints):
+        seen.append(constraints)
+        return real(self, kind, constraints)
+
+    monkeypatch.setattr(Resolver, "resolve_all", spy)
+    apply(name, src)
+    assert seen == [src.constraints] * calls
 
 
 # each entry's LV constant as `reduce` prints it; maxcutc_to_wmaxones adds a
