@@ -6,7 +6,7 @@ this module:
 - what it admits: the source kind and language ("*" admits any), the
   `degree` bound (no source variable in more constraints than that), and
   `unweighted` (no variable weights, every term weight unset or 1);
-- `build(src, resolver)`: the construction, and nothing else;
+- `build(src, applied)`: the construction alone, on the constraints `apply` resolved;
 - `size`: the target's variable count `base + per_var*n + per_constraint*m`,
   exact or, with `exact=False`, an upper bound; C and the bound text read it;
 - `measure`: either `Affine(sign, offset)`, where the target optimum is
@@ -28,8 +28,8 @@ It renders nothing: `coclones reduce` prints the measure map from the
 declaration and `ApplyInfo`, then the note.  `certify` replays a corpus
 through the oracle and checks the measure map with one rule for every entry.
 
-Output variables are ordered originals first, then globals (v0, v1), then
-per-variable auxiliaries, then per-constraint auxiliaries.
+Twelve entries are gadget `Template`s, each target laid out as `Template`
+states by one builder; the other builders number their own variables.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ from .definitions import (
     ARGMAX_IDENTITIES,
     ArgmaxIdentity,
     EXTENSION_FORMULAS,
-    ExtensionFormula,
 )
 from .instances import (
     Constraint,
@@ -66,7 +66,7 @@ from .instances import (
     default_resolver,
     rf_name,
 )
-from .oracle import OracleError, SolveResult, meets_threshold, solve
+from .oracle import OracleError, SolveResult, _minor, meets_threshold, solve
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
@@ -155,7 +155,7 @@ class ReductionRecord:
     source_language: tuple[str, ...]  # "*" admits any relation or cost function
     target_kind: str
     target_language: tuple[str, ...]
-    build: Callable[[Instance, Resolver], Instance]
+    build: Callable[[Instance, list], Instance]  # (source, its resolved constraints)
     size: Size
     measure: Affine | Decision
     degree: Optional[int] = None  # no source variable in more constraints than this
@@ -208,18 +208,93 @@ def _unweighted(inst: Instance) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Gadget templates
+
+
+@dataclass(frozen=True)
+class Template:
+    """A gadget reduction as three blocks of atoms of one relation.
+
+    A source of n variables and m constraints gets a target of n + globals +
+    per_var·n + per_constraint·m variables: the originals, the globals, the
+    `per_var` auxiliaries of each original in turn (the i-th of x is n +
+    globals + per_var·x + i), then the `per_constraint` fresh ones of each
+    constraint in turn.  The atoms follow the same order: the header, the
+    block of each original, then the block of each constraint.
+
+    An atom lists the names of its two or more arguments, separated by
+    spaces.  Every block names the globals v0, v1, ...; the variable block its
+    original x and x's auxiliaries x', x'', ...; the constraint block its
+    `arity` slots a0, a1, ..., their variables' auxiliaries a0', a0'', ...
+    and its fresh ones z1, z2, ...
+    """
+
+    kind: str
+    relation: str
+    arity: int
+    globals: int = 0
+    per_var: int = 0
+    per_constraint: int = 0
+    header: tuple[str, ...] = ()
+    var_block: tuple[str, ...] = ()
+    constraint_block: tuple[str, ...] = ()
+
+
+def _getters(block: tuple[str, ...], names: list[str]) -> list[Callable[[tuple], tuple]]:
+    """Each atom as a getter of its argument tuple from the block's variables,
+    listed in the order of `names`."""
+    at = {name: i for i, name in enumerate(names)}
+    return [operator.itemgetter(*(at[a] for a in atom.split())) for atom in block]
+
+
+def _template_build(t: Template) -> Callable[[Instance, list], Instance]:
+    """The builder of `t`.  It lays the header and variable blocks out once per
+    source size, and lists slot variables' auxiliaries only if a block names one."""
+    g, pv, f, rel = t.globals, t.per_var, t.per_constraint, t.relation
+    globals_ = [f"v{i}" for i in range(g)]
+    slots = [f"a{j}" for j in range(t.arity)]
+    slot_aux = [s + "'" * (i + 1) for s in slots for i in range(pv)]
+    header = _getters(t.header, globals_)
+    var_block = _getters(t.var_block, ["x"] + globals_ + ["x" + "'" * (i + 1) for i in range(pv)])
+    block = _getters(t.constraint_block,
+                     slots + globals_ + [f"z{i + 1}" for i in range(f)] + slot_aux)
+    reads_slot_aux = not set(slot_aux).isdisjoint(" ".join(t.constraint_block).split())
+    fixed: dict[int, tuple[Constraint, ...]] = {}  # header and variable blocks, per n <= 24
+
+    def build(inst: Instance, applied: list) -> Instance:
+        n = inst.num_vars
+        gl = tuple(range(n, n + g))
+        if n not in fixed:
+            cons = [Constraint(rel, get(gl)) for get in header]
+            for x in range(n):
+                vs = (x,) + gl + tuple(range(n + g + pv * x, n + g + pv * (x + 1)))
+                cons += [Constraint(rel, get(vs)) for get in var_block]
+            fixed[n] = tuple(cons)
+        cons = list(fixed[n])
+        z = n + g + pv * n  # the first fresh auxiliary
+        for c in inst.constraints:
+            vs = c.args + gl + tuple(range(z, z + f))
+            if reads_slot_aux:
+                vs += tuple(n + g + pv * v + i for v in c.args for i in range(pv))
+            cons += [Constraint(rel, get(vs)) for get in block]
+            z += f
+        return Instance(t.kind, z, tuple(cons))
+
+    return build
+
+
+# ---------------------------------------------------------------------------
 # Entry 1: bounded-occurrence satisfiability -> unweighted Max-Ones over the
 # NAND-with-constant relation (clique/independent-set gadget)
 
 
-def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
-    rel = resolver.relation("R_II2")
+def _build_sat2_to_umo_is21(inst: Instance, applied: list) -> Instance:
     # a vertex per constraint and consistent assignment of its distinct
     # variables: a tuple of the identification minor at its arguments
     vertices: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    for ci, c in enumerate(inst.constraints):
-        distinct = tuple(dict.fromkeys(c.args))
-        for m in rel.minor(tuple(map(distinct.index, c.args))).tuples:
+    for ci, (c, rel) in enumerate(zip(inst.constraints, applied)):
+        distinct, minor = _minor(c.args, rel)
+        for m in minor.tuples:
             vertices.append((ci, tuple((v, m >> i & 1) for i, v in enumerate(distinct))))
     nv = len(vertices)
     # variable 0 is the shared constant-0 global; vertices follow.  The global
@@ -237,114 +312,6 @@ def _build_sat2_to_umo_is21(inst: Instance, resolver: Resolver) -> Instance:
             if incompatible(vertices[i], vertices[j]):
                 cons.append(Constraint("R_IS1_2", (1 + i, 1 + j, 0)))
     return Instance(KIND_UMO, 1 + nv, tuple(cons))
-
-
-# ---------------------------------------------------------------------------
-# Entry 2: bounded-occurrence satisfiability -> unweighted Max-Ones over the
-# affine-with-inequalities relation
-
-
-def _build_sat2_to_umo_il2(inst: Instance, resolver: Resolver) -> Instance:
-    n, m = inst.num_vars, inst.num_constraints
-    v0, v1 = n, n + 1
-    prime = [n + 2 + i for i in range(n)]
-    z0 = n + 2 + n
-    cons = [Constraint("R_IL2", (v0, v0, v0, v1, v1, v1, v0, v1))]
-    for x in range(n):
-        xp = prime[x]
-        cons.append(Constraint("R_IL2", (xp, x, v1, x, xp, v0, v0, v1)))
-    for ci, c in enumerate(inst.constraints):
-        a = c.args
-        z1, z2, z3 = z0 + 3 * ci, z0 + 3 * ci + 1, z0 + 3 * ci + 2
-        cons.append(Constraint("R_IL2", (z1, z2, z3, a[0], a[1], a[2], a[6], a[7])))
-        cons.append(Constraint("R_IL2", (a[3], a[4], a[5], a[0], a[1], a[2], a[6], a[7])))
-    return Instance(KIND_UMO, 2 + 2 * n + 3 * m, tuple(cons))
-
-
-# ---------------------------------------------------------------------------
-# Entries 3-6: unweighted Max-Ones interreductions between weak bases
-
-
-def _build_umo_il2_to_il0(inst: Instance, resolver: Resolver) -> Instance:
-    n = inst.num_vars
-    v0, v1 = n, n + 1
-    ys = [n + 2 + i for i in range(n)]
-    cons = [Constraint("R_IL0", (v0, v0, v0, v0))]
-    cons += [Constraint("R_IL0", (v1, v0, y, v0)) for y in ys]
-    for c in inst.constraints:
-        a = c.args
-        cons.append(Constraint("R_IL0", (a[0], a[1], a[2], v0)))
-        cons.append(Constraint("R_IL0", (v1, a[0], a[3], v0)))
-        cons.append(Constraint("R_IL0", (v1, a[1], a[4], v0)))
-        cons.append(Constraint("R_IL0", (v1, a[2], a[5], v0)))
-        cons.append(Constraint("R_IL0", (v1, a[6], a[7], v0)))
-        # pin the constant-0 slot directly; the construction above only
-        # couples a[6] != a[7], which admits swapped spurious solutions
-        cons.append(Constraint("R_IL0", (a[6], a[6], a[6], v0)))
-    return Instance(KIND_UMO, 2 + 2 * n, tuple(cons))
-
-
-def _build_umo_ii2_to_in2(inst: Instance, resolver: Resolver) -> Instance:
-    n = inst.num_vars
-    v0, v1 = n, n + 1
-    ys = [n + 2 + i for i in range(2 * n)]
-    cons = [Constraint("R_IN2", (v0, v0, v0, v0, v1, v1, v1, v1))]
-    cons += [Constraint("R_IN2", (v0, v0, v0, v0, y, y, y, y)) for y in ys]
-    for c in inst.constraints:
-        a = c.args
-        cons.append(Constraint("R_IN2", (v0, a[0], a[1], a[5], v1, a[3], a[4], a[2])))
-        cons.append(Constraint("R_IN2", (v0, a[6], a[6], v0, v1, a[7], a[7], v1)))
-    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-
-
-def _build_umo_is21_to_id2(inst: Instance, resolver: Resolver) -> Instance:
-    n = inst.num_vars
-    v0, v1 = n, n + 1
-    prime = [n + 2 + 2 * i for i in range(n)]
-    dprime = [n + 3 + 2 * i for i in range(n)]
-    cons = [Constraint("R_ID2", (v1, v1, v0, v0, v0, v1))]
-    for x in range(n):
-        xp, xpp = prime[x], dprime[x]
-        cons.append(Constraint("R_ID2", (x, xp, xp, x, v0, v1)))
-        cons.append(Constraint("R_ID2", (xp, xpp, xpp, xp, v0, v1)))
-    for c in inst.constraints:
-        a = c.args
-        cons.append(Constraint("R_ID2", (prime[a[0]], prime[a[1]], a[0], a[1], a[2], v1)))
-    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-
-
-def _build_umo_il2_to_il3(inst: Instance, resolver: Resolver) -> Instance:
-    n = inst.num_vars
-    v0, v1 = n, n + 1
-    ys = [n + 2 + i for i in range(2 * n)]
-    cons = [Constraint("R_IL3", (v0, v0, v0, v0, v1, v1, v1, v1))]
-    cons += [Constraint("R_IL3", (v0, v0, v0, v0, y, y, y, y)) for y in ys]
-    for c in inst.constraints:
-        a = c.args
-        cons.append(Constraint("R_IL3", (a[6], a[0], a[1], a[2], a[7], a[3], a[4], a[5])))
-        cons.append(Constraint("R_IL3", (a[6], a[6], a[6], a[6], v1, v1, v1, v1)))
-        cons.append(Constraint("R_IL3", (v0, v0, v0, v0, a[7], a[7], a[7], a[7])))
-    return Instance(KIND_UMO, 2 + 3 * n, tuple(cons))
-
-
-# ---------------------------------------------------------------------------
-# Entry 7: quantifier-free extensions with two fresh globals (k -> k+1)
-
-
-def _make_qpp_build(ext: ExtensionFormula):
-    def build(inst: Instance, resolver: Resolver) -> Instance:
-        n = inst.num_vars
-        k = ext.formula.total_vars - 2
-        y0, y1 = n, n + 1
-        cons: list[Constraint] = []
-        for c in inst.constraints:
-            for atom_name, slots in ext.formula.atoms:
-                args = tuple(c.args[s] if s < k else (y0 if s == k else y1)
-                             for s in slots)
-                cons.append(Constraint(atom_name, args))
-        return Instance(KIND_UMO, n + 2, tuple(cons))
-
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +348,7 @@ def _weight_big_m(inst: Instance) -> Fraction:
 def _make_qwpp_build(identity: ArgmaxIdentity):
     weighted = [(p, w) for p, w in enumerate(identity.weights) if w]
 
-    def build(inst: Instance, resolver: Resolver) -> Instance:
+    def build(inst: Instance, applied: list) -> Instance:
         big_m = _weight_big_m(inst)
         gadget = [0] * inst.num_vars  # each variable's gadget weight over all constraints
         cons: list[Constraint] = []
@@ -413,7 +380,7 @@ def _qwpp_note(identity: ArgmaxIdentity, inst: Instance, resolver: Resolver) -> 
 # Entry 9: Min-Ones -> Max-Ones with per-variable complement pairs
 
 
-def _build_maxones_to_minones(inst: Instance, resolver: Resolver) -> Instance:
+def _build_maxones_to_minones(inst: Instance, applied: list) -> Instance:
     n = inst.num_vars
     return Instance(KIND_UMO, 3 * n, inst.constraints + _complements(n))
 
@@ -430,11 +397,11 @@ def _complements(n: int) -> tuple[Constraint, ...]:
 # relations
 
 
-def _build_uvcspd_to_minones(inst: Instance, resolver: Resolver) -> Instance:
+def _build_uvcspd_to_minones(inst: Instance, applied: list) -> Instance:
     next_var = inst.num_vars
     cons: list[Constraint] = []
     used_first: set[int] = set()
-    for c, fn in zip(inst.constraints, resolver.resolve_all(inst.kind, inst.constraints)):
+    for c, fn in zip(inst.constraints, applied):
         _require(all(v.denominator == 1 for v in fn.table),
                  "integer cost values required")
         k = fn.arity
@@ -483,15 +450,6 @@ def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Entry 11: bounded-occurrence satisfiability -> unweighted valued instance
-
-
-def _build_sat2_to_uvcsp2(inst: Instance, resolver: Resolver) -> Instance:
-    cons = [Constraint("fnot_R_II2", c.args) for c in inst.constraints]
-    return Instance(KIND_VCSP, inst.num_vars, tuple(cons))
-
-
-# ---------------------------------------------------------------------------
 # Entry 12: Max-Cut <-> VCSP(f_neq)
 
 
@@ -501,12 +459,12 @@ def _total_weight(inst: Instance) -> Fraction:
     return sum(weights, Fraction(len(inst.constraints) - len(weights)))
 
 
-def _build_maxcut_to_vcsp(inst: Instance, resolver: Resolver) -> Instance:
+def _build_maxcut_to_vcsp(inst: Instance, applied: list) -> Instance:
     cons = [Constraint("f_neq", c.args, c.weight) for c in inst.constraints]
     return Instance(KIND_VCSP, inst.num_vars, tuple(cons))
 
 
-def _build_vcsp_to_maxcut(inst: Instance, resolver: Resolver) -> Instance:
+def _build_vcsp_to_maxcut(inst: Instance, applied: list) -> Instance:
     cons = [Constraint("edge", c.args, c.weight) for c in inst.constraints]
     return Instance(KIND_MAXCUT, inst.num_vars, tuple(cons))
 
@@ -525,7 +483,7 @@ def _maxcsp_big_m(inst: Instance) -> Fraction:
     return big_m
 
 
-def _build_maxcsp_nandtf_to_neq(inst: Instance, resolver: Resolver) -> Instance:
+def _build_maxcsp_nandtf_to_neq(inst: Instance, applied: list) -> Instance:
     n = inst.num_vars
     v0, v1 = n, n + 1
     light: list[Constraint] = []
@@ -567,7 +525,7 @@ _XOR3_GAP_NOTE = ("XOR3 is pp-definable over R_II2 only with auxiliary variables
                   "emitting XOR3 as a target primitive")
 
 
-def _build_maxcutc_to_wmaxones(inst: Instance, resolver: Resolver) -> Instance:
+def _build_maxcutc_to_wmaxones(inst: Instance, applied: list) -> Instance:
     nv, ne = inst.num_vars, inst.num_constraints
     cons: list[Constraint] = []
     weights = [Fraction(0)] * nv
@@ -683,51 +641,87 @@ def _register(rec: ReductionRecord) -> None:
     REGISTRY[rec.name] = rec
 
 
+def _register_template(name: str, source_kind: str, source_language: tuple[str, ...],
+                       template: Template, **declared) -> None:
+    """Register `name` with the build, size and target read off `template`."""
+    _register(ReductionRecord(
+        name, source_kind, source_language, template.kind, (template.relation,),
+        build=_template_build(template),
+        size=Size(template.globals, 1 + template.per_var, template.per_constraint),
+        **declared))
+
+
 _register(ReductionRecord(
     "sat2_to_umo_IS21", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IS1_2",),
     build=_build_sat2_to_umo_is21, size=Size(1, per_constraint=3, exact=False),  # R_II2: 3 tuples
     measure=Decision(lambda inst: Threshold(">=", Fraction(inst.num_constraints))),
     degree=2, sampler=_sample_sat2))
 
-_register(ReductionRecord(
-    "sat2_to_umo_IL2", KIND_SAT, ("R_II2",), KIND_UMO, ("R_IL2",),
-    build=_build_sat2_to_umo_il2, size=Size(2, 2, 3),
+# Entry 2: bounded-occurrence satisfiability -> unweighted Max-Ones over the
+# affine-with-inequalities relation
+_register_template(
+    "sat2_to_umo_IL2", KIND_SAT, ("R_II2",), Template(
+        KIND_UMO, "R_IL2", 8, globals=2, per_var=1, per_constraint=3,
+        header=("v0 v0 v0 v1 v1 v1 v0 v1",),
+        var_block=("x' x v1 x x' v0 v0 v1",),
+        constraint_block=("z1 z2 z3 a0 a1 a2 a6 a7", "a3 a4 a5 a0 a1 a2 a6 a7")),
     measure=Decision(lambda inst: Threshold(
         ">=", Fraction(inst.num_vars + 1 + 2 * inst.num_constraints)), exact=True),
-    degree=2, sampler=_sample_sat2))
+    degree=2, sampler=_sample_sat2)
 
-_register(ReductionRecord(
-    "umo_IL2_to_IL0", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL0",),
-    build=_build_umo_il2_to_il0, size=Size(2, 2),
+# Entries 3-6: unweighted Max-Ones interreductions between weak bases
+_register_template(
+    "umo_IL2_to_IL0", KIND_UMO, ("R_IL2",), Template(
+        KIND_UMO, "R_IL0", 8, globals=2, per_var=1,
+        header=("v0 v0 v0 v0",),
+        var_block=("v1 v0 x' v0",),
+        # the last atom pins the constant-0 slot directly; the others only
+        # couple a6 != a7, which admits swapped spurious solutions
+        constraint_block=("a0 a1 a2 v0", "v1 a0 a3 v0", "v1 a1 a4 v0", "v1 a2 a5 v0",
+                          "v1 a6 a7 v0", "a6 a6 a6 v0")),
     measure=Affine(1, _offset(lambda n: n + 1)),
-    sampler=_make_sampler("R_IL2", 8)))
+    sampler=_make_sampler("R_IL2", 8))
 
-_register(ReductionRecord(
-    "umo_II2_to_IN2", KIND_UMO, ("R_II2",), KIND_UMO, ("R_IN2",),
-    build=_build_umo_ii2_to_in2, size=Size(2, 3),
+_register_template(
+    "umo_II2_to_IN2", KIND_UMO, ("R_II2",), Template(
+        KIND_UMO, "R_IN2", 8, globals=2, per_var=2,
+        header=("v0 v0 v0 v0 v1 v1 v1 v1",),
+        var_block=("v0 v0 v0 v0 x' x' x' x'", "v0 v0 v0 v0 x'' x'' x'' x''"),
+        constraint_block=("v0 a0 a1 a5 v1 a3 a4 a2", "v0 a6 a6 v0 v1 a7 a7 v1")),
     measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
-    sampler=_make_sampler("R_II2", 8)))
+    sampler=_make_sampler("R_II2", 8))
 
-_register(ReductionRecord(
-    "umo_IS21_to_ID2", KIND_UMO, ("R_IS1_2",), KIND_UMO, ("R_ID2",),
-    build=_build_umo_is21_to_id2, size=Size(2, 3),
+_register_template(
+    "umo_IS21_to_ID2", KIND_UMO, ("R_IS1_2",), Template(
+        KIND_UMO, "R_ID2", 3, globals=2, per_var=2,
+        header=("v1 v1 v0 v0 v0 v1",),
+        var_block=("x x' x' x v0 v1", "x' x'' x'' x' v0 v1"),
+        constraint_block=("a0' a1' a0 a1 a2 v1",)),
     measure=Affine(1, _offset(lambda n: 1 + n)),
-    sampler=_make_sampler("R_IS1_2", 3, n_range=(2, 6))))
+    sampler=_make_sampler("R_IS1_2", 3, n_range=(2, 6)))
 
-_register(ReductionRecord(
-    "umo_IL2_to_IL3", KIND_UMO, ("R_IL2",), KIND_UMO, ("R_IL3",),
-    build=_build_umo_il2_to_il3, size=Size(2, 3),
+_register_template(
+    "umo_IL2_to_IL3", KIND_UMO, ("R_IL2",), Template(
+        KIND_UMO, "R_IL3", 8, globals=2, per_var=2,
+        header=("v0 v0 v0 v0 v1 v1 v1 v1",),
+        var_block=("v0 v0 v0 v0 x' x' x' x'", "v0 v0 v0 v0 x'' x'' x'' x''"),
+        constraint_block=("a6 a0 a1 a2 a7 a3 a4 a5", "a6 a6 a6 a6 v1 v1 v1 v1",
+                          "v0 v0 v0 v0 a7 a7 a7 a7")),
     measure=Affine(1, _offset(lambda n: 1 + 2 * n)),
-    sampler=_make_sampler("R_IL2", 8)))
+    sampler=_make_sampler("R_IL2", 8))
 
+# Entry 7: quantifier-free extensions with two fresh globals (k -> k+1); an
+# extension formula's coordinates 0..k-1 are the slots, k and k+1 the globals
 for _ext_formula in EXTENSION_FORMULAS:
-    _register(ReductionRecord(
-        f"umo_qpp_{_ext_formula.target[2:]}", KIND_UMO, (_ext_formula.source,),
-        KIND_UMO, (_ext_formula.target,),
-        build=_make_qpp_build(_ext_formula), size=Size(2, 1),
+    _k = _ext_formula.formula.total_vars - 2
+    _names = [f"a{j}" for j in range(_k)] + ["v0", "v1"]
+    _register_template(
+        f"umo_qpp_{_ext_formula.target[2:]}", KIND_UMO, (_ext_formula.source,), Template(
+            KIND_UMO, _ext_formula.target, _k, globals=2,
+            constraint_block=tuple(" ".join(_names[s] for s in slots)
+                                   for _, slots in _ext_formula.formula.atoms)),
         measure=Affine(1, _offset(lambda n: 1)),
-        sampler=_make_sampler(_ext_formula.source, _ext_formula.formula.total_vars - 2,
-                              n_range=(3, 6), cover_all=True)))
+        sampler=_make_sampler(_ext_formula.source, _k, n_range=(3, 6), cover_all=True))
 
 for _ident in ARGMAX_IDENTITIES:
     _register(ReductionRecord(
@@ -752,11 +746,12 @@ _register(ReductionRecord(
     measure=Affine(1, _arity_sum),
     unweighted=True, sampler=_sample_uvcsp))
 
-_register(ReductionRecord(
-    "sat2_to_uvcsp2", KIND_SAT, ("R_II2",), KIND_VCSP, ("fnot_R_II2",),
-    build=_build_sat2_to_uvcsp2, size=Size(per_var=1),
+# Entry 11: bounded-occurrence satisfiability -> unweighted valued instance
+_register_template(
+    "sat2_to_uvcsp2", KIND_SAT, ("R_II2",), Template(
+        KIND_VCSP, "fnot_R_II2", 8, constraint_block=("a0 a1 a2 a3 a4 a5 a6 a7",)),
     measure=Decision(lambda inst: Threshold("<=", Fraction(0))),
-    degree=2, sampler=_sample_sat2))
+    degree=2, sampler=_sample_sat2)
 
 _register(ReductionRecord(
     "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",), KIND_VCSP, ("f_neq",),
@@ -830,7 +825,7 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
         _require_degree_bound(inst, rec.degree)
     if rec.unweighted and not _unweighted(inst):
         raise ReductionError("source must be unweighted")
-    out = rec.build(inst, resolver)
+    out = rec.build(inst, applied)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
     declared = rec.size.count(inst, applied)
     if out.num_vars > declared or (rec.size.exact and out.num_vars != declared):

@@ -232,7 +232,8 @@ TRUTH_EXAMPLES = (
 
 def two_plus_3n(name, source):
     """The target of 2+3n entry `name` on `source`, as certify builds it."""
-    return reductions.record(name).build(source, RESOLVER)
+    return reductions.record(name).build(source, RESOLVER.resolve_all(source.kind,
+                                                                      source.constraints))
 
 
 # targets of the 2+3n entries at 17 and 20 variables, past the truth-table cut:

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
 import fnmatch
+import io
 import itertools
 import random
 import re
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -237,7 +240,8 @@ def test_big_m_and_qwpp_weights_match_the_fraction_reference(data):
         for p, w in enumerate(identity.weights):
             if w:
                 ref_weights[c.args[p]] += big_m * w
-    tgt = REGISTRY[f"wmo_qwpp_{identity.base[2:]}"].build(src, RESOLVER)
+    tgt = REGISTRY[f"wmo_qwpp_{identity.base[2:]}"].build(
+        src, RESOLVER.resolve_all(src.kind, src.constraints))
     assert tgt.var_weights == tuple(ref_weights)
     assert all(type(w) is Fraction for w in tgt.var_weights)
 
@@ -366,9 +370,8 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
     src = rec.sampler(random.Random(0))
     declared = rec.size.count(src, RESOLVER.resolve_all(src.kind, src.constraints))
 
-    def padded(src, resolver):
-        applied = resolver.resolve_all(src.kind, src.constraints)
-        return dataclasses.replace(rec.build(src, resolver),
+    def padded(src, applied):
+        return dataclasses.replace(rec.build(src, applied),
                                    num_vars=rec.size.count(src, applied) + 1)
 
     apply(name, src)
@@ -390,11 +393,10 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
         apply(name, src)
 
 
-@pytest.mark.parametrize("name,calls", [("uvcspd_to_minones", 2), ("umo_II2_to_IN2", 1)],
-                         ids=["uvcspd_to_minones", "umo_II2_to_IN2"])
-def test_apply_resolves_the_source_once_for_its_checks(monkeypatch, name, calls):
-    # apply's admission and Size.count share one resolve; of the two entries
-    # only uvcspd_to_minones' build resolves the source again
+@pytest.mark.parametrize("name", ["uvcspd_to_minones", "umo_II2_to_IN2"])
+def test_apply_resolves_the_source_once_for_its_checks(monkeypatch, name):
+    # apply's admission, the build and Size.count share one resolve, also on
+    # uvcspd_to_minones, whose build reads every cost table
     rec = REGISTRY[name]
     src = rec.sampler(random.Random(0))
     seen = []
@@ -406,7 +408,7 @@ def test_apply_resolves_the_source_once_for_its_checks(monkeypatch, name, calls)
 
     monkeypatch.setattr(Resolver, "resolve_all", spy)
     apply(name, src)
-    assert seen == [src.constraints] * calls
+    assert seen == [src.constraints]
 
 
 # each entry's LV constant as `reduce` prints it; maxcutc_to_wmaxones adds a
@@ -449,6 +451,48 @@ def test_readme_registry_table_renders_the_declared_sizes():
     assert sorted(covered) == registry_names()
 
 
+# scripts/registry_targets.py's output, recorded before the twelve template
+# entries lost their hand-written builders: a line per entry, with a sha256
+# over the text of every target of its default corpus.  A construction that
+# changes one byte of one target fails this test.  Change a line here only
+# with a deliberate change of that entry's targets, named in CHANGES.md.
+REGISTRY_TARGETS = """\
+sat2_to_umo_IS21 200 1bcf232efd43d31da8f4d973c400812b9f16ef54d0488815f13c0121b213adc7
+sat2_to_umo_IL2 200 4d5e21856c12af32a7ab8269d58fe961e26c865d7ad5938ad7343b5402512d9c
+umo_IL2_to_IL0 200 99e4c84f7708a19d86c9c126597cae3c8131722dec2afce37ccf932b83963a43
+umo_II2_to_IN2 200 00886fbd5bb07f54a84397e4546848c3cde93c714a6329bdf399ca063bc93fb0
+umo_IS21_to_ID2 200 2ca51f86310833c2af04f754e98b83fcc3b9799ad7ce0a96eba32338874327be
+umo_IL2_to_IL3 200 96acb4cc528a5ef7dda8c0547b5b452f8d75af8d6e42b5940339a9aa84739dcb
+umo_qpp_IS12_2 200 bf7e6b4efda015520083d64d56cd9b587841a0ab8e0f6660b29fa63d1c185143
+umo_qpp_IS11_2 200 c6d744b66caa64476ca12ffa189e008e4a23fd53850e33f3564711f0c2d0d674
+umo_qpp_IS10_2 200 9fa49b527a586fdb6871ff375edaf79132ca9ca6bb38d0ecc9fc5c7641ada26f
+umo_qpp_IE2 200 293404cfdbcf53f92c886f09a7a806ec7d7616aafbe1bf684e8a15750de5cac1
+umo_qpp_IE0 200 935519553d0682d311fb89fc44bb81c3c06885723462528494a2a281aec10d6b
+umo_qpp_II0 200 e36714a1663af6a270a17cab15dbfbba3992f4e1535fb706a34dd70f983623af
+wmo_qwpp_IN2 200 8f90f9d4d2cb5d8f06ad5872bcb912e8aff074e02313be1e33d5b51fbad6a7cf
+wmo_qwpp_ID2 200 a5a3662a8e0054e2ff34371761496acf86763f547f6913dbee71ebc2c0cbc452
+wmo_qwpp_IL2 200 3a95a8524ea6ce68a67e5e5c553cd67e3df0e595c47a0c81d93c940a304fd68d
+wmo_qwpp_IL3 200 9f4cfda00c5c5159d3bbba684f6d48018ae5927e9f2548a49e0c210c99e4080a
+wmo_qwpp_IL0 200 1a01120d8aeee29b79c688309ef5a9f5203bfd1e750a30bc06db40413e16e4b5
+wmo_qwpp_IS1_2 200 c65a3b9381b2431afc3b8af086b0ef30b826ac4d3118e6beecaaf5decf128e01
+maxones_to_minones 844 72158152fe35672824c1f763453a7e8ccc0802e78cc850308122961c99839c27
+uvcspd_to_minones 200 439fcb612e860bf6020c1821a7ae3b5739919f44cc2072e7b7f96323f2503d9d
+sat2_to_uvcsp2 200 2607d40037890152f67dbec1dba2fcc07a91a19508933d3d4453ebb3d2286ea7
+maxcut_to_vcsp_neq 228 465852c41aebce9308be493e62b8dc98ea17155a7169235192bd23d6a42b8742
+vcsp_neq_to_maxcut 228 40a18861a06b9b650ee6c124319cd8a7cb4e58dfe30e4f6f9fc4d905011cef31
+maxcsp_nandTF_to_neq 200 dfcc836d618596bc87f1ae10321bff86cead212bd838b375aa389b2df9761710
+maxcutc_to_wmaxones 200 c4192dc01f9dd71b43548263a4e51df09728eb5c8e8cebf8dafb0957bc37a00b
+"""
+
+
+def test_every_entry_builds_the_recorded_targets():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "registry_targets.py"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert runpy.run_path(str(script))["main"]() == 0
+    assert out.getvalue() == REGISTRY_TARGETS
+
+
 def test_an_exact_size_is_asserted_on_23_entries_and_a_bound_on_2():
     bounds = [name for name in REGISTRY if not REGISTRY[name].size.exact]
     assert bounds == ["sat2_to_umo_IS21", "uvcspd_to_minones"]
@@ -464,8 +508,8 @@ def test_apply_rejects_a_build_outside_its_declared_target(monkeypatch, name, ch
     src = rec.sampler(random.Random(0)) if rec.sampler else next(rec.exhaustive())
     apply(name, src)
     if change == "language":
-        def build(src, resolver):
-            out = rec.build(src, resolver)
+        def build(src, applied):
+            out = rec.build(src, applied)
             return dataclasses.replace(
                 out, constraints=out.constraints + (Constraint("OR2", (0, 1)),))
         changed = dataclasses.replace(rec, build=build)
