@@ -84,6 +84,13 @@ def _relations(path: str) -> list[Relation]:
     return rels
 
 
+def _costs(path: str) -> list:
+    fns = _parse_file(path, parse_cost)
+    if not fns:
+        raise CliError(f"{path}: no cost functions found")
+    return fns
+
+
 def _load_language(path: str) -> ConstraintLanguage:
     return ConstraintLanguage(_relations(path))
 
@@ -144,7 +151,7 @@ def _cmd_wpp_eval(args) -> int:
 
     inst = _parse_file(args.gadget, parse_inst)
     if inst.kind != KIND_WMO:
-        raise CliError("gadget files must be W-Max-Ones instances")
+        raise CliError(f"{args.gadget}: gadget files must be W-Max-Ones instances")
     resolver = _resolver_with_defs(args.defs)
     try:
         rel = eval_wpp(inst, resolver)
@@ -248,10 +255,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_vcsp_classify(args) -> int:
-    fns = _parse_file(args.costs, parse_cost)
-    if not fns:
-        raise CliError(f"{args.costs}: no cost functions found")
-    cls = classify_vcsp(fns)
+    cls = classify_vcsp(_costs(args.costs))
     if cls.is_polynomial:
         print(f"VCSP: P (admits the {cls.admitted} multimorphism)")
         return 0
@@ -266,9 +270,7 @@ def _cmd_vcsp_classify(args) -> int:
 
 
 def _cmd_express_neq(args) -> int:
-    fns = _parse_file(args.costs, parse_cost)
-    if not fns:
-        raise CliError(f"{args.costs}: no cost functions found")
+    fns = _costs(args.costs)
     cls = classify_vcsp(fns)
     if cls.is_polynomial:
         print(f"VCSP is tractable (admits {cls.admitted}); nothing to express")

@@ -28,8 +28,8 @@ It renders nothing: `coclones reduce` prints the measure map from the
 declaration and `ApplyInfo`, then the note.  `certify` replays a corpus
 through the oracle and checks the measure map with one rule for every entry.
 
-Twelve entries are gadget `Template`s, each target laid out as `Template`
-states by one builder; the other builders number their own variables.
+Twenty-one entries are gadget `Template`s: one builder lays out and weighs each
+target as `Template` states.  The other four builders number their own variables.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
+    MAX_RELATION_ARITY,
     ReductionError,
     Resolver,
     Threshold,
@@ -227,6 +228,13 @@ class Template:
     original x and x's auxiliaries x', x'', ...; the constraint block its
     `arity` slots a0, a1, ..., their variables' auxiliaries a0', a0'', ...
     and its fresh ones z1, z2, ...
+
+    The kinds give the weights.  A target kind that weighs constraints copies
+    each source constraint's weight, unset too, onto its block's atoms.  A
+    W-Max-Ones target weighs originals as the source does (0 if its kind has
+    no variable weights) and auxiliaries 0, then each constraint adds coef ×
+    factor to the variable of each `weights` entry ("z1"; "a0 2" for coef 2):
+    its weight (1 if unset), or the big-M of a W-Max-Ones source.
     """
 
     kind: str
@@ -238,47 +246,79 @@ class Template:
     header: tuple[str, ...] = ()
     var_block: tuple[str, ...] = ()
     constraint_block: tuple[str, ...] = ()
+    weights: tuple[str, ...] = ()
 
 
 def _getters(block: tuple[str, ...], names: list[str]) -> list[Callable[[tuple], tuple]]:
     """Each atom as a getter of its argument tuple from the block's variables,
-    listed in the order of `names`."""
+    listed in the order of `names`.  An atom over all of them in order gets the
+    tuple itself (a tuple's full slice is the tuple, not a copy)."""
     at = {name: i for i, name in enumerate(names)}
-    return [operator.itemgetter(*(at[a] for a in atom.split())) for atom in block]
+    return [operator.itemgetter(slice(None)) if atom.split() == names
+            else operator.itemgetter(*(at[a] for a in atom.split())) for atom in block]
 
 
 def _template_build(t: Template) -> Callable[[Instance, list], Instance]:
     """The builder of `t`.  It lays the header and variable blocks out once per
-    source size, and lists slot variables' auxiliaries only if a block names one."""
+    source size, lists slot variables' auxiliaries only if a block names one,
+    and, with no globals or fresh ones, hands a block the constraint's args."""
     g, pv, f, rel = t.globals, t.per_var, t.per_constraint, t.relation
     globals_ = [f"v{i}" for i in range(g)]
     slots = [f"a{j}" for j in range(t.arity)]
     slot_aux = [s + "'" * (i + 1) for s in slots for i in range(pv)]
     header = _getters(t.header, globals_)
     var_block = _getters(t.var_block, ["x"] + globals_ + ["x" + "'" * (i + 1) for i in range(pv)])
-    block = _getters(t.constraint_block,
-                     slots + globals_ + [f"z{i + 1}" for i in range(f)] + slot_aux)
-    reads_slot_aux = not set(slot_aux).isdisjoint(" ".join(t.constraint_block).split())
-    fixed: dict[int, tuple[Constraint, ...]] = {}  # header and variable blocks, per n <= 24
+    reads_slot_aux = not set(slot_aux).isdisjoint(" ".join(t.constraint_block + t.weights).split())
+    names = (slots + globals_ + [f"z{i + 1}" for i in range(f)]
+             + (slot_aux if reads_slot_aux else []))
+    block = _getters(t.constraint_block, names)
+    weighted = [(names.index(name), int(coef[0]) if coef else 1)
+                for name, *coef in map(str.split, t.weights)]
+    weighs = t.kind in (KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
+    zero, one = Fraction(0), Fraction(1)
+    fresh = [tuple(range(z, z + f)) for z in range(MAX_RELATION_ARITY + 1)]
+    fixed: dict[int, tuple] = {}  # the globals, header and variable blocks, per n <= 24
 
     def build(inst: Instance, applied: list) -> Instance:
-        n = inst.num_vars
-        gl = tuple(range(n, n + g))
+        n, cs = inst.num_vars, inst.constraints
         if n not in fixed:
+            gl = tuple(range(n, n + g))
             cons = [Constraint(rel, get(gl)) for get in header]
             for x in range(n):
                 vs = (x,) + gl + tuple(range(n + g + pv * x, n + g + pv * (x + 1)))
                 cons += [Constraint(rel, get(vs)) for get in var_block]
-            fixed[n] = tuple(cons)
-        cons = list(fixed[n])
+            fixed[n] = gl, tuple(cons)
+        gl, cons = fixed[n]
+        cons = list(cons)
+        big_m = _weight_big_m(inst) if inst.kind == KIND_WMO else None
+        added: dict[int, Fraction | int] = {}  # coef × factor sums; ints under big-M
         z = n + g + pv * n  # the first fresh auxiliary
-        for c in inst.constraints:
-            vs = c.args + gl + tuple(range(z, z + f))
+        if z + f * len(cs) > MAX_RELATION_ARITY:  # Instance refuses the count; `fresh` ends
+            return Instance(t.kind, z + f * len(cs), ())
+        for c in cs:
+            vs = c.args + gl + fresh[z]
             if reads_slot_aux:
                 vs += tuple(n + g + pv * v + i for v in c.args for i in range(pv))
-            cons += [Constraint(rel, get(vs)) for get in block]
+            for get in block:
+                cons.append(Constraint(rel, get(vs), c.weight if weighs else None))
+            if weighted:
+                factor = 1 if big_m is not None else one if c.weight is None else c.weight
+                for i, coef in weighted:
+                    v, term = vs[i], factor if coef == 1 else coef * factor
+                    added[v] = added[v] + term if v in added else term
             z += f
-        return Instance(t.kind, z, tuple(cons))
+        if t.kind != KIND_WMO:
+            return Instance(t.kind, z, tuple(cons))
+        weights = [zero] * z
+        if big_m is not None:
+            weights[:n] = inst.weights_or_default()
+        for v, a in added.items():
+            # under big-M, weight + big-M × coef sum, over the common denominator
+            w = weights[v]
+            weights[v] = a if big_m is None else Fraction(
+                w.numerator * big_m.denominator + big_m.numerator * a * w.denominator,
+                w.denominator * big_m.denominator)
+        return Instance(KIND_WMO, z, tuple(cons), var_weights=tuple(weights))
 
     return build
 
@@ -343,29 +383,6 @@ def _weight_big_m(inst: Instance) -> Fraction:
         return Fraction(1 + inst.num_vars)
     den = math.lcm(*(w.denominator for w in weights))
     return Fraction(den + sum(w.numerator * (den // w.denominator) for w in weights), den)
-
-
-def _make_qwpp_build(identity: ArgmaxIdentity):
-    weighted = [(p, w) for p, w in enumerate(identity.weights) if w]
-
-    def build(inst: Instance, applied: list) -> Instance:
-        big_m = _weight_big_m(inst)
-        gadget = [0] * inst.num_vars  # each variable's gadget weight over all constraints
-        cons: list[Constraint] = []
-        for c in inst.constraints:
-            args = c.args
-            for slots in identity.atoms:
-                cons.append(Constraint(identity.base, tuple(args[s] for s in slots)))
-            for p, w in weighted:
-                gadget[args[p]] += w
-        # weight + big_m * gadget weight, over the common denominator of both
-        mn, md = big_m.numerator, big_m.denominator
-        new_weights = tuple(
-            Fraction(w.numerator * md + mn * g * w.denominator, w.denominator * md) if g else w
-            for w, g in zip(inst.weights_or_default(), gadget))
-        return Instance(KIND_WMO, inst.num_vars, tuple(cons), var_weights=new_weights)
-
-    return build
 
 
 def _qwpp_offset(identity: ArgmaxIdentity, inst: Instance, resolver: Resolver) -> Fraction:
@@ -459,16 +476,6 @@ def _total_weight(inst: Instance) -> Fraction:
     return sum(weights, Fraction(len(inst.constraints) - len(weights)))
 
 
-def _build_maxcut_to_vcsp(inst: Instance, applied: list) -> Instance:
-    cons = [Constraint("f_neq", c.args, c.weight) for c in inst.constraints]
-    return Instance(KIND_VCSP, inst.num_vars, tuple(cons))
-
-
-def _build_vcsp_to_maxcut(inst: Instance, applied: list) -> Instance:
-    cons = [Constraint("edge", c.args, c.weight) for c in inst.constraints]
-    return Instance(KIND_MAXCUT, inst.num_vars, tuple(cons))
-
-
 # ---------------------------------------------------------------------------
 # Entry 13: Max-CSP over {NAND2, T, F} -> Max-CSP(neq)
 
@@ -523,18 +530,6 @@ def _globals_differ_in_every_optimum(src, tgt, sres, tres, resolver) -> Optional
 # (both checked in tests/test_reductions.py)
 _XOR3_GAP_NOTE = ("XOR3 is pp-definable over R_II2 only with auxiliary variables; "
                   "emitting XOR3 as a target primitive")
-
-
-def _build_maxcutc_to_wmaxones(inst: Instance, applied: list) -> Instance:
-    nv, ne = inst.num_vars, inst.num_constraints
-    cons: list[Constraint] = []
-    weights = [Fraction(0)] * nv
-    for c in inst.constraints:
-        u, v = c.args
-        e = len(weights)
-        weights.append(c.weight if c.weight is not None else Fraction(1))
-        cons.append(Constraint("XOR3", (u, v, e)))
-    return Instance(KIND_WMO, nv + ne, tuple(cons), var_weights=tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -723,15 +718,17 @@ for _ext_formula in EXTENSION_FORMULAS:
         measure=Affine(1, _offset(lambda n: 1)),
         sampler=_make_sampler(_ext_formula.source, _k, n_range=(3, 6), cover_all=True))
 
+# an argmax identity's coordinates 0..7 are the slots a0..a7
 for _ident in ARGMAX_IDENTITIES:
-    _register(ReductionRecord(
-        f"wmo_qwpp_{_ident.base[2:]}", KIND_WMO, (_ident.target,),
-        KIND_WMO, (_ident.base,),
-        build=_make_qwpp_build(_ident), size=Size(per_var=1),
+    _register_template(
+        f"wmo_qwpp_{_ident.base[2:]}", KIND_WMO, (_ident.target,), Template(
+            KIND_WMO, _ident.base, 8,
+            constraint_block=tuple(" ".join(f"a{s}" for s in atom) for atom in _ident.atoms),
+            weights=tuple(f"a{p} {w}" for p, w in enumerate(_ident.weights) if w)),
         measure=Affine(1, functools.partial(_qwpp_offset, _ident)),
         note=functools.partial(_qwpp_note, _ident),
         sampler=_sample_wmo_ii2,
-        chain_before=("wmo_qwpp_IL2",) if _ident.target == "R_IL2" else ()))
+        chain_before=("wmo_qwpp_IL2",) if _ident.target == "R_IL2" else ())
 
 _register(ReductionRecord(
     "maxones_to_minones", KIND_MINO, ("*",), KIND_UMO, ("*", "neq"),
@@ -753,17 +750,17 @@ _register_template(
     measure=Decision(lambda inst: Threshold("<=", Fraction(0))),
     degree=2, sampler=_sample_sat2)
 
-_register(ReductionRecord(
-    "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",), KIND_VCSP, ("f_neq",),
-    build=_build_maxcut_to_vcsp, size=Size(per_var=1),
+_register_template(
+    "maxcut_to_vcsp_neq", KIND_MAXCUT, ("edge",),
+    Template(KIND_VCSP, "f_neq", 2, constraint_block=("a0 a1",)),
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    exhaustive=functools.partial(_exhaustive_pairs, KIND_MAXCUT, "edge")))
+    exhaustive=functools.partial(_exhaustive_pairs, KIND_MAXCUT, "edge"))
 
-_register(ReductionRecord(
-    "vcsp_neq_to_maxcut", KIND_VCSP, ("f_neq",), KIND_MAXCUT, ("edge",),
-    build=_build_vcsp_to_maxcut, size=Size(per_var=1),
+_register_template(
+    "vcsp_neq_to_maxcut", KIND_VCSP, ("f_neq",),
+    Template(KIND_MAXCUT, "edge", 2, constraint_block=("a0 a1",)),
     measure=Affine(-1, lambda inst, resolver: _total_weight(inst)),
-    exhaustive=functools.partial(_exhaustive_pairs, KIND_VCSP, "f_neq")))
+    exhaustive=functools.partial(_exhaustive_pairs, KIND_VCSP, "f_neq"))
 
 _register(ReductionRecord(
     "maxcsp_nandTF_to_neq", KIND_MAXCSP, ("NAND2", "T", "F"), KIND_MAXCSP, ("neq",),
@@ -771,12 +768,12 @@ _register(ReductionRecord(
     measure=Affine(1, lambda inst, resolver: _maxcsp_big_m(inst)),
     sampler=_sample_maxcsp_nandtf, invariant=_globals_differ_in_every_optimum))
 
-_register(ReductionRecord(
-    "maxcutc_to_wmaxones", KIND_MAXCUT, ("edge",), KIND_WMO, ("XOR3",),
-    build=_build_maxcutc_to_wmaxones, size=Size(0, 1, 1),
+_register_template(
+    "maxcutc_to_wmaxones", KIND_MAXCUT, ("edge",), Template(
+        KIND_WMO, "XOR3", 2, per_constraint=1, constraint_block=("a0 a1 z1",), weights=("z1",)),
     measure=Affine(1, _offset(lambda n: 0)),
     note=lambda inst, resolver: _XOR3_GAP_NOTE,
-    sampler=_sample_weighted_maxcut))
+    sampler=_sample_weighted_maxcut)
 
 QPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("umo_qpp_"))
 QWPP_FAMILY = tuple(n for n in REGISTRY if n.startswith("wmo_qwpp_"))

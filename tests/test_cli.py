@@ -318,6 +318,26 @@ def test_an_empty_project_line_exits_2(tmp_path):
         2, "", f"error: {gadget}: projection lists no variables\n")
 
 
+def test_a_gadget_of_another_kind_names_the_file_and_exits_2(tmp_path):
+    gadget = tmp_path / "g.inst"
+    gadget.write_text("problem SAT\nvars 2\nc OR2 1 2\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(["wpp-eval", str(gadget)])
+    assert (code, out, err.getvalue()) == (
+        2, "", f"error: {gadget}: gadget files must be W-Max-Ones instances\n")
+
+
+@pytest.mark.parametrize("command", ["vcsp-classify", "express-neq"])
+def test_a_cost_file_without_cost_functions_exits_2(tmp_path, command):
+    empty = tmp_path / "empty.cost"
+    empty.write_text("# no cost function here\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run([command, str(empty)])
+    assert (code, out, err.getvalue()) == (2, "", f"error: {empty}: no cost functions found\n")
+
+
 def test_ppsearch_on_a_target_file_without_relations_exits_2(tmp_path):
     empty = tmp_path / "empty.rel"
     empty.write_text("# no relation here\n")

@@ -246,6 +246,35 @@ def test_big_m_and_qwpp_weights_match_the_fraction_reference(data):
     assert all(type(w) is Fraction for w in tgt.var_weights)
 
 
+@pytest.mark.deep
+@settings(deadline=None)
+@given(st.data())
+def test_maxcutc_weights_match_the_fraction_reference(data):
+    # originals weigh 0, and each edge's fresh variable weighs the edge (1 when unset)
+    n = data.draw(st.integers(2, 6))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.none() | WEIGHTS)
+    edges = data.draw(st.lists(edge, max_size=6))
+    src = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (u, v), w) for u, v, w in edges))
+    tgt = REGISTRY["maxcutc_to_wmaxones"].build(src, RESOLVER.resolve_all(src.kind, src.constraints))
+    ref_weights = [Fraction(0)] * n + [Fraction(1) if w is None else w for _, _, w in edges]
+    assert tgt.var_weights == tuple(ref_weights)
+    assert all(type(w) is Fraction for w in tgt.var_weights)
+    assert [c.args for c in tgt.constraints] == [(u, v, n + i) for i, (u, v, _) in enumerate(edges)]
+
+
+def test_the_max_cut_f_neq_pair_carries_every_weight():
+    # the pair's exhaustive corpora are unweighted; maxcutc's sampler weighs every edge
+    sources = corpus(REGISTRY["maxcutc_to_wmaxones"])
+    weights = [c.weight for src in sources for c in src.constraints]
+    assert None not in weights and set(weights) == {1, 2, 3}
+    for src in sources:
+        vcsp, _ = apply("maxcut_to_vcsp_neq", src)
+        assert [(c.ref, c.args, c.weight) for c in vcsp.constraints] == [
+            ("f_neq", c.args, c.weight) for c in src.constraints]
+        back, _ = apply("vcsp_neq_to_maxcut", vcsp)
+        assert (back.num_vars, back.constraints) == (src.num_vars, src.constraints)
+
+
 def test_qwpp_chained_targets():
     src = Instance(KIND_WMO, 8, (Constraint("R_II2", tuple(range(8))),),
                    var_weights=tuple(Fraction(1) for _ in range(8)))
