@@ -12,7 +12,8 @@ from collections import Counter
 
 from coclones.acceptance import random_cost_set
 from coclones.cli import _int, _positive_int
-from coclones.valued import MAX_COST_ARITY, classify_vcsp, express_neq, verify_neq_expression
+from coclones.instances import MAX_COST_ARITY
+from coclones.valued import classify_vcsp, express_neq, verify_neq_expression
 
 
 def main() -> int:

@@ -26,12 +26,19 @@ from .definitions import (
     eval_wpp,
 )
 from .fileio import emit_rel, parse_rel
-from .instances import Constraint, Instance, KIND_MAXCUT, default_resolver
+from .instances import (
+    Constraint,
+    CostFunction,
+    Instance,
+    KIND_MAXCUT,
+    default_resolver,
+    f_neq,
+)
 from .oracle import solve
 from .postlattice import CoCloneId, co_clone_leq, co_clone_of
 from .reductions import ACCEPTANCE_ENTRIES, QWPP_FAMILY, apply, certify
 from .relations import ConstraintLanguage, EmptyRelationError, Relation, classify_max_ones
-from .valued import CostFunction, classify_vcsp, express_neq, f_neq, verify_neq_expression
+from .valued import classify_vcsp, express_neq, verify_neq_expression
 from .weakbases import all_entries, weak_base
 
 II2_MATRIX = {"00111001", "01010101", "10001101"}

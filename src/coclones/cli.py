@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-# Only the modules that never vectorise are imported here, so that the
-# commands built on them start without numpy.  The handlers that solve,
-# search or certify import the solver stack themselves.
+# Only the data layer (fileio, instances, relations) is imported here, so
+# that every command starts without numpy and without compiling the theory
+# it does not use.  Each handler imports the theory modules it applies, and
+# the handlers that solve, search or certify import the solver stack.
 from .fileio import emit_inst, emit_rel, parse_cost, parse_inst, parse_rel
 from .instances import (
+    CatalogError,
     GadgetError,
     InstanceError,
     KIND_WMO,
@@ -26,11 +27,6 @@ from .instances import (
     ReductionError,
     Resolver,
     default_resolver,
-)
-from .postlattice import (
-    CatalogError,
-    co_clone_of,
-    parse_coclone_name,
 )
 from .relations import (
     ConstraintLanguage,
@@ -42,12 +38,6 @@ from .relations import (
     mask_to_string,
     numeral,
 )
-from .valued import (
-    classify_vcsp,
-    express_neq,
-    verify_neq_expression,
-)
-from .weakbases import weak_base
 
 USAGE_ERROR = 2
 
@@ -128,11 +118,16 @@ def _cmd_classify_maxones(args) -> int:
 
 
 def _cmd_coclone(args) -> int:
+    from .postlattice import co_clone_of
+
     print(co_clone_of(_load_language(args.language)).display())
     return 0
 
 
 def _cmd_weakbase(args) -> int:
+    from .postlattice import parse_coclone_name
+    from .weakbases import weak_base
+
     coclone = parse_coclone_name(args.name, args.n)
     if coclone.is_chain and coclone.index is None:
         raise CliError(f"{args.name} needs a chain index")
@@ -255,6 +250,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_vcsp_classify(args) -> int:
+    from .valued import classify_vcsp
+
     cls = classify_vcsp(_costs(args.costs))
     if cls.is_polynomial:
         print(f"VCSP: P (admits the {cls.admitted} multimorphism)")
@@ -270,6 +267,10 @@ def _cmd_vcsp_classify(args) -> int:
 
 
 def _cmd_express_neq(args) -> int:
+    import json
+
+    from .valued import classify_vcsp, express_neq, verify_neq_expression
+
     fns = _costs(args.costs)
     cls = classify_vcsp(fns)
     if cls.is_polynomial:

@@ -18,7 +18,9 @@ from typing import Iterator, Optional
 
 from .instances import (
     ALL_KINDS,
+    MAX_COST_ARITY,
     Constraint,
+    CostFunction,
     Instance,
     InstanceError,
     Threshold,
@@ -32,7 +34,6 @@ from .relations import (
     numeral,
     string_to_mask,
 )
-from .valued import MAX_COST_ARITY, CostFunction
 
 
 def _logical_lines(text: str) -> list[str]:

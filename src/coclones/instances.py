@@ -1,4 +1,5 @@
-"""Problem instances and the name resolver shared by oracles and reductions.
+"""Problem instances, cost functions, and the name resolver shared by
+oracles and reductions.
 
 An instance is a variable count plus constraint applications; references to
 relations and cost functions are by name.  Generated artifacts use
@@ -6,12 +7,18 @@ self-describing parametric names (e.g. Rf_2_11 encodes arity and support)
 so emitted files stay self-contained.  `Resolver.resolve_all` is the one
 rule for what the constraints mean in an instance of a given kind: what
 each ref names, its arity, and whether it may carry a weight.
+
+This module and `relations` are the data layer: they import no theory
+module (`postlattice`, `weakbases`, `valued`) at module top, so a process
+that only reads, checks or classifies constraint data compiles none of
+them.  A weak-base name imports `weakbases` when it is first built.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +26,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .postlattice import parse_coclone_name
 from .relations import (
     MAX_RELATION_ARITY,
     NUMERAL,
@@ -37,8 +43,6 @@ from .relations import (
     rel_or,
     rel_true,
 )
-from .valued import MAX_COST_ARITY, CostFunction, _check_arity, f_neq, indicator_cost
-from .weakbases import weak_base
 
 KIND_SAT = "SAT"
 KIND_UMO = "U-Max-Ones"
@@ -57,8 +61,9 @@ class InstanceError(ValueError):
     pass
 
 
-# The errors of the solver stack live here, beside InstanceError, so that the
-# CLI can catch them without importing that stack (and numpy with it).
+# The errors of the solver stack and of `postlattice` live here, beside
+# InstanceError, so that the CLI can catch them without importing those
+# modules (and numpy with the solver stack).
 
 
 class OracleError(RuntimeError):
@@ -71,6 +76,10 @@ class GadgetError(ValueError):
 
 class ReductionError(ValueError):
     pass
+
+
+class CatalogError(RuntimeError):
+    """Signals an inconsistency in the clone catalog (no unique maximum)."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,72 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
+# Cost functions
+
+MAX_COST_ARITY = 8
+
+
+def _check_arity(arity: int) -> None:
+    if not 1 <= arity <= MAX_COST_ARITY:
+        raise RelationError(f"cost function arity {arity} out of range")
+
+
+@dataclass(frozen=True)
+class CostFunction:
+    arity: int
+    table: tuple[Fraction, ...]
+    name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        _check_arity(self.arity)
+        if len(self.table) != 1 << self.arity:
+            raise RelationError("cost table length must be 2^arity")
+        tab = self.table
+        # one pass over the common table, a tuple of nonnegative Fractions
+        if type(tab) is tuple and all(type(v) is Fraction and v.numerator >= 0 for v in tab):
+            return
+        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in tab)
+        if any(v.numerator < 0 for v in tab):
+            raise RelationError("cost values must be nonnegative")
+        object.__setattr__(self, "table", tab)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, int, tuple[int, ...]]:
+        """(g, den, nums): the table as nums / den over one common denominator.
+
+        den is the lcm of the values' denominators, nums the values times den
+        as ints, and g their gcd (0 on an all-zero table).  The oracle builds
+        its integer objective from this; it is built on first use and kept
+        for the lifetime of this object, outside the fields that equality and
+        hashing read.
+        """
+        dens = [v.denominator for v in self.table]
+        den = math.lcm(*dens)
+        nums = tuple([v.numerator * (den // d) for v, d in zip(self.table, dens)])
+        return math.gcd(*nums), den, nums
+
+    def __call__(self, mask: int) -> Fraction:
+        return self.table[mask]
+
+    @property
+    def max_value(self) -> Fraction:
+        return max(self.table)
+
+
+def f_neq() -> CostFunction:
+    return CostFunction(2, (Fraction(1), Fraction(0), Fraction(0), Fraction(1)), "f_neq")
+
+
+def indicator_cost(rel: Relation, name: Optional[str] = None) -> CostFunction:
+    """0 on tuples of the relation, 1 elsewhere; an arity past
+    `MAX_COST_ARITY` is rejected before the 2^arity table is built."""
+    _check_arity(rel.arity)
+    table = tuple(Fraction(0) if rel.contains(m) else Fraction(1)
+                  for m in range(1 << rel.arity))
+    return CostFunction(rel.arity, table, name or (f"fnot_{rel.name}" if rel.name else None))
+
+
+# ---------------------------------------------------------------------------
 # Name resolution
 
 # every number in a name is a NUMERAL, matched whole; a cost value is a
@@ -238,6 +313,9 @@ def _build_relation(name: str) -> Optional[Relation]:
     if m:
         return _rf_relation(numeral(m.group(1)), numeral(m.group(2)))
     if name.startswith("R_I"):
+        from .postlattice import parse_coclone_name
+        from .weakbases import weak_base
+
         try:
             coclone = parse_coclone_name(name[2:])
         except RelationError:

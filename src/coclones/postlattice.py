@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from .instances import CatalogError
 from .relations import (
     BooleanOperation,
     ConstraintLanguage,
@@ -229,10 +230,6 @@ CATALOG: dict[str, Family] = {
 }
 NON_CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is None)
 CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is not None)
-
-
-class CatalogError(RuntimeError):
-    """Signals an inconsistency in the clone catalog (no unique maximum)."""
 
 
 @dataclass(frozen=True)

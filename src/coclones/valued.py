@@ -1,4 +1,9 @@
-"""Finite-valued cost functions, multimorphisms, and synthesis of f_neq.
+"""Multimorphisms of finite-valued cost functions, the VCSP dichotomy, and
+synthesis of f_neq.
+
+The cost-function type itself (`CostFunction`, `f_neq`, `indicator_cost`)
+is data and lives in `instances`; this module is the theory applied to it,
+which no data-layer module imports at its top.
 
 All arithmetic is exact (fractions.Fraction); no tolerances exist here.
 Argmin and witness selections scan bitmasks in ascending order so traces
@@ -14,14 +19,13 @@ walk that also applies the closure operations of `relations`.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .instances import CostFunction
 from .relations import (
     BooleanOperation,
-    Relation,
     RelationError,
     OP_AND,
     OP_CONST0,
@@ -29,71 +33,9 @@ from .relations import (
     OP_OR,
 )
 
-MAX_COST_ARITY = 8
-
 
 class SynthesisError(RuntimeError):
     """The classifier promised witnesses that could not be found."""
-
-
-def _check_arity(arity: int) -> None:
-    if not 1 <= arity <= MAX_COST_ARITY:
-        raise RelationError(f"cost function arity {arity} out of range")
-
-
-@dataclass(frozen=True)
-class CostFunction:
-    arity: int
-    table: tuple[Fraction, ...]
-    name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        _check_arity(self.arity)
-        if len(self.table) != 1 << self.arity:
-            raise RelationError("cost table length must be 2^arity")
-        tab = self.table
-        # one pass over the common table, a tuple of nonnegative Fractions
-        if type(tab) is tuple and all(type(v) is Fraction and v.numerator >= 0 for v in tab):
-            return
-        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in tab)
-        if any(v.numerator < 0 for v in tab):
-            raise RelationError("cost values must be nonnegative")
-        object.__setattr__(self, "table", tab)
-
-    @functools.cached_property
-    def scaled(self) -> tuple[int, int, tuple[int, ...]]:
-        """(g, den, nums): the table as nums / den over one common denominator.
-
-        den is the lcm of the values' denominators, nums the values times den
-        as ints, and g their gcd (0 on an all-zero table).  The oracle builds
-        its integer objective from this; it is built on first use and kept
-        for the lifetime of this object, outside the fields that equality and
-        hashing read.
-        """
-        dens = [v.denominator for v in self.table]
-        den = math.lcm(*dens)
-        nums = tuple([v.numerator * (den // d) for v, d in zip(self.table, dens)])
-        return math.gcd(*nums), den, nums
-
-    def __call__(self, mask: int) -> Fraction:
-        return self.table[mask]
-
-    @property
-    def max_value(self) -> Fraction:
-        return max(self.table)
-
-
-def f_neq() -> CostFunction:
-    return CostFunction(2, (Fraction(1), Fraction(0), Fraction(0), Fraction(1)), "f_neq")
-
-
-def indicator_cost(rel: Relation, name: Optional[str] = None) -> CostFunction:
-    """0 on tuples of the relation, 1 elsewhere; an arity past
-    `MAX_COST_ARITY` is rejected before the 2^arity table is built."""
-    _check_arity(rel.arity)
-    table = tuple(Fraction(0) if rel.contains(m) else Fraction(1)
-                  for m in range(1 << rel.arity))
-    return CostFunction(rel.arity, table, name or (f"fnot_{rel.name}" if rel.name else None))
 
 
 # ---------------------------------------------------------------------------

@@ -707,12 +707,18 @@ def test_unknown_reduction_lists_the_registry():
 # The commands that never vectorise start without numpy; a fresh interpreter
 # shows what a `coclones` process loads.
 _NUMPY_LOADED = "import sys; print('numpy' in sys.modules)"
+_COCLONES_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'coclones')))"
+# what `import coclones.cli` loads: the data layer and the CLI, no theory module
+_DATA_LAYER = ["coclones", "coclones.cli", "coclones.fileio", "coclones.instances",
+               "coclones.relations"]
 
 
 def test_cli_import_and_resolver_load_no_numpy():
     proc = _run_python(["-c", "import coclones.cli; coclones.cli.default_resolver(); "
-                        + _NUMPY_LOADED])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+                        + _NUMPY_LOADED + "; print('json' in sys.modules); "
+                        + _COCLONES_LOADED])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["False", "False", " ".join(_DATA_LAYER)]
 
 
 def test_non_vectorising_commands_run_without_numpy(tmp_path):
@@ -720,18 +726,22 @@ def test_non_vectorising_commands_run_without_numpy(tmp_path):
     lang.write_text("relation R13 3\n001\n010\n100\n")
     costs = tmp_path / "d.cost"
     costs.write_text("costfn f_neq 2\n00 1\n10 0\n01 0\n11 1\n")
-    commands = [["weakbase", "IS1", "3"], ["coclone", str(lang)],
-                ["classify-sat", str(lang)], ["classify-maxones", str(lang)],
-                ["vcsp-classify", str(costs)], ["express-neq", str(costs)]]
-    script = ("import contextlib, io\nfrom coclones.cli import main\n"
-              f"for argv in {commands!r}:\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        print(argv[0], main(argv), file=sys.stderr)\n")
-    proc = _run_python(["-c", "import sys\n" + script + _NUMPY_LOADED])
-    assert proc.stderr.split() == ["weakbase", "0", "coclone", "0", "classify-sat", "1",
-                                   "classify-maxones", "1", "vcsp-classify", "1",
-                                   "express-neq", "0"]
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    # each command in its own process: its exit code and the theory it loads
+    commands = [(["weakbase", "IS1", "3"], 0, ["postlattice", "weakbases"]),
+                (["coclone", str(lang)], 0, ["postlattice"]),
+                (["classify-sat", str(lang)], 1, []),
+                (["classify-maxones", str(lang)], 1, []),
+                (["vcsp-classify", str(costs)], 1, ["valued"]),
+                (["express-neq", str(costs)], 0, ["valued"])]
+    for argv, code, theory in commands:
+        script = ("import contextlib, io, sys\nfrom coclones.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    print(main({argv!r}), file=sys.stderr)\n"
+                  + _NUMPY_LOADED + "\n" + _COCLONES_LOADED)
+        proc = _run_python(["-c", script])
+        loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in theory])
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (
+            0, f"{code}\n", ["False", " ".join(loaded)]), argv[0]
 
 
 def test_the_solver_stack_loads_numpy():

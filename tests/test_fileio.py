@@ -17,6 +17,7 @@ from coclones.fileio import (
 )
 from coclones.instances import (
     Constraint,
+    CostFunction,
     Instance,
     InstanceError,
     KIND_MAXCUT,
@@ -24,10 +25,10 @@ from coclones.instances import (
     KIND_WMO,
     Threshold,
     default_resolver,
+    f_neq,
     rf_name,
 )
 from coclones.relations import Relation, RelationError
-from coclones.valued import CostFunction, f_neq
 
 
 def test_rel_round_trip_multiple():

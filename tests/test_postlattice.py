@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coclones import instances
 from coclones.postlattice import (
     CATALOG,
     CHAIN_FAMILIES,
@@ -67,6 +68,11 @@ def test_identity_examples():
     il2 = weak_base(CoCloneId("L2"))
     assert co_clone_of(ConstraintLanguage([il2])) == CoCloneId("L2")
     assert co_clone_of(ConstraintLanguage([rel_one_in_three()])).display() == "II2"
+
+
+def test_catalog_error_is_the_data_layer_class():
+    # the CLI catches it from `instances` without importing the lattice
+    assert CatalogError is instances.CatalogError
 
 
 def test_identity_rejects_empty():

@@ -7,16 +7,14 @@ import hypothesis.strategies as st
 
 from coclones import valued
 from coclones.acceptance import _recheck_admitted
+from coclones.instances import CostFunction, f_neq, indicator_cost
 from coclones.relations import OP_AND, OP_CONST0, OP_CONST1, OP_OR, RelationError
 from coclones.valued import (
-    CostFunction,
     NeqExpression,
     Term,
     binary_violation,
     classify_vcsp,
     express_neq,
-    f_neq,
-    indicator_cost,
     unary_violation,
     verify_neq_expression,
 )
