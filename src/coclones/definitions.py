@@ -74,8 +74,7 @@ def eval_formula(formula: Formula, language: LanguageLike) -> Relation:
             raise GadgetError(f"atom {name} arity mismatch")
         sat &= tt.table(rel, args, width)
     tv = formula.total_vars
-    kept = tt.masks(tt.project(sat, width, tv), tv)
-    return Relation.from_masks(tv, kept.tolist(), allow_empty=True)
+    return Relation.from_masks(tv, tt.masks(tt.project(sat, width, tv), tv), allow_empty=True)
 
 
 def constant_extension_implications(rel: Relation, ext: Relation) -> tuple[bool, bool, bool]:

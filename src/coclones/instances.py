@@ -63,7 +63,7 @@ class InstanceError(ValueError):
 
 # The errors of the solver stack and of `postlattice` live here, beside
 # InstanceError, so that the CLI can catch them without importing those
-# modules (and numpy with the solver stack).
+# modules.
 
 
 class OracleError(RuntimeError):

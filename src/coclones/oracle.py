@@ -21,7 +21,8 @@ R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
 or 3 variables, and each table build and gather works on those.  A
 constraint without repeats keeps its own relation.
 
-`solve` takes an instance down one of three routes:
+`solve` takes an instance down one of three routes.  Only the soft kinds
+past the cut vectorise, so only they import numpy, with `arrays`:
 
 - Every instance of at most `_TRUTH_VARS` = 14 variables, of any kind, is
   solved on truth tables (`truthtables`) in Python ints, by `_truth`.  The
@@ -44,57 +45,45 @@ constraint without repeats keeps its own relation.
   Max-Cut/f_neq certify corpora; on random instances of 11-14 variables
   with 2n binary and ternary terms it takes 0.12-0.81 ms, where the grid or
   elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables and
-  is no faster than elimination from 17 on.  The cut is one below the hard
-  kinds' measured crossover with the frontier, on the certify targets of
-  the 8-ary weak bases, the closest case: truth/frontier time 0.47-0.55 at
-  14 variables, 0.64-1.03 at 15, 0.88-1.51 at 16 and 2.1-2.5 at 17 on a
-  2-vCPU VM, where random mixes, EVEN8 and OR8 stay below 0.8 up to 16.  On
-  minors the certify targets read 0.18 at 14, 0.67-1.16 at 17 and 5.6-6.7
-  at 20, and chains of binary constraints, which have no minors to shrink,
-  cross at 16 (1.04-1.06), so the cut stays.  The variable planes the
-  tables are built on are cached per n (`truthtables.planes`), 2n + 1 ints
-  of 2^n bits: 59 KB at 14 variables and 111 KB for every n up to 14.
-- Larger instances are searched in variable order.  Hard kinds go through a
-  frontier search (Dechter, *Constraint Processing*, ch. 5): the partial
-  assignments over variables 0..v that satisfy every constraint lying within
-  them are kept in one sorted array, extended by variable v+1, and filtered
-  again.  The search starts from the truth table of the first `_TRUTH_VARS`
-  variables: the constraints whose top variable lies below the cut are ANDed
-  in top order as on the truth route (`_satisfying`, its tables cached under
-  (args, 14)), and the table's set bits are the frontier at the cut.  Past
-  it, a constraint's minor is read only when the frontier reaches its top
-  variable.  The first empty table or frontier ends the search: the
-  unsatisfiable 2+3n certify targets stop at a median 40% of their
-  variables, all below the cut, and read nothing past that point.  Below the
-  cut the array search paid about seven numpy calls a constraint and one
-  concatenate a variable on frontiers of 12-256 rows, where the table pays a
-  few int operations a constraint on a cached table and reads a median 12
-  set bits.  On a 2-vCPU VM, with warm caches, a solve of a satisfiable
-  17-variable certify target went from a median 111 to 49 us and of a
-  20-variable one from 124 to 81 us, and of an unsatisfiable one from 29-37
-  to 12-15 us.  `_optimize` scores the Max-/Min-Ones objective of the
-  feasible masks as one popcount of `masks & m` (`np.bitwise_count`, numpy
-  2) per distinct variable weight, m the mask of the variables that carry
-  it.  Soft kinds are solved by bucket elimination (`_eliminate`; Bertele &
-  Brioschi, *Nonserial Dynamic Programming*, 1972): a table over the
-  variables that a later term still holds is doubled by each variable, takes
-  that variable's terms, and forgets the variables no later term holds,
-  keeping per state the best objective and the least mask that reaches it,
-  packed into one int64 key.  On random instances of 16-22 variables with 2n
-  binary and ternary terms its largest table holds 2^8-2^18 states (median
-  2^12), where the grid has 2^n.  Elimination is taken when the keys fit,
+  is no faster than elimination from 17 on.  The cut is where one table
+  over all the variables stopped paying on the certify targets of the 8-ary
+  weak bases, against the numpy frontier that `_branch` replaced (0.47-0.55
+  of its time at 14 variables, 0.64-1.03 at 15, on a 2-vCPU VM).  The
+  variable planes the tables are built on are cached per n
+  (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB at 14 variables
+  and 111 KB for every n up to 14.
+- Every hard-kind instance past the cut is solved by `_branch`, a frontier
+  search in variable order (Dechter, *Constraint Processing*, ch. 5) over
+  the variables past the cut, each of whose states carries the table over
+  the first 14 of the low assignments that go with it.  The terms below
+  the cut are ANDed as on the truth route; each later variable doubles the
+  states, and each term whose top variable it is is ANDed in, restricted to
+  the state's bits of its high arguments (cached on the relation under
+  (args, 14, fixed)).  A state whose table empties drops out, and the first
+  variable that leaves none ends the search: the unsatisfiable 2+3n certify
+  targets, which empty at a median 40% of their variables, all below the
+  cut, read nothing past that point.  The Ones objective of a state is read
+  off its table on the cached Ones planes of the low variables, plus the
+  weight of its high ones.  On a 2-vCPU VM, warm, the satisfiable 17- and
+  20-variable certify targets take 49-122 us, where the numpy frontier
+  that kept every feasible mask past the cut in one array took 91-188 us,
+  and random U-Max-Ones instances of 24 variables take 3.1 ms with no
+  terms, 4.5 ms with 2n OR3 terms and 1.4 ms with 3n NAND2 terms, where it
+  took 43, 92 and 2.1 ms (`BENCH_41.json`).
+- Soft kinds past the cut are solved by bucket elimination in variable
+  order (`arrays.eliminate`; Bertele & Brioschi, *Nonserial Dynamic
+  Programming*, 1972), whose largest table held 2^8-2^18 states (median
+  2^12) on random instances of 16-22 variables with 2n binary and ternary
+  terms, where the grid has 2^n.  It is taken when its packed keys fit,
   that is the objective bound of `_terms` is below 2^(62 - n), when its
   table stays within one chunk, and when the states it touches, plus
-  `_STEP_STATES` a step, are fewer than the grid's, all read from the terms'
-  buckets (`_buckets`, once a solve) before any array work
-  (`_elimination_pays`).  It finds one optimal mask, not the optimal set, so
-  `--all` stays on the grid, as do instances whose bound does not pack.
-- Soft-kind instances that elimination does not pay for or whose keys do
-  not pack, `--all` on them, and hard-kind instances whose frontier would
-  outgrow one chunk, are enumerated in chunks of 2^20 masks.  Each chunk is
-  a grid of high-half by low-half masks: every constraint table is gathered
-  once per half and the halves are combined once (meet in the middle,
-  Horowitz & Sahni 1974).
+  `_STEP_STATES` a step, are fewer than the grid's, all read from the
+  terms' buckets (`_buckets`, once a solve) before any array work
+  (`_elimination_pays`).  It finds one optimal mask, not the optimal set,
+  so `--all` and the rest are enumerated in chunks of 2^20 masks, each a
+  grid of high-half by low-half masks that gathers every term once per
+  half (`arrays.enumerate_masks`; meet in the middle, Horowitz & Sahni
+  1974).
 
 A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
 are built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -103,10 +92,10 @@ as a cost function's integer form is on its `CostFunction`, so they live
 exactly as long as the relation and a resolver that maps a name to another
 relation gets others.
 
-`solve_bruteforce` enumerates the same chunks mask by mask, with every
-variable weight a unary term and every relation gathered on its raw
-arguments, not its minor, and it is the reference every route of `solve` is
-tested against.
+`solve_bruteforce` enumerates the same chunks mask by mask
+(`arrays.row_chunks`), with every variable weight a unary term and every
+relation gathered on its raw arguments, not its minor, and it is the
+reference every route of `solve` is tested against.
 """
 
 from __future__ import annotations
@@ -114,12 +103,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import truthtables as tt
 from .instances import (
@@ -144,8 +130,8 @@ MAX_ENUMERATE_VARS = 20
 _CHUNK_BITS = 20
 _INT_LIMIT = 1 << 60
 # Instances with at most this many variables are solved on truth tables, and
-# a larger hard-kind instance's frontier starts from the table of this many
-# (crossovers measured on a 2-vCPU VM; see the module docstring)
+# a larger hard-kind instance on tables over this many (a crossover measured
+# on a 2-vCPU VM; see the module docstring)
 _TRUTH_VARS = 14
 
 # kinds whose constraints are all hard, so an assignment can be pruned
@@ -275,26 +261,27 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
     """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
 
-    `jobs` is the thread count of the chunked enumeration, which splits
-    only an instance of more than 2^20 masks; the truth-table, frontier and
-    elimination routes run in one thread.
+    Every hard-kind instance and every instance of at most `_TRUTH_VARS`
+    variables is solved on truth tables, without numpy.  The soft kinds
+    past the cut import `arrays` and take elimination or the grid; `jobs`
+    is the thread count of the grid, which splits only an instance of more
+    than 2^20 masks, and every other route runs in one thread.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
     if n <= _TRUTH_VARS:
         return _truth(inst.kind, n, raw, tables, want_all)
     if inst.kind in _HARD_KINDS:
-        masks = _frontier(n, raw)
-        if masks is not None:
-            return _optimize(inst.kind, masks, tables, want_all)
-    else:
-        scale, soft, _, bound = tables
-        # a packed key holds the objective above the n bits of its mask
-        if not want_all and bound < 1 << (62 - n):
-            by_top, last = _buckets(n, soft)
-            if _elimination_pays(last):
-                return _eliminate(inst.kind, by_top, last, scale)
-    return _enumerate(inst, [_minor(a, r) for a, r in raw], tables, want_all, jobs, _split_chunks)
+        return _branch(inst.kind, n, raw, tables, want_all)
+    from . import arrays
+
+    scale, soft, _, bound = tables
+    # a packed key holds the objective above the n bits of its mask
+    if not want_all and bound < 1 << (62 - n):
+        by_top, last = _buckets(n, soft)
+        if _elimination_pays(last):
+            return arrays.eliminate(inst.kind, by_top, last, scale)
+    return arrays.enumerate_masks(inst, tables, want_all, jobs, arrays.split_chunks)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
@@ -302,29 +289,31 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
 # distinct (relation, args, n) keys, at most 285 of them on one relation
 # (R_IL0), and the cache answers 98.6% of the lookups; twelve blocks meet
 # 1,634 keys, at most 458 on one relation, since the sampled weak-base
-# corpora keep adding argument tuples.  The frontier fills the same cache
-# under (args, _TRUTH_VARS) for the terms below its cut, so the five blocks
-# of a certify-hard run (seed 1) leave 385 keys, at most 78 on one relation
-# (R_IN2), where 179 were left before the frontier started from a table;
-# they answer 52% of its 808 lookups.  So the bound, over three times one
-# run's largest count, evicts nothing in a run.  A table over
-# n <= _TRUTH_VARS variables takes at most 2 KB (the 946 take 0.2 MB), so a
-# full relation holds about 2 MB.
+# corpora keep adding argument tuples.  The hard kinds past the cut fill the
+# same cache under (args, _TRUTH_VARS) for the terms below it and under
+# (args, _TRUTH_VARS, fixed) for the restricted tables of the terms past it:
+# the five blocks of a certify-hard run (seed 1) leave 510 keys, 125 of them
+# restricted, at most 150 on one relation (R_ID2).  So the bound, over twice
+# either run's largest count, evicts nothing in a run.  A table over
+# n <= _TRUTH_VARS variables takes at most 2 KB (the 946 take 0.2 MB, the
+# 510 0.5 MB), so a full relation holds about 2 MB.
 _TABLES_PER_RELATION = 1 << 10
 
 
-def _table(rel, args: tuple[int, ...], n: int) -> int:
-    """The truth table of rel on args over n variables, cached on rel.
+def _table(rel, args: tuple[int, ...], n: int, *fixed: int) -> int:
+    """The truth table of rel on args over n variables, cached on rel under
+    (args, n, *fixed).
 
-    A miss builds the table on the identification minor of rel at args.  A
+    A miss builds the table on the identification minor of rel at args,
+    each argument at n or above a constant bit of `fixed` (`tt.table`).  A
     relation whose cache is full starts it over.
     """
     cache = rel.table_cache
-    key = (args, n)
+    key = (args, n, *fixed)
     got = cache.get(key)
     if got is None:
         distinct, minor = _minor(args, rel)
-        got = tt.table(minor, distinct, n)
+        got = tt.table(minor, distinct, n, *fixed)
         if len(cache) >= _TABLES_PER_RELATION:
             cache.clear()
         cache[key] = got
@@ -351,12 +340,9 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
     bit-sliced counter is the table of the assignments whose objective has
     bit p set: each soft term's planes (`_term_planes`) and each Ones
     group's (`_ones_planes`) are added to it by a ripple-carry adder
-    (`_add`).  The optimum is read from the top plane down, one AND a plane:
-    maximizing, the candidates with the plane's bit set, if any, are kept
-    and the bit is the optimum's; minimizing, the bit is the optimum's if
-    every candidate has it, and otherwise those that have it drop out.  The
-    candidates left share every bit of the optimum, and the lowest of them
-    is the least optimal mask.
+    (`_add`), and the optimum is read off it within the candidates
+    (`_optimum`).  The candidates left share every bit of the optimum, and
+    the lowest of them is the least optimal mask.
     """
     cand = _satisfying(n, raw)
     if not cand:
@@ -367,7 +353,20 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
         counter = _add(counter, _term_planes(args, tuple(table), n))
     for w, m in ones:
         counter = _add(counter, _ones_planes(n, w, m))
-    maximize = kind in MAXIMIZING_KINDS
+    best, cand = _optimum(cand, counter, kind in MAXIMIZING_KINDS)
+    optimal = tuple(tt.masks(cand, n)) if want_all else None
+    return SolveResult(kind, True, _fraction(kind, best, scale),
+                       (cand & -cand).bit_length() - 1, optimal)
+
+
+def _optimum(cand: int, counter, maximize: bool) -> tuple[int, int]:
+    """(the best objective within the candidates, the candidates that reach it).
+
+    The counter is read from the top plane down, one AND a plane:
+    maximizing, the candidates with the plane's bit set, if any, are kept
+    and the bit is the optimum's; minimizing, the bit is the optimum's if
+    every candidate has it, and otherwise those that have it drop out.
+    """
     best = 0
     for p in reversed(range(len(counter))):
         on = cand & counter[p]
@@ -379,23 +378,101 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
             best |= 1 << p
         else:
             cand ^= on
-    optimal = tuple(tt.masks(cand, n).tolist()) if want_all else None
+    return best, cand
+
+
+def _fraction(kind: str, best: int, scale: int) -> Optional[Fraction]:
+    """The optimum `best` / `scale` of a satisfiable instance; None for SAT."""
     if kind == KIND_SAT:
-        opt_fraction = None
-    else:
-        # an int alone skips Fraction's gcd
-        opt_fraction = Fraction(best) if scale == 1 else Fraction(best, scale)
-    return SolveResult(kind, True, opt_fraction, (cand & -cand).bit_length() - 1, optimal)
+        return None
+    # an int alone skips Fraction's gcd
+    return Fraction(best) if scale == 1 else Fraction(best, scale)
+
+
+def _branch(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
+    """Solve a hard-kind instance of more than `_TRUTH_VARS` variables.
+
+    A key (h, t) holds an assignment h of the high variables (variable
+    _TRUTH_VARS + i in bit i of h) and the table t of the low assignments
+    that, with h, satisfy every term whose top variable is assigned so far.
+    Each high variable doubles the keys, the half that sets it after the
+    other, so the keys stay ascending in h, and `_restrict` ANDs in its
+    terms.  The witness is the lowest candidate of the first key that
+    reaches the optimum, and the optimal set lists those keys' candidates in
+    key order: the least mask, and all of them in ascending order.
+    """
+    cut = _TRUTH_VARS
+    by_top: dict[int, list] = {}  # top variable -> terms ANDed in there
+    for args, rel in raw:
+        by_top.setdefault(max(args), []).append((args, rel))
+    table = _satisfying(cut, [term for v in range(cut) for term in by_top.get(v, ())])
+    keys = [(0, table)] if table else []
+    for v in range(cut, n):
+        if not keys:
+            break
+        keys += [(h | 1 << (v - cut), t) for h, t in keys]
+        if v in by_top:
+            keys = _restrict(keys, by_top[v])
+    if not keys:
+        return SolveResult(kind, False, None, None, () if want_all else None)
+    scale, _, ones, _ = tables
+    counter: tuple[int, ...] | list[int] = ()
+    for w, m in ones:
+        counter = _add(counter, _ones_planes(cut, w, m & ((1 << cut) - 1)))
+    high_ones = [(w, m >> cut) for w, m in ones]
+    maximize = kind in MAXIMIZING_KINDS
+    best, found = None, []
+    for h, t in keys:
+        value, t = _optimum(t, counter, maximize)
+        for w, m in high_ones:
+            value += w * (m & h).bit_count()
+        if best is None or (value > best if maximize else value < best):
+            best, found = value, [(h, t)]
+        elif value == best:
+            found.append((h, t))
+    h, t = found[0]
+    optimal = tuple(m | g << cut for g, s in found for m in tt.masks(s, cut)) if want_all else None
+    return SolveResult(kind, True, _fraction(kind, best, scale),
+                       (t & -t).bit_length() - 1 | h << cut, optimal)
+
+
+def _restrict(keys: list, terms: list) -> list:
+    """The keys left once each table is ANDed with the terms past the cut, in
+    order, up to the first that empties it.
+
+    A term's table for a key has each high argument fixed to its bit of h
+    (`_table`; bit i of `fixed` is the i-th high argument's), and the term
+    indexes its tables by those bits, in their places in h.
+    """
+    index = []  # per term: (its high bits in h, their places, its tables, args, rel)
+    for args, rel in terms:
+        high = [v - _TRUTH_VARS for v in _identification(args)[0] if v >= _TRUTH_VARS]
+        index.append((sum(1 << p for p in high), high, {}, args, rel))
+    out = []
+    for h, t in keys:
+        for bits, high, tables, args, rel in index:
+            got = tables.get(h & bits)
+            if got is None:
+                fixed = sum((h >> p & 1) << i for i, p in enumerate(high))
+                got = tables[h & bits] = _table(rel, args, _TRUTH_VARS, fixed)
+            t &= got
+            if not t:
+                break
+        else:
+            out.append((h, t))
+    return out
 
 
 # The planes `_term_planes` and `_ones_planes` keep, bounded by what their
 # ints take (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes,
 # 2 KB at 14, plus the int's header.  Six blocks of one mixed benchmark run
 # (seed 1) build 823 entries, 160 KB in all: 553 terms' planes, 347 of them
-# unary (0, w) terms that the Ones groups are summed from, and 270 groups'.
-# So the bound evicts nothing in a run; it caps a long run of fractional
-# weights at 14 variables, which spans dozens of planes a term and rarely
-# repeats.
+# unary (0, w) terms that the Ones groups are summed from, and 270 groups',
+# and twelve blocks 1,385 entries, 266 KB.  The hard kinds past the cut add
+# the groups (m & low, _TRUTH_VARS, w) of their low variables: the five
+# blocks of a certify-hard run (seed 1) build 28 entries, 40 KB.  So the
+# bound evicts nothing in a run; it caps a long run of fractional weights at
+# 14 variables, which spans dozens of planes a term and rarely repeats.
 _PLANE_BYTES = 1 << 20
 _plane_cache: dict = {}
 _plane_bytes = 0
@@ -495,37 +572,6 @@ def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
     return counter
 
 
-def _frontier(n: int, raw) -> Optional[np.ndarray]:
-    """The ascending masks that satisfy every raw hard term, by a frontier
-    search in variable order; None once it outgrows a chunk.
-
-    The first cut = min(n, `_TRUTH_VARS`) variables are searched on truth
-    tables: the terms whose top variable lies below the cut are ANDed in top
-    order by `_satisfying`, whose tables are cached on their relations under
-    (args, cut), and the set bits of the result start the frontier.  Each
-    later variable doubles it, and a term's minor (`_minor`) is gathered
-    when the frontier reaches the term's top variable.  The first empty
-    table or frontier is returned at once, so no term past it is read."""
-    cut = min(n, _TRUTH_VARS)
-    by_top: dict[int, list] = {}  # highest argument -> terms checked there
-    for args, rel in raw:
-        by_top.setdefault(max(args, default=-1), []).append((args, rel))
-    table = _satisfying(cut, [term for v in range(-1, cut) for term in by_top.get(v, ())])
-    if not table:
-        return np.zeros(0, dtype=np.int64)
-    frontier = tt.masks(table, cut)
-    for v in range(cut, n):
-        frontier = np.concatenate((frontier, frontier | (1 << v)))
-        if frontier.size > 1 << _CHUNK_BITS:
-            return None
-        for args, rel in by_top.get(v, ()):
-            distinct, minor = _minor(args, rel)
-            frontier = frontier[minor.lut[tt.code(frontier, enumerate(distinct))]]
-            if not frontier.size:
-                return frontier
-    return frontier
-
-
 def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
     """(the soft terms by the step that adds them, the step that forgets each variable).
 
@@ -580,257 +626,14 @@ def _elimination_pays(last: list[int]) -> bool:
     return peak <= _CHUNK_BITS and work < 1 << n
 
 
-def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int) -> SolveResult:
-    """Solve a soft-kind instance by bucket elimination in variable order
-    (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4).
-
-    One int64 array over the states of the variables in the table holds,
-    per state, a packed key: the best objective of the terms added so far,
-    shifted left by n bits, over the least mask that reaches it in the low n
-    bits, complemented when maximizing.  So the better key is the larger
-    (maximizing) or the smaller one, and on equal objectives it is the one
-    of the smaller mask.  Step v doubles the array by v's bit (setting it
-    adds 1 << v to the mask, so subtracts it from the complement), adds the
-    terms of step v (`by_top`) shifted by n, and forgets every variable
-    that no later term holds (`last`): each state keeps the better key of
-    its two halves, so the least optimal mask comes out, as on the grid.
-    Both come from `_buckets`, which `solve` runs once for this and for
-    `_elimination_pays`.  The keys fit in int64 when the objective is below
-    2^(62 - n), which `solve` checks first.
-    """
-    n = len(last)
-    maximize = kind in MAXIMIZING_KINDS
-    low = (1 << n) - 1
-    key = np.full(1, low if maximize else 0, dtype=np.int64)
-    better = np.maximum if maximize else np.minimum
-    active: list[int] = []  # state bit i holds variable active[i]
-    for v in range(n):
-        key = np.concatenate((key, key - (1 << v) if maximize else key + (1 << v)))
-        active.append(v)
-        for args, table in by_top.get(v, ()):
-            _spread_add(key, [active.index(u) for u in args],
-                        np.array(table, dtype=np.int64) << n)
-        for u in [u for u in active if last[u] == v]:
-            # axis 1 of the view is u's bit
-            halves = key.reshape(-1, 2, 1 << active.index(u))
-            key = better(halves[:, 0], halves[:, 1]).ravel()
-            active.remove(u)
-    best = int(key[0])
-    witness = (best ^ low if maximize else best) & low
-    return SolveResult(kind, True, Fraction(best >> n, scale), witness)
-
-
-def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
-    """Add to acc, state by state, table at the code whose bit j is state bit places[j].
-
-    The table is first brought onto the distinct places, ascending: on
-    distinct places by transposing its axes, one of 2 per argument, and on
-    repeated ones, as of an edge (a, a), by a gather.  acc is then viewed
-    with one axis of 2 per place and one axis per run of bits between them,
-    and the small table is added by broadcasting.
-    """
-    distinct = sorted(set(places))
-    k = len(places)
-    if len(distinct) == k:
-        # axis i of the reshaped table is argument k - 1 - i's bit, and axis i
-        # of the small one must be place distinct[k - 1 - i]'s
-        small = table.reshape((2,) * k).transpose(
-            [k - 1 - places.index(p) for p in reversed(distinct)])
-    else:
-        small = table[tt.code(tt.arange(len(distinct)),
-                              [(j, distinct.index(p)) for j, p in enumerate(places)])]
-    shape, spread, top = [], [], acc.size.bit_length() - 1
-    for p in reversed(distinct):  # the C-order axes run from the top bit down
-        shape += (1 << (top - p - 1), 2)
-        spread += (1, 2)
-        top = p
-    view = acc.reshape(shape + [1 << top])
-    view += small.reshape(spread + [1])
-
-
-def _optimize(kind: str, masks: np.ndarray, tables, want_all: bool) -> SolveResult:
-    """Score the frontier's ascending feasible `masks` of a hard-kind
-    instance and pick the optimum among them.
-
-    The masks are ascending, so the least optimal mask is the first hit and
-    optimal_set comes out sorted.
-    """
-    scale, _, ones, _ = tables
-    if not masks.size:
-        return SolveResult(kind, False, None, None, () if want_all else None)
-    obj = np.zeros(masks.shape, dtype=np.int64)
-    for w, mask in ones:
-        # bitwise_count gives uint8; widen before the weight multiply
-        obj += np.bitwise_count(masks & mask).astype(np.int64) * w
-    best = int(obj.max() if kind in MAXIMIZING_KINDS else obj.min())
-    where = masks[obj == best]
-    optimal = tuple(where.tolist()) if want_all else None
-    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
-    return SolveResult(kind, True, opt_fraction, int(where[0]), optimal)
-
-
 def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
                      want_all: bool = False) -> SolveResult:
     """Exact optimum (or satisfiability) by enumeration of all assignments."""
+    from . import arrays
+
     hard, tables = _terms(inst, resolver or default_resolver(), want_all)
-    return _enumerate(inst, hard, tables, want_all, 1, _row_chunks)
-
-
-def _row_chunks(hard, soft, dtype, bits):
-    """Reference evaluator: every term gathered mask by mask with `tt.code`."""
-    def eval_chunk(base: int):
-        idx = np.arange(base, base + (1 << bits), dtype=np.int64)
-        feasible = np.ones(idx.shape, dtype=bool) if hard else None
-        for args, rel in hard:
-            feasible &= rel.lut[tt.code(idx, enumerate(args))]
-        obj = np.zeros(idx.shape, dtype=np.int64)
-        for args, table in soft:
-            obj += table[tt.code(idx, enumerate(args))]
-        return obj, feasible
-    return eval_chunk
-
-
-def _split_chunks(hard, soft, dtype, bits):
-    """Hi/lo evaluator: each term is gathered once per half of the chunk."""
-    feasibility = (_GridReduce([(args, rel.lut) for args, rel in hard], bits,
-                               np.logical_and, bool) if hard else None)
-    objective = _GridReduce(soft, bits, np.add, dtype)
-
-    def eval_chunk(base: int):
-        feasible = None if feasibility is None else feasibility(base).ravel()
-        return objective(base).ravel(), feasible
-    return eval_chunk
-
-
-class _GridReduce:
-    """Combine (args, table) terms with a ufunc over a chunk of 2^bits masks.
-
-    The chunk is a (2^H, 2^L) grid with L = bits // 2: the row holds mask
-    bits L..bits-1 and the column bits 0..L-1, so row-major order is mask
-    order.  Arguments at `bits` and above are constant within a chunk and
-    fold into a term's code once per chunk.  A term whose arguments all lie
-    in one half is reduced into a vector of that half, and the two vectors
-    meet in one outer product.  Terms that cross the halves are grouped by
-    their high variables; a group becomes one (2^h, 2^L) table, which the
-    grid takes in with one broadcast over the high bits outside the group.
-    """
-
-    def __init__(self, terms, bits: int, op: np.ufunc, dtype) -> None:
-        self.op, self.dtype = op, dtype
-        low_bits = bits // 2
-        high_bits = bits - low_bits
-        lo = np.arange(1 << low_bits)
-        hi = np.arange(1 << high_bits)
-        self.low: list = []  # (table, constant pairs, column codes)
-        self.high: list = []  # (table, constant pairs, row codes)
-        crossing: dict[tuple[int, ...], list] = {}
-        for args, table in terms:
-            const = [(v, j) for j, v in enumerate(args) if v >= bits]
-            lo_code = tt.code(lo, [(j, v) for j, v in enumerate(args) if v < low_bits])
-            hvars = sorted({v for v in args if low_bits <= v < bits})
-            if not hvars:
-                self.low.append((table, const, lo_code))
-            elif all(v >= low_bits for v in args):
-                hi_code = tt.code(hi, [(j, v - low_bits) for j, v in enumerate(args)
-                                     if v < bits])
-                self.high.append((table, const, hi_code))
-            else:
-                # row r of the group table sets high variable hvars[i] to bit i of r
-                rows = tt.code(np.arange(1 << len(hvars)),
-                             [(j, hvars.index(v)) for j, v in enumerate(args)
-                              if low_bits <= v < bits])
-                crossing.setdefault(tuple(hvars), []).append(
-                    (table, const, rows[:, None] | lo_code[None, :]))
-        # one axis per high bit, the most significant first, as in a C-order
-        # reshape of the row index; a group table varies only along its own bits
-        self.halves = (hi.size, lo.size)
-        self.grid_shape = (2,) * high_bits + (lo.size,)
-        self.crossing = [
-            ((1 << len(hvars), lo.size),
-             tuple(2 if low_bits + b in hvars else 1
-                   for b in reversed(range(high_bits))) + (lo.size,),
-             members)
-            for hvars, members in crossing.items()]
-
-    def _reduce(self, members, shape, base: int) -> np.ndarray:
-        acc = np.full(shape, self.op.identity, dtype=self.dtype)
-        for table, const, code in members:
-            fixed = sum(((base >> v) & 1) << j for v, j in const)
-            self.op(acc, table[code | fixed] if fixed else table[code], out=acc)
-        return acc
-
-    def __call__(self, base: int) -> np.ndarray:
-        nhi, nlo = self.halves
-        grid = self.op.outer(self._reduce(self.high, nhi, base),
-                             self._reduce(self.low, nlo, base))
-        axes = grid.reshape(self.grid_shape)
-        for shape, broadcast, members in self.crossing:
-            group = self._reduce(members, shape, base)
-            self.op(axes, group.reshape(broadcast), out=axes)
-        return grid
-
-
-def _enumerate(inst: Instance, hard, tables, want_all: bool, jobs: int,
-               evaluator) -> SolveResult:
-    """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
-
-    `hard` are the instance's hard terms and `tables` the rest of its
-    `_terms`.  `evaluator(hard, soft, dtype, bits)` returns a function that
-    maps a chunk's first mask to the chunk's objective and feasibility (None
-    when every mask is feasible), both in mask order.
-    """
-    n = inst.num_vars
-    kind = inst.kind
-    maximize = kind in MAXIMIZING_KINDS
-    scale, soft, ones, bound = tables
-    dtype = np.int32 if bound < 1 << 31 else np.int64
-    # here every variable weight is a unary term [0, w]
-    soft = [(args, np.array(table, dtype=dtype)) for args, table in
-            [*soft, *(((i,), (0, w)) for w, mask in ones for i in range(n) if mask >> i & 1)]]
-    bits = min(n, _CHUNK_BITS)
-    eval_chunk = evaluator(hard, soft, dtype, bits)
-
-    def best_in_chunk(base: int):
-        obj, feasible = eval_chunk(base)
-        if feasible is not None:
-            if not feasible.any():
-                return None
-            sub = obj[feasible]
-            best = int(sub.max() if maximize else sub.min())
-            hit = feasible & (obj == best)
-        else:
-            best = int(obj.max() if maximize else obj.min())
-            hit = obj == best
-        where = np.flatnonzero(hit) + base
-        return best, int(where[0]), (where if want_all else None)
-
-    bases = range(0, 1 << n, 1 << bits)
-    if jobs > 1 and len(bases) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(best_in_chunk, bases))
-    else:
-        results = [best_in_chunk(b) for b in bases]
-
-    best: Optional[int] = None
-    witness: Optional[int] = None
-    collected: list[np.ndarray] = []
-    for res in results:  # deterministic merge in chunk order
-        if res is None:
-            continue
-        val, wit, arr = res
-        better = best is None or (val > best if maximize else val < best)
-        if better:
-            best, witness = val, wit
-            collected = [arr] if want_all else []
-        elif val == best:
-            witness = min(witness, wit)
-            if want_all:
-                collected.append(arr)
-    if best is None:
-        return SolveResult(kind, False, None, None, () if want_all else None)
-    optimal = tuple(int(v) for arr in collected for v in arr) if want_all else None
-    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
-    return SolveResult(kind, True, opt_fraction, witness, optimal)
+    return arrays.enumerate_masks(inst, tables, want_all, 1,
+                                  functools.partial(arrays.row_chunks, hard))
 
 
 def meets_threshold(res: SolveResult, threshold: Optional[Threshold]) -> bool:

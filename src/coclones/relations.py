@@ -255,8 +255,9 @@ class Relation:
         return {}
 
     @cached_property
-    def table_cache(self) -> dict[tuple[tuple[int, ...], int], int]:
-        """The oracle's truth tables of this relation, keyed by (args, n).
+    def table_cache(self) -> dict[tuple, int]:
+        """The oracle's truth tables of this relation, keyed by (args, n), and
+        by (args, n, fixed) where arguments past n are fixed constants.
 
         `oracle._table` fills and bounds it; it is held here like the
         minors, so it lives as long as this object and no other relation

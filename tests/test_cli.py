@@ -704,8 +704,9 @@ def test_unknown_reduction_lists_the_registry():
         assert set(registry_names()) <= set(re.findall(r"\w+", err.getvalue()))
 
 
-# The commands that never vectorise start without numpy; a fresh interpreter
-# shows what a `coclones` process loads.
+# The commands that never vectorise run without numpy, every certify and
+# every hard-kind solve among them; a fresh interpreter shows what a
+# `coclones` process loads.
 _NUMPY_LOADED = "import sys; print('numpy' in sys.modules)"
 _COCLONES_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'coclones')))"
 # what `import coclones.cli` loads: the data layer and the CLI, no theory module
@@ -721,33 +722,66 @@ def test_cli_import_and_resolver_load_no_numpy():
     assert proc.stdout.splitlines() == ["False", "False", " ".join(_DATA_LAYER)]
 
 
+def _main_in_process(argv):
+    """Run `main(argv)` in a fresh interpreter: (returncode, stderr, [numpy
+    loaded, the coclones modules loaded]), the last two lines of stdout,
+    below any report that bypasses the redirect (`selftest`'s)."""
+    script = ("import contextlib, io, sys\nfrom coclones.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    print(main({argv!r}), file=sys.stderr)\n"
+              + _NUMPY_LOADED + "\n" + _COCLONES_LOADED)
+    proc = _run_python(["-c", script])
+    return proc.returncode, proc.stderr, proc.stdout.splitlines()[-2:]
+
+
+# the solver stack that `solve`, `reduce` and `certify` load
+_SOLVER = ["oracle", "truthtables"]
+_REGISTRY = _SOLVER + ["definitions", "reductions"]
+
+
 def test_non_vectorising_commands_run_without_numpy(tmp_path):
     lang = tmp_path / "lang.rel"
     lang.write_text("relation R13 3\n001\n010\n100\n")
     costs = tmp_path / "d.cost"
     costs.write_text("costfn f_neq 2\n00 1\n10 0\n01 0\n11 1\n")
-    # each command in its own process: its exit code and the theory it loads
+    cut = tmp_path / "cut.inst"
+    cut.write_text("problem Max-Cut\nvars 3\nc edge 1 2\nc edge 2 3\n")
+    # a path of OR2 and NAND2 on 20 variables: the hard kinds past the cut
+    hard = tmp_path / "hard.inst"
+    hard.write_text("problem U-Max-Ones\nvars 20\n" + "".join(
+        f"c {'OR2' if i % 3 else 'NAND2'} {i} {i + 1}\n" for i in range(1, 20)))
+    # each command in its own process: its exit code and the modules it loads
     commands = [(["weakbase", "IS1", "3"], 0, ["postlattice", "weakbases"]),
                 (["coclone", str(lang)], 0, ["postlattice"]),
                 (["classify-sat", str(lang)], 1, []),
                 (["classify-maxones", str(lang)], 1, []),
                 (["vcsp-classify", str(costs)], 1, ["valued"]),
-                (["express-neq", str(costs)], 0, ["valued"])]
-    for argv, code, theory in commands:
-        script = ("import contextlib, io, sys\nfrom coclones.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  f"    print(main({argv!r}), file=sys.stderr)\n"
-                  + _NUMPY_LOADED + "\n" + _COCLONES_LOADED)
-        proc = _run_python(["-c", script])
-        loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in theory])
-        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (
-            0, f"{code}\n", ["False", " ".join(loaded)]), argv[0]
+                (["express-neq", str(costs)], 0, ["valued"]),
+                # its 2+3n targets are U-Max-Ones instances of 11-20 variables
+                (["certify", "umo_II2_to_IN2"], 0, _REGISTRY + ["postlattice", "weakbases"]),
+                (["reduce", "maxcut_to_vcsp_neq", str(cut)], 0, _REGISTRY),
+                (["selftest", "--trials", "2"], 0,
+                 _REGISTRY + ["acceptance", "postlattice", "valued", "weakbases"]),
+                (["solve", str(hard)], 0, _SOLVER)]
+    for argv, code, loads in commands:
+        loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in loads])
+        assert _main_in_process(argv) == (0, f"{code}\n", ["False", " ".join(loaded)]), argv[0]
 
 
-def test_the_solver_stack_loads_numpy():
-    # a process that solves pays for numpy on import, never inside its first solve
-    proc = _run_python(["-c", "import coclones.reductions; " + _NUMPY_LOADED])
-    assert (proc.returncode, proc.stdout) == (0, "True\n")
+def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
+    # a cycle of 16 Max-Cut edges goes to elimination, in `arrays`
+    soft = tmp_path / "soft.inst"
+    soft.write_text("problem Max-Cut\nvars 16\n" + "".join(
+        f"c edge {i} {i % 16 + 1}\n" for i in range(1, 17)))
+    loaded = sorted(_DATA_LAYER + ["coclones.arrays", "coclones.oracle", "coclones.truthtables"])
+    assert _main_in_process(["solve", str(soft)]) == (0, "0\n", ["True", " ".join(loaded)])
+
+
+def test_the_solver_stack_loads_no_numpy():
+    # numpy is paid for only where a route vectorises, never on import
+    proc = _run_python(["-c", "import coclones.reductions, coclones.acceptance; "
+                        + _NUMPY_LOADED])
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_selftest_deterministic_across_runs():

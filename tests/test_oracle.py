@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from coclones import oracle, reductions, relations
+from coclones import arrays, oracle, reductions, relations
 from coclones import truthtables as tt
 from coclones.instances import (
     ALL_KINDS,
@@ -46,16 +46,6 @@ def arity(kind, ref):
     if kind == KIND_MAXCUT:
         return 2
     return (RESOLVER.costfn(ref) if kind == KIND_VCSP else RESOLVER.relation(ref)).arity
-
-
-def minor_terms(inst, want_all):
-    """(solve's hard terms, each constraint's identification minor; the objective tables)."""
-    raw, tables = oracle._terms(inst, RESOLVER, want_all)
-    hard = []
-    for args, rel in raw:
-        distinct, pattern = oracle._identification(args)
-        hard.append((distinct, rel.minor(pattern)))
-    return hard, tables
 
 
 def test_independent_set_triangle():
@@ -288,15 +278,22 @@ def test_frontier_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
-# solve takes hard kinds up to the cut through the truth tables, so the
-# frontier is compared with them and with the reference here, at every size.
-# The frontier starts from the truth table of the terms below the cut: the
-# examples take it with no tail (14 variables), emptying below the cut
-# (15-17), with no term below it (15-16), and with terms whose top variable
-# is 13, the last below the cut, or 14, the first past it
+# a 10-ary relation of 501 tuples whose diagram passes DIAGRAM_NODES, so its
+# tables are gathered from its LUT, restricted ones too
+WIDE = Relation(10, tuple(m for m in range(1 << 10) if random.Random(10).random() < 0.5), "WIDE10")
+RESOLVER.register_relation(WIDE)
+
+
+# The hard kinds past the cut keep one table over the first TRUTH variables
+# per live assignment of the rest.  Besides the draws of 15-20 variables, the
+# examples take them with no tail (up to 14 variables), emptying below the
+# cut (15-17), with no term below it (15-16), with terms whose top variable is
+# 13, the last below the cut, or 14, the first past it, with terms wholly
+# past it, with a relation without a diagram across it, and with Min-Ones
+# optima tied across the high assignments
 @pytest.mark.deep
-@settings(max_examples=examples(200), deadline=None)
-@given(instances(HARD_KINDS), st.booleans())
+@settings(max_examples=examples(50), deadline=None)
+@given(instances(HARD_KINDS, least=TRUTH + 1, most=20, most_constraints=8), st.booleans())
 @example(TRUTH_EXAMPLES[0], True)
 @example(TRUTH_EXAMPLES[1], True)
 @example(TRUTH_EXAMPLES[2], True)
@@ -322,13 +319,20 @@ def test_frontier_matches_bruteforce(inst, want_all):
 @example(EMPTYING_TARGETS[1], False)
 @example(EMPTYING_TARGETS[2], False)
 @example(EMPTYING_TARGETS[3], True)
-def test_frontier_builder_matches_bruteforce(inst, want_all):
-    n = inst.num_vars
-    raw, tables = oracle._terms(inst, RESOLVER, want_all)
-    masks = oracle._frontier(n, raw)
-    assert masks.tolist() == tt.masks(oracle._satisfying(n, raw), n).tolist()
-    result = oracle._optimize(inst.kind, masks, tables, want_all)
-    assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
+@example(umo(TRUTH + 4, [("NAND2", (15, 17)), ("OR3", (14, 16, 17)), ("T", (16,)),
+                         ("R_IN2", (14, 14, 14, 14, 17, 17, 17, 17))]), True)
+@example(wmo(TRUTH + 4, [("OR2", (0, 15)), ("NAND2", (14, 17)), ("EVEN8", (16, 17, 16, 17, 15, 15, 14, 14))],
+             [1 + v % 4 for v in range(TRUTH + 4)]), False)
+@example(umo(TRUTH + 5, [("WIDE10", tuple(range(9, 19))), ("NAND2", (3, 9))]), True)
+@example(wmo(TRUTH + 3, [("WIDE10", (16, 0, 15, 1, 14, 2, 13, 3, 12, 4)), ("OR2", (5, 16))],
+             [3] * (TRUTH + 3), KIND_MINO), True)
+@example(wmo(TRUTH + 2, [("OR2", (0, 14)), ("OR2", (1, 15))], [1] * (TRUTH + 2), KIND_MINO), True)
+@example(wmo(TRUTH + 2, [("OR2", (0, 14)), ("OR2", (1, 15))], [1] * (TRUTH + 2), KIND_MINO), False)
+@example(Instance(KIND_MINO, TRUTH + 3, umo(TRUTH + 3, [("OR3", (2, 14, 16)), ("neq", (15, 16))]).constraints),
+         True)
+def test_hard_kinds_past_the_cut_match_bruteforce(inst, want_all):
+    assert solve(inst, RESOLVER, want_all=want_all) == solve_bruteforce(inst, RESOLVER,
+                                                                        want_all=want_all)
 
 
 def soft(kind, n):
@@ -350,24 +354,25 @@ def soft(kind, n):
 LOW_CUT = 10
 
 
-def spy_on(monkeypatch, name="_split_chunks"):
-    """The list that records every call of oracle.<name>, by default the grid evaluator."""
+def spy_on(monkeypatch, name="split_chunks", module=arrays):
+    """The list that records every call of module.<name>, by default the grid evaluator."""
     calls = []
-    real = getattr(oracle, name)
+    real = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(oracle, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
 # solve takes instances up to the cut through the truth tables, so the grid
-# evaluator is compared with the reference here, at every size
+# evaluator, which only the soft kinds reach, is compared with the reference
+# here, at every size
 @pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
-@given(instances(), st.booleans())
+@given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)), st.booleans())
 @example(soft(KIND_VCSP, TRUTH), True)
 @example(soft(KIND_VCSP, TRUTH + 1), True)
 @example(soft(KIND_MAXCSP, TRUTH), True)
@@ -375,8 +380,8 @@ def spy_on(monkeypatch, name="_split_chunks"):
 @example(soft(KIND_MAXCUT, TRUTH), True)
 @example(soft(KIND_MAXCUT, TRUTH + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
-    grid = oracle._enumerate(inst, *minor_terms(inst, want_all), want_all, 1,
-                             oracle._split_chunks)
+    grid = arrays.enumerate_masks(inst, oracle._terms(inst, RESOLVER, want_all)[1], want_all, 1,
+                                  arrays.split_chunks)
     assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
@@ -387,7 +392,7 @@ def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     inst = soft(kind, n)
     reference = solve_bruteforce(inst, want_all=True)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
     assert solve(inst, want_all=True) == reference
     assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
 
@@ -402,7 +407,7 @@ def test_soft_kinds_take_elimination_only_past_the_cut(kind, n, monkeypatch):
     inst = soft(kind, n)
     padded = Instance(kind, n + 6, inst.constraints)
     reference, padded_reference = solve_bruteforce(inst), solve_bruteforce(padded)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
     assert solve(padded) == padded_reference
@@ -416,8 +421,8 @@ def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
     # cycle, and the optimal set from the grid
     inst = soft(kind, n)
     reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
-    truth, grid = spy_on(monkeypatch, "_truth"), spy_on(monkeypatch)
-    elimination = spy_on(monkeypatch, "_eliminate")
+    truth, grid = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch)
+    elimination = spy_on(monkeypatch, "eliminate")
     assert solve(inst) == reference
     assert solve(inst, want_all=True) == all_reference
     past = n > TRUTH
@@ -443,7 +448,7 @@ def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
     n = TRUTH + 2
     inst = Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
     reference = solve_bruteforce(inst)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (1, 0)
 
@@ -457,7 +462,7 @@ def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypa
     inst = Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", e) for e in edges))
     reference = solve_bruteforce(inst)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (not eliminated, eliminated)
 
@@ -517,7 +522,7 @@ ELIMINATION_EXAMPLES = (
 @example(ELIMINATION_EXAMPLES[12])
 def test_elimination_matches_bruteforce(inst):
     _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    result = oracle._eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale)
+    result = arrays.eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale)
     assert result == solve_bruteforce(inst, RESOLVER)
 
 
@@ -538,7 +543,7 @@ def test_elimination_takes_only_objectives_that_pack(kind, bound, packed, monkey
     _, (_, _, _, got) = oracle._terms(inst, RESOLVER, False)
     assert got == bound
     reference = solve_bruteforce(inst)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "_eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (not packed, packed)
     if kind != KIND_VCSP:  # two cuts of the path reach the bound, the lesser 0b0101...01
@@ -553,7 +558,7 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
     inst = wmo(n, cons, [1 + v % 3 for v in range(n)], kind) if kind in (
         KIND_WMO, KIND_MINO) else Instance(kind, n, umo(n, cons).constraints)
     reference = solve_bruteforce(inst, want_all=True)
-    truth, frontier = spy_on(monkeypatch, "_truth"), spy_on(monkeypatch, "_frontier")
+    truth, frontier = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch, "_branch", oracle)
     assert solve(inst, want_all=True) == reference
     assert (len(truth), len(frontier)) == ((0, 1) if n > TRUTH else (1, 0))
 
@@ -706,10 +711,12 @@ def test_plane_cache_stays_within_its_byte_bound(monkeypatch):
     wmo(5, [("OR3", (0, 2, 4))], [1, 2, 1, 2, 1], KIND_MINO),
 ], ids=["sat", "umo", "mino-uniform", "wmo-zero", "wmo-subset", "mino-two-classes"])
 def test_truth_route_never_scores_masks(inst, monkeypatch):
+    # the objective is read off planes, and the candidates are unpacked once,
+    # for the optimal set
     reference = solve_bruteforce(inst, want_all=True)
-    calls = spy_on(monkeypatch, "_optimize")
+    unpacked, grid = spy_on(monkeypatch, "masks", tt), spy_on(monkeypatch, "enumerate_masks")
     assert solve(inst, want_all=True) == reference
-    assert not calls
+    assert (len(unpacked), grid) == (1, [])
 
 
 def test_min_ones_reads_its_minimum_off_the_narrowed_candidates(monkeypatch):
@@ -718,7 +725,7 @@ def test_min_ones_reads_its_minimum_off_the_narrowed_candidates(monkeypatch):
     inst = wmo(5, [("OR2", (0, 1)), ("OR2", (0, 2)), ("OR2", (3, 4))], [2, 1, 1, 3, 3],
                KIND_MINO)
     reference = solve_bruteforce(inst, want_all=True)
-    truth = spy_on(monkeypatch, "_truth")
+    truth = spy_on(monkeypatch, "_truth", oracle)
     assert solve(inst, want_all=True) == reference
     assert len(truth) == 1
     assert reference.optimum == 5 and reference.witness == 0b01001
@@ -753,8 +760,8 @@ def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
         assert solve(inst, resolver, want_all=True) == solve_bruteforce(inst, want_all=True)
 
 
-# pairs (2i, 2i+1) hold at most one one; with 21 variables the frontier stays
-# within one chunk and the optimum sets bits 16..20
+# pairs (2i, 2i+1) hold at most one one; with 21 variables the optimum sets
+# bits 16..20, past the truth-table cut
 PAIRS = [("NAND2", (2 * i, 2 * i + 1)) for i in range(10)]
 
 
@@ -778,8 +785,8 @@ PAIRS = [("NAND2", (2 * i, 2 * i + 1)) for i in range(10)]
         "umo-21", "wmo-21", "wmo-21-rational", "wmo-int64", "mino-int64"])
 def test_ones_popcount_matches_bruteforce(inst, monkeypatch):
     reference = solve_bruteforce(inst, want_all=inst.num_vars <= 20)
-    # every instance here stays within one frontier chunk
-    monkeypatch.setattr(oracle, "_split_chunks", None)
+    # the hard kinds never reach the grid
+    monkeypatch.setattr(arrays, "enumerate_masks", None)
     assert solve(inst, want_all=inst.num_vars <= 20) == reference
     if inst.num_vars == 21 and inst.kind == KIND_UMO:
         assert reference.optimum == 11 and reference.witness >> 16 == 0b10101
@@ -952,8 +959,8 @@ def test_minor_matches_the_raw_relation(case):
     for m in range(1 << minor.arity):
         expanded = sum((m >> p & 1) << j for j, p in enumerate(pattern))
         assert minor.contains(m) == rel.contains(expanded)
-    gather = rel.lut[tt.code(tt.arange(n), enumerate(args))]
-    assert tt.masks(tt.table(minor, distinct, n), n).tolist() == np.flatnonzero(gather).tolist()
+    gather = rel.lut[arrays.code(arrays.arange(n), enumerate(args))]
+    assert tt.masks(tt.table(minor, distinct, n), n) == np.flatnonzero(gather).tolist()
 
 
 def test_minor_rejects_a_pattern_out_of_first_occurrence_order():
@@ -987,23 +994,24 @@ class FreshRelations(Resolver):
 
 
 # the sampled targets empty below the truth-table cut; the last instance
-# empties at variable 15, past it, after one term below it
+# empties at variable 15, past it, after one term below it: T(15) drops the
+# keys that clear variable 15 and F(15) the rest
 @pytest.mark.parametrize("inst", EMPTYING_TARGETS + (
     umo(17, [("OR8", (0, 0, 1, 1, 13, 13, 2, 2)), ("T", (15,)), ("NAND2", (14, 16)),
              ("R_IN2", (15, 15, 15, 15, 3, 3, 3, 3)), ("F", (15,))]),),
                          ids=["II2-17", "II2-20", "IL2-17", "IL2-20", "tail-17"])
 def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
-    # the terms in the frontier's order, by top variable, and the shortest
-    # prefix of them that no mask satisfies, read off the raw relations
+    # the terms in the order solve reads them, by top variable, and the
+    # shortest prefix of them that no mask satisfies, read off the raw relations
     raw, _ = oracle._terms(inst, RESOLVER, False)
     order = sorted(raw, key=lambda term: max(term[0]))
-    idx = tt.arange(inst.num_vars)
+    idx = arrays.arange(inst.num_vars)
     alive = np.ones(idx.shape, dtype=bool)
     for stop, (args, rel) in enumerate(order, 1):
-        alive &= rel.lut[tt.code(idx, enumerate(args))]
+        alive &= rel.lut[arrays.code(idx, enumerate(args))]
         if not alive.any():
             break
-    # terms on later tops are left when the frontier empties
+    # terms on later tops are left when the last key empties
     assert max(order[-1][0]) > max(order[stop - 1][0])
     minors = []
     real = Relation.minor
@@ -1016,22 +1024,25 @@ def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
     grid = spy_on(monkeypatch)
     fresh = FreshRelations()
     assert solve(inst, fresh) == SolveResult(inst.kind, False, None, None)
-    # each term read builds its own minor, on either side of the cut: only
-    # the prefix is read, and the grid never runs
+    # each term read builds its own minor, on either side of the cut, once
+    # for each of its tables: only the prefix is read, and the grid never runs
     read = sorted(zip((c.args for c in inst.constraints), fresh.copies),
                   key=lambda term: max(term[0]))
-    assert minors == [(id(rel), oracle._identification(args)[1]) for args, rel in read[:stop]]
+    assert list(dict.fromkeys(minors)) == [(id(rel), oracle._identification(args)[1])
+                                           for args, rel in read[:stop]]
     assert not grid
 
 
-def test_frontier_falls_back_past_one_chunk(monkeypatch):
-    # the frontier doubles to 2^21 rows at variable 20, before OR2 and NAND2 prune it
+def test_hard_kinds_never_reach_the_grid(monkeypatch):
+    # 2^21 masks, of which OR2 and NAND2 leave 3 * 2^19 feasible
     inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
     reference = solve_bruteforce(inst)
-    calls = spy_on(monkeypatch)
+    monkeypatch.setattr(arrays, "enumerate_masks", None)
+    monkeypatch.setattr(arrays, "eliminate", None)
     assert solve(inst) == reference
-    assert len(calls) == 1
     assert reference.optimum == 20 and reference.witness == (1 << 20) - 1
+    # all 2^24 masks are feasible: 2^10 keys, each with the full table of 2^14
+    assert solve(umo(24, [])) == SolveResult(KIND_UMO, True, Fraction(24), (1 << 24) - 1)
 
 
 # Enumeration chunks hold 2^20 masks: variables 0..9 are the low half of a
