@@ -39,9 +39,7 @@ def table(rel, args, n: int, fixed: int = 0) -> int:
     bit i of `fixed`, and its literals are the empty and the full table.
     """
     if rel.diagram is None:
-        from .arrays import gather
-
-        return gather(rel, args, n, fixed)
+        return _arrays().gather(rel, args, n, fixed)
     full, literals = planes(n)
     constants = ((full, 0), (0, full))
     lits = []
@@ -52,6 +50,14 @@ def table(rel, args, n: int, fixed: int = 0) -> int:
             lits.append(constants[fixed & 1])
             fixed >>= 1
     return rel.evaluate(lits, full)
+
+
+@functools.cache
+def _arrays():
+    """The numpy module `arrays`, imported once, for the first relation without a diagram."""
+    from . import arrays
+
+    return arrays
 
 
 def project(t: int, n: int, keep: int) -> int:
