@@ -1,18 +1,18 @@
-"""The oracle's numpy routes: bucket elimination, the chunked grid, the
-reference enumeration (all described in the `oracle` docstring), and the LUT
-gather of a relation without a diagram.  Only this module and the relations'
-bool LUTs it reads import numpy, and only where one of these runs."""
+"""The oracle's numpy routes: bucket elimination and the chunked grid of the
+soft kinds past the cut (both described in the `oracle` docstring), and the
+LUT gather of a relation without a diagram.  Only this module and the
+relations' bool LUTs it reads import numpy, and only where one of these
+runs."""
 
 from __future__ import annotations
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .instances import KIND_SAT, MAXIMIZING_KINDS, Instance
+from .instances import MAXIMIZING_KINDS, Instance
 from .oracle import _CHUNK_BITS, SolveResult
 
 
@@ -120,27 +120,6 @@ def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
     view += small.reshape(spread + [1])
 
 
-def row_chunks(hard, soft, dtype, bits):
-    """Reference evaluator: every term gathered mask by mask with `code`."""
-    def eval_chunk(base: int):
-        idx = np.arange(base, base + (1 << bits), dtype=np.int64)
-        feasible = np.ones(idx.shape, dtype=bool) if hard else None
-        for args, rel in hard:
-            feasible &= rel.lut[code(idx, enumerate(args))]
-        obj = np.zeros(idx.shape, dtype=np.int64)
-        for args, table in soft:
-            obj += table[code(idx, enumerate(args))]
-        return obj, feasible
-    return eval_chunk
-
-
-def split_chunks(soft, dtype, bits):
-    """Hi/lo evaluator of a soft-kind instance: each term is gathered once
-    per half of the chunk (`_GridSum`), and every mask is feasible."""
-    objective = _GridSum(soft, bits, dtype)
-    return lambda base: (objective(base).ravel(), None)
-
-
 class _GridSum:
     """Sum (args, table) terms over a chunk of 2^bits masks.
 
@@ -206,38 +185,27 @@ class _GridSum:
         return grid
 
 
-def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int,
-                    evaluator) -> SolveResult:
-    """Enumerate all 2^n assignments in chunks of 2^min(n, _CHUNK_BITS) masks.
+def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int) -> SolveResult:
+    """Enumerate all 2^n assignments of a soft-kind instance in chunks of
+    2^min(n, _CHUNK_BITS) masks, each summed on its hi/lo grid (`_GridSum`).
 
-    `tables` is the objective of the instance's `oracle._terms`.
-    `evaluator(soft, dtype, bits)` returns a function that maps a chunk's
-    first mask to the chunk's objective and feasibility (None when every
-    mask is feasible), both in mask order.
+    `tables` is the objective of the instance's `oracle._terms`.  A chunk
+    keeps its best objective, its least mask that reaches it, and with
+    `want_all` every such mask; the chunks run on `jobs` threads and merge
+    in mask order.
     """
     n = inst.num_vars
-    kind = inst.kind
-    maximize = kind in MAXIMIZING_KINDS
-    scale, soft, ones, bound = tables
+    maximize = inst.kind in MAXIMIZING_KINDS
+    scale, soft, _, bound = tables
     dtype = np.int32 if bound < 1 << 31 else np.int64
-    # here every variable weight is a unary term [0, w]
-    soft = [(args, np.array(table, dtype=dtype)) for args, table in
-            [*soft, *(((i,), (0, w)) for w, mask in ones for i in range(n) if mask >> i & 1)]]
     bits = min(n, _CHUNK_BITS)
-    eval_chunk = evaluator(soft, dtype, bits)
+    objective = _GridSum([(args, np.array(table, dtype=dtype)) for args, table in soft],
+                         bits, dtype)
 
     def best_in_chunk(base: int):
-        obj, feasible = eval_chunk(base)
-        if feasible is not None:
-            if not feasible.any():
-                return None
-            sub = obj[feasible]
-            best = int(sub.max() if maximize else sub.min())
-            hit = feasible & (obj == best)
-        else:
-            best = int(obj.max() if maximize else obj.min())
-            hit = obj == best
-        where = np.flatnonzero(hit) + base
+        obj = objective(base).ravel()
+        best = int(obj.max() if maximize else obj.min())
+        where = np.flatnonzero(obj == best) + base
         return best, int(where[0]), (where if want_all else None)
 
     bases = range(0, 1 << n, 1 << bits)
@@ -247,23 +215,11 @@ def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int,
     else:
         results = [best_in_chunk(b) for b in bases]
 
-    best: Optional[int] = None
-    witness: Optional[int] = None
-    collected: list[np.ndarray] = []
-    for res in results:  # deterministic merge in chunk order
-        if res is None:
-            continue
-        val, wit, arr = res
-        better = best is None or (val > best if maximize else val < best)
-        if better:
-            best, witness = val, wit
-            collected = [arr] if want_all else []
+    best, witness, collected = None, None, []
+    for val, wit, arr in results:  # deterministic merge in chunk order
+        if best is None or (val > best if maximize else val < best):
+            best, witness, collected = val, wit, [arr]
         elif val == best:
-            witness = min(witness, wit)
-            if want_all:
-                collected.append(arr)
-    if best is None:
-        return SolveResult(kind, False, None, None, () if want_all else None)
+            collected.append(arr)
     optimal = tuple(int(v) for arr in collected for v in arr) if want_all else None
-    opt_fraction = None if kind == KIND_SAT else Fraction(best, scale)
-    return SolveResult(kind, True, opt_fraction, witness, optimal)
+    return SolveResult(inst.kind, True, Fraction(best, scale), witness, optimal)

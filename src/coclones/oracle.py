@@ -3,7 +3,7 @@
 Assignments are bitmasks (variable i in bit i); objectives are computed in
 integers after clearing denominators, so optima are exact.
 
-Both solvers read an instance in one pass, `_terms`, which resolves each
+`solve` reads an instance in one pass, `_terms`, which resolves each
 constraint once (`Resolver.resolve_all`), checks the variable cap and returns
 the raw hard terms and the integer objective.  The objective starts from
 integer forms built once per object, not per solve: a cost function's
@@ -47,11 +47,9 @@ past the cut vectorise, so only they import numpy, with `arrays`:
   elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables and
   is no faster than elimination from 17 on.  The cut is where one table
   over all the variables stopped paying on the certify targets of the 8-ary
-  weak bases, against the numpy frontier that `_branch` replaced (0.47-0.55
-  of its time at 14 variables, 0.64-1.03 at 15, on a 2-vCPU VM).  The
-  variable planes the tables are built on are cached per n
-  (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB at 14 variables
-  and 111 KB for every n up to 14.
+  weak bases, on a 2-vCPU VM.  The variable planes the tables are built on
+  are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB
+  at 14 variables and 111 KB for every n up to 14.
 - Every hard-kind instance past the cut is solved by `_branch`, a frontier
   search in variable order (Dechter, *Constraint Processing*, ch. 5) over
   the variables past the cut, each of whose states carries the table over
@@ -65,11 +63,9 @@ past the cut vectorise, so only they import numpy, with `arrays`:
   cut, read nothing past that point.  The Ones objective of a state is read
   off its table on the cached Ones planes of the low variables, plus the
   weight of its high ones.  On a 2-vCPU VM, warm, the satisfiable 17- and
-  20-variable certify targets take 49-122 us, where the numpy frontier
-  that kept every feasible mask past the cut in one array took 91-188 us,
-  and random U-Max-Ones instances of 24 variables take 3.1 ms with no
-  terms, 4.5 ms with 2n OR3 terms and 1.4 ms with 3n NAND2 terms, where it
-  took 43, 92 and 2.1 ms (`BENCH_41.json`).
+  20-variable certify targets take 49-122 us, and random U-Max-Ones
+  instances of 24 variables take 3.1 ms with no terms, 4.5 ms with 2n OR3
+  terms and 1.4 ms with 3n NAND2 terms (`BENCH_41.json`).
 - Soft kinds past the cut are solved by bucket elimination in variable
   order (`arrays.eliminate`; Bertele & Brioschi, *Nonserial Dynamic
   Programming*, 1972), whose largest table held 2^8-2^18 states (median
@@ -91,11 +87,6 @@ are built once and cached on the `Relation` object itself (`Relation.minor`,
 as a cost function's integer form is on its `CostFunction`, so they live
 exactly as long as the relation and a resolver that maps a name to another
 relation gets others.
-
-`solve_bruteforce` enumerates the same chunks mask by mask
-(`arrays.row_chunks`), with every variable weight a unary term and every
-relation gathered on its raw arguments, not its minor, and it is the
-reference every route of `solve` is tested against.
 """
 
 from __future__ import annotations
@@ -259,7 +250,8 @@ def _bounded(bound: int) -> int:
 
 def solve(inst: Instance, resolver: Optional[Resolver] = None,
           want_all: bool = False, jobs: int = 1) -> SolveResult:
-    """Exact optimum (or satisfiability); equal to `solve_bruteforce` on every field.
+    """Exact optimum (or satisfiability), the least optimal mask and, with
+    `want_all`, every optimal mask in ascending order.
 
     Every hard-kind instance and every instance of at most `_TRUTH_VARS`
     variables is solved on truth tables, without numpy.  The soft kinds
@@ -281,7 +273,7 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
         by_top, last = _buckets(n, soft)
         if _elimination_pays(last):
             return arrays.eliminate(inst.kind, by_top, last, scale)
-    return arrays.enumerate_masks(inst, tables, want_all, jobs, arrays.split_chunks)
+    return arrays.enumerate_masks(inst, tables, want_all, jobs)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
@@ -624,16 +616,6 @@ def _elimination_pays(last: list[int]) -> bool:
         work += 1 << size
         peak = max(peak, size)
     return peak <= _CHUNK_BITS and work < 1 << n
-
-
-def solve_bruteforce(inst: Instance, resolver: Optional[Resolver] = None,
-                     want_all: bool = False) -> SolveResult:
-    """Exact optimum (or satisfiability) by enumeration of all assignments."""
-    from . import arrays
-
-    hard, tables = _terms(inst, resolver or default_resolver(), want_all)
-    return arrays.enumerate_masks(inst, tables, want_all, 1,
-                                  functools.partial(arrays.row_chunks, hard))
 
 
 def meets_threshold(res: SolveResult, threshold: Optional[Threshold]) -> bool:

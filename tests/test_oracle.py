@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import sys
 from fractions import Fraction
@@ -22,12 +21,14 @@ from coclones.instances import (
     KIND_UMO,
     KIND_VCSP,
     KIND_WMO,
+    MAXIMIZING_KINDS,
     Resolver,
     Threshold,
     default_resolver,
 )
-from coclones.oracle import OracleError, SolveResult, decide, solve, solve_bruteforce
+from coclones.oracle import OracleError, SolveResult, decide, solve
 from coclones.relations import Relation
+from reference import reference_terms, solve_bruteforce
 
 RESOLVER = default_resolver()
 
@@ -354,8 +355,8 @@ def soft(kind, n):
 LOW_CUT = 10
 
 
-def spy_on(monkeypatch, name="split_chunks", module=arrays):
-    """The list that records every call of module.<name>, by default the grid evaluator."""
+def spy_on(monkeypatch, name="enumerate_masks", module=arrays):
+    """The list that records every call of module.<name>, by default the grid."""
     calls = []
     real = getattr(module, name)
 
@@ -367,9 +368,9 @@ def spy_on(monkeypatch, name="split_chunks", module=arrays):
     return calls
 
 
-# solve takes instances up to the cut through the truth tables, so the grid
-# evaluator, which only the soft kinds reach, is compared with the reference
-# here, at every size
+# solve takes instances up to the cut through the truth tables, so the grid,
+# which only the soft kinds reach, is compared with the reference here, at
+# every size
 @pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
 @given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)), st.booleans())
@@ -380,8 +381,7 @@ def spy_on(monkeypatch, name="split_chunks", module=arrays):
 @example(soft(KIND_MAXCUT, TRUTH), True)
 @example(soft(KIND_MAXCUT, TRUTH + 1), True)
 def test_grid_matches_bruteforce(inst, want_all):
-    grid = arrays.enumerate_masks(inst, oracle._terms(inst, RESOLVER, want_all)[1], want_all, 1,
-                                  arrays.split_chunks)
+    grid = arrays.enumerate_masks(inst, oracle._terms(inst, RESOLVER, want_all)[1], want_all, 1)
     assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
@@ -714,7 +714,7 @@ def test_truth_route_never_scores_masks(inst, monkeypatch):
     # the objective is read off planes, and the candidates are unpacked once,
     # for the optimal set
     reference = solve_bruteforce(inst, want_all=True)
-    unpacked, grid = spy_on(monkeypatch, "masks", tt), spy_on(monkeypatch, "enumerate_masks")
+    unpacked, grid = spy_on(monkeypatch, "masks", tt), spy_on(monkeypatch)
     assert solve(inst, want_all=True) == reference
     assert (len(unpacked), grid) == (1, [])
 
@@ -800,49 +800,6 @@ def test_ones_weights_count_toward_the_int64_budget():
     with pytest.raises(OracleError):
         solve_bruteforce(inst)
     assert solve(wmo(2, [], (2 ** 59, 2 ** 59 - 1))).optimum == 2 ** 60 - 1
-
-
-def reference_terms(inst, resolver, want_all):
-    """`oracle._terms` rebuilt from Fractions alone, as the error text or as
-    (hard terms, scale, integer soft tables, Ones groups, objective bound).
-
-    Every weighted value is one Fraction, the scale is the lcm of all of
-    their denominators, and each integer is a value times the scale.  Max-CSP
-    reads a relation through `contains`, Max-Cut through its definition.
-    """
-    kind = inst.kind
-    applied = [resolver.resolve_all(kind, (c,))[0] for c in inst.constraints]
-    n = inst.num_vars
-    cap = oracle.MAX_ENUMERATE_VARS if want_all else oracle.MAX_SOLVE_VARS
-    if n > cap:
-        return f"instance has {n} variables, oracle cap is {cap}"
-    hard, soft, groups = [], [], {}
-    if kind in HARD_KINDS:
-        hard = [(c.args, rel) for c, rel in zip(inst.constraints, applied)]
-        if kind != KIND_SAT and inst.var_weights is None:
-            groups = {Fraction(1): (1 << n) - 1}
-        elif kind != KIND_SAT:
-            for i, w in enumerate(inst.var_weights):
-                if w:
-                    groups[Fraction(w)] = groups.get(Fraction(w), 0) | 1 << i
-    else:
-        for c, fn in zip(inst.constraints, applied):
-            w = Fraction(1) if c.weight is None else Fraction(c.weight)
-            if kind == KIND_VCSP:
-                values = fn.table
-            elif kind == KIND_MAXCSP:
-                values = [fn.contains(m) for m in range(1 << fn.arity)]
-            else:  # code m of an edge holds its ends in bits 0 and 1
-                values = [(m & 1) != (m >> 1) for m in range(4)]
-            soft.append((c.args, [w * Fraction(v) for v in values]))
-    scale = math.lcm(*(w.denominator for w in groups),
-                     *(x.denominator for _, table in soft for x in table))
-    ints = [(args, [int(x * scale) for x in table]) for args, table in soft]
-    ones = [(int(w * scale), mask) for w, mask in groups.items()]
-    bound = sum(max(table) for _, table in ints) + sum(w * m.bit_count() for w, m in ones)
-    if bound >= 1 << 60:
-        return "objective magnitude exceeds the exact int64 budget"
-    return hard, scale, ints, ones, bound
 
 
 # small fractions and zero, and values on both sides of 2^31 and of the 2^60 budget
@@ -980,6 +937,54 @@ def test_bruteforce_reads_raw_relations_without_minors(monkeypatch):
     monkeypatch.setattr(Relation, "minor", no_minor)
     inst = TRUTH_EXAMPLES[3]  # EVEN8, OR8 and R_IN2 on repeated arguments
     assert solve_bruteforce(inst, want_all=True).satisfiable
+
+
+def python_loop(inst, resolver, want_all):
+    """The solve of `inst` by one loop over all 2^n assignments in Fractions:
+    relations read through `Relation.contains`, cost functions through
+    `CostFunction.__call__`, no numpy and no LUT."""
+    kind, n = inst.kind, inst.num_vars
+    applied = resolver.resolve_all(kind, inst.constraints)
+    # SAT weighs nothing: every satisfying assignment scores 0
+    weights = (0,) * n if kind == KIND_SAT else inst.var_weights or (1,) * n
+    scores = {}
+    for x in range(1 << n):
+        codes = [sum((x >> v & 1) << j for j, v in enumerate(c.args)) for c in inst.constraints]
+        if kind in HARD_KINDS:
+            if all(rel.contains(m) for rel, m in zip(applied, codes)):
+                scores[x] = sum(Fraction(w) for i, w in enumerate(weights) if x >> i & 1)
+            continue
+        scores[x] = Fraction(0)
+        for c, fn, m in zip(inst.constraints, applied, codes):
+            if kind == KIND_VCSP:
+                value = fn(m)
+            elif kind == KIND_MAXCSP:
+                value = fn.contains(m)
+            else:  # an edge counts when its ends differ
+                value = (m & 1) != (m >> 1)
+            scores[x] += (1 if c.weight is None else c.weight) * value
+    if not scores:
+        return SolveResult(kind, False, None, None, () if want_all else None)
+    best = (max if kind in MAXIMIZING_KINDS else min)(scores.values())
+    optimal = [x for x, score in scores.items() if score == best]
+    return SolveResult(kind, True, None if kind == KIND_SAT else best, optimal[0],
+                       tuple(optimal) if want_all else None)
+
+
+# the reference itself, on every kind up to 8 variables, against the loop
+@pytest.mark.deep
+@settings(max_examples=examples(200), deadline=None)
+@given(instances(least=0, most=8), st.booleans())
+@example(CYCLE, True)
+@example(TRUTH_EXAMPLES[3], True)
+@example(Instance(KIND_MAXCUT, 3, (Constraint("edge", (1, 1), Fraction(5)),)), True)
+@example(wmo(3, [("OR2", (0, 1))], (2 ** 31, 1, 2 ** 31), KIND_MINO), True)
+@example(Instance(KIND_VCSP, 3, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
+                                 Constraint("cost2_1_0_1/3_2", (2, 1), Fraction(2 ** 40 + 1, 3)),
+                                 Constraint("cost1_0_3/2", (2,)))), True)
+def test_bruteforce_matches_a_pure_python_loop(inst, want_all):
+    assert solve_bruteforce(inst, RESOLVER, want_all=want_all) == python_loop(inst, RESOLVER,
+                                                                             want_all)
 
 
 class FreshRelations(Resolver):

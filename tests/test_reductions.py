@@ -30,7 +30,7 @@ from coclones.instances import (
     default_resolver,
 )
 from coclones.fileio import emit_inst
-from coclones.oracle import meets_threshold, solve, solve_bruteforce
+from coclones.oracle import meets_threshold, solve
 from coclones.definitions import ARGMAX_IDENTITIES
 from coclones.postlattice import co_clone_of, parse_coclone_name
 from coclones.reductions import (
@@ -52,6 +52,7 @@ from coclones.reductions import (
     record,
     registry_names,
 )
+from reference import solve_bruteforce
 
 RESOLVER = default_resolver()
 
