@@ -7,12 +7,16 @@ in that file, its `replacement`, and the pytest ids of the `tests` that must
 kill it.  For each entry the runner copies what the tests read (src/,
 tests/, scripts/, README.md and pyproject.toml) into a temporary directory,
 runs the entry's tests there, applies the replacement and runs them again.
-It prints one line per entry:
+An entry may instead hold `equivalent`, the reason its replacement cannot
+change any result; its tests are then the ones it survives, and the runner
+only checks its snippet.  It prints one line per entry:
 
-    killed    every named test passes on the copy and fails on the mutant
-    survived  a named test passes on the mutant
-    stale     the snippet does not occur exactly once, or the named tests do
-              not all pass on the unmutated copy (an unknown id among them)
+    killed      every named test passes on the copy and fails on the mutant
+    survived    a named test passes on the mutant
+    equivalent  the snippet occurs once; the line gives the entry's reason
+    stale       the snippet does not occur exactly once, or the named tests
+                do not all pass on the unmutated copy (an unknown id among
+                them)
 
 and exits 1 if any entry survived or is stale.
 
@@ -63,6 +67,8 @@ def _run(entry: dict) -> tuple[str, str]:
         found = text.count(entry["snippet"])
         if found != 1:
             return "stale", f"the snippet occurs {found} times in {entry['file']}"
+        if "equivalent" in entry:
+            return "equivalent", entry["equivalent"]
         code, failed = _pytest(tree, entry["tests"])
         if code != 0:
             return "stale", (f"unmutated, pytest exits {code}; failed: "
@@ -91,10 +97,10 @@ def main(argv=None) -> int:
     for entry in entries:
         verdict, why = _run(entry)
         verdicts.append(verdict)
-        print(f"{verdict:9} {entry['id']}: {why}", flush=True)
+        print(f"{verdict:10} {entry['id']}: {why}", flush=True)
     print(f"{len(entries)} mutants: " + ", ".join(
-        f"{verdicts.count(v)} {v}" for v in ("killed", "survived", "stale")))
-    return 0 if verdicts.count("killed") == len(entries) else 1
+        f"{verdicts.count(v)} {v}" for v in ("killed", "equivalent", "survived", "stale")))
+    return 0 if verdicts.count("survived") + verdicts.count("stale") == 0 else 1
 
 
 if __name__ == "__main__":

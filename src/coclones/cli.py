@@ -50,15 +50,22 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise CliError(f"file not found: {path}")
-    return p.read_text()
+    return _on_file(path, p.read_text)
+
+
+def _write(path: str, text: str) -> None:
+    _on_file(path, Path(path).write_text, text)
 
 
 def _on_file(path: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with path before a format, resolution, admission
-    or oracle cap error in that file."""
+    """fn(*args, **kwargs), with path before a read or write, format,
+    resolution, admission or oracle cap error in that file."""
     try:
         return fn(*args, **kwargs)
-    except (RelationError, InstanceError, ReductionError, OracleError) as exc:
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    except (RelationError, InstanceError, ReductionError, OracleError,
+            UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -134,7 +141,7 @@ def _cmd_weakbase(args) -> int:
     rel = weak_base(coclone)
     text = emit_rel([rel])
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
         print(f"wrote {rel.name} ({rel.arity}-ary, {len(rel.tuples)} tuples) to {args.output}")
     else:
         print(text, end="")
@@ -156,7 +163,7 @@ def _cmd_wpp_eval(args) -> int:
     named = rel.renamed("wpp_result")
     text = emit_rel([named])
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
         print(f"wrote {len(rel.tuples)} tuples to {args.output}")
     else:
         print(text, end="")
@@ -200,7 +207,7 @@ def _cmd_reduce(args) -> int:
     if inst.threshold is not None and not isinstance(rec.measure, Decision):
         print(f"target threshold: {info.threshold.direction} {info.threshold.value}")
     if args.output:
-        Path(args.output).write_text(emit_inst(tgt))
+        _write(args.output, emit_inst(tgt))
         print(f"wrote target instance to {args.output}")
     return 0
 
@@ -300,7 +307,7 @@ def _cmd_express_neq(args) -> int:
             "forcing": [[str(t.weight), expr.fns[t.fn_index].name or t.fn_index,
                          list(t.slots)] for t in expr.forcing],
         }
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        _write(args.output, json.dumps(payload, indent=2) + "\n")
         print(f"wrote machine-checkable form to {args.output}")
     return 0 if verified else 1
 

@@ -21,21 +21,30 @@ R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
 or 3 variables, and each table build and gather works on those.  A
 constraint without repeats keeps its own relation.
 
-`solve` takes an instance down one of three routes.  Only the soft kinds
-past the cut vectorise, so only they import numpy, with `arrays`:
+`solve` takes an instance down one of two routes.  Only the soft kinds past
+the cut vectorise, so only they import numpy, with `arrays`:
 
-- Every instance of at most `_TRUTH_VARS` = 14 variables, of any kind, is
-  solved on truth tables (`truthtables`) in Python ints, by `_truth`.  The
-  candidates are the AND of the hard constraints' tables, stopping at 0,
-  and every assignment when there are none; a constraint's table is cached
-  on its relation under (args, n), so a repeated constraint skips both the
-  minor and the build (`Relation.table_cache`, bounded by
-  `_TABLES_PER_RELATION`).  The objective is a bit-sliced counter of the
-  soft terms and Ones groups, read from the top plane down within the
-  candidates; one summand alone, as of every unweighted Max-Ones and
-  Min-Ones instance, is read from its cached planes with no copy.  A term's
-  own planes are cached under its args, n and scaled table (`_term_planes`),
-  and a group's under (m, n, w) (`_ones_planes`, built from the unary terms'
+- Every hard-kind instance, and every instance of at most `_TRUTH_VARS` =
+  14 variables of any kind, is solved on truth tables (`truthtables`) in
+  Python ints, by `_truth`, over its first min(n, 14) variables.  Up to
+  the cut the candidates are the AND of the hard constraints' tables,
+  stopping at 0, and every assignment when there are none; a constraint's
+  table is cached on its relation under (args, n), so a repeated
+  constraint skips both the minor and the build (`Relation.table_cache`,
+  bounded by `_TABLES_PER_RELATION`).  Past the cut the same function is a
+  frontier search in variable order (Dechter, *Constraint Processing*, ch.
+  5): one such table per live assignment of the later variables, each
+  later term ANDed in with its later arguments fixed (cached on the
+  relation under (args, 14, fixed)), and the first variable that leaves
+  no table ends the search, so the unsatisfiable 2+3n certify targets,
+  which empty at a median 40% of their variables, all below the cut, read
+  nothing past that point.  The objective is a bit-sliced counter of the
+  soft terms and of each Ones group's low variables, read from the top
+  plane down within the candidates, plus the weight of the high ones; one
+  summand alone, as of every unweighted Max-Ones and Min-Ones instance, is
+  read from its cached planes with no copy.  A term's own planes are
+  cached under its args, n and scaled table (`_term_planes`), and a
+  group's under (m, n, w) (`_ones_planes`, built from the unary terms'
   planes), so the Max-Cut edges and f_neq terms that the certify corpora
   repeat, and the unit weights of every U-Max-Ones and Min-Ones solve of n
   variables, are built once; the cache starts over before it passes
@@ -43,29 +52,16 @@ past the cut vectorise, so only they import numpy, with `arrays`:
   with that cache and 13-22 us without it, where scoring all 2^n masks in
   numpy took 31-33 us, on the 912 solves of 2-5 variables of the
   Max-Cut/f_neq certify corpora; on random instances of 11-14 variables
-  with 2n binary and ternary terms it takes 0.12-0.81 ms, where the grid or
-  elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables and
-  is no faster than elimination from 17 on.  The cut is where one table
-  over all the variables stopped paying on the certify targets of the 8-ary
-  weak bases, on a 2-vCPU VM.  The variable planes the tables are built on
+  with 2n binary and ternary terms it takes 0.12-0.81 ms, where the grid
+  or elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables
+  and is no faster than elimination from 17 on.  The cut is where one
+  table over all the variables stopped paying on the certify targets of
+  the 8-ary weak bases.  Warm, the satisfiable 17- and 20-variable certify
+  targets take 49-122 us, and random U-Max-Ones instances of 24 variables
+  3.1 ms with no terms, 4.5 ms with 2n OR3 terms and 1.4 ms with 3n NAND2
+  terms (`BENCH_41.json`).  The variable planes the tables are built on
   are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB
   at 14 variables and 111 KB for every n up to 14.
-- Every hard-kind instance past the cut is solved by `_branch`, a frontier
-  search in variable order (Dechter, *Constraint Processing*, ch. 5) over
-  the variables past the cut, each of whose states carries the table over
-  the first 14 of the low assignments that go with it.  The terms below
-  the cut are ANDed as on the truth route; each later variable doubles the
-  states, and each term whose top variable it is is ANDed in, restricted to
-  the state's bits of its high arguments (cached on the relation under
-  (args, 14, fixed)).  A state whose table empties drops out, and the first
-  variable that leaves none ends the search: the unsatisfiable 2+3n certify
-  targets, which empty at a median 40% of their variables, all below the
-  cut, read nothing past that point.  The Ones objective of a state is read
-  off its table on the cached Ones planes of the low variables, plus the
-  weight of its high ones.  On a 2-vCPU VM, warm, the satisfiable 17- and
-  20-variable certify targets take 49-122 us, and random U-Max-Ones
-  instances of 24 variables take 3.1 ms with no terms, 4.5 ms with 2n OR3
-  terms and 1.4 ms with 3n NAND2 terms (`BENCH_41.json`).
 - Soft kinds past the cut are solved by bucket elimination in variable
   order (`arrays.eliminate`; Bertele & Brioschi, *Nonserial Dynamic
   Programming*, 1972), whose largest table held 2^8-2^18 states (median
@@ -196,12 +192,13 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
             return hard, _NO_OBJECTIVE
         if inst.var_weights is None:
             return hard, _unit_weights(n)
-        weights: dict = {}  # variable weight -> mask of the variables that carry it
+        weights: dict = {}  # (num, den) of a variable weight -> mask of the variables that carry it
         for i, w in enumerate(inst.var_weights):
             if w:
+                w = w.as_integer_ratio()  # a pair of ints hashes faster than a Fraction
                 weights[w] = weights.get(w, 0) | 1 << i
-        scale = math.lcm(*(w.denominator for w in weights))
-        ones = [(w.numerator * (scale // w.denominator), mask) for w, mask in weights.items()]
+        scale = math.lcm(*(den for _, den in weights))
+        ones = [(num * (scale // den), mask) for (num, den), mask in weights.items()]
         return hard, (scale, [], ones, _bounded(sum(w * m.bit_count() for w, m in ones)))
 
     forms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
@@ -253,18 +250,17 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability), the least optimal mask and, with
     `want_all`, every optimal mask in ascending order.
 
-    Every hard-kind instance and every instance of at most `_TRUTH_VARS`
-    variables is solved on truth tables, without numpy.  The soft kinds
-    past the cut import `arrays` and take elimination or the grid; `jobs`
-    is the thread count of the grid, which splits only an instance of more
-    than 2^20 masks, and every other route runs in one thread.
+    Two routes.  Every hard-kind instance and every instance of at most
+    `_TRUTH_VARS` variables is solved on truth tables by `_truth`, without
+    numpy.  The soft kinds past the cut import `arrays` and take
+    elimination or the grid; `jobs` is the thread count of the grid, which
+    splits only an instance of more than 2^20 masks, and every other route
+    runs in one thread.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
-    if n <= _TRUTH_VARS:
+    if n <= _TRUTH_VARS or inst.kind in _HARD_KINDS:
         return _truth(inst.kind, n, raw, tables, want_all)
-    if inst.kind in _HARD_KINDS:
-        return _branch(inst.kind, n, raw, tables, want_all)
     from . import arrays
 
     scale, soft, _, bound = tables
@@ -312,43 +308,79 @@ def _table(rel, args: tuple[int, ...], n: int, *fixed: int) -> int:
     return got
 
 
-def _satisfying(n: int, raw) -> int:
-    """The truth table of the assignments that satisfy every raw hard term."""
-    sat = tt.planes(n)[0]
-    for args, rel in raw:
-        # a hit on the relation's cache skips the call
-        table = rel.table_cache.get((args, n))
-        sat &= _table(rel, args, n) if table is None else table
-        if not sat:
-            break
-    return sat
-
-
 def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
-    """Solve an instance of any kind on truth tables over its n variables.
+    """Solve an instance on truth tables over its first cut = min(n,
+    `_TRUTH_VARS`) variables.
 
-    The candidates are the assignments that satisfy every hard term
-    (`_satisfying`), all of them when there is none.  Plane p of a
-    bit-sliced counter is the table of the assignments whose objective has
-    bit p set: each soft term's planes (`_term_planes`) and each Ones
-    group's (`_ones_planes`) are added to it by a ripple-carry adder
-    (`_add`), and the optimum is read off it within the candidates
-    (`_optimum`).  The candidates left share every bit of the optimum, and
-    the lowest of them is the least optimal mask.
+    A key (h, t) holds an assignment h of the variables past the cut
+    (variable cut + i in bit i of h) and the table t of the low assignments
+    that, with h, satisfy every term whose top variable is assigned so far.
+    The first key, h = 0, ANDs the terms below the cut, stopping at 0: in
+    constraint order, or in top-variable order when n > cut.  Each later
+    variable doubles the keys, the half that sets it after the other, so
+    the keys stay ascending in h, and `_restrict` ANDs in its terms.  Plane
+    p of a bit-sliced counter is the table of the low assignments whose
+    objective has bit p set: the soft terms' planes (`_term_planes`) and
+    those of each Ones group's low variables (`_ones_planes`), summed by a
+    ripple-carry adder (`_add`).  A key's value is the optimum within t
+    (`_optimum`) plus the weight of its high ones.  The witness is the
+    lowest candidate of the first key that reaches the optimum, and the
+    optimal set lists those keys' candidates in key order (`_masks`).
     """
-    cand = _satisfying(n, raw)
-    if not cand:
+    cut = n if n <= _TRUTH_VARS else _TRUTH_VARS
+    below, by_top = raw, {}  # the terms below the cut; the rest by top variable
+    if n > cut:
+        for args, rel in raw:
+            by_top.setdefault(max(args), []).append((args, rel))
+        below = [term for v in range(cut) for term in by_top.pop(v, ())]
+    t = tt.planes(cut)[0]
+    for args, rel in below:
+        # a hit on the relation's cache skips the call
+        table = rel.table_cache.get((args, cut))
+        t &= _table(rel, args, cut) if table is None else table
+        if not t:
+            break
+    keys = [(0, t)] if t else []
+    for v in range(cut, n):
+        if not keys:
+            break
+        keys += [(h | 1 << (v - cut), t) for h, t in keys]
+        if v in by_top:
+            keys = _restrict(keys, by_top[v])
+    if not keys:
         return SolveResult(kind, False, None, None, () if want_all else None)
     scale, soft, ones, _ = tables
     counter: tuple[int, ...] | list[int] = ()
     for args, table in soft:
-        counter = _add(counter, _term_planes(args, tuple(table), n))
+        counter = _add(counter, _term_planes(args, tuple(table), cut))
+    low = (1 << cut) - 1
     for w, m in ones:
-        counter = _add(counter, _ones_planes(n, w, m))
-    best, cand = _optimum(cand, counter, kind in MAXIMIZING_KINDS)
-    optimal = tuple(tt.masks(cand, n)) if want_all else None
+        counter = _add(counter, _ones_planes(cut, w, m & low))
+    maximize = kind in MAXIMIZING_KINDS
+    found: list = []  # the keys that reach the best value so far
+    for h, t in keys:
+        value, t = _optimum(t, counter, maximize)
+        if h:  # the weight of the high ones
+            for w, m in ones:
+                value += w * (m >> cut & h).bit_count()
+        if not found or (value > best if maximize else value < best):
+            best, found = value, [(h, t)]
+        elif value == best:
+            found.append((h, t))
+    h, t = found[0]
     return SolveResult(kind, True, _fraction(kind, best, scale),
-                       (cand & -cand).bit_length() - 1, optimal)
+                       (t & -t).bit_length() - 1 | h << cut,
+                       _masks(found, cut) if want_all else None)
+
+
+def _masks(keys: list, cut: int) -> tuple[int, ...]:
+    """The assignments of the keys (h, t) in key order: each low assignment
+    of t, with h placed above it by h << cut."""
+    out: list[int] = []
+    for h, t in keys:
+        low = tt.masks(t, cut)
+        out += map((h << cut).__or__, low) if h else low
+    return tuple(out)
 
 
 def _optimum(cand: int, counter, maximize: bool) -> tuple[int, int]:
@@ -379,53 +411,6 @@ def _fraction(kind: str, best: int, scale: int) -> Optional[Fraction]:
         return None
     # an int alone skips Fraction's gcd
     return Fraction(best) if scale == 1 else Fraction(best, scale)
-
-
-def _branch(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
-    """Solve a hard-kind instance of more than `_TRUTH_VARS` variables.
-
-    A key (h, t) holds an assignment h of the high variables (variable
-    _TRUTH_VARS + i in bit i of h) and the table t of the low assignments
-    that, with h, satisfy every term whose top variable is assigned so far.
-    Each high variable doubles the keys, the half that sets it after the
-    other, so the keys stay ascending in h, and `_restrict` ANDs in its
-    terms.  The witness is the lowest candidate of the first key that
-    reaches the optimum, and the optimal set lists those keys' candidates in
-    key order: the least mask, and all of them in ascending order.
-    """
-    cut = _TRUTH_VARS
-    by_top: dict[int, list] = {}  # top variable -> terms ANDed in there
-    for args, rel in raw:
-        by_top.setdefault(max(args), []).append((args, rel))
-    table = _satisfying(cut, [term for v in range(cut) for term in by_top.get(v, ())])
-    keys = [(0, table)] if table else []
-    for v in range(cut, n):
-        if not keys:
-            break
-        keys += [(h | 1 << (v - cut), t) for h, t in keys]
-        if v in by_top:
-            keys = _restrict(keys, by_top[v])
-    if not keys:
-        return SolveResult(kind, False, None, None, () if want_all else None)
-    scale, _, ones, _ = tables
-    counter: tuple[int, ...] | list[int] = ()
-    for w, m in ones:
-        counter = _add(counter, _ones_planes(cut, w, m & ((1 << cut) - 1)))
-    high_ones = [(w, m >> cut) for w, m in ones]
-    maximize = kind in MAXIMIZING_KINDS
-    best, found = None, []
-    for h, t in keys:
-        value, t = _optimum(t, counter, maximize)
-        for w, m in high_ones:
-            value += w * (m & h).bit_count()
-        if best is None or (value > best if maximize else value < best):
-            best, found = value, [(h, t)]
-        elif value == best:
-            found.append((h, t))
-    h, t = found[0]
-    optimal = tuple(m | g << cut for g, s in found for m in tt.masks(s, cut)) if want_all else None
-    return SolveResult(kind, True, _fraction(kind, best, scale),
-                       (t & -t).bit_length() - 1 | h << cut, optimal)
 
 
 def _restrict(keys: list, terms: list) -> list:

@@ -391,6 +391,57 @@ def test_malformed_number_exits_2(tmp_path, command, name, text):
     assert proc.stderr.startswith(f"error: {path}: ")
 
 
+# an input that is a directory or not UTF-8 text: (command, file name, text)
+UNREADABLE_INPUTS = [
+    ("coclone", "x.rel", "relation neq 2\n01\n10\n"),
+    ("solve", "x.inst", "problem SAT\nvars 1\n"),
+    ("vcsp-classify", "x.cost", "costfn c 1\n0 2\n1 2\n"),
+]
+
+
+@pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command,name,text", UNREADABLE_INPUTS,
+                         ids=[r[0] for r in UNREADABLE_INPUTS])
+def test_unreadable_input_exits_2(tmp_path, command, name, text, fault):
+    path = tmp_path / name
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + text.encode())
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run([command, str(path)])
+    assert (code, out) == (2, "")
+    if fault == "directory":
+        assert err.getvalue() == f"error: {path}: Is a directory\n"
+    else:
+        assert err.getvalue().startswith(f"error: {path}: ") and "decode" in err.getvalue()
+
+
+# every command that writes -o: (argv before its input, input file name, text)
+OUTPUT_COMMANDS = [
+    (["weakbase", "IS1", "2"], None, None),
+    (["wpp-eval"], "g.inst", "problem W-Max-Ones\nvars 2\nvarweights 0 1\nc OR2 1 2\nproject 1 2\n"),
+    (["reduce", "maxcut_to_vcsp_neq"], "m.inst", "problem Max-Cut\nvars 2\nc edge 1 2\n"),
+    (["express-neq"], "d.cost", "costfn f_neq 2\n00 1\n10 0\n01 0\n11 1\n"),
+]
+
+
+@pytest.mark.parametrize("fault", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv,name,text", OUTPUT_COMMANDS, ids=[r[0][0] for r in OUTPUT_COMMANDS])
+def test_unwritable_output_exits_2(tmp_path, argv, name, text, fault):
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        argv = argv + [str(tmp_path / name)]
+    target, reason = ((tmp_path / "missing" / "out", "No such file or directory")
+                      if fault == "missing-directory" else (tmp_path, "Is a directory"))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(argv + ["-o", str(target)])
+    assert (code, err.getvalue()) == (2, f"error: {target}: {reason}\n")
+    assert "wrote" not in out
+
+
 # Every integer token is ASCII digits with no leading zero (and may carry a
 # minus sign), and every number token is Fraction's grammar in ASCII without
 # '_'; int() and Fraction() read each of these.  ١-٣ are the

@@ -274,8 +274,8 @@ EMPTYING_TARGETS = (
 @example(Instance(KIND_VCSP, 4, (Constraint("f_neq", (0, 1), Fraction(2 ** 31)),
                                  Constraint("cost2_1_0_1/3_2", (3, 1), Fraction(2)))), True)
 def test_frontier_matches_bruteforce(inst, want_all):
-    # every route of solve: truth tables of either kind, frontier, elimination
-    # and grid
+    # every route of solve: truth tables, of any kind up to the cut and of
+    # the hard kinds past it, elimination and grid
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
@@ -331,6 +331,13 @@ RESOLVER.register_relation(WIDE)
 @example(wmo(TRUTH + 2, [("OR2", (0, 14)), ("OR2", (1, 15))], [1] * (TRUTH + 2), KIND_MINO), False)
 @example(Instance(KIND_MINO, TRUTH + 3, umo(TRUTH + 3, [("OR3", (2, 14, 16)), ("neq", (15, 16))]).constraints),
          True)
+# every nonzero weight past the cut, so the counter of the low variables is empty
+@example(wmo(TRUTH + 2, [("OR2", (0, 14)), ("NAND2", (14, 15)), ("OR2", (1, 15))],
+             [0] * TRUTH + [2, 3]), True)
+@example(wmo(TRUTH + 3, [("OR2", (14, 16)), ("OR3", (0, 15, 16)), ("NAND2", (15, 16))],
+             [0] * TRUTH + [1, 2, 1], KIND_MINO), False)
+@example(wmo(TRUTH + 3, [("OR2", (14, 16)), ("OR3", (0, 15, 16)), ("NAND2", (15, 16))],
+             [0] * TRUTH + [1, 2, 1], KIND_MINO), True)
 def test_hard_kinds_past_the_cut_match_bruteforce(inst, want_all):
     assert solve(inst, RESOLVER, want_all=want_all) == solve_bruteforce(inst, RESOLVER,
                                                                         want_all=want_all)
@@ -557,10 +564,12 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
     cons = [("OR2" if i % 2 else "NAND2", (i, i + 1)) for i in range(n - 1)]
     inst = wmo(n, cons, [1 + v % 3 for v in range(n)], kind) if kind in (
         KIND_WMO, KIND_MINO) else Instance(kind, n, umo(n, cons).constraints)
+    # both sides of the cut go through the one truth-table route, never numpy's
     reference = solve_bruteforce(inst, want_all=True)
-    truth, frontier = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch, "_branch", oracle)
+    truth, grid = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch)
+    elimination = spy_on(monkeypatch, "eliminate")
     assert solve(inst, want_all=True) == reference
-    assert (len(truth), len(frontier)) == ((0, 1) if n > TRUTH else (1, 0))
+    assert (len(truth), len(grid), len(elimination)) == (1, 0, 0)
 
 
 # Ones-group weights: zero, small, and past 2^31
