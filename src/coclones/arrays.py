@@ -1,8 +1,8 @@
-"""The oracle's numpy routes: bucket elimination and the chunked grid of the
-soft kinds past the cut (both described in the `oracle` docstring), and the
-LUT gather of a relation without a diagram.  Only this module and the
-relations' bool LUTs it reads import numpy, and only where one of these
-runs."""
+"""The oracle's numpy code: the chunked grid of the soft kinds whose
+elimination table would hold every variable or pass a chunk (described in
+the `oracle` docstring), and the LUT gather of a relation without a
+diagram.  Only this module and the relations' bool LUTs it reads import
+numpy, and only where one of these runs."""
 
 from __future__ import annotations
 
@@ -50,74 +50,6 @@ def gather(rel, args, n: int, fixed: int = 0) -> int:
             fixed >>= 1
     hits = rel.lut[code(arange(n), pairs) | const]
     return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-
-
-def eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int) -> SolveResult:
-    """Solve a soft-kind instance by bucket elimination in variable order
-    (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4).
-
-    One int64 array over the states of the variables in the table holds,
-    per state, a packed key: the best objective of the terms added so far,
-    shifted left by n bits, over the least mask that reaches it in the low n
-    bits, complemented when maximizing.  So the better key is the larger
-    (maximizing) or the smaller one, and on equal objectives it is the one
-    of the smaller mask.  Step v doubles the array by v's bit (setting it
-    adds 1 << v to the mask, so subtracts it from the complement), adds the
-    terms of step v (`by_top`) shifted by n, and forgets every variable
-    that no later term holds (`last`): each state keeps the better key of
-    its two halves, so the least optimal mask comes out, as on the grid.
-    Both come from `oracle._buckets`, which `solve` runs once for this and
-    for `oracle._elimination_pays`.  The keys fit in int64 when the
-    objective is below 2^(62 - n), which `solve` checks first.
-    """
-    n = len(last)
-    maximize = kind in MAXIMIZING_KINDS
-    low = (1 << n) - 1
-    key = np.full(1, low if maximize else 0, dtype=np.int64)
-    better = np.maximum if maximize else np.minimum
-    active: list[int] = []  # state bit i holds variable active[i]
-    for v in range(n):
-        key = np.concatenate((key, key - (1 << v) if maximize else key + (1 << v)))
-        active.append(v)
-        for args, table in by_top.get(v, ()):
-            _spread_add(key, [active.index(u) for u in args],
-                        np.array(table, dtype=np.int64) << n)
-        for u in [u for u in active if last[u] == v]:
-            # axis 1 of the view is u's bit
-            halves = key.reshape(-1, 2, 1 << active.index(u))
-            key = better(halves[:, 0], halves[:, 1]).ravel()
-            active.remove(u)
-    best = int(key[0])
-    witness = (best ^ low if maximize else best) & low
-    return SolveResult(kind, True, Fraction(best >> n, scale), witness)
-
-
-def _spread_add(acc: np.ndarray, places: list[int], table: np.ndarray) -> None:
-    """Add to acc, state by state, table at the code whose bit j is state bit places[j].
-
-    The table is first brought onto the distinct places, ascending: on
-    distinct places by transposing its axes, one of 2 per argument, and on
-    repeated ones, as of an edge (a, a), by a gather.  acc is then viewed
-    with one axis of 2 per place and one axis per run of bits between them,
-    and the small table is added by broadcasting.
-    """
-    distinct = sorted(set(places))
-    k = len(places)
-    if len(distinct) == k:
-        # axis i of the reshaped table is argument k - 1 - i's bit, and axis i
-        # of the small one must be place distinct[k - 1 - i]'s
-        small = table.reshape((2,) * k).transpose(
-            [k - 1 - places.index(p) for p in reversed(distinct)])
-    else:
-        small = table[code(arange(len(distinct)),
-                           [(j, distinct.index(p)) for j, p in enumerate(places)])]
-    shape, spread, top = [], [], acc.size.bit_length() - 1
-    for p in reversed(distinct):  # the C-order axes run from the top bit down
-        shape += (1 << (top - p - 1), 2)
-        spread += (1, 2)
-        top = p
-    view = acc.reshape(shape + [1 << top])
-    view += small.reshape(spread + [1])
 
 
 class _GridSum:

@@ -21,8 +21,9 @@ R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
 or 3 variables, and each table build and gather works on those.  A
 constraint without repeats keeps its own relation.
 
-`solve` takes an instance down one of two routes.  Only the soft kinds past
-the cut vectorise, so only they import numpy, with `arrays`:
+`solve` takes an instance down one of three routes.  Only the grid
+vectorises, so only it imports numpy, with `arrays` (as does the gather of
+a relation without a diagram, `truthtables.table`):
 
 - Every hard-kind instance, and every instance of at most `_TRUTH_VARS` =
   14 variables of any kind, is solved on truth tables (`truthtables`) in
@@ -63,19 +64,27 @@ the cut vectorise, so only they import numpy, with `arrays`:
   are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB
   at 14 variables and 111 KB for every n up to 14.
 - Soft kinds past the cut are solved by bucket elimination in variable
-  order (`arrays.eliminate`; Bertele & Brioschi, *Nonserial Dynamic
-  Programming*, 1972), whose largest table held 2^8-2^18 states (median
-  2^12) on random instances of 16-22 variables with 2n binary and ternary
-  terms, where the grid has 2^n.  It is taken when its packed keys fit,
-  that is the objective bound of `_terms` is below 2^(62 - n), when its
-  table stays within one chunk, and when the states it touches, plus
-  `_STEP_STATES` a step, are fewer than the grid's, all read from the
-  terms' buckets (`_buckets`, once a solve) before any array work
-  (`_elimination_pays`).  It finds one optimal mask, not the optimal set,
-  so `--all` and the rest are enumerated in chunks of 2^20 masks, each a
-  grid of high-half by low-half masks that gathers every term once per
-  half (`arrays.enumerate_masks`; meet in the middle, Horowitz & Sahni
-  1974).
+  order (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic
+  Programming*, 1972) on the same bit-sliced counters, one plane an int
+  of 2^a bits over the a variables in the table, with the optimal set by
+  a walk back that branches on ties.  A variable enters the table with
+  its first term.  Its widest table held 2^8-2^17 states (median 2^12)
+  on the benchmark's random instances of 16-22 variables with 2n binary
+  and ternary terms, where the grid has 2^n.  Warm, on the 162
+  single-optimum solves of three seeds of that benchmark, it took 0.92x
+  the time of the numpy elimination it replaced (1.10x at 16 variables,
+  0.72x at 21), and on dense Max-Cut of 22 variables 9-15 ms
+  where the grid took 18-21 ms (`BENCH_44.json`).  The objective has no
+  packing bound: only `_INT_LIMIT` caps it.  The literal planes of each
+  width (`truthtables.planes`) and the swap masks (`_swap_mask`) stay
+  cached: 1.6 MB for the widths up to 17, 15.5 MB up to 20.
+- The rest, soft kinds whose widest elimination table would hold all n
+  variables or more than 2^`_CHUNK_BITS` states, read from the terms'
+  buckets (`_buckets`, `_width`) before any table work, are enumerated in
+  chunks of 2^20 masks, each a grid of high-half by low-half masks that
+  gathers every term once per half (`arrays.enumerate_masks`; meet in the
+  middle, Horowitz & Sahni 1974).  A star or a complete graph holds every
+  variable in the table at its last step.
 
 A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
 are built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -88,6 +97,7 @@ relation gets others.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -161,15 +171,14 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     constraint of a hard kind, on its raw args.  A soft term is (args,
     table), one per constraint of the soft kinds: the table is a sequence of
     Python ints indexed by the code of `args` (argument j in bit j), which
-    the elimination and the grid turn into arrays themselves.  A Ones group
+    the grid turns into arrays itself.  A Ones group
     (w, m) of the Max-/Min-Ones kinds holds in m the variables of weight w,
     one group per distinct nonzero weight.  The objective is the sum of the
     soft terms plus w times the ones in m of every group, all multiplied by
     `scale`, the least integer that clears every denominator of a weighted
     value.  The bound caps that objective, and so every partial sum, since
-    weights and costs are nonnegative; it sets the grid's dtype and whether
-    elimination's packed keys fit, and one of `_INT_LIMIT` or more is an
-    error.
+    weights and costs are nonnegative; it sets the grid's dtype, and one of
+    `_INT_LIMIT` or more is an error.
 
     A soft term starts from its function's integer form (g, den, nums),
     built once per object (`CostFunction.scaled`; a relation's 0/1
@@ -250,42 +259,44 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     """Exact optimum (or satisfiability), the least optimal mask and, with
     `want_all`, every optimal mask in ascending order.
 
-    Two routes.  Every hard-kind instance and every instance of at most
-    `_TRUTH_VARS` variables is solved on truth tables by `_truth`, without
-    numpy.  The soft kinds past the cut import `arrays` and take
-    elimination or the grid; `jobs` is the thread count of the grid, which
-    splits only an instance of more than 2^20 masks, and every other route
-    runs in one thread.
+    Three routes.  Every hard-kind instance and every instance of at most
+    `_TRUTH_VARS` variables is solved on truth tables by `_truth`.  The
+    soft kinds past the cut are solved by elimination (`_eliminate`),
+    optimal set included, unless its widest table would hold every
+    variable or pass 2^`_CHUNK_BITS` states; those import `arrays` and
+    take the grid.  `jobs` is the thread count of the grid, which splits
+    only an instance of more than 2^20 masks, and every other route runs
+    in one thread without numpy.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
     if n <= _TRUTH_VARS or inst.kind in _HARD_KINDS:
         return _truth(inst.kind, n, raw, tables, want_all)
+    scale, soft, _, _ = tables
+    by_top, last = _buckets(n, soft)
+    width = _width(by_top, last)
+    if width < n and width <= _CHUNK_BITS:
+        return _eliminate(inst.kind, by_top, last, scale, want_all)
     from . import arrays
 
-    scale, soft, _, bound = tables
-    # a packed key holds the objective above the n bits of its mask
-    if not want_all and bound < 1 << (62 - n):
-        by_top, last = _buckets(n, soft)
-        if _elimination_pays(last):
-            return arrays.eliminate(inst.kind, by_top, last, scale)
     return arrays.enumerate_masks(inst, tables, want_all, jobs)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
-# blocks of one mixed benchmark run (seed 1) look up 67,288 tables under 946
+# blocks of one mixed benchmark run (seed 1) look up tables under 946
 # distinct (relation, args, n) keys, at most 285 of them on one relation
-# (R_IL0), and the cache answers 98.6% of the lookups; twelve blocks meet
-# 1,634 keys, at most 458 on one relation, since the sampled weak-base
-# corpora keep adding argument tuples.  The hard kinds past the cut fill the
-# same cache under (args, _TRUTH_VARS) for the terms below it and under
-# (args, _TRUTH_VARS, fixed) for the restricted tables of the terms past it:
-# the five blocks of a certify-hard run (seed 1) leave 510 keys, 125 of them
-# restricted, at most 150 on one relation (R_ID2).  So the bound, over twice
-# either run's largest count, evicts nothing in a run.  A table over
-# n <= _TRUTH_VARS variables takes at most 2 KB (the 946 take 0.2 MB, the
-# 510 0.5 MB), so a full relation holds about 2 MB.
-_TABLES_PER_RELATION = 1 << 10
+# (R_IL0), and twelve blocks under 1,634, at most 458 on one relation, since
+# the sampled weak-base corpora keep adding argument tuples.  The hard kinds
+# past the cut fill the same cache under (args, _TRUTH_VARS) for the terms
+# below it and under (args, _TRUTH_VARS, fixed) for the restricted tables of
+# the terms past it: the five blocks of a certify-hard run (seed 1) leave 510
+# keys, at most 150 on one relation (R_ID2).  A default certify of every
+# registry entry (all, umo_qpp_family and wmo_qwpp_family in one process)
+# meets the most: 10,254 keys, 2,352 of them on R_II2 and 1,586 on R_IL0,
+# 1.9 MB of tables in all.  So the bound, over 1.7 times that largest count,
+# evicts nothing in any of these runs.  A table over n <= _TRUTH_VARS
+# variables takes at most 2 KB, so a full relation holds at most 8 MB.
+_TABLES_PER_RELATION = 1 << 12
 
 
 def _table(rel, args: tuple[int, ...], n: int, *fixed: int) -> int:
@@ -469,31 +480,34 @@ def _keep(key, planes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The bit-sliced planes over n variables of the term `table` on `args`,
-    cached under (args, n, table).
+    """`_slices` of the term `table` on `args` over n variables, cached
+    under (args, n, table)."""
+    key = (args, n, table)
+    got = _plane_cache.get(key)
+    if got is not None:
+        return got
+    return _keep(key, tuple(_slices(args, table, n)))
+
+
+def _slices(args, table, n: int) -> list[int]:
+    """The bit-sliced planes over n variables of the term `table` on `args`.
 
     The assignments on which the arguments read code c are S_c, the AND of
     one literal per argument; those of one term are disjoint, so plane p is
     the OR of the S_c whose value has bit p set.
     """
-    key = (args, n, table)
-    got = _plane_cache.get(key)
-    if got is not None:
-        return got
-    full, literals = tt.planes(n)
-    codes = [full]  # codes[c] = S_c over the arguments so far
-    for v in args:
+    literals = tt.planes(n)[1]
+    codes = literals[args[0]]  # codes[c] = S_c over the arguments so far
+    for v in args[1:]:
         # the new argument's literal is the code's next bit
         codes = [s & lit for lit in literals[v] for s in codes]
     term = [0] * max(table).bit_length()
     for s, value in zip(codes, table):
-        p = 0
         while value:
-            if value & 1:
-                term[p] |= s
-            value >>= 1
-            p += 1
-    return _keep(key, tuple(term))
+            bit = value & -value
+            term[bit.bit_length() - 1] |= s
+            value ^= bit
+    return term
 
 
 def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
@@ -566,41 +580,220 @@ def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
     return by_top, last
 
 
-# What one step of `_eliminate` costs beyond the grid's work for the same
-# variable, in grid states.  A step's numpy calls (doubling, one forget, two
-# terms' broadcasts) take 30-63 us against the grid's 19-44 us a variable, at
-# 2.1-2.5 ns a grid state, on narrow instances of 8-14 variables with two
-# terms a variable; so 4,400-9,100 states, measured on a 2-vCPU VM.  The
-# benchmark's 16-variable soft files sit at the crossover: at 4096, 56 of 324
-# files (three seeds of six blocks) change route, about half of them to the
-# slower one.  At 1024 none of 1,080 files of 16-22 variables (ten seeds)
-# changes route, while every instance of 11-13 variables, on which the grid
-# was 1.0-1.35x faster, and at 14 all but those under 2^11 states, go to the
-# grid (BENCH_22.json).
-_STEP_STATES = 1 << 10
+def _width(by_top: dict[int, list], last: list[int]) -> int:
+    """The most variables that `_eliminate`'s table holds at once, read from
+    the terms' steps (`_buckets`).
 
-
-def _elimination_pays(last: list[int]) -> bool:
-    """Whether `_eliminate` keeps its table within a chunk and costs less
-    than the grid's 2^n states, read from the steps that forget each of the
-    n variables (`_buckets`) before any array work.
-
-    Variable u sits in the table from step u through the step that forgets
-    it, so step v touches 2^a_v states, a_v the variables in it then, and
-    costs `_STEP_STATES` more.
+    Variable u enters the table at the first step that adds a term holding
+    it and leaves it at the step that forgets it; a variable in no term
+    never enters.
     """
-    n = len(last)
-    change = [0] * (n + 1)  # at step v, a_v changes by change[v]
-    for u in range(n):
-        change[u] += 1
+    change = [0] * (len(last) + 1)  # at step v, the table's width changes by change[v]
+    first = {}
+    for v in sorted(by_top):
+        for args, _ in by_top[v]:
+            for u in args:
+                first.setdefault(u, v)
+    for u, v in first.items():
+        change[v] += 1
         change[last[u] + 1] -= 1
-    size = peak = 0
-    work = n * _STEP_STATES
+    return max(itertools.accumulate(change), default=0)
+
+
+@functools.cache
+def _swap_mask(a: int, i: int) -> int:
+    """The states of a variables with bit i set and bit a - 1 clear, as a table."""
+    literals = tt.planes(a)[1]
+    return literals[i][1] & literals[a - 1][0]
+
+
+# The 16 functions of two arguments, indexed by the set of codes (x0 + 2 x1)
+# on which they hold, each built from the literals (~X0, X0) and (~X1, X1)
+# and the full table in at most one operation.
+_PAIR = (
+    lambda a0, a1, b0, b1, full: 0,
+    lambda a0, a1, b0, b1, full: a0 & b0,
+    lambda a0, a1, b0, b1, full: a1 & b0,
+    lambda a0, a1, b0, b1, full: b0,
+    lambda a0, a1, b0, b1, full: a0 & b1,
+    lambda a0, a1, b0, b1, full: a0,
+    lambda a0, a1, b0, b1, full: a1 ^ b1,
+    lambda a0, a1, b0, b1, full: a0 | b0,
+    lambda a0, a1, b0, b1, full: a1 & b1,
+    lambda a0, a1, b0, b1, full: a1 ^ b0,
+    lambda a0, a1, b0, b1, full: a1,
+    lambda a0, a1, b0, b1, full: a1 | b0,
+    lambda a0, a1, b0, b1, full: b1,
+    lambda a0, a1, b0, b1, full: a0 | b1,
+    lambda a0, a1, b0, b1, full: a1 | b1,
+    lambda a0, a1, b0, b1, full: full,
+)
+
+
+def _code_sets(table) -> list[int]:
+    """Per plane of a term's table, the set of codes (bit c for code c) whose
+    value has the plane's bit."""
+    sets = [0] * max(table).bit_length()
+    for c, value in enumerate(table):
+        while value:
+            bit = value & -value
+            sets[bit.bit_length() - 1] |= 1 << c
+            value ^= bit
+    return sets
+
+
+def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
+               want_all: bool) -> SolveResult:
+    """Solve a soft-kind instance by bucket elimination in variable order
+    (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4), on
+    bit-sliced ints.
+
+    The table over the a variables in it (state bit i holds variable
+    active[i]) is a counter of objective planes, ints of 2^a bits as in
+    `_truth`.  Step v adds the terms of step v (`by_top`): each argument not
+    yet in the table enters it at the top bit, doubling every plane, and
+    the term, sliced over its arguments' state bits, is ripple-added
+    (`_add`).  Then every variable that no later term holds (`last`) is
+    forgotten: one delta swap moves its state bit to the top, each plane
+    splits into the half that clears it and the half that sets it, and a
+    compare from the top plane down keeps the better half in each state.
+    On a tie the half of the lesser mask wins.  The two masks differ in u
+    and in the variables forgotten so far, so the highest of those above u
+    whose chosen bits differ decides, and u's own bit if none does.  So a
+    forgotten variable's chosen bits are carried, as planes, while some
+    variable below it is still to be forgotten, and the least optimal mask
+    comes out, as on the grid.  A variable in no term never enters; it is
+    forgotten at its own step with both halves equal.
+
+    The witness is read back from the last forget to the first: each
+    forget's choice, at the state of the variables left in its table, sets
+    its variable.  With `want_all` the walk branches where the two halves
+    tie in value, so it reaches every optimal mask, and then sorts them.
+    """
+    maximize = kind in MAXIMIZING_KINDS
+    n = len(last)
+    planes: list[int] = []  # the objective planes over the states
+    active: list[int] = []  # state bit i holds variable active[i]
+    place = [0] * n  # the state bit of each active variable
+    carried: list[int] = []  # the forgotten variables carried, descending,
+    chosen: list[int] = []  # and their chosen bits over the states
+    gone = [False] * (n + 1)
+    lowest = 0  # the least variable not yet forgotten
+    forgets = []  # (u, the variables left in the table, choice, better, tied)
+    code_sets: dict = {}  # a term's table -> `_code_sets`
     for v in range(n):
-        size += change[v]
-        work += 1 << size
-        peak = max(peak, size)
-    return peak <= _CHUNK_BITS and work < 1 << n
+        for args, table in by_top.get(v, ()):
+            for u in args:
+                if u not in active:
+                    size = 1 << len(active)
+                    planes = [p | p << size for p in planes]
+                    chosen = [p | p << size for p in chosen]
+                    place[u] = len(active)
+                    active.append(u)
+            a = len(active)
+            if 2 <= len(args) <= 3:
+                # each plane a function of the first two arguments, or of
+                # those two on each side of the third, by `_PAIR`
+                key = tuple(table)
+                sets = code_sets.get(key)
+                if sets is None:
+                    sets = code_sets[key] = _code_sets(key)
+                full, literals = tt.planes(a)
+                a0, a1 = literals[place[args[0]]]
+                b0, b1 = literals[place[args[1]]]
+                if len(args) == 2:
+                    term = [_PAIR[m](a0, a1, b0, b1, full) for m in sets]
+                else:
+                    c1 = literals[place[args[2]]][1]
+                    term = []
+                    for m in sets:
+                        x = _PAIR[m & 15](a0, a1, b0, b1, full)
+                        if m & 15 != m >> 4:
+                            x ^= c1 & _PAIR[(m ^ m >> 4) & 15](a0, a1, b0, b1, full)
+                        term.append(x)
+                planes = _add(planes, term)
+            else:
+                planes = _add(planes, _slices([place[u] for u in args], table, a))
+        if last[v] == v and v not in active:
+            forgets.append((v, (), 0, 0, 1))
+            gone[v] = True
+        for u in [u for u in active if last[u] == v]:
+            top = len(active) - 1
+            i = place[u]
+            k = len(planes)
+            both = planes + chosen
+            if i < top:
+                shift, m = (1 << top) - (1 << i), _swap_mask(top + 1, i)
+                both = [p ^ t ^ t << shift for p in both for t in ((p >> shift ^ p) & m,)]
+                w = active[i] = active[top]
+                place[w] = i
+            active.pop()
+            gone[u] = True
+            half = 1 << top
+            low = (1 << half) - 1
+            los = [p & low for p in both]
+            his = [p >> half for p in both]
+            better, tied = 0, low  # the states where u's set half is better; those still equal
+            for p in range(k - 1, -1, -1):
+                x = los[p]
+                d = (x ^ his[p]) & tied
+                if d:
+                    better |= d ^ d & x if maximize else d & x
+                    tied ^= d
+                    if not tied:
+                        break
+            choice, rest = better, tied
+            if rest:
+                for j, w in enumerate(carried, k):
+                    if w < u:
+                        break
+                    x = los[j]
+                    d = (x ^ his[j]) & rest
+                    if d:
+                        choice |= d & x  # the set half chose w where the other did not
+                        rest ^= d
+                        if not rest:
+                            break
+            both = [x ^ (x ^ y) & choice for x, y in zip(los, his)] if choice else los
+            planes = both[:k]
+            chosen = both[k:]
+            while gone[lowest]:
+                lowest += 1
+            if carried and carried[-1] <= lowest:
+                keep = [j for j, w in enumerate(carried) if w > lowest]
+                chosen = [chosen[j] for j in keep]
+                carried = [carried[j] for j in keep]
+            if u > lowest:
+                j = 0
+                while j < len(carried) and carried[j] > u:
+                    j += 1
+                carried.insert(j, u)
+                chosen.insert(j, choice)
+            forgets.append((u, tuple(active), choice, better, tied))
+        while gone[lowest]:
+            lowest += 1
+    best = sum(p << i for i, p in enumerate(planes))
+    masks = [0]
+    for u, layout, choice, better, tied in reversed(forgets):
+        places = list(enumerate(layout))
+        if not want_all:
+            x = masks[0]
+            masks[0] = x | (choice >> sum((x >> w & 1) << k for k, w in places) & 1) << u
+        elif tied == (1 << (1 << len(layout))) - 1:  # a tie in every state
+            masks += [x | 1 << u for x in masks]
+        else:
+            out = []
+            for x in masks:
+                s = sum((x >> w & 1) << k for k, w in places)
+                if tied >> s & 1:
+                    out += (x, x | 1 << u)
+                else:
+                    out.append(x | (better >> s & 1) << u)
+            masks = out
+    if want_all:
+        masks.sort()
+    return SolveResult(kind, True, _fraction(kind, best, scale), masks[0],
+                       tuple(masks) if want_all else None)
 
 
 def meets_threshold(res: SolveResult, threshold: Optional[Threshold]) -> bool:

@@ -820,12 +820,25 @@ def test_non_vectorising_commands_run_without_numpy(tmp_path):
 
 
 def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
-    # a cycle of 16 Max-Cut edges goes to elimination, in `arrays`
+    # a complete graph past the cut holds every variable in the elimination
+    # table at its last step, so it goes to the grid, in `arrays`
+    soft = tmp_path / "complete.inst"
+    soft.write_text("problem Max-Cut\nvars 15\n" + "".join(
+        f"c edge {i} {j}\n" for i in range(1, 16) for j in range(i + 1, 16)))
+    loaded = sorted(_DATA_LAYER + ["coclones.arrays"] + [f"coclones.{m}" for m in _SOLVER])
+    assert _main_in_process(["solve", str(soft)]) == (0, "0\n", ["True", " ".join(loaded)])
+
+
+def test_a_soft_kind_solve_by_elimination_loads_no_numpy(tmp_path):
+    # a cycle of 16 Max-Cut edges goes to elimination, on Python ints, with
+    # or without its optimal set
     soft = tmp_path / "soft.inst"
     soft.write_text("problem Max-Cut\nvars 16\n" + "".join(
         f"c edge {i} {i % 16 + 1}\n" for i in range(1, 17)))
-    loaded = sorted(_DATA_LAYER + ["coclones.arrays", "coclones.oracle", "coclones.truthtables"])
-    assert _main_in_process(["solve", str(soft)]) == (0, "0\n", ["True", " ".join(loaded)])
+    loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER])
+    for flags in ([], ["--all"]):
+        assert _main_in_process(["solve", str(soft)] + flags) == (0, "0\n",
+                                                                 ["False", " ".join(loaded)])
 
 
 def test_the_solver_stack_loads_no_numpy():

@@ -355,10 +355,9 @@ def soft(kind, n):
     return Instance(kind, n, tuple(cons))
 
 
-# The next two route tests lower the truth-table cut to this, so that one
-# variable past it n * _STEP_STATES alone passes 2^n and elimination is
-# refused; test_soft_kinds_take_the_truth_tables_up_to_the_cut pins the real
-# cut.
+# The next two route tests lower the truth-table cut to this, so that the
+# routes past it run on small instances; test_soft_kinds_take_the_truth_tables_up_to_the_cut
+# pins the real cut.
 LOW_CUT = 10
 
 
@@ -373,6 +372,18 @@ def spy_on(monkeypatch, name="enumerate_masks", module=arrays):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def spy_on_elimination(monkeypatch):
+    """The list that records every call of `oracle._eliminate`."""
+    return spy_on(monkeypatch, "_eliminate", oracle)
+
+
+def star(kind, n):
+    """A soft-kind instance whose terms all join the last of n variables, so
+    the elimination table holds every variable at the last step."""
+    ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
+    return Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
 
 
 # solve takes instances up to the cut through the truth tables, so the grid,
@@ -395,67 +406,67 @@ def test_grid_matches_bruteforce(inst, want_all):
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
-    # the optimal set past the cut comes from the grid, never from elimination
+    # a star holds every variable in the elimination table, so past the cut
+    # both the optimum and the optimal set come from the grid
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
-    inst = soft(kind, n)
-    reference = solve_bruteforce(inst, want_all=True)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
-    assert solve(inst, want_all=True) == reference
-    assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
+    inst = star(kind, n)
+    reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
+    assert solve(inst) == reference
+    assert solve(inst, want_all=True) == all_reference
+    assert (len(grid), len(elimination)) == (2 * (n > LOW_CUT), 0)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_elimination_only_past_the_cut(kind, n, monkeypatch):
-    # without --all the optimum past the cut comes from elimination where its
-    # steps cost less than the grid: not yet on n = LOW_CUT + 1 variables,
-    # where n * _STEP_STATES alone passes 2^n, but with six idle variables more
+    # past the cut both the optimum and the optimal set of a cycle come from
+    # elimination, and so do those of the same terms with six idle
+    # variables more, which never enter its table
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     inst = soft(kind, n)
     padded = Instance(kind, n + 6, inst.constraints)
-    reference, padded_reference = solve_bruteforce(inst), solve_bruteforce(padded)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
-    assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
-    assert solve(padded) == padded_reference
-    assert (len(grid), len(elimination)) == (n > LOW_CUT, 1)
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
+    for case in (inst, padded):
+        for want_all in (False, True):
+            assert solve(case, want_all=want_all) == solve_bruteforce(case, want_all=want_all)
+    assert (len(grid), len(elimination)) == (0, 2 + 2 * (n > LOW_CUT))
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [TRUTH, TRUTH + 1])
 def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
-    # past the cut the optimum comes from elimination, which pays on this
-    # cycle, and the optimal set from the grid
+    # past the cut the optimum and the optimal set of this cycle come from
+    # elimination
     inst = soft(kind, n)
     reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
     truth, grid = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch)
-    elimination = spy_on(monkeypatch, "eliminate")
+    elimination = spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
     assert solve(inst, want_all=True) == all_reference
     past = n > TRUTH
-    assert (len(truth), len(elimination), len(grid)) == (2 * (not past), past, past)
+    assert (len(truth), len(elimination), len(grid)) == (2 * (not past), 2 * past, 0)
 
 
 @pytest.mark.parametrize("n,eliminated", [(13, False), (14, True)])
 def test_elimination_pays_for_its_steps(n, eliminated):
-    # a path holds two variables a step, 4n - 2 states in all, so its
-    # estimate is n * _STEP_STATES past that: above the grid's 2^13 on 13
-    # variables, below 2^14 on 14 (both under the truth-table cut, so the
-    # estimate is read directly)
-    inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
+    # elimination pays while its widest table holds fewer than all n
+    # variables: a path holds two at a step, a star all n at its last
+    if eliminated:
+        inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
+    else:
+        inst = star(KIND_MAXCUT, n)
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    assert oracle._elimination_pays(oracle._buckets(n, soft_terms)[1]) == eliminated
+    assert oracle._width(*oracle._buckets(n, soft_terms)) == (2 if eliminated else n)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
-    # a star into the last variable keeps every variable in the table, which
-    # doubles at every step: 2^1 + ... + 2^n states in all, above 2^n
-    ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
-    n = TRUTH + 2
-    inst = Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
+    # a star into the last variable keeps every variable in the table at
+    # that step, as many states as the grid's 2^n
+    inst = star(kind, TRUTH + 2)
     reference = solve_bruteforce(inst)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (1, 0)
 
@@ -463,19 +474,19 @@ def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
 @pytest.mark.parametrize("chunk_bits,eliminated", [(9, False), (10, True)])
 def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypatch):
     # a star of 9 edges into variable 9 holds 10 variables at that step, then
-    # a path to variable 15: 2^11 + 22 states and 16 steps in all, below the
-    # grid's 2^16
+    # a path to variable 15 holds two: elimination only while 10 variables
+    # fit a chunk
     edges = [(i, 9) for i in range(9)] + [(i, i + 1) for i in range(9, 15)]
     inst = Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", e) for e in edges))
     reference = solve_bruteforce(inst)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
     assert (len(grid), len(elimination)) == (not eliminated, eliminated)
 
 
 # instances on which elimination meets ties, idle variables, repeated
-# arguments, fractions and an int64 bound
+# arguments, fractions and large bounds
 ELIMINATION_EXAMPLES = (
     # every cut of a cycle has its complement: the least mask must win
     Instance(KIND_MAXCUT, 12, tuple(Constraint("edge", (i, (i + 1) % 12)) for i in range(12))),
@@ -492,45 +503,77 @@ ELIMINATION_EXAMPLES = (
     soft(KIND_MAXCUT, 18),
     Instance(KIND_VCSP, 0, ()),
     Instance(KIND_MAXCSP, 11, ()),
-    # a bound of at least 2^31 makes the terms int64
+    # a bound of at least 2^31 makes the grid's terms int64
     Instance(KIND_VCSP, 13, tuple(Constraint("f_neq", e, Fraction(2 ** 31))
                                   for e in ((0, 1), (1, 12), (12, 0)))),
     # symmetric Max-Cut optima: an odd cycle, each optimum met at every
     # rotation and with its complement, and an even one whose objective
-    # passes 2^43, near the 2^44 that still packs at 18 variables
+    # passes 2^43
     Instance(KIND_MAXCUT, 15, tuple(Constraint("edge", (i, (i + 1) % 15), Fraction(3))
                                     for i in range(15))),
     Instance(KIND_MAXCUT, 18, tuple(Constraint("edge", (i, (i + 1) % 18), Fraction(2 ** 39))
                                     for i in range(17)) + (Constraint("edge", (17, 0)),)),
-    # a VCSP minimum of 2^40 met by many masks, its keys near the packing bound
+    # a VCSP minimum of 2^40 met by many masks
     Instance(KIND_VCSP, 17, tuple(Constraint("f_neq", (i, (i + 1) % 17), Fraction(2 ** 40))
                                   for i in range(17))),
+    # every term weighs 0, so all 2^12 masks are optimal, and the variables
+    # sit in the table when they are forgotten
+    Instance(KIND_VCSP, 12, tuple(Constraint("cost2_1_0_1/3_2", (i, (i + 5) % 12), Fraction(0))
+                                  for i in range(12))),
+    # an objective of 2^53 at 16 variables, past the 2^46 that packed keys
+    # of the objective and the mask held in int64
+    Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", (i, (i + 1) % 16), Fraction(2 ** 49))
+                                    for i in range(16))),
+    # variable 0 enters only at the last step, with variables 1..12 of the
+    # cycle forgotten before it, so its compare reads their carried bits
+    Instance(KIND_MAXCUT, 13, (Constraint("edge", (0, 12)),) + tuple(
+        Constraint("edge", (i, i % 12 + 1)) for i in range(1, 13))),
 )
 
 
 # the DP is compared with the reference here at every size, whether or not
-# solve would route the instance to it
+# solve would route the instance to it, for the optimum and the optimal set
 @pytest.mark.deep
 @settings(max_examples=examples(100), deadline=None)
 @given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT), least=0, most=18,
-                 most_constraints=30))
-@example(ELIMINATION_EXAMPLES[0])
-@example(ELIMINATION_EXAMPLES[1])
-@example(ELIMINATION_EXAMPLES[2])
-@example(ELIMINATION_EXAMPLES[3])
-@example(ELIMINATION_EXAMPLES[4])
-@example(ELIMINATION_EXAMPLES[5])
-@example(ELIMINATION_EXAMPLES[6])
-@example(ELIMINATION_EXAMPLES[7])
-@example(ELIMINATION_EXAMPLES[8])
-@example(ELIMINATION_EXAMPLES[9])
-@example(ELIMINATION_EXAMPLES[10])
-@example(ELIMINATION_EXAMPLES[11])
-@example(ELIMINATION_EXAMPLES[12])
-def test_elimination_matches_bruteforce(inst):
-    _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    result = arrays.eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale)
-    assert result == solve_bruteforce(inst, RESOLVER)
+                 most_constraints=30), st.booleans())
+@example(ELIMINATION_EXAMPLES[0], False)
+@example(ELIMINATION_EXAMPLES[0], True)
+@example(ELIMINATION_EXAMPLES[1], False)
+@example(ELIMINATION_EXAMPLES[1], True)
+@example(ELIMINATION_EXAMPLES[2], False)
+@example(ELIMINATION_EXAMPLES[2], True)
+@example(ELIMINATION_EXAMPLES[3], False)
+@example(ELIMINATION_EXAMPLES[3], True)
+@example(ELIMINATION_EXAMPLES[4], False)
+@example(ELIMINATION_EXAMPLES[4], True)
+@example(ELIMINATION_EXAMPLES[5], False)
+@example(ELIMINATION_EXAMPLES[5], True)
+@example(ELIMINATION_EXAMPLES[6], False)
+@example(ELIMINATION_EXAMPLES[6], True)
+@example(ELIMINATION_EXAMPLES[7], False)
+@example(ELIMINATION_EXAMPLES[7], True)
+@example(ELIMINATION_EXAMPLES[8], False)
+@example(ELIMINATION_EXAMPLES[8], True)
+@example(ELIMINATION_EXAMPLES[9], False)
+@example(ELIMINATION_EXAMPLES[9], True)
+@example(ELIMINATION_EXAMPLES[10], False)
+@example(ELIMINATION_EXAMPLES[10], True)
+@example(ELIMINATION_EXAMPLES[11], False)
+@example(ELIMINATION_EXAMPLES[11], True)
+@example(ELIMINATION_EXAMPLES[12], False)
+@example(ELIMINATION_EXAMPLES[12], True)
+@example(ELIMINATION_EXAMPLES[13], False)
+@example(ELIMINATION_EXAMPLES[13], True)
+@example(ELIMINATION_EXAMPLES[14], False)
+@example(ELIMINATION_EXAMPLES[14], True)
+@example(ELIMINATION_EXAMPLES[15], False)
+@example(ELIMINATION_EXAMPLES[15], True)
+def test_elimination_matches_bruteforce(inst, want_all):
+    _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, want_all)
+    result = oracle._eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale,
+                               want_all)
+    assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
 PACKED_VARS = 16
@@ -540,19 +583,19 @@ PACKED_VARS = 16
 @pytest.mark.parametrize("bound,packed", [(2 ** (62 - PACKED_VARS) - 1, True),
                                           (2 ** (62 - PACKED_VARS), False)])
 def test_elimination_takes_only_objectives_that_pack(kind, bound, packed, monkeypatch):
-    # a path, which elimination pays for, whose weights add up to the bound:
-    # a key holds the objective above the n bits of its mask, so the largest
-    # bound that packs goes to elimination and one past it to the grid
+    # a path whose weights add up to the bound: int64 keys of the objective
+    # above the n bits of the mask packed only the first bound, while the
+    # bit-sliced planes hold any bound under _INT_LIMIT, so both are eliminated
     ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
     weights = [1] * (PACKED_VARS - 2) + [bound - (PACKED_VARS - 2)]
     inst = Instance(kind, PACKED_VARS, tuple(Constraint(ref, (i, i + 1), Fraction(w))
                                              for i, w in enumerate(weights)))
     _, (_, _, _, got) = oracle._terms(inst, RESOLVER, False)
-    assert got == bound
+    assert (got, got < 2 ** (62 - PACKED_VARS)) == (bound, packed)
     reference = solve_bruteforce(inst)
-    grid, elimination = spy_on(monkeypatch), spy_on(monkeypatch, "eliminate")
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (not packed, packed)
+    assert (len(grid), len(elimination)) == (0, 1)
     if kind != KIND_VCSP:  # two cuts of the path reach the bound, the lesser 0b0101...01
         assert (reference.optimum, reference.witness) == (bound, 0x5555)
 
@@ -567,7 +610,7 @@ def test_hard_kinds_take_the_frontier_only_past_the_cut(kind, n, monkeypatch):
     # both sides of the cut go through the one truth-table route, never numpy's
     reference = solve_bruteforce(inst, want_all=True)
     truth, grid = spy_on(monkeypatch, "_truth", oracle), spy_on(monkeypatch)
-    elimination = spy_on(monkeypatch, "eliminate")
+    elimination = spy_on_elimination(monkeypatch)
     assert solve(inst, want_all=True) == reference
     assert (len(truth), len(grid), len(elimination)) == (1, 0, 0)
 
@@ -1052,7 +1095,7 @@ def test_hard_kinds_never_reach_the_grid(monkeypatch):
     inst = umo(21, [("OR2", (19, 20)), ("NAND2", (0, 20))])
     reference = solve_bruteforce(inst)
     monkeypatch.setattr(arrays, "enumerate_masks", None)
-    monkeypatch.setattr(arrays, "eliminate", None)
+    monkeypatch.setattr(oracle, "_eliminate", None)
     assert solve(inst) == reference
     assert reference.optimum == 20 and reference.witness == (1 << 20) - 1
     # all 2^24 masks are feasible: 2^10 keys, each with the full table of 2^14
@@ -1086,4 +1129,7 @@ def test_split_matches_bruteforce_past_one_chunk(kind, monkeypatch):
     inst = Instance(kind, 22, tuple(cons))
     reference = solve_bruteforce(inst, want_all=True)
     assert solve(inst, want_all=True, jobs=1) == reference
-    assert solve(inst, want_all=True, jobs=2) == reference
+    # solve eliminates these terms, so the grid is called as well
+    tables = oracle._terms(inst, RESOLVER, True)[1]
+    assert arrays.enumerate_masks(inst, tables, True, 1) == reference
+    assert arrays.enumerate_masks(inst, tables, True, 2) == reference
