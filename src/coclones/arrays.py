@@ -1,5 +1,5 @@
 """The oracle's numpy code: the chunked grid of the soft kinds whose
-elimination table would hold every variable or pass a chunk (described in
+elimination table would pass a chunk, single optimum only (described in
 the `oracle` docstring), and the LUT gather of a relation without a
 diagram.  Only this module and the relations' bool LUTs it reads import
 numpy, and only where one of these runs."""
@@ -117,14 +117,13 @@ class _GridSum:
         return grid
 
 
-def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int) -> SolveResult:
+def enumerate_masks(inst: Instance, tables, jobs: int) -> SolveResult:
     """Enumerate all 2^n assignments of a soft-kind instance in chunks of
     2^min(n, _CHUNK_BITS) masks, each summed on its hi/lo grid (`_GridSum`).
 
     `tables` is the objective of the instance's `oracle._terms`.  A chunk
-    keeps its best objective, its least mask that reaches it, and with
-    `want_all` every such mask; the chunks run on `jobs` threads and merge
-    in mask order.
+    keeps its best objective and its least mask that reaches it; the chunks
+    run on `jobs` threads and merge in mask order.
     """
     n = inst.num_vars
     maximize = inst.kind in MAXIMIZING_KINDS
@@ -136,9 +135,8 @@ def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int) -> SolveR
 
     def best_in_chunk(base: int):
         obj = objective(base).ravel()
-        best = int(obj.max() if maximize else obj.min())
-        where = np.flatnonzero(obj == best) + base
-        return best, int(where[0]), (where if want_all else None)
+        i = int(obj.argmax() if maximize else obj.argmin())  # the first of the best
+        return int(obj[i]), base + i
 
     bases = range(0, 1 << n, 1 << bits)
     if jobs > 1 and len(bases) > 1:
@@ -147,11 +145,8 @@ def enumerate_masks(inst: Instance, tables, want_all: bool, jobs: int) -> SolveR
     else:
         results = [best_in_chunk(b) for b in bases]
 
-    best, witness, collected = None, None, []
-    for val, wit, arr in results:  # deterministic merge in chunk order
-        if best is None or (val > best if maximize else val < best):
-            best, witness, collected = val, wit, [arr]
-        elif val == best:
-            collected.append(arr)
-    optimal = tuple(int(v) for arr in collected for v in arr) if want_all else None
-    return SolveResult(inst.kind, True, Fraction(best, scale), witness, optimal)
+    best, witness = results[0]
+    for val, wit in results[1:]:  # in chunk order, so a tie keeps the lesser mask
+        if val > best if maximize else val < best:
+            best, witness = val, wit
+    return SolveResult(inst.kind, True, Fraction(best, scale), witness)

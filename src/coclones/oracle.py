@@ -74,17 +74,20 @@ a relation without a diagram, `truthtables.table`):
   single-optimum solves of three seeds of that benchmark, it took 0.92x
   the time of the numpy elimination it replaced (1.10x at 16 variables,
   0.72x at 21), and on dense Max-Cut of 22 variables 9-15 ms
-  where the grid took 18-21 ms (`BENCH_44.json`).  The objective has no
-  packing bound: only `_INT_LIMIT` caps it.  The literal planes of each
-  width (`truthtables.planes`) and the swap masks (`_swap_mask`) stay
-  cached: 1.6 MB for the widths up to 17, 15.5 MB up to 20.
-- The rest, soft kinds whose widest elimination table would hold all n
-  variables or more than 2^`_CHUNK_BITS` states, read from the terms'
-  buckets (`_buckets`, `_width`) before any table work, are enumerated in
-  chunks of 2^20 masks, each a grid of high-half by low-half masks that
-  gathers every term once per half (`arrays.enumerate_masks`; meet in the
-  middle, Horowitz & Sahni 1974).  A star or a complete graph holds every
-  variable in the table at its last step.
+  where the grid took 18-21 ms, and on complete Max-Cut of 20 variables,
+  whose table holds them all, 6.3 ms where the grid took 8.4 ms
+  (`BENCH_44.json`).  The objective has no packing bound: only
+  `_INT_LIMIT` caps it.  The literal planes of a width up to the cut come
+  from `truthtables.planes`' cache; wider ones are built for the one solve
+  (`_planes`), since they take 2^a / 8 bytes each.
+- The rest, soft kinds whose widest elimination table would pass
+  2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
+  `_width`) before any table work, are enumerated in chunks of 2^20
+  masks, each a grid of high-half by low-half masks that gathers every
+  term once per half (`arrays.enumerate_masks`; meet in the middle,
+  Horowitz & Sahni 1974).  Only single-optimum solves of 21-24 variables
+  get here, such as a star whose terms all join its last variable, since
+  `want_all` caps n at `MAX_ENUMERATE_VARS` = `_CHUNK_BITS`.
 
 A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
 are built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -262,11 +265,11 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     Three routes.  Every hard-kind instance and every instance of at most
     `_TRUTH_VARS` variables is solved on truth tables by `_truth`.  The
     soft kinds past the cut are solved by elimination (`_eliminate`),
-    optimal set included, unless its widest table would hold every
-    variable or pass 2^`_CHUNK_BITS` states; those import `arrays` and
-    take the grid.  `jobs` is the thread count of the grid, which splits
-    only an instance of more than 2^20 masks, and every other route runs
-    in one thread without numpy.
+    optimal set included, unless its widest table would pass
+    2^`_CHUNK_BITS` states; those import `arrays` and take the grid.
+    `jobs` is the thread count of the grid, which splits only an instance
+    of more than 2^20 masks, and every other route runs in one thread
+    without numpy.
     """
     raw, tables = _terms(inst, resolver or default_resolver(), want_all)
     n = inst.num_vars
@@ -274,12 +277,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
         return _truth(inst.kind, n, raw, tables, want_all)
     scale, soft, _, _ = tables
     by_top, last = _buckets(n, soft)
-    width = _width(by_top, last)
-    if width < n and width <= _CHUNK_BITS:
+    # want_all caps n at MAX_ENUMERATE_VARS = _CHUNK_BITS, so every optimal
+    # set is eliminated
+    if _width(by_top, last) <= _CHUNK_BITS:
         return _eliminate(inst.kind, by_top, last, scale, want_all)
     from . import arrays
 
-    return arrays.enumerate_masks(inst, tables, want_all, jobs)
+    return arrays.enumerate_masks(inst, tables, jobs)
 
 
 # A relation holds at most this many tables (Relation.table_cache).  The six
@@ -486,17 +490,17 @@ def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple
     got = _plane_cache.get(key)
     if got is not None:
         return got
-    return _keep(key, tuple(_slices(args, table, n)))
+    return _keep(key, tuple(_slices(args, table, tt.planes(n)[1])))
 
 
-def _slices(args, table, n: int) -> list[int]:
-    """The bit-sliced planes over n variables of the term `table` on `args`.
+def _slices(args, table, literals) -> list[int]:
+    """The bit-sliced planes of the term `table` on `args`, over the
+    variables of `literals` (`tt.planes`).
 
     The assignments on which the arguments read code c are S_c, the AND of
     one literal per argument; those of one term are disjoint, so plane p is
     the OR of the S_c whose value has bit p set.
     """
-    literals = tt.planes(n)[1]
     codes = literals[args[0]]  # codes[c] = S_c over the arguments so far
     for v in args[1:]:
         # the new argument's literal is the code's next bit
@@ -600,11 +604,20 @@ def _width(by_top: dict[int, list], last: list[int]) -> int:
     return max(itertools.accumulate(change), default=0)
 
 
-@functools.cache
-def _swap_mask(a: int, i: int) -> int:
-    """The states of a variables with bit i set and bit a - 1 clear, as a table."""
-    literals = tt.planes(a)[1]
-    return literals[i][1] & literals[a - 1][0]
+def _planes(a: int, wide: dict):
+    """`tt.planes(a)`, but past `_TRUTH_VARS` doubled up from a - 1's and
+    kept in `wide`, which `_eliminate` drops when it returns: 2a + 1 ints of
+    2^a bits, 5 MB at 20, would otherwise stay cached for good."""
+    if a <= _TRUTH_VARS:
+        return tt.planes(a)
+    got = wide.get(a)
+    if got is None:
+        full, literals = _planes(a - 1, wide)
+        size = 1 << a - 1
+        top = full << size
+        got = wide[a] = (full | top, tuple((x | x << size, y | y << size) for x, y in literals)
+                         + ((full, top),))
+    return got
 
 
 # The 16 functions of two arguments, indexed by the set of codes (x0 + 2 x1)
@@ -681,6 +694,7 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
     lowest = 0  # the least variable not yet forgotten
     forgets = []  # (u, the variables left in the table, choice, better, tied)
     code_sets: dict = {}  # a term's table -> `_code_sets`
+    wide: dict = {}  # `_planes` past _TRUTH_VARS
     for v in range(n):
         for args, table in by_top.get(v, ()):
             for u in args:
@@ -698,7 +712,7 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
                 sets = code_sets.get(key)
                 if sets is None:
                     sets = code_sets[key] = _code_sets(key)
-                full, literals = tt.planes(a)
+                full, literals = _planes(a, wide)
                 a0, a1 = literals[place[args[0]]]
                 b0, b1 = literals[place[args[1]]]
                 if len(args) == 2:
@@ -713,7 +727,7 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
                         term.append(x)
                 planes = _add(planes, term)
             else:
-                planes = _add(planes, _slices([place[u] for u in args], table, a))
+                planes = _add(planes, _slices([place[u] for u in args], table, _planes(a, wide)[1]))
         if last[v] == v and v not in active:
             forgets.append((v, (), 0, 0, 1))
             gone[v] = True
@@ -723,7 +737,9 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
             k = len(planes)
             both = planes + chosen
             if i < top:
-                shift, m = (1 << top) - (1 << i), _swap_mask(top + 1, i)
+                literals = _planes(top + 1, wide)[1]
+                # the states with bit i set and bit top clear
+                shift, m = (1 << top) - (1 << i), literals[i][1] & literals[top][0]
                 both = [p ^ t ^ t << shift for p in both for t in ((p >> shift ^ p) & m,)]
                 w = active[i] = active[top]
                 place[w] = i

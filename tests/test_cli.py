@@ -284,7 +284,8 @@ def test_jobs_below_one_rejected(tmp_path):
 @pytest.mark.parametrize("star", [False, True], ids=["eliminated", "grid"])
 def test_solve_report_is_identical_for_any_jobs(tmp_path, star):
     # the ring alone is solved by elimination, which takes no threads; a star
-    # into the last variable sends it to the grid, two 2^20 chunks
+    # into the last variable holds all 21 variables in the elimination table,
+    # more than a chunk, so it goes to the grid, two 2^20 chunks
     edges = [(i, (3 * i + 1) % 21, 1 + i % 3) for i in range(21)]
     edges += [(i, 20, 1) for i in range(20)] if star else []
     inst = tmp_path / "cut.inst"
@@ -820,11 +821,11 @@ def test_non_vectorising_commands_run_without_numpy(tmp_path):
 
 
 def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
-    # a complete graph past the cut holds every variable in the elimination
-    # table at its last step, so it goes to the grid, in `arrays`
-    soft = tmp_path / "complete.inst"
-    soft.write_text("problem Max-Cut\nvars 15\n" + "".join(
-        f"c edge {i} {j}\n" for i in range(1, 16) for j in range(i + 1, 16)))
+    # a star of 21 variables holds all of them in the elimination table at
+    # its last step, more than a chunk, so it goes to the grid, in `arrays`
+    soft = tmp_path / "star.inst"
+    soft.write_text("problem Max-Cut\nvars 21\n" + "".join(
+        f"c edge {i} 21\n" for i in range(1, 21)))
     loaded = sorted(_DATA_LAYER + ["coclones.arrays"] + [f"coclones.{m}" for m in _SOLVER])
     assert _main_in_process(["solve", str(soft)]) == (0, "0\n", ["True", " ".join(loaded)])
 

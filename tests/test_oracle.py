@@ -149,9 +149,9 @@ def test_parallel_equals_sequential(monkeypatch):
     a = solve(inst, jobs=1, want_all=True)
     b = solve(inst, jobs=8, want_all=True)
     assert a == b
-    # a star into the last variable keeps every variable in the elimination
-    # table, so this Max-Cut goes to the grid: two 2^20 chunks, which jobs=2
-    # runs on two threads
+    # a star into the last variable holds all 21 variables in the elimination
+    # table, more than a chunk, so this Max-Cut goes to the grid: two 2^20
+    # chunks, which jobs=2 runs on two threads
     edges = [(i, 20) for i in range(20)] + [(i, (3 * i + 1) % 21) for i in range(21)]
     cut = Instance(KIND_MAXCUT, 21, tuple(Constraint("edge", e) for e in edges))
     calls = spy_on(monkeypatch)
@@ -386,35 +386,36 @@ def star(kind, n):
     return Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
 
 
-# solve takes instances up to the cut through the truth tables, so the grid,
-# which only the soft kinds reach, is compared with the reference here, at
-# every size
+# solve sends the grid only instances whose elimination table would pass a
+# chunk, so it is compared with the reference here, at every size; it finds
+# the optimum and the least optimal mask, never an optimal set
 @pytest.mark.deep
 @settings(max_examples=examples(200), deadline=None)
-@given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)), st.booleans())
-@example(soft(KIND_VCSP, TRUTH), True)
-@example(soft(KIND_VCSP, TRUTH + 1), True)
-@example(soft(KIND_MAXCSP, TRUTH), True)
-@example(soft(KIND_MAXCSP, TRUTH + 1), True)
-@example(soft(KIND_MAXCUT, TRUTH), True)
-@example(soft(KIND_MAXCUT, TRUTH + 1), True)
-def test_grid_matches_bruteforce(inst, want_all):
-    grid = arrays.enumerate_masks(inst, oracle._terms(inst, RESOLVER, want_all)[1], want_all, 1)
-    assert grid == solve_bruteforce(inst, RESOLVER, want_all=want_all)
+@given(instances((KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)))
+@example(soft(KIND_VCSP, TRUTH))
+@example(soft(KIND_VCSP, TRUTH + 1))
+@example(soft(KIND_MAXCSP, TRUTH))
+@example(soft(KIND_MAXCSP, TRUTH + 1))
+@example(soft(KIND_MAXCUT, TRUTH))
+@example(soft(KIND_MAXCUT, TRUTH + 1))
+def test_grid_matches_bruteforce(inst):
+    grid = arrays.enumerate_masks(inst, oracle._terms(inst, RESOLVER, False)[1], 1)
+    assert grid == solve_bruteforce(inst, RESOLVER)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
-    # a star holds every variable in the elimination table, so past the cut
-    # both the optimum and the optimal set come from the grid
+    # a star holds every variable in the elimination table, so with chunks
+    # of the cut's size the optimum past the cut comes from the grid (the
+    # grid lists no optimal set: want_all's cap is the real chunk size)
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", LOW_CUT)
     inst = star(kind, n)
-    reference, all_reference = solve_bruteforce(inst), solve_bruteforce(inst, want_all=True)
+    reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
-    assert solve(inst, want_all=True) == all_reference
-    assert (len(grid), len(elimination)) == (2 * (n > LOW_CUT), 0)
+    assert (len(grid), len(elimination)) == (n > LOW_CUT, 0)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
@@ -448,27 +449,46 @@ def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
     assert (len(truth), len(elimination), len(grid)) == (2 * (not past), 2 * past, 0)
 
 
-@pytest.mark.parametrize("n,eliminated", [(13, False), (14, True)])
-def test_elimination_pays_for_its_steps(n, eliminated):
-    # elimination pays while its widest table holds fewer than all n
-    # variables: a path holds two at a step, a star all n at its last
-    if eliminated:
+@pytest.mark.parametrize("n,path", [(13, False), (14, True)])
+def test_elimination_pays_for_its_steps(n, path, monkeypatch):
+    # a path holds two variables in the table at a step, a star all n at its
+    # last; both fit a chunk, so past the cut both are eliminated, the star
+    # over as many states as the grid's 2^n
+    if path:
         inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
     else:
         inst = star(KIND_MAXCUT, n)
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    assert oracle._width(*oracle._buckets(n, soft_terms)) == (2 if eliminated else n)
+    assert oracle._width(*oracle._buckets(n, soft_terms)) == (2 if path else n)
+    monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
+    assert solve(inst) == solve_bruteforce(inst)
+    assert (len(grid), len(elimination)) == (0, 1)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
-    # a star into the last variable keeps every variable in the table at
-    # that step, as many states as the grid's 2^n
+    # a star into the last variable holds all 16 variables in the table at
+    # that step: eliminated while they fit a chunk, on the grid once a chunk
+    # holds fewer
     inst = star(kind, TRUTH + 2)
     reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
-    assert (len(grid), len(elimination)) == (1, 0)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", TRUTH + 1)
+    assert solve(inst) == reference
+    assert (len(grid), len(elimination)) == (1, 1)
+
+
+def test_a_wide_elimination_caches_no_planes_past_the_cut(monkeypatch):
+    # a star of 20 variables holds all 20 in the table: the literal planes
+    # past the cut are built for the one solve and dropped with it, and only
+    # widths up to the cut are asked of the cached `truthtables.planes`
+    asked = spy_on(monkeypatch, "planes", tt)
+    elimination = spy_on_elimination(monkeypatch)
+    inst = star(KIND_MAXCUT, 20)
+    assert solve(inst) == SolveResult(KIND_MAXCUT, True, Fraction(19), (1 << 19) - 1)
+    assert len(elimination) == 1 and max(n for n, in asked) == TRUTH
 
 
 @pytest.mark.parametrize("chunk_bits,eliminated", [(9, False), (10, True)])
@@ -1128,8 +1148,11 @@ def test_split_matches_bruteforce_past_one_chunk(kind, monkeypatch):
             cons.append(Constraint(refs[i % len(refs)], args, weight))
     inst = Instance(kind, 22, tuple(cons))
     reference = solve_bruteforce(inst, want_all=True)
+    elimination = spy_on_elimination(monkeypatch)
     assert solve(inst, want_all=True, jobs=1) == reference
     # solve eliminates these terms, so the grid is called as well
-    tables = oracle._terms(inst, RESOLVER, True)[1]
-    assert arrays.enumerate_masks(inst, tables, True, 1) == reference
-    assert arrays.enumerate_masks(inst, tables, True, 2) == reference
+    tables = oracle._terms(inst, RESOLVER, False)[1]
+    single = SolveResult(kind, True, reference.optimum, reference.witness)
+    assert arrays.enumerate_masks(inst, tables, 1) == single
+    assert arrays.enumerate_masks(inst, tables, 2) == single
+    assert len(elimination) == 1
