@@ -78,8 +78,9 @@ a relation without a diagram, `truthtables.table`):
   whose table holds them all, 6.3 ms where the grid took 8.4 ms
   (`BENCH_44.json`).  The objective has no packing bound: only
   `_INT_LIMIT` caps it.  The literal planes of a width up to the cut come
-  from `truthtables.planes`' cache; wider ones are built for the one solve
-  (`_planes`), since they take 2^a / 8 bytes each.
+  from `truthtables.planes`' cache; a wider one is built when a solve
+  first reads it and dropped with the solve (`_planes`), since it takes
+  2^a / 8 bytes.
 - The rest, soft kinds whose widest elimination table would pass
   2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
   `_width`) before any table work, are enumerated in chunks of 2^20
@@ -490,21 +491,22 @@ def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple
     got = _plane_cache.get(key)
     if got is not None:
         return got
-    return _keep(key, tuple(_slices(args, table, tt.planes(n)[1])))
+    literals = tt.planes(n)[1]
+    return _keep(key, tuple(_slices([literals[v] for v in args], table)))
 
 
-def _slices(args, table, literals) -> list[int]:
-    """The bit-sliced planes of the term `table` on `args`, over the
-    variables of `literals` (`tt.planes`).
+def _slices(literals, table) -> list[int]:
+    """The bit-sliced planes of the term `table` whose arguments have the
+    literals (~X, X) `literals`, in order.
 
     The assignments on which the arguments read code c are S_c, the AND of
     one literal per argument; those of one term are disjoint, so plane p is
     the OR of the S_c whose value has bit p set.
     """
-    codes = literals[args[0]]  # codes[c] = S_c over the arguments so far
-    for v in args[1:]:
+    codes = literals[0]  # codes[c] = S_c over the arguments so far
+    for literal in literals[1:]:
         # the new argument's literal is the code's next bit
-        codes = [s & lit for lit in literals[v] for s in codes]
+        codes = [s & x for x in literal for s in codes]
     term = [0] * max(table).bit_length()
     for s, value in zip(codes, table):
         while value:
@@ -605,19 +607,35 @@ def _width(by_top: dict[int, list], last: list[int]) -> int:
 
 
 def _planes(a: int, wide: dict):
-    """`tt.planes(a)`, but past `_TRUTH_VARS` doubled up from a - 1's and
-    kept in `wide`, which `_eliminate` drops when it returns: 2a + 1 ints of
-    2^a bits, 5 MB at 20, would otherwise stay cached for good."""
+    """(FULL, literals) over a variables, as `tt.planes(a)` gives them up to
+    `_TRUTH_VARS`.  Past it they are kept in `wide`, which `_eliminate`
+    drops when it returns, and each literal is built when first read
+    (`_Doubled`), so a wide solve leaves no planes cached (a literal takes
+    128 KB at 20 variables)."""
     if a <= _TRUTH_VARS:
         return tt.planes(a)
     got = wide.get(a)
     if got is None:
-        full, literals = _planes(a - 1, wide)
-        size = 1 << a - 1
-        top = full << size
-        got = wide[a] = (full | top, tuple((x | x << size, y | y << size) for x, y in literals)
-                         + ((full, top),))
+        got = wide[a] = (1 << (1 << a)) - 1, _Doubled(a, _planes(a - 1, wide)[1])
     return got
+
+
+class _Doubled(dict):
+    """The literals (~X_v, X_v) over a variables, by v, each built on its
+    first read from the one over a - 1 variables, `below`."""
+
+    def __init__(self, a: int, below) -> None:
+        super().__init__()
+        self.a, self.below = a, below
+
+    def __missing__(self, v: int) -> tuple[int, int]:
+        size = 1 << self.a - 1
+        if v == self.a - 1:
+            got = self[v] = (1 << size) - 1, ((1 << size) - 1) << size
+        else:
+            x, y = self.below[v]
+            got = self[v] = x | x << size, y | y << size
+        return got
 
 
 # The 16 functions of two arguments, indexed by the set of codes (x0 + 2 x1)
@@ -727,7 +745,8 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
                         term.append(x)
                 planes = _add(planes, term)
             else:
-                planes = _add(planes, _slices([place[u] for u in args], table, _planes(a, wide)[1]))
+                literals = _planes(a, wide)[1]
+                planes = _add(planes, _slices([literals[place[u]] for u in args], table))
         if last[v] == v and v not in active:
             forgets.append((v, (), 0, 0, 1))
             gone[v] = True
@@ -737,9 +756,8 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
             k = len(planes)
             both = planes + chosen
             if i < top:
-                literals = _planes(top + 1, wide)[1]
-                # the states with bit i set and bit top clear
-                shift, m = (1 << top) - (1 << i), literals[i][1] & literals[top][0]
+                # the states with bit i set and bit top clear: X_i over top variables
+                shift, m = (1 << top) - (1 << i), _planes(top, wide)[1][i][1]
                 both = [p ^ t ^ t << shift for p in both for t in ((p >> shift ^ p) & m,)]
                 w = active[i] = active[top]
                 place[w] = i
