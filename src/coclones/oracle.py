@@ -71,12 +71,12 @@ a relation without a diagram, `truthtables.table`):
   its first term.  Its widest table held 2^8-2^17 states (median 2^12)
   on the benchmark's random instances of 16-22 variables with 2n binary
   and ternary terms, where the grid has 2^n.  Warm, on the 162
-  single-optimum solves of three seeds of that benchmark, it took 0.92x
-  the time of the numpy elimination it replaced (1.10x at 16 variables,
-  0.72x at 21), and on dense Max-Cut of 22 variables 9-15 ms
-  where the grid took 18-21 ms, and on complete Max-Cut of 20 variables,
-  whose table holds them all, 6.3 ms where the grid took 8.4 ms
-  (`BENCH_44.json`).  The objective has no packing bound: only
+  single-optimum solves of three seeds of that benchmark, it took
+  0.93-0.94x the time of the numpy elimination it replaced (1.18-1.20x at
+  16 variables, 0.68-0.69x at 21), on dense Max-Cut of 22 variables
+  12.9-17.7 ms where the grid took 20.3-21.1 ms, and on stars and
+  complete graphs of 18 and 20 variables, whose tables hold every
+  variable, 0.93-1.40x the grid's time (`BENCH_44.json`).  The objective has no packing bound: only
   `_INT_LIMIT` caps it.  The literal planes of a width up to the cut come
   from `truthtables.planes`' cache; a wider one is built when a solve
   first reads it and dropped with the solve (`_planes`), since it takes
