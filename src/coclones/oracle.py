@@ -76,11 +76,11 @@ a relation without a diagram, `truthtables.table`):
   16 variables, 0.68-0.69x at 21), on dense Max-Cut of 22 variables
   12.9-17.7 ms where the grid took 20.3-21.1 ms, and on stars and
   complete graphs of 18 and 20 variables, whose tables hold every
-  variable, 0.93-1.40x the grid's time (`BENCH_44.json`).  The objective has no packing bound: only
-  `_INT_LIMIT` caps it.  The literal planes of a width up to the cut come
-  from `truthtables.planes`' cache; a wider one is built when a solve
-  first reads it and dropped with the solve (`_planes`), since it takes
-  2^a / 8 bytes.
+  variable, 0.93-1.40x the grid's time (`BENCH_44.json`).  The objective
+  has no packing bound: only `_INT_LIMIT` caps it.  The literal planes of
+  a width up to the cut come from `truthtables.planes`' cache; a wider
+  one is built when a solve first reads it and dropped with the solve
+  (`_planes`), since it takes 2^a / 8 bytes.
 - The rest, soft kinds whose widest elimination table would pass
   2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
   `_width`) before any table work, are enumerated in chunks of 2^20
