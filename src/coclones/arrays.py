@@ -1,12 +1,10 @@
 """The oracle's numpy code: the chunked grid of the soft kinds whose
 elimination table would pass a chunk, single optimum only (described in
-the `oracle` docstring), and the LUT gather of a relation without a
-diagram.  Only this module and the relations' bool LUTs it reads import
-numpy, and only where one of these runs."""
+the `oracle` docstring).  Only this module imports numpy, and only where
+the grid runs."""
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -14,14 +12,6 @@ import numpy as np
 
 from .instances import MAXIMIZING_KINDS, Instance
 from .oracle import _CHUNK_BITS, SolveResult
-
-
-@functools.cache
-def arange(n: int) -> np.ndarray:
-    """All 2^n masks in ascending order, read-only."""
-    out = np.arange(1 << n, dtype=np.int64)
-    out.flags.writeable = False
-    return out
 
 
 def code(x: np.ndarray, pairs) -> np.ndarray:
@@ -36,20 +26,6 @@ def code(x: np.ndarray, pairs) -> np.ndarray:
         else:
             out |= bit
     return np.zeros_like(x) if out is None else out
-
-
-def gather(rel, args, n: int, fixed: int = 0) -> int:
-    """`truthtables.table` of a relation without a diagram: its LUT gathered
-    at the code of every assignment, the constant arguments' bits in place."""
-    pairs, const = [], 0
-    for j, v in enumerate(args):
-        if v < n:
-            pairs.append((j, v))
-        else:
-            const |= (fixed & 1) << j
-            fixed >>= 1
-    hits = rel.lut[code(arange(n), pairs) | const]
-    return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
 
 
 class _GridSum:

@@ -18,12 +18,11 @@ Every route of `solve` reads a hard constraint as its identification minor
 identifying its repeated arguments leaves (`Relation.minor`).  The weak-base
 atoms of the 2+3n reductions repeat arguments, as in
 R_IN2(v0,v0,v0,v0,y,y,y,y), so their 8-ary relations shrink to minors of 2
-or 3 variables, and each table build and gather works on those.  A
-constraint without repeats keeps its own relation.
+or 3 variables, and each table build works on those.  A constraint
+without repeats keeps its own relation.
 
 `solve` takes an instance down one of three routes.  Only the grid
-vectorises, so only it imports numpy, with `arrays` (as does the gather of
-a relation without a diagram, `truthtables.table`):
+vectorises, so only it imports numpy, with `arrays`:
 
 - Every hard-kind instance, and every instance of at most `_TRUTH_VARS` =
   14 variables of any kind, is solved on truth tables (`truthtables`) in
@@ -90,9 +89,9 @@ a relation without a diagram, `truthtables.table`):
   get here, such as a star whose terms all join its last variable, since
   `want_all` caps n at `MAX_ENUMERATE_VARS` = `_CHUNK_BITS`.
 
-A relation's minors, truth tables, bool LUT, 0/1 table and decision diagram
-are built once and cached on the `Relation` object itself (`Relation.minor`,
-`Relation.table_cache`, `Relation.lut`, `Relation.hits`, `Relation.diagram`),
+A relation's minors, truth tables, 0/1 table and decision diagram are
+built once and cached on the `Relation` object itself (`Relation.minor`,
+`Relation.table_cache`, `Relation.hits`, `Relation.diagram`),
 as a cost function's integer form is on its `CostFunction`, so they live
 exactly as long as the relation and a resolver that maps a name to another
 relation gets others.

@@ -23,15 +23,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_RELATION_ARITY = 24
 MAX_OPERATION_ARITY = 8
-# `Relation.diagram` gives up past this many nodes per coordinate
-DIAGRAM_NODES = 16
 
 
 class RelationError(ValueError):
@@ -142,24 +137,9 @@ class Relation:
         return frozenset(self.tuples)
 
     @cached_property
-    def lut(self) -> np.ndarray:
-        """Read-only bool table over all 2^arity masks, True on the tuples.
-
-        Built once and kept for the lifetime of this object (like
-        `_tuple_set`, outside the fields that equality and hashing read).
-        numpy is imported on first use, so the modules that never vectorise
-        load without it.
-        """
-        import numpy as np
-
-        table = np.zeros(1 << self.arity, dtype=bool)
-        table[list(self.tuples)] = True
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def bits(self) -> int:
-        """Int of 2^arity bits, bit m set iff m is a tuple (cached like `lut`)."""
+        """Int of 2^arity bits, bit m set iff m is a tuple (cached like
+        `_tuple_set`, for the lifetime of this object)."""
         packed = bytearray(((1 << self.arity) + 7) >> 3)
         for t in self.tuples:
             packed[t >> 3] |= 1 << (t & 7)
@@ -168,34 +148,32 @@ class Relation:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Per coordinate j, the int whose bit i is coordinate j of tuple i
-        (cached like `lut`): one transpose of the tuples' binary strings."""
+        (cached like `bits`): one transpose of the tuples' binary strings."""
         rows = zip(*(format(t | 1 << self.arity, "b") for t in reversed(self.tuples)))
         return tuple(int("".join(row), 2) for row in list(rows)[:0:-1])
 
     @cached_property
     def hits(self) -> tuple[int, ...]:
         """0/1 over all 2^arity masks, 1 on the tuples: the Max-CSP score
-        table the oracle scales by a constraint's weight (cached like `lut`)."""
+        table the oracle scales by a constraint's weight (cached like `bits`)."""
         table = [0] * (1 << self.arity)
         for t in self.tuples:
             table[t] = 1
         return tuple(table)
 
     @cached_property
-    def diagram(self) -> Optional[tuple[int, tuple[tuple[int, int, int], ...]]]:
-        """(root, nodes) of the reduced ordered decision diagram, or None.
+    def diagram(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(root, nodes) of the reduced ordered decision diagram.
 
         Node 0 is the empty and node 1 the full relation; node i + 2 is
         nodes[i] = (j, lo, hi), which holds where coordinate j is 0 and
         node lo holds, or where it is 1 and node hi holds.  Coordinates
         above j do not matter to it, and children come before parents.  A
         relation and its complement have diagrams of one size, at most
-        arity times the size of the smaller side.  None past
-        `DIAGRAM_NODES` nodes per coordinate.  Cached like `lut`.
+        arity times the size of the smaller side.  Cached like `bits`.
         """
         nodes: list[tuple[int, int, int]] = []
         ids: dict[tuple[int, int], int] = {}
-        limit = DIAGRAM_NODES * self.arity
 
         def build(bits: int, j: int) -> int:
             # bits: the sub-relation on coordinates 0..j, bit m set iff m in it
@@ -208,21 +186,18 @@ class Relation:
                 hi = build(bits >> half, j - 1)
                 if lo == hi:
                     node = lo
-                elif min(lo, hi) < 0 or len(nodes) == limit:
-                    node = -1  # past the limit
                 else:
                     nodes.append((j, lo, hi))
                     node = len(nodes) + 1
                 ids[j, bits] = node
             return node
 
-        root = build(self.bits, self.arity - 1)
-        return None if root < 0 else (root, tuple(nodes))
+        return build(self.bits, self.arity - 1), tuple(nodes)
 
     def evaluate(self, literals: Sequence[tuple[int, int]], full: int) -> int:
         """The positions where the relation holds, given literals[j] = (~X_j, X_j)
         within `full` for X_j the positions where coordinate j is 1: one
-        `&`/`|` per diagram node.  Only for relations with a diagram."""
+        `&`/`|` per diagram node."""
         root, nodes = self.diagram
         sets = [0, full]
         for j, lo, hi in nodes:
@@ -242,8 +217,8 @@ class Relation:
         so R(x, x, y, x) is `minor((0, 0, 1, 0))`, a binary relation that
         holds mask m iff the tuple with bit j set to bit pattern[j] of m is
         in this relation.  A pattern without repeats gives this relation
-        back.  Each minor is built once per pattern and cached like `lut`,
-        with its own `lut`, `bits` and `diagram`.
+        back.  Each minor is built once per pattern and cached like `bits`,
+        with its own `bits` and `diagram`.
         """
         got = self._minors.get(pattern)
         if got is None:
@@ -341,8 +316,8 @@ class BooleanOperation:
 
     @cached_property
     def support(self) -> Relation:
-        """The argument tuples that map to 1.  Its diagram always exists: at
-        arity 8 it has at most 77 nodes, under the `DIAGRAM_NODES` limit."""
+        """The argument tuples that map to 1.  Its diagram has at most 77
+        nodes at arity 8."""
         return Relation(self.arity, tuple(m for m, v in enumerate(self.table) if v))
 
     def image(self, masks: Sequence[int], full: int) -> int:
@@ -399,13 +374,8 @@ def find_violation(f: BooleanOperation, rel: Relation):
     escapes rel, or None.  Per choice of the leading arguments, at0 and at1
     are the images with the last argument all 0 and all 1, so image
     coordinate j is column j's ones where at1 has bit j and its zeros where
-    at0 has; a relation without a diagram is scanned one sequence at a time."""
+    at0 has."""
     full = (1 << rel.arity) - 1
-    if rel.diagram is None:
-        for seq in itertools.product(rel.tuples, repeat=f.arity):
-            if (img := f.image(seq, full)) not in rel._tuple_set:
-                return seq, img
-        return None
     every = (1 << len(rel.tuples)) - 1  # one bit per tuple
     for lead in itertools.product(rel.tuples, repeat=f.arity - 1):
         at0, at1 = f.image(lead + (0,), full), f.image(lead + (full,), full)

@@ -4,9 +4,7 @@ Bit a is set iff assignment a (variable v in bit v of a) is in the set.  A
 constraint's table is its relation's reduced ordered decision diagram
 (Bryant 1986) walked on the argument planes by `Relation.evaluate`, one
 `&`/`|` per node, so a weak base, OR8 and EVEN8 each cost a few dozen int
-operations; a relation whose diagram passes `relations.DIAGRAM_NODES` nodes
-per coordinate has its LUT gathered instead (`arrays.gather`, the one step
-here that needs numpy).
+operations.  Nothing here needs numpy.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ def table(rel, args, n: int, fixed: int = 0) -> int:
     An argument at n or above is a constant: the i-th such argument reads
     bit i of `fixed`, and its literals are the empty and the full table.
     """
-    if rel.diagram is None:
-        return _arrays().gather(rel, args, n, fixed)
     full, literals = planes(n)
     constants = ((full, 0), (0, full))
     lits = []
@@ -50,14 +46,6 @@ def table(rel, args, n: int, fixed: int = 0) -> int:
             lits.append(constants[fixed & 1])
             fixed >>= 1
     return rel.evaluate(lits, full)
-
-
-@functools.cache
-def _arrays():
-    """The numpy module `arrays`, imported once, for the first relation without a diagram."""
-    from . import arrays
-
-    return arrays
 
 
 def project(t: int, n: int, keep: int) -> int:

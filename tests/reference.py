@@ -1,12 +1,12 @@
 """The brute-force reference that every route of `oracle.solve` is tested against.
 
-It shares with the solver only the instance, the resolver, the variable
-caps and the relations' bool LUTs.  The objective comes from Fractions
-(`reference_terms`), not from `oracle._terms`; every mask is scored in
-numpy chunks of its own size, not the grid's, with every relation's LUT
-read at its raw arguments, not its minor, and every variable weight counted
-on the mask's own bits.  Chunks run in ascending mask order, so the first
-optimal mask met is the least.
+It shares with the solver only the instance, the resolver and the variable
+caps.  The objective comes from Fractions (`reference_terms`), not from
+`oracle._terms`; every mask is scored in numpy chunks of its own size, not
+the grid's, with every relation's bool table built here from its tuples
+(`lut`) and read at its raw arguments, not its minor, and every variable
+weight counted on the mask's own bits.  Chunks run in ascending mask order,
+so the first optimal mask met is the least.
 """
 
 import math
@@ -76,6 +76,13 @@ def reference_terms(inst, resolver, want_all):
     return hard, scale, ints, ones, bound
 
 
+def lut(rel) -> np.ndarray:
+    """The relation's bool table over all 2^arity masks, True on its tuples."""
+    table = np.zeros(1 << rel.arity, dtype=bool)
+    table[list(rel.tuples)] = True
+    return table
+
+
 def codes(masks: np.ndarray, args) -> np.ndarray:
     """Per mask, the code whose bit j is the value of variable args[j]."""
     out = np.zeros_like(masks)
@@ -94,6 +101,7 @@ def solve_bruteforce(inst, resolver=None, want_all=False) -> SolveResult:
     if isinstance(terms, str):
         raise OracleError(terms)
     hard, scale, soft, ones, _ = terms
+    hard = [(args, lut(rel)) for args, rel in hard]
     kind, n = inst.kind, inst.num_vars
     maximize = kind in MAXIMIZING_KINDS
     size = 1 << min(n, CHUNK_BITS)
@@ -101,8 +109,8 @@ def solve_bruteforce(inst, resolver=None, want_all=False) -> SolveResult:
     for base in range(0, 1 << n, size):
         masks = np.arange(base, base + size, dtype=np.int64)
         feasible = np.ones(size, dtype=bool)
-        for args, rel in hard:
-            feasible &= rel.lut[codes(masks, args)]
+        for args, table in hard:
+            feasible &= table[codes(masks, args)]
         if not feasible.any():
             continue
         value = np.zeros(size, dtype=np.int64)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from coclones import acceptance, oracle
 from coclones.cli import main, run_selftest
-from coclones.fileio import emit_inst, parse_inst, parse_rel
+from coclones.fileio import emit_inst, emit_rel, parse_inst, parse_rel
 from coclones.instances import MAXIMIZING_KINDS, Threshold
 from coclones.postlattice import CoCloneId
 from coclones.reductions import (
@@ -24,6 +25,7 @@ from coclones.reductions import (
     corpus,
     registry_names,
 )
+from coclones.relations import Relation
 from coclones.weakbases import weak_base
 
 
@@ -840,6 +842,27 @@ def test_a_soft_kind_solve_by_elimination_loads_no_numpy(tmp_path):
     for flags in ([], ["--all"]):
         assert _main_in_process(["solve", str(soft)] + flags) == (0, "0\n",
                                                                  ["False", " ".join(loaded)])
+
+
+def test_a_wide_relation_is_tabled_without_numpy(tmp_path):
+    # test_oracle.py's WIDE10, 501 random tuples whose diagram has 233 nodes:
+    # its tables walk the diagram like any other relation's
+    draw = random.Random(10)
+    wide = Relation(10, tuple(m for m in range(1 << 10) if draw.random() < 0.5), "WIDE10")
+    defs = tmp_path / "wide.rel"
+    defs.write_text(emit_rel([wide]))
+    inst = tmp_path / "wide.inst"
+    inst.write_text("problem U-Max-Ones\nvars 12\nc WIDE10 3 1 4 10 5 9 2 6 12 11\n"
+                    "c NAND2 1 12\n")
+    gadget = tmp_path / "gadget.inst"
+    gadget.write_text("problem W-Max-Ones\nvars 11\nvarweights 1 0 1 0 1 0 1 0 1 0 1\n"
+                      "c WIDE10 1 2 3 4 5 6 7 8 9 10\nc OR2 10 11\nproject 1 2 3\n")
+    solver = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER])
+    wpp = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER + ["definitions"]])
+    assert _main_in_process(["solve", str(inst), "--defs", str(defs)]) == (
+        0, "0\n", ["False", " ".join(solver)])
+    assert _main_in_process(["wpp-eval", str(gadget), "--defs", str(defs)]) == (
+        0, "0\n", ["False", " ".join(wpp)])
 
 
 def test_the_solver_stack_loads_no_numpy():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from coclones import definitions, relations, truthtables
+from coclones import definitions, truthtables
 from coclones.definitions import (
     ARGMAX_IDENTITIES,
     EXTENSION_FORMULAS,
@@ -30,6 +30,7 @@ from coclones.relations import (
     rel_or,
     rel_true,
 )
+from reference import lut
 
 RESOLVER = default_resolver()
 
@@ -194,7 +195,7 @@ def array_eval_formula(formula, language):
         t = np.zeros_like(idx)
         for j, v in enumerate(args):
             t |= ((idx >> v) & 1) << j
-        sat &= definitions._lookup(language, name).lut[t]
+        sat &= lut(definitions._lookup(language, name))[t]
     proj = idx[sat] & ((1 << formula.total_vars) - 1)
     return Relation.from_masks(formula.total_vars, (int(p) for p in np.unique(proj)),
                                allow_empty=True)
@@ -220,7 +221,7 @@ def array_search_definition(target, language, max_aux, max_atoms, include_eq, bu
             t = np.zeros_like(idx)
             for j, v in enumerate(args):
                 t |= ((idx >> v) & 1) << j
-            sats.append(definitions._lookup(language, name).lut[t])
+            sats.append(lut(definitions._lookup(language, name))[t])
         for natoms in range(1, max_atoms + 1):
             for combo in itertools.combinations(range(len(atoms)), natoms):
                 budget -= 1
@@ -231,7 +232,7 @@ def array_search_definition(target, language, max_aux, max_atoms, include_eq, bu
                     sat &= sats[ai]
                 got = np.zeros(1 << tv, dtype=bool)
                 got[proj[sat]] = True
-                if np.array_equal(got, target.lut):
+                if np.array_equal(got, lut(target)):
                     return SearchResult(Formula(tv, aux, tuple(atoms[ai] for ai in combo)), True)
     return SearchResult(None, True)
 
@@ -279,21 +280,17 @@ def test_int_tables_match_the_array_code(data):
                                           include_eq, budget)
 
 
-@pytest.mark.parametrize("nodes", [relations.DIAGRAM_NODES, 0])
-def test_table_matches_the_lut_gather(nodes, monkeypatch):
-    # with no node allowed, only the empty and the full relation keep a diagram
-    monkeypatch.setattr(relations, "DIAGRAM_NODES", nodes)
+def test_table_matches_the_lut_gather():
     rng = random.Random(0)
     for arity in (1, 2, 3):
         for bits in range(1 << (1 << arity)):
             rel = Relation(arity, tuple(m for m in range(1 << arity) if bits >> m & 1))
             assert rel.bits == bits
-            trivial = bits in (0, (1 << (1 << arity)) - 1)
-            assert (rel.diagram is None) == (not nodes and not trivial)
+            table = lut(rel)
             for _ in range(3):
                 n = rng.randint(1, 5)
                 args = [rng.randrange(n) for _ in range(arity)]  # repeats allowed
-                want = sum(1 << a for a in range(1 << n) if rel.lut[
+                want = sum(1 << a for a in range(1 << n) if table[
                     sum(((a >> v) & 1) << j for j, v in enumerate(args))])
                 assert truthtables.table(rel, args, n) == want, (rel.tuples, args, n)
 

@@ -28,7 +28,7 @@ from coclones.instances import (
 )
 from coclones.oracle import OracleError, SolveResult, decide, solve
 from coclones.relations import Relation
-from reference import reference_terms, solve_bruteforce
+from reference import codes, lut, reference_terms, solve_bruteforce
 
 RESOLVER = default_resolver()
 
@@ -279,9 +279,10 @@ def test_frontier_matches_bruteforce(inst, want_all):
     assert solve(inst, want_all=want_all) == solve_bruteforce(inst, want_all=want_all)
 
 
-# a 10-ary relation of 501 tuples whose diagram passes DIAGRAM_NODES, so its
-# tables are gathered from its LUT, restricted ones too
-WIDE = Relation(10, tuple(m for m in range(1 << 10) if random.Random(10).random() < 0.5), "WIDE10")
+# a 10-ary relation of 501 random tuples, whose diagram has 233 nodes (EVEN8's
+# has 15); its tables, restricted ones too, walk it like any other relation's
+_WIDE_DRAW = random.Random(10)
+WIDE = Relation(10, tuple(m for m in range(1 << 10) if _WIDE_DRAW.random() < 0.5), "WIDE10")
 RESOLVER.register_relation(WIDE)
 
 
@@ -290,7 +291,7 @@ RESOLVER.register_relation(WIDE)
 # examples take them with no tail (up to 14 variables), emptying below the
 # cut (15-17), with no term below it (15-16), with terms whose top variable is
 # 13, the last below the cut, or 14, the first past it, with terms wholly
-# past it, with a relation without a diagram across it, and with Min-Ones
+# past it, with the wide relation across it, and with Min-Ones
 # optima tied across the high assignments
 @pytest.mark.deep
 @settings(max_examples=examples(50), deadline=None)
@@ -817,21 +818,6 @@ def test_table_cache_stays_within_its_bound(monkeypatch):
         assert 1 <= len(rel.table_cache) <= 4
 
 
-def test_truth_tables_gather_a_relation_past_the_node_limit(monkeypatch):
-    # with no node allowed, relations built now have no diagram, and nor do
-    # their minors; the resolvers share every relation a name builds, so the
-    # examples' relations are rebuilt for the new resolver
-    monkeypatch.setattr(relations, "DIAGRAM_NODES", 0)
-    resolver = default_resolver()
-    for name in {c.ref for inst in TRUTH_EXAMPLES for c in inst.constraints}:
-        rel = RESOLVER.relation(name)
-        resolver.register_relation(Relation(rel.arity, rel.tuples, name))
-    assert resolver.relation("EVEN8").diagram is None
-    assert resolver.relation("R_IN2").minor((0, 1, 0, 1, 2, 3, 2, 3)).diagram is None
-    for inst in TRUTH_EXAMPLES:
-        assert solve(inst, resolver, want_all=True) == solve_bruteforce(inst, want_all=True)
-
-
 # pairs (2i, 2i+1) hold at most one one; with 21 variables the optimum sets
 # bits 16..20, past the truth-table cut
 PAIRS = [("NAND2", (2 * i, 2 * i + 1)) for i in range(10)]
@@ -941,14 +927,6 @@ def test_terms_match_the_fraction_reference(inst, want_all):
             list(ones), bound) == want
 
 
-def test_relation_lut_is_cached_and_read_only():
-    rel = RESOLVER.relation("OR3")
-    assert rel.lut is rel.lut
-    assert rel.lut.tolist() == [m in rel.tuples for m in range(8)]
-    with pytest.raises(ValueError):
-        rel.lut[0] = True
-
-
 def test_resolvers_keep_their_own_relation_under_one_name():
     # the same name means a different relation to each resolver, so no LUT
     # may be shared between them by name
@@ -988,8 +966,28 @@ def test_minor_matches_the_raw_relation(case):
     for m in range(1 << minor.arity):
         expanded = sum((m >> p & 1) << j for j, p in enumerate(pattern))
         assert minor.contains(m) == rel.contains(expanded)
-    gather = rel.lut[arrays.code(arrays.arange(n), enumerate(args))]
+    gather = lut(rel)[codes(np.arange(1 << n), args)]
     assert tt.masks(tt.table(minor, distinct, n), n) == np.flatnonzero(gather).tolist()
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_tables_of_the_wide_relation_match_the_reference(n):
+    # ten arguments among the n variables and constants past them, repeats
+    # allowed; the i-th argument past n reads bit i of `fixed`
+    rng = random.Random(n)
+    table, idx = lut(WIDE), np.arange(1 << n)
+    for _ in range(20):
+        args = [rng.randrange(n + 3) for _ in range(WIDE.arity)]
+        fixed = rest = rng.getrandbits(WIDE.arity)
+        code = np.zeros_like(idx)
+        for j, v in enumerate(args):
+            if v < n:
+                code |= (idx >> v & 1) << j
+            else:
+                code |= (rest & 1) << j
+                rest >>= 1
+        want = np.flatnonzero(table[code]).tolist()
+        assert tt.masks(tt.table(WIDE, args, n, fixed), n) == want, (args, fixed)
 
 
 def test_minor_rejects_a_pattern_out_of_first_occurrence_order():
@@ -1082,10 +1080,10 @@ def test_frontier_stops_at_its_first_empty_state(inst, monkeypatch):
     # shortest prefix of them that no mask satisfies, read off the raw relations
     raw, _ = oracle._terms(inst, RESOLVER, False)
     order = sorted(raw, key=lambda term: max(term[0]))
-    idx = arrays.arange(inst.num_vars)
+    idx = np.arange(1 << inst.num_vars)
     alive = np.ones(idx.shape, dtype=bool)
     for stop, (args, rel) in enumerate(order, 1):
-        alive &= rel.lut[arrays.code(idx, enumerate(args))]
+        alive &= lut(rel)[codes(idx, args)]
         if not alive.any():
             break
     # terms on later tops are left when the last key empties

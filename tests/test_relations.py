@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -33,17 +35,29 @@ from coclones.relations import (
     rel_or,
     rel_true,
 )
+from reference import lut
 
 
 def naive_violation(f: BooleanOperation, rel: Relation):
-    """Reference `find_violation` on integer vectors, no bit tricks: the first
-    row sequence in product order whose image escapes rel, as masks."""
-    rows = [mask_to_bits(t, rel.arity) for t in rel.tuples]
-    row_set = set(rows)
-    for seq in itertools.product(rows, repeat=f.arity):
-        img = tuple(f(*(seq[i][c] for i in range(f.arity))) for c in range(rel.arity))
-        if img not in row_set:
-            return tuple(bits_to_mask(row) for row in seq), bits_to_mask(img)
+    """Reference `find_violation` on 0/1 rows, no diagram: the first row
+    sequence in product order whose image escapes rel, as masks.  Per choice
+    of the leading rows, the images of every last row are read off the
+    operation's table at once, each image row's mask looked up in the
+    relation's bool table."""
+    rows = np.array([mask_to_bits(t, rel.arity) for t in rel.tuples],
+                    dtype=np.int64).reshape(-1, rel.arity)
+    table, member = np.array(f.table), lut(rel)
+    place = 1 << np.arange(rel.arity)
+    for lead in itertools.product(range(len(rows)), repeat=f.arity - 1):
+        # argument i of the operation in bit i of its table index
+        code = rows << (f.arity - 1)
+        for i, r in enumerate(lead):
+            code = code | rows[r] << i
+        imgs = table[code] @ place
+        escaped = np.flatnonzero(~member[imgs])
+        if escaped.size:
+            last = escaped[0]
+            return tuple(rel.tuples[r] for r in (*lead, last)), int(imgs[last])
     return None
 
 
@@ -80,8 +94,15 @@ def operation_and_relation(draw):
         table = tuple(counts[m.bit_count()] for m in range(1 << k))
     else:
         table = draw(st.tuples(*([st.integers(0, 1)] * (1 << k))))
-    arity = draw(st.integers(1, 6), label="rel_arity")
-    masks = draw(st.sets(st.integers(0, (1 << arity) - 1), max_size=MAX_TUPLES[k]))
+    if k <= 2 and draw(st.booleans(), label="wide"):
+        # 200-400 random tuples of arity 9 or 200-600 of arity 10, whose
+        # diagrams hold 100-250 nodes, each walked on up to 600 last tuples
+        arity = draw(st.integers(9, 10), label="rel_arity")
+        count = draw(st.integers(200, 400 if arity == 9 else 600), label="tuples")
+        masks = random.Random(draw(st.integers(0, 2 ** 32 - 1))).sample(range(1 << arity), count)
+    else:
+        arity = draw(st.integers(1, 6), label="rel_arity")
+        masks = draw(st.sets(st.integers(0, (1 << arity) - 1), max_size=MAX_TUPLES[k]))
     return BooleanOperation(k, table), Relation.from_masks(arity, masks, allow_empty=True)
 
 
@@ -96,23 +117,6 @@ def test_preserves_matches_naive(case):
     want = naive_violation(op, rel)
     assert find_violation(op, rel) == want
     assert preserves(op, rel) == (want is None)
-
-
-@settings(deadline=None)
-@given(operation_and_relation())
-def test_preserves_without_a_diagram_matches_naive(case):
-    # with no node allowed, a relation built now has no diagram (unless it is
-    # empty or full) and is scanned one sequence at a time; the operation's
-    # support diagram exists from before, as `image` needs it
-    op, rel = case
-    assert op.support.diagram is not None
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relations, "DIAGRAM_NODES", 0)
-        rel = Relation(rel.arity, rel.tuples)
-        assert rel.diagram is None or not rel.diagram[1]
-        want = naive_violation(op, rel)
-        assert find_violation(op, rel) == want
-        assert preserves(op, rel) == (want is None)
 
 
 @pytest.mark.deep
@@ -318,18 +322,26 @@ def test_diagram_matches_the_tuples(drawn):
     check_diagram(Relation(k, tuple(tuples)))
 
 
-def test_diagram_sizes_and_limit(monkeypatch):
+def test_diagram_sizes_and_limit():
     resolver = default_resolver()
     # parity has two nodes per coordinate below the top one; OR8 is one chain
     assert len(resolver.relation("EVEN8").diagram[1]) == 15
     assert len(resolver.relation("OR8").diagram[1]) == 8
     rel = resolver.relation("R_IN2")
     assert rel.diagram is rel.diagram
-    # one node per coordinate: a single tuple of arity 8 takes all 8, and
-    # 00000000 with 11000000 takes 9
-    monkeypatch.setattr(relations, "DIAGRAM_NODES", 1)
+    # a single tuple of arity 8 takes one node per coordinate, and 00000000
+    # with 11000000 takes 9
     assert len(Relation(8, (0,)).diagram[1]) == 8
-    assert Relation(8, (0, 3)).diagram is None
+    assert len(Relation(8, (0, 3)).diagram[1]) == 9
+    # no limit: the tuples of arity 12 with an even count of ones in their
+    # first half and an odd one in their second take one parity chain of 11
+    # nodes per half, and a random relation of 2,048 tuples takes 725
+    halves = Relation(12, tuple(m for m in range(1 << 12)
+                                if (m & 63).bit_count() % 2 == 0 and (m >> 6).bit_count() % 2))
+    assert len(halves.diagram[1]) == 22
+    wide = Relation(12, tuple(random.Random(12).sample(range(1 << 12), 2048)))
+    assert len(wide.diagram[1]) == 725
+    check_diagram(wide)
 
 
 @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
