@@ -15,7 +15,6 @@ fixed catalogs and ignore them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .definitions import (
@@ -37,7 +36,8 @@ from .instances import (
 from .oracle import solve
 from .postlattice import CoCloneId, co_clone_leq, co_clone_of
 from .reductions import ACCEPTANCE_ENTRIES, QWPP_FAMILY, apply, certify
-from .relations import ConstraintLanguage, EmptyRelationError, Relation, classify_max_ones
+from .relations import (ConstraintLanguage, EmptyRelationError, Record, Relation, _setfield,
+                        classify_max_ones)
 from .valued import classify_vcsp, express_neq, verify_neq_expression
 from .weakbases import all_entries, weak_base
 
@@ -48,11 +48,13 @@ _IS21 = CoCloneId("S1", 2)
 _HARD_COCLONES = {CoCloneId("L0"), CoCloneId("L3"), CoCloneId("L2"), CoCloneId("N2")}
 
 
-@dataclass(frozen=True)
-class Check:
-    label: str
-    ok: bool
-    detail: str  # what failed; empty when ok
+class Check(Record):
+    __slots__ = _fields = ("label", "ok", "detail")
+
+    def __init__(self, label: str, ok: bool, detail: str) -> None:
+        _setfield(self, "label", label)
+        _setfield(self, "ok", ok)
+        _setfield(self, "detail", detail)  # what failed; empty when ok
 
 
 def max_ones_hard_by_position(coclone: CoCloneId) -> bool:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import truthtables as tt
 from .instances import Constraint, GadgetError, Instance, KIND_WMO, Resolver
 from .oracle import solve
-from .relations import ConstraintLanguage, Relation, rel_eq
+from .relations import ConstraintLanguage, Record, Relation, _setfield, rel_eq
 
 MAX_FORMULA_VARS = 24
 
@@ -28,25 +27,26 @@ class UnsatisfiableGadgetError(GadgetError):
     pass
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     """A conjunction of atoms defining a relation on the first total_vars
     variables; the following aux_vars variables are existentially projected
     away (aux_vars = 0 means the definition is quantifier-free)."""
 
-    total_vars: int
-    aux_vars: int
-    atoms: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = _fields = ("total_vars", "aux_vars", "atoms")
 
-    def __post_init__(self) -> None:
-        if self.total_vars < 1 or self.aux_vars < 0:
+    def __init__(self, total_vars: int, aux_vars: int,
+                 atoms: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
+        if total_vars < 1 or aux_vars < 0:
             raise GadgetError("bad variable counts")
-        if self.total_vars + self.aux_vars > MAX_FORMULA_VARS:
+        if total_vars + aux_vars > MAX_FORMULA_VARS:
             raise GadgetError("formula exceeds the variable cap")
-        width = self.total_vars + self.aux_vars
-        for name, args in self.atoms:
+        width = total_vars + aux_vars
+        for name, args in atoms:
             if any(not 0 <= a < width for a in args):
                 raise GadgetError(f"atom {name} uses an out-of-range variable")
+        _setfield(self, "total_vars", total_vars)
+        _setfield(self, "aux_vars", aux_vars)
+        _setfield(self, "atoms", atoms)
 
     def text(self) -> str:
         def var(i: int) -> str:
@@ -124,10 +124,12 @@ def eval_wpp(gadget: Instance, resolver: Optional[Resolver] = None) -> Relation:
 EXPLORE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    formula: Optional[Formula]
-    exhausted: bool  # True: the whole bounded space was searched
+class SearchResult(Record):
+    __slots__ = _fields = ("formula", "exhausted")
+
+    def __init__(self, formula: Optional[Formula], exhausted: bool) -> None:
+        _setfield(self, "formula", formula)
+        _setfield(self, "exhausted", exhausted)  # True: the whole bounded space was searched
 
 
 def search_definition(target: Relation, language: LanguageLike,
@@ -189,13 +191,15 @@ def search_definition(target: Relation, language: LanguageLike,
 # identities used by the constant-variable reductions.
 
 
-@dataclass(frozen=True)
-class ExtensionFormula:
+class ExtensionFormula(Record):
     """Defines R'(source coords..., y0, y1) over a single target weak base."""
 
-    source: str  # weak base name of the defined relation's co-clone
-    target: str  # weak base name supplying the atoms
-    formula: Formula
+    __slots__ = _fields = ("source", "target", "formula")
+
+    def __init__(self, source: str, target: str, formula: Formula) -> None:
+        _setfield(self, "source", source)  # weak base name of the defined relation's co-clone
+        _setfield(self, "target", target)  # weak base name supplying the atoms
+        _setfield(self, "formula", formula)
 
 
 def _ext(source: str, target: str, source_arity: int,
@@ -218,14 +222,17 @@ EXTENSION_FORMULAS: tuple[ExtensionFormula, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ArgmaxIdentity:
+class ArgmaxIdentity(Record):
     """A relation as the argmax set of a weighted Max-Ones gadget on 8 vars."""
 
-    target: str  # "R_II2" or "R_IL2"
-    base: str  # weak base relation applied by the constraints
-    atoms: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
+    __slots__ = _fields = ("target", "base", "atoms", "weights")
+
+    def __init__(self, target: str, base: str, atoms: tuple[tuple[int, ...], ...],
+                 weights: tuple[int, ...]) -> None:
+        _setfield(self, "target", target)  # "R_II2" or "R_IL2"
+        _setfield(self, "base", base)  # weak base relation applied by the constraints
+        _setfield(self, "atoms", atoms)
+        _setfield(self, "weights", weights)
 
     def gadget(self) -> Instance:
         return Instance(

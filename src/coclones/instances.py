@@ -16,11 +16,9 @@ them.  A weak-base name imports `weakbases` when it is first built.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
@@ -29,8 +27,10 @@ from typing import Optional, Sequence
 from .relations import (
     MAX_RELATION_ARITY,
     NUMERAL,
+    Record,
     Relation,
     RelationError,
+    _setfield,
     number,
     numeral,
     rel_eq,
@@ -82,22 +82,23 @@ class CatalogError(RuntimeError):
     """Signals an inconsistency in the clone catalog (no unique maximum)."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    ref: str
-    args: tuple[int, ...]
-    weight: Optional[Fraction] = None
+class Constraint(Record):
+    __slots__ = _fields = ("ref", "args", "weight")
+
+    def __init__(self, ref: str, args: tuple[int, ...], weight: Optional[Fraction] = None) -> None:
+        _setfield(self, "ref", ref)
+        _setfield(self, "args", args)
+        _setfield(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class Threshold:
-    direction: str  # ">=" or "<="
-    value: Fraction
+class Threshold(Record):
+    __slots__ = _fields = ("direction", "value")
 
-    def __post_init__(self) -> None:
-        if self.direction not in (">=", "<="):
-            raise InstanceError(f"bad threshold direction {self.direction!r}")
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, direction: str, value: Fraction) -> None:
+        if direction not in (">=", "<="):
+            raise InstanceError(f"bad threshold direction {direction!r}")
+        _setfield(self, "direction", direction)
+        _setfield(self, "value", Fraction(value))
 
 
 _ONE = Fraction(1)
@@ -109,22 +110,20 @@ def _negative(w) -> bool:
     return w.numerator < 0 if type(w) is Fraction else w < 0
 
 
-@dataclass(frozen=True)
-class Instance:
-    kind: str
-    num_vars: int
-    constraints: tuple[Constraint, ...]
-    var_weights: Optional[tuple[Fraction, ...]] = None
-    threshold: Optional[Threshold] = None
-    projection: Optional[tuple[int, ...]] = None  # wpp gadget files only
+class Instance(Record):
+    __slots__ = _fields = ("kind", "num_vars", "constraints", "var_weights", "threshold",
+                           "projection")
 
-    def __post_init__(self) -> None:
-        kind, n = self.kind, self.num_vars
+    def __init__(self, kind: str, num_vars: int, constraints: tuple[Constraint, ...],
+                 var_weights: Optional[tuple[Fraction, ...]] = None,
+                 threshold: Optional[Threshold] = None,
+                 projection: Optional[tuple[int, ...]] = None) -> None:
+        # a projection is set in wpp gadget files only
+        n, cons = num_vars, constraints
         if kind not in ALL_KINDS:
             raise InstanceError(f"unknown problem kind {kind!r}")
         if not 0 <= n <= MAX_RELATION_ARITY:
             raise InstanceError(f"variable count {n} out of range 0..{MAX_RELATION_ARITY}")
-        cons = self.constraints
         # every argument and weight at once, and the constraints one by one
         # only to name the first fault
         used = set(chain.from_iterable(map(_ARGS, cons)))
@@ -136,7 +135,7 @@ class Instance:
                     raise InstanceError(f"constraint {c.ref} uses an out-of-range variable")
                 if w is not None and _negative(w):
                     raise InstanceError("constraint weights must be nonnegative")
-        weights = self.var_weights
+        weights = var_weights
         if weights is not None:
             if kind not in (KIND_WMO, KIND_MINO):
                 raise InstanceError(f"{kind} instances carry no variable weights")
@@ -144,11 +143,17 @@ class Instance:
                 raise InstanceError("varweights length must equal the variable count")
             if any(map(_negative, weights)):
                 raise InstanceError("variable weights must be nonnegative")
-        if self.projection is not None:
-            if not self.projection:
+        if projection is not None:
+            if not projection:
                 raise InstanceError("projection lists no variables")
-            if any(not 0 <= v < n for v in self.projection):
+            if any(not 0 <= v < n for v in projection):
                 raise InstanceError("projection uses an out-of-range variable")
+        _setfield(self, "kind", kind)
+        _setfield(self, "num_vars", num_vars)
+        _setfield(self, "constraints", constraints)
+        _setfield(self, "var_weights", var_weights)
+        _setfield(self, "threshold", threshold)
+        _setfield(self, "projection", projection)
 
     @property
     def num_constraints(self) -> int:
@@ -168,8 +173,10 @@ class Instance:
     def with_threshold(self, direction: str, value: Fraction) -> "Instance":
         # only the threshold is new, and Threshold validates itself; skip
         # re-validating every constraint
-        out = copy.copy(self)
-        object.__setattr__(out, "threshold", Threshold(direction, Fraction(value)))
+        out = Instance.__new__(Instance)
+        for field, old in zip(Instance._fields, self._values(self)):
+            _setfield(out, field, old)
+        _setfield(out, "threshold", Threshold(direction, Fraction(value)))
         return out
 
 
@@ -184,24 +191,22 @@ def _check_arity(arity: int) -> None:
         raise RelationError(f"cost function arity {arity} out of range")
 
 
-@dataclass(frozen=True)
-class CostFunction:
-    arity: int
-    table: tuple[Fraction, ...]
-    name: Optional[str] = None
+class CostFunction(Record):
+    _fields = ("arity", "table", "name")
 
-    def __post_init__(self) -> None:
-        _check_arity(self.arity)
-        if len(self.table) != 1 << self.arity:
+    def __init__(self, arity: int, table: tuple[Fraction, ...], name: Optional[str] = None) -> None:
+        _check_arity(arity)
+        if len(table) != 1 << arity:
             raise RelationError("cost table length must be 2^arity")
-        tab = self.table
+        tab = table
         # one pass over the common table, a tuple of nonnegative Fractions
-        if type(tab) is tuple and all(type(v) is Fraction and v.numerator >= 0 for v in tab):
-            return
-        tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in tab)
-        if any(v.numerator < 0 for v in tab):
-            raise RelationError("cost values must be nonnegative")
-        object.__setattr__(self, "table", tab)
+        if not (type(tab) is tuple and all(type(v) is Fraction and v.numerator >= 0 for v in tab)):
+            tab = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in tab)
+            if any(v.numerator < 0 for v in tab):
+                raise RelationError("cost values must be nonnegative")
+        _setfield(self, "arity", arity)
+        _setfield(self, "table", tab)
+        _setfield(self, "name", name)
 
     @functools.cached_property
     def scaled(self) -> tuple[int, int, tuple[int, ...]]:

@@ -103,7 +103,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -124,6 +123,7 @@ from .instances import (
     Threshold,
     default_resolver,
 )
+from .relations import Record, _setfield
 
 MAX_SOLVE_VARS = 24
 MAX_ENUMERATE_VARS = 20
@@ -138,13 +138,16 @@ _TRUTH_VARS = 14
 _HARD_KINDS = (KIND_SAT, KIND_UMO, KIND_WMO, KIND_MINO)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    kind: str
-    satisfiable: bool
-    optimum: Optional[Fraction]  # None for SAT or unsatisfiable instances
-    witness: Optional[int]  # lexicographically least optimal assignment mask
-    optimal_set: Optional[tuple[int, ...]] = None
+class SolveResult(Record):
+    __slots__ = _fields = ("kind", "satisfiable", "optimum", "witness", "optimal_set")
+
+    def __init__(self, kind: str, satisfiable: bool, optimum: Optional[Fraction],
+                 witness: Optional[int], optimal_set: Optional[tuple[int, ...]] = None) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "satisfiable", satisfiable)
+        _setfield(self, "optimum", optimum)  # None for SAT or unsatisfiable instances
+        _setfield(self, "witness", witness)  # lexicographically least optimal assignment mask
+        _setfield(self, "optimal_set", optimal_set)
 
 
 # Solves meet the same args tuples again and again: the timed blocks of one

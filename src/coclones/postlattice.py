@@ -30,7 +30,6 @@ side and definition here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .instances import CatalogError
@@ -38,6 +37,7 @@ from .relations import (
     BooleanOperation,
     ConstraintLanguage,
     EmptyRelationError,
+    Record,
     Relation,
     RelationError,
     OP_AND,
@@ -59,6 +59,7 @@ from .relations import (
     numeral,
     preserves,
     preserves_symmetric,  # read by bench/tracer.py, which spans it here
+    _setfield,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,18 +175,23 @@ _OP_D1_BASE = BooleanOperation.from_func(
 _OP_MAJ = h_operation(2)  # h_2 is the ternary majority
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """One row of the catalog: a clone family's base and definition columns.
 
     A chain family also has a side; `base` then holds the companions of h
     in a finite member's base and `limit` the base of its limit, when that
     is not the companions alone.
     """
-    base: tuple[BooleanOperation, ...]
-    definition: tuple[Callable[[BooleanOperation], bool], ...] = ()
-    side: Optional[int] = None
-    limit: tuple[BooleanOperation, ...] = ()
+
+    __slots__ = _fields = ("base", "definition", "side", "limit")
+
+    def __init__(self, base: tuple[BooleanOperation, ...],
+                 definition: tuple[Callable[[BooleanOperation], bool], ...] = (),
+                 side: Optional[int] = None, limit: tuple[BooleanOperation, ...] = ()) -> None:
+        _setfield(self, "base", base)
+        _setfield(self, "definition", definition)
+        _setfield(self, "side", side)
+        _setfield(self, "limit", limit)
 
 
 CATALOG: dict[str, Family] = {
@@ -232,20 +238,20 @@ NON_CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is None)
 CHAIN_FAMILIES = tuple(f for f, row in CATALOG.items() if row.side is not None)
 
 
-@dataclass(frozen=True)
-class CloneId:
-    family: str
-    index: Optional[int] = None
+class CloneId(Record):
+    __slots__ = _fields = ("family", "index")
 
-    def __post_init__(self) -> None:
-        if self.family in CHAIN_FAMILIES:
-            if self.index is not None and self.index < 2:
+    def __init__(self, family: str, index: Optional[int] = None) -> None:
+        if family in CHAIN_FAMILIES:
+            if index is not None and index < 2:
                 raise RelationError("chain index must be >= 2")
-        elif self.family in NON_CHAIN_FAMILIES:
-            if self.index is not None:
-                raise RelationError(f"clone {self.family} takes no chain index")
+        elif family in NON_CHAIN_FAMILIES:
+            if index is not None:
+                raise RelationError(f"clone {family} takes no chain index")
         else:
-            raise RelationError(f"unknown clone family {self.family!r}")
+            raise RelationError(f"unknown clone family {family!r}")
+        _setfield(self, "family", family)
+        _setfield(self, "index", index)
 
     @property
     def is_chain(self) -> bool:
@@ -269,13 +275,13 @@ class CloneId:
         return self.display()
 
 
-@dataclass(frozen=True)
-class CoCloneId:
-    family: str
-    index: Optional[int] = None
+class CoCloneId(Record):
+    __slots__ = _fields = ("family", "index")
 
-    def __post_init__(self) -> None:
-        CloneId(self.family, self.index)  # validate via the mirror
+    def __init__(self, family: str, index: Optional[int] = None) -> None:
+        CloneId(family, index)  # validate via the mirror
+        _setfield(self, "family", family)
+        _setfield(self, "index", index)
 
     @property
     def is_chain(self) -> bool:

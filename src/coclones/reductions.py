@@ -40,7 +40,6 @@ import math
 import operator
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -68,6 +67,7 @@ from .instances import (
     rf_name,
 )
 from .oracle import OracleError, SolveResult, _minor, meets_threshold, solve
+from .relations import Record, _setfield
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
@@ -80,28 +80,36 @@ class BoundViolation(ReductionError):
     """The produced instance does not match the declared variable bound."""
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     """Target optimum = sign * source optimum + offset(src, resolver)."""
 
-    sign: int  # +1, or -1 when the map also flips the optimization direction
-    offset: Callable[[Instance, Resolver], Fraction]
+    __slots__ = _fields = ("sign", "offset")
+
+    def __init__(self, sign: int, offset: Callable[[Instance, Resolver], Fraction]) -> None:
+        # +1, or -1 when the map also flips the optimization direction
+        _setfield(self, "sign", sign)
+        _setfield(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """The source is satisfiable iff the target meets threshold(src); with
     `exact`, a satisfiable source's target optimum equals it."""
 
-    threshold: Callable[[Instance], Threshold]
-    exact: bool = False
+    __slots__ = _fields = ("threshold", "exact")
+
+    def __init__(self, threshold: Callable[[Instance], Threshold], exact: bool = False) -> None:
+        _setfield(self, "threshold", threshold)
+        _setfield(self, "exact", exact)
 
 
-@dataclass
-class ApplyInfo:
-    threshold: Optional[Threshold] = None
-    value_offset: Optional[Fraction] = None  # target optimum = sign * source + offset
-    sign: int = 1
+class ApplyInfo(Record, frozen=False):
+    __slots__ = _fields = ("threshold", "value_offset", "sign")
+
+    def __init__(self, threshold: Optional[Threshold] = None,
+                 value_offset: Optional[Fraction] = None, sign: int = 1) -> None:
+        self.threshold = threshold
+        self.value_offset = value_offset  # target optimum = sign * source + offset
+        self.sign = sign
 
 
 class Width(NamedTuple):
@@ -121,15 +129,18 @@ def _linear(const: int, *terms: tuple[int | Width, str]) -> str:
     return "+".join(parts) or "0"
 
 
-@dataclass(frozen=True)
-class Size:
+class Size(Record):
     """The target's variable count, base + per_var * n + per_constraint * m over
     the source's n variables and m constraints: exact, or else an upper bound."""
 
-    base: int = 0
-    per_var: int = 0
-    per_constraint: int | Width = 0
-    exact: bool = True
+    __slots__ = _fields = ("base", "per_var", "per_constraint", "exact")
+
+    def __init__(self, base: int = 0, per_var: int = 0, per_constraint: int | Width = 0,
+                 exact: bool = True) -> None:
+        _setfield(self, "base", base)
+        _setfield(self, "per_var", per_var)
+        _setfield(self, "per_constraint", per_constraint)
+        _setfield(self, "exact", exact)
 
     def count(self, inst: Instance, applied: list) -> int:
         """The declared count on source `inst`, whose constraints resolve to
@@ -149,24 +160,41 @@ class Size:
 Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver], Optional[str]]
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
-    name: str
-    source_kind: str
-    source_language: tuple[str, ...]  # "*" admits any relation or cost function
-    target_kind: str
-    target_language: tuple[str, ...]
-    build: Callable[[Instance, list], Instance]  # (source, its resolved constraints)
-    size: Size
-    measure: Affine | Decision
-    degree: Optional[int] = None  # no source variable in more constraints than this
-    unweighted: bool = False  # no variable weights, and every term weight unset or 1
-    # a fact the declaration lacks, printed by `coclones reduce` only
-    note: Optional[Callable[[Instance, Resolver], str]] = None
-    sampler: Optional[Callable[[random.Random], Instance]] = None
-    exhaustive: Optional[Callable[[], Iterator[Instance]]] = None
-    chain_before: tuple[str, ...] = ()  # certify passes samples through these first
-    invariant: Optional[Invariant] = None
+class ReductionRecord(Record):
+    __slots__ = _fields = ("name", "source_kind", "source_language", "target_kind",
+                           "target_language", "build", "size", "measure", "degree", "unweighted",
+                           "note", "sampler", "exhaustive", "chain_before", "invariant")
+
+    def __init__(self, name: str, source_kind: str, source_language: tuple[str, ...],
+                 target_kind: str, target_language: tuple[str, ...],
+                 build: Callable[[Instance, list], Instance], size: Size,
+                 measure: Affine | Decision, degree: Optional[int] = None,
+                 unweighted: bool = False,
+                 note: Optional[Callable[[Instance, Resolver], str]] = None,
+                 sampler: Optional[Callable[[random.Random], Instance]] = None,
+                 exhaustive: Optional[Callable[[], Iterator[Instance]]] = None,
+                 chain_before: tuple[str, ...] = (),
+                 invariant: Optional[Invariant] = None) -> None:
+        _setfield(self, "name", name)
+        _setfield(self, "source_kind", source_kind)
+        # "*" admits any relation or cost function
+        _setfield(self, "source_language", source_language)
+        _setfield(self, "target_kind", target_kind)
+        _setfield(self, "target_language", target_language)
+        _setfield(self, "build", build)  # (source, its resolved constraints)
+        _setfield(self, "size", size)
+        _setfield(self, "measure", measure)
+        # no source variable in more constraints than this
+        _setfield(self, "degree", degree)
+        # no variable weights, and every term weight unset or 1
+        _setfield(self, "unweighted", unweighted)
+        # a fact the declaration lacks, printed by `coclones reduce` only
+        _setfield(self, "note", note)
+        _setfield(self, "sampler", sampler)
+        _setfield(self, "exhaustive", exhaustive)
+        # certify passes samples through these first
+        _setfield(self, "chain_before", chain_before)
+        _setfield(self, "invariant", invariant)
 
     @property
     def lv_constant(self) -> int | str:
@@ -212,8 +240,7 @@ def _unweighted(inst: Instance) -> bool:
 # Gadget templates
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(Record):
     """A gadget reduction as three blocks of atoms of one relation.
 
     A source of n variables and m constraints gets a target of n + globals +
@@ -237,16 +264,23 @@ class Template:
     its weight (1 if unset), or the big-M of a W-Max-Ones source.
     """
 
-    kind: str
-    relation: str
-    arity: int
-    globals: int = 0
-    per_var: int = 0
-    per_constraint: int = 0
-    header: tuple[str, ...] = ()
-    var_block: tuple[str, ...] = ()
-    constraint_block: tuple[str, ...] = ()
-    weights: tuple[str, ...] = ()
+    __slots__ = _fields = ("kind", "relation", "arity", "globals", "per_var", "per_constraint",
+                           "header", "var_block", "constraint_block", "weights")
+
+    def __init__(self, kind: str, relation: str, arity: int, globals: int = 0, per_var: int = 0,
+                 per_constraint: int = 0, header: tuple[str, ...] = (),
+                 var_block: tuple[str, ...] = (), constraint_block: tuple[str, ...] = (),
+                 weights: tuple[str, ...] = ()) -> None:
+        _setfield(self, "kind", kind)
+        _setfield(self, "relation", relation)
+        _setfield(self, "arity", arity)
+        _setfield(self, "globals", globals)
+        _setfield(self, "per_var", per_var)
+        _setfield(self, "per_constraint", per_constraint)
+        _setfield(self, "header", header)
+        _setfield(self, "var_block", var_block)
+        _setfield(self, "constraint_block", constraint_block)
+        _setfield(self, "weights", weights)
 
 
 def _getters(block: tuple[str, ...], names: list[str]) -> list[Callable[[tuple], tuple]]:
@@ -846,12 +880,15 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
 # Certification
 
 
-@dataclass
-class CertifyReport:
-    entry: str
-    mode: str  # "exhaustive" or "random"
-    cases: int
-    failures: list[tuple[str, str]]  # (source instance text, message)
+class CertifyReport(Record, frozen=False):
+    __slots__ = _fields = ("entry", "mode", "cases", "failures")
+
+    def __init__(self, entry: str, mode: str, cases: int,
+                 failures: list[tuple[str, str]]) -> None:
+        self.entry = entry
+        self.mode = mode  # "exhaustive" or "random"
+        self.cases = cases
+        self.failures = failures  # (source instance text, message)
 
     @property
     def ok(self) -> bool:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_RELATION_ARITY = 24
@@ -95,25 +95,86 @@ def number(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
-class Relation:
+# A record's __init__ stores each field with this, past its read-only
+# __setattr__.
+_setfield = object.__setattr__
+
+
+class Record:
+    """Base of the package's value records, with equality, hashing and repr
+    read off the field names a class lists in `_fields`.
+
+    Two records are equal when they are of one class and their fields are
+    equal, so no record equals one of another class or a tuple of its
+    values.  A record is frozen unless its class is declared with
+    `frozen=False`: assigning a field raises AttributeError, its
+    `__init__` checks its arguments and stores them with `_setfield`, and
+    its hash is the hash of its fields.  A mutable record has no hash.  A
+    class without cached properties declares `__slots__ = _fields`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the tuple of the field values (every record has two or more)
+        cls._values = attrgetter(*cls._fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """This record with `changes`, built and checked by its class's `__init__`."""
+        return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})
+
+
+class Relation(Record):
     """A finitary Boolean relation: a set of bitmask tuples of fixed arity."""
 
-    arity: int
-    tuples: tuple[int, ...]
-    name: Optional[str] = None
+    _fields = ("arity", "tuples", "name")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.arity <= MAX_RELATION_ARITY:
-            raise RelationError(f"relation arity {self.arity} out of range 1..{MAX_RELATION_ARITY}")
-        tups = tuple(sorted(set(self.tuples)))
-        if tups != self.tuples:
-            object.__setattr__(self, "tuples", tups)
+    def __init__(self, arity: int, tuples: tuple[int, ...], name: Optional[str] = None) -> None:
+        if not 1 <= arity <= MAX_RELATION_ARITY:
+            raise RelationError(f"relation arity {arity} out of range 1..{MAX_RELATION_ARITY}")
+        tups = tuple(sorted(set(tuples)))
         # sorted, so the ends bound every tuple; report the first bad one
-        full = 1 << self.arity
+        full = 1 << arity
         if tups and (tups[0] < 0 or tups[-1] >= full):
             bad = tups[0] if tups[0] < 0 else next(t for t in tups if t >= full)
-            raise RelationError(f"tuple mask {bad} out of range for arity {self.arity}")
+            raise RelationError(f"tuple mask {bad} out of range for arity {arity}")
+        _setfield(self, "arity", arity)
+        _setfield(self, "tuples", tuples if tups == tuples else tups)
+        _setfield(self, "name", name)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a relation is hashed once, not once per lookup: the hash reads
+        # every tuple
+        return Record.__hash__(self)
 
     @staticmethod
     def from_masks(arity: int, masks: Iterable[int], name: Optional[str] = None,
@@ -286,25 +347,25 @@ class Relation:
         return Relation.from_masks(self.arity, out, allow_empty=True)
 
 
-@dataclass(frozen=True)
-class BooleanOperation:
+class BooleanOperation(Record):
     """A total Boolean operation given by its full truth table.
 
     table[m] is the output on the argument tuple encoded by bitmask m
     (argument i in bit i).
     """
 
-    arity: int
-    table: tuple[int, ...]
-    name: Optional[str] = None
+    _fields = ("arity", "table", "name")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.arity <= MAX_OPERATION_ARITY:
-            raise RelationError(f"operation arity {self.arity} out of range 1..{MAX_OPERATION_ARITY}")
-        if len(self.table) != 1 << self.arity:
+    def __init__(self, arity: int, table: tuple[int, ...], name: Optional[str] = None) -> None:
+        if not 1 <= arity <= MAX_OPERATION_ARITY:
+            raise RelationError(f"operation arity {arity} out of range 1..{MAX_OPERATION_ARITY}")
+        if len(table) != 1 << arity:
             raise RelationError("truth table length must be 2^arity")
-        if any(v not in (0, 1) for v in self.table):
+        if any(v not in (0, 1) for v in table):
             raise RelationError("truth table entries must be 0/1")
+        _setfield(self, "arity", arity)
+        _setfield(self, "table", table)
+        _setfield(self, "name", name)
 
     @staticmethod
     def from_func(arity: int, func: Callable[..., int], name: Optional[str] = None) -> "BooleanOperation":
@@ -515,19 +576,26 @@ def _check_ctor_arity(n: int) -> None:
 # Dichotomy classifiers
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
-    operation: str
-    relation: str
-    sequence: tuple[tuple[int, ...], ...]
-    image: tuple[int, ...]
+class ClosureWitness(Record):
+    __slots__ = _fields = ("operation", "relation", "sequence", "image")
+
+    def __init__(self, operation: str, relation: str, sequence: tuple[tuple[int, ...], ...],
+                 image: tuple[int, ...]) -> None:
+        _setfield(self, "operation", operation)
+        _setfield(self, "relation", relation)
+        _setfield(self, "sequence", sequence)
+        _setfield(self, "image", image)
 
 
-@dataclass(frozen=True)
-class Classification:
-    result: str  # "P" or "NP-hard"
-    closed_under: Optional[str]  # name of a preserving operation, if P
-    witnesses: tuple[ClosureWitness, ...]  # one violation per failed closure, if NP-hard
+class Classification(Record):
+    __slots__ = _fields = ("result", "closed_under", "witnesses")
+
+    def __init__(self, result: str, closed_under: Optional[str],
+                 witnesses: tuple[ClosureWitness, ...]) -> None:
+        _setfield(self, "result", result)  # "P" or "NP-hard"
+        _setfield(self, "closed_under", closed_under)  # name of a preserving operation, if P
+        # one violation per failed closure, if NP-hard
+        _setfield(self, "witnesses", witnesses)
 
     @property
     def is_polynomial(self) -> bool:

@@ -19,18 +19,19 @@ walk that also applies the closure operations of `relations`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .instances import CostFunction
 from .relations import (
     BooleanOperation,
+    Record,
     RelationError,
     OP_AND,
     OP_CONST0,
     OP_CONST1,
     OP_OR,
+    _setfield,
 )
 
 
@@ -63,11 +64,14 @@ def binary_violation(delta: Sequence[CostFunction], f: BooleanOperation, g: Bool
     return None
 
 
-@dataclass(frozen=True)
-class VcspClassification:
-    result: str  # "P" or "NP-hard"
-    admitted: Optional[str]  # "(0)", "(1)" or "(min,max)" when P
-    witnesses: Optional[dict]  # violation witnesses per multimorphism when NP-hard
+class VcspClassification(Record):
+    __slots__ = _fields = ("result", "admitted", "witnesses")
+
+    def __init__(self, result: str, admitted: Optional[str], witnesses: Optional[dict]) -> None:
+        _setfield(self, "result", result)  # "P" or "NP-hard"
+        _setfield(self, "admitted", admitted)  # "(0)", "(1)" or "(min,max)" when P
+        # violation witnesses per multimorphism when NP-hard
+        _setfield(self, "witnesses", witnesses)
 
     @property
     def is_polynomial(self) -> bool:
@@ -114,15 +118,16 @@ def classify_vcsp(delta: Sequence[CostFunction]) -> VcspClassification:
 # Synthesis of f_neq from any NP-hard set (constructive tractability boundary)
 
 
-@dataclass(frozen=True)
-class Term:
-    weight: Fraction
-    fn_index: int
-    slots: tuple[str, ...]  # over {"x", "y", "v0", "v1"}
+class Term(Record):
+    __slots__ = _fields = ("weight", "fn_index", "slots")
+
+    def __init__(self, weight: Fraction, fn_index: int, slots: tuple[str, ...]) -> None:
+        _setfield(self, "weight", weight)
+        _setfield(self, "fn_index", fn_index)
+        _setfield(self, "slots", slots)  # over {"x", "y", "v0", "v1"}
 
 
-@dataclass(frozen=True)
-class NeqExpression:
+class NeqExpression(Record):
     """f_neq(x,y) realized as alpha1 * (sum of terms) + alpha2.
 
     The forcing terms (listed outermost first, with strictly dominating
@@ -130,13 +135,19 @@ class NeqExpression:
     never mentions the constants the forcing is marked vestigial.
     """
 
-    fns: tuple[CostFunction, ...]
-    terms: tuple[Term, ...]
-    forcing: tuple[Term, ...]
-    alpha1: Fraction
-    alpha2: Fraction
-    vestigial_forcing: bool
-    trace: tuple[str, ...]
+    __slots__ = _fields = ("fns", "terms", "forcing", "alpha1", "alpha2", "vestigial_forcing",
+                           "trace")
+
+    def __init__(self, fns: tuple[CostFunction, ...], terms: tuple[Term, ...],
+                 forcing: tuple[Term, ...], alpha1: Fraction, alpha2: Fraction,
+                 vestigial_forcing: bool, trace: tuple[str, ...]) -> None:
+        _setfield(self, "fns", fns)
+        _setfield(self, "terms", terms)
+        _setfield(self, "forcing", forcing)
+        _setfield(self, "alpha1", alpha1)
+        _setfield(self, "alpha2", alpha2)
+        _setfield(self, "vestigial_forcing", vestigial_forcing)
+        _setfield(self, "trace", trace)
 
     def value(self, x: int, y: int, v0: int, v1: int) -> Fraction:
         env = {"x": x, "y": y, "v0": v0, "v1": v1}

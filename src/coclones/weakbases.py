@@ -8,19 +8,20 @@ gadget reductions address coordinates by this order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .postlattice import CATALOG, CHAIN_FAMILIES, CoCloneId, _monotone, _r0, _r1
-from .relations import MAX_RELATION_ARITY, Relation, RelationError
+from .relations import MAX_RELATION_ARITY, Record, Relation, RelationError, _setfield
 
 
-@dataclass(frozen=True)
-class WeakBaseEntry:
-    coclone: CoCloneId
-    relation: Relation
-    formula: str
+class WeakBaseEntry(Record):
+    __slots__ = _fields = ("coclone", "relation", "formula")
+
+    def __init__(self, coclone: CoCloneId, relation: Relation, formula: str) -> None:
+        _setfield(self, "coclone", coclone)
+        _setfield(self, "relation", relation)
+        _setfield(self, "formula", formula)
 
 
 def _rel(arity: int, pred: Callable[[tuple[int, ...]], bool], name: str) -> Relation:

@@ -759,9 +759,11 @@ def test_unknown_reduction_lists_the_registry():
 
 
 # The commands that never vectorise run without numpy, every certify and
-# every hard-kind solve among them; a fresh interpreter shows what a
-# `coclones` process loads.
+# every hard-kind solve among them, and no command loads the standard
+# library's `dataclasses` or the `inspect` it imports; a fresh interpreter
+# shows what a `coclones` process loads.
 _NUMPY_LOADED = "import sys; print('numpy' in sys.modules)"
+_MACHINERY_LOADED = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
 _COCLONES_LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'coclones')))"
 # what `import coclones.cli` loads: the data layer and the CLI, no theory module
 _DATA_LAYER = ["coclones", "coclones.cli", "coclones.fileio", "coclones.instances",
@@ -771,21 +773,22 @@ _DATA_LAYER = ["coclones", "coclones.cli", "coclones.fileio", "coclones.instance
 def test_cli_import_and_resolver_load_no_numpy():
     proc = _run_python(["-c", "import coclones.cli; coclones.cli.default_resolver(); "
                         + _NUMPY_LOADED + "; print('json' in sys.modules); "
-                        + _COCLONES_LOADED])
+                        + _MACHINERY_LOADED + "; " + _COCLONES_LOADED])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == ["False", "False", " ".join(_DATA_LAYER)]
+    assert proc.stdout.splitlines() == ["False", "False", "[]", " ".join(_DATA_LAYER)]
 
 
 def _main_in_process(argv):
     """Run `main(argv)` in a fresh interpreter: (returncode, stderr, [numpy
-    loaded, the coclones modules loaded]), the last two lines of stdout,
-    below any report that bypasses the redirect (`selftest`'s)."""
+    loaded, dataclasses and inspect if loaded, the coclones modules
+    loaded]), the last three lines of stdout, below any report that bypasses
+    the redirect (`selftest`'s)."""
     script = ("import contextlib, io, sys\nfrom coclones.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    print(main({argv!r}), file=sys.stderr)\n"
-              + _NUMPY_LOADED + "\n" + _COCLONES_LOADED)
+              + _NUMPY_LOADED + "\n" + _MACHINERY_LOADED + "\n" + _COCLONES_LOADED)
     proc = _run_python(["-c", script])
-    return proc.returncode, proc.stderr, proc.stdout.splitlines()[-2:]
+    return proc.returncode, proc.stderr, proc.stdout.splitlines()[-3:]
 
 
 # the solver stack that `solve`, `reduce` and `certify` load
@@ -819,7 +822,7 @@ def test_non_vectorising_commands_run_without_numpy(tmp_path):
                 (["solve", str(hard)], 0, _SOLVER)]
     for argv, code, loads in commands:
         loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in loads])
-        assert _main_in_process(argv) == (0, f"{code}\n", ["False", " ".join(loaded)]), argv[0]
+        assert _main_in_process(argv) == (0, f"{code}\n", ["False", "[]", " ".join(loaded)]), argv[0]
 
 
 def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
@@ -829,7 +832,9 @@ def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
     soft.write_text("problem Max-Cut\nvars 21\n" + "".join(
         f"c edge {i} 21\n" for i in range(1, 21)))
     loaded = sorted(_DATA_LAYER + ["coclones.arrays"] + [f"coclones.{m}" for m in _SOLVER])
-    assert _main_in_process(["solve", str(soft)]) == (0, "0\n", ["True", " ".join(loaded)])
+    # numpy imports inspect itself
+    code, err, (numpy, _, modules) = _main_in_process(["solve", str(soft)])
+    assert (code, err, numpy, modules) == (0, "0\n", "True", " ".join(loaded))
 
 
 def test_a_soft_kind_solve_by_elimination_loads_no_numpy(tmp_path):
@@ -840,8 +845,8 @@ def test_a_soft_kind_solve_by_elimination_loads_no_numpy(tmp_path):
         f"c edge {i} {i % 16 + 1}\n" for i in range(1, 17)))
     loaded = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER])
     for flags in ([], ["--all"]):
-        assert _main_in_process(["solve", str(soft)] + flags) == (0, "0\n",
-                                                                 ["False", " ".join(loaded)])
+        assert _main_in_process(["solve", str(soft)] + flags) == (
+            0, "0\n", ["False", "[]", " ".join(loaded)])
 
 
 def test_a_wide_relation_is_tabled_without_numpy(tmp_path):
@@ -860,9 +865,9 @@ def test_a_wide_relation_is_tabled_without_numpy(tmp_path):
     solver = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER])
     wpp = sorted(_DATA_LAYER + [f"coclones.{m}" for m in _SOLVER + ["definitions"]])
     assert _main_in_process(["solve", str(inst), "--defs", str(defs)]) == (
-        0, "0\n", ["False", " ".join(solver)])
+        0, "0\n", ["False", "[]", " ".join(solver)])
     assert _main_in_process(["wpp-eval", str(gadget), "--defs", str(defs)]) == (
-        0, "0\n", ["False", " ".join(wpp)])
+        0, "0\n", ["False", "[]", " ".join(wpp)])
 
 
 def test_the_solver_stack_loads_no_numpy():

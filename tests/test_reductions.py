@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import fnmatch
 import io
 import itertools
@@ -146,7 +145,7 @@ def test_an_exact_decision_reports_a_target_past_its_threshold():
     lowered = tgt.with_threshold(">=", want - 1)
     assert _measure_failure(rec, src, lowered, 1, None, RESOLVER) == (
         f"satisfiable source must hit exactly {want - 1}, got {want}")
-    inexact = dataclasses.replace(rec, measure=Decision(rec.measure.threshold))
+    inexact = rec.replace(measure=Decision(rec.measure.threshold))
     assert _measure_failure(inexact, src, lowered, 1, None, RESOLVER) is None
 
 
@@ -331,8 +330,8 @@ def test_certify_never_renders_a_note(monkeypatch):
     # only `coclones reduce` prints notes, so certify must not pay for them
     rendered = []
     for name, rec in list(REGISTRY.items()):
-        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
-            rec, note=lambda src, resolver, name=name: rendered.append(name) or ""))
+        monkeypatch.setitem(REGISTRY, name, rec.replace(
+            note=lambda src, resolver, name=name: rendered.append(name) or ""))
     for name in registry_names():
         assert certify(name, trials=3).ok
     assert rendered == []
@@ -383,7 +382,7 @@ def test_certify_reports_oracle_failure_as_a_case(monkeypatch):
             return rec.sampler(rng)
         return Instance(KIND_MAXCUT, 2, (Constraint("edge", (0, 1), Fraction(2 ** 61)),))
 
-    monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(rec, sampler=sampler))
+    monkeypatch.setitem(REGISTRY, rec.name, rec.replace(sampler=sampler))
     report = certify(rec.name, trials=4, seed=0)
     assert report.cases == 4 and len(report.failures) == 2
     for _, msg in report.failures:
@@ -401,19 +400,18 @@ def test_apply_rejects_a_build_past_its_declared_count(monkeypatch, name, form):
     declared = rec.size.count(src, RESOLVER.resolve_all(src.kind, src.constraints))
 
     def padded(src, applied):
-        return dataclasses.replace(rec.build(src, applied),
-                                   num_vars=rec.size.count(src, applied) + 1)
+        return rec.build(src, applied).replace(num_vars=rec.size.count(src, applied) + 1)
 
     apply(name, src)
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, build=padded))
+    monkeypatch.setitem(REGISTRY, name, rec.replace(build=padded))
     message = f"{name}: produced {declared + 1} variables, declared {form} = {declared}"
     with pytest.raises(BoundViolation, match=f"^{re.escape(message)}$"):
         apply(name, src)
     assert "apply failed:" in certify(name, trials=1).failures[0][1]
     # a declared count one above the build: slack for a bound, a violation
     # for an exact count
-    higher = dataclasses.replace(rec.size, base=rec.size.base + 1)
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, size=higher))
+    higher = rec.size.replace(base=rec.size.base + 1)
+    monkeypatch.setitem(REGISTRY, name, rec.replace(size=higher))
     if rec.size.exact:
         message = (f"{name}: produced {declared} variables, "
                    f"declared {higher.text()} = {declared + 1}")
@@ -540,12 +538,11 @@ def test_apply_rejects_a_build_outside_its_declared_target(monkeypatch, name, ch
     if change == "language":
         def build(src, applied):
             out = rec.build(src, applied)
-            return dataclasses.replace(
-                out, constraints=out.constraints + (Constraint("OR2", (0, 1)),))
-        changed = dataclasses.replace(rec, build=build)
+            return out.replace(constraints=out.constraints + (Constraint("OR2", (0, 1)),))
+        changed = rec.replace(build=build)
         want = f"{name}: target language must be within {rec.target_language}, got ['OR2']"
     else:
-        changed = dataclasses.replace(rec, target_kind=KIND_WMO)
+        changed = rec.replace(target_kind=KIND_WMO)
         want = f"{name}: target must be a {KIND_WMO} instance, got {rec.target_kind}"
     monkeypatch.setitem(REGISTRY, name, changed)
     with pytest.raises(ReductionError) as exc:
@@ -559,8 +556,8 @@ def test_unsatisfiable_source_allows_a_target_only_below_the_offset(monkeypatch)
     rec = REGISTRY["umo_IL2_to_IL0"]
     src = Instance(KIND_UMO, 4, (Constraint("R_IL2", (0, 0, 1, 1, 1, 2, 0, 3)),))
     for offset, ok in ((1, True), (0, False)):
-        monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(
-            rec, sampler=lambda rng: src, measure=Affine(1, lambda s, r: Fraction(offset))))
+        monkeypatch.setitem(REGISTRY, rec.name, rec.replace(
+            sampler=lambda rng: src, measure=Affine(1, lambda s, r: Fraction(offset))))
         assert certify(rec.name, trials=1).ok is ok
 
 
@@ -577,7 +574,7 @@ def test_certify_reports_a_measure_off_by_one(monkeypatch, name):
             return Threshold(th.direction, th.value - 1)
         measure = Decision(threshold)
     assert certify(name, trials=20).ok
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(rec, measure=measure))
+    monkeypatch.setitem(REGISTRY, name, rec.replace(measure=measure))
     assert not certify(name, trials=20).ok
 
 
@@ -618,6 +615,6 @@ def test_certify_runs_the_declared_invariant(monkeypatch):
         seen.append(src)
         return "invariant broken" if len(seen) == 2 else None
 
-    monkeypatch.setitem(REGISTRY, rec.name, dataclasses.replace(rec, invariant=invariant))
+    monkeypatch.setitem(REGISTRY, rec.name, rec.replace(invariant=invariant))
     report = certify(rec.name, trials=3)
     assert len(seen) == 3 and [msg for _, msg in report.failures] == ["invariant broken"]
