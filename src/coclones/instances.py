@@ -231,6 +231,31 @@ class CostFunction(Record):
         return max(self.table)
 
 
+# Each cost token's value and integer pair, kept as `number` keeps its
+# Fraction, in as many entries.
+@functools.lru_cache(maxsize=1 << 10)
+def _cost_token(token: str) -> tuple[Fraction, int, int]:
+    value = number(token)
+    return value, value.numerator, value.denominator
+
+
+def _named_cost(arity: int, tokens: list[str], name: str) -> CostFunction:
+    """The cost function that a `cost<k>_...` name's value tokens spell,
+    once the name's grammar has checked its arity and that the values are
+    nonnegative.  Its integer form, `CostFunction.scaled`, is read in the
+    same pass from the tokens' integer pairs (`_cost_token`), with no
+    Fraction arithmetic."""
+    table, nums, dens = zip(*map(_cost_token, tokens))
+    den = math.lcm(*dens)
+    if den != 1:
+        nums = tuple([a * (den // d) for a, d in zip(nums, dens)])
+    fn = CostFunction.__new__(CostFunction)
+    # the fields, and the cached property's value, stored as `__init__` and
+    # `scaled` would store them
+    vars(fn).update(arity=arity, table=table, name=name, scaled=(math.gcd(*nums), den, nums))
+    return fn
+
+
 def f_neq() -> CostFunction:
     return CostFunction(2, (Fraction(1), Fraction(0), Fraction(0), Fraction(1)), "f_neq")
 
@@ -403,15 +428,14 @@ class Resolver:
             return _indicator(rel, name)
         m = _COST_NAME.fullmatch(name)
         if m:
-            arity = numeral(m.group(1))
+            arity = int(m.group(1))  # a NUMERAL, matched whole
             parts = m.group(2).split("_")
             if not 1 <= arity <= MAX_COST_ARITY or len(parts) != 1 << arity:
                 return None
             try:
-                vals = tuple(map(number, parts))
+                return _named_cost(arity, parts, name)
             except (ValueError, ZeroDivisionError):  # "1//2", "1/0", "", "1/2/3"
                 return None
-            return CostFunction(arity, vals, name)
         return None
 
     def resolve_all(self, kind: str, constraints: Sequence[Constraint]

@@ -62,32 +62,31 @@ vectorises, so only it imports numpy, with `arrays`:
   terms (`BENCH_41.json`).  The variable planes the tables are built on
   are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB
   at 14 variables and 111 KB for every n up to 14.
-- Soft kinds past the cut are solved by bucket elimination in variable
-  order (`_eliminate`; Bertele & Brioschi, *Nonserial Dynamic
-  Programming*, 1972) on the same bit-sliced counters, one plane an int
-  of 2^a bits over the a variables in the table, with the optimal set by
-  a walk back that branches on ties.  A variable enters the table with
-  its first term.  Its widest table held 2^8-2^17 states (median 2^12)
-  on the benchmark's random instances of 16-22 variables with 2n binary
-  and ternary terms, where the grid has 2^n.  Warm, on the 162
-  single-optimum solves of three seeds of that benchmark, it took
-  0.93-0.94x the time of the numpy elimination it replaced (1.18-1.20x at
-  16 variables, 0.68-0.69x at 21), on dense Max-Cut of 22 variables
-  12.9-17.7 ms where the grid took 20.3-21.1 ms, and on stars and
-  complete graphs of 18 and 20 variables, whose tables hold every
-  variable, 0.93-1.40x the grid's time (`BENCH_44.json`).  The objective
-  has no packing bound: only `_INT_LIMIT` caps it.  The literal planes of
-  a width up to the cut come from `truthtables.planes`' cache; a wider
-  one is built when a solve first reads it and dropped with the solve
-  (`_planes`), since it takes 2^a / 8 bytes.
-- The rest, soft kinds whose widest elimination table would pass
-  2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
+- Soft kinds past the cut are solved by bucket elimination (`_eliminate`;
+  Bertele & Brioschi, *Nonserial Dynamic Programming*, 1972) on the same
+  bit-sliced counters, one plane an int of 2^a bits over the a variables
+  in the table, with the optimal set by a walk back that branches on ties.
+  It runs in one order computed from the soft terms' scopes (`_order`):
+  breadth-first from a least-degree variable, neighbours in (degree,
+  index) order, restarted at each new component (Cuthill & McKee 1969),
+  which keeps the table narrow where the variable order 0..n-1 would not.
+  A variable enters the table with its first term, so a star is
+  eliminated two variables at a time.  Ties are still broken toward the
+  least mask in the original indices, so no report depends on the order.
+  The widths, the order's cost and the solve times of both orders, by
+  kind and size, are in `BENCH_47.json` (`solve_by_class`, `stars`).  The
+  objective has no packing bound: only `_INT_LIMIT` caps it.  The literal
+  planes of a width up to the cut come from `truthtables.planes`' cache; a
+  wider one is built when a solve first reads it and dropped with the
+  solve (`_planes`), since it takes 2^a / 8 bytes.
+- The rest, soft kinds whose widest elimination table in that order would
+  pass 2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
   `_width`) before any table work, are enumerated in chunks of 2^20
   masks, each a grid of high-half by low-half masks that gathers every
   term once per half (`arrays.enumerate_masks`; meet in the middle,
   Horowitz & Sahni 1974).  Only single-optimum solves of 21-24 variables
-  get here, such as a star whose terms all join its last variable, since
-  `want_all` caps n at `MAX_ENUMERATE_VARS` = `_CHUNK_BITS`.
+  get here, such as a complete graph, since `want_all` caps n at
+  `MAX_ENUMERATE_VARS` = `_CHUNK_BITS`.
 
 A relation's minors, truth tables, 0/1 table and decision diagram are
 built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -267,9 +266,10 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
 
     Three routes.  Every hard-kind instance and every instance of at most
     `_TRUTH_VARS` variables is solved on truth tables by `_truth`.  The
-    soft kinds past the cut are solved by elimination (`_eliminate`),
-    optimal set included, unless its widest table would pass
-    2^`_CHUNK_BITS` states; those import `arrays` and take the grid.
+    soft kinds past the cut are solved by elimination (`_eliminate`) in one
+    computed order (`_order`), optimal set included, unless its widest
+    table in that order would pass 2^`_CHUNK_BITS` states; those import
+    `arrays` and take the grid.
     `jobs` is the thread count of the grid, which splits only an instance
     of more than 2^20 masks, and every other route runs in one thread
     without numpy.
@@ -279,11 +279,12 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     if n <= _TRUTH_VARS or inst.kind in _HARD_KINDS:
         return _truth(inst.kind, n, raw, tables, want_all)
     scale, soft, _, _ = tables
-    by_top, last = _buckets(n, soft)
+    order = _order(n, soft)
+    by_top, last = _buckets(order, soft)
     # want_all caps n at MAX_ENUMERATE_VARS = _CHUNK_BITS, so every optimal
     # set is eliminated
     if _width(by_top, last) <= _CHUNK_BITS:
-        return _eliminate(inst.kind, by_top, last, scale, want_all)
+        return _eliminate(inst.kind, order, by_top, last, scale, want_all)
     from . import arrays
 
     return arrays.enumerate_masks(inst, tables, jobs)
@@ -571,39 +572,80 @@ def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
     return counter
 
 
-def _buckets(n: int, soft) -> tuple[dict[int, list], list[int]]:
+def _order(n: int, soft) -> list[int]:
+    """The elimination order of n variables under the soft terms: the
+    Cuthill-McKee order of the graph that joins the arguments of each term
+    (Cuthill & McKee 1969).
+
+    Breadth-first search from a least-degree variable, each variable's
+    unvisited neighbours taken in (degree, index) order, and restarted at
+    the least-degree variable left when a component is done, so a
+    variable in no term is a component of its own.
+    """
+    near: list[set[int]] = [set() for _ in range(n)]
+    for args, _ in soft:
+        for u in args:
+            near[u].update(args)
+    for u, vs in enumerate(near):
+        vs.discard(u)
+    by_degree = sorted(range(n), key=lambda u: (len(near[u]), u))
+    rank = [0] * n
+    for r, u in enumerate(by_degree):
+        rank[u] = r
+    order: list[int] = []
+    seen = [False] * n
+    i = 0
+    for start in by_degree:
+        if not seen[start]:  # a new component
+            seen[start] = True
+            order.append(start)
+        while i < len(order):
+            for w in sorted(near[order[i]], key=rank.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            i += 1
+    return order
+
+
+def _buckets(order: list[int], soft) -> tuple[dict[int, list], list[int]]:
     """(the soft terms by the step that adds them, the step that forgets each variable).
 
-    Elimination runs in variable order.  A term is added at the step of its
-    highest argument, and variable u is forgotten at the last step that adds
-    a term holding it, or at step u if no later one does.
+    Step k of elimination is variable order[k] (`_order`).  A term is added
+    at the step of its last argument in the order, and variable u is
+    forgotten at the last step that adds a term holding it, or at its own
+    step if no later one does.
     """
+    step = [0] * len(order)
+    for k, v in enumerate(order):
+        step[v] = k
     by_top: dict[int, list] = {}
-    last = list(range(n))
+    last = step[:]
     for args, table in soft:
-        top = max(args)
+        top = max(map(step.__getitem__, args))
         by_top.setdefault(top, []).append((args, table))
         for u in args:
-            last[u] = max(last[u], top)
+            if last[u] < top:
+                last[u] = top
     return by_top, last
 
 
 def _width(by_top: dict[int, list], last: list[int]) -> int:
     """The most variables that `_eliminate`'s table holds at once, read from
-    the terms' steps (`_buckets`).
+    the terms' steps in the computed order (`_buckets`).
 
     Variable u enters the table at the first step that adds a term holding
     it and leaves it at the step that forgets it; a variable in no term
     never enters.
     """
-    change = [0] * (len(last) + 1)  # at step v, the table's width changes by change[v]
+    change = [0] * (len(last) + 1)  # at step k, the table's width changes by change[k]
     first = {}
-    for v in sorted(by_top):
-        for args, _ in by_top[v]:
+    for k in sorted(by_top):
+        for args, _ in by_top[k]:
             for u in args:
-                first.setdefault(u, v)
-    for u, v in first.items():
-        change[v] += 1
+                first.setdefault(u, k)
+    for u, k in first.items():
+        change[k] += 1
         change[last[u] + 1] -= 1
     return max(itertools.accumulate(change), default=0)
 
@@ -675,33 +717,38 @@ def _code_sets(table) -> list[int]:
     return sets
 
 
-def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
-               want_all: bool) -> SolveResult:
-    """Solve a soft-kind instance by bucket elimination in variable order
-    (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch. 4), on
-    bit-sliced ints.
+def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[int],
+               scale: int, want_all: bool) -> SolveResult:
+    """Solve a soft-kind instance by bucket elimination in the computed
+    order (Bertele & Brioschi 1972; Dechter, *Constraint Processing*, ch.
+    4), on bit-sliced ints.
 
     The table over the a variables in it (state bit i holds variable
     active[i]) is a counter of objective planes, ints of 2^a bits as in
-    `_truth`.  Step v adds the terms of step v (`by_top`): each argument not
-    yet in the table enters it at the top bit, doubling every plane, and
-    the term, sliced over its arguments' state bits, is ripple-added
-    (`_add`).  Then every variable that no later term holds (`last`) is
-    forgotten: one delta swap moves its state bit to the top, each plane
-    splits into the half that clears it and the half that sets it, and a
-    compare from the top plane down keeps the better half in each state.
-    On a tie the half of the lesser mask wins.  The two masks differ in u
-    and in the variables forgotten so far, so the highest of those above u
-    whose chosen bits differ decides, and u's own bit if none does.  So a
-    forgotten variable's chosen bits are carried, as planes, while some
-    variable below it is still to be forgotten, and the least optimal mask
-    comes out, as on the grid.  A variable in no term never enters; it is
-    forgotten at its own step with both halves equal.
+    `_truth`.  Step k, that of variable order[k] (`_order`), adds the terms
+    of step k (`by_top`): each argument not yet in the table enters it at
+    the top bit, doubling every plane, and the term, sliced over its
+    arguments' state bits, is ripple-added (`_add`).  Then every variable
+    that no later term holds (`last`) is forgotten: one delta swap moves
+    its state bit to the top, each plane splits into the half that clears
+    it and the half that sets it, and a compare from the top plane down
+    keeps the better half in each state.
+
+    On a tie the half of the lesser mask wins, in the original variable
+    indices, whatever the order.  The two masks differ in u and in the
+    variables forgotten so far, so the chosen bits of the forgotten
+    variables whose index is above u's decide, the highest index first, and
+    u's own bit if none differs.  So a forgotten variable's chosen bits are
+    carried, as planes, while some variable of a lower index is not yet
+    forgotten, and the least optimal mask comes out, as on the grid.  A
+    variable in no term never enters; it is forgotten at its own step with
+    both halves equal.
 
     The witness is read back from the last forget to the first: each
     forget's choice, at the state of the variables left in its table, sets
-    its variable.  With `want_all` the walk branches where the two halves
-    tie in value, so it reaches every optimal mask, and then sorts them.
+    its variable's bit in the original indices.  With `want_all` the walk
+    branches where the two halves tie in value, so it reaches every optimal
+    mask, and then sorts them.
     """
     maximize = kind in MAXIMIZING_KINDS
     n = len(last)
@@ -711,12 +758,12 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
     carried: list[int] = []  # the forgotten variables carried, descending,
     chosen: list[int] = []  # and their chosen bits over the states
     gone = [False] * (n + 1)
-    lowest = 0  # the least variable not yet forgotten
+    lowest = 0  # the least variable index not yet forgotten
     forgets = []  # (u, the variables left in the table, choice, better, tied)
     code_sets: dict = {}  # a term's table -> `_code_sets`
     wide: dict = {}  # `_planes` past _TRUTH_VARS
-    for v in range(n):
-        for args, table in by_top.get(v, ()):
+    for k, v in enumerate(order):
+        for args, table in by_top.get(k, ()):
             for u in args:
                 if u not in active:
                     size = 1 << len(active)
@@ -749,10 +796,10 @@ def _eliminate(kind: str, by_top: dict[int, list], last: list[int], scale: int,
             else:
                 literals = _planes(a, wide)[1]
                 planes = _add(planes, _slices([literals[place[u]] for u in args], table))
-        if last[v] == v and v not in active:
+        if last[v] == k and v not in active:
             forgets.append((v, (), 0, 0, 1))
             gone[v] = True
-        for u in [u for u in active if last[u] == v]:
+        for u in [u for u in active if last[u] == k]:
             top = len(active) - 1
             i = place[u]
             k = len(planes)

@@ -29,6 +29,7 @@ side and definition here.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -353,13 +354,18 @@ def _base(clone: CloneId) -> tuple[tuple[BooleanOperation, ...], Optional[tuple[
     return row.base, ("dualh" if row.side == 0 else "h", clone.index)
 
 
-def catalog(max_chain_index: int = 3) -> list[CloneId]:
+# One catalog per probe, so every caller gets the same ids and the lattice
+# order's cache (`_leq_cache`) finds them by identity.  `co_clone_of` probes
+# at most MAX_RELATION_ARITY + 1 = 25 indices, so the 32 entries evict none
+# of its catalogs.
+@functools.lru_cache(maxsize=1 << 5)
+def catalog(max_chain_index: int = 3) -> tuple[CloneId, ...]:
     out = [CloneId(f) for f in NON_CHAIN_FAMILIES]
     for fam in CHAIN_FAMILIES:
         out.append(CloneId(fam, None))
         for n in range(2, max_chain_index + 1):
             out.append(CloneId(fam, n))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +471,12 @@ _leq_cache: dict[tuple[CloneId, CloneId], bool] = {}
 
 def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     """Clone containment c1 <= c2: every base operation of c1 lies in c2."""
-    if c1 == c2:
-        return True
     key = (c1, c2)
     hit = _leq_cache.get(key)
     if hit is not None:
         return hit
+    if c1 == c2:
+        return True
     fixed, h = _base(c1)
     result = (all(op_in_clone(op, c2) for op in fixed)
               and (h is None or _h_in_clone(*h, c2)))
@@ -505,7 +511,7 @@ def co_clone_of(language: ConstraintLanguage | Iterable[Relation]) -> CoCloneId:
     if not qualifying:
         raise CatalogError("no catalog clone preserves the language (projections always do)")
     maximal = [c for c in qualifying
-               if not any(c != d and clone_leq(c, d) for d in qualifying)]
+               if not any(c is not d and clone_leq(c, d) for d in qualifying)]
     # distinct maximal elements may still be the same clone written two ways;
     # the catalog has no duplicates, so demand a unique maximum
     if len(maximal) != 1:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -826,11 +827,12 @@ def test_non_vectorising_commands_run_without_numpy(tmp_path):
 
 
 def test_a_soft_kind_solve_past_the_cut_loads_numpy(tmp_path):
-    # a star of 21 variables holds all of them in the elimination table at
-    # its last step, more than a chunk, so it goes to the grid, in `arrays`
-    soft = tmp_path / "star.inst"
+    # a complete graph of 21 variables holds all of them in the elimination
+    # table at its last step, more than a chunk, so it goes to the grid, in
+    # `arrays`
+    soft = tmp_path / "complete.inst"
     soft.write_text("problem Max-Cut\nvars 21\n" + "".join(
-        f"c edge {i} 21\n" for i in range(1, 21)))
+        f"c edge {i} {j}\n" for i in range(1, 22) for j in range(i + 1, 22)))
     loaded = sorted(_DATA_LAYER + ["coclones.arrays"] + [f"coclones.{m}" for m in _SOLVER])
     # numpy imports inspect itself
     code, err, (numpy, _, modules) = _main_in_process(["solve", str(soft)])
@@ -910,3 +912,159 @@ def test_selftest_reports_a_failing_criterion(monkeypatch):
     want[5] = "  argmax identities ........................... FAIL  [R_II2 over R_IN2]"
     want[-1] = "result: FAIL"
     assert b.getvalue().splitlines() == want
+
+
+def _soft_corpus():
+    """A seeded corpus of soft-kind files of 15-24 variables, each
+    (label, emitted text, n): random instances with 2n binary and ternary
+    terms, some with a threshold, and stars, paths and complete graphs."""
+    draw = random.Random(47)
+    refs = {"VCSP": None, "Max-CSP": ("OR2", "NAND2", "OR3", "NAND3"), "Max-Cut": ("edge",)}
+    costs = ("0", "1/2", "1", "3/2", "2")
+    out = []
+    for kind, rels in refs.items():
+        lines = []
+
+        def term(args, weight=None):
+            if kind == "VCSP":
+                ref = f"cost{len(args)}_" + "_".join(draw.choice(costs)
+                                                     for _ in range(1 << len(args)))
+            else:
+                ref = rels[0] if kind == "Max-Cut" else draw.choice(
+                    [r for r in rels if r.endswith(str(len(args)))])
+            w = "" if weight is None else f" w {weight}"
+            lines.append(f"c {ref} {' '.join(str(a + 1) for a in args)}{w}\n")
+
+        shapes = [("random", n) for n in (15, 17, 19, 21, 23)] + [
+            ("star", 18), ("star", 24), ("path", 16), ("path", 24),
+            ("complete", 15), ("complete", 16)]
+        for shape, n in shapes:
+            lines = []
+            if shape == "random":
+                for i in range(2 * n):
+                    k = 2 if kind == "Max-Cut" or i % 2 == 0 else 3
+                    term(tuple(draw.sample(range(n), k)), draw.choice(("1/2", "1", "2", "3")))
+            elif shape == "star":
+                for i in range(n - 1):  # leaves 0..n-2, all joined to the last
+                    term((i, n - 1))
+            elif shape == "path":
+                for i in range(n - 1):
+                    term((i, i + 1), draw.choice((None, "2")))
+            else:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        term((i, j))
+            head = f"problem {kind}\nvars {n}\n"
+            if shape == "random" and n % 4 == 3:
+                head += ("threshold <= 3\n" if kind == "VCSP" else f"threshold >= {n}\n")
+            out.append((f"{kind}-{shape}-{n}", head + "".join(lines), n))
+    return out
+
+
+# `solve`'s exit code and the sha256 of its stdout on each file of
+# `_soft_corpus`, with no flag, with --all (up to 20 variables) and with
+# --jobs 2, as computed in the fixed variable order 0..n-1 before elimination
+# took the Cuthill-McKee order: the order changes no report
+SOFT_CORPUS_DIGESTS = {
+    "VCSP-random-15": "1 72acd0b8f79cee4d",
+    "VCSP-random-15 --all": "1 e8c759d88635bfa5",
+    "VCSP-random-15 --jobs 2": "1 72acd0b8f79cee4d",
+    "VCSP-random-17": "0 0582ad28f264d08d",
+    "VCSP-random-17 --all": "0 8d4683d3df25f088",
+    "VCSP-random-17 --jobs 2": "0 0582ad28f264d08d",
+    "VCSP-random-19": "1 4e7b32693a217c92",
+    "VCSP-random-19 --all": "1 a720cf7f53b5b5a4",
+    "VCSP-random-19 --jobs 2": "1 4e7b32693a217c92",
+    "VCSP-random-21": "0 5cd5ffd320b219f7",
+    "VCSP-random-21 --jobs 2": "0 5cd5ffd320b219f7",
+    "VCSP-random-23": "1 c0536b9a070414f1",
+    "VCSP-random-23 --jobs 2": "1 c0536b9a070414f1",
+    "VCSP-star-18": "0 1e945424984feedc",
+    "VCSP-star-18 --all": "0 386754f86f74fb76",
+    "VCSP-star-18 --jobs 2": "0 1e945424984feedc",
+    "VCSP-star-24": "0 870e727429590efd",
+    "VCSP-star-24 --jobs 2": "0 870e727429590efd",
+    "VCSP-path-16": "0 635c8b69c6ba04a3",
+    "VCSP-path-16 --all": "0 1391fa048327a47c",
+    "VCSP-path-16 --jobs 2": "0 635c8b69c6ba04a3",
+    "VCSP-path-24": "0 639f1a68813d2a6c",
+    "VCSP-path-24 --jobs 2": "0 639f1a68813d2a6c",
+    "VCSP-complete-15": "0 e345d2c1c823617a",
+    "VCSP-complete-15 --all": "0 cede6d4bd6558410",
+    "VCSP-complete-15 --jobs 2": "0 e345d2c1c823617a",
+    "VCSP-complete-16": "0 fa3f60d69dbb18c8",
+    "VCSP-complete-16 --all": "0 43b335e2876680bf",
+    "VCSP-complete-16 --jobs 2": "0 fa3f60d69dbb18c8",
+    "Max-CSP-random-15": "0 1ec8acc82ad8607f",
+    "Max-CSP-random-15 --all": "0 c5a2293a01a04f57",
+    "Max-CSP-random-15 --jobs 2": "0 1ec8acc82ad8607f",
+    "Max-CSP-random-17": "0 1de8f2a414902c9e",
+    "Max-CSP-random-17 --all": "0 514a20302ee2b27b",
+    "Max-CSP-random-17 --jobs 2": "0 1de8f2a414902c9e",
+    "Max-CSP-random-19": "0 aa202d112dfbada2",
+    "Max-CSP-random-19 --all": "0 26779d26920a170d",
+    "Max-CSP-random-19 --jobs 2": "0 aa202d112dfbada2",
+    "Max-CSP-random-21": "0 fae8c44731ae6ddf",
+    "Max-CSP-random-21 --jobs 2": "0 fae8c44731ae6ddf",
+    "Max-CSP-random-23": "0 cee8713203b4a06c",
+    "Max-CSP-random-23 --jobs 2": "0 cee8713203b4a06c",
+    "Max-CSP-star-18": "0 8d9f7647f9ea0e18",
+    "Max-CSP-star-18 --all": "0 7e33d4f421d71a06",
+    "Max-CSP-star-18 --jobs 2": "0 8d9f7647f9ea0e18",
+    "Max-CSP-star-24": "0 94ab1e2078dbd2db",
+    "Max-CSP-star-24 --jobs 2": "0 94ab1e2078dbd2db",
+    "Max-CSP-path-16": "0 9d2f2324843ec54b",
+    "Max-CSP-path-16 --all": "0 476bc05b22c740ac",
+    "Max-CSP-path-16 --jobs 2": "0 9d2f2324843ec54b",
+    "Max-CSP-path-24": "0 47d0863b8ab27665",
+    "Max-CSP-path-24 --jobs 2": "0 47d0863b8ab27665",
+    "Max-CSP-complete-15": "0 fd556e79662eacf4",
+    "Max-CSP-complete-15 --all": "0 ec464c2cefa00512",
+    "Max-CSP-complete-15 --jobs 2": "0 fd556e79662eacf4",
+    "Max-CSP-complete-16": "0 52a995febf675332",
+    "Max-CSP-complete-16 --all": "0 113eea61a9a37268",
+    "Max-CSP-complete-16 --jobs 2": "0 52a995febf675332",
+    "Max-Cut-random-15": "0 c8600f89843b4dbe",
+    "Max-Cut-random-15 --all": "0 8c560332d79db932",
+    "Max-Cut-random-15 --jobs 2": "0 c8600f89843b4dbe",
+    "Max-Cut-random-17": "0 7e579d84082a2895",
+    "Max-Cut-random-17 --all": "0 c4446f53a9c1bb74",
+    "Max-Cut-random-17 --jobs 2": "0 7e579d84082a2895",
+    "Max-Cut-random-19": "0 9bd683a6b90f7e9c",
+    "Max-Cut-random-19 --all": "0 63d03c38a5298079",
+    "Max-Cut-random-19 --jobs 2": "0 9bd683a6b90f7e9c",
+    "Max-Cut-random-21": "0 471e44ad011571b3",
+    "Max-Cut-random-21 --jobs 2": "0 471e44ad011571b3",
+    "Max-Cut-random-23": "0 b39b9b0c7fa5a83e",
+    "Max-Cut-random-23 --jobs 2": "0 b39b9b0c7fa5a83e",
+    "Max-Cut-star-18": "0 0c1c826040ce6636",
+    "Max-Cut-star-18 --all": "0 7fd383b7034b6945",
+    "Max-Cut-star-18 --jobs 2": "0 0c1c826040ce6636",
+    "Max-Cut-star-24": "0 b9027f7d010a1f71",
+    "Max-Cut-star-24 --jobs 2": "0 b9027f7d010a1f71",
+    "Max-Cut-path-16": "0 10a2ef8f551c4f29",
+    "Max-Cut-path-16 --all": "0 b4cb33c8b82aa7dc",
+    "Max-Cut-path-16 --jobs 2": "0 10a2ef8f551c4f29",
+    "Max-Cut-path-24": "0 12ab41861c047bf8",
+    "Max-Cut-path-24 --jobs 2": "0 12ab41861c047bf8",
+    "Max-Cut-complete-15": "0 4539313e2d3d5a8b",
+    "Max-Cut-complete-15 --all": "0 051916f5bc95d42f",
+    "Max-Cut-complete-15 --jobs 2": "0 4539313e2d3d5a8b",
+    "Max-Cut-complete-16": "0 6da6c2afa294a73a",
+    "Max-Cut-complete-16 --all": "0 f5e2c65814afb5b4",
+    "Max-Cut-complete-16 --jobs 2": "0 6da6c2afa294a73a",
+}
+
+
+def test_solve_reports_do_not_depend_on_the_elimination_order(tmp_path):
+    got = {}
+    for label, text, n in _soft_corpus():
+        path = tmp_path / f"{label}.inst"
+        path.write_text(text)
+        for flags in ([], ["--all"], ["--jobs", "2"]):
+            if flags == ["--all"] and n > 20:
+                continue
+            code, out = run(["solve", str(path)] + flags)
+            key = " ".join([label] + flags)
+            got[key] = f"{code} {hashlib.sha256(out.encode()).hexdigest()[:16]}"
+    assert got == SOFT_CORPUS_DIGESTS

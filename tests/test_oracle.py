@@ -149,11 +149,10 @@ def test_parallel_equals_sequential(monkeypatch):
     a = solve(inst, jobs=1, want_all=True)
     b = solve(inst, jobs=8, want_all=True)
     assert a == b
-    # a star into the last variable holds all 21 variables in the elimination
-    # table, more than a chunk, so this Max-Cut goes to the grid: two 2^20
-    # chunks, which jobs=2 runs on two threads
-    edges = [(i, 20) for i in range(20)] + [(i, (3 * i + 1) % 21) for i in range(21)]
-    cut = Instance(KIND_MAXCUT, 21, tuple(Constraint("edge", e) for e in edges))
+    # a complete graph holds all 21 variables in the elimination table in
+    # every order, more than a chunk, so this Max-Cut goes to the grid: two
+    # 2^20 chunks, which jobs=2 runs on two threads
+    cut = complete(KIND_MAXCUT, 21)
     calls = spy_on(monkeypatch)
     assert solve(cut, jobs=1) == solve(cut, jobs=2)
     assert len(calls) == 2
@@ -381,10 +380,19 @@ def spy_on_elimination(monkeypatch):
 
 
 def star(kind, n):
-    """A soft-kind instance whose terms all join the last of n variables, so
-    the elimination table holds every variable at the last step."""
+    """A soft-kind instance whose terms all join the last of n variables: in
+    variable order the elimination table holds every variable at the last
+    step, in the computed order (`oracle._order`) two at a time."""
     ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
     return Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
+
+
+def complete(kind, n):
+    """A soft-kind instance with a term on every pair of n variables: the
+    elimination table holds all n at once in every order."""
+    ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
+    return Instance(kind, n, tuple(Constraint(ref, (i, j))
+                                   for i in range(n) for j in range(i + 1, n)))
 
 
 # solve sends the grid only instances whose elimination table would pass a
@@ -407,12 +415,13 @@ def test_grid_matches_bruteforce(inst):
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 @pytest.mark.parametrize("n", [LOW_CUT, LOW_CUT + 1])
 def test_soft_kinds_take_the_grid_only_past_the_cut(kind, n, monkeypatch):
-    # a star holds every variable in the elimination table, so with chunks
-    # of the cut's size the optimum past the cut comes from the grid (the
-    # grid lists no optimal set: want_all's cap is the real chunk size)
+    # a complete graph holds every variable in the elimination table, so
+    # with chunks of the cut's size the optimum past the cut comes from the
+    # grid (the grid lists no optimal set: want_all's cap is the real chunk
+    # size)
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", LOW_CUT)
-    inst = star(kind, n)
+    inst = complete(kind, n)
     reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
@@ -452,15 +461,16 @@ def test_soft_kinds_take_the_truth_tables_up_to_the_cut(kind, n, monkeypatch):
 
 @pytest.mark.parametrize("n,path", [(13, False), (14, True)])
 def test_elimination_pays_for_its_steps(n, path, monkeypatch):
-    # a path holds two variables in the table at a step, a star all n at its
-    # last; both fit a chunk, so past the cut both are eliminated, the star
-    # over as many states as the grid's 2^n
+    # a path holds two variables in the table at a step, a complete graph
+    # all n at its last; both fit a chunk, so past the cut both are
+    # eliminated, the complete graph over as many states as the grid's 2^n
     if path:
         inst = Instance(KIND_MAXCUT, n, tuple(Constraint("edge", (i, i + 1)) for i in range(n - 1)))
     else:
-        inst = star(KIND_MAXCUT, n)
+        inst = complete(KIND_MAXCUT, n)
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    assert oracle._width(*oracle._buckets(n, soft_terms)) == (2 if path else n)
+    order = oracle._order(n, soft_terms)
+    assert oracle._width(*oracle._buckets(order, soft_terms)) == (2 if path else n)
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == solve_bruteforce(inst)
@@ -469,10 +479,9 @@ def test_elimination_pays_for_its_steps(n, path, monkeypatch):
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
 def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
-    # a star into the last variable holds all 16 variables in the table at
-    # that step: eliminated while they fit a chunk, on the grid once a chunk
-    # holds fewer
-    inst = star(kind, TRUTH + 2)
+    # a complete graph holds all 16 variables in the table at its last step:
+    # eliminated while they fit a chunk, on the grid once a chunk holds fewer
+    inst = complete(kind, TRUTH + 2)
     reference = solve_bruteforce(inst)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == reference
@@ -482,22 +491,25 @@ def test_elimination_that_costs_the_grid_falls_back_to_it(kind, monkeypatch):
 
 
 def test_a_wide_elimination_caches_no_planes_past_the_cut(monkeypatch):
-    # a star of 20 variables holds all 20 in the table: the literal planes
-    # past the cut are built for the one solve and dropped with it, and only
-    # widths up to the cut are asked of the cached `truthtables.planes`
+    # a complete graph of 20 variables holds all 20 in the table: the
+    # literal planes past the cut are built for the one solve and dropped
+    # with it, and only widths up to the cut are asked of the cached
+    # `truthtables.planes`; the least of its largest cuts puts variables
+    # 0..9 on one side
     asked = spy_on(monkeypatch, "planes", tt)
     elimination = spy_on_elimination(monkeypatch)
-    inst = star(KIND_MAXCUT, 20)
-    assert solve(inst) == SolveResult(KIND_MAXCUT, True, Fraction(19), (1 << 19) - 1)
+    inst = complete(KIND_MAXCUT, 20)
+    assert solve(inst) == SolveResult(KIND_MAXCUT, True, Fraction(100), (1 << 10) - 1)
     assert len(elimination) == 1 and max(n for n, in asked) == TRUTH
 
 
 @pytest.mark.parametrize("chunk_bits,eliminated", [(9, False), (10, True)])
 def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypatch):
-    # a star of 9 edges into variable 9 holds 10 variables at that step, then
-    # a path to variable 15 holds two: elimination only while 10 variables
-    # fit a chunk
-    edges = [(i, 9) for i in range(9)] + [(i, i + 1) for i in range(9, 15)]
+    # a complete graph on variables 0..9 holds 10 variables at its last
+    # step, then a path to variable 15 holds two: elimination only while 10
+    # variables fit a chunk
+    edges = ([(i, j) for i in range(10) for j in range(i + 1, 10)]
+             + [(i, i + 1) for i in range(9, 15)])
     inst = Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", e) for e in edges))
     reference = solve_bruteforce(inst)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
@@ -506,8 +518,11 @@ def test_elimination_table_stays_within_a_chunk(chunk_bits, eliminated, monkeypa
     assert (len(grid), len(elimination)) == (not eliminated, eliminated)
 
 
+# the variables 0..15 in an order far from 0..15
+SCRAMBLED = (9, 2, 14, 5, 0, 11, 7, 15, 3, 12, 1, 8, 13, 6, 10, 4)
+
 # instances on which elimination meets ties, idle variables, repeated
-# arguments, fractions and large bounds
+# arguments, fractions, large bounds and orders far from 0..n-1
 ELIMINATION_EXAMPLES = (
     # every cut of a cycle has its complement: the least mask must win
     Instance(KIND_MAXCUT, 12, tuple(Constraint("edge", (i, (i + 1) % 12)) for i in range(12))),
@@ -549,6 +564,24 @@ ELIMINATION_EXAMPLES = (
     # cycle forgotten before it, so its compare reads their carried bits
     Instance(KIND_MAXCUT, 13, (Constraint("edge", (0, 12)),) + tuple(
         Constraint("edge", (i, i % 12 + 1)) for i in range(1, 13))),
+    # a star of 18 variables, eliminated two at a time, whose two optima
+    # differ in every variable
+    star(KIND_MAXCUT, 18),
+    # a cycle through the variables in an order far from 0..n-1, so the
+    # computed order forgets high variables while low ones are left, and
+    # every optimum ties with its complement
+    Instance(KIND_MAXCUT, 16, tuple(Constraint("edge", (SCRAMBLED[i], SCRAMBLED[(i + 1) % 16]))
+                                    for i in range(16))),
+    # two components, an even and an odd cycle on interleaved variables, and
+    # variable 16 in no term
+    Instance(KIND_MAXCUT, 17, tuple(Constraint("edge", (2 * i, 2 * (i + 1) % 16))
+                                    for i in range(8))
+             + tuple(Constraint("edge", (2 * i + 1, (2 * i + 3) % 14)) for i in range(7))),
+    # fractional costs and weights on the scrambled path, with f_neq ties
+    Instance(KIND_VCSP, 16, tuple(
+        Constraint("cost2_1_0_1/3_2" if i % 3 else "f_neq", (SCRAMBLED[i], SCRAMBLED[i + 1]),
+                   Fraction(1 + i % 4, 2 + i % 3)) for i in range(15))
+             + (Constraint("cost1_0_3/2", (SCRAMBLED[7],), Fraction(2, 3)),)),
 )
 
 
@@ -590,11 +623,57 @@ ELIMINATION_EXAMPLES = (
 @example(ELIMINATION_EXAMPLES[14], True)
 @example(ELIMINATION_EXAMPLES[15], False)
 @example(ELIMINATION_EXAMPLES[15], True)
+@example(ELIMINATION_EXAMPLES[16], False)
+@example(ELIMINATION_EXAMPLES[16], True)
+@example(ELIMINATION_EXAMPLES[17], False)
+@example(ELIMINATION_EXAMPLES[17], True)
+@example(ELIMINATION_EXAMPLES[18], False)
+@example(ELIMINATION_EXAMPLES[18], True)
+@example(ELIMINATION_EXAMPLES[19], False)
+@example(ELIMINATION_EXAMPLES[19], True)
 def test_elimination_matches_bruteforce(inst, want_all):
     _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, want_all)
-    result = oracle._eliminate(inst.kind, *oracle._buckets(inst.num_vars, soft_terms), scale,
+    order = oracle._order(inst.num_vars, soft_terms)
+    result = oracle._eliminate(inst.kind, order, *oracle._buckets(order, soft_terms), scale,
                                want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
+
+
+@pytest.mark.parametrize("example", ELIMINATION_EXAMPLES[16:],
+                         ids=["star", "scrambled-cycle", "two-components", "scrambled-vcsp"])
+def test_ties_are_broken_in_original_indices(example):
+    # the computed order is far from 0..n-1 on these, and solve still
+    # returns the least optimal mask and the optimal set in ascending order
+    _, (_, soft_terms, _, _) = oracle._terms(example, RESOLVER, False)
+    assert oracle._order(example.num_vars, soft_terms) != list(range(example.num_vars))
+    for want_all in (False, True):
+        assert solve(example, want_all=want_all) == solve_bruteforce(example, want_all=want_all)
+
+
+def test_the_order_restarts_at_each_component():
+    # two stars, on 0..7 into 7 and on 8..15 into 15, and variable 16 in no
+    # term: each component is searched from its least-degree variable, the
+    # idle one first, so each star is eliminated two variables at a time
+    inst = Instance(KIND_MAXCUT, 17, tuple(Constraint("edge", (i, 7)) for i in range(7))
+                    + tuple(Constraint("edge", (i, 15)) for i in range(8, 15)))
+    _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
+    order = oracle._order(17, soft_terms)
+    assert order == [16, 0, 7, 1, 2, 3, 4, 5, 6, 8, 15, 9, 10, 11, 12, 13, 14]
+    assert oracle._width(*oracle._buckets(order, soft_terms)) == 2
+
+
+@pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
+def test_a_star_of_24_variables_is_eliminated(kind, monkeypatch):
+    # in variable order its table would hold all 24 variables and send it to
+    # the grid; in the computed order it holds two, and of the two optima,
+    # the leaves against the centre, the one with the centre clear wins
+    inst = star(kind, 24)
+    _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
+    assert oracle._width(*oracle._buckets(oracle._order(24, soft_terms), soft_terms)) == 2
+    grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
+    best = Fraction(0 if kind == KIND_VCSP else 23)
+    assert solve(inst) == SolveResult(kind, True, best, (1 << 23) - 1)
+    assert (len(grid), len(elimination)) == (0, 1)
 
 
 PACKED_VARS = 16
