@@ -44,8 +44,8 @@ vectorises, so only it imports numpy, with `arrays`:
   summand alone, as of every unweighted Max-Ones and Min-Ones instance, is
   read from its cached planes with no copy.  A term's own planes are
   cached under its args, n and scaled table (`_term_planes`), and a
-  group's under (m, n, w) (`_ones_planes`, built from the unary terms'
-  planes), so the Max-Cut edges and f_neq terms that the certify corpora
+  group's under (m, n, w) (`_ones_planes`, built from the variables'
+  literals), so the Max-Cut edges and f_neq terms that the certify corpora
   repeat, and the unit weights of every U-Max-Ones and Min-Ones solve of n
   variables, are built once; the cache starts over before it passes
   `_PLANE_BYTES` = 1 MB.  On a 2-vCPU VM the counter takes 9-14 us a solve
@@ -66,27 +66,26 @@ vectorises, so only it imports numpy, with `arrays`:
   Bertele & Brioschi, *Nonserial Dynamic Programming*, 1972) on the same
   bit-sliced counters, one plane an int of 2^a bits over the a variables
   in the table, with the optimal set by a walk back that branches on ties.
-  It runs in one order computed from the soft terms' scopes (`_order`):
-  breadth-first from a least-degree variable, neighbours in (degree,
-  index) order, restarted at each new component (Cuthill & McKee 1969),
-  which keeps the table narrow where the variable order 0..n-1 would not.
-  A variable enters the table with its first term, so a star is
-  eliminated two variables at a time.  Ties are still broken toward the
-  least mask in the original indices, so no report depends on the order.
-  The widths, the order's cost and the solve times of both orders, by
-  kind and size, are in `BENCH_47.json` (`solve_by_class`, `stars`).  The
-  objective has no packing bound: only `_INT_LIMIT` caps it.  The literal
-  planes of a width up to the cut come from `truthtables.planes`' cache; a
-  wider one is built when a solve first reads it and dropped with the
-  solve (`_planes`), since it takes 2^a / 8 bytes.
-- The rest, soft kinds whose widest elimination table in that order would
-  pass 2^`_CHUNK_BITS` states, read from the terms' buckets (`_buckets`,
-  `_width`) before any table work, are enumerated in chunks of 2^20
-  masks, each a grid of high-half by low-half masks that gathers every
-  term once per half (`arrays.enumerate_masks`; meet in the middle,
-  Horowitz & Sahni 1974).  Only single-optimum solves of 21-24 variables
-  get here, such as a complete graph, since `want_all` caps n at
-  `MAX_ENUMERATE_VARS` = `_CHUNK_BITS`.
+  One pass over the soft terms' scopes plans it (`_schedule`): a
+  Cuthill-McKee order (Cuthill & McKee 1969), the step that adds each
+  term and forgets each variable, and the widest table, where a variable
+  enters the table with its first term, so a star is eliminated two
+  variables at a time.  Ties are still broken toward the least mask in
+  the original indices, so no report depends on the order.  The widths
+  and solve times by kind and size are in `BENCH_47.json`
+  (`solve_by_class`, `stars`), the plan's cost in `BENCH_48.json`
+  (`plan_us_per_solve`).  The objective has no packing bound: only
+  `_INT_LIMIT` caps it.  The literal planes of a width up to the cut come
+  from `truthtables.planes`' cache; a wider one is built when a solve
+  first reads it and dropped with the solve (`_planes`), since it takes
+  2^a / 8 bytes.
+- The rest, soft kinds whose widest table would pass 2^`_CHUNK_BITS`
+  states, are enumerated in chunks of 2^20 masks, each a grid of
+  high-half by low-half masks that gathers every term once per half
+  (`arrays.enumerate_masks`; meet in the middle, Horowitz & Sahni 1974).
+  Only single-optimum solves of 21-24 variables get here, such as a
+  complete graph, since `want_all` caps n at `MAX_ENUMERATE_VARS` =
+  `_CHUNK_BITS`.
 
 A relation's minors, truth tables, 0/1 table and decision diagram are
 built once and cached on the `Relation` object itself (`Relation.minor`,
@@ -125,8 +124,10 @@ from .instances import (
 from .relations import Record, _setfield
 
 MAX_SOLVE_VARS = 24
-MAX_ENUMERATE_VARS = 20
 _CHUNK_BITS = 20
+# the grid lists no optimal set: capping `want_all` at a chunk's variables
+# keeps every elimination table of such a solve within a chunk
+MAX_ENUMERATE_VARS = _CHUNK_BITS
 _INT_LIMIT = 1 << 60
 # Instances with at most this many variables are solved on truth tables, and
 # a larger hard-kind instance on tables over this many (a crossover measured
@@ -149,12 +150,13 @@ class SolveResult(Record):
         _setfield(self, "optimal_set", optimal_set)
 
 
-# Solves meet the same args tuples again and again: the timed blocks of one
-# benchmark run looked up 2294 tuples, 538 distinct, on certify-hard and 1266,
-# 815 distinct, on mixed (BENCH_13.json, before the table cache and the
-# frontier's early stop, which look up fewer).  The cap is over twice the
-# larger count, so neither run evicts, and holds at most ~0.7 MB (~360 bytes
-# an entry).
+# Solves meet the same args tuples again and again.  The five blocks of a
+# certify-hard run (seed 1) make 339 hits and 421 misses, and the six of a
+# mixed run 158-187 hits and 801-821 misses (seeds 1-3), so neither run
+# evicts.  One process that runs `certify all`, both family reports and
+# `selftest` makes 2,129 hits and 9,126 misses, and there the cache evicts
+# at its cap (`BENCH_48.json`, `caches`), which holds at most ~0.7 MB (~360
+# bytes an entry).
 @functools.lru_cache(maxsize=1 << 11)
 def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the distinct args in order of first occurrence, the minor pattern of args)."""
@@ -266,10 +268,10 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
 
     Three routes.  Every hard-kind instance and every instance of at most
     `_TRUTH_VARS` variables is solved on truth tables by `_truth`.  The
-    soft kinds past the cut are solved by elimination (`_eliminate`) in one
-    computed order (`_order`), optimal set included, unless its widest
-    table in that order would pass 2^`_CHUNK_BITS` states; those import
-    `arrays` and take the grid.
+    soft kinds past the cut are solved by elimination (`_eliminate`) on the
+    plan of `_schedule`, optimal set included, unless its widest table
+    would pass 2^`_CHUNK_BITS` states; those import `arrays` and take the
+    grid.
     `jobs` is the thread count of the grid, which splits only an instance
     of more than 2^20 masks, and every other route runs in one thread
     without numpy.
@@ -279,11 +281,8 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     if n <= _TRUTH_VARS or inst.kind in _HARD_KINDS:
         return _truth(inst.kind, n, raw, tables, want_all)
     scale, soft, _, _ = tables
-    order = _order(n, soft)
-    by_top, last = _buckets(order, soft)
-    # want_all caps n at MAX_ENUMERATE_VARS = _CHUNK_BITS, so every optimal
-    # set is eliminated
-    if _width(by_top, last) <= _CHUNK_BITS:
+    order, by_top, last, width = _schedule(n, soft)
+    if width <= _CHUNK_BITS:
         return _eliminate(inst.kind, order, by_top, last, scale, want_all)
     from . import arrays
 
@@ -462,13 +461,13 @@ def _restrict(keys: list, terms: list) -> list:
 # The planes `_term_planes` and `_ones_planes` keep, bounded by what their
 # ints take (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes,
 # 2 KB at 14, plus the int's header.  Six blocks of one mixed benchmark run
-# (seed 1) build 823 entries, 160 KB in all: 553 terms' planes, 347 of them
-# unary (0, w) terms that the Ones groups are summed from, and 270 groups',
-# and twelve blocks 1,385 entries, 266 KB.  The hard kinds past the cut add
-# the groups (m & low, _TRUTH_VARS, w) of their low variables: the five
-# blocks of a certify-hard run (seed 1) build 28 entries, 40 KB.  So the
-# bound evicts nothing in a run; it caps a long run of fractional weights at
-# 14 variables, which spans dozens of planes a term and rarely repeats.
+# (seed 1) build 490 entries, 71 KB in all: 220 terms' planes and 270
+# groups', and twelve blocks 859 entries, 126 KB.  The hard kinds past the
+# cut add the groups (m & low, _TRUTH_VARS, w) of their low variables: the
+# five blocks of a certify-hard run (seed 1) build 3 entries, 9 KB
+# (`BENCH_48.json`, `caches`).  So the bound evicts nothing in a run; it
+# caps a long run of fractional weights at 14 variables, which spans dozens
+# of planes a term and rarely repeats.
 _PLANE_BYTES = 1 << 20
 _plane_cache: dict = {}
 _plane_bytes = 0
@@ -524,16 +523,17 @@ def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
     assignment sets in m, cached under (m, n, w).
 
     They are the sum of the unary terms (0, w) on the variables of m, each
-    term's planes from `_term_planes`.
+    term's planes sliced from its literal (`_slices`) and not cached.
     """
     key = (m, n, w)
     got = _plane_cache.get(key)
     if got is not None:
         return got
+    literals = tt.planes(n)[1]
     counter: tuple[int, ...] | list[int] = ()
     for i in range(n):
         if m >> i & 1:
-            counter = _add(counter, _term_planes((i,), (0, w), n))
+            counter = _add(counter, _slices([literals[i]], (0, w)))
     return _keep(key, tuple(counter))
 
 
@@ -572,82 +572,70 @@ def _add(counter: tuple[int, ...] | list[int], term: tuple[int, ...]
     return counter
 
 
-def _order(n: int, soft) -> list[int]:
-    """The elimination order of n variables under the soft terms: the
-    Cuthill-McKee order of the graph that joins the arguments of each term
-    (Cuthill & McKee 1969).
+def _schedule(n: int, soft) -> tuple[list[int], dict[int, list], list[int], int]:
+    """The elimination plan of n variables under the soft terms: (the order,
+    the terms by the step that adds them, the step that forgets each
+    variable, the most variables the table holds at once).
 
-    Breadth-first search from a least-degree variable, each variable's
-    unvisited neighbours taken in (degree, index) order, and restarted at
-    the least-degree variable left when a component is done, so a
-    variable in no term is a component of its own.
+    The order is Cuthill-McKee's (Cuthill & McKee 1969) on the graph that
+    joins the arguments of each term, one neighbour bitmask per variable:
+    breadth-first from a least-degree variable, each variable's unvisited
+    neighbours in (degree, index) order, restarted at the least-degree
+    variable left when a component is done, so a variable in no term is a
+    component of its own.  Step k is variable order[k].  A term is added at
+    the step of its last argument in the order; variable u enters the table
+    at the first step that adds a term holding it and is forgotten at the
+    last, or at its own step if no later one does, so a variable in no term
+    never enters.  The width is the largest running sum of those entries
+    and exits.  What the plan costs a solve is in `BENCH_48.json`
+    (`plan_us_per_solve`).
     """
-    near: list[set[int]] = [set() for _ in range(n)]
+    near = [0] * n  # the neighbours of each variable, bit w for variable w
     for args, _ in soft:
+        m = 0
         for u in args:
-            near[u].update(args)
-    for u, vs in enumerate(near):
-        vs.discard(u)
-    by_degree = sorted(range(n), key=lambda u: (len(near[u]), u))
-    rank = [0] * n
-    for r, u in enumerate(by_degree):
-        rank[u] = r
+            m |= 1 << u
+        for u in args:
+            near[u] |= m
+    near = [x & ~(1 << u) for u, x in enumerate(near)]
+    degree = [x.bit_count() for x in near]
     order: list[int] = []
-    seen = [False] * n
-    i = 0
-    for start in by_degree:
-        if not seen[start]:  # a new component
-            seen[start] = True
+    seen = i = 0
+    # a stable sort of the index order gives (degree, index) order
+    for start in sorted(range(n), key=degree.__getitem__):
+        if not seen >> start & 1:  # a new component
+            seen |= 1 << start
             order.append(start)
         while i < len(order):
-            for w in sorted(near[order[i]], key=rank.__getitem__):
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
+            new = near[order[i]] & ~seen
+            seen |= new
+            fresh = []
+            while new:
+                bit = new & -new
+                fresh.append(bit.bit_length() - 1)
+                new ^= bit
+            order += sorted(fresh, key=degree.__getitem__)
             i += 1
-    return order
-
-
-def _buckets(order: list[int], soft) -> tuple[dict[int, list], list[int]]:
-    """(the soft terms by the step that adds them, the step that forgets each variable).
-
-    Step k of elimination is variable order[k] (`_order`).  A term is added
-    at the step of its last argument in the order, and variable u is
-    forgotten at the last step that adds a term holding it, or at its own
-    step if no later one does.
-    """
-    step = [0] * len(order)
+    step = [0] * n
     for k, v in enumerate(order):
         step[v] = k
     by_top: dict[int, list] = {}
+    first = [n] * n  # n: no term holds the variable
     last = step[:]
     for args, table in soft:
         top = max(map(step.__getitem__, args))
         by_top.setdefault(top, []).append((args, table))
         for u in args:
+            if first[u] > top:
+                first[u] = top
             if last[u] < top:
                 last[u] = top
-    return by_top, last
-
-
-def _width(by_top: dict[int, list], last: list[int]) -> int:
-    """The most variables that `_eliminate`'s table holds at once, read from
-    the terms' steps in the computed order (`_buckets`).
-
-    Variable u enters the table at the first step that adds a term holding
-    it and leaves it at the step that forgets it; a variable in no term
-    never enters.
-    """
-    change = [0] * (len(last) + 1)  # at step k, the table's width changes by change[k]
-    first = {}
-    for k in sorted(by_top):
-        for args, _ in by_top[k]:
-            for u in args:
-                first.setdefault(u, k)
-    for u, k in first.items():
-        change[k] += 1
-        change[last[u] + 1] -= 1
-    return max(itertools.accumulate(change), default=0)
+    change = [0] * (n + 1)  # at step k, the table's width changes by change[k]
+    for u in range(n):
+        if first[u] < n:
+            change[first[u]] += 1
+            change[last[u] + 1] -= 1
+    return order, by_top, last, max(itertools.accumulate(change))
 
 
 def _planes(a: int, wide: dict):
@@ -725,9 +713,9 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
 
     The table over the a variables in it (state bit i holds variable
     active[i]) is a counter of objective planes, ints of 2^a bits as in
-    `_truth`.  Step k, that of variable order[k] (`_order`), adds the terms
-    of step k (`by_top`): each argument not yet in the table enters it at
-    the top bit, doubling every plane, and the term, sliced over its
+    `_truth`.  Step k, that of variable order[k] (`_schedule`), adds the
+    terms of step k (`by_top`): each argument not yet in the table enters
+    it at the top bit, doubling every plane, and the term, sliced over its
     arguments' state bits, is ripple-added (`_add`).  Then every variable
     that no later term holds (`last`) is forgotten: one delta swap moves
     its state bit to the top, each plane splits into the half that clears

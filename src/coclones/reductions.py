@@ -4,8 +4,10 @@ A `ReductionRecord` states what a reduction is and leaves the checking to
 this module:
 
 - what it admits: the source kind and language ("*" admits any), the
-  `degree` bound (no source variable in more constraints than that), and
-  `unweighted` (no variable weights, every term weight unset or 1);
+  `degree` bound (no source variable in more constraints than that),
+  `unweighted` (no variable weights, every term weight unset or 1), and
+  `covered` (every source variable in some constraint, and at least one
+  constraint);
 - `build(src, applied)`: the construction alone, on the constraints `apply` resolved;
 - `size`: the target's variable count `base + per_var*n + per_constraint*m`,
   exact or, with `exact=False`, an upper bound; C and the bound text read it;
@@ -20,10 +22,11 @@ this module:
 
 `apply` is the one checker of admission, and it enforces the declaration on
 every call: it checks the source kind and language, resolves every source
-constraint (`Resolver.resolve_all`), checks the degree bound and the
-weights, builds, checks the built target's kind and language the same way,
-asserts the variable count, maps the source threshold through `Affine` (sign
--1 flips its direction) or sets it from `Decision`, and fills `ApplyInfo`.
+constraint (`Resolver.resolve_all`), checks the degree bound, the weights
+and the cover, builds, checks the built target's kind and language the same
+way, asserts the variable count, maps the source threshold through `Affine`
+(sign -1 flips its direction) or sets it from `Decision`, and fills
+`ApplyInfo`.
 It renders nothing: `coclones reduce` prints the measure map from the
 declaration and `ApplyInfo`, then the note.  `certify` replays a corpus
 through the oracle and checks the measure map with one rule for every entry.
@@ -163,13 +166,14 @@ Invariant = Callable[[Instance, Instance, SolveResult, SolveResult, Resolver], O
 class ReductionRecord(Record):
     __slots__ = _fields = ("name", "source_kind", "source_language", "target_kind",
                            "target_language", "build", "size", "measure", "degree", "unweighted",
-                           "note", "sampler", "exhaustive", "chain_before", "invariant")
+                           "covered", "note", "sampler", "exhaustive", "chain_before",
+                           "invariant")
 
     def __init__(self, name: str, source_kind: str, source_language: tuple[str, ...],
                  target_kind: str, target_language: tuple[str, ...],
                  build: Callable[[Instance, list], Instance], size: Size,
                  measure: Affine | Decision, degree: Optional[int] = None,
-                 unweighted: bool = False,
+                 unweighted: bool = False, covered: bool = False,
                  note: Optional[Callable[[Instance, Resolver], str]] = None,
                  sampler: Optional[Callable[[random.Random], Instance]] = None,
                  exhaustive: Optional[Callable[[], Iterator[Instance]]] = None,
@@ -188,6 +192,8 @@ class ReductionRecord(Record):
         _setfield(self, "degree", degree)
         # no variable weights, and every term weight unset or 1
         _setfield(self, "unweighted", unweighted)
+        # every source variable in some constraint, and at least one constraint
+        _setfield(self, "covered", covered)
         # a fact the declaration lacks, printed by `coclones reduce` only
         _setfield(self, "note", note)
         _setfield(self, "sampler", sampler)
@@ -224,6 +230,15 @@ def _require_degree_bound(inst: Instance, bound: int) -> None:
     offending = sorted([v + 1 for v, k in count.items() if k > bound])  # numbered as in .inst
     _require(not offending,
              f"degree bound violated: variable(s) {offending} occur in more than {bound} constraints")
+
+
+def _require_covered(inst: Instance) -> None:
+    _require(bool(inst.constraints), "source must have at least one constraint")
+    held: set[int] = set()
+    for c in inst.constraints:
+        held.update(c.args)
+    offending = [v + 1 for v in range(inst.num_vars) if v not in held]  # numbered as in .inst
+    _require(not offending, f"coverage violated: variable(s) {offending} occur in no constraint")
 
 
 def _unweighted(inst: Instance) -> bool:
@@ -740,7 +755,12 @@ _register_template(
     sampler=_make_sampler("R_IL2", 8))
 
 # Entry 7: quantifier-free extensions with two fresh globals (k -> k+1); an
-# extension formula's coordinates 0..k-1 are the slots, k and k+1 the globals
+# extension formula's coordinates 0..k-1 are the slots, k and k+1 the globals.
+# Only the constraint blocks pin the globals and the source variables, so a
+# source without constraints leaves both globals free, and a variable in no
+# constraint is free in the target even when the source is unsatisfiable:
+# the entries admit, and sample, covered sources only
+_COVERED = True
 for _ext_formula in EXTENSION_FORMULAS:
     _k = _ext_formula.formula.total_vars - 2
     _names = [f"a{j}" for j in range(_k)] + ["v0", "v1"]
@@ -749,8 +769,8 @@ for _ext_formula in EXTENSION_FORMULAS:
             KIND_UMO, _ext_formula.target, _k, globals=2,
             constraint_block=tuple(" ".join(_names[s] for s in slots)
                                    for _, slots in _ext_formula.formula.atoms)),
-        measure=Affine(1, _offset(lambda n: 1)),
-        sampler=_make_sampler(_ext_formula.source, _k, n_range=(3, 6), cover_all=True))
+        measure=Affine(1, _offset(lambda n: 1)), covered=_COVERED,
+        sampler=_make_sampler(_ext_formula.source, _k, n_range=(3, 6), cover_all=_COVERED))
 
 # an argmax identity's coordinates 0..7 are the slots a0..a7
 for _ident in ARGMAX_IDENTITIES:
@@ -856,6 +876,8 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
         _require_degree_bound(inst, rec.degree)
     if rec.unweighted and not _unweighted(inst):
         raise ReductionError("source must be unweighted")
+    if rec.covered:
+        _require_covered(inst)
     out = rec.build(inst, applied)
     _check_side(name, "target", out, rec.target_kind, rec.target_language)
     declared = rec.size.count(inst, applied)
@@ -955,6 +977,23 @@ def _measure_failure(rec: ReductionRecord, src: Instance, tgt: Instance, sign: i
     return None
 
 
+def _through(steps: tuple[str, ...], src: Instance, resolver: Resolver
+             ) -> tuple[Instance, int, Optional[Fraction]]:
+    """(the target of src through the entries `steps` in turn, sign, offset):
+    their affine maps composed as target = sign * source + offset, the first
+    taken as it is (a decision entry adds none)."""
+    tgt, sign, offset = src, 1, None
+    for step in steps:
+        tgt, info = apply(step, tgt, resolver)
+        if info.value_offset is None:
+            continue
+        if offset is None:
+            sign, offset = info.sign, info.value_offset
+        else:
+            sign, offset = info.sign * sign, info.sign * offset + info.value_offset
+    return tgt, sign, offset
+
+
 def certify(name: str, trials: int = 200, seed: int = 0,
             resolver: Optional[Resolver] = None) -> CertifyReport:
     """Oracle-certify a registry entry on an exhaustive or seeded random corpus."""
@@ -967,18 +1006,7 @@ def certify(name: str, trials: int = 200, seed: int = 0,
     cases = corpus(rec, trials, seed)
     for src in cases:
         try:
-            # compose the affine maps of the chain: target = sign * source + offset;
-            # the first map is taken as it is
-            tgt, sign, offset = src, 1, None
-            for step in steps:
-                tgt, info = apply(step, tgt, resolver)
-                if info.value_offset is None:
-                    continue
-                if offset is None:
-                    sign, offset = info.sign, info.value_offset
-                else:
-                    sign, offset = info.sign * sign, info.sign * offset + info.value_offset
-            msg = _measure_failure(rec, src, tgt, sign, offset, resolver)
+            msg = _measure_failure(rec, src, *_through(steps, src, resolver), resolver)
         except (ReductionError, InstanceError) as exc:
             msg = f"apply failed: {exc}"
         except OracleError as exc:

@@ -7,8 +7,13 @@ the grid's, with every relation's bool table built here from its tuples
 (`lut`) and read at its raw arguments, not its minor, and every variable
 weight counted on the mask's own bits.  Chunks run in ascending mask order,
 so the first optimal mask met is the least.
+
+`schedule_reference` is the elimination plan that `oracle._schedule`
+computes in one pass, rebuilt from sets, a rank array and a sorted walk of
+the buckets.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -129,3 +134,56 @@ def solve_bruteforce(inst, resolver=None, want_all=False) -> SolveResult:
         return SolveResult(kind, False, None, None, () if want_all else None)
     return SolveResult(kind, True, None if kind == KIND_SAT else Fraction(best, scale), witness,
                        tuple(int(m) for hits in optimal for m in hits) if want_all else None)
+
+
+def schedule_reference(n, soft):
+    """(order, terms by step, forget step of each variable, widest table), as
+    `oracle._schedule` plans the elimination of n variables under `soft`.
+
+    The order is breadth-first over the graph that joins each term's
+    arguments, from a least-degree variable, each variable's unvisited
+    neighbours sorted by (degree, index), restarted at the least-degree
+    variable left.  A term is added at the step of its last argument; a
+    variable is forgotten at the last step that adds a term holding it, or
+    at its own step, and enters the table at the first such step, which the
+    sorted buckets give.
+    """
+    near = [set() for _ in range(n)]
+    for args, _ in soft:
+        for u in args:
+            near[u].update(args)
+    for u, vs in enumerate(near):
+        vs.discard(u)
+    by_degree = sorted(range(n), key=lambda u: (len(near[u]), u))
+    rank = [0] * n
+    for r, u in enumerate(by_degree):
+        rank[u] = r
+    order, seen, i = [], [False] * n, 0
+    for start in by_degree:
+        if not seen[start]:
+            seen[start] = True
+            order.append(start)
+        while i < len(order):
+            for w in sorted(near[order[i]], key=rank.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            i += 1
+    step = [0] * n
+    for k, v in enumerate(order):
+        step[v] = k
+    by_top, last = {}, step[:]
+    for args, table in soft:
+        top = max(step[u] for u in args)
+        by_top.setdefault(top, []).append((args, table))
+        for u in args:
+            last[u] = max(last[u], top)
+    change, first = [0] * (n + 1), {}
+    for k in sorted(by_top):
+        for args, _ in by_top[k]:
+            for u in args:
+                first.setdefault(u, k)
+    for u, k in first.items():
+        change[k] += 1
+        change[last[u] + 1] -= 1
+    return order, by_top, last, max(itertools.accumulate(change))

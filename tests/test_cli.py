@@ -179,6 +179,9 @@ ADMISSION_REJECTS = [
     ("uvcspd_to_minones", "problem VCSP\nvars 2\nc f_neq 1 2 w 2\n", "source must be unweighted"),
     ("maxones_to_minones", "problem Max-Cut\nvars 2\nc edge 1 2\n",
      "maxones_to_minones: source must be a Min-Ones instance, got Max-Cut"),
+    ("umo_qpp_II0", "problem U-Max-Ones\nvars 3\n", "source must have at least one constraint"),
+    ("umo_qpp_IE0", "problem U-Max-Ones\nvars 3\nc R_IS1_2 1 3 1\n",
+     "coverage violated: variable(s) [2] occur in no constraint"),
 ]
 
 

@@ -28,7 +28,7 @@ from coclones.instances import (
 )
 from coclones.oracle import OracleError, SolveResult, decide, solve
 from coclones.relations import Relation
-from reference import codes, lut, reference_terms, solve_bruteforce
+from reference import codes, lut, reference_terms, schedule_reference, solve_bruteforce
 
 RESOLVER = default_resolver()
 
@@ -382,7 +382,7 @@ def spy_on_elimination(monkeypatch):
 def star(kind, n):
     """A soft-kind instance whose terms all join the last of n variables: in
     variable order the elimination table holds every variable at the last
-    step, in the computed order (`oracle._order`) two at a time."""
+    step, in the computed order (`oracle._schedule`) two at a time."""
     ref = {KIND_VCSP: "f_neq", KIND_MAXCSP: "neq", KIND_MAXCUT: "edge"}[kind]
     return Instance(kind, n, tuple(Constraint(ref, (i, n - 1)) for i in range(n - 1)))
 
@@ -469,8 +469,7 @@ def test_elimination_pays_for_its_steps(n, path, monkeypatch):
     else:
         inst = complete(KIND_MAXCUT, n)
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    order = oracle._order(n, soft_terms)
-    assert oracle._width(*oracle._buckets(order, soft_terms)) == (2 if path else n)
+    assert oracle._schedule(n, soft_terms)[3] == (2 if path else n)
     monkeypatch.setattr(oracle, "_TRUTH_VARS", LOW_CUT)
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     assert solve(inst) == solve_bruteforce(inst)
@@ -633,9 +632,8 @@ ELIMINATION_EXAMPLES = (
 @example(ELIMINATION_EXAMPLES[19], True)
 def test_elimination_matches_bruteforce(inst, want_all):
     _, (scale, soft_terms, _, _) = oracle._terms(inst, RESOLVER, want_all)
-    order = oracle._order(inst.num_vars, soft_terms)
-    result = oracle._eliminate(inst.kind, order, *oracle._buckets(order, soft_terms), scale,
-                               want_all)
+    order, by_top, last, _ = oracle._schedule(inst.num_vars, soft_terms)
+    result = oracle._eliminate(inst.kind, order, by_top, last, scale, want_all)
     assert result == solve_bruteforce(inst, RESOLVER, want_all=want_all)
 
 
@@ -645,7 +643,7 @@ def test_ties_are_broken_in_original_indices(example):
     # the computed order is far from 0..n-1 on these, and solve still
     # returns the least optimal mask and the optimal set in ascending order
     _, (_, soft_terms, _, _) = oracle._terms(example, RESOLVER, False)
-    assert oracle._order(example.num_vars, soft_terms) != list(range(example.num_vars))
+    assert oracle._schedule(example.num_vars, soft_terms)[0] != list(range(example.num_vars))
     for want_all in (False, True):
         assert solve(example, want_all=want_all) == solve_bruteforce(example, want_all=want_all)
 
@@ -657,9 +655,38 @@ def test_the_order_restarts_at_each_component():
     inst = Instance(KIND_MAXCUT, 17, tuple(Constraint("edge", (i, 7)) for i in range(7))
                     + tuple(Constraint("edge", (i, 15)) for i in range(8, 15)))
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    order = oracle._order(17, soft_terms)
+    order, _, _, width = oracle._schedule(17, soft_terms)
     assert order == [16, 0, 7, 1, 2, 3, 4, 5, 6, 8, 15, 9, 10, 11, 12, 13, 14]
-    assert oracle._width(*oracle._buckets(order, soft_terms)) == 2
+    assert width == 2
+
+
+@st.composite
+def soft_scopes(draw):
+    """(n, soft terms) over 0-24 variables: terms of 1-4 arguments, repeats
+    allowed, each within one of 1-4 groups of the variables (v in group v %
+    groups), so the graph often has several components and idle variables."""
+    n = draw(st.integers(0, oracle.MAX_SOLVE_VARS))
+    groups = draw(st.integers(1, 4))
+    members = [[v for v in range(n) if v % groups == g] for g in range(groups)]
+    members = [vs for vs in members if vs]
+    soft_terms = []
+    for j in range(draw(st.integers(0, 40)) if members else 0):
+        var = st.sampled_from(draw(st.sampled_from(members)))
+        args = tuple(draw(st.lists(var, min_size=1, max_size=4)))
+        soft_terms.append((args, (j,)))  # a distinct table per term
+    return n, soft_terms
+
+
+@pytest.mark.deep
+@settings(max_examples=examples(100), deadline=None)
+@given(soft_scopes())
+@example((0, []))
+@example((5, []))
+@example((17, [((i, 7), (0,)) for i in range(7)] + [((i, 15), (1,)) for i in range(8, 15)]))
+@example((6, [((0, 0, 3), (0,)), ((5,), (1,)), ((3, 1, 3, 1), (2,)), ((2, 4), (3,))]))
+def test_schedule_matches_the_reference(case):
+    n, soft_terms = case
+    assert oracle._schedule(n, soft_terms) == schedule_reference(n, soft_terms)
 
 
 @pytest.mark.parametrize("kind", [KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT])
@@ -669,7 +696,7 @@ def test_a_star_of_24_variables_is_eliminated(kind, monkeypatch):
     # the leaves against the centre, the one with the centre clear wins
     inst = star(kind, 24)
     _, (_, soft_terms, _, _) = oracle._terms(inst, RESOLVER, False)
-    assert oracle._width(*oracle._buckets(oracle._order(24, soft_terms), soft_terms)) == 2
+    assert oracle._schedule(24, soft_terms)[3] == 2
     grid, elimination = spy_on(monkeypatch), spy_on_elimination(monkeypatch)
     best = Fraction(0 if kind == KIND_VCSP else 23)
     assert solve(inst) == SolveResult(kind, True, best, (1 << 23) - 1)
@@ -838,6 +865,17 @@ def test_plane_cache_key_holds_n_and_every_table_value(first, second, monkeypatc
     got = oracle._term_planes(*second)
     assert got == cold_planes(*second, monkeypatch) != cold_planes(*first, monkeypatch)
     assert len(oracle._plane_cache) == 2
+
+
+def test_a_weighted_max_ones_solve_caches_only_its_groups(monkeypatch):
+    # the Ones groups are summed from the variables' literals, so the cache
+    # holds one entry per group (m, n, w) and no unary (0, w) term planes
+    monkeypatch.setattr(oracle, "_plane_cache", {})
+    monkeypatch.setattr(oracle, "_plane_bytes", 0)
+    inst = wmo(6, [("OR2", (0, 1)), ("NAND2", (2, 3))], [1, 2, 2, 3, 0, 5])
+    assert solve(inst) == solve_bruteforce(inst)
+    assert set(oracle._plane_cache) == {(0b000001, 6, 1), (0b000110, 6, 2),
+                                        (0b001000, 6, 3), (0b100000, 6, 5)}
 
 
 def test_plane_cache_stays_within_its_byte_bound(monkeypatch):

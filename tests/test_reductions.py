@@ -44,6 +44,7 @@ from coclones.reductions import (
     _entry_seed,
     _gadget_max,
     _measure_failure,
+    _through,
     _weight_big_m,
     apply,
     certify,
@@ -618,3 +619,37 @@ def test_certify_runs_the_declared_invariant(monkeypatch):
     monkeypatch.setitem(REGISTRY, rec.name, rec.replace(invariant=invariant))
     report = certify(rec.name, trials=3)
     assert len(seen) == 3 and [msg for _, msg in report.failures] == ["invariant broken"]
+
+
+def small_world(kind, language):
+    """Every source of `kind` over 0-3 variables with no constraint or one on
+    a ref of `language`, at every argument tuple."""
+    for n in range(4):
+        yield Instance(kind, n, ())
+        for ref in language:
+            k = (2 if kind == KIND_MAXCUT else RESOLVER.costfn(ref).arity if kind == KIND_VCSP
+                 else RESOLVER.relation(ref).arity)
+            for args in itertools.product(range(n), repeat=k):
+                yield Instance(kind, n, (Constraint(ref, args),))
+
+
+@pytest.mark.parametrize("name", [n for n in registry_names()
+                                  if "*" not in REGISTRY[n].source_language])
+def test_every_small_source_is_refused_or_keeps_its_map(name):
+    # a source an entry admits keeps the measure map through the chain that
+    # certify composes; one it does not admit is refused by apply, never
+    # mapped wrongly
+    rec = REGISTRY[name]
+    steps = rec.chain_before + (name,)
+    first = REGISTRY[steps[0]]
+    failed = []
+    for src in small_world(first.source_kind, first.source_language):
+        try:
+            mapped = _through(steps, src, RESOLVER)
+        except BoundViolation:
+            raise
+        except ReductionError:
+            continue
+        if _measure_failure(rec, src, *mapped, RESOLVER) is not None:
+            failed.append(src)
+    assert not failed, f"{len(failed)} sources, the first {emit_inst(failed[0])!r}"
