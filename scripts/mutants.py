@@ -4,12 +4,15 @@
 Each entry of the catalog (`scripts/mutants.json` by default) holds an `id`, a
 `file` relative to the repository root, a `snippet` that occurs exactly once
 in that file, its `replacement`, and the pytest ids of the `tests` that must
-kill it.  For each entry the runner copies what the tests read (src/,
-tests/, scripts/, README.md and pyproject.toml) into a temporary directory,
-runs the entry's tests there, applies the replacement and runs them again.
-An entry may instead hold `equivalent`, the reason its replacement cannot
+kill it.  The runner copies what the tests read (src/, tests/, scripts/,
+README.md and pyproject.toml) into a temporary directory, runs the union of
+the entries' tests there once, and runs each entry's tests on a copy with
+its replacement applied.  If that union fails, it runs each entry's tests
+on an unmutated copy instead, so one entry's failing test does not make the
+others stale.  The runs take os.cpu_count() pytest processes at a time.  An
+entry may instead hold `equivalent`, the reason its replacement cannot
 change any result; its tests are then the ones it survives, and the runner
-only checks its snippet.  It prints one line per entry:
+only checks its snippet.  It prints one line per entry, in catalog order:
 
     killed      every named test passes on the copy and fails on the mutant
     survived    a named test passes on the mutant
@@ -31,7 +34,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "README.md", "pyproject.toml")
@@ -57,24 +62,35 @@ def _pytest(tree: Path, tests: list[str]) -> tuple[int, set[str]]:
     return proc.returncode, set(FAILED.findall(proc.stdout))
 
 
-def _run(entry: dict) -> tuple[str, str]:
-    """The verdict on one catalog entry, and why."""
+def _run(tests: list[str], entry: Optional[dict] = None) -> tuple[int, set[str]]:
+    """`_pytest` of `tests` on a fresh copy, with `entry`'s replacement applied if given."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _copy(tree)
-        target = tree / entry["file"]
-        text = target.read_text()
-        found = text.count(entry["snippet"])
-        if found != 1:
-            return "stale", f"the snippet occurs {found} times in {entry['file']}"
-        if "equivalent" in entry:
-            return "equivalent", entry["equivalent"]
-        code, failed = _pytest(tree, entry["tests"])
-        if code != 0:
-            return "stale", (f"unmutated, pytest exits {code}; failed: "
-                             + (", ".join(sorted(failed)) or "-"))
-        target.write_text(text.replace(entry["snippet"], entry["replacement"]))
-        code, failed = _pytest(tree, entry["tests"])
+        if entry is not None:
+            target = tree / entry["file"]
+            target.write_text(target.read_text().replace(entry["snippet"], entry["replacement"]))
+        return _pytest(tree, tests)
+
+
+def _snippet(entry: dict) -> Optional[tuple[str, str]]:
+    """The verdict that the snippet alone gives, if any, and why."""
+    found = (ROOT / entry["file"]).read_text().count(entry["snippet"])
+    if found != 1:
+        return "stale", f"the snippet occurs {found} times in {entry['file']}"
+    if "equivalent" in entry:
+        return "equivalent", entry["equivalent"]
+    return None
+
+
+def _verdict(entry: dict, clean: tuple[int, set[str]], mutant: tuple[int, set[str]]
+             ) -> tuple[str, str]:
+    """The verdict on one entry from its tests' runs unmutated and mutated."""
+    code, failed = clean
+    if code != 0:
+        return "stale", (f"unmutated, pytest exits {code}; failed: "
+                         + (", ".join(sorted(failed)) or "-"))
+    code, failed = mutant
     if code not in (0, 1):
         return "stale", f"on the mutant, pytest exits {code}"
     passed = [t for t in entry["tests"] if t not in failed]
@@ -93,11 +109,21 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
     entries = [e for e in catalog if not args.ids or e["id"] in args.ids]
+    early = {e["id"]: _snippet(e) for e in entries}
+    tested = [e for e in entries if early[e["id"]] is None]
     verdicts = []
-    for entry in entries:
-        verdict, why = _run(entry)
-        verdicts.append(verdict)
-        print(f"{verdict:10} {entry['id']}: {why}", flush=True)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        union = pool.submit(_run, sorted({t for e in tested for t in e["tests"]}))
+        mutants = {e["id"]: pool.submit(_run, e["tests"], e) for e in tested}
+        clean = {e["id"]: union for e in tested}
+        if tested and union.result()[0] != 0:
+            clean = {e["id"]: pool.submit(_run, e["tests"]) for e in tested}
+        for entry in entries:
+            key = entry["id"]
+            verdict, why = early[key] or _verdict(entry, clean[key].result(),
+                                                  mutants[key].result())
+            verdicts.append(verdict)
+            print(f"{verdict:10} {key}: {why}", flush=True)
     print(f"{len(entries)} mutants: " + ", ".join(
         f"{verdicts.count(v)} {v}" for v in ("killed", "equivalent", "survived", "stale")))
     return 0 if verdicts.count("survived") + verdicts.count("stale") == 0 else 1

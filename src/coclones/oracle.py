@@ -42,26 +42,25 @@ vectorises, so only it imports numpy, with `arrays`:
   soft terms and of each Ones group's low variables, read from the top
   plane down within the candidates, plus the weight of the high ones; one
   summand alone, as of every unweighted Max-Ones and Min-Ones instance, is
-  read from its cached planes with no copy.  A term's own planes are
-  cached under its args, n and scaled table (`_term_planes`), and a
-  group's under (m, n, w) (`_ones_planes`, built from the variables'
-  literals), so the Max-Cut edges and f_neq terms that the certify corpora
-  repeat, and the unit weights of every U-Max-Ones and Min-Ones solve of n
-  variables, are built once; the cache starts over before it passes
-  `_PLANE_BYTES` = 1 MB.  On a 2-vCPU VM the counter takes 9-14 us a solve
-  with that cache and 13-22 us without it, where scoring all 2^n masks in
-  numpy took 31-33 us, on the 912 solves of 2-5 variables of the
-  Max-Cut/f_neq certify corpora; on random instances of 11-14 variables
-  with 2n binary and ternary terms it takes 0.12-0.81 ms, where the grid
-  or elimination took 0.38-1.03 ms.  It still wins at 15 and 16 variables
-  and is no faster than elimination from 17 on.  The cut is where one
-  table over all the variables stopped paying on the certify targets of
-  the 8-ary weak bases.  Warm, the satisfiable 17- and 20-variable certify
-  targets take 49-122 us, and random U-Max-Ones instances of 24 variables
-  3.1 ms with no terms, 4.5 ms with 2n OR3 terms and 1.4 ms with 3n NAND2
-  terms (`BENCH_41.json`).  The variable planes the tables are built on
-  are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits: 59 KB
-  at 14 variables and 111 KB for every n up to 14.
+  read from its cached planes with no copy.  Plane p of a soft term is the
+  table of its level relation, the relation over its arguments that holds
+  on the codes whose value has bit p (`_levels`), walked on the arguments'
+  literals like a hard constraint's (`_term`): one `&`/`|` per diagram node
+  per plane, so a k-ary term costs its diagrams' nodes, not 2^k sets of
+  assignments.  Plane p of a Ones group is the sum of its variables'
+  literals where the weight has bit p (`_ones_planes`).  A term's planes
+  are cached under its args, n and scaled table (`_term_planes`), and a
+  group's under (m, n, w), so the Max-Cut edges and f_neq terms that the
+  certify corpora repeat, and the unit weights of every U-Max-Ones and
+  Min-Ones solve of n variables, are built once; the cache starts over
+  before it passes `_PLANE_BYTES` = 1 MB.  The cut is where one table
+  over all the variables stopped paying on the certify targets of the
+  8-ary weak bases (`BENCH_41.json`, `certify_targets` and
+  `hard_solve_matrix`).  What the counter costs against the grid and
+  elimination is in `BENCH_23.json` (`tiny_soft_solves`,
+  `random_soft_11_to_17_variables`), and what wide terms cost in
+  `BENCH_49.json` (`wide_terms`).  The variable planes the tables are built
+  on are cached per n (`truthtables.planes`), 2n + 1 ints of 2^n bits.
 - Soft kinds past the cut are solved by bucket elimination (`_eliminate`;
   Bertele & Brioschi, *Nonserial Dynamic Programming*, 1972) on the same
   bit-sliced counters, one plane an int of 2^a bits over the a variables
@@ -114,6 +113,7 @@ from .instances import (
     KIND_VCSP,
     KIND_WMO,
     MAXIMIZING_KINDS,
+    MAX_COST_ARITY,
     Instance,
     InstanceError,
     OracleError,
@@ -121,7 +121,7 @@ from .instances import (
     Threshold,
     default_resolver,
 )
-from .relations import Record, _setfield
+from .relations import Record, Relation, _setfield
 
 MAX_SOLVE_VARS = 24
 _CHUNK_BITS = 20
@@ -487,53 +487,68 @@ def _keep(key, planes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """`_slices` of the term `table` on `args` over n variables, cached
-    under (args, n, table)."""
+    """`_term` of the term `table` on `args` over n variables, cached under
+    (args, n, table) unless the table has more than `_KEPT_CODES` codes, so
+    a wide table leaves no planes behind, as it leaves no level relations."""
     key = (args, n, table)
     got = _plane_cache.get(key)
     if got is not None:
         return got
-    literals = tt.planes(n)[1]
-    return _keep(key, tuple(_slices([literals[v] for v in args], table)))
+    full, literals = tt.planes(n)
+    planes = tuple(_term(table, [literals[v] for v in args], full))
+    return planes if len(table) > _KEPT_CODES else _keep(key, planes)
 
 
-def _slices(literals, table) -> list[int]:
-    """The bit-sliced planes of the term `table` whose arguments have the
-    literals (~X, X) `literals`, in order.
+def _term(table: tuple[int, ...], literals, full: int) -> list[int]:
+    """The bit-sliced planes within `full` of the term `table` whose
+    arguments have the literals (~X, X) `literals`, in order.
 
-    The assignments on which the arguments read code c are S_c, the AND of
-    one literal per argument; those of one term are disjoint, so plane p is
-    the OR of the S_c whose value has bit p set.
+    Plane p is the table of the term's p-th level relation (`_levels`),
+    walked on those literals like any constraint's (`Relation.evaluate`):
+    one `&`/`|` per diagram node.  The level relations of a table of more
+    than `_KEPT_CODES` codes are built for the call and dropped with it.
     """
-    codes = literals[0]  # codes[c] = S_c over the arguments so far
-    for literal in literals[1:]:
-        # the new argument's literal is the code's next bit
-        codes = [s & x for x in literal for s in codes]
-    term = [0] * max(table).bit_length()
-    for s, value in zip(codes, table):
-        while value:
-            bit = value & -value
-            term[bit.bit_length() - 1] |= s
-            value ^= bit
-    return term
+    levels = (_levels.__wrapped__ if len(table) > _KEPT_CODES else _levels)(table)
+    return [level.evaluate(literals, full) for level in levels]
+
+
+# `_levels` keeps the level relations of the tables of at most this many
+# codes, every cost function's and every relation's of arity up to
+# MAX_COST_ARITY; a wider table, a Max-CSP relation's, keeps none, since its
+# relations may hold 2^k tuples
+_KEPT_CODES = 1 << MAX_COST_ARITY
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _levels(table: tuple[int, ...]) -> tuple[Relation, ...]:
+    """Per plane p of a term's table over 2^k codes (argument j in bit j),
+    its level relation: the k-ary relation that holds on the codes whose
+    value has bit p.  Planes that select the same codes, as every nonzero
+    plane of a weighted 0/1 table does, share one relation."""
+    k = len(table).bit_length() - 1
+    sels = [bytes([v >> p & 1 for v in table]) for p in range(max(table).bit_length())]
+    made = {sel: Relation(k, tuple(itertools.compress(range(1 << k), sel))) for sel in set(sels)}
+    return tuple(map(made.__getitem__, sels))
 
 
 def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
     """The bit-sliced planes over n variables of w times the ones an
     assignment sets in m, cached under (m, n, w).
 
-    They are the sum of the unary terms (0, w) on the variables of m, each
-    term's planes sliced from its literal (`_slices`) and not cached.
+    They are the sum over the variables of m of the unary terms (0, w),
+    whose plane p is the variable's literal X_v where w has bit p and
+    empty elsewhere.
     """
     key = (m, n, w)
     got = _plane_cache.get(key)
     if got is not None:
         return got
     literals = tt.planes(n)[1]
+    bits = [w >> p & 1 for p in range(w.bit_length())]
     counter: tuple[int, ...] | list[int] = ()
-    for i in range(n):
-        if m >> i & 1:
-            counter = _add(counter, _slices([literals[i]], (0, w)))
+    for v in range(n):
+        if m >> v & 1:
+            counter = _add(counter, [literals[v][1] if b else 0 for b in bits])
     return _keep(key, tuple(counter))
 
 
@@ -693,16 +708,18 @@ _PAIR = (
 )
 
 
-def _code_sets(table) -> list[int]:
+@functools.lru_cache(maxsize=1 << 10)
+def _code_sets(table: tuple[int, ...]) -> tuple[int, ...]:
     """Per plane of a term's table, the set of codes (bit c for code c) whose
-    value has the plane's bit."""
+    value has the plane's bit, the level relation's `bits`; kept like
+    `_levels`."""
     sets = [0] * max(table).bit_length()
     for c, value in enumerate(table):
         while value:
             bit = value & -value
             sets[bit.bit_length() - 1] |= 1 << c
             value ^= bit
-    return sets
+    return tuple(sets)
 
 
 def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[int],
@@ -715,8 +732,9 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
     active[i]) is a counter of objective planes, ints of 2^a bits as in
     `_truth`.  Step k, that of variable order[k] (`_schedule`), adds the
     terms of step k (`by_top`): each argument not yet in the table enters
-    it at the top bit, doubling every plane, and the term, sliced over its
-    arguments' state bits, is ripple-added (`_add`).  Then every variable
+    it at the top bit, doubling every plane, and the term's planes over the
+    states, by `_PAIR` for two or three arguments and by `_term` for one or
+    more than three, are ripple-added (`_add`).  Then every variable
     that no later term holds (`last`) is forgotten: one delta swap moves
     its state bit to the top, each plane splits into the half that clears
     it and the half that sets it, and a compare from the top plane down
@@ -748,7 +766,6 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
     gone = [False] * (n + 1)
     lowest = 0  # the least variable index not yet forgotten
     forgets = []  # (u, the variables left in the table, choice, better, tied)
-    code_sets: dict = {}  # a term's table -> `_code_sets`
     wide: dict = {}  # `_planes` past _TRUTH_VARS
     for k, v in enumerate(order):
         for args, table in by_top.get(k, ()):
@@ -763,10 +780,7 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
             if 2 <= len(args) <= 3:
                 # each plane a function of the first two arguments, or of
                 # those two on each side of the third, by `_PAIR`
-                key = tuple(table)
-                sets = code_sets.get(key)
-                if sets is None:
-                    sets = code_sets[key] = _code_sets(key)
+                sets = _code_sets(tuple(table))
                 full, literals = _planes(a, wide)
                 a0, a1 = literals[place[args[0]]]
                 b0, b1 = literals[place[args[1]]]
@@ -782,8 +796,8 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
                         term.append(x)
                 planes = _add(planes, term)
             else:
-                literals = _planes(a, wide)[1]
-                planes = _add(planes, _slices([literals[place[u]] for u in args], table))
+                full, literals = _planes(a, wide)
+                planes = _add(planes, _term(tuple(table), [literals[place[u]] for u in args], full))
         if last[v] == k and v not in active:
             forgets.append((v, (), 0, 0, 1))
             gone[v] = True

@@ -264,7 +264,7 @@ class CloneId(Record):
 
     @property
     def co(self) -> "CoCloneId":
-        return CoCloneId(self.family, self.index)
+        return _co_id(self.family, self.index)
 
     def display(self) -> str:
         if not self.is_chain:
@@ -294,7 +294,7 @@ class CoCloneId(Record):
 
     @property
     def clone(self) -> CloneId:
-        return CloneId(self.family, self.index)
+        return _clone_id(self.family, self.index)
 
     def display(self) -> str:
         return "I" + self.clone.display()
@@ -354,17 +354,23 @@ def _base(clone: CloneId) -> tuple[tuple[BooleanOperation, ...], Optional[tuple[
     return row.base, ("dualh" if row.side == 0 else "h", clone.index)
 
 
-# One catalog per probe, so every caller gets the same ids and the lattice
-# order's cache (`_leq_cache`) finds them by identity.  `co_clone_of` probes
-# at most MAX_RELATION_ARITY + 1 = 25 indices, so the 32 entries evict none
-# of its catalogs.
+# One id per (family, index) for `catalog`, `CloneId.co` and
+# `CoCloneId.clone`, so the lattice order's cache (`_leq_cache`) and every
+# comparison of the ids they hand out stop at an identity check.  The catalog
+# of the widest probe, 25, holds 30 + 8 * 25 = 230 ids, within the bound.
+_clone_id = functools.lru_cache(maxsize=1 << 9)(CloneId)
+_co_id = functools.lru_cache(maxsize=1 << 9)(CoCloneId)
+
+
+# One catalog per probe.  `co_clone_of` probes at most MAX_RELATION_ARITY +
+# 1 = 25 indices, so the 32 entries evict none of its catalogs.
 @functools.lru_cache(maxsize=1 << 5)
 def catalog(max_chain_index: int = 3) -> tuple[CloneId, ...]:
-    out = [CloneId(f) for f in NON_CHAIN_FAMILIES]
+    out = [_clone_id(f, None) for f in NON_CHAIN_FAMILIES]
     for fam in CHAIN_FAMILIES:
-        out.append(CloneId(fam, None))
+        out.append(_clone_id(fam, None))
         for n in range(2, max_chain_index + 1):
-            out.append(CloneId(fam, n))
+            out.append(_clone_id(fam, n))
     return tuple(out)
 
 
@@ -413,7 +419,7 @@ _pres_cache: dict[tuple, bool] = {}
 
 
 def _op_preserves_rel(op: BooleanOperation, rel: Relation) -> bool:
-    key = ("op", op.arity, op.table, rel.arity, rel.tuples)
+    key = (op.arity, op.table, rel.arity, rel.tuples)
     hit = _pres_cache.get(key)
     if hit is None:
         hit = preserves(op, rel)
@@ -471,12 +477,12 @@ _leq_cache: dict[tuple[CloneId, CloneId], bool] = {}
 
 def clone_leq(c1: CloneId, c2: CloneId) -> bool:
     """Clone containment c1 <= c2: every base operation of c1 lies in c2."""
+    if c1 is c2:
+        return True
     key = (c1, c2)
     hit = _leq_cache.get(key)
     if hit is not None:
         return hit
-    if c1 == c2:
-        return True
     fixed, h = _base(c1)
     result = (all(op_in_clone(op, c2) for op in fixed)
               and (h is None or _h_in_clone(*h, c2)))

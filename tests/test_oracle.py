@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from coclones import truthtables as tt
 from coclones.instances import (
     ALL_KINDS,
     Constraint,
+    CostFunction,
     Instance,
     KIND_MAXCSP,
     KIND_MAXCUT,
@@ -889,6 +891,79 @@ def test_plane_cache_stays_within_its_byte_bound(monkeypatch):
         assert 1 <= len(oracle._plane_cache) < 90
         assert oracle._plane_bytes == sum(
             map(sys.getsizeof, itertools.chain(*oracle._plane_cache.values()))) <= 4096
+
+
+@st.composite
+def wide_terms(draw):
+    """(resolver, instance, want_all): Max-CSP over relations of arity 4-12
+    or VCSP over cost functions of arity 4-8, on 4-17 variables, so both
+    sides of the cut.  Each of the 1-3 wide terms is drawn from a seed at a
+    density and registered in a fresh resolver under a name of its own; its
+    args repeat where its arity passes n and in one draw of four anyway.  One
+    draw in two adds a binary term, which elimination builds by `_PAIR`."""
+    kind = draw(st.sampled_from((KIND_MAXCSP, KIND_VCSP)))
+    n = draw(st.one_of(st.integers(4, TRUTH), st.integers(TRUTH + 1, TRUTH + 3)))
+    resolver = Resolver()
+    cons = []
+    for i in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(4, 12 if kind == KIND_MAXCSP else 8))
+        rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        density = draw(st.sampled_from((0.02, 0.5, 0.98)))
+        if kind == KIND_MAXCSP:
+            resolver.register_relation(Relation(
+                k, tuple(m for m in range(1 << k) if rnd.random() < density), f"W{i}"))
+        else:
+            resolver.register_costfn(CostFunction(k, tuple(
+                Fraction(rnd.randint(1, 6), rnd.randint(1, 3)) if rnd.random() < density
+                else Fraction(0) for _ in range(1 << k)), f"W{i}"))
+        if k <= n and draw(st.integers(0, 3)):
+            args = tuple(draw(st.permutations(range(n)))[:k])
+        else:
+            args = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+        cons.append(Constraint(f"W{i}", args, draw(st.one_of(st.none(), SOFT_WEIGHTS))))
+    if draw(st.booleans()):
+        cons.append(Constraint("neq" if kind == KIND_MAXCSP else "f_neq", (0, n - 1)))
+    return resolver, Instance(kind, n, tuple(cons)), draw(st.booleans())
+
+
+def wide_example(kind, n, cons, want_all):
+    return default_resolver(), Instance(kind, n, tuple(Constraint(*c) for c in cons)), want_all
+
+
+@pytest.mark.deep
+@settings(max_examples=examples(100), deadline=None)
+@given(wide_terms())
+@example(wide_example(KIND_MAXCSP, TRUTH, [("OR12", tuple(range(12)))], True))
+@example(wide_example(KIND_MAXCSP, TRUTH + 1, [("OR12", tuple(range(3, 15)))], True))
+@example(wide_example(KIND_MAXCSP, TRUTH + 2, [("ODD12", tuple(range(4, 16)), Fraction(2 ** 31 - 1)),
+                                               ("EVEN8", (0, 1, 2, 3, 4, 4, 5, 5))], False))
+@example(wide_example(KIND_VCSP, TRUTH + 1, [
+    ("cost4_0_1_2_3_4_5_6_7_8_9_10_11_12_13_14_15", (0, 14, 0, 7), Fraction(3 * 2 ** 40)),
+    ("fnot_R_II2", tuple(range(7, 15)), Fraction(5, 3))], True))
+def test_wide_terms_match_bruteforce(case):
+    # every plane of a wide term is its level relation walked on the
+    # arguments' literals, on the truth route and in elimination
+    resolver, inst, want_all = case
+    assert (solve(inst, resolver, want_all=want_all)
+            == solve_bruteforce(inst, resolver, want_all=want_all))
+
+
+@pytest.mark.parametrize("k,bound_mb", [(14, 8), (16, 16)])
+def test_a_wide_max_csp_term_stays_within_a_memory_bound(k, bound_mb):
+    # OR over all k variables: its one plane walks the k nodes of the
+    # relation's diagram, so the solve holds a few 2^k-bit tables and the
+    # level relation, far below the 2^(2k) / 8 bytes of a set per code
+    resolver = Resolver()
+    resolver.register_relation(Relation(k, tuple(range(1, 1 << k)), "WIDEOR"))
+    inst = Instance(KIND_MAXCSP, k, (Constraint("WIDEOR", tuple(range(k))),))
+    tracemalloc.start()
+    try:
+        got = solve(inst, resolver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == SolveResult(KIND_MAXCSP, True, Fraction(1), 1)
+    assert peak <= bound_mb << 20
 
 
 @pytest.mark.parametrize("inst", [

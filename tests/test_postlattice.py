@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from coclones import instances
+from coclones.cli import run_selftest
 from coclones.postlattice import (
     CATALOG,
     CHAIN_FAMILIES,
@@ -151,6 +153,30 @@ def test_order_is_partial_order_over_catalog():
     for a, b, c in triples:
         if clone_leq(a, b) and clone_leq(b, c):
             assert clone_leq(a, c)
+
+
+def test_catalog_co_and_clone_share_one_id_per_family_and_index():
+    small, wide = catalog(3), catalog(25)
+    assert all(a is b for a, b in zip(small, (c for c in wide if c.index is None or c.index <= 3)))
+    for c in wide:
+        assert c.co is c.co and c.co.clone is c
+        # an equal id built apart skips the identity check and still reads c <= c
+        assert clone_leq(c, CloneId(c.family, c.index))
+
+
+def test_selftest_compares_clone_ids_by_identity(monkeypatch):
+    # the ids that catalog, CloneId.co and CoCloneId.clone hand out are
+    # shared, so the order's cache lookups stop at identity: the selftest
+    # compares a few dozen ids field by field, not thousands
+    calls = []
+    for cls in (CloneId, CoCloneId):
+        def counted(self, other, _eq=cls.__eq__):
+            calls.append(self)
+            return _eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    assert run_selftest(trials=12, seed=0, out=io.StringIO()) == 0
+    assert len(calls) <= 300
 
 
 def clone_leq_by_representative(c1: CloneId, c2: CloneId) -> bool:
