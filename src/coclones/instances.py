@@ -31,6 +31,7 @@ from .relations import (
     Relation,
     RelationError,
     _setfield,
+    _slot_setters,
     number,
     numeral,
     rel_eq,
@@ -86,9 +87,13 @@ class Constraint(Record):
     __slots__ = _fields = ("ref", "args", "weight")
 
     def __init__(self, ref: str, args: tuple[int, ...], weight: Optional[Fraction] = None) -> None:
-        _setfield(self, "ref", ref)
-        _setfield(self, "args", args)
-        _setfield(self, "weight", weight)
+        set_ref, set_args, set_weight = _CONSTRAINT_SETTERS
+        set_ref(self, ref)
+        set_args(self, args)
+        set_weight(self, weight)
+
+
+_CONSTRAINT_SETTERS = _slot_setters(Constraint)
 
 
 class Threshold(Record):
@@ -103,6 +108,8 @@ class Threshold(Record):
 
 _ONE = Fraction(1)
 _ARGS, _WEIGHT = attrgetter("args"), attrgetter("weight")
+# the variables of an instance of n variables, for each n in range
+_VARIABLES = tuple(frozenset(range(n)) for n in range(MAX_RELATION_ARITY + 1))
 
 
 def _negative(w) -> bool:
@@ -124,10 +131,10 @@ class Instance(Record):
             raise InstanceError(f"unknown problem kind {kind!r}")
         if not 0 <= n <= MAX_RELATION_ARITY:
             raise InstanceError(f"variable count {n} out of range 0..{MAX_RELATION_ARITY}")
-        # every argument and weight at once, and the constraints one by one
-        # only to name the first fault
-        used = set(chain.from_iterable(map(_ARGS, cons)))
-        if (used and (min(used) < 0 or max(used) >= n)
+        # every argument and weight at once, each argument one lookup in the
+        # set of the n variables, and the constraints one by one only to
+        # name the first fault
+        if (not _VARIABLES[n].issuperset(chain.from_iterable(map(_ARGS, cons)))
                 or any(map(_negative, filter(None, map(_WEIGHT, cons))))):
             for c in cons:
                 args, w = c.args, c.weight
@@ -148,12 +155,14 @@ class Instance(Record):
                 raise InstanceError("projection lists no variables")
             if any(not 0 <= v < n for v in projection):
                 raise InstanceError("projection uses an out-of-range variable")
-        _setfield(self, "kind", kind)
-        _setfield(self, "num_vars", num_vars)
-        _setfield(self, "constraints", constraints)
-        _setfield(self, "var_weights", var_weights)
-        _setfield(self, "threshold", threshold)
-        _setfield(self, "projection", projection)
+        (set_kind, set_num_vars, set_constraints, set_var_weights, set_threshold,
+         set_projection) = _INSTANCE_SETTERS
+        set_kind(self, kind)
+        set_num_vars(self, num_vars)
+        set_constraints(self, constraints)
+        set_var_weights(self, var_weights)
+        set_threshold(self, threshold)
+        set_projection(self, projection)
 
     @property
     def num_constraints(self) -> int:
@@ -178,6 +187,9 @@ class Instance(Record):
             _setfield(out, field, old)
         _setfield(out, "threshold", Threshold(direction, Fraction(value)))
         return out
+
+
+_INSTANCE_SETTERS = _slot_setters(Instance)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +475,8 @@ class Resolver:
         out = []
         for c in constraints:
             ref = c.ref
-            if ref in known:
-                applied = known[ref]
-            else:
+            applied = known.get(ref)
+            if applied is None:
                 applied = self.costfn(ref) if vcsp else self.relation(ref)
             if len(c.args) != applied.arity:
                 raise InstanceError(f"constraint {ref} expects {applied.arity} arguments, "

@@ -99,6 +99,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -121,7 +122,7 @@ from .instances import (
     Threshold,
     default_resolver,
 )
-from .relations import Record, Relation, _setfield
+from .relations import Record, Relation, _slot_setters, whole
 
 MAX_SOLVE_VARS = 24
 _CHUNK_BITS = 20
@@ -143,20 +144,20 @@ class SolveResult(Record):
 
     def __init__(self, kind: str, satisfiable: bool, optimum: Optional[Fraction],
                  witness: Optional[int], optimal_set: Optional[tuple[int, ...]] = None) -> None:
-        _setfield(self, "kind", kind)
-        _setfield(self, "satisfiable", satisfiable)
-        _setfield(self, "optimum", optimum)  # None for SAT or unsatisfiable instances
-        _setfield(self, "witness", witness)  # lexicographically least optimal assignment mask
-        _setfield(self, "optimal_set", optimal_set)
+        set_kind, set_satisfiable, set_optimum, set_witness, set_optimal_set = _RESULT_SETTERS
+        set_kind(self, kind)
+        set_satisfiable(self, satisfiable)
+        set_optimum(self, optimum)  # None for SAT or unsatisfiable instances
+        set_witness(self, witness)  # lexicographically least optimal assignment mask
+        set_optimal_set(self, optimal_set)
 
 
-# Solves meet the same args tuples again and again.  The five blocks of a
-# certify-hard run (seed 1) make 339 hits and 421 misses, and the six of a
-# mixed run 158-187 hits and 801-821 misses (seeds 1-3), so neither run
-# evicts.  One process that runs `certify all`, both family reports and
-# `selftest` makes 2,129 hits and 9,126 misses, and there the cache evicts
-# at its cap (`BENCH_48.json`, `caches`), which holds at most ~0.7 MB (~360
-# bytes an entry).
+_RESULT_SETTERS = _slot_setters(SolveResult)
+
+
+# Solves meet the same args tuples again and again.  Neither benchmark run
+# fills the cache; one process that runs `certify all`, both family reports
+# and `selftest` evicts at its cap (`BENCH_50.json`, `caches`).
 @functools.lru_cache(maxsize=1 << 11)
 def _identification(args: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(the distinct args in order of first occurrence, the minor pattern of args)."""
@@ -174,8 +175,9 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     """(hard terms, (scale, soft terms, Ones groups, objective bound)), all integer.
 
     One pass over the constraints resolves each once (`Resolver.resolve_all`)
-    and checks the variable cap.  A hard term is (args, relation), one per
-    constraint of a hard kind, on its raw args.  A soft term is (args,
+    and checks the variable cap.  The hard terms are (args, relation)
+    pairs, one per constraint of a hard kind, on its raw args, zipped for
+    one pass rather than listed as tuples.  A soft term is (args,
     table), one per constraint of the soft kinds: the table is a sequence of
     Python ints indexed by the code of `args` (argument j in bit j), which
     the grid turns into arrays itself.  A Ones group
@@ -203,7 +205,7 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
     if n > cap:
         raise OracleError(f"instance has {n} variables, oracle cap is {cap}")
     if kind in _HARD_KINDS:
-        hard = [(c.args, rel) for c, rel in zip(constraints, applied)]
+        hard = zip(map(_ARGS, constraints), applied)
         if kind == KIND_SAT:
             return hard, _NO_OBJECTIVE
         if inst.var_weights is None:
@@ -217,33 +219,40 @@ def _terms(inst: Instance, resolver: Resolver, want_all: bool):
         ones = [(num * (scale // den), mask) for (num, den), mask in weights.items()]
         return hard, (scale, [], ones, _bounded(sum(w * m.bit_count() for w, m in ones)))
 
-    forms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
+    if kind == KIND_VCSP:
+        forms = [fn.scaled for fn in applied]
+    elif kind == KIND_MAXCSP:
+        forms = [(1 if fn.tuples else 0, 1, fn.hits) for fn in applied]
+    else:  # Max-Cut: an edge counts when its ends differ
+        forms = [_EDGE] * len(applied)
+    terms = []  # (args, wn, d, nums): the term's values are wn * nums[i] / d
     scale = 1
-    for c, fn in zip(constraints, applied):
-        if kind == KIND_VCSP:
-            g, den, nums = fn.scaled
-        elif kind == KIND_MAXCSP:
-            g, den, nums = (1 if fn.tuples else 0), 1, fn.hits
-        else:  # Max-Cut: an edge counts when its ends differ
-            g, den, nums = 1, 1, _EDGE
-        wn, wd = (1, 1) if c.weight is None else (c.weight.numerator, c.weight.denominator)
-        d = wd * den
+    for c, (g, den, nums) in zip(constraints, forms):
+        w = c.weight
+        if w is None:
+            wn, d = 1, den
+        else:
+            wn, d = w.numerator, w.denominator * den
         if d != 1:
             scale = math.lcm(scale, d // math.gcd(d, wn * g))
-        forms.append((c.args, wn, d, nums))
+        terms.append((c.args, wn, d, nums))
     ints = []
-    for args, wn, d, nums in forms:
+    bound = 0
+    for args, wn, d, nums in terms:
         f = wn * scale  # the term's value i times scale is f * nums[i] / d, an int
         if d != 1:
             table = [f * x // d for x in nums]
         else:
             table = nums if f == 1 else [f * x for x in nums]
         ints.append((args, table))
-    return [], (scale, ints, [], _bounded(sum(max(table) for _, table in ints)))
+        bound += max(table)
+    return [], (scale, ints, [], _bounded(bound))
 
 
-# Max-Cut's table over the code of an edge's two ends: 1 where they differ
-_EDGE = (0, 1, 1, 0)
+_ARGS = operator.attrgetter("args")
+# the integer form of Max-Cut's table over the code of an edge's two ends:
+# 1 where they differ
+_EDGE = (1, 1, (0, 1, 1, 0))
 # the objective of SAT: none at all
 _NO_OBJECTIVE = (1, (), (), 0)
 
@@ -289,19 +298,13 @@ def solve(inst: Instance, resolver: Optional[Resolver] = None,
     return arrays.enumerate_masks(inst, tables, jobs)
 
 
-# A relation holds at most this many tables (Relation.table_cache).  The six
-# blocks of one mixed benchmark run (seed 1) look up tables under 946
-# distinct (relation, args, n) keys, at most 285 of them on one relation
-# (R_IL0), and twelve blocks under 1,634, at most 458 on one relation, since
-# the sampled weak-base corpora keep adding argument tuples.  The hard kinds
-# past the cut fill the same cache under (args, _TRUTH_VARS) for the terms
-# below it and under (args, _TRUTH_VARS, fixed) for the restricted tables of
-# the terms past it: the five blocks of a certify-hard run (seed 1) leave 510
-# keys, at most 150 on one relation (R_ID2).  A default certify of every
-# registry entry (all, umo_qpp_family and wmo_qwpp_family in one process)
-# meets the most: 10,254 keys, 2,352 of them on R_II2 and 1,586 on R_IL0,
-# 1.9 MB of tables in all.  So the bound, over 1.7 times that largest count,
-# evicts nothing in any of these runs.  A table over n <= _TRUTH_VARS
+# A relation holds at most this many tables (Relation.table_cache), keyed by
+# (args, n), and past the cut by (args, _TRUTH_VARS, fixed) for the
+# restricted tables of the later terms.  The sampled weak-base corpora keep
+# adding argument tuples, so the keys on one relation grow with a run; a
+# default certify of every registry entry and `selftest` in one process
+# meets the most, and the bound still evicts nothing there or in either
+# benchmark run (`BENCH_50.json`, `caches`).  A table over n <= _TRUTH_VARS
 # variables takes at most 2 KB, so a full relation holds at most 8 MB.
 _TABLES_PER_RELATION = 1 << 12
 
@@ -330,20 +333,25 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
     """Solve an instance on truth tables over its first cut = min(n,
     `_TRUTH_VARS`) variables.
 
-    A key (h, t) holds an assignment h of the variables past the cut
+    The table t ANDs the terms below the cut, stopping at 0: in constraint
+    order, or in top-variable order when n > cut.  An empty t is
+    unsatisfiable.  Plane p of a bit-sliced counter is the table of the low
+    assignments whose objective has bit p set: the soft terms' planes
+    (`_term_planes`) and those of each Ones group's low variables
+    (`_ones_planes`), summed by a ripple-carry adder (`_add`).  Up to the
+    cut the optimum within t (`_optimum`), its lowest candidate and its
+    candidates are the answer.
+
+    Past the cut, a key (h, t) holds an assignment h of the later variables
     (variable cut + i in bit i of h) and the table t of the low assignments
-    that, with h, satisfy every term whose top variable is assigned so far.
-    The first key, h = 0, ANDs the terms below the cut, stopping at 0: in
-    constraint order, or in top-variable order when n > cut.  Each later
-    variable doubles the keys, the half that sets it after the other, so
-    the keys stay ascending in h, and `_restrict` ANDs in its terms.  Plane
-    p of a bit-sliced counter is the table of the low assignments whose
-    objective has bit p set: the soft terms' planes (`_term_planes`) and
-    those of each Ones group's low variables (`_ones_planes`), summed by a
-    ripple-carry adder (`_add`).  A key's value is the optimum within t
-    (`_optimum`) plus the weight of its high ones.  The witness is the
-    lowest candidate of the first key that reaches the optimum, and the
-    optimal set lists those keys' candidates in key order (`_masks`).
+    that, with h, satisfy every term whose top variable is assigned so far;
+    the first key is h = 0 with the table above.  Each later variable
+    doubles the keys, the half that sets it after the other, so the keys
+    stay ascending in h, and `_restrict` ANDs in its terms; no key left is
+    unsatisfiable.  A key's value is the optimum within t plus the weight
+    of its high ones.  The witness is the lowest candidate of the first key
+    that reaches the optimum, and the optimal set lists those keys'
+    candidates in key order (`_masks`).
     """
     cut = n if n <= _TRUTH_VARS else _TRUTH_VARS
     below, by_top = raw, {}  # the terms below the cut; the rest by top variable
@@ -358,23 +366,29 @@ def _truth(kind: str, n: int, raw, tables, want_all: bool) -> SolveResult:
         t &= _table(rel, args, cut) if table is None else table
         if not t:
             break
-    keys = [(0, t)] if t else []
-    for v in range(cut, n):
-        if not keys:
-            break
-        keys += [(h | 1 << (v - cut), t) for h, t in keys]
-        if v in by_top:
-            keys = _restrict(keys, by_top[v])
-    if not keys:
+    if n > cut and t:
+        keys = [(0, t)]
+        for v in range(cut, n):
+            keys += [(h | 1 << (v - cut), t) for h, t in keys]
+            if v in by_top:
+                keys = _restrict(keys, by_top[v])
+                if not keys:
+                    t = 0  # no assignment of the later variables is left
+                    break
+    if not t:
         return SolveResult(kind, False, None, None, () if want_all else None)
     scale, soft, ones, _ = tables
     counter: tuple[int, ...] | list[int] = ()
     for args, table in soft:
-        counter = _add(counter, _term_planes(args, tuple(table), cut))
+        counter = _add(counter, _term_planes(args, table, cut))
     low = (1 << cut) - 1
     for w, m in ones:
         counter = _add(counter, _ones_planes(cut, w, m & low))
     maximize = kind in MAXIMIZING_KINDS
+    if n == cut:  # the one table t, and no keys
+        best, t = _optimum(t, counter, maximize)
+        return SolveResult(kind, True, _fraction(kind, best, scale), (t & -t).bit_length() - 1,
+                           tuple(tt.masks(t, cut)) if want_all else None)
     found: list = []  # the keys that reach the best value so far
     for h, t in keys:
         value, t = _optimum(t, counter, maximize)
@@ -428,7 +442,7 @@ def _fraction(kind: str, best: int, scale: int) -> Optional[Fraction]:
     if kind == KIND_SAT:
         return None
     # an int alone skips Fraction's gcd
-    return Fraction(best) if scale == 1 else Fraction(best, scale)
+    return whole(best) if scale == 1 else Fraction(best, scale)
 
 
 def _restrict(keys: list, terms: list) -> list:
@@ -460,14 +474,11 @@ def _restrict(keys: list, terms: list) -> list:
 
 # The planes `_term_planes` and `_ones_planes` keep, bounded by what their
 # ints take (`sys.getsizeof`): a plane over n variables takes 2^n / 8 bytes,
-# 2 KB at 14, plus the int's header.  Six blocks of one mixed benchmark run
-# (seed 1) build 490 entries, 71 KB in all: 220 terms' planes and 270
-# groups', and twelve blocks 859 entries, 126 KB.  The hard kinds past the
-# cut add the groups (m & low, _TRUTH_VARS, w) of their low variables: the
-# five blocks of a certify-hard run (seed 1) build 3 entries, 9 KB
-# (`BENCH_48.json`, `caches`).  So the bound evicts nothing in a run; it
-# caps a long run of fractional weights at 14 variables, which spans dozens
-# of planes a term and rarely repeats.
+# 2 KB at 14, plus the int's header.  The hard kinds past the cut add the
+# groups (m & low, _TRUTH_VARS, w) of their low variables.  The bound evicts
+# nothing in a benchmark run (`BENCH_50.json`, `caches`); it caps a long run
+# of fractional weights at 14 variables, which spans dozens of planes a term
+# and rarely repeats.
 _PLANE_BYTES = 1 << 20
 _plane_cache: dict = {}
 _plane_bytes = 0
@@ -486,30 +497,38 @@ def _keep(key, planes: tuple[int, ...]) -> tuple[int, ...]:
     return planes
 
 
-def _term_planes(args: tuple[int, ...], table: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _term_planes(args: tuple[int, ...], table, n: int) -> tuple[int, ...]:
     """`_term` of the term `table` on `args` over n variables, cached under
     (args, n, table) unless the table has more than `_KEPT_CODES` codes, so
-    a wide table leaves no planes behind, as it leaves no level relations."""
-    key = (args, n, table)
-    got = _plane_cache.get(key)
-    if got is not None:
-        return got
+    a wide table is neither copied nor hashed, and leaves no planes behind,
+    as it leaves no level relations."""
+    wide = len(table) > _KEPT_CODES
+    if not wide:
+        key = (args, n, tuple(table))
+        got = _plane_cache.get(key)
+        if got is not None:
+            return got
     full, literals = tt.planes(n)
     planes = tuple(_term(table, [literals[v] for v in args], full))
-    return planes if len(table) > _KEPT_CODES else _keep(key, planes)
+    return planes if wide else _keep(key, planes)
 
 
-def _term(table: tuple[int, ...], literals, full: int) -> list[int]:
+def _term(table, literals, full: int) -> list[int]:
     """The bit-sliced planes within `full` of the term `table` whose
     arguments have the literals (~X, X) `literals`, in order.
 
     Plane p is the table of the term's p-th level relation (`_levels`),
     walked on those literals like any constraint's (`Relation.evaluate`):
-    one `&`/`|` per diagram node.  The level relations of a table of more
-    than `_KEPT_CODES` codes are built for the call and dropped with it.
+    one `&`/`|` per diagram node, and each distinct relation walked once.
+    The level relations of a table of more than `_KEPT_CODES` codes are
+    built for the call and dropped with it.
     """
-    levels = (_levels.__wrapped__ if len(table) > _KEPT_CODES else _levels)(table)
-    return [level.evaluate(literals, full) for level in levels]
+    if len(table) > _KEPT_CODES:
+        levels, index = _levels.__wrapped__(table)
+    else:
+        levels, index = _levels(tuple(table))
+    walked = [level.evaluate(literals, full) for level in levels]
+    return [walked[i] for i in index]
 
 
 # `_levels` keeps the level relations of the tables of at most this many
@@ -520,15 +539,31 @@ _KEPT_CODES = 1 << MAX_COST_ARITY
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _levels(table: tuple[int, ...]) -> tuple[Relation, ...]:
-    """Per plane p of a term's table over 2^k codes (argument j in bit j),
-    its level relation: the k-ary relation that holds on the codes whose
-    value has bit p.  Planes that select the same codes, as every nonzero
-    plane of a weighted 0/1 table does, share one relation."""
+def _levels(table: tuple[int, ...]) -> tuple[tuple[Relation, ...], tuple[int, ...]]:
+    """The level relations of a term's table over 2^k codes (argument j in
+    bit j): (each distinct one, and per plane p the index of its own).
+    Plane p's is the k-ary relation that holds on the codes whose value has
+    bit p.
+
+    Which values set bit p is read off the table's distinct values, and
+    each distinct set of them is one pass over the codes that builds its
+    relation, so planes set by the same values share one relation, as
+    every nonzero plane of a weighted 0/1 table does.
+    """
     k = len(table).bit_length() - 1
-    sels = [bytes([v >> p & 1 for v in table]) for p in range(max(table).bit_length())]
-    made = {sel: Relation(k, tuple(itertools.compress(range(1 << k), sel))) for sel in set(sels)}
-    return tuple(map(made.__getitem__, sels))
+    values = set(table)
+    levels: list[Relation] = []
+    made: dict[frozenset[int], int] = {}  # the values that set a plane -> its relation
+    index = []
+    for p in range(max(values).bit_length()):
+        setting = frozenset([v for v in values if v >> p & 1])
+        i = made.get(setting)
+        if i is None:
+            i = made[setting] = len(levels)
+            held = map(operator.contains, itertools.repeat(setting), table)
+            levels.append(Relation(k, tuple(itertools.compress(range(1 << k), held))))
+        index.append(i)
+    return tuple(levels), tuple(index)
 
 
 def _ones_planes(n: int, w: int, m: int) -> tuple[int, ...]:
@@ -797,7 +832,7 @@ def _eliminate(kind: str, order: list[int], by_top: dict[int, list], last: list[
                 planes = _add(planes, term)
             else:
                 full, literals = _planes(a, wide)
-                planes = _add(planes, _term(tuple(table), [literals[place[u]] for u in args], full))
+                planes = _add(planes, _term(table, [literals[place[u]] for u in args], full))
         if last[v] == k and v not in active:
             forgets.append((v, (), 0, 0, 1))
             gone[v] = True

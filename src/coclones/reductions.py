@@ -70,7 +70,7 @@ from .instances import (
     rf_name,
 )
 from .oracle import OracleError, SolveResult, _minor, meets_threshold, solve
-from .relations import Record, _setfield
+from .relations import Record, _setfield, whole
 
 __all__ = [
     "ReductionError", "ReductionRecord", "CertifyReport", "REGISTRY",
@@ -228,8 +228,9 @@ def _require_degree_bound(inst: Instance, bound: int) -> None:
         for v in set(c.args):
             count[v] = count.get(v, 0) + 1
     offending = sorted([v + 1 for v, k in count.items() if k > bound])  # numbered as in .inst
-    _require(not offending,
-             f"degree bound violated: variable(s) {offending} occur in more than {bound} constraints")
+    if offending:
+        raise ReductionError(f"degree bound violated: variable(s) {offending} occur in more "
+                             f"than {bound} constraints")
 
 
 def _require_covered(inst: Instance) -> None:
@@ -238,7 +239,8 @@ def _require_covered(inst: Instance) -> None:
     for c in inst.constraints:
         held.update(c.args)
     offending = [v + 1 for v in range(inst.num_vars) if v not in held]  # numbered as in .inst
-    _require(not offending, f"coverage violated: variable(s) {offending} occur in no constraint")
+    if offending:
+        raise ReductionError(f"coverage violated: variable(s) {offending} occur in no constraint")
 
 
 def _unweighted(inst: Instance) -> bool:
@@ -310,10 +312,22 @@ def _getters(block: tuple[str, ...], names: list[str]) -> list[Callable[[tuple],
 def _template_build(t: Template) -> Callable[[Instance, list], Instance]:
     """The builder of `t`.  It lays the header and variable blocks out once per
     source size, lists slot variables' auxiliaries only if a block names one,
-    and, with no globals or fresh ones, hands a block the constraint's args."""
+    and, with no globals or fresh ones, hands a block the constraint's args.
+    A template that is one atom on the slots in order and nothing else
+    relabels: each constraint becomes that atom on its own args."""
     g, pv, f, rel = t.globals, t.per_var, t.per_constraint, t.relation
     globals_ = [f"v{i}" for i in range(g)]
     slots = [f"a{j}" for j in range(t.arity)]
+    weighs = t.kind in (KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
+    if (t.constraint_block == (" ".join(slots),) and t.kind != KIND_WMO
+            and not (g or pv or f or t.header or t.var_block or t.weights)):
+        kind = t.kind
+
+        def relabel(inst: Instance, applied: list) -> Instance:
+            return Instance(kind, inst.num_vars, tuple([
+                Constraint(rel, c.args, c.weight if weighs else None) for c in inst.constraints]))
+
+        return relabel
     slot_aux = [s + "'" * (i + 1) for s in slots for i in range(pv)]
     header = _getters(t.header, globals_)
     var_block = _getters(t.var_block, ["x"] + globals_ + ["x" + "'" * (i + 1) for i in range(pv)])
@@ -323,7 +337,6 @@ def _template_build(t: Template) -> Callable[[Instance, list], Instance]:
     block = _getters(t.constraint_block, names)
     weighted = [(names.index(name), int(coef[0]) if coef else 1)
                 for name, *coef in map(str.split, t.weights)]
-    weighs = t.kind in (KIND_VCSP, KIND_MAXCSP, KIND_MAXCUT)
     zero, one = Fraction(0), Fraction(1)
     fresh = [tuple(range(z, z + f)) for z in range(MAX_RELATION_ARITY + 1)]
     fixed: dict[int, tuple] = {}  # the globals, header and variable blocks, per n <= 24
@@ -471,7 +484,8 @@ def _build_uvcspd_to_minones(inst: Instance, applied: list) -> Instance:
         _require(all(v.denominator == 1 for v in fn.table),
                  "integer cost values required")
         k = fn.arity
-        _require(k + (1 << k) <= 24, f"cost arity {k} makes the translation relation too wide")
+        if k + (1 << k) > 24:
+            raise ReductionError(f"cost arity {k} makes the translation relation too wide")
         slot_vars: list[int] = []
         for v in c.args:
             if v in used_first:
@@ -522,7 +536,7 @@ def _arity_sum(inst: Instance, resolver: Resolver) -> Fraction:
 def _total_weight(inst: Instance) -> Fraction:
     # an unset weight is 1; counting those as an int skips a Fraction add each
     weights = [c.weight for c in inst.constraints if c.weight is not None]
-    return sum(weights, Fraction(len(inst.constraints) - len(weights)))
+    return sum(weights, whole(len(inst.constraints) - len(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +689,7 @@ def _sample_weighted_maxcut(rng: random.Random) -> Instance:
 
 def _offset(f: Callable[[int], int]) -> Callable[[Instance, Resolver], Fraction]:
     """An offset that depends on the source's variable count alone."""
-    return lambda inst, resolver: Fraction(f(inst.num_vars))
+    return lambda inst, resolver: whole(f(inst.num_vars))
 
 
 REGISTRY: dict[str, ReductionRecord] = {}
@@ -857,7 +871,8 @@ def _check_side(name: str, side: str, inst: Instance, kind: str,
 
     "*" admits any ref, and a name ending in "*" ("Rf_*") any ref it prefixes.
     """
-    _require(inst.kind == kind, f"{name}: {side} must be a {kind} instance, got {inst.kind}")
+    if inst.kind != kind:
+        raise ReductionError(f"{name}: {side} must be a {kind} instance, got {inst.kind}")
     if "*" in language or {c.ref for c in inst.constraints}.issubset(language):
         return
     extra = [r for r in inst.language()
@@ -884,15 +899,16 @@ def apply(name: str, inst: Instance, resolver: Optional[Resolver] = None
     if out.num_vars > declared or (rec.size.exact and out.num_vars != declared):
         raise BoundViolation(f"{name}: produced {out.num_vars} variables, "
                              f"declared {rec.size.text()} = {declared}")
-    info = ApplyInfo()
     if isinstance(rec.measure, Decision):
-        info.threshold = rec.measure.threshold(inst)
+        info = ApplyInfo(rec.measure.threshold(inst))
     else:
-        info.sign, info.value_offset = rec.measure.sign, rec.measure.offset(inst, resolver)
-        if inst.threshold is not None:
-            direction = inst.threshold.direction
-            info.threshold = Threshold(direction if info.sign > 0 else _FLIPPED[direction],
-                                       info.sign * inst.threshold.value + info.value_offset)
+        sign, offset = rec.measure.sign, rec.measure.offset(inst, resolver)
+        threshold = inst.threshold
+        if threshold is not None:
+            direction = threshold.direction
+            threshold = Threshold(direction if sign > 0 else _FLIPPED[direction],
+                                  sign * threshold.value + offset)
+        info = ApplyInfo(threshold, offset, sign)
     if info.threshold is not None:
         out = out.with_threshold(info.threshold.direction, info.threshold.value)
     return out, info
@@ -930,12 +946,21 @@ def _entry_seed(seed: int, name: str) -> int:
     return (seed ^ zlib.crc32(name.encode())) & 0xFFFFFFFF
 
 
-def corpus(rec: ReductionRecord, trials: int = 200, seed: int = 0) -> list[Instance]:
-    """The sources `certify` draws: the exhaustive list, or `trials` seeded samples."""
+def corpus(rec: ReductionRecord, trials: int = 200, seed: int = 0) -> tuple[Instance, ...]:
+    """The sources `certify` draws: the exhaustive corpus, built once per
+    process (`_exhaustive`), or `trials` seeded samples."""
     if rec.exhaustive is not None:
-        return list(rec.exhaustive())
+        return _exhaustive(rec.exhaustive)
     rng = random.Random(_entry_seed(seed, rec.name))
-    return [rec.sampler(rng) for _ in range(trials)]
+    return tuple([rec.sampler(rng) for _ in range(trials)])
+
+
+# Each exhaustive corpus, kept as `_complements` keeps its blocks, under the
+# generator itself: a record made with another generator (`replace`) gets
+# its own corpus, and the tuple of frozen instances cannot be changed.
+@functools.lru_cache(maxsize=1 << 4)
+def _exhaustive(generate: Callable[[], Iterator[Instance]]) -> tuple[Instance, ...]:
+    return tuple(generate())
 
 
 def _on_map(t: Fraction, sign: int, s: Fraction, offset: Fraction) -> bool:

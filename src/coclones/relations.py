@@ -95,9 +95,27 @@ def number(text: str) -> Fraction:
     return Fraction(text)
 
 
+# The Fractions of the whole numbers below 2^8, built once and shared, since a
+# Fraction is immutable: the optima and offsets of small instances are among
+# them, and reading one skips Fraction's constructor.
+_WHOLE = tuple(map(Fraction, range(1 << 8)))
+
+
+def whole(i: int) -> Fraction:
+    """Fraction(i) for an int i."""
+    return _WHOLE[i] if 0 <= i < 256 else Fraction(i)
+
+
 # A record's __init__ stores each field with this, past its read-only
 # __setattr__.
 _setfield = object.__setattr__
+
+
+def _slot_setters(cls) -> tuple:
+    """The setters of a slotted record's fields, in `_fields` order.  Each
+    stores its field as `_setfield` does, without looking the field up by
+    name: the records built once or more per solve store theirs so."""
+    return tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
 
 class Record:
@@ -108,9 +126,10 @@ class Record:
     equal, so no record equals one of another class or a tuple of its
     values.  A record is frozen unless its class is declared with
     `frozen=False`: assigning a field raises AttributeError, its
-    `__init__` checks its arguments and stores them with `_setfield`, and
-    its hash is the hash of its fields.  A mutable record has no hash.  A
-    class without cached properties declares `__slots__ = _fields`.
+    `__init__` checks its arguments and stores them with `_setfield` (or
+    its `_slot_setters`), and its hash is the hash of its fields.  A
+    mutable record has no hash.  A class without cached properties declares
+    `__slots__ = _fields`.
     """
 
     __slots__ = ()

@@ -32,6 +32,7 @@ from coclones.fileio import emit_inst
 from coclones.oracle import meets_threshold, solve
 from coclones.definitions import ARGMAX_IDENTITIES
 from coclones.postlattice import co_clone_of, parse_coclone_name
+from coclones import reductions
 from coclones.reductions import (
     ACCEPTANCE_ENTRIES,
     QPP_FAMILY,
@@ -41,9 +42,11 @@ from coclones.reductions import (
     BoundViolation,
     Decision,
     ReductionError,
+    Template,
     _entry_seed,
     _gadget_max,
     _measure_failure,
+    _template_build,
     _through,
     _weight_big_m,
     apply,
@@ -276,6 +279,18 @@ def test_the_max_cut_f_neq_pair_carries_every_weight():
         assert (back.num_vars, back.constraints) == (src.num_vars, src.constraints)
 
 
+def test_a_template_with_a_global_weighs_every_constraint_block_atom():
+    # the pair's templates relabel; one with a global lays its blocks out
+    build = _template_build(Template(KIND_MAXCUT, "edge", 2, globals=1,
+                                     constraint_block=("a0 a1", "a1 v0")))
+    src = Instance(KIND_MAXCUT, 3, (Constraint("edge", (0, 1), Fraction(2)),
+                                    Constraint("edge", (1, 2))))
+    tgt = build(src, [None, None])
+    assert (tgt.kind, tgt.num_vars) == (KIND_MAXCUT, 4)
+    assert [(c.args, c.weight) for c in tgt.constraints] == [
+        ((0, 1), Fraction(2)), ((1, 3), Fraction(2)), ((1, 2), None), ((2, 3), None)]
+
+
 def test_qwpp_chained_targets():
     src = Instance(KIND_WMO, 8, (Constraint("R_II2", tuple(range(8))),),
                    var_weights=tuple(Fraction(1) for _ in range(8)))
@@ -371,6 +386,38 @@ def test_certify_deterministic_under_seed():
     a = certify("umo_II2_to_IN2", trials=6, seed=5)
     b = certify("umo_II2_to_IN2", trials=6, seed=5)
     assert a == b
+
+
+EXHAUSTIVE = [name for name in registry_names() if REGISTRY[name].exhaustive is not None]
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE)
+def test_an_exhaustive_corpus_is_built_once_and_cannot_change(name):
+    rec = REGISTRY[name]
+    got = corpus(rec)
+    assert type(got) is tuple and got == tuple(rec.exhaustive())  # the same sources, in order
+    assert corpus(rec, trials=3, seed=9) is got  # kept for the process; trials and seed do not apply
+    with pytest.raises(TypeError):
+        got[0] = got[1]
+    with pytest.raises(AttributeError):
+        got[0].constraints = ()
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE)
+def test_a_replaced_generator_certifies_on_its_own_corpus(monkeypatch, name):
+    rec = REGISTRY[name]
+    mine = corpus(rec)[-5:]  # the entry's own corpus is kept first
+    monkeypatch.setitem(REGISTRY, name, rec.replace(exhaustive=lambda: iter(mine)))
+    report = certify(name)
+    assert (report.mode, report.cases, report.ok) == ("exhaustive", 5, True)
+    assert corpus(REGISTRY[name]) == mine and corpus(rec) != mine
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE)
+def test_two_certify_calls_in_one_process_render_the_same_report(name):
+    reductions._exhaustive.cache_clear()
+    first = certify(name).render()  # builds the corpus
+    assert certify(name).render() == first  # reads the kept one
 
 
 def test_certify_reports_oracle_failure_as_a_case(monkeypatch):
